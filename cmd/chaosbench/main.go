@@ -14,26 +14,10 @@
 //	           [-recover] [-checkpoint-interval 1s] [-lease-timeout 500ms] \
 //	           [-trace trace.json] [-metrics metrics.txt]
 //
-// -backend=dist runs each leg of the triple as a full multi-process session:
-// a coordinator in this command plus -nodes premad daemons (spawned per leg,
-// or externally started with -dist-attach) connected by a TCP mesh. -nodes
-// and -dist-listen are required together. The fault plan is shipped to every
-// node and injected at its local substrate seam, so drops and duplications
-// hit intra-node delivery on real processes while the reliable protocol
-// repairs them; fail-stop clauses (and -recover) are in-process only, as are
-// -wire, -trace, and -metrics.
-//
-// -wire interposes the binary wire codec (internal/wire) beneath the fault
-// injector: every Send is encoded into a frame and delivered as a freshly
-// decoded copy, so chaos runs additionally prove the reliable protocol holds
-// when messages really are serialized rather than shared by pointer. The
-// codec charges no substrate time; output is identical.
-//
-// -trace/-metrics record every run through internal/trace (the tracing
-// decorator wraps outside the fault injector, so the stream shows the
-// retransmissions the reliable protocol performed) and write one
-// Perfetto-loadable Chrome trace / metrics rendering per run, suffixing
-// figN.label (clean, reliable, faulted) before the file extension.
+// Everything but -figs is a shared flag: one declaration in internal/bench's
+// flag table (run with -h for the help texts), one compatibility check
+// (bench.RunSpec.Validate; the "what composes with what" matrix is in
+// DESIGN.md). A combination the matrix rejects exits 2 before anything runs.
 //
 // For each figure scenario it runs three configurations:
 //
@@ -48,407 +32,181 @@
 // if any run fails conservation or the application outcome diverges from
 // the clean run.
 //
-// The fault plan uses the internal/faulty syntax; see `-fault-plan ""` for a
-// clean sweep or e.g. "drop=0.2,dup=0.1;stall:2@100s+20s" to freeze a
-// processor mid-run.
+// -recover arms the crash-recovery subsystem on the reliable and faulted
+// legs. With no crash in the plan it leaves the reliable leg byte-identical:
+// the checkpoint costs accrue silently and only hit the ledgers once a crash
+// verdict fires. -trace/-metrics write one file per leg, suffixing
+// figN.label (clean, reliable, faulted) before the extension.
 //
-// Fail-stop clauses ("crash:3@35s", optionally "recover:3@50s" for a rejoin)
-// additionally need -recover, which arms the crash-recovery subsystem on the
-// reliable and faulted legs: periodic object checkpoints (-checkpoint-interval,
-// virtual time), heartbeat leases for failure detection (-lease-timeout; the
-// real backend defaults to 250ms of wall clock), directory repair, and orphan
-// re-homing. A crashed run then finishes with the clean run's outcome. With no
-// crash in the plan, -recover leaves the reliable leg byte-identical: the
-// checkpoint costs accrue silently and only hit the ledgers once a crash
-// verdict fires. Processor 0 is the head node (it owns the completion counter)
-// and cannot be crashed.
+// On -backend=dist each leg is a full multi-process session (with
+// -dist-attach the daemons must serve three sessions per figure). The fault
+// plan is shipped to every node and injected at its local substrate seam,
+// so the injected-fault counts stay node-local; the cross-process ground
+// truth reported is conservation and the unit totals merged from every
+// node's partial result.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"prema/internal/bench"
-	"prema/internal/dmcs"
 	"prema/internal/faulty"
 	"prema/internal/substrate"
-	"prema/internal/trace"
 )
 
-func main() {
-	system := flag.String("system", "prema-implicit", "PREMA system configuration (none, prema-explicit, prema-implicit)")
-	figs := flag.String("figs", "3,4,5,6", "comma-separated paper figure scenarios to run")
-	procs := flag.Int("procs", 32, "simulated processors")
-	upp := flag.Int("units-per-proc", 32, "work units per processor")
-	shards := flag.Int("shards", 1, "simulator backend: parallel event-loop shards per simulation (output is identical for any value)")
-	partition := flag.String("partition", "roundrobin", "simulator backend: processor-to-shard placement strategy: roundrobin, blocked, or loaded (output is identical for any value)")
-	planS := flag.String("fault-plan", "drop=0.2,dup=0.1", "fault plan (faulty syntax; \"none\" = clean)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed")
-	rto := flag.Duration("rto", 50*time.Millisecond, "reliable-mode initial retransmission timeout")
-	backend := flag.String("backend", "sim", "execution substrate: sim (deterministic) | real (goroutines) | dist (node processes over TCP)")
-	nodes := flag.Int("nodes", 0, "dist backend: node process count (required with -backend=dist)")
-	distListen := flag.String("dist-listen", "", "dist backend: coordinator listen address, host:port (required with -backend=dist; port 0 picks a free one)")
-	premadPath := flag.String("premad", "", "dist backend: premad binary to spawn (default: next to this executable, then PATH)")
-	distAttach := flag.Bool("dist-attach", false, "dist backend: do not spawn node daemons; externally started premads dial the coordinator (they must serve one session per run: three per figure)")
-	timescale := flag.Float64("timescale", 1e-2, "real backend: wall seconds per virtual second")
-	spin := flag.Bool("spin", false, "real backend: busy-wait instead of sleeping")
-	wireOn := flag.Bool("wire", false, "run behind the serialization loopback (wire codec; output is identical)")
-	recoverOn := flag.Bool("recover", false, "arm the crash-recovery subsystem on the reliable and faulted legs (required for crash/recover plan clauses)")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "recovery: periodic object-checkpoint interval in virtual time (0 = default 1s)")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "recovery: heartbeat lease timeout in virtual time (0 = default: 500ms on sim, 250ms of wall clock on real)")
-	traceOut := flag.String("trace", "", "write Chrome trace JSON per run (base path; figN.label is inserted before the extension)")
-	metricsOut := flag.String("metrics", "", "write aggregated trace metrics per run (base path, same suffixing; .json = JSON)")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingCap, "per-processor trace ring capacity in events (rounded up to a power of two)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "chaosbench: unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
-	}
-	if *procs < 1 || *upp < 1 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -procs and -units-per-proc must be positive (got %d, %d)\n", *procs, *upp)
-		os.Exit(2)
-	}
-	if *rto <= 0 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -rto must be positive (got %v)\n", *rto)
-		os.Exit(2)
-	}
-	if *timescale <= 0 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -timescale must be positive (got %g)\n", *timescale)
-		os.Exit(2)
-	}
-	if *backend != "sim" && *backend != "real" && *backend != "dist" {
-		fmt.Fprintf(os.Stderr, "chaosbench: unknown backend %q (want sim, real, or dist)\n", *backend)
-		os.Exit(2)
-	}
-	isDist := *backend == "dist"
-	if isDist {
-		if *nodes < 1 || *distListen == "" {
-			fmt.Fprintln(os.Stderr, "chaosbench: -backend=dist requires -nodes and -dist-listen together")
-			os.Exit(2)
-		}
-		if *nodes > *procs {
-			fmt.Fprintf(os.Stderr, "chaosbench: -nodes %d exceeds -procs %d (every node hosts at least one processor)\n", *nodes, *procs)
-			os.Exit(2)
-		}
-		if *partition != "roundrobin" {
-			fmt.Fprintln(os.Stderr, "chaosbench: -partition applies to the simulator backend only; use -backend=sim")
-			os.Exit(2)
-		}
-		if !bench.WiredSystem(*system) {
-			fmt.Fprintf(os.Stderr, "chaosbench: system %q is a cost model without a transport and is simulator-only; use -backend=sim\n", *system)
-			os.Exit(2)
-		}
-		if *wireOn {
-			fmt.Fprintln(os.Stderr, "chaosbench: -wire applies to the in-process backends; the distributed backend already serializes every remote message")
-			os.Exit(2)
-		}
-		if *recoverOn {
-			fmt.Fprintln(os.Stderr, "chaosbench: -recover (fail-stop crash recovery) is not supported on the distributed backend")
-			os.Exit(2)
-		}
-		if *traceOut != "" || *metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "chaosbench: -trace and -metrics apply to the in-process backends; use premabench -backend=dist -trace for per-node timelines")
-			os.Exit(2)
-		}
-	} else if *nodes != 0 || *distListen != "" || *premadPath != "" || *distAttach {
-		fmt.Fprintln(os.Stderr, "chaosbench: -nodes, -dist-listen, -premad, and -dist-attach apply to the distributed backend only; use -backend=dist")
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > 1 && *backend != "sim" {
-		fmt.Fprintf(os.Stderr, "chaosbench: -shards applies to the simulator backend only; use -backend=sim\n")
-		os.Exit(2)
-	}
-	if !bench.ValidPartition(*partition) {
-		fmt.Fprintf(os.Stderr, "chaosbench: -partition must be one of %v (got %q)\n", bench.PartitionStrategies, *partition)
-		os.Exit(2)
-	}
-	if *wireOn && !bench.WiredSystem(*system) {
-		fmt.Fprintf(os.Stderr, "chaosbench: system %q is a cost model without a transport; -wire needs a PREMA configuration\n", *system)
-		os.Exit(2)
-	}
-	plan, err := faulty.ParsePlan(*planS)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosbench:", err)
-		os.Exit(2)
-	}
-	if *ckptInterval < 0 || *leaseTimeout < 0 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -checkpoint-interval and -lease-timeout must be >= 0 (got %v, %v)\n", *ckptInterval, *leaseTimeout)
-		os.Exit(2)
-	}
-	if (len(plan.Crashes) > 0 || len(plan.Recovers) > 0) && !*recoverOn {
-		fmt.Fprintf(os.Stderr, "chaosbench: the fault plan schedules a fail-stop; add -recover to make it survivable (crash/recover clauses require the recovery subsystem)\n")
-		os.Exit(2)
-	}
-	if *recoverOn {
-		if *shards > 1 {
-			fmt.Fprintf(os.Stderr, "chaosbench: -recover requires a serial simulator; use -shards=1\n")
-			os.Exit(2)
-		}
-		for _, c := range plan.Crashes {
-			if c.Proc == 0 {
-				fmt.Fprintf(os.Stderr, "chaosbench: cannot crash processor 0: it is the head node and owns the completion counter\n")
-				os.Exit(2)
-			}
-			if c.Proc >= *procs {
-				fmt.Fprintf(os.Stderr, "chaosbench: crash targets processor %d but the machine has only %d (0..%d)\n", c.Proc, *procs, *procs-1)
-				os.Exit(2)
-			}
-		}
-	}
+func run(args []string, stdout, stderr io.Writer) int {
+	// The template is the faulted leg; the other two legs strip it down.
+	spec := bench.RunSpec{
+		System:       "prema-implicit",
+		W:            bench.Workload{Procs: 32},
+		UnitsPerProc: 32,
+		TimeScale:    1e-2,
+		Reliable:     true,
+		RTO:          substrate.FromDuration(50 * time.Millisecond),
+		FaultPlan:    "drop=0.2,dup=0.1",
+		FaultSeed:    1,
+	}.WithDefaults()
+	fs := flag.NewFlagSet("chaosbench", flag.ContinueOnError)
+	spec.BindFlags(fs, `system procs units-per-proc shards partition wire
+		backend timescale spin nodes dist-listen premad dist-attach
+		fault-plan fault-seed rto recover checkpoint-interval lease-timeout
+		trace metrics trace-ring`)
+	figs := fs.String("figs", "3,4,5,6", "comma-separated paper figure scenarios to run")
 	var specs []bench.FigureSpec
-	for _, f := range strings.Split(*figs, ",") {
-		id, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: bad figure %q in -figs\n", f)
-			os.Exit(2)
-		}
-		spec, err := bench.FigureByID(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaosbench:", err)
-			os.Exit(2)
-		}
-		specs = append(specs, spec)
-	}
-
-	rel := dmcs.DefaultRelConfig()
-	rel.RTO = substrate.FromDuration(*rto)
-
-	if (*traceOut != "" || *metricsOut != "") && *traceRing < 1 {
-		fmt.Fprintf(os.Stderr, "chaosbench: -trace-ring must be >= 1 (got %d)\n", *traceRing)
-		os.Exit(2)
-	}
-	sink := traceSink{tracePath: *traceOut, metricsPath: *metricsOut, ring: *traceRing}
-
-	failed := false
-	for _, spec := range specs {
-		w := bench.PaperWorkload(spec, *procs, *upp)
-		w.Shards = *shards
-		w.Partition = *partition
-		w.Wire = *wireOn
-		fmt.Printf("=== Figure %d scenario: imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, backend=%s) ===\n",
-			spec.ID, spec.Imbalance*100, spec.Ratio, w.Procs, w.Units, *backend)
-		sink.fig = spec.ID
-		if isDist {
-			opt := bench.DistOptions{Nodes: *nodes, Listen: *distListen, Premad: *premadPath, Attach: *distAttach}
-			if !runDistTriple(w, *system, *planS, plan.Active(), *faultSeed, rel, *timescale, *spin, opt) {
-				failed = true
+	local := func() error {
+		for _, f := range strings.Split(*figs, ",") {
+			id, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return fmt.Errorf("bad figure %q in -figs", f)
 			}
-		} else {
-			rec := recovOpts{on: *recoverOn, interval: substrate.FromDuration(*ckptInterval), lease: substrate.FromDuration(*leaseTimeout)}
-			if !run(w, *system, plan, *faultSeed, rel, rec, *backend, *timescale, *spin, sink) {
-				failed = true
+			fig, err := bench.FigureByID(id)
+			if err != nil {
+				return err
 			}
+			specs = append(specs, fig)
 		}
-		fmt.Println()
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// traceSink carries the per-run trace/metrics export configuration.
-type traceSink struct {
-	tracePath   string
-	metricsPath string
-	ring        int
-	fig         int
-}
-
-func (ts traceSink) active() bool { return ts.tracePath != "" || ts.metricsPath != "" }
-
-// collector returns a fresh collector when exporting is on, nil otherwise.
-func (ts traceSink) collector() *trace.Collector {
-	if !ts.active() {
+		if len(spec.Systems()) != 1 {
+			return errors.New("-system takes exactly one configuration")
+		}
+		if spec.Backend == bench.BackendDist && (spec.TracePath != "" || spec.MetricsPath != "") {
+			return errors.New("-trace and -metrics apply to the in-process backends; use premabench -backend=dist -trace for per-node timelines")
+		}
 		return nil
 	}
-	return trace.NewCollector(ts.ring)
-}
+	if code, done := spec.ParseFlags(fs, args, stderr, local); done {
+		return code
+	}
 
-// write exports one labeled run's trace and metrics.
-func (ts traceSink) write(label string, col *trace.Collector, r *bench.Result) bool {
-	if col == nil {
-		return true
-	}
-	suffix := fmt.Sprintf("fig%d.%s", ts.fig, label)
-	if ts.tracePath != "" {
-		path := trace.SuffixPath(ts.tracePath, suffix)
-		if err := col.WriteChromeFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "chaosbench:", err)
-			return false
-		}
-		fmt.Printf("  wrote %s (%d events, %d dropped)\n", path, col.Total(), col.Dropped())
-	}
-	if ts.metricsPath != "" {
-		path := trace.SuffixPath(ts.metricsPath, suffix)
-		if err := trace.Summarize(col, r.Makespan).WriteFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "chaosbench:", err)
-			return false
-		}
-		fmt.Printf("  wrote %s\n", path)
-	}
-	return true
-}
-
-// runDistTriple is the clean / reliable / faulted triple on the distributed
-// backend: three full multi-process sessions (the node daemons are spawned —
-// or, with -dist-attach, dial in — once per leg). Fault injection happens at
-// each node's substrate seam, so the injected-fault counts stay node-local;
-// the cross-process ground truth reported here is conservation and the unit
-// totals merged from every node's partial result.
-func runDistTriple(w bench.Workload, system, planS string, planActive bool, faultSeed int64, rel dmcs.RelConfig, timescale float64, spin bool, opt bench.DistOptions) bool {
-	ok := true
-	runOne := func(label string, reliable bool, faultPlan string) *bench.Result {
-		spec := bench.NewDistSpec(system, w)
-		spec.TimeScale = timescale
-		spec.Spin = spin
-		spec.Reliable = reliable
-		if reliable {
-			spec.RTO = rel.RTO
-		}
-		spec.FaultPlan = faultPlan
-		spec.FaultSeed = faultSeed
-		r, err := bench.RunDist(spec, opt)
+	failed := false
+	for _, fig := range specs {
+		s := spec.ForFigure(fig)
+		fmt.Fprintf(stdout, "=== Figure %d scenario: imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, backend=%s) ===\n",
+			fig.ID, fig.Imbalance*100, fig.Ratio, s.W.Procs, s.W.Units, s.Backend)
+		ok, err := triple(stdout, s, fig.ID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaosbench:", err)
-			return nil
+			fmt.Fprintln(stderr, "chaosbench:", err)
 		}
-		report(label, r, faulty.Stats{}, &ok)
-		return r
+		failed = failed || !ok || err != nil
+		fmt.Fprintln(stdout)
 	}
-	clean := runOne("clean", false, "")
-	if clean == nil {
-		return false
+	if failed {
+		return 1
 	}
-	relRes := runOne("reliable", true, "")
-	if relRes == nil {
-		return false
-	}
-	overhead := 100 * (relRes.Makespan.Seconds() - clean.Makespan.Seconds()) / clean.Makespan.Seconds()
-	fmt.Printf("  reliable-mode overhead on a fault-free network: %+.2f%% of makespan\n", overhead)
-	if planActive {
-		fRes := runOne("faulted", true, planS)
-		if fRes == nil {
-			return false
+	return 0
+}
+
+// triple executes the clean / reliable / faulted triple of one scenario and
+// prints the comparison. ok is false if any check failed.
+func triple(stdout io.Writer, faulted bench.RunSpec, fig int) (ok bool, err error) {
+	ok = true
+	leg := func(label string, s bench.RunSpec) (*bench.Result, error) {
+		r, err := s.Run()
+		if err != nil {
+			return nil, err
 		}
-		if fRes.Counters["units_run"] != clean.Counters["units_run"] {
-			fmt.Printf("  FAIL: faulted run computed %d units, clean run %d\n",
-				fRes.Counters["units_run"], clean.Counters["units_run"])
+		report(stdout, label, r, &ok)
+		return r, s.ExportTrace(stdout, "  ", r, fmt.Sprintf("fig%d.%s", fig, label))
+	}
+
+	// Recovery rides on reliable delivery, so it arms on the reliable leg
+	// (and the faulted leg, which inherits).
+	reliable := faulted
+	reliable.FaultPlan = ""
+	cleanSpec := reliable
+	cleanSpec.Reliable, cleanSpec.Recover = false, false
+
+	clean, err := leg("clean", cleanSpec)
+	if err != nil {
+		return false, err
+	}
+	rel, err := leg("reliable", reliable)
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprintf(stdout, "  reliable-mode overhead on a fault-free network: %+.2f%% of makespan\n", pctOver(rel, clean))
+
+	if plan, _ := faulty.ParsePlan(faulted.FaultPlan); plan.Active() { // Validate has parsed it
+		f, err := leg("faulted", faulted)
+		if err != nil {
+			return false, err
+		}
+		if f.Counters["units_run"] != clean.Counters["units_run"] {
+			fmt.Fprintf(stdout, "  FAIL: faulted run computed %d units, clean run %d\n",
+				f.Counters["units_run"], clean.Counters["units_run"])
 			ok = false
 		}
+		reportRecovery(stdout, f, clean)
 	}
-	return ok
+	return ok, nil
 }
 
-// recovOpts bundles the crash-recovery flags for one run.
-type recovOpts struct {
-	on              bool
-	interval, lease substrate.Time
-}
-
-// run executes the clean / reliable / faulted triple on one workload and
-// prints the comparison. Returns false if any check failed.
-func run(w bench.Workload, system string, plan faulty.Plan, faultSeed int64, rel dmcs.RelConfig, rec recovOpts, backend string, timescale float64, spin bool, sink traceSink) bool {
-	base := bench.ChaosSpec{System: system, Backend: backend, TimeScale: timescale, Spin: spin}
-
-	relSpec := base
-	relSpec.Rel = rel
-	if rec.on {
-		// Recovery rides on reliable delivery, so it arms on the reliable leg
-		// (and the faulted leg, which inherits). Without a crash in the plan
-		// this leg's output is byte-identical to a -recover-less run: the
-		// checkpoint costs stay off the ledgers until a verdict fires.
-		relSpec.Recover = true
-		relSpec.CheckpointInterval = rec.interval
-		relSpec.LeaseTimeout = rec.lease
-	}
-
-	faulted := relSpec
-	faulted.Plan = plan
-	faulted.FaultSeed = faultSeed
-
-	ok := true
-	base.Trace = sink.collector()
-	clean, _, err := bench.RunChaos(w, base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosbench:", err)
-		return false
-	}
-	report("clean", clean, faulty.Stats{}, &ok)
-	ok = sink.write("clean", base.Trace, clean) && ok
-
-	relSpec.Trace = sink.collector()
-	relRes, _, err := bench.RunChaos(w, relSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaosbench:", err)
-		return false
-	}
-	report("reliable", relRes, faulty.Stats{}, &ok)
-	ok = sink.write("reliable", relSpec.Trace, relRes) && ok
-	overhead := 100 * (relRes.Makespan.Seconds() - clean.Makespan.Seconds()) / clean.Makespan.Seconds()
-	fmt.Printf("  reliable-mode overhead on a fault-free network: %+.2f%% of makespan\n", overhead)
-
-	if plan.Active() {
-		faulted.Trace = sink.collector()
-		fRes, fStats, err := bench.RunChaos(w, faulted)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaosbench:", err)
-			return false
-		}
-		report("faulted", fRes, fStats, &ok)
-		ok = sink.write("faulted", faulted.Trace, fRes) && ok
-		if fRes.Counters["units_run"] != clean.Counters["units_run"] {
-			fmt.Printf("  FAIL: faulted run computed %d units, clean run %d\n",
-				fRes.Counters["units_run"], clean.Counters["units_run"])
-			ok = false
-		}
-		reportRecovery(fRes, clean, w.Procs)
-	}
-	return ok
+// pctOver is r's makespan inflation over base, in percent.
+func pctOver(r, base *bench.Result) float64 {
+	return 100 * (r.Makespan.Seconds() - base.Makespan.Seconds()) / base.Makespan.Seconds()
 }
 
 // reportRecovery prints the crash-recovery ledger for the faulted leg: what
 // the failure detector, directory repair, and replay did, and what the
 // checkpoints cost relative to the clean run. Prints nothing unless a crash
-// verdict actually fired, so fault plans without fail-stops keep today's
+// verdict actually fired, so fault plans without fail-stops keep their
 // output.
-func reportRecovery(fRes, clean *bench.Result, procs int) {
+func reportRecovery(stdout io.Writer, fRes, clean *bench.Result) {
 	rs := fRes.Recov
 	if rs == nil || rs.Suspects == 0 {
 		return
 	}
-	fmt.Printf("  recovery: suspects=%d objects_restored=%d replayed=%d units_skipped=%d lost_units=%d rejoins=%d\n",
+	fmt.Fprintf(stdout, "  recovery: suspects=%d objects_restored=%d replayed=%d units_skipped=%d lost_units=%d rejoins=%d\n",
 		rs.Suspects, rs.ObjectsRecovered, rs.EnvelopesReplayed, rs.UnitsSkipped,
 		fRes.Counters["recov_lost_units"], rs.Rejoins)
-	perProc := rs.Charged.Seconds() / float64(procs)
-	fmt.Printf("  checkpoints: %d rounds, %d objects, %d bytes; cost %.4fs/proc = %.2f%% of clean makespan\n",
+	perProc := rs.Charged.Seconds() / float64(fRes.W.Procs)
+	fmt.Fprintf(stdout, "  checkpoints: %d rounds, %d objects, %d bytes; cost %.4fs/proc = %.2f%% of clean makespan\n",
 		rs.Checkpoints, rs.CheckpointObjects, rs.CheckpointBytes,
 		perProc, 100*perProc/clean.Makespan.Seconds())
-	fmt.Printf("  recovered-run makespan inflation: %+.2f%% vs clean\n",
-		100*(fRes.Makespan.Seconds()-clean.Makespan.Seconds())/clean.Makespan.Seconds())
+	fmt.Fprintf(stdout, "  recovered-run makespan inflation: %+.2f%% vs clean\n", pctOver(fRes, clean))
 }
 
 // report prints one run's line and applies the conservation check.
-func report(label string, r *bench.Result, st faulty.Stats, ok *bool) {
-	fmt.Printf("  %-9s makespan=%9.1fs  units=%d  retransmits=%d  dup_dropped=%d",
+func report(stdout io.Writer, label string, r *bench.Result, ok *bool) {
+	fmt.Fprintf(stdout, "  %-9s makespan=%9.1fs  units=%d  retransmits=%d  dup_dropped=%d",
 		label, r.Makespan.Seconds(), r.Counters["units_run"],
 		r.Counters["rel_retransmits"], r.Counters["rel_dup_dropped"])
-	if st != (faulty.Stats{}) {
-		fmt.Printf("  [injected: dropped=%d dupped=%d delayed=%d reordered=%d stalls=%d]",
+	if st := r.Faults; st != (faulty.Stats{}) {
+		fmt.Fprintf(stdout, "  [injected: dropped=%d dupped=%d delayed=%d reordered=%d stalls=%d]",
 			st.Dropped, st.Dupped, st.Delayed, st.Reordered, st.Stalls)
 	}
 	if err := r.CheckConservation(); err != nil {
-		fmt.Printf("\n  FAIL: %v\n", err)
+		fmt.Fprintf(stdout, "\n  FAIL: %v\n", err)
 		*ok = false
 		return
 	}
-	fmt.Println("  conservation OK")
+	fmt.Fprintln(stdout, "  conservation OK")
 }

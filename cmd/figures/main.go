@@ -8,11 +8,11 @@
 //	        [-backend sim|dist] [-nodes N -dist-listen HOST:PORT] \
 //	        [-csv DIR] [-trace trace.json] [-metrics metrics.txt]
 //
-// -trace and -metrics re-run the PREMA systems of each selected figure with
-// the internal/trace recorder attached (observational — same makespans as
-// the main sweep) and write one Perfetto-loadable Chrome trace / metrics
-// rendering per (figure, system), suffixing figN.system before the file
-// extension.
+// Everything but -fig and -csv is a shared flag: one declaration in
+// internal/bench's flag table (run with -h for the help texts), one
+// compatibility check (bench.RunSpec.Validate; the "what composes with
+// what" matrix is in DESIGN.md). A combination the matrix rejects exits 2
+// before anything runs.
 //
 // With no -fig, all four figures run. -stride 0 suppresses the per-processor
 // breakdown tables (the summary lines always print). -fig 1 prints the
@@ -20,30 +20,28 @@
 //
 // The 24 simulations of the full sweep are independent; -jobs fans them out
 // across cores, and -shards additionally parallelizes each simulation's
-// event loop. The two levels multiply (jobs × shards goroutines contend for
-// CPUs), so the -jobs default of 0 means "auto": one worker per CPU divided
-// by -shards. -wire routes every PREMA-system message through the binary
-// wire codec (encode at Send, deliver a decoded copy; the baseline cost
-// models have no transport and run as usual). Output is byte-identical for
-// any -jobs, -shards, and -wire values.
+// event loop. -wire, -trace and -metrics apply to the systems of each figure
+// that have a transport (the baseline cost models run as usual); the trace
+// and metrics files are written per (figure, system), suffixing figN.system
+// before the extension. Output is byte-identical for any -jobs, -shards,
+// -wire and -trace values.
 //
-// -backend=dist replays one figure's PREMA systems (none, prema-explicit,
-// prema-implicit) on the distributed backend: a coordinator in this process
-// plus -nodes premad daemons over localhost TCP, one session per system.
-// Makespans are wall-clock under -timescale and not comparable to the
-// simulator's; the counter and residency columns are. The baseline cost
-// models (parmetis, charm) have no transport and are skipped.
+// -backend=dist replays one figure's transport-backed systems (none,
+// prema-explicit, prema-implicit) on the distributed backend, one session
+// per system, one after another (concurrent sessions would distort each
+// other's wall clock). Makespans are wall-clock under -timescale and not
+// comparable to the simulator's; the counter and residency columns are.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"prema/internal/bench"
-	"prema/internal/sweep"
-	"prema/internal/trace"
 )
 
 const taxonomy = `Figure 1 — Using synchronization as a criterion for system classification
@@ -55,240 +53,122 @@ const taxonomy = `Figure 1 — Using synchronization as a criterion for system c
   asynchronous            interrupt-driven       implicit       PREMA + interrupts (this paper's approach)
 `
 
-func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (3-6; 1 prints the taxonomy; 0 = all benchmarks)")
-	procs := flag.Int("procs", 128, "simulated processors")
-	upp := flag.Int("units-per-proc", 128, "work units per processor")
-	stride := flag.Int("stride", 8, "per-processor breakdown sampling stride (0 = summaries only)")
-	jobs := flag.Int("jobs", 0, "max simulations in flight (0 = auto: one per CPU divided by -shards; 1 = serial)")
-	shards := flag.Int("shards", 1, "parallel event-loop shards per simulation (1 = serial engine; output is identical for any value)")
-	partition := flag.String("partition", "roundrobin", "processor-to-shard placement strategy: roundrobin, blocked, or loaded (output is identical for any value)")
-	wireOn := flag.Bool("wire", false, "run the PREMA systems behind the serialization loopback (wire codec; output is identical)")
-	backend := flag.String("backend", "sim", "execution substrate: sim (deterministic) | dist (node processes over TCP; PREMA systems of one -fig)")
-	nodes := flag.Int("nodes", 0, "dist backend: node process count (required with -backend=dist)")
-	distListen := flag.String("dist-listen", "", "dist backend: coordinator listen address, host:port (required with -backend=dist; port 0 picks a free one)")
-	premadPath := flag.String("premad", "", "dist backend: premad binary to spawn (default: next to this executable, then PATH)")
-	distAttach := flag.Bool("dist-attach", false, "dist backend: do not spawn node daemons; externally started premads dial the coordinator (one session per system)")
-	timescale := flag.Float64("timescale", 1e-3, "dist backend: wall seconds per virtual second")
-	csvDir := flag.String("csv", "", "directory to write per-system breakdown CSVs into (plots)")
-	traceOut := flag.String("trace", "", "record the PREMA systems and write Chrome trace JSON per figure+system (base path; figN.system is inserted before the extension)")
-	metricsOut := flag.String("metrics", "", "write aggregated trace metrics per figure+system (base path, same suffixing; .json = JSON)")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingCap, "per-processor trace ring capacity in events (rounded up to a power of two)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "figures: unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
-	}
-	if *procs < 1 || *upp < 1 {
-		fmt.Fprintf(os.Stderr, "figures: -procs and -units-per-proc must be positive (got %d, %d)\n", *procs, *upp)
-		os.Exit(2)
-	}
-	if *stride < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -stride must be >= 0 (got %d)\n", *stride)
-		os.Exit(2)
-	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "figures: -shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(2)
-	}
-	if !bench.ValidPartition(*partition) {
-		fmt.Fprintf(os.Stderr, "figures: -partition must be one of %v (got %q)\n", bench.PartitionStrategies, *partition)
-		os.Exit(2)
-	}
-	if *backend != "sim" && *backend != "dist" {
-		fmt.Fprintf(os.Stderr, "figures: unknown backend %q (want sim or dist)\n", *backend)
-		os.Exit(2)
-	}
-	isDist := *backend == "dist"
-	if isDist {
-		if *nodes < 1 || *distListen == "" {
-			fmt.Fprintln(os.Stderr, "figures: -backend=dist requires -nodes and -dist-listen together")
-			os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	spec := bench.RunSpec{
+		W:            bench.Workload{Procs: 128},
+		UnitsPerProc: 128,
+		Stride:       8,
+		TimeScale:    1e-3,
+	}.WithDefaults()
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	spec.BindFlags(fs, `procs units-per-proc stride jobs shards partition wire
+		backend timescale nodes dist-listen premad dist-attach
+		trace metrics trace-ring`)
+	fig := fs.Int("fig", 0, "figure to regenerate (3-6; 1 prints the taxonomy; 0 = all benchmarks)")
+	csvDir := fs.String("csv", "", "directory to write per-system breakdown CSVs into (plots)")
+	var specs []bench.FigureSpec
+	local := func() error {
+		switch {
+		case *fig == 0:
+			specs = bench.Figures()
+		case *fig != 1:
+			f, err := bench.FigureByID(*fig)
+			if err != nil {
+				return err
+			}
+			specs = []bench.FigureSpec{f}
 		}
-		if *nodes > *procs {
-			fmt.Fprintf(os.Stderr, "figures: -nodes %d exceeds -procs %d (every node hosts at least one processor)\n", *nodes, *procs)
-			os.Exit(2)
+		switch {
+		case spec.Backend == bench.BackendReal:
+			return errors.New("unknown -backend \"real\" (want sim or dist)")
+		case spec.Backend != bench.BackendDist:
+			return nil
+		case len(specs) != 1:
+			return errors.New("-backend=dist runs one figure's PREMA systems; pick it with -fig 3..6")
+		case spec.TracePath != "" || spec.MetricsPath != "":
+			return errors.New("-trace and -metrics apply to the simulator backend; use premabench -backend=dist -trace for per-node timelines")
 		}
-		if *fig < 3 || *fig > 6 {
-			fmt.Fprintln(os.Stderr, "figures: -backend=dist runs one figure's PREMA systems; pick it with -fig 3..6")
-			os.Exit(2)
-		}
-		if *timescale <= 0 {
-			fmt.Fprintf(os.Stderr, "figures: -timescale must be positive (got %g)\n", *timescale)
-			os.Exit(2)
-		}
-		if *shards > 1 || *partition != "roundrobin" {
-			fmt.Fprintln(os.Stderr, "figures: -shards and -partition apply to the simulator backend only; use -backend=sim")
-			os.Exit(2)
-		}
-		if *wireOn {
-			fmt.Fprintln(os.Stderr, "figures: -wire applies to the simulator backend; the distributed backend already serializes every remote message")
-			os.Exit(2)
-		}
-		if *traceOut != "" || *metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "figures: -trace and -metrics apply to the simulator backend; use premabench -backend=dist -trace for per-node timelines")
-			os.Exit(2)
-		}
-	} else if *nodes != 0 || *distListen != "" || *premadPath != "" || *distAttach {
-		fmt.Fprintln(os.Stderr, "figures: -nodes, -dist-listen, -premad, and -dist-attach apply to the distributed backend only; use -backend=dist")
-		os.Exit(2)
+		return nil
+	}
+	if code, done := spec.ParseFlags(fs, args, stderr, local); done {
+		return code
 	}
 	if *fig == 1 {
-		fmt.Print(taxonomy)
-		return
+		fmt.Fprint(stdout, taxonomy)
+		return 0
 	}
-	if isDist {
-		if err := runDistFigure(*fig, *procs, *upp, *stride, *timescale, *csvDir, bench.DistOptions{
-			Nodes: *nodes, Listen: *distListen, Premad: *premadPath, Attach: *distAttach,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var specs []bench.FigureSpec
-	if *fig == 0 {
-		specs = bench.Figures()
+	var err error
+	if spec.Backend == bench.BackendDist {
+		err = runDistFigure(stdout, spec, specs[0], *csvDir)
 	} else {
-		s, err := bench.FigureByID(*fig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		specs = []bench.FigureSpec{s}
+		err = runFigures(stdout, spec, specs, *csvDir)
 	}
-	runs, err := bench.RunFigures(specs, *procs, *upp, *jobs, *shards, *partition, *wireOn)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1
 	}
-	for _, fr := range runs {
-		fmt.Println(fr.Report(*stride))
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, fr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *traceOut != "" || *metricsOut != "" {
-		if *traceRing < 1 {
-			fmt.Fprintf(os.Stderr, "figures: -trace-ring must be >= 1 (got %d)\n", *traceRing)
-			os.Exit(2)
-		}
-		if err := writeTraces(specs, *procs, *upp, *jobs, *shards, *traceRing, *partition, *wireOn, *traceOut, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
-// tracedSystems are the figure configurations that run a real transport and
-// can therefore record a trace — or run distributed (the baseline cost
-// models can do neither).
-var tracedSystems = []string{"none", "prema-explicit", "prema-implicit"}
-
-// runDistFigure runs one figure's transport-backed systems as full
-// multi-process sessions, one after another (concurrent sessions would
-// distort each other's wall-clock), and prints the same summary/breakdown
-// shape as the simulator sweep. The makespans are wall-clock-derived and not
-// comparable to the simulator's; the counters and residency are.
-func runDistFigure(fig, procs, upp, stride int, timescale float64, csvDir string, opt bench.DistOptions) error {
-	spec, err := bench.FigureByID(fig)
+// runFigures runs the simulator sweep: every report (and CSV), then the
+// trace and metrics files of the runs that recorded one.
+func runFigures(stdout io.Writer, spec bench.RunSpec, specs []bench.FigureSpec, csvDir string) error {
+	runs, err := bench.RunFigures(specs, spec)
 	if err != nil {
 		return err
 	}
-	w := bench.PaperWorkload(spec, procs, upp)
-	fmt.Printf("=== Figure %d (distributed backend): imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, nodes=%d) ===\n",
-		spec.ID, spec.Imbalance*100, spec.Ratio, w.Procs, w.Units, opt.Nodes)
+	for _, fr := range runs {
+		fmt.Fprintln(stdout, fr.Report(spec.Stride))
+		if err := writeCSVs(stdout, csvDir, fr.Spec.ID, fr.Results); err != nil {
+			return err
+		}
+	}
+	for _, fr := range runs {
+		for _, r := range fr.Results {
+			if err := spec.ExportTrace(stdout, "", r, fmt.Sprintf("fig%d.%s", fr.Spec.ID, r.System)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runDistFigure runs one figure's transport-backed systems as full
+// multi-process sessions and prints the same summary/breakdown shape as the
+// simulator sweep.
+func runDistFigure(stdout io.Writer, spec bench.RunSpec, fig bench.FigureSpec, csvDir string) error {
+	spec = spec.ForFigure(fig)
+	fmt.Fprintf(stdout, "=== Figure %d (distributed backend): imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, nodes=%d) ===\n",
+		fig.ID, fig.Imbalance*100, fig.Ratio, spec.W.Procs, spec.W.Units, spec.Dist.Nodes)
 	var results []*bench.Result
-	for _, name := range tracedSystems {
-		ds := bench.NewDistSpec(name, w)
-		ds.TimeScale = timescale
-		r, err := bench.RunDist(ds, opt)
+	for _, name := range bench.SystemNames {
+		if !bench.HasTransport(name) {
+			continue
+		}
+		spec.System = name
+		r, err := spec.Run()
 		if err != nil {
 			return err
 		}
-		fmt.Println("  " + r.Summary())
+		fmt.Fprintln(stdout, "  "+r.Summary())
 		results = append(results, r)
 	}
-	if stride > 0 {
-		fmt.Println("\nPer-processor breakdowns:")
+	if spec.Stride > 0 {
+		fmt.Fprintln(stdout, "\nPer-processor breakdowns:")
 		for _, r := range results {
-			fmt.Println(r.Breakdown(stride))
+			fmt.Fprintln(stdout, r.Breakdown(spec.Stride))
 		}
 	}
-	if csvDir != "" {
-		return writeResultCSVs(csvDir, spec.ID, results)
-	}
-	return nil
+	return writeCSVs(stdout, csvDir, fig.ID, results)
 }
 
-// writeTraces re-runs the PREMA systems of each figure with event tracing
-// attached and exports one trace/metrics file per (figure, system). Tracing
-// is observational, so these runs report the same makespans as the untraced
-// sweep above.
-func writeTraces(specs []bench.FigureSpec, procs, upp, jobs, shards, ring int, partition string, wireOn bool, traceOut, metricsOut string) error {
-	type job struct {
-		spec bench.FigureSpec
-		name string
+// writeCSVs dumps one breakdown CSV per result into dir ("" = none).
+func writeCSVs(stdout io.Writer, dir string, figID int, results []*bench.Result) error {
+	if dir == "" {
+		return nil
 	}
-	var js []job
-	for _, spec := range specs {
-		for _, name := range tracedSystems {
-			js = append(js, job{spec, name})
-		}
-	}
-	type traced struct {
-		col *trace.Collector
-		res *bench.Result
-	}
-	if jobs < 1 {
-		jobs = sweep.JobsFor(shards)
-	}
-	outs, err := sweep.Map(jobs, len(js), func(i int) (traced, error) {
-		col := trace.NewCollector(ring)
-		w := bench.PaperWorkload(js[i].spec, procs, upp)
-		w.Shards = shards
-		w.Partition = partition
-		w.Wire = wireOn
-		r, err := bench.RunSystemTraced(js[i].name, w, col)
-		return traced{col, r}, err
-	})
-	if err != nil {
-		return err
-	}
-	for i, t := range outs {
-		suffix := fmt.Sprintf("fig%d.%s", js[i].spec.ID, js[i].name)
-		if traceOut != "" {
-			path := trace.SuffixPath(traceOut, suffix)
-			if err := t.col.WriteChromeFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d events, %d dropped)\n", path, t.col.Total(), t.col.Dropped())
-		}
-		if metricsOut != "" {
-			path := trace.SuffixPath(metricsOut, suffix)
-			if err := trace.Summarize(t.col, t.res.Makespan).WriteFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	return nil
-}
-
-// writeCSVs dumps one breakdown CSV per system of the figure.
-func writeCSVs(dir string, fr *bench.FigureRun) error {
-	return writeResultCSVs(dir, fr.Spec.ID, fr.Results)
-}
-
-func writeResultCSVs(dir string, figID int, results []*bench.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -305,7 +185,7 @@ func writeResultCSVs(dir string, figID int, results []*bench.Result) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 	return nil
 }

@@ -665,13 +665,13 @@ func measureTrace(events, procs, upp, jobs int) (*TraceInfo, error) {
 			return outcome{}, err
 		}
 		wallOff := time.Since(t0).Seconds()
-		col := trace.NewCollector(0)
 		t1 := time.Now()
-		on, err := bench.RunSystemTraced(system, w, col)
+		on, err := bench.RunSpec{System: system, W: w, Trace: true}.Run()
 		if err != nil {
 			return outcome{}, err
 		}
 		wallOn := time.Since(t1).Seconds()
+		col := on.Trace
 		s := TraceScenario{
 			Figure:       specs[i].ID,
 			MakespanOffS: off.Makespan.Seconds(),
@@ -721,7 +721,7 @@ func measureSweep(procs, upp, jobs int) (*SweepInfo, error) {
 	fmt.Printf("perfbench: serial sweep (%d sims at %d procs x %d units/proc)...\n",
 		info.Simulations, procs, upp)
 	t0 := time.Now()
-	serial, err := bench.RunFigures(specs, procs, upp, 1, 1, "", false)
+	serial, err := bench.RunFigures(specs, bench.RunSpec{W: bench.Workload{Procs: procs}, UnitsPerProc: upp, Jobs: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +730,7 @@ func measureSweep(procs, upp, jobs int) (*SweepInfo, error) {
 
 	fmt.Printf("perfbench: parallel sweep (jobs=%d)...\n", jobs)
 	t1 := time.Now()
-	parallel, err := bench.RunFigures(specs, procs, upp, jobs, 1, "", false)
+	parallel, err := bench.RunFigures(specs, bench.RunSpec{W: bench.Workload{Procs: procs}, UnitsPerProc: upp, Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -1131,7 +1131,7 @@ func measureDist(rounds int, premad string, engAMNs float64) (*DistInfo, error) 
 // runDistInProcess hosts both session nodes in this process: grab a free
 // port, join two nodes against it, and run the coordinator in attach mode.
 // The frames still cross real localhost sockets.
-func runDistInProcess(spec bench.DistSpec) (*bench.Result, error) {
+func runDistInProcess(spec bench.RunSpec) (*bench.Result, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

@@ -12,440 +12,86 @@
 //	           [-recover] [-checkpoint-interval 1s] [-lease-timeout 500ms] \
 //	           [-trace trace.json] [-metrics metrics.txt] [-trace-ring N]
 //
-// -trace records the run's event stream (internal/trace) and writes it as
-// Chrome trace_event JSON, loadable in Perfetto (https://ui.perfetto.dev) for
-// per-processor compute/idle/messaging timelines with migration arrows;
-// -metrics writes the aggregated counters/histograms (text, or JSON when the
-// file ends in .json). Tracing is observational: it charges no substrate
-// time, so a traced simulator run reports the same makespan and accounts as
-// an untraced one. Both flags apply to the PREMA configurations only. In
-// multi-system mode the system name is inserted before the file extension.
-//
-// -fault-plan injects faults (message drop, duplication, delay, reordering,
-// processor stalls and crashes — see internal/faulty for the syntax) at the
-// substrate seam, and -reliable switches DMCS into reliable-delivery mode so
-// the run survives them. Both apply to the PREMA configurations only; the
-// third-party baseline models are cost models without a real transport. For
-// dedicated chaos sweeps over the paper figures see cmd/chaosbench.
-//
-// -wire routes every message of the PREMA configurations through the binary
-// wire codec (internal/wire): each Send encodes the message into a
-// self-delimiting frame and the receiver gets a freshly decoded copy, proving
-// no layer aliases sender memory. The codec charges no substrate time, so a
-// -wire run is byte-identical to a plain one; the -metrics file additionally
-// reports wire_size_drift_total (frames whose encoding exceeded the modeled
-// message size — expected 0). Like -trace, -wire needs a real transport and
-// rejects the baseline cost models.
-//
-// -recover arms the crash-recovery subsystem (periodic object checkpoints,
-// heartbeat failure detection, directory repair, orphan re-homing) so
-// fail-stop clauses like "crash:3@35s" are survivable; it implies -reliable
-// and a serial simulator (-shards=1). -checkpoint-interval and -lease-timeout
-// tune its timers in virtual time. Without a crash in the plan, -recover
-// changes nothing: checkpoint costs stay off the ledgers until a crash
-// verdict fires, so the run is byte-identical to one without the flag.
-//
-// Systems: none, prema-explicit, prema-implicit, parmetis, charm,
-// charm-sync4 — plus prema-diffusion and prema-multilist for the policy
-// suite beyond the paper's featured work stealing.
+// Everything but -imbalance, -ratio and -hints is a shared flag: one
+// declaration in internal/bench's flag table (run with -h for the help
+// texts), one compatibility check (bench.RunSpec.Validate; the "what
+// composes with what" matrix is in DESIGN.md). A combination the matrix
+// rejects exits 2 before anything runs.
 //
 // -system also accepts a comma-separated list (multi-system mode): the named
 // configurations all run on the same workload, up to -jobs simulations in
-// flight, and the summaries print in the order given. Simulations are
-// independent, so the output is identical for any -jobs value. -shards
-// additionally parallelizes each simulation's event loop (simulator only;
-// also output-identical) and -partition picks the processor-to-shard
-// placement strategy; the two parallelism levels multiply, so the -jobs
-// default of 0 means "auto": one worker per CPU divided by -shards.
-//
-// -backend selects the execution substrate: "sim" (default) runs the
-// deterministic discrete-event simulator; "real" runs the PREMA systems with
-// genuine parallelism, one goroutine per processor, burning scaled
-// wall-clock (-timescale wall seconds per virtual second; -spin busy-waits
-// instead of sleeping); "dist" runs them across separate OS processes — a
-// coordinator in this command plus -nodes premad daemons (spawned
-// automatically, or externally started with -dist-attach) connected by a
-// TCP mesh, each hosting a contiguous processor range. -nodes and
-// -dist-listen are required together with dist; -premad points at the node
-// daemon binary when it is not next to this executable or on PATH. The
-// baseline system models (parmetis, charm*) are simulator-only, and
-// multi-system mode is too: concurrent wall-clock runs would distort each
-// other's timing. On dist, -wire is redundant (remote messages are already
-// serialized), -recover is unsupported, and -trace makes each node write
-// its own timeline as FILE.nodeN.
+// flight, and the summaries print in the order given. -trace and -metrics
+// then insert the system name before the file extension. For dedicated
+// chaos sweeps over the paper figures see cmd/chaosbench.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"prema/internal/bench"
-	"prema/internal/dmcs"
-	"prema/internal/faulty"
-	"prema/internal/rtm"
-	"prema/internal/substrate"
-	"prema/internal/sweep"
-	"prema/internal/trace"
-	"prema/internal/wire"
 )
 
-func main() {
-	system := flag.String("system", "prema-implicit", "system configuration(s) to run, comma-separated")
-	imb := flag.Float64("imbalance", 0.5, "initial imbalance percentage (fraction of heavy units)")
-	ratio := flag.Float64("ratio", 2.0, "heavy/light weight ratio")
-	procs := flag.Int("procs", 128, "simulated processors")
-	upp := flag.Int("units-per-proc", 128, "work units per processor")
-	stride := flag.Int("stride", 8, "breakdown sampling stride (0 = summary only)")
-	hints := flag.String("hints", "mean", "weight hints given to balancers: mean | accurate")
-	jobs := flag.Int("jobs", 0, "multi-system mode: max simulations in flight (0 = auto: one per CPU divided by -shards)")
-	shards := flag.Int("shards", 1, "simulator backend: parallel event-loop shards per simulation (output is identical for any value)")
-	partition := flag.String("partition", "roundrobin", "simulator backend: processor-to-shard placement strategy: roundrobin, blocked, or loaded (output is identical for any value)")
-	backend := flag.String("backend", "sim", "execution substrate: sim (deterministic) | real (goroutines) | dist (node processes over TCP)")
-	nodes := flag.Int("nodes", 0, "dist backend: node process count (required with -backend=dist)")
-	distListen := flag.String("dist-listen", "", "dist backend: coordinator listen address, host:port (required with -backend=dist; port 0 picks a free one)")
-	premadPath := flag.String("premad", "", "dist backend: premad binary to spawn (default: next to this executable, then PATH)")
-	distAttach := flag.Bool("dist-attach", false, "dist backend: do not spawn node daemons; externally started premads dial the coordinator")
-	wireOn := flag.Bool("wire", false, "run behind the serialization loopback (wire codec; PREMA systems only; output is identical)")
-	timescale := flag.Float64("timescale", 1e-3, "real backend: wall seconds per virtual second")
-	spin := flag.Bool("spin", false, "real backend: busy-wait instead of sleeping")
-	planS := flag.String("fault-plan", "", "fault plan injected at the substrate seam (internal/faulty syntax; PREMA systems only)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed")
-	reliable := flag.Bool("reliable", false, "switch DMCS into reliable-delivery mode (PREMA systems only)")
-	recoverOn := flag.Bool("recover", false, "arm the crash-recovery subsystem so crash/recover plan clauses are survivable (implies -reliable; PREMA systems only)")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "recovery: periodic object-checkpoint interval in virtual time (0 = default 1s)")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "recovery: heartbeat lease timeout in virtual time (0 = default: 500ms on sim, 250ms of wall clock on real)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline to FILE (PREMA systems only; multi-system mode suffixes the system name)")
-	metricsOut := flag.String("metrics", "", "write aggregated trace metrics to FILE (.json = JSON, else text; PREMA systems only)")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingCap, "per-processor trace ring capacity in events (rounded up to a power of two)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "premabench: unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
-	}
-	if *procs < 1 || *upp < 1 {
-		fmt.Fprintf(os.Stderr, "premabench: -procs and -units-per-proc must be positive (got %d, %d)\n", *procs, *upp)
-		os.Exit(2)
-	}
-	if *stride < 0 {
-		fmt.Fprintf(os.Stderr, "premabench: -stride must be >= 0 (got %d)\n", *stride)
-		os.Exit(2)
-	}
-	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "premabench: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "premabench: -shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > 1 && *backend != "sim" {
-		fmt.Fprintf(os.Stderr, "premabench: -shards applies to the simulator backend only; use -backend=sim\n")
-		os.Exit(2)
-	}
-	isDist := *backend == "dist"
-	if isDist {
-		if *nodes < 1 || *distListen == "" {
-			fmt.Fprintln(os.Stderr, "premabench: -backend=dist requires -nodes and -dist-listen together")
-			os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	spec := bench.RunSpec{
+		System:       "prema-implicit",
+		W:            bench.Workload{Procs: 128},
+		UnitsPerProc: 128,
+		Stride:       8,
+		TimeScale:    1e-3,
+		FaultSeed:    1,
+	}.WithDefaults()
+	fs := flag.NewFlagSet("premabench", flag.ContinueOnError)
+	spec.BindFlags(fs, `system procs units-per-proc stride jobs shards partition wire
+		backend timescale spin nodes dist-listen premad dist-attach
+		fault-plan fault-seed reliable recover checkpoint-interval lease-timeout
+		trace metrics trace-ring`)
+	imb := fs.Float64("imbalance", 0.5, "initial imbalance percentage (fraction of heavy units)")
+	ratio := fs.Float64("ratio", 2.0, "heavy/light weight ratio")
+	hints := fs.String("hints", "mean", "weight hints given to balancers: mean | accurate")
+	hintMode := map[string]bench.HintMode{"mean": bench.HintMean, "accurate": bench.HintAccurate}
+	checkHints := func() error {
+		if _, ok := hintMode[*hints]; !ok {
+			return fmt.Errorf("unknown -hints %q (want mean or accurate)", *hints)
 		}
-		if *nodes > *procs {
-			fmt.Fprintf(os.Stderr, "premabench: -nodes %d exceeds -procs %d (every node hosts at least one processor)\n", *nodes, *procs)
-			os.Exit(2)
-		}
-		if *partition != "roundrobin" {
-			fmt.Fprintln(os.Stderr, "premabench: -partition applies to the simulator backend only; use -backend=sim")
-			os.Exit(2)
-		}
-	} else if *nodes != 0 || *distListen != "" || *premadPath != "" || *distAttach {
-		fmt.Fprintln(os.Stderr, "premabench: -nodes, -dist-listen, -premad, and -dist-attach apply to the distributed backend only; use -backend=dist")
-		os.Exit(2)
+		return nil
 	}
-	if !bench.ValidPartition(*partition) {
-		fmt.Fprintf(os.Stderr, "premabench: -partition must be one of %v (got %q)\n", bench.PartitionStrategies, *partition)
-		os.Exit(2)
+	if code, done := spec.ParseFlags(fs, args, stderr, checkHints); done {
+		return code
 	}
-	if *jobs < 1 {
-		*jobs = sweep.JobsFor(*shards)
-	}
-	if *timescale <= 0 {
-		fmt.Fprintf(os.Stderr, "premabench: -timescale must be positive (got %g)\n", *timescale)
-		os.Exit(2)
-	}
-	plan, err := faulty.ParsePlan(*planS)
+	spec = spec.ForFigure(bench.FigureSpec{Imbalance: *imb, Ratio: *ratio})
+	spec.W.Hints = hintMode[*hints]
+
+	results, err := spec.RunAll()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "premabench:", err)
-		os.Exit(2)
-	}
-	if *ckptInterval < 0 || *leaseTimeout < 0 {
-		fmt.Fprintf(os.Stderr, "premabench: -checkpoint-interval and -lease-timeout must be >= 0 (got %v, %v)\n", *ckptInterval, *leaseTimeout)
-		os.Exit(2)
-	}
-	if (len(plan.Crashes) > 0 || len(plan.Recovers) > 0) && !*recoverOn {
-		fmt.Fprintf(os.Stderr, "premabench: the fault plan schedules a fail-stop; add -recover to make it survivable\n")
-		os.Exit(2)
-	}
-	if *recoverOn {
-		if *shards > 1 {
-			fmt.Fprintf(os.Stderr, "premabench: -recover requires a serial simulator; use -shards=1\n")
-			os.Exit(2)
-		}
-		for _, c := range plan.Crashes {
-			if c.Proc == 0 {
-				fmt.Fprintf(os.Stderr, "premabench: cannot crash processor 0: it is the head node and owns the completion counter\n")
-				os.Exit(2)
-			}
-			if c.Proc >= *procs {
-				fmt.Fprintf(os.Stderr, "premabench: crash targets processor %d but the machine has only %d (0..%d)\n", c.Proc, *procs, *procs-1)
-				os.Exit(2)
-			}
-		}
-	}
-	w := bench.PaperWorkload(bench.FigureSpec{ID: 0, Imbalance: *imb, Ratio: *ratio}, *procs, *upp)
-	w.Shards = *shards
-	w.Partition = *partition
-	switch *hints {
-	case "mean":
-		w.Hints = bench.HintMean
-	case "accurate":
-		w.Hints = bench.HintAccurate
-	default:
-		fmt.Fprintf(os.Stderr, "premabench: unknown -hints %q (want mean or accurate)\n", *hints)
-		os.Exit(2)
-	}
-	systems := strings.Split(*system, ",")
-	for i, s := range systems {
-		systems[i] = strings.TrimSpace(s)
-	}
-	if isDist {
-		if len(systems) > 1 {
-			fmt.Fprintln(os.Stderr, "premabench: multi-system mode is simulator-only; use -backend=sim")
-			os.Exit(2)
-		}
-		if !bench.WiredSystem(systems[0]) {
-			fmt.Fprintf(os.Stderr, "premabench: system %q is a cost model without a transport and is simulator-only; use -backend=sim\n", systems[0])
-			os.Exit(2)
-		}
-		if *wireOn {
-			fmt.Fprintln(os.Stderr, "premabench: -wire applies to the in-process backends; the distributed backend already serializes every remote message")
-			os.Exit(2)
-		}
-		if *recoverOn {
-			fmt.Fprintln(os.Stderr, "premabench: -recover (fail-stop crash recovery) is not supported on the distributed backend")
-			os.Exit(2)
-		}
-		if *metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "premabench: -metrics applies to the in-process backends; with -backend=dist use -trace, which each node writes as FILE.nodeN")
-			os.Exit(2)
-		}
-	}
-	if *wireOn {
-		for _, s := range systems {
-			if !bench.WiredSystem(s) {
-				fmt.Fprintf(os.Stderr, "premabench: system %q is a cost model without a transport; -wire needs a PREMA configuration\n", s)
-				os.Exit(2)
-			}
-		}
-		w.Wire = true
-	}
-
-	tracing := *traceOut != "" || *metricsOut != ""
-	var cols []*trace.Collector
-	if tracing {
-		if *traceRing < 1 {
-			fmt.Fprintf(os.Stderr, "premabench: -trace-ring must be >= 1 (got %d)\n", *traceRing)
-			os.Exit(2)
-		}
-		for _, s := range systems {
-			if !bench.TracedSystem(s) {
-				fmt.Fprintf(os.Stderr, "premabench: system %q is a cost model without a transport; -trace/-metrics need a PREMA configuration\n", s)
-				os.Exit(2)
-			}
-		}
-	}
-	if tracing && !isDist {
-		// On the distributed backend the nodes collect and write their own
-		// timelines; the coordinator holds no collector.
-		cols = make([]*trace.Collector, len(systems))
-		for i := range cols {
-			cols[i] = trace.NewCollector(*traceRing)
-		}
-	}
-
-	chaos := plan.Active() || *reliable || *recoverOn
-	var results []*bench.Result
-	switch {
-	case isDist:
-		spec := bench.NewDistSpec(systems[0], w)
-		spec.Reliable = *reliable
-		spec.FaultPlan = *planS
-		spec.FaultSeed = *faultSeed
-		spec.TimeScale = *timescale
-		spec.Spin = *spin
-		if *traceOut != "" {
-			spec.TracePath = *traceOut
-			spec.TraceRing = *traceRing
-		}
-		var r *bench.Result
-		r, err = bench.RunDist(spec, bench.DistOptions{
-			Nodes:  *nodes,
-			Listen: *distListen,
-			Premad: *premadPath,
-			Attach: *distAttach,
-		})
-		results = []*bench.Result{r}
-	case chaos:
-		// Fault injection and reliable delivery run through the chaos
-		// driver: only the PREMA configurations have a real transport to
-		// fault (bench.RunChaos rejects the baseline cost models).
-		if *backend == "real" && len(systems) > 1 {
-			fmt.Fprintln(os.Stderr, "premabench: multi-system mode is simulator-only; use -backend=sim")
-			os.Exit(2)
-		}
-		cs := bench.ChaosSpec{
-			Plan:      plan,
-			FaultSeed: *faultSeed,
-			Backend:   *backend,
-			TimeScale: *timescale,
-			Spin:      *spin,
-		}
-		if *reliable || *recoverOn {
-			cs.Rel = dmcs.DefaultRelConfig()
-		}
-		if *recoverOn {
-			cs.Recover = true
-			cs.CheckpointInterval = substrate.FromDuration(*ckptInterval)
-			cs.LeaseTimeout = substrate.FromDuration(*leaseTimeout)
-		}
-		results, err = sweep.Map(*jobs, len(systems), func(i int) (*bench.Result, error) {
-			cs := cs
-			cs.System = systems[i]
-			if tracing {
-				cs.Trace = cols[i]
-			}
-			r, _, err := bench.RunChaos(w, cs)
-			return r, err
-		})
-	case *backend == "sim":
-		results, err = sweep.Map(*jobs, len(systems), func(i int) (*bench.Result, error) {
-			if tracing {
-				return bench.RunSystemTraced(systems[i], w, cols[i])
-			}
-			return runSim(systems[i], w)
-		})
-	case *backend == "real":
-		if len(systems) > 1 {
-			fmt.Fprintln(os.Stderr, "premabench: multi-system mode is simulator-only; use -backend=sim")
-			os.Exit(2)
-		}
-		var col *trace.Collector
-		if tracing {
-			col = cols[0]
-		}
-		var r *bench.Result
-		r, err = runReal(systems[0], w, *timescale, *spin, *wireOn, col)
-		results = []*bench.Result{r}
-	default:
-		fmt.Fprintf(os.Stderr, "premabench: unknown backend %q (want sim or real)\n", *backend)
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "premabench:", err)
+		return 1
 	}
 	for _, r := range results {
-		fmt.Println(r.Summary())
+		fmt.Fprintln(stdout, r.Summary())
 	}
 	for _, r := range results {
-		if *stride > 0 {
-			fmt.Println()
-			fmt.Println(r.Breakdown(*stride))
+		if spec.Stride > 0 {
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, r.Breakdown(spec.Stride))
 		}
 		if len(r.Counters) > 0 {
-			fmt.Printf("counters (%s): %v\n", r.System, r.Counters)
+			fmt.Fprintf(stdout, "counters (%s): %v\n", r.System, r.Counters)
 		}
 	}
-	if tracing && !isDist {
-		for i, col := range cols {
-			if err := writeTrace(col, results[i], systems[i], len(systems) > 1, *wireOn, *traceOut, *metricsOut); err != nil {
-				fmt.Fprintln(os.Stderr, "premabench:", err)
-				os.Exit(1)
-			}
+	for _, r := range results {
+		suffix := ""
+		if len(results) > 1 {
+			suffix = r.System
+		}
+		if err := spec.ExportTrace(stdout, "", r, suffix); err != nil {
+			fmt.Fprintln(stderr, "premabench:", err)
+			return 1
 		}
 	}
-}
-
-// writeTrace exports one run's collector to the requested trace and metrics
-// files; multi-system mode inserts the system name before the extension. When
-// the wire loopback is active the metrics registry additionally reports the
-// codec's size audit: wire_frames_total (messages encoded) and
-// wire_size_drift_total (frames whose encoding exceeded the modeled
-// Msg.Size — expected 0 on every shipped scenario).
-func writeTrace(col *trace.Collector, r *bench.Result, system string, multi, wireOn bool, traceOut, metricsOut string) error {
-	if traceOut != "" {
-		path := traceOut
-		if multi {
-			path = trace.SuffixPath(path, system)
-		}
-		if err := col.WriteChromeFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events, %d dropped)\n", path, col.Total(), col.Dropped())
-	}
-	if metricsOut != "" {
-		path := metricsOut
-		if multi {
-			path = trace.SuffixPath(path, system)
-		}
-		reg := trace.Summarize(col, r.Makespan)
-		if wireOn {
-			reg.Counters["wire_frames_total"] = int64(r.WireFrames)
-			reg.Counters["wire_size_drift_total"] = int64(r.WireDrift)
-		}
-		if err := reg.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	return nil
-}
-
-// runSim runs one system configuration on the deterministic simulator.
-func runSim(system string, w bench.Workload) (*bench.Result, error) {
-	switch system {
-	case "prema-diffusion", "prema-multilist", "prema-worksteal":
-		return bench.RunPremaPolicy(w, system[len("prema-"):])
-	default:
-		return bench.RunSystem(system, w)
-	}
-}
-
-// runReal runs one PREMA system configuration on the real-concurrency
-// backend, with event tracing attached when col is non-nil and the
-// serialization loopback interposed when wireOn is set (wire wraps the raw
-// backend so the tracer observes decoded messages).
-func runReal(system string, w bench.Workload, timescale float64, spin, wireOn bool, col *trace.Collector) (*bench.Result, error) {
-	if !strings.HasPrefix(system, "prema") && system != "none" {
-		fmt.Fprintf(os.Stderr, "system %q models a third-party runtime and is simulator-only; use -backend=sim\n", system)
-		os.Exit(2)
-	}
-	cfg := rtm.DefaultConfig()
-	cfg.Seed = w.Seed
-	cfg.TimeScale = timescale
-	cfg.Spin = spin
-	var m substrate.Machine = rtm.New(cfg)
-	if wireOn {
-		m = wire.Wrap(m)
-	}
-	if col != nil {
-		m = trace.Wrap(m, col)
-	}
-	switch system {
-	case "prema-diffusion", "prema-multilist", "prema-worksteal":
-		return bench.RunPremaPolicyOn(m, w, system[len("prema-"):])
-	default:
-		return bench.RunSystemOn(system, m, w)
-	}
+	return 0
 }

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"path/filepath"
+	"testing"
+
+	"prema/internal/clitest"
+)
+
+// The goldens under testdata/ were recorded from the binaries of the commit
+// before the RunSpec refactor (ISSUE 13); they pin what the CLI prints and
+// writes.
+
+func TestGoldenChaosDeterminism(t *testing.T) {
+	args := []string{"-procs", "8", "-units-per-proc", "8", "-stride", "4",
+		"-fault-plan", "drop=0.2,dup=0.1", "-fault-seed", "3", "-reliable"}
+	clitest.Golden(t, run, "chaos.golden", "", args...)
+	clitest.Golden(t, run, "chaos.golden", "", append(args, "-wire")...)
+}
+
+func TestGoldenMultiSystem(t *testing.T) {
+	clitest.Golden(t, run, "multi.golden", "",
+		"-system", "none,prema-implicit,parmetis,prema-diffusion", "-procs", "16", "-units-per-proc", "8")
+}
+
+func TestGoldenTraceAndMetrics(t *testing.T) {
+	dir := t.TempDir()
+	clitest.Golden(t, run, "trace.golden", dir,
+		"-procs", "8", "-units-per-proc", "8", "-stride", "0",
+		"-trace", filepath.Join(dir, "p.json"), "-metrics", filepath.Join(dir, "m.json"))
+	clitest.SHA256Files(t, "trace_files.sha256", dir)
+}
+
+// TestRejections: every combination the compatibility matrix refuses exits
+// 2 with a "premabench:" message before any run output. The first three are
+// the lines CI's dist smoke leg used to check on a built binary.
+func TestRejections(t *testing.T) {
+	dist := []string{"-backend", "dist", "-nodes", "4", "-dist-listen", "127.0.0.1:0"}
+	cases := [][]string{
+		{"-backend", "dist", "-nodes", "4"},
+		{"-nodes", "4", "-dist-listen", "127.0.0.1:0"},
+		append([]string{"-shards", "2"}, dist...),
+
+		{"-backend", "bogus"},
+		{"-backend", "bogus", "-fault-plan", "drop=0.1", "-reliable"},
+		{"-backend", "real", "-system", "parmetis"},
+		{"-backend", "real", "-system", "parmetis", "-reliable"},
+		append([]string{"-system", "charm"}, dist...),
+		{"-system", "parmetis", "-reliable"},
+		{"-system", "charm", "-fault-plan", "drop=0.1"},
+		{"-system", "charm-sync4", "-recover"},
+		{"-system", "parmetis", "-wire"},
+		{"-system", "parmetis", "-trace", "t.json"},
+		{"-system", "none,parmetis", "-metrics", "m.txt"},
+
+		{"-system", "prema-diffusion", "-reliable"},
+		{"-system", "prema-multilist", "-fault-plan", "drop=0.1"},
+		{"-system", "prema-worksteal", "-recover"},
+		append([]string{"-system", "prema-diffusion", "-reliable"}, dist...),
+		append([]string{"-system", "prema-diffusion", "-fault-plan", "dup=0.1"}, dist...),
+
+		{"-trace-ring", "0"},
+		{"-trace", "t.json", "-trace-ring", "0"},
+		{"-backend", "real", "-partition", "blocked"},
+		append([]string{"-partition", "loaded"}, dist...),
+
+		{"-fault-plan", "crash:3@35s"},
+		{"-recover", "-fault-plan", "crash:0@35s"},
+		{"-system", "quantum"},
+		{"-hints", "psychic"},
+		{"stray"},
+	}
+	for _, args := range cases {
+		clitest.Rejected(t, run, "premabench", args...)
+	}
+}
+
+func TestHelpAndBadFlag(t *testing.T) {
+	if code, out, _ := clitest.Run(run, "-h"); code != 0 || out != "" {
+		t.Errorf("-h: exit %d, stdout %q", code, out)
+	}
+	if code, out, _ := clitest.Run(run, "-no-such-flag"); code != 2 || out != "" {
+		t.Errorf("-no-such-flag: exit %d, stdout %q", code, out)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prema/internal/dmcs"
 	"prema/internal/faulty"
 	"prema/internal/substrate"
 )
@@ -30,19 +29,21 @@ func TestChaosRunSurvives(t *testing.T) {
 	for _, sys := range []string{"none", "prema-explicit", "prema-implicit"} {
 		sys := sys
 		t.Run(sys, func(t *testing.T) {
-			clean, _, err := RunChaos(w, ChaosSpec{System: sys})
+			clean, err := RunSpec{System: sys, W: w}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, st, err := RunChaos(w, ChaosSpec{
+			res, err := RunSpec{
 				System:    sys,
-				Plan:      chaosPlan(),
+				W:         w,
+				FaultPlan: chaosPlan().String(),
 				FaultSeed: 3,
-				Rel:       dmcs.DefaultRelConfig(),
-			})
+				Reliable:  true,
+			}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
+			st := res.Faults
 			if err := clean.CheckConservation(); err != nil {
 				t.Errorf("clean run: %v", err)
 			}
@@ -68,20 +69,22 @@ func TestChaosRunSurvives(t *testing.T) {
 // per-processor ledgers and protocol counters.
 func TestChaosRunDeterministic(t *testing.T) {
 	w := chaosWorkload()
-	cs := ChaosSpec{
+	cs := RunSpec{
 		System:    "prema-implicit",
-		Plan:      chaosPlan(),
+		W:         w,
+		FaultPlan: chaosPlan().String(),
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
+		Reliable:  true,
 	}
-	a, sta, err := RunChaos(w, cs)
+	a, err := cs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, stb, err := RunChaos(w, cs)
+	b, err := cs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sta, stb := a.Faults, b.Faults
 	if a.Makespan != b.Makespan {
 		t.Fatalf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
 	}
@@ -106,11 +109,11 @@ func TestChaosRunDeterministic(t *testing.T) {
 // clean makespan (measured: ~0.1%; see EXPERIMENTS.md).
 func TestChaosReliableOverhead(t *testing.T) {
 	w := chaosWorkload()
-	clean, _, err := RunChaos(w, ChaosSpec{System: "prema-implicit"})
+	clean, err := RunSpec{System: "prema-implicit", W: w}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := RunChaos(w, ChaosSpec{System: "prema-implicit", Rel: dmcs.DefaultRelConfig()})
+	rel, err := RunSpec{System: "prema-implicit", W: w, Reliable: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +130,16 @@ func TestChaosReliableOverhead(t *testing.T) {
 }
 
 // TestChaosRejectsBaselines: the third-party baseline cost models have no
-// real transport to fault; RunChaos must refuse them.
+// real transport to fault; Run must refuse them.
 func TestChaosRejectsBaselines(t *testing.T) {
 	w := chaosWorkload()
 	for _, sys := range []string{"parmetis", "charm", "charm-sync4", "nonsense"} {
-		if _, _, err := RunChaos(w, ChaosSpec{System: sys, Plan: chaosPlan()}); err == nil {
-			t.Errorf("RunChaos accepted system %q", sys)
+		if _, err := (RunSpec{System: sys, W: w, FaultPlan: chaosPlan().String()}).Run(); err == nil {
+			t.Errorf("Run accepted a fault plan on system %q", sys)
 		}
 	}
-	if _, _, err := RunChaos(w, ChaosSpec{System: "prema-implicit", Backend: "quantum"}); err == nil {
-		t.Error("RunChaos accepted backend \"quantum\"")
+	if _, err := (RunSpec{System: "prema-implicit", W: w, Backend: "quantum"}).Run(); err == nil {
+		t.Error("Run accepted backend \"quantum\"")
 	}
 }
 
@@ -145,18 +148,19 @@ func TestChaosRejectsBaselines(t *testing.T) {
 // around it and every unit still computes.
 func TestChaosStallRecovery(t *testing.T) {
 	w := chaosWorkload()
-	res, st, err := RunChaos(w, ChaosSpec{
+	res, err := RunSpec{
 		System: "prema-implicit",
-		Plan: faulty.Plan{Stalls: []faulty.Stall{
+		W:      w,
+		FaultPlan: faulty.Plan{Stalls: []faulty.Stall{
 			{Proc: 3, At: 10 * substrate.Second, For: 30 * substrate.Second},
-		}},
+		}}.String(),
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
-	})
+		Reliable:  true,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Stalls != 1 {
+	if st := res.Faults; st.Stalls != 1 {
 		t.Errorf("stall fired %d times, want 1", st.Stalls)
 	}
 	if err := res.CheckConservation(); err != nil {

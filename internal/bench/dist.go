@@ -1,229 +1,138 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"time"
 
 	"prema/internal/dist"
-	"prema/internal/dmcs"
-	"prema/internal/faulty"
 	"prema/internal/substrate"
-	"prema/internal/trace"
 	"prema/internal/wire"
 )
 
-// DistSpec is the scenario a coordinator ships to every node of a
-// distributed (multi-process) run: the workload, the system to drive, and
-// the per-node machine tuning. It travels as the Roster's opaque Spec
-// bytes, so every node runs exactly the configuration the coordinator
-// decided — SPMD with centrally distributed parameters.
-type DistSpec struct {
-	// System names the driver: a PREMA configuration ("none",
-	// "prema-explicit", "prema-implicit"), a policy-suite system
-	// ("prema-worksteal", "prema-diffusion", "prema-multilist"), or
-	// "pingpong" (the two-rank transport round-trip probe).
-	System string
-	// Procs, Units, HeavyFrac, Heavy, Light, Hints, UnitBytes, Seed are the
-	// Workload fields (see Workload); sim-only knobs (shards, partition,
-	// wire) do not travel.
-	Procs     int
-	Units     int
-	HeavyFrac float64
-	Heavy     substrate.Time
-	Light     substrate.Time
-	Hints     HintMode
-	UnitBytes int
-	Seed      int64
-	// Reliable switches DMCS into reliable-delivery mode with RTO (zero =
-	// dmcs default).
-	Reliable bool
-	RTO      substrate.Time
-	// FaultPlan injects faults at each node's substrate seam (internal/faulty
-	// syntax; empty = none). Fail-stop clauses are rejected: crash recovery
-	// is not supported across processes.
-	FaultPlan string
-	FaultSeed int64
-	// TimeScale and Spin tune each node's machine (rtm semantics; zero
-	// TimeScale keeps the dist default).
-	TimeScale float64
-	Spin      bool
-	// TracePath, when non-empty, records each node's timeline and writes a
-	// Chrome trace with ".nodeN" suffixed before the extension (the path is
-	// interpreted on each node's filesystem). TraceRing sizes the rings.
-	TracePath string
-	TraceRing int
+// NewDistSpec builds the spec of a distributed (multi-process) run of system
+// on w with default machine tuning.
+func NewDistSpec(system string, w Workload) RunSpec {
+	return RunSpec{System: system, W: w, Backend: BackendDist}
 }
 
-// NewDistSpec builds the spec for a workload and system with default
-// machine tuning.
-func NewDistSpec(system string, w Workload) DistSpec {
-	return DistSpec{
-		System:    system,
-		Procs:     w.Procs,
-		Units:     w.Units,
-		HeavyFrac: w.HeavyFrac,
-		Heavy:     w.Heavy,
-		Light:     w.Light,
-		Hints:     w.Hints,
-		UnitBytes: w.UnitBytes,
-		Seed:      w.Seed,
-	}
-}
-
-// Workload reconstructs the workload the spec describes.
-func (s DistSpec) Workload() Workload {
-	return Workload{
-		Procs:     s.Procs,
-		Units:     s.Units,
-		HeavyFrac: s.HeavyFrac,
-		Heavy:     s.Heavy,
-		Light:     s.Light,
-		Hints:     s.Hints,
-		UnitBytes: s.UnitBytes,
-		Seed:      s.Seed,
-	}
-}
-
-const distSpecVersion = 1
+// runSpecVersion guards the travelling form of a RunSpec: a version byte,
+// then every leaf field in declaration order as one uvarint (most are
+// zero) — an integer's two's complement, a bool's 0/1, a float's IEEE bits,
+// a string's length followed by its bytes. The coordinator ships it to
+// every node as the Roster's opaque Spec bytes, so every node runs exactly
+// the configuration the coordinator decided — SPMD with centrally
+// distributed parameters.
+const runSpecVersion = 2
 
 // Encode serializes the spec for Roster.Spec.
-func (s DistSpec) Encode() []byte {
-	var w wire.Writer
-	w.U8(distSpecVersion)
-	w.Bytes([]byte(s.System))
-	w.Int(s.Procs)
-	w.Int(s.Units)
-	w.F64(s.HeavyFrac)
-	w.I64(int64(s.Heavy))
-	w.I64(int64(s.Light))
-	w.U8(uint8(s.Hints))
-	w.Int(s.UnitBytes)
-	w.I64(s.Seed)
-	w.Bool(s.Reliable)
-	w.I64(int64(s.RTO))
-	w.Bytes([]byte(s.FaultPlan))
-	w.I64(s.FaultSeed)
-	w.F64(s.TimeScale)
-	w.Bool(s.Spin)
-	w.Bytes([]byte(s.TracePath))
-	w.Int(s.TraceRing)
-	return w.Buf()
+func (s RunSpec) Encode() []byte {
+	return appendLeaves(append(make([]byte, 0, 256), runSpecVersion), reflect.ValueOf(s))
 }
 
-// DecodeDistSpec parses an encoded spec, rejecting corrupt or
-// version-mismatched input.
-func DecodeDistSpec(b []byte) (DistSpec, error) {
-	r := wire.NewReader(b)
-	if v := r.U8(); r.Err() == nil && v != distSpecVersion {
-		return DistSpec{}, fmt.Errorf("bench: dist spec version %d, want %d", v, distSpecVersion)
+func appendLeaves(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			b = appendLeaves(b, v.Field(i))
+		}
+		return b
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case reflect.Float64:
+		return binary.AppendUvarint(b, math.Float64bits(v.Float()))
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	default: // the integer kinds; anything else panics in Int
+		return binary.AppendUvarint(b, uint64(v.Int()))
 	}
-	s := DistSpec{
-		System:    string(r.Bytes()),
-		Procs:     r.Int(),
-		Units:     r.Int(),
-		HeavyFrac: r.F64(),
-		Heavy:     substrate.Time(r.I64()),
-		Light:     substrate.Time(r.I64()),
-		Hints:     HintMode(r.U8()),
-		UnitBytes: r.Int(),
-		Seed:      r.I64(),
-		Reliable:  r.Bool(),
-		RTO:       substrate.Time(r.I64()),
-		FaultPlan: string(r.Bytes()),
-		FaultSeed: r.I64(),
-		TimeScale: r.F64(),
-		Spin:      r.Bool(),
-		TracePath: string(r.Bytes()),
-		TraceRing: r.Int(),
+}
+
+// DecodeRunSpec parses an encoded spec, rejecting corrupt, truncated,
+// trailing or version-mismatched input.
+func DecodeRunSpec(b []byte) (RunSpec, error) {
+	if len(b) == 0 || b[0] != runSpecVersion {
+		return RunSpec{}, fmt.Errorf("bench: run spec is empty or not version %d", runSpecVersion)
 	}
-	if err := r.Err(); err != nil {
-		return DistSpec{}, fmt.Errorf("bench: corrupt dist spec: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return DistSpec{}, fmt.Errorf("bench: %d trailing bytes after dist spec", r.Remaining())
+	var s RunSpec
+	if rest, ok := readLeaves(b[1:], reflect.ValueOf(&s).Elem()); !ok {
+		return RunSpec{}, fmt.Errorf("bench: corrupt run spec")
+	} else if len(rest) != 0 {
+		return RunSpec{}, fmt.Errorf("bench: %d trailing bytes after run spec", len(rest))
 	}
 	return s, nil
 }
 
-// RunDistNode is the node-side driver: it decodes the session spec from the
-// roster, builds this node's machine, runs the selected system (the same
-// driver code the in-process backends run), and reports the node's partial
-// result to the coordinator. premad calls it once per session.
-func RunDistNode(n *dist.Node) error {
-	spec, err := DecodeDistSpec(n.Spec())
-	if err != nil {
-		return err
-	}
-	w := spec.Workload()
-
-	mc := dist.DefaultMachineConfig()
-	if spec.System == "pingpong" {
-		// The round-trip probe measures the raw transport: real time, no
-		// injected message costs.
-		mc = dist.MachineConfig{TimeScale: 1}
-	}
-	if spec.TimeScale > 0 {
-		mc.TimeScale = spec.TimeScale
-	}
-	mc.Spin = spec.Spin
-	mc.Seed = w.Seed
-	dm := n.NewMachine(mc)
-
-	if spec.System == "pingpong" {
-		res, err := runPingPong(dm, w)
-		if err != nil {
-			return err
+// readLeaves is appendLeaves in reverse: it fills v from b and returns the
+// unread rest, or false at the first malformed leaf.
+func readLeaves(b []byte, v reflect.Value) (rest []byte, ok bool) {
+	if v.Kind() == reflect.Struct {
+		ok = true
+		for i := 0; ok && i < v.NumField(); i++ {
+			b, ok = readLeaves(b, v.Field(i))
 		}
-		return n.Report(encodeDistPartial(res))
+		return b, ok
 	}
-
-	var m substrate.Machine = dm
-	plan, err := faulty.ParsePlan(spec.FaultPlan)
-	if err != nil {
-		return err
+	u, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, false
 	}
-	if len(plan.Crashes) > 0 || len(plan.Recovers) > 0 {
-		return fmt.Errorf("bench: fail-stop fault clauses are not supported on the dist backend")
-	}
-	if plan.Active() {
-		m = faulty.Wrap(m, plan, spec.FaultSeed)
-	}
-	var col *trace.Collector
-	if spec.TracePath != "" {
-		col = trace.NewCollector(spec.TraceRing)
-		m = trace.Wrap(m, col)
-	}
-
-	var res *Result
-	switch spec.System {
-	case "prema-worksteal", "prema-diffusion", "prema-multilist":
-		res, err = RunPremaPolicyOn(m, w, spec.System[len("prema-"):])
+	b = b[n:]
+	switch v.Kind() {
+	case reflect.String:
+		if u > uint64(len(b)) {
+			return nil, false
+		}
+		v.SetString(string(b[:u]))
+		b = b[u:]
+	case reflect.Float64:
+		v.SetFloat(math.Float64frombits(u))
+	case reflect.Bool:
+		v.SetBool(u == 1)
+		ok = u <= 1
+		return b, ok
 	default:
-		cfg, cfgErr := PremaConfigFor(spec.System)
-		if cfgErr != nil {
-			return cfgErr
-		}
-		if spec.Reliable {
-			cfg.Rel = dmcs.DefaultRelConfig()
-			if spec.RTO > 0 {
-				cfg.Rel.RTO = spec.RTO
-			}
-		}
-		res, err = RunPremaOn(m, w, cfg)
+		v.SetInt(int64(u))
 	}
+	return b, true
+}
+
+// RunDistNode is the node-side driver: it decodes the session's RunSpec from
+// the roster, builds this node's machine stack with the shared builder,
+// runs the selected system (the same driver code the in-process backends
+// run), writes the node's timeline when the spec traces (as FILE.nodeN, on
+// this node's filesystem), and reports the node's partial result to the
+// coordinator. premad calls it once per session.
+func RunDistNode(n *dist.Node) error {
+	spec, err := DecodeRunSpec(n.Spec())
 	if err != nil {
 		return err
 	}
-	if col != nil {
-		path := trace.SuffixPath(spec.TracePath, fmt.Sprintf("node%d", n.NodeID()))
-		if err := col.WriteChromeFile(path); err != nil {
-			return err
-		}
+	if err := spec.check(); err != nil {
+		return err
+	}
+	d := lookupSystem(spec.System)
+	st, err := spec.buildStack(d, n)
+	if err != nil {
+		return err
+	}
+	res, err := spec.runOn(d, st)
+	if err != nil {
+		return err
+	}
+	if err := spec.ExportTrace(io.Discard, "", res, fmt.Sprintf("node%d", n.NodeID())); err != nil {
+		return err
 	}
 	return n.Report(encodeDistPartial(res))
 }
@@ -334,7 +243,7 @@ type DistOptions struct {
 	// Listen is the coordinator's control listen address (host:port; port 0
 	// picks a free one).
 	Listen string
-	// Premad is the node daemon binary to spawn ("" resolves "premad" next
+	// Premad is the node daemon binary to spawn ("" resolves premad next
 	// to the running executable, then on PATH). Ignored with Attach.
 	Premad string
 	// Attach skips spawning: the node daemons were started externally and
@@ -346,6 +255,10 @@ type DistOptions struct {
 	DrainTimeout time.Duration
 }
 
+// premadName is the node daemon's binary name, and the name of the flag
+// that overrides where to find it.
+const premadName = "premad"
+
 // resolvePremad finds the node daemon binary: an explicit path wins, then a
 // premad next to the running executable (the common "go build ./..." layout),
 // then PATH.
@@ -354,12 +267,12 @@ func resolvePremad(explicit string) (string, error) {
 		return explicit, nil
 	}
 	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "premad")
+		cand := filepath.Join(filepath.Dir(self), premadName)
 		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
 			return cand, nil
 		}
 	}
-	path, err := exec.LookPath("premad")
+	path, err := exec.LookPath(premadName)
 	if err != nil {
 		return "", fmt.Errorf("bench: premad binary not found (build cmd/premad and pass its path, or put it on PATH): %w", err)
 	}
@@ -370,11 +283,16 @@ func resolvePremad(explicit string) (string, error) {
 // side: listen, spawn (or await) the node daemons, run the session, and
 // merge the per-node partial results into one Result comparable with the
 // in-process backends' (same counters, same residency, summed per-node).
-func RunDist(spec DistSpec, opt DistOptions) (*Result, error) {
+// opt is the coordinator configuration in effect; it replaces spec.Dist.
+func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
+	spec.Backend, spec.Dist = BackendDist, opt
+	if err := spec.check(); err != nil {
+		return nil, err
+	}
 	c, err := dist.Listen(dist.CoordConfig{
 		Listen:       opt.Listen,
 		Nodes:        opt.Nodes,
-		Procs:        spec.Procs,
+		Procs:        spec.W.Procs,
 		JoinTimeout:  opt.JoinTimeout,
 		DrainTimeout: opt.DrainTimeout,
 	})
@@ -427,7 +345,7 @@ func RunDist(spec DistSpec, opt DistOptions) (*Result, error) {
 	}
 
 	res := &Result{
-		W:        spec.Workload(),
+		W:        spec.W,
 		Makespan: sum.Makespan,
 		Accounts: sum.Accounts,
 		Counters: map[string]int{},
@@ -447,10 +365,10 @@ func RunDist(spec DistSpec, opt DistOptions) (*Result, error) {
 		}
 		if p.resident != nil {
 			if res.Resident == nil {
-				res.Resident = make([]int, spec.Procs)
+				res.Resident = make([]int, spec.W.Procs)
 			}
-			if len(p.resident) != spec.Procs {
-				return nil, fmt.Errorf("bench: node %d reported %d residency slots, want %d", node, len(p.resident), spec.Procs)
+			if len(p.resident) != spec.W.Procs {
+				return nil, fmt.Errorf("bench: node %d reported %d residency slots, want %d", node, len(p.resident), spec.W.Procs)
 			}
 			for i, n := range p.resident {
 				res.Resident[i] += n

@@ -28,7 +28,7 @@ func freeAddr(t *testing.T) string {
 // runDistInProcess drives a full coordinator+nodes session with the node
 // daemons as goroutines (real localhost TCP, shared address space), using
 // the exact driver premad runs.
-func runDistInProcess(t *testing.T, spec DistSpec, nodes int) *Result {
+func runDistInProcess(t *testing.T, spec RunSpec, nodes int) *Result {
 	t.Helper()
 	addr := freeAddr(t)
 	errCh := make(chan error, nodes)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"prema/internal/ilb"
 	"prema/internal/sim"
-	"prema/internal/substrate"
 )
 
 // FigureSpec identifies one of the paper's benchmark figures by its two
@@ -58,12 +56,6 @@ func PaperWorkload(spec FigureSpec, procs, unitsPerProc int) Workload {
 	}
 }
 
-// SystemNames lists the six per-figure configurations, in the paper's
-// subfigure order (a)-(f).
-var SystemNames = []string{
-	"none", "prema-explicit", "prema-implicit", "parmetis", "charm", "charm-sync4",
-}
-
 // FigureRun holds the six results of one figure.
 type FigureRun struct {
 	Spec    FigureSpec
@@ -71,69 +63,13 @@ type FigureRun struct {
 	Results []*Result // ordered as SystemNames
 }
 
-// RunSystem executes one named system configuration on w.
-func RunSystem(name string, w Workload) (*Result, error) {
-	switch name {
-	case "none":
-		return RunPrema(w, DefaultPremaConfig(ilb.Implicit, false))
-	case "prema-explicit":
-		return RunPrema(w, DefaultPremaConfig(ilb.Explicit, true))
-	case "prema-implicit":
-		return RunPrema(w, DefaultPremaConfig(ilb.Implicit, true))
-	case "parmetis":
-		return RunParmetis(w, DefaultParmetisConfig())
-	case "charm":
-		return RunCharm(w, DefaultCharmConfig(0))
-	case "charm-sync4":
-		return RunCharm(w, DefaultCharmConfig(4))
-	default:
-		return nil, fmt.Errorf("bench: unknown system %q", name)
-	}
-}
-
-// PremaConfigFor returns the driver configuration behind a PREMA system
-// name ("none", "prema-explicit", "prema-implicit"). Chaos harnesses use it
-// to customize a named configuration (reliable delivery, fault tolerance
-// tuning) before calling RunPremaOn. The third-party baseline models
-// (parmetis, charm*) have no PremaConfig and are rejected.
-func PremaConfigFor(name string) (PremaConfig, error) {
-	switch name {
-	case "none":
-		return DefaultPremaConfig(ilb.Implicit, false), nil
-	case "prema-explicit":
-		return DefaultPremaConfig(ilb.Explicit, true), nil
-	case "prema-implicit":
-		return DefaultPremaConfig(ilb.Implicit, true), nil
-	case "parmetis", "charm", "charm-sync4":
-		return PremaConfig{}, fmt.Errorf("bench: system %q is simulator-only", name)
-	default:
-		return PremaConfig{}, fmt.Errorf("bench: unknown system %q", name)
-	}
-}
-
-// RunSystemOn executes one named PREMA system configuration on an arbitrary
-// execution substrate. The third-party baseline models (parmetis, charm*)
-// are wired to the simulator's cost model and are rejected here.
-func RunSystemOn(name string, m substrate.Machine, w Workload) (*Result, error) {
-	cfg, err := PremaConfigFor(name)
+// RunFigure runs all six configurations of one figure, serially.
+func RunFigure(spec FigureSpec, procs, unitsPerProc int) (*FigureRun, error) {
+	runs, err := RunFigures([]FigureSpec{spec}, RunSpec{W: Workload{Procs: procs}, UnitsPerProc: unitsPerProc, Jobs: 1})
 	if err != nil {
 		return nil, err
 	}
-	return RunPremaOn(m, w, cfg)
-}
-
-// RunFigure runs all six configurations of one figure.
-func RunFigure(spec FigureSpec, procs, unitsPerProc int) (*FigureRun, error) {
-	w := PaperWorkload(spec, procs, unitsPerProc)
-	fr := &FigureRun{Spec: spec, W: w}
-	for _, name := range SystemNames {
-		r, err := RunSystem(name, w)
-		if err != nil {
-			return nil, fmt.Errorf("figure %d: %w", spec.ID, err)
-		}
-		fr.Results = append(fr.Results, r)
-	}
-	return fr, nil
+	return runs[0], nil
 }
 
 // Get returns the named result of a figure run.

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"prema/internal/dmcs"
-	"prema/internal/faulty"
 	"prema/internal/trace"
 )
 
@@ -102,27 +100,24 @@ func TestRandomPartitionMapEquivalence(t *testing.T) {
 // trace streams as the serial equivalent. This covers the -fault-plan and
 // -trace legs of the byte-identity acceptance criterion.
 func TestPartitionedChaosAndTraceEquivalence(t *testing.T) {
-	plan, err := faulty.ParsePlan("drop=0.05,dup=0.05,delay=0.2:2ms")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const plan = "drop=0.05,dup=0.05,delay=0.2:2ms"
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 9, 6)
 	run := func(shards int, partition string) (*Result, *trace.Collector) {
 		w := w
 		w.Shards = shards
 		w.Partition = partition
-		col := trace.NewCollector(0)
-		res, _, err := RunChaos(w, ChaosSpec{
+		res, err := RunSpec{
 			System:    "prema-implicit",
-			Plan:      plan,
+			W:         w,
+			FaultPlan: plan,
 			FaultSeed: 11,
-			Rel:       dmcs.DefaultRelConfig(),
-			Trace:     col,
-		})
+			Reliable:  true,
+			Trace:     true,
+		}.Run()
 		if err != nil {
 			t.Fatalf("shards=%d partition=%q: %v", shards, partition, err)
 		}
-		return res, col
+		return res, res.Trace
 	}
 	serial, serialCol := run(1, "")
 	for _, strategy := range PartitionStrategies {

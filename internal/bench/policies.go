@@ -11,10 +11,6 @@ import (
 	"prema/internal/substrate"
 )
 
-// PolicyNames lists the PREMA policy suite the benchmark can drive beyond
-// the paper's featured work stealing.
-var PolicyNames = []string{"worksteal", "diffusion", "multilist"}
-
 // RunPremaPolicy executes the synthetic benchmark on the PREMA runtime over
 // the deterministic simulator in implicit mode under the named load balancing
 // policy — the paper's policy suite (§4: Work Stealing, Diffusion, Multi-list

@@ -23,22 +23,23 @@ import (
 // with checkpoint overhead below 5% of the clean makespan.
 func TestRecoveryCrashMidRun(t *testing.T) {
 	w := chaosWorkload()
-	clean, _, err := RunChaos(w, ChaosSpec{System: "prema-implicit", Rel: dmcs.DefaultRelConfig()})
+	clean, err := RunSpec{System: "prema-implicit", W: w, Reliable: true}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	crashAt := clean.Makespan / 2
-	res, st, err := RunChaos(w, ChaosSpec{
+	res, err := RunSpec{
 		System:    "prema-implicit",
-		Plan:      faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: crashAt}}},
+		W:         w,
+		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: crashAt}}}.String(),
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
+		Reliable:  true,
 		Recover:   true,
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Crashed {
+	if st := res.Faults; !st.Crashed {
 		t.Fatalf("crash never fired: %+v", st)
 	}
 	if err := res.CheckConservation(); err != nil {
@@ -81,11 +82,11 @@ func TestRecoveryNoCrashByteIdentical(t *testing.T) {
 	for _, sys := range []string{"prema-explicit", "prema-implicit"} {
 		sys := sys
 		t.Run(sys, func(t *testing.T) {
-			base, _, err := RunChaos(w, ChaosSpec{System: sys, Rel: dmcs.DefaultRelConfig()})
+			base, err := RunSpec{System: sys, W: w, Reliable: true}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, _, err := RunChaos(w, ChaosSpec{System: sys, Rel: dmcs.DefaultRelConfig(), Recover: true})
+			rec, err := RunSpec{System: sys, W: w, Reliable: true, Recover: true}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,18 +115,19 @@ func TestRecoveryNoCrashByteIdentical(t *testing.T) {
 // exactly as reproducible as a clean one.
 func TestRecoveryCrashDeterministic(t *testing.T) {
 	w := chaosWorkload()
-	cs := ChaosSpec{
+	cs := RunSpec{
 		System:    "prema-implicit",
-		Plan:      faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 35 * substrate.Second}}},
+		W:         w,
+		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 35 * substrate.Second}}}.String(),
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
+		Reliable:  true,
 		Recover:   true,
 	}
-	a, _, err := RunChaos(w, cs)
+	a, err := cs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunChaos(w, cs)
+	b, err := cs.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +149,18 @@ func TestRecoveryCrashDeterministic(t *testing.T) {
 // application outcome is still exactly-once.
 func TestRecoveryRejoin(t *testing.T) {
 	w := chaosWorkload()
-	plan, err := faulty.ParsePlan("crash:3@35s;recover:3@50s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, st, err := RunChaos(w, ChaosSpec{
+	res, err := RunSpec{
 		System:    "prema-implicit",
-		Plan:      plan,
+		W:         w,
+		FaultPlan: "crash:3@35s;recover:3@50s",
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
+		Reliable:  true,
 		Recover:   true,
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Crashed || st.Rejoins != 1 {
+	if st := res.Faults; !st.Crashed || st.Rejoins != 1 {
 		t.Fatalf("faults = %+v, want 1 crash + 1 rejoin", st)
 	}
 	if err := res.CheckConservation(); err != nil {
@@ -180,22 +179,23 @@ func TestRecoveryRealBackend(t *testing.T) {
 		t.Skip("real backend recovery test in -short mode")
 	}
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 2)
-	res, st, err := RunChaos(w, ChaosSpec{
+	res, err := RunSpec{
 		System:    "prema-implicit",
-		Plan:      faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 8 * substrate.Second}}},
+		W:         w,
+		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 8 * substrate.Second}}}.String(),
 		FaultSeed: 3,
-		Rel:       dmcs.DefaultRelConfig(),
-		Backend:   "real",
+		Reliable:  true,
+		Backend:   BackendReal,
 		TimeScale: 1e-1,
 		Recover:   true,
 		// 3s of virtual time = 300ms of wall clock at this timescale:
 		// comfortably above scheduling jitter, far below the run length.
 		LeaseTimeout: 3 * substrate.Second,
-	})
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Crashed {
+	if !res.Faults.Crashed {
 		t.Fatal("crash never fired")
 	}
 	if err := res.CheckConservation(); err != nil {

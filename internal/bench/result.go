@@ -5,9 +5,11 @@ import (
 	"io"
 	"strings"
 
+	"prema/internal/faulty"
 	"prema/internal/recov"
 	"prema/internal/stats"
 	"prema/internal/substrate"
+	"prema/internal/trace"
 )
 
 // Result is the outcome of one benchmark run: the quantities the paper's
@@ -36,6 +38,13 @@ type Result struct {
 	// had PremaConfig.Recover set): checkpoints taken, charged overhead,
 	// crash verdicts, objects re-homed, envelopes replayed.
 	Recov *recov.Stats
+	// Faults is the fault injector's machine-wide ledger (zero unless the
+	// run's fault plan was active; node-local, hence zero, on a dist
+	// coordinator's merged result).
+	Faults faulty.Stats
+	// Trace is the collector the run recorded into (nil unless the spec
+	// asked for tracing; RunSpec.ExportTrace writes it out).
+	Trace *trace.Collector
 
 	// Engine telemetry (simulator backend only; zero/nil on the real
 	// backend — collect unwraps the trace/wire decorators to reach it, but
@@ -78,6 +87,28 @@ func (r *Result) ImbalanceRatio() float64 {
 		return 0
 	}
 	return float64(max) * float64(len(r.ShardEvents)) / float64(total)
+}
+
+// CheckConservation verifies the application-level outcome of a PREMA run:
+// every work unit computed exactly once, and every registered mobile object
+// resident on exactly one processor at the end — no unit lost to a dropped
+// message, none run twice off a duplicated one. This is the invariant the
+// chaos experiments assert against a faulted machine.
+func (r *Result) CheckConservation() error {
+	if r.Resident == nil {
+		return fmt.Errorf("%s: no residency data (not a PREMA run)", r.System)
+	}
+	if got := r.Counters["units_run"]; got != r.W.Units {
+		return fmt.Errorf("%s: ran %d units, want %d", r.System, got, r.W.Units)
+	}
+	objs := 0
+	for _, n := range r.Resident {
+		objs += n
+	}
+	if objs != r.W.Units {
+		return fmt.Errorf("%s: %d objects resident, want %d", r.System, objs, r.W.Units)
+	}
+	return nil
 }
 
 // Series extracts one per-processor category series in seconds — one
@@ -197,7 +228,7 @@ func (r *Result) Breakdown(stride int) string {
 	if stride < 1 {
 		stride = 1
 	}
-	t := stats.NewTable("proc", "compute", "idle", "msg", "sched", "callback", "pollthr", "partition", "sync", "total")
+	t := stats.NewTable(strings.Fields("proc compute idle msg sched callback pollthr partition sync total")...)
 	for i := 0; i < len(r.Accounts); i += stride {
 		a := &r.Accounts[i]
 		t.AddRow(i,

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"prema/internal/trace"
 )
 
 // goldenHash fingerprints everything a Result exposes: the summary line, the
@@ -89,17 +87,16 @@ func TestShardTraceEquivalence(t *testing.T) {
 		for _, shards := range []int{2, 7} {
 			t.Run(fmt.Sprintf("%s_s%d", system, shards), func(t *testing.T) {
 				w := PaperWorkload(spec, 9, 6)
-				colSerial := trace.NewCollector(0)
-				serial, err := RunSystemTraced(system, w, colSerial)
+				serial, err := RunSpec{System: system, W: w, Trace: true}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				w.Shards = shards
-				colSharded := trace.NewCollector(0)
-				sharded, err := RunSystemTraced(system, w, colSharded)
+				sharded, err := RunSpec{System: system, W: w, Trace: true}.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
+				colSerial, colSharded := serial.Trace, sharded.Trace
 				if serial.Makespan != sharded.Makespan {
 					t.Fatalf("makespan diverges: %v vs %v", serial.Makespan, sharded.Makespan)
 				}

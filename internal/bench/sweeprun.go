@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"prema/internal/sweep"
 )
@@ -11,31 +12,25 @@ import (
 // only coordination needed is the worker pool; internal/sweep's ordering
 // guarantee makes the parallel output byte-identical to the serial one.
 
-// RunFigures runs the full (figure × system) grid for the given specs with
-// at most jobs simulations in flight, each on `shards` simulator shards
-// partitioned by `partition` (a PartitionStrategies name; "" = roundrobin),
-// returning FigureRuns in spec order with Results ordered as SystemNames —
-// exactly what serial RunFigure calls would produce. The two parallelism
-// levels multiply (jobs × shards goroutines want CPUs at once), so jobs < 1
-// selects sweep.JobsFor(shards), which clamps the product to the CPU count;
-// jobs == 1, shards == 1 is the fully serial path. wire routes the
-// machine-based systems through the serialization loopback (the cost-model
-// baselines have no transport and ignore it). None of the four knobs
+// RunFigures runs the full (figure × system) grid for the given specs at
+// the template's scale (tmpl.W.Procs × tmpl.UnitsPerProc) with at most
+// tmpl.Jobs simulations in flight, returning FigureRuns in spec order with
+// Results ordered as SystemNames — exactly what serial RunFigure calls
+// would produce. The template's engine knobs (W.Shards, W.Partition) apply
+// to every run; its loopback and tracing apply to the systems that have a
+// transport (the cost-model baselines run as usual). None of these knobs
 // changes a single output byte.
-func RunFigures(specs []FigureSpec, procs, unitsPerProc, jobs, shards int, partition string, wire bool) ([]*FigureRun, error) {
-	if jobs < 1 {
-		jobs = sweep.JobsFor(shards)
-	}
+func RunFigures(specs []FigureSpec, tmpl RunSpec) ([]*FigureRun, error) {
 	nsys := len(SystemNames)
-	results, err := sweep.Map(jobs, len(specs)*nsys, func(i int) (*Result, error) {
-		spec, name := specs[i/nsys], SystemNames[i%nsys]
-		w := PaperWorkload(spec, procs, unitsPerProc)
-		w.Shards = shards
-		w.Partition = partition
-		w.Wire = wire && WiredSystem(name)
-		r, err := RunSystem(name, w)
+	results, err := sweep.Map(tmpl.jobs(), len(specs)*nsys, func(i int) (*Result, error) {
+		s := tmpl.ForFigure(specs[i/nsys])
+		s.System = SystemNames[i%nsys]
+		if !HasTransport(s.System) {
+			s.W.Wire, s.Trace, s.TracePath, s.MetricsPath = false, false, "", ""
+		}
+		r, err := s.Run()
 		if err != nil {
-			return nil, fmt.Errorf("figure %d: %w", spec.ID, err)
+			return nil, fmt.Errorf("figure %d: %w", specs[i/nsys].ID, err)
 		}
 		return r, nil
 	})
@@ -46,7 +41,7 @@ func RunFigures(specs []FigureSpec, procs, unitsPerProc, jobs, shards int, parti
 	for fi, spec := range specs {
 		runs[fi] = &FigureRun{
 			Spec:    spec,
-			W:       PaperWorkload(spec, procs, unitsPerProc),
+			W:       PaperWorkload(spec, tmpl.W.Procs, tmpl.UnitsPerProc),
 			Results: results[fi*nsys : (fi+1)*nsys],
 		}
 	}
@@ -56,9 +51,7 @@ func RunFigures(specs []FigureSpec, procs, unitsPerProc, jobs, shards int, parti
 // RunSystems runs several named system configurations on the same workload
 // with at most jobs simulations in flight, returning results in input order.
 func RunSystems(names []string, w Workload, jobs int) ([]*Result, error) {
-	return sweep.Map(jobs, len(names), func(i int) (*Result, error) {
-		return RunSystem(names[i], w)
-	})
+	return RunSpec{System: strings.Join(names, ","), W: w, Jobs: jobs}.RunAll()
 }
 
 // RunMeshSystems runs the mesh experiment's regimes over one prebuilt cost

@@ -25,7 +25,11 @@ func TestSweepMatchesSerial(t *testing.T) {
 	// together exercise the sweep × shard parallelism product, the
 	// placement strategy, and the serialization seam: none of the knobs may
 	// change a single output byte.
-	parallel, err := RunFigures(specs, procs, upp, 8, 2, PartitionLoaded, true)
+	parallel, err := RunFigures(specs, RunSpec{
+		W:            Workload{Procs: procs, Shards: 2, Partition: PartitionLoaded, Wire: true},
+		UnitsPerProc: upp,
+		Jobs:         8,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,125 @@
+package bench
+
+import (
+	"fmt"
+
+	"prema/internal/ilb"
+	"prema/internal/substrate"
+)
+
+// systemDef is one row of the system table: what a named system
+// configuration runs on. At most one of prema, policy, model and probe is
+// set; a row with none is the placeholder lookupSystem returns for an
+// unknown name.
+type systemDef struct {
+	name string
+	// figure marks the six per-figure configurations.
+	figure bool
+	// prema builds the PremaConfig of a system on the full PREMA driver
+	// (RunPremaOn): any backend, and the only driver that takes reliable
+	// delivery, fault tolerance and crash recovery.
+	prema func() PremaConfig
+	// policy names the load balancing policy of a policy-suite system
+	// (RunPremaPolicyOn): any backend, classic transport only.
+	policy string
+	// model runs a third-party baseline: a cost model on the simulator
+	// engine with no transport to decorate, fault or move off the simulator.
+	model func(Workload) (*Result, error)
+	// probe marks the two-rank transport round-trip probe of the
+	// distributed backend.
+	probe bool
+}
+
+// transport reports whether the system sends its messages through the
+// substrate seam, where wire, faulty and trace hook in and which the
+// wall-clock backends replace.
+func (d *systemDef) transport() bool { return d.model == nil }
+
+func (d *systemDef) unknown() bool {
+	return d.prema == nil && d.policy == "" && d.model == nil && !d.probe
+}
+
+func premaSystem(mode ilb.Mode, balance bool) func() PremaConfig {
+	return func() PremaConfig { return DefaultPremaConfig(mode, balance) }
+}
+
+func charmSystem(syncPoints int) func(Workload) (*Result, error) {
+	return func(w Workload) (*Result, error) { return RunCharm(w, DefaultCharmConfig(syncPoints)) }
+}
+
+// systemTable is the one name → driver dispatch behind RunSpec.Run,
+// RunSystem, RunSystemOn, PremaConfigFor, HasTransport, SystemNames and
+// PolicyNames.
+var systemTable = []systemDef{
+	{name: "none", figure: true, prema: premaSystem(ilb.Implicit, false)},
+	{name: "prema-explicit", figure: true, prema: premaSystem(ilb.Explicit, true)},
+	{name: "prema-implicit", figure: true, prema: premaSystem(ilb.Implicit, true)},
+	{name: "parmetis", figure: true, model: func(w Workload) (*Result, error) { return RunParmetis(w, DefaultParmetisConfig()) }},
+	{name: "charm", figure: true, model: charmSystem(0)},
+	{name: "charm-sync4", figure: true, model: charmSystem(4)},
+	{name: "prema-worksteal", policy: "worksteal"},
+	{name: "prema-diffusion", policy: "diffusion"},
+	{name: "prema-multilist", policy: "multilist"},
+	{name: "pingpong", probe: true},
+}
+
+// SystemNames lists the six per-figure configurations, in the paper's
+// subfigure order (a)-(f); PolicyNames lists the PREMA policy suite the
+// benchmark can drive beyond the paper's featured work stealing (system
+// "prema-<policy>").
+var SystemNames, PolicyNames = func() (figure, policies []string) {
+	for _, d := range systemTable {
+		if d.figure {
+			figure = append(figure, d.name)
+		}
+		if d.policy != "" {
+			policies = append(policies, d.policy)
+		}
+	}
+	return
+}()
+
+// lookupSystem returns the table row for name, or a placeholder row
+// (unknown() == true) carrying the name.
+func lookupSystem(name string) *systemDef {
+	for i := range systemTable {
+		if systemTable[i].name == name {
+			return &systemTable[i]
+		}
+	}
+	return &systemDef{name: name}
+}
+
+// HasTransport reports whether a named system runs a real transport through
+// the substrate seam — and can therefore be traced, wire-wrapped, faulted
+// and run on the real and distributed backends. The third-party baseline
+// models (parmetis, charm*) are simulator cost models with nothing to
+// observe; unknown names have nothing at all.
+func HasTransport(name string) bool {
+	d := lookupSystem(name)
+	return !d.unknown() && d.transport()
+}
+
+// RunSystem executes one named system configuration on w, on the
+// deterministic simulator (wire-wrapped when w.Wire is set).
+func RunSystem(name string, w Workload) (*Result, error) {
+	return RunSpec{System: name, W: w}.Run()
+}
+
+// PremaConfigFor returns the driver configuration behind a PREMA system
+// name ("none", "prema-explicit", "prema-implicit"), for harnesses that
+// customize it before calling RunPremaOn. Every other system has no
+// PremaConfig and is rejected.
+func PremaConfigFor(name string) (PremaConfig, error) {
+	if d := lookupSystem(name); d.prema != nil {
+		return d.prema(), nil
+	}
+	return PremaConfig{}, fmt.Errorf("bench: system %q is unknown or has no PremaConfig", name)
+}
+
+// RunSystemOn executes one named system configuration on an arbitrary
+// execution substrate. The third-party baseline models (parmetis, charm*)
+// are wired to the simulator's cost model and are rejected here.
+func RunSystemOn(name string, m substrate.Machine, w Workload) (*Result, error) {
+	return RunSpec{System: name, W: w}.runOn(lookupSystem(name), &stack{m: m})
+}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"prema/internal/dmcs"
-	"prema/internal/faulty"
 	"prema/internal/trace"
 )
 
@@ -23,11 +21,11 @@ func TestTracingIsObservational(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := trace.NewCollector(0)
-			traced, err := RunSystemTraced(sys, w, col)
+			traced, err := RunSpec{System: sys, W: w, Trace: true}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
+			col := traced.Trace
 			if plain.Makespan != traced.Makespan {
 				t.Fatalf("tracing changed the makespan: %v vs %v", plain.Makespan, traced.Makespan)
 			}
@@ -54,11 +52,11 @@ func TestTraceByteIdentity(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 4, Imbalance: 0.1, Ratio: 2.0}, 6, 6)
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		col := trace.NewCollector(0)
-		if _, err := RunSystemTraced("prema-implicit", w, col); err != nil {
+		res, err := RunSpec{System: "prema-implicit", W: w, Trace: true}.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := col.WriteChrome(&bufs[i]); err != nil {
+		if err := res.Trace.WriteChrome(&bufs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,11 +69,11 @@ func TestTraceByteIdentity(t *testing.T) {
 // real run and surface the drop count through the metrics registry.
 func TestTraceRingOverflowInRun(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 8)
-	col := trace.NewCollector(32)
-	res, err := RunSystemTraced("prema-implicit", w, col)
+	res, err := RunSpec{System: "prema-implicit", W: w, Trace: true, TraceRing: 32}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := res.Trace
 	if col.Dropped() == 0 {
 		t.Fatal("32-event rings did not overflow on a full run")
 	}
@@ -93,16 +91,16 @@ func TestTraceRingOverflowInRun(t *testing.T) {
 func TestTracedSystemRejectsBaselines(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 4)
 	for _, sys := range []string{"parmetis", "charm", "charm-sync4"} {
-		if TracedSystem(sys) {
-			t.Errorf("TracedSystem(%q) = true", sys)
+		if HasTransport(sys) {
+			t.Errorf("HasTransport(%q) = true", sys)
 		}
-		if _, err := RunSystemTraced(sys, w, trace.NewCollector(0)); err == nil {
-			t.Errorf("RunSystemTraced(%q) did not error", sys)
+		if _, err := (RunSpec{System: sys, W: w, Trace: true}).Run(); err == nil {
+			t.Errorf("traced Run of %q did not error", sys)
 		}
 	}
 	for _, sys := range []string{"none", "prema-explicit", "prema-implicit", "prema-diffusion"} {
-		if !TracedSystem(sys) {
-			t.Errorf("TracedSystem(%q) = false", sys)
+		if !HasTransport(sys) {
+			t.Errorf("HasTransport(%q) = false", sys)
 		}
 	}
 }
@@ -112,21 +110,18 @@ func TestTracedSystemRejectsBaselines(t *testing.T) {
 // the stream on a lossy network, while the run still conserves all units.
 func TestChaosTraceRecordsRetransmits(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 4)
-	plan, err := faulty.ParsePlan("drop=0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := trace.NewCollector(0)
-	res, _, err := RunChaos(w, ChaosSpec{
+	res, err := RunSpec{
 		System:    "prema-implicit",
-		Plan:      plan,
+		W:         w,
+		FaultPlan: "drop=0.2",
 		FaultSeed: 1,
-		Rel:       dmcs.DefaultRelConfig(),
-		Trace:     col,
-	})
+		Reliable:  true,
+		Trace:     true,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := res.Trace
 	if err := res.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"prema/internal/dmcs"
-	"prema/internal/faulty"
 )
 
 // fingerprint reduces a run to the strings the CLIs print: if these match,
@@ -87,28 +84,24 @@ func TestWireEquivalenceChaos(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	specs := Figures()
 	for trial := 0; trial < 4; trial++ {
-		plan, err := faulty.ParsePlan(fmt.Sprintf("drop=%.2f,dup=%.2f,delay=%.2f:200us,reorder=%.2f",
-			0.05+0.2*rng.Float64(), 0.2*rng.Float64(), 0.2*rng.Float64(), 0.2*rng.Float64()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := ChaosSpec{
-			System:    "prema-implicit",
-			Plan:      plan,
+		cs := RunSpec{
+			System: "prema-implicit",
+			FaultPlan: fmt.Sprintf("drop=%.2f,dup=%.2f,delay=%.2f:200us,reorder=%.2f",
+				0.05+0.2*rng.Float64(), 0.2*rng.Float64(), 0.2*rng.Float64(), 0.2*rng.Float64()),
 			FaultSeed: rng.Int63(),
-			Backend:   "sim",
-			Rel:       dmcs.DefaultRelConfig(),
+			Backend:   BackendSim,
+			Reliable:  true,
 		}
-		w := PaperWorkload(specs[trial%len(specs)], 8, 8)
+		cs.W = PaperWorkload(specs[trial%len(specs)], 8, 8)
 		label := fmt.Sprintf("chaos trial %d", trial)
 
-		w.Wire = false
-		plain, _, err := RunChaos(w, cs)
+		cs.W.Wire = false
+		plain, err := cs.Run()
 		if err != nil {
 			t.Fatalf("%s plain: %v", label, err)
 		}
-		w.Wire = true
-		wired, _, err := RunChaos(w, cs)
+		cs.W.Wire = true
+		wired, err := cs.Run()
 		if err != nil {
 			t.Fatalf("%s wired: %v", label, err)
 		}

@@ -11,8 +11,6 @@ import (
 	"sort"
 
 	"prema/internal/sim"
-	"prema/internal/substrate"
-	"prema/internal/wire"
 )
 
 // HintMode controls how the computational weight *hints* handed to the load
@@ -273,16 +271,4 @@ func (w Workload) simConfig() sim.Config {
 // engine builds the simulation engine for this workload.
 func (w Workload) engine() *sim.Engine {
 	return sim.NewEngine(w.simConfig())
-}
-
-// machine builds the default (deterministic simulator) substrate machine for
-// this workload, wire-wrapped when w.Wire is set. The RunXxxOn drivers
-// accept any substrate.Machine; callers wanting real concurrency construct
-// an rtm.Machine themselves (and wrap it with wire.Wrap for parity).
-func (w Workload) machine() substrate.Machine {
-	var m substrate.Machine = sim.NewMachine(w.simConfig())
-	if w.Wire {
-		m = wire.Wrap(m)
-	}
-	return m
 }

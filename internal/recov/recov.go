@@ -68,7 +68,7 @@ type Config struct {
 	// survives; a processor silent for longer is declared down. Zero selects
 	// the default (500ms). On the real backend this is wall-clock (scaled by
 	// the machine's timescale), so it must comfortably exceed scheduling
-	// jitter — see bench.ChaosSpec.LeaseTimeout.
+	// jitter — see bench.RunSpec.LeaseTimeout.
 	LeaseTimeout substrate.Time
 	// CheckpointFixed is the modeled per-object cost of taking a snapshot,
 	// charged to substrate.CatMessaging. Zero selects the default (10µs).
