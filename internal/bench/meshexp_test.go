@@ -32,10 +32,13 @@ func TestMeshCostsRespondToCrack(t *testing.T) {
 	}
 }
 
+// The mesher's cost grows faster than a subdomain's tetrahedron count, so
+// the cheapest configuration that drives UseMesher is many small subdomains
+// (the default 8x4x4 decomposition) at a single crack position: ~5 s, where
+// four large subdomains at two positions took 30-45 s.
 func TestMeshCostsWithRealMesher(t *testing.T) {
-	cfg := quickMeshConfig()
-	cfg.Grid = [3]int{2, 2, 1}
-	cfg.Iterations = 2
+	cfg := DefaultMeshExpConfig()
+	cfg.Iterations = 1
 	cfg.UseMesher = true
 	mc := BuildMeshCosts(cfg)
 	for it := range mc.Tets {

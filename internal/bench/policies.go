@@ -44,6 +44,7 @@ func RunPremaPolicyOn(m substrate.Machine, w Workload, policyName string) (*Resu
 	if _, err := mkPolicy(); err != nil {
 		return nil, err
 	}
+	pollWakes := make([]int, w.Procs)
 	for p := 0; p < w.Procs; p++ {
 		m.Spawn(fmt.Sprintf("p%03d", p), func(ep substrate.Endpoint) {
 			opts := core.DefaultOptions(ilb.Implicit)
@@ -68,10 +69,13 @@ func RunPremaPolicyOn(m substrate.Machine, w Workload, policyName string) (*Resu
 				r.Message(mp, hWork, nil, 8, w.Hint(u))
 			}
 			r.Run()
+			pollWakes[ep.ID()] = r.Scheduler().Stats.PollWakes
 		})
 	}
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("bench policy %s: %w", policyName, err)
 	}
-	return collect("prema-"+policyName, w, m), nil
+	res := collect("prema-"+policyName, w, m)
+	res.PollWakes = pollWakes
+	return res, nil
 }

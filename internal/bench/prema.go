@@ -85,6 +85,7 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 	}
 	policies := make([]*policy.WorkStealing, w.Procs)
 	unitsRun := make([]int, w.Procs)
+	pollWakes := make([]int, w.Procs)
 	resident := make([]int, w.Procs)
 	rels := make([]dmcs.RelStats, w.Procs)
 	mols := make([]mol.Stats, w.Procs)
@@ -142,6 +143,7 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 			// Application-level outcome, per processor. Each body writes
 			// only its own slot, so this is safe on the concurrent backend.
 			unitsRun[ep.ID()] = r.Scheduler().Stats.UnitsRun
+			pollWakes[ep.ID()] = r.Scheduler().Stats.PollWakes
 			resident[ep.ID()] = len(r.Mol().Local())
 			rels[ep.ID()] = r.Comm().RelStats()
 			mols[ep.ID()] = r.Mol().Stats
@@ -160,6 +162,7 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 	}
 	res := collect(name, w, m)
 	res.Resident = resident
+	res.PollWakes = pollWakes
 	var units int
 	for _, n := range unitsRun {
 		units += n
@@ -270,6 +273,7 @@ type engineStats interface {
 	EventsFired() uint64
 	ShardEventsFired() []uint64
 	BarrierRounds() uint64
+	PollsElided() uint64
 }
 
 // wireStats is the serialization loopback's audit surface (wire.Machine).
@@ -310,6 +314,7 @@ func collect(name string, w Workload, m substrate.Machine) *Result {
 		res.Events = es.EventsFired()
 		res.ShardEvents = es.ShardEventsFired()
 		res.BarrierRounds = es.BarrierRounds()
+		res.PollsElided = es.PollsElided()
 	}
 	if ws, ok := unwrapTo[wireStats](m); ok {
 		res.WireFrames = ws.Frames()

@@ -34,6 +34,10 @@ type Result struct {
 	// The chaos harness uses it to check object conservation — every
 	// registered object lives on exactly one processor, dup or no dup.
 	Resident []int
+	// PollWakes is each processor's count of implicit-mode polling-thread
+	// wake-ups (ilb.Stats.PollWakes; PREMA drivers on the in-process
+	// backends, nil otherwise). Like Resident it is for checks, not reports.
+	PollWakes []int
 	// Recov is the machine-wide crash-recovery ledger (nil unless the run
 	// had PremaConfig.Recover set): checkpoints taken, charged overhead,
 	// crash verdicts, objects re-homed, envelopes replayed.
@@ -60,6 +64,9 @@ type Result struct {
 	// BarrierRounds is the number of window coordination rounds the sharded
 	// engine executed (0 for serial runs).
 	BarrierRounds uint64
+	// PollsElided is the number of polling-thread wake-ups the simulator
+	// charged arithmetically instead of firing (sim.Proc.AdvancePolled).
+	PollsElided uint64
 
 	// Wire telemetry (wire-wrapped runs only; zero otherwise). Like the
 	// engine telemetry it is host-side observability, excluded from

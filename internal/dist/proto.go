@@ -41,7 +41,7 @@ type Roster struct {
 	Procs int32
 	// Nodes lists every node's data-plane address, indexed by node id.
 	Nodes []string
-	// Spec is the coordinator's opaque scenario payload (bench.DistSpec).
+	// Spec is the coordinator's opaque scenario payload (an encoded bench.RunSpec).
 	Spec []byte
 }
 

@@ -19,6 +19,11 @@ func backends(t *testing.T, f func(t *testing.T, m substrate.Machine)) {
 	t.Run("real", func(t *testing.T) {
 		cfg := rtm.DefaultConfig()
 		cfg.Seed = 2
+		// Ten times the default wall clock per virtual second: the tests'
+		// virtual-time margins (a 1.5 s gap between a last retransmission
+		// and a rejoin, 50 ms RTOs) must stay well above goroutine
+		// scheduling delays when the rest of the suite loads the host.
+		cfg.TimeScale = 1e-2
 		f(t, rtm.New(cfg))
 	})
 }

@@ -112,6 +112,7 @@ type stream struct {
 
 // sendState is the sender half of a stream.
 type sendState struct {
+	stream
 	nextSeq  uint64 // sequence number of the next new message (first = 1)
 	pending  []pendingMsg
 	rto      substrate.Time // current (backed-off) timeout
@@ -130,6 +131,7 @@ type pendingMsg struct {
 
 // recvState is the receiver half of a stream.
 type recvState struct {
+	stream
 	next   uint64 // next expected sequence number (first = 1)
 	hold   map[uint64]*substrate.Msg
 	ackDue bool
@@ -139,10 +141,14 @@ type recvState struct {
 type reliable struct {
 	cfg RelConfig
 
-	send      map[stream]*sendState
-	recv      map[stream]*recvState
-	sendOrder []stream // deterministic iteration (map order would leak host randomness into the simulator)
-	recvOrder []stream
+	send map[stream]*sendState
+	recv map[stream]*recvState
+	// sendOrder and recvOrder list the streams in creation order: iteration
+	// must be deterministic (map order would leak host randomness into the
+	// simulator), and every poll walks them, so they hold the states
+	// themselves rather than keys to look up.
+	sendOrder []*sendState
+	recvOrder []*recvState
 
 	// ready holds in-sequence messages awaiting dispatch, in release order.
 	ready []*substrate.Msg
@@ -207,9 +213,9 @@ func (r *reliable) sendStream(peer, tag int) *sendState {
 	k := stream{peer, tag}
 	st, ok := r.send[k]
 	if !ok {
-		st = &sendState{nextSeq: 1, rto: r.cfg.RTO}
+		st = &sendState{stream: k, nextSeq: 1, rto: r.cfg.RTO}
 		r.send[k] = st
-		r.sendOrder = append(r.sendOrder, k)
+		r.sendOrder = append(r.sendOrder, st)
 	}
 	return st
 }
@@ -218,9 +224,9 @@ func (r *reliable) recvStream(peer, tag int) *recvState {
 	k := stream{peer, tag}
 	st, ok := r.recv[k]
 	if !ok {
-		st = &recvState{next: 1, hold: make(map[uint64]*substrate.Msg)}
+		st = &recvState{stream: k, next: 1, hold: make(map[uint64]*substrate.Msg)}
 		r.recv[k] = st
-		r.recvOrder = append(r.recvOrder, k)
+		r.recvOrder = append(r.recvOrder, st)
 	}
 	return st
 }
@@ -273,25 +279,25 @@ func (c *Comm) DeadPeers() int {
 
 // dropPeerState forgets all send and receive stream state toward peer.
 func (r *reliable) dropPeerState(peer int) {
-	keep := r.sendOrder[:0]
-	for _, k := range r.sendOrder {
-		if k.peer == peer {
-			r.stats.DeadDropped += len(r.send[k].pending)
-			delete(r.send, k)
+	sends := r.sendOrder[:0]
+	for _, st := range r.sendOrder {
+		if st.peer == peer {
+			r.stats.DeadDropped += len(st.pending)
+			delete(r.send, st.stream)
 			continue
 		}
-		keep = append(keep, k)
+		sends = append(sends, st)
 	}
-	r.sendOrder = keep
-	keep = r.recvOrder[:0]
-	for _, k := range r.recvOrder {
-		if k.peer == peer {
-			delete(r.recv, k)
+	r.sendOrder = sends
+	recvs := r.recvOrder[:0]
+	for _, st := range r.recvOrder {
+		if st.peer == peer {
+			delete(r.recv, st.stream)
 			continue
 		}
-		keep = append(keep, k)
+		recvs = append(recvs, st)
 	}
-	r.recvOrder = keep
+	r.recvOrder = recvs
 }
 
 // relSend sequences and transmits a new data message, buffering it for
@@ -428,23 +434,21 @@ func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
 func (c *Comm) tick() {
 	r := c.rel
 	now := c.p.Now()
-	for _, k := range r.recvOrder {
-		st := r.recv[k]
+	for _, st := range r.recvOrder {
 		if !st.ackDue {
 			continue
 		}
 		st.ackDue = false
 		r.stats.AcksSent++
 		c.p.Send(&substrate.Msg{
-			Dst:  k.peer,
+			Dst:  st.peer,
 			Kind: ackKind,
 			Tag:  substrate.TagSystem,
-			Data: ackPayload{Tag: k.tag, Cum: st.next - 1},
+			Data: ackPayload{Tag: st.tag, Cum: st.next - 1},
 			Size: ackBytes,
 		}, substrate.CatMessaging)
 	}
-	for _, k := range r.sendOrder {
-		st := r.send[k]
+	for _, st := range r.sendOrder {
 		if st.deadline == 0 || now < st.deadline || len(st.pending) == 0 {
 			continue
 		}
@@ -456,11 +460,11 @@ func (c *Comm) tick() {
 		}
 		for _, pm := range burst {
 			r.stats.Retransmits++
-			c.tr.Instant(trace.EvRetransmit, now, int64(k.peer), int64(k.tag), int64(pm.seq))
+			c.tr.Instant(trace.EvRetransmit, now, int64(st.peer), int64(st.tag), int64(pm.seq))
 			c.p.Send(&substrate.Msg{
-				Dst:  k.peer,
+				Dst:  st.peer,
 				Kind: pm.kind,
-				Tag:  k.tag,
+				Tag:  st.tag,
 				Data: pm.data,
 				Size: pm.size,
 				Seq:  pm.seq,
@@ -477,8 +481,7 @@ func (c *Comm) tick() {
 // nextDeadline returns the earliest pending retransmission deadline, or 0.
 func (r *reliable) nextDeadline() substrate.Time {
 	var t substrate.Time
-	for _, k := range r.sendOrder {
-		st := r.send[k]
+	for _, st := range r.sendOrder {
 		if st.deadline != 0 && (t == 0 || st.deadline < t) {
 			t = st.deadline
 		}
@@ -486,10 +489,37 @@ func (r *reliable) nextDeadline() substrate.Time {
 	return t
 }
 
+// NextDeadline returns the time before which PollTag(tag) does nothing
+// unless a message arrives: now when a released message of that tag or an
+// ack is still waiting (a poll is pending inside a handler), else the
+// earliest retransmission deadline, else substrate.Never — which is also
+// the answer in fire-and-forget mode, where an empty poll never acts. It is
+// the WakeBy of a polled advance (substrate.PollSpec).
+func (c *Comm) NextDeadline(tag int) substrate.Time {
+	r := c.rel
+	if r == nil {
+		return substrate.Never
+	}
+	for _, m := range r.ready {
+		if m.Tag == tag {
+			return c.p.Now()
+		}
+	}
+	for _, st := range r.recvOrder {
+		if st.ackDue {
+			return c.p.Now()
+		}
+	}
+	if dl := r.nextDeadline(); dl != 0 {
+		return dl
+	}
+	return substrate.Never
+}
+
 // hasPending reports whether any stream still has unacked data.
 func (r *reliable) hasPending() bool {
-	for _, k := range r.sendOrder {
-		if len(r.send[k].pending) > 0 {
+	for _, st := range r.sendOrder {
+		if len(st.pending) > 0 {
 			return true
 		}
 	}
@@ -503,8 +533,8 @@ func (c *Comm) PendingUnacked() int {
 		return 0
 	}
 	n := 0
-	for _, k := range c.rel.sendOrder {
-		n += len(c.rel.send[k].pending)
+	for _, st := range c.rel.sendOrder {
+		n += len(st.pending)
 	}
 	return n
 }

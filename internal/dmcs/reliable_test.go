@@ -76,7 +76,7 @@ func relPair(t *testing.T, m substrate.Machine, cfg RelConfig, n int) (gotApp, g
 		c.EnableReliable(cfg)
 		c.Register(func(c *Comm, src int, data any, size int) { gotApp = append(gotApp, data.(int)) })
 		c.Register(func(c *Comm, src int, data any, size int) { gotSys = append(gotSys, data.(int)) })
-		deadline := ep.Now() + 120*substrate.Second
+		deadline := ep.Now() + 600*substrate.Second
 		for len(gotApp)+len(gotSys) < 2*n && ep.Now() < deadline {
 			c.WaitPollFor(5*substrate.Millisecond, substrate.CatIdle)
 		}
@@ -158,7 +158,7 @@ func TestReliableLossyNetwork(t *testing.T) {
 		RTO:          10 * substrate.Millisecond,
 		RTOMax:       40 * substrate.Millisecond,
 		Linger:       500 * substrate.Millisecond,
-		DrainTimeout: 10 * substrate.Second,
+		DrainTimeout: 120 * substrate.Second, // ~1 s of wall clock on the real leg: a loaded host can starve it for 100 ms
 	}
 	run := func(t *testing.T, inner substrate.Machine) {
 		fm := faulty.Wrap(inner, plan, 42)
@@ -264,4 +264,55 @@ func TestReliableUnsequencedPassthrough(t *testing.T) {
 			t.Fatalf("dispatched %d messages, want 2", got)
 		}
 	})
+}
+
+// TestNextDeadline: the WakeBy of a polled advance. Fire-and-forget mode
+// never acts on an empty poll; reliable mode acts at its earliest
+// retransmission deadline — and at once while a handler runs with acks
+// still due or a released message of the polled tag still waiting.
+func TestNextDeadline(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	var inHandler, afterPoll, unacked, classic substrate.Time
+	var handled, sentAt substrate.Time
+	m.Spawn("recv", func(ep substrate.Endpoint) {
+		c := New(ep)
+		c.EnableReliable(DefaultRelConfig())
+		first := true
+		c.Register(func(c *Comm, src int, data any, size int) {
+			if first { // the second message is released but not yet dispatched
+				first = false
+				inHandler, handled = c.NextDeadline(substrate.TagSystem), ep.Now()
+			}
+		})
+		waitQueued(ep, 2)
+		c.PollTag(substrate.TagSystem)
+		afterPoll = c.NextDeadline(substrate.TagSystem)
+		c.Quiesce()
+	})
+	m.Spawn("send", func(ep substrate.Endpoint) {
+		c := New(ep)
+		classic = c.NextDeadline(substrate.TagSystem)
+		c.EnableReliable(DefaultRelConfig())
+		h := c.Register(func(c *Comm, src int, data any, size int) {})
+		sentAt = ep.Now()
+		c.SendTagged(0, h, 1, 8, substrate.TagSystem)
+		c.SendTagged(0, h, 2, 8, substrate.TagSystem)
+		unacked = c.NextDeadline(substrate.TagSystem)
+		c.Quiesce()
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if classic != substrate.Never {
+		t.Errorf("fire-and-forget: %v, want Never", classic)
+	}
+	if want := sentAt + DefaultRelConfig().RTO; unacked != want {
+		t.Errorf("with unacked data: %v, want the retransmission deadline %v", unacked, want)
+	}
+	if inHandler != handled {
+		t.Errorf("inside a handler with work still pending: %v, want now (%v)", inHandler, handled)
+	}
+	if afterPoll != substrate.Never {
+		t.Errorf("after a complete poll with nothing outstanding: %v, want Never", afterPoll)
+	}
 }

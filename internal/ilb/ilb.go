@@ -357,8 +357,15 @@ func (s *Scheduler) checkLoad() {
 
 // Compute consumes d of application computation time. Application work-unit
 // handlers must use Compute rather than raw Proc.Advance: in implicit mode
-// Compute interleaves the polling thread, which preemptively drains
-// system-tagged balancer messages every PollInterval.
+// the polling thread interrupts the computation every PollInterval to drain
+// system-tagged balancer messages preemptively. In reliable mode each of
+// those PollTags also ticks the transport (ack flushing and retransmission),
+// so a processor deep inside a long work unit still repairs lost messages.
+//
+// The quiet polls in between — nothing queued, no retransmission due — do
+// nothing but cost PollCost, so the substrate is told the whole stretch at
+// once (substrate.AdvancePolled) and comes back at the first poll that has
+// work; a substrate that cannot look ahead comes back after every poll.
 func (s *Scheduler) Compute(d substrate.Time) {
 	// A long unit must not expire our own lease: pre-extend it to cover the
 	// whole computation before burning the time.
@@ -369,32 +376,27 @@ func (s *Scheduler) Compute(d substrate.Time) {
 		s.p.Advance(d, substrate.CatCompute)
 		return
 	}
+	ps := substrate.PollSpec{
+		Interval: s.cfg.PollInterval,
+		Cost:     s.cfg.PollCost,
+		Tag:      substrate.TagSystem,
+		AnyTag:   s.c.Reliable(), // its pump drains every tag
+	}
 	for d > 0 {
-		slice := s.cfg.PollInterval
-		if slice > d {
-			slice = d
+		// The recovery heartbeat is time-driven: every poll counts (WakeBy
+		// stays zero). Otherwise an empty poll acts only once a
+		// retransmission deadline has passed.
+		if s.rp == nil {
+			ps.WakeBy = s.c.NextDeadline(substrate.TagSystem)
 		}
-		s.p.Advance(slice, substrate.CatCompute)
-		d -= slice
+		done, polls := substrate.AdvancePolled(s.p, d, ps)
+		d -= done
+		s.Stats.PollWakes += polls
 		if d > 0 {
-			s.pollThread()
+			s.c.PollTag(substrate.TagSystem)
+			s.recovTick()
 		}
 	}
-}
-
-// pollThread is one wake-up of the implicit-mode polling thread. Besides
-// draining system-tagged balancer traffic, in reliable mode each PollTag
-// also ticks the transport (ack flushing and retransmission), so a
-// processor deep inside a long work unit still repairs lost messages every
-// PollInterval.
-func (s *Scheduler) pollThread() {
-	s.Stats.PollWakes++
-	s.tr.Instant(trace.EvPolicy, s.p.Now(), trace.PolPollWake, 0, 0)
-	if s.cfg.PollCost > 0 {
-		s.p.Advance(s.cfg.PollCost, substrate.CatPollThread)
-	}
-	s.c.PollTag(substrate.TagSystem)
-	s.recovTick()
 }
 
 // execute runs one work unit to completion.

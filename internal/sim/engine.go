@@ -77,7 +77,7 @@ type Config struct {
 // add processors with Spawn, then call Run.
 type Engine struct {
 	cfg     Config
-	look    Time  // minimum lookahead over all links (fixed-window width)
+	look    Time // minimum lookahead over all links (fixed-window width)
 	procs   []*Proc
 	assign  []int // processor ID -> owning shard (partition map)
 	shards  []*shard
@@ -140,6 +140,17 @@ func (e *Engine) EventsFired() uint64 {
 	var n uint64
 	for _, s := range e.shards {
 		n += s.fired
+	}
+	return n
+}
+
+// PollsElided returns the number of polling-thread wake-ups AdvancePolled
+// charged arithmetically instead of firing, summed over shards. Read it
+// after Run.
+func (e *Engine) PollsElided() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.elided
 	}
 	return n
 }

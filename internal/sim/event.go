@@ -17,7 +17,7 @@ package sim
 //     one contiguous array instead of chasing a pointer per comparison. The
 //     event struct itself is 48 bytes — under a cache line.
 type event struct {
-	proc *Proc  // evWake, evTransfer: target processor
+	proc *Proc  // evWake, evTransfer, evPollEnd: target processor
 	msg  *Msg   // evDeliver: message to deliver
 	fn   func() // evFunc: arbitrary callback (Engine.After)
 	next *event // shard free list link (nil while scheduled)
@@ -34,6 +34,7 @@ const (
 	evWake                      // wake proc if still in generation gen
 	evDeliver                   // deliver msg to its destination inbox
 	evTransfer                  // hand control to proc
+	evPollEnd                   // end of proc's polled advance (polled.go)
 )
 
 // Event ordering

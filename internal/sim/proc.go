@@ -30,6 +30,13 @@ type Proc struct {
 	done       bool
 	finishedAt Time
 
+	// Polled-advance state (polled.go): polled marks a park inside
+	// AdvancePolled; endAt is when the processor's one end-of-advance event
+	// in the heap fires (0 = none queued).
+	polled bool
+	endAt  Time
+	poll   polledPark
+
 	sendSeq uint64     // per-processor message send counter (ordering band 1)
 	rng     *rand.Rand // lazily built deterministic per-processor stream
 

@@ -16,10 +16,11 @@ type shard struct {
 	eng *Engine
 	id  int
 
-	now   Time
-	end   Time // current window bound; 0 outside runWindow (closes the Advance fast path)
-	heap  eventHeap
-	fired uint64 // events executed (telemetry for perfbench's ns/event)
+	now    Time
+	end    Time // current window bound; 0 outside runWindow (closes the Advance fast path)
+	heap   eventHeap
+	fired  uint64 // events executed (telemetry for perfbench's ns/event)
+	elided uint64 // poll wake-ups charged arithmetically by AdvancePolled
 
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
@@ -146,14 +147,20 @@ func (s *shard) post(m *Msg, sendSeq uint64) {
 }
 
 // deliver appends m to its destination inbox and wakes the destination if
-// it is blocked waiting for a message.
+// it is blocked waiting for a message; a destination parked in a polled
+// advance has its wake-up pulled forward to the poll that will see m.
 func (s *shard) deliver(m *Msg) {
 	p := s.eng.procs[m.Dst]
 	m.ArrivedAt = s.now
 	p.inbox.push(m)
-	if p.blocked && p.waitingMsg {
+	if !p.blocked {
+		return
+	}
+	if p.waitingMsg {
 		p.waitGen++ // invalidate any pending wait timeout
 		s.transfer(p)
+	} else if p.polled {
+		p.pollArrival(m)
 	}
 }
 
@@ -220,6 +227,10 @@ func (s *shard) drain(end Time) {
 			s.deliver(ev.msg)
 		case evTransfer:
 			s.transfer(ev.proc)
+		case evPollEnd:
+			if s.firePollEnd(ev) {
+				continue
+			}
 		default:
 			ev.fn()
 		}

@@ -86,3 +86,61 @@ func TestAccount(t *testing.T) {
 		t.Fatalf("Add: compute = %v", a[CatCompute])
 	}
 }
+
+// stepRecorder is an Endpoint that only knows how to Advance.
+type stepRecorder struct {
+	Endpoint
+	calls []Time
+	cats  []Category
+}
+
+func (r *stepRecorder) Advance(d Time, cat Category) {
+	r.calls, r.cats = append(r.calls, d), append(r.cats, cat)
+}
+
+type eliding struct{ stepRecorder }
+
+func (e *eliding) AdvancePolled(d Time, ps PollSpec) (Time, int) { return d, 7 }
+
+// TestAdvancePolledFallback: an endpoint without the optional method takes
+// exactly one stepped slice per call — a poll only while compute remains,
+// made even at zero cost so a tracer sees the wake — and one with it is
+// handed the whole advance.
+func TestAdvancePolledFallback(t *testing.T) {
+	ps := PollSpec{Interval: 10 * Millisecond, Cost: 4 * Microsecond}
+	cases := []struct {
+		d     Time
+		ps    PollSpec
+		done  Time
+		polls int
+		calls []Time
+	}{
+		{25 * Millisecond, ps, 10 * Millisecond, 1, []Time{10 * Millisecond, 4 * Microsecond}},
+		{10 * Millisecond, ps, 10 * Millisecond, 0, []Time{10 * Millisecond}},
+		{3 * Millisecond, ps, 3 * Millisecond, 0, []Time{3 * Millisecond}},
+		{25 * Millisecond, PollSpec{Interval: 10 * Millisecond}, 10 * Millisecond, 1, []Time{10 * Millisecond, 0}},
+	}
+	for _, c := range cases {
+		r := &stepRecorder{}
+		done, polls := AdvancePolled(r, c.d, c.ps)
+		if done != c.done || polls != c.polls {
+			t.Errorf("AdvancePolled(%v) = (%v, %d), want (%v, %d)", c.d, done, polls, c.done, c.polls)
+		}
+		if len(r.calls) != len(c.calls) {
+			t.Fatalf("AdvancePolled(%v) made Advance calls %v, want %v", c.d, r.calls, c.calls)
+		}
+		for i := range c.calls {
+			wantCat := CatCompute
+			if i == 1 {
+				wantCat = CatPollThread
+			}
+			if r.calls[i] != c.calls[i] || r.cats[i] != wantCat {
+				t.Errorf("AdvancePolled(%v) call %d = (%v, %v), want (%v, %v)", c.d, i, r.calls[i], r.cats[i], c.calls[i], wantCat)
+			}
+		}
+	}
+	e := &eliding{}
+	if done, polls := AdvancePolled(e, Second, ps); done != Second || polls != 7 || len(e.calls) != 0 {
+		t.Errorf("a PolledAdvancer was stepped: (%v, %d), Advance calls %v", done, polls, e.calls)
+	}
+}

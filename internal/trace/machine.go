@@ -101,11 +101,40 @@ func (e *Endpoint) Account() *substrate.Account { return e.inner.Account() }
 func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.inner.Charge(cat, d) }
 
 // Advance implements substrate.Endpoint, recording the consumed interval as
-// a category span.
+// a category span. CatPollThread time is only ever one wake-up of the
+// polling thread (substrate.StepPolled), so the poll-wake instant is
+// recorded here, where a stepped and an elided run both pass.
 func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	t0 := e.inner.Now()
+	if cat == substrate.CatPollThread {
+		e.rec.Instant(EvPolicy, t0, PolPollWake, 0, 0)
+	}
 	e.inner.Advance(d, cat)
 	e.rec.Span(cat, t0, e.inner.Now())
+}
+
+// AdvancePolled implements substrate.PolledAdvancer. Over an endpoint that
+// can elide, the call is forwarded and the polls it skipped are replayed
+// into the ring — per poll, in the stepped order: compute span, poll-wake
+// instant, poll span — so the stream is the one a stepped run records, event
+// for event. Over any other endpoint the stepped slice runs through this
+// decorator's own Advance and records itself.
+func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (substrate.Time, int) {
+	pa, ok := e.inner.(substrate.PolledAdvancer)
+	if !ok {
+		return substrate.StepPolled(e, d, ps)
+	}
+	t := e.inner.Now()
+	done, polls := pa.AdvancePolled(d, ps)
+	for j := 0; j < polls; j++ {
+		e.rec.Span(substrate.CatCompute, t, t+ps.Interval)
+		t += ps.Interval
+		e.rec.Instant(EvPolicy, t, PolPollWake, 0, 0)
+		e.rec.Span(substrate.CatPollThread, t, t+ps.Cost)
+		t += ps.Cost
+	}
+	e.rec.Span(substrate.CatCompute, t, e.inner.Now())
+	return done, polls
 }
 
 // Send implements substrate.Endpoint, recording the send CPU span and an

@@ -51,10 +51,17 @@ func (w *Machine) SizeDrift() uint64 { return w.sizeDrift.Load() }
 // Router exposes the inner machine's routing table (see substrate.RouterOf).
 func (w *Machine) Router() substrate.Router { return substrate.RouterOf(w.inner) }
 
-// Spawn implements substrate.Machine, interposing the codec endpoint.
+// Spawn implements substrate.Machine, interposing the codec endpoint. The
+// endpoint offers AdvancePolled exactly when the one beneath it does, so a
+// tracer above a wall-clock backend still sees (and times) every step.
 func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	w.inner.Spawn(name, func(ep substrate.Endpoint) {
-		body(&Endpoint{inner: ep, m: w})
+		e := &Endpoint{inner: ep, m: w}
+		if pa, ok := ep.(substrate.PolledAdvancer); ok {
+			body(polledEndpoint{e, pa})
+			return
+		}
+		body(e)
 	})
 }
 
@@ -82,6 +89,13 @@ type Endpoint struct {
 	inner substrate.Endpoint
 	m     *Machine
 	enc   Writer // per-endpoint scratch buffer, reused across sends
+}
+
+// polledEndpoint is an Endpoint over a substrate.PolledAdvancer: the codec
+// has no stake in time, so AdvancePolled is forwarded verbatim (promoted).
+type polledEndpoint struct {
+	*Endpoint
+	substrate.PolledAdvancer
 }
 
 // Send implements substrate.Endpoint: m is encoded to its wire frame,
