@@ -337,11 +337,16 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 		return nil, err
 	}
 	// The session is complete; the daemons exit on their own after the
-	// goodbye. Reap spawned ones and surface any nonzero exits.
+	// goodbye. Reap every spawned one, then surface the lowest-numbered
+	// nonzero exit.
+	var exitErr error
 	for i, cmd := range cmds {
-		if werr := cmd.Wait(); werr != nil {
-			return nil, fmt.Errorf("bench: premad node %d: %w", i, werr)
+		if werr := cmd.Wait(); werr != nil && exitErr == nil {
+			exitErr = fmt.Errorf("bench: premad node %d: %w", i, werr)
 		}
+	}
+	if exitErr != nil {
+		return nil, exitErr
 	}
 
 	res := &Result{

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"flag"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +15,74 @@ import (
 )
 
 const distTestTimeout = 30 * time.Second
+
+// stubPremadEnv, when set, turns the re-exec'd test binary into a premad
+// stand-in (see stubPremad); its value is the directory for exit markers.
+const stubPremadEnv = "PREMA_BENCH_STUB_PREMAD"
+
+func TestMain(m *testing.M) {
+	if dir := os.Getenv(stubPremadEnv); dir != "" {
+		os.Exit(stubPremad(dir))
+	}
+	os.Exit(m.Run())
+}
+
+// stubPremad serves one session exactly as premad does, then misbehaves on
+// the way out: node 0 exits 1 at once, every other node lingers before
+// leaving a marker file and exiting 0 — so a coordinator that stops reaping
+// at the first failure returns before the markers exist.
+func stubPremad(dir string) int {
+	fs := flag.NewFlagSet("stub-premad", flag.ContinueOnError)
+	coord := fs.String("coord", "", "")
+	fs.String("listen", "", "")
+	node := fs.Int("node", -1, "")
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		return 2
+	}
+	n, err := dist.Join(dist.NodeConfig{Coord: *coord, Node: *node, JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout})
+	if err != nil {
+		return 2
+	}
+	err = RunDistNode(n)
+	n.Close()
+	if err != nil {
+		return 2
+	}
+	if *node == 0 {
+		return 1
+	}
+	time.Sleep(200 * time.Millisecond)
+	if err := os.WriteFile(filepath.Join(dir, "exited."+strconv.Itoa(*node)), nil, 0o644); err != nil {
+		return 2
+	}
+	return 0
+}
+
+// TestDistReapsEveryChild: when a spawned premad exits nonzero after a
+// successful session, RunDist must still wait for every other child before
+// returning, and report the lowest-numbered failure.
+func TestDistReapsEveryChild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test in -short mode")
+	}
+	dir := t.TempDir()
+	t.Setenv(stubPremadEnv, dir)
+	const nodes = 3
+	spec := NewDistSpec("none", PaperWorkload(Figures()[0], nodes, 1))
+	spec.TimeScale = 1e-4
+	_, err := RunDist(spec, DistOptions{
+		Nodes: nodes, Listen: "127.0.0.1:0", Premad: os.Args[0],
+		JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout,
+	})
+	if err == nil || !strings.Contains(err.Error(), "premad node 0") {
+		t.Fatalf("RunDist error = %v, want node 0's exit status", err)
+	}
+	for i := 1; i < nodes; i++ {
+		if _, err := os.Stat(filepath.Join(dir, "exited."+strconv.Itoa(i))); err != nil {
+			t.Errorf("RunDist returned before node %d was reaped: %v", i, err)
+		}
+	}
+}
 
 // freeAddr reserves a localhost port for a coordinator that has not started
 // listening yet, so in-process nodes can be pointed at it up front (Join

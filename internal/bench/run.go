@@ -38,11 +38,7 @@ func (s RunSpec) buildStack(d *systemDef, node *dist.Node) (*stack, error) {
 	case "", BackendSim:
 		st.m = sim.NewMachine(s.W.simConfig())
 	case BackendReal:
-		rc := rtm.DefaultConfig()
-		rc.Seed, rc.Spin = s.W.Seed, s.Spin
-		if s.TimeScale > 0 {
-			rc.TimeScale = s.TimeScale
-		}
+		rc := s.wallConfig(d)
 		if s.Recover && st.lease <= 0 {
 			// The simulator's 500ms virtual default would be microseconds
 			// of wall time at small timescales — pure false-positive
@@ -52,17 +48,7 @@ func (s RunSpec) buildStack(d *systemDef, node *dist.Node) (*stack, error) {
 		}
 		st.m = rtm.New(rc)
 	case BackendDist:
-		mc := dist.DefaultMachineConfig()
-		if d.probe {
-			// The round-trip probe measures the raw transport: real time,
-			// no injected message costs.
-			mc = dist.MachineConfig{TimeScale: 1}
-		}
-		mc.Seed, mc.Spin = s.W.Seed, s.Spin
-		if s.TimeScale > 0 {
-			mc.TimeScale = s.TimeScale
-		}
-		st.m = node.NewMachine(mc)
+		st.m = node.NewMachine(s.wallConfig(d))
 	default:
 		return nil, fmt.Errorf("bench: unknown backend %q", s.Backend)
 	}
@@ -82,6 +68,22 @@ func (s RunSpec) buildStack(d *systemDef, node *dist.Node) (*stack, error) {
 		st.m = trace.Wrap(st.m, st.col)
 	}
 	return st, nil
+}
+
+// wallConfig is the wall-clock machine configuration of the spec, the same
+// for an in-process machine and for a node's share of a distributed one.
+func (s RunSpec) wallConfig(d *systemDef) rtm.Config {
+	rc := rtm.DefaultConfig()
+	if d.probe {
+		// The round-trip probe measures the raw transport: real time, no
+		// injected message costs.
+		rc = rtm.Config{TimeScale: 1}
+	}
+	rc.Seed, rc.Spin = s.W.Seed, s.Spin
+	if s.TimeScale > 0 {
+		rc.TimeScale = s.TimeScale
+	}
+	return rc
 }
 
 // machine builds the default stack for a bare workload: the deterministic

@@ -8,16 +8,13 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"prema/internal/core"
+	"prema/internal/conformance"
 	"prema/internal/dist"
-	"prema/internal/dmcs"
-	"prema/internal/ilb"
 	"prema/internal/mol"
 	"prema/internal/rtm"
 	"prema/internal/sim"
@@ -27,24 +24,6 @@ import (
 
 const testTimeout = 30 * time.Second
 
-type confObj struct {
-	got int
-}
-
-func init() {
-	mol.RegisterDataCodec(wire.KindUser+1, &confObj{},
-		func(data any) []byte {
-			g := data.(*confObj).got
-			return []byte{byte(g >> 24), byte(g >> 16), byte(g >> 8), byte(g)}
-		},
-		func(b []byte) any {
-			if len(b) != 4 {
-				return &confObj{}
-			}
-			return &confObj{got: int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])}
-		})
-}
-
 // TestMain doubles as the node-process entry point for the multi-process
 // conformance test: when PREMA_DIST_CHILD is set, the re-exec'd test binary
 // runs one conformance node and exits instead of running the test suite.
@@ -53,80 +32,6 @@ func TestMain(m *testing.M) {
 		os.Exit(childMain())
 	}
 	os.Exit(m.Run())
-}
-
-// conformanceOn runs the cross-backend conformance workload (the same
-// program rtm's conformance test runs: processor 0 registers and migrates
-// `objects` mobile objects, then everyone messages every object) and
-// returns per-processor MOL statistics and final placement. On a dist
-// machine only the hosted ranks' slots are filled.
-func conformanceOn(m substrate.Machine, procs, objects int) ([]mol.Stats, [][]int, error) {
-	statsOut := make([]mol.Stats, procs)
-	placement := make([][]int, procs)
-	for p := 0; p < procs; p++ {
-		m.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
-			opts := core.DefaultOptions(ilb.Explicit)
-			opts.Mol.NotifyOrigin = false
-			r := core.NewRuntime(ep, opts)
-			self := ep.ID()
-
-			done := 0
-			var hDone dmcs.HandlerID
-			hDone = r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				done++
-				if done == objects {
-					r.StopAll()
-				}
-			})
-			var hWork mol.HandlerID
-			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				o := obj.Data.(*confObj)
-				o.got++
-				r.Compute(2 * substrate.Millisecond)
-				if o.got == procs {
-					r.Comm().SendTagged(0, hDone, nil, 8, substrate.TagApp)
-				}
-			})
-			sendAll := func() {
-				for i := 0; i < objects; i++ {
-					r.Message(mol.MobilePtr{Home: 0, Index: i}, hWork, nil, 8, 0.002)
-				}
-			}
-			hReady := r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				sendAll()
-			})
-
-			if self == 0 {
-				for i := 0; i < objects; i++ {
-					r.Register(&confObj{}, 128)
-				}
-				for i := 0; i < objects; i++ {
-					if dst := i % procs; dst != 0 {
-						if err := r.Mol().Migrate(mol.MobilePtr{Home: 0, Index: i}, dst); err != nil {
-							panic(err)
-						}
-					}
-				}
-				for q := 1; q < procs; q++ {
-					r.Comm().SendTagged(q, hReady, nil, 8, substrate.TagApp)
-				}
-				sendAll()
-			}
-			r.Run()
-
-			var local []int
-			for mp := range r.Mol().Local() {
-				local = append(local, mp.Index)
-			}
-			sort.Ints(local)
-			placement[self] = local
-			statsOut[self] = r.Mol().Stats
-		})
-	}
-	if err := m.Run(); err != nil {
-		return nil, nil, err
-	}
-	return statsOut, placement, nil
 }
 
 // nodeShare is one node's conformance outcome, gob-encoded into its Report
@@ -153,7 +58,7 @@ func mergeShares(shares []nodeShare, procs int) ([]mol.Stats, [][]int) {
 // simConformance runs the reference workload on the deterministic simulator.
 func simConformance(t *testing.T, procs, objects int) ([]mol.Stats, [][]int) {
 	t.Helper()
-	stats, place, err := conformanceOn(sim.NewMachine(sim.Config{Seed: 9}), procs, objects)
+	stats, place, err := conformance.Run(sim.NewMachine(sim.Config{Seed: 9}), procs, objects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +74,7 @@ func TestDistConformance(t *testing.T) {
 
 	rc := rtm.DefaultConfig()
 	rc.Seed = 9
-	rtmStats, rtmPlace, err := conformanceOn(rtm.New(rc), procs, objects)
+	rtmStats, rtmPlace, err := conformance.Run(rtm.New(rc), procs, objects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +102,9 @@ func TestDistConformance(t *testing.T) {
 				return
 			}
 			defer n.Close()
-			mc := dist.DefaultMachineConfig()
+			mc := rtm.DefaultConfig()
 			mc.Seed = 9
-			stats, place, err := conformanceOn(n.NewMachine(mc), procs, objects)
+			stats, place, err := conformance.Run(n.NewMachine(mc), procs, objects)
 			if err != nil {
 				errCh <- fmt.Errorf("node %d: %w", i, err)
 				return
@@ -253,9 +158,9 @@ func childMain() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	mc := dist.DefaultMachineConfig()
+	mc := rtm.DefaultConfig()
 	mc.Seed = 9
-	stats, place, err := conformanceOn(n.NewMachine(mc), procs, objects)
+	stats, place, err := conformance.Run(n.NewMachine(mc), procs, objects)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -430,7 +335,7 @@ func startSingleNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool
 	}
 	t.Cleanup(func() { n.Close() })
 
-	m := n.NewMachine(dist.DefaultMachineConfig())
+	m := n.NewMachine(rtm.DefaultConfig())
 	for p := 0; p < 2; p++ {
 		m.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
 			if ep.ID() == 0 {

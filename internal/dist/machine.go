@@ -5,107 +5,44 @@
 // range, builds a full TCP mesh to its peers, and runs the same driver the
 // in-process backends run — SPMD, like the MPI applications PREMA hosts.
 //
-// Intra-node messages use rtm's machinery verbatim: per-(src,dst) latency
-// links with FIFO bumping under the injected cost model. Inter-node
-// messages are encoded with wire.EncodeMsg, carried over a per-peer TCP
-// connection (one write pump batching frames, one read loop feeding
-// endpoint inboxes), and stamped with the receiver's clock on arrival —
-// so remote latency is the real network's, scaled by TimeScale, not the
-// injected model's. Per-(src,dst) FIFO holds end to end: sender program
-// order → per-peer queue → TCP byte order → single reader.
-//
-// Wall-clock accounting mirrors rtm's: every node stamps its epoch when
-// the coordinator's Start release arrives, so cross-node clock skew is
-// bounded by the broadcast spread (microseconds on localhost). Exact
-// timings are not comparable across backends; protocol invariants and
-// message/migration counts are — the cross-backend conformance test is
-// the guard.
+// The processors themselves are an rtm share: endpoints, inboxes, clock,
+// cost model between hosted ranks and the ledger are internal/rtm's. This
+// package adds sockets and a session. A message for a rank on another node
+// is encoded and queued on that node's connection; the far side's read loop
+// hands it to its share's Inject, which stamps the arrival with the
+// receiver's clock — so a remote hop costs what the real network costs,
+// scaled by TimeScale. Per-(src,dst) FIFO holds end to end: sender program
+// order → per-peer queue → TCP byte order → single reader. Exact timings
+// are not comparable across backends; protocol invariants and
+// message/migration counts are (DESIGN.md §3, §12).
 package dist
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"prema/internal/rtm"
 	"prema/internal/substrate"
 	"prema/internal/wire"
 )
 
-var errKilled = errors.New("dist: processor killed")
-
-// MachineConfig parameterizes a node's Machine. The cost-model fields have
-// rtm semantics and apply to intra-node messages; remote messages pay the
-// real network instead.
-type MachineConfig struct {
-	// TimeScale is wall-clock seconds burned per virtual second (rtm
-	// semantics; default 1e-3).
-	TimeScale float64
-	// Latency is the injected end-to-end latency for a zero-byte local
-	// message, in virtual time.
-	Latency substrate.Time
-	// PerByte is the injected transmission time per payload byte (local).
-	PerByte substrate.Time
-	// SendCPU and RecvCPU are per-message CPU occupancies, charged on every
-	// message, local or remote.
-	SendCPU, RecvCPU substrate.Time
-	// Spin selects busy-waiting instead of sleeping for Advance and the
-	// local latency forwarders.
-	Spin bool
-	// Seed seeds the per-endpoint random sources (Seed+rank each, the
-	// cross-backend convention).
-	Seed int64
-	// ChanCap is the delivery/outbound channel capacity (default 4096).
-	ChanCap int
-}
-
-// DefaultMachineConfig mirrors rtm.DefaultConfig: the simulator's Fast
-// Ethernet model at a 1e-3 time scale.
-func DefaultMachineConfig() MachineConfig {
-	return MachineConfig{
-		TimeScale: 1e-3,
-		Latency:   60 * substrate.Microsecond,
-		PerByte:   80 * substrate.Nanosecond,
-		SendCPU:   15 * substrate.Microsecond,
-		RecvCPU:   15 * substrate.Microsecond,
-	}
-}
-
-// Machine is one node's share of a distributed machine. The driver must
-// Spawn a body for every global rank, in rank order, exactly as on the
-// in-process backends; only the ranks this node hosts get goroutines and
-// endpoints. Run participates in the session barriers (Ready → Start →
-// Done → Fin), so it starts and finishes in lockstep with every other
-// node, and returns an error — never hangs — if the coordinator or a peer
-// dies mid-run.
+// Machine is one node's share of a distributed machine: an rtm share plus
+// the session and the transport around it. The driver must Spawn a body for
+// every global rank, in rank order, exactly as on the in-process backends;
+// only the ranks this node hosts run. Run participates in the session
+// barriers (Ready → Start → Done → Fin), so it starts and finishes in
+// lockstep with every other node, and returns an error — never hangs — if
+// the coordinator or a peer dies mid-run.
 type Machine struct {
-	cfg    MachineConfig
-	node   *Node
-	lo, hi int // hosted rank range
-
-	eps     []*Endpoint              // by global rank; nil outside [lo, hi)
-	links   [][]chan *substrate.Msg  // [src-lo][dst-lo], local injected latency
-	outs    []chan []byte            // by peer node id; nil for self
-	spawned int
-	ran     bool
-
-	start    time.Time
-	started  chan struct{} // closed on Start receipt
-	finCh    chan *Fin
-	stop     chan struct{}
-	stopped  sync.Once
-	draining atomic.Bool
+	*rtm.Machine
+	node     *Node
+	outs     []chan []byte // outbound frame queue by peer node id; nil for self
 	makespan substrate.Time
 
 	frames, wireBytes, drift atomic.Int64
-
-	mu  sync.Mutex
-	err error
 }
 
 var (
@@ -113,67 +50,38 @@ var (
 	_ substrate.Router  = (*Machine)(nil)
 )
 
-// NewMachine builds this node's Machine from its roster.
-func (n *Node) NewMachine(cfg MachineConfig) *Machine {
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = DefaultMachineConfig().TimeScale
-	}
-	if cfg.ChanCap <= 0 {
-		cfg.ChanCap = 4096
+// NewMachine builds this node's Machine from its roster. The cost model in
+// cfg applies between hosted ranks; remote messages pay the real network
+// instead (SendCPU and RecvCPU are charged on every message either way).
+func (n *Node) NewMachine(cfg rtm.Config) *Machine {
+	m := &Machine{node: n, outs: make([]chan []byte, n.nodes)}
+	for id, p := range n.peers {
+		if p != nil {
+			m.outs[id] = make(chan []byte, rtm.ChanCap)
+		}
 	}
 	lo, hi := n.Range()
-	return &Machine{
-		cfg:     cfg,
-		node:    n,
-		lo:      lo,
-		hi:      hi,
-		eps:     make([]*Endpoint, n.procs),
-		outs:    make([]chan []byte, n.nodes),
-		started: make(chan struct{}),
-		finCh:   make(chan *Fin, 1),
-		stop:    make(chan struct{}),
-	}
+	m.Machine = rtm.NewShare(cfg, lo, hi, m.sendRemote)
+	return m
 }
 
-// Spawn registers the body for the next global rank (rank = spawn order,
-// machine-wide). Bodies for ranks hosted elsewhere are dropped; the call
-// exists so the driver runs identically on every backend.
-func (m *Machine) Spawn(name string, body func(substrate.Endpoint)) {
-	if m.ran {
-		panic("dist: Spawn after Run")
+// sendRemote is the share's remote link: encode, count, queue on the
+// destination node's connection. Encoding panics on an unregistered payload
+// type, surfacing the programming error exactly as wire.Wrap does.
+func (m *Machine) sendRemote(msg *substrate.Msg) bool {
+	frame, plen := wire.EncodeMsg(msg)
+	m.frames.Add(1)
+	m.wireBytes.Add(int64(len(frame)))
+	if plen > msg.Size {
+		m.drift.Add(1)
 	}
-	id := m.spawned
-	m.spawned++
-	if id < m.lo || id >= m.hi {
-		return
-	}
-	m.eps[id] = &Endpoint{
-		m:    m,
-		id:   id,
-		name: name,
-		body: body,
-		in:   make(chan *substrate.Msg, m.cfg.ChanCap),
-		rng:  rand.New(rand.NewSource(m.cfg.Seed + int64(id))),
+	select {
+	case m.outs[m.node.procNode[msg.Dst]] <- frame:
+		return true
+	case <-m.Stopped():
+		return false
 	}
 }
-
-// NumProcs implements substrate.Machine: the machine-wide processor count.
-func (m *Machine) NumProcs() int { return m.spawned }
-
-// Account implements substrate.Machine. Ledgers exist for hosted ranks
-// only; remote ranks read as zero (the coordinator's Summary merges the
-// real ones). Read it after Run returns.
-func (m *Machine) Account(i int) *substrate.Account {
-	if e := m.eps[i]; e != nil {
-		return &e.acct
-	}
-	return &zeroAccount
-}
-
-var zeroAccount substrate.Account
-
-// Now returns virtual time elapsed since the Start release.
-func (m *Machine) Now() substrate.Time { return m.now() }
 
 // Makespan returns the machine-wide makespan agreed in the coordinator's
 // Fin release — identical on every node.
@@ -188,7 +96,7 @@ func (m *Machine) AddrOf(proc int) substrate.Addr {
 func (m *Machine) NumNodes() int { return m.node.nodes }
 
 // Range returns the hosted rank range [lo, hi).
-func (m *Machine) Range() (lo, hi int) { return m.lo, m.hi }
+func (m *Machine) Range() (lo, hi int) { return m.node.Range() }
 
 // Frames returns the number of frames sent to remote nodes (it satisfies
 // bench's wireStats probe, so dist runs report wire telemetry).
@@ -201,31 +109,20 @@ func (m *Machine) WireBytes() int64 { return m.wireBytes.Load() }
 // larger than the modeled Msg.Size.
 func (m *Machine) SizeDrift() uint64 { return uint64(m.drift.Load()) }
 
-// Stop tears the local processors down early. The session handshake still
-// completes (Done/Fin), so the other nodes finish cleanly too.
-func (m *Machine) Stop() { m.stopped.Do(func() { close(m.stop) }) }
-
-func (m *Machine) fail(err error) {
-	m.mu.Lock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.mu.Unlock()
-	m.stopped.Do(func() { close(m.stop) })
-	// Abort the session: closing the connections unblocks every peer and
-	// the coordinator, so the failure propagates instead of hanging.
+// fail kills the hosted processors with err and aborts the session: closing
+// the connections unblocks every peer and the coordinator, so the failure
+// propagates instead of hanging. It returns the first failure recorded.
+func (m *Machine) fail(err error) error {
+	m.Fail(err)
 	m.node.closeAll()
+	return m.Err()
 }
 
-func (m *Machine) runErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-func (m *Machine) stopping() bool {
+// stopped reports whether the share has stopped — from then on inbound data
+// is dead-letter and a peer hanging up is normal teardown.
+func (m *Machine) stopped() bool {
 	select {
-	case <-m.stop:
+	case <-m.Stopped():
 		return true
 	default:
 		return false
@@ -233,148 +130,87 @@ func (m *Machine) stopping() bool {
 }
 
 // Run executes this node's share of the machine: it reports Ready, waits
-// for the Start release, runs the hosted processor bodies with the
-// transport pumping underneath, then drives the drain handshake. The
-// returned error is the first local failure — a processor panic, a lost
-// coordinator or peer connection, or a missed session deadline.
+// for the Start release, runs the share with the transport pumping
+// underneath, then drives the drain handshake. The returned error is the
+// first local failure — a processor panic, a lost coordinator or peer
+// connection, or a missed session deadline.
 func (m *Machine) Run() error {
-	if m.ran {
-		panic("dist: Run called twice")
-	}
-	m.ran = true
 	n := m.node
-	if m.spawned != n.procs {
-		return fmt.Errorf("dist: driver spawned %d processors, roster expects %d", m.spawned, n.procs)
+	if m.NumProcs() != n.procs {
+		return fmt.Errorf("dist: driver spawned %d processors, roster expects %d", m.NumProcs(), n.procs)
 	}
-	for p := m.lo; p < m.hi; p++ {
-		if m.eps[p] == nil {
-			return fmt.Errorf("dist: hosted rank %d was never spawned", p)
-		}
-		m.eps[p].lastArrival = make([]substrate.Time, n.procs)
-	}
-
-	go m.ctrlLoop()
 	if err := n.coord.send(&Ready{Node: int32(n.id)}, n.cfg.JoinTimeout); err != nil {
-		m.fail(fmt.Errorf("dist: node %d ready: %w", n.id, err))
-		return m.runErr()
+		return m.fail(fmt.Errorf("dist: node %d ready: %w", n.id, err))
 	}
-	select {
-	case <-m.started:
-	case <-m.stop:
-		return m.runErr()
-	case <-time.After(n.cfg.JoinTimeout):
-		m.fail(fmt.Errorf("dist: node %d: no Start release within %v", n.id, n.cfg.JoinTimeout))
-		return m.runErr()
+	if _, err := recvAs[*Start](n.coord, n.cfg.JoinTimeout, fmt.Sprintf("node %d: Start release", n.id)); err != nil {
+		return m.fail(err)
 	}
+	// The machine epoch is the receipt of the release, and it is set before
+	// the first read loop exists: a peer released a hair earlier can deliver
+	// a frame before the local bodies launch.
+	m.SetEpoch(time.Now())
+	fin := make(chan *Fin, 1)
+	go m.awaitFin(fin)
 
-	// Transport: one write pump and one read loop per peer connection.
+	// One write pump and one read loop per peer connection. The pumps
+	// outlive the share — a body's last sends still go out — and end when
+	// their queues are closed below, after every body has returned.
 	var tr sync.WaitGroup
 	for peerID, p := range n.peers {
-		if p == nil {
-			continue
+		if p != nil {
+			tr.Add(2)
+			go m.writeLoop(p, m.outs[peerID], &tr)
+			go m.readLoop(peerID, p, &tr)
 		}
-		out := make(chan []byte, m.cfg.ChanCap)
-		m.outs[peerID] = out
-		tr.Add(2)
-		go m.writeLoop(p, out, &tr)
-		go m.readLoop(peerID, p, &tr)
 	}
-
-	// Local latency links, exactly as in rtm, over the hosted block.
-	var fwd sync.WaitGroup
-	if m.cfg.Latency > 0 || m.cfg.PerByte > 0 {
-		local := m.hi - m.lo
-		m.links = make([][]chan *substrate.Msg, local)
-		for src := range m.links {
-			m.links[src] = make([]chan *substrate.Msg, local)
-			for dst := range m.links[src] {
-				ch := make(chan *substrate.Msg, m.cfg.ChanCap)
-				m.links[src][dst] = ch
-				fwd.Add(1)
-				go m.forward(ch, m.eps[m.lo+dst], &fwd)
+	defer func() {
+		for _, out := range m.outs {
+			if out != nil {
+				close(out)
 			}
 		}
+		n.closePeers() // unblock the read loops
+		tr.Wait()
+	}()
+
+	// Once every hosted processor has returned the share is stopped and
+	// Inject discards: the read loops keep consuming, so no peer deadlocks
+	// on back-pressure while finishing its own drain.
+	if err := m.Machine.Run(); err != nil {
+		return m.fail(err)
 	}
-
-	var wg sync.WaitGroup
-	for p := m.lo; p < m.hi; p++ {
-		e := m.eps[p]
-		wg.Add(1)
-		go func(e *Endpoint) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil && r != errKilled {
-					m.fail(fmt.Errorf("dist: processor %q panicked: %v\n%s", e.name, r, debug.Stack()))
-				}
-				e.finishedAt = m.now()
-			}()
-			e.body(e)
-		}(e)
-	}
-	wg.Wait()
-
-	// Every hosted processor has returned (each already drained its own
-	// protocol-level quiesce), so inbound data is dead-letter from here:
-	// discard instead of queueing, which keeps the read loops consuming —
-	// no back-pressure deadlock while peers finish their own drains.
-	m.draining.Store(true)
-
-	done := &Done{Node: int32(n.id), Accounts: make([]substrate.Account, m.hi-m.lo)}
-	for p := m.lo; p < m.hi; p++ {
-		e := m.eps[p]
-		if e.finishedAt > done.FinishedAt {
-			done.FinishedAt = e.finishedAt
-		}
-		done.Accounts[p-m.lo] = e.acct
+	lo, hi := m.Range()
+	done := &Done{Node: int32(n.id), FinishedAt: m.Machine.Makespan(), Accounts: make([]substrate.Account, hi-lo)}
+	for p := lo; p < hi; p++ {
+		done.Accounts[p-lo] = *m.Account(p)
 	}
 	if err := n.coord.send(done, n.cfg.DrainTimeout); err != nil {
-		m.fail(fmt.Errorf("dist: node %d done: %w", n.id, err))
-		return m.runErr()
+		return m.fail(fmt.Errorf("dist: node %d done: %w", n.id, err))
 	}
 	select {
-	case f := <-m.finCh:
-		m.makespan = f.Makespan
-	case <-m.stop:
+	case f, ok := <-fin:
+		if ok {
+			m.makespan = f.Makespan
+		}
 	case <-time.After(n.cfg.DrainTimeout):
 		m.fail(fmt.Errorf("dist: node %d: no Fin from coordinator within %v (drain deadline)", n.id, n.cfg.DrainTimeout))
 	}
-	m.stopped.Do(func() { close(m.stop) })
-	n.closePeers() // unblock the read loops
-	tr.Wait()
-	fwd.Wait()
-	return m.runErr()
+	return m.Err()
 }
 
-// ctrlLoop reads the coordinator connection for the machine's lifetime:
-// the Start release, then the Fin drain release. Losing the connection
-// mid-run is a session abort, not a hang.
-func (m *Machine) ctrlLoop() {
-	n := m.node
-	startSeen := false
-	for {
-		v, err := n.coord.recv(0)
-		if err != nil {
-			if !m.stopping() {
-				m.fail(fmt.Errorf("dist: node %d lost coordinator connection: %v", n.id, err))
-			}
-			return
-		}
-		switch msg := v.(type) {
-		case *Start:
-			if startSeen {
-				m.fail(fmt.Errorf("dist: node %d: duplicate Start release", n.id))
-				return
-			}
-			startSeen = true
-			m.start = time.Now() // the machine epoch: stamped at release receipt
-			close(m.started)
-		case *Fin:
-			m.finCh <- msg
-			return
-		default:
-			m.fail(fmt.Errorf("dist: node %d: unexpected control message %T", n.id, v))
-			return
-		}
+// awaitFin reads the coordinator connection from the Start release on; the
+// one message due is the Fin drain release, and fin is closed without it
+// when the session fails first. Losing the connection is a session abort,
+// not a hang.
+func (m *Machine) awaitFin(fin chan<- *Fin) {
+	defer close(fin)
+	v, err := m.node.coord.recv(0)
+	if err != nil {
+		m.fail(fmt.Errorf("dist: node %d lost coordinator connection: %v", m.node.id, err))
+	} else if f, ok := v.(*Fin); ok {
+		fin <- f
+	} else {
+		m.fail(fmt.Errorf("dist: node %d: unexpected control message %T", m.node.id, v))
 	}
 }
 
@@ -384,25 +220,15 @@ func (m *Machine) ctrlLoop() {
 func (m *Machine) writeLoop(p *peer, out chan []byte, tr *sync.WaitGroup) {
 	defer tr.Done()
 	bw := bufio.NewWriter(p.c)
-	for {
-		select {
-		case frame := <-out:
-			bw.Write(frame)
-			for more := true; more; {
-				select {
-				case f := <-out:
-					bw.Write(f)
-				default:
-					more = false
-				}
+	for frame := range out {
+		bw.Write(frame)
+		for queued := len(out); queued > 0; queued-- { // sole consumer: these cannot block
+			bw.Write(<-out)
+		}
+		if err := bw.Flush(); err != nil {
+			if !m.stopped() {
+				m.fail(fmt.Errorf("dist: node %d: write to peer: %w", m.node.id, err))
 			}
-			if err := bw.Flush(); err != nil {
-				if !m.stopping() {
-					m.fail(fmt.Errorf("dist: node %d: write to peer: %w", m.node.id, err))
-				}
-				return
-			}
-		case <-m.stop:
 			return
 		}
 	}
@@ -410,16 +236,17 @@ func (m *Machine) writeLoop(p *peer, out chan []byte, tr *sync.WaitGroup) {
 
 // readLoop is the per-peer receive pump: frames are length-checked before
 // allocation (ReadFrame), decoded strictly, validated to target a hosted
-// rank, stamped with the local clock, and fed to the destination inbox.
+// rank, and injected into the share, which stamps them with the local clock.
 func (m *Machine) readLoop(peerID int, p *peer, tr *sync.WaitGroup) {
 	defer tr.Done()
+	lo, hi := m.Range()
 	for {
 		frame, err := wire.ReadFrame(p.r, m.node.cfg.MaxFrame)
 		if err != nil {
-			// A peer hanging up after this node started draining is normal
-			// teardown: nodes that get their Fin first close their mesh
-			// connections while slower ones are still waiting for theirs.
-			if !m.stopping() && !m.draining.Load() {
+			// A peer hanging up after this share stopped is normal teardown:
+			// nodes that get their Fin first close their mesh connections
+			// while slower ones are still waiting for theirs.
+			if !m.stopped() {
 				m.fail(fmt.Errorf("dist: node %d: link from node %d: %w", m.node.id, peerID, err))
 			}
 			return
@@ -429,90 +256,10 @@ func (m *Machine) readLoop(peerID int, p *peer, tr *sync.WaitGroup) {
 			m.fail(fmt.Errorf("dist: node %d: corrupt frame from node %d: %w", m.node.id, peerID, err))
 			return
 		}
-		if msg.Dst < m.lo || msg.Dst >= m.hi {
-			m.fail(fmt.Errorf("dist: node %d: frame from node %d misrouted to rank %d (hosting [%d,%d))", m.node.id, peerID, msg.Dst, m.lo, m.hi))
+		if msg.Dst < lo || msg.Dst >= hi {
+			m.fail(fmt.Errorf("dist: node %d: frame from node %d misrouted to rank %d (hosting [%d,%d))", m.node.id, peerID, msg.Dst, lo, hi))
 			return
 		}
-		msg.ArrivedAt = m.now()
-		if m.draining.Load() {
-			continue // all local processors finished; dead-letter
-		}
-		select {
-		case m.eps[msg.Dst].in <- msg:
-		case <-m.stop:
-			return
-		}
-	}
-}
-
-// forward is rtm's per-(src,dst) local latency pipe.
-func (m *Machine) forward(ch chan *substrate.Msg, dst *Endpoint, fwd *sync.WaitGroup) {
-	defer fwd.Done()
-	for {
-		select {
-		case msg := <-ch:
-			m.sleepUntil(msg.ArrivedAt, nil)
-			if now := m.now(); now > msg.ArrivedAt {
-				msg.ArrivedAt = now
-			}
-			select {
-			case dst.in <- msg:
-			case <-m.stop:
-				return
-			}
-		case <-m.stop:
-			return
-		}
-	}
-}
-
-// now returns virtual time elapsed since the Start release (0 before it).
-func (m *Machine) now() substrate.Time {
-	if m.start.IsZero() {
-		return 0
-	}
-	return substrate.Time(float64(time.Since(m.start)) / m.cfg.TimeScale)
-}
-
-// wall converts a virtual duration to a wall-clock duration.
-func (m *Machine) wall(v substrate.Time) time.Duration {
-	return time.Duration(float64(v) * m.cfg.TimeScale)
-}
-
-// spinThreshold mirrors rtm: the wall-clock horizon below which sleepUntil
-// spins instead of sleeping, keeping short scaled waits honest against OS
-// timer overshoot.
-const spinThreshold = 200 * time.Microsecond
-
-// sleepUntil blocks until virtual time reaches target (rtm semantics).
-func (m *Machine) sleepUntil(target substrate.Time, killed func()) {
-	for {
-		now := m.now()
-		if now >= target {
-			return
-		}
-		remaining := m.wall(target - now)
-		if m.cfg.Spin || remaining <= spinThreshold {
-			runtime.Gosched()
-			select {
-			case <-m.stop:
-				if killed != nil {
-					killed()
-				}
-				return
-			default:
-			}
-			continue
-		}
-		t := time.NewTimer(remaining - spinThreshold)
-		select {
-		case <-t.C:
-		case <-m.stop:
-			t.Stop()
-			if killed != nil {
-				killed()
-			}
-			return
-		}
+		m.Inject(msg) // false once the share stopped: dead letter
 	}
 }

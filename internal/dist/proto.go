@@ -59,8 +59,8 @@ type Ready struct {
 	Node int32
 }
 
-// Start releases the start barrier: every node stamps its wall-clock epoch
-// on receipt, mirroring rtm's Run-start accounting.
+// Start releases the start barrier: every node sets its share's clock epoch
+// (rtm.Machine.SetEpoch) on receipt.
 type Start struct{}
 
 // Done reports that every processor hosted by a node has finished: the

@@ -1,89 +1,27 @@
 package rtm_test
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
-	"prema/internal/core"
+	"prema/internal/conformance"
 	"prema/internal/dmcs"
 	"prema/internal/faulty"
-	"prema/internal/ilb"
-	"prema/internal/mol"
 	"prema/internal/rtm"
 	"prema/internal/sim"
 	"prema/internal/substrate"
 )
 
-// runChaosConformance runs the program-driven conformance workload (see
-// conformance_test.go) with DMCS reliable delivery, and returns each
-// processor's final residents as objectIndex → messages delivered to it.
-// On a faulted machine the protocol counters are timing-dependent, but the
-// application-level outcome must not be: every object on its dictated
-// processor, every object having heard from every processor exactly once.
+// runChaosConformance runs the shared conformance program over DMCS
+// reliable mode and returns each processor's final residents as
+// objectIndex → messages delivered to it. On a faulted machine the protocol
+// counters are timing-dependent, but the application-level outcome must not
+// be: every object on its dictated processor, every object having heard
+// from every processor exactly once.
 func runChaosConformance(t *testing.T, m substrate.Machine, procs, objects int, rel dmcs.RelConfig) []map[int]int {
 	t.Helper()
-	final := make([]map[int]int, procs)
-	for p := 0; p < procs; p++ {
-		m.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
-			opts := core.DefaultOptions(ilb.Explicit)
-			opts.Mol.NotifyOrigin = false
-			opts.Rel = rel
-			r := core.NewRuntime(ep, opts)
-			self := ep.ID()
-
-			done := 0
-			var hDone dmcs.HandlerID
-			hDone = r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				done++
-				if done == objects {
-					r.StopAll()
-				}
-			})
-			var hWork mol.HandlerID
-			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				o := obj.Data.(*confObj)
-				o.got++
-				r.Compute(2 * substrate.Millisecond)
-				if o.got == procs {
-					r.Comm().SendTagged(0, hDone, nil, 8, substrate.TagApp)
-				}
-			})
-			sendAll := func() {
-				for i := 0; i < objects; i++ {
-					r.Message(mol.MobilePtr{Home: 0, Index: i}, hWork, nil, 8, 0.002)
-				}
-			}
-			hReady := r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				sendAll()
-			})
-
-			if self == 0 {
-				for i := 0; i < objects; i++ {
-					r.Register(&confObj{}, 128)
-				}
-				for i := 0; i < objects; i++ {
-					if dst := i % procs; dst != 0 {
-						if err := r.Mol().Migrate(mol.MobilePtr{Home: 0, Index: i}, dst); err != nil {
-							t.Error(err)
-						}
-					}
-				}
-				for q := 1; q < procs; q++ {
-					r.Comm().SendTagged(q, hReady, nil, 8, substrate.TagApp)
-				}
-				sendAll()
-			}
-			r.Run()
-
-			mine := make(map[int]int)
-			for mp, obj := range r.Mol().Local() {
-				mine[mp.Index] = obj.Data.(*confObj).got
-			}
-			final[self] = mine
-		})
-	}
-	if err := m.Run(); err != nil {
+	final, err := conformance.RunReliable(m, procs, objects, rel)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return final

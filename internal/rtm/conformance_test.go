@@ -1,14 +1,10 @@
 package rtm_test
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
-	"prema/internal/core"
-	"prema/internal/dmcs"
-	"prema/internal/ilb"
+	"prema/internal/conformance"
 	"prema/internal/mol"
 	"prema/internal/rtm"
 	"prema/internal/sim"
@@ -16,111 +12,14 @@ import (
 	"prema/internal/wire"
 )
 
-type confObj struct {
-	got int // messages received so far
-}
-
-// The conformance objects migrate, so on a wire-wrapped machine their data
-// crosses the codec; the marshal hooks are what a real application would
-// install alongside Register.
-func init() {
-	mol.RegisterDataCodec(wire.KindUser+1, &confObj{},
-		func(data any) []byte {
-			g := data.(*confObj).got
-			return []byte{byte(g >> 24), byte(g >> 16), byte(g >> 8), byte(g)}
-		},
-		func(b []byte) any {
-			if len(b) != 4 {
-				return &confObj{}
-			}
-			return &confObj{got: int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])}
-		})
-}
-
-// runConformance executes a fully program-driven workload (no load balancing
-// policy, migrations decided by the application before any work messages)
-// on m and returns each processor's MOL statistics and final object
-// placement. With per-(src,dst) FIFO guaranteed by every backend, all counts
-// and the placement are deterministic — identical across backends even
-// though timings differ.
-//
-// Shape: processor 0 registers `objects` mobile objects, migrates object i
-// to processor i%procs, announces readiness, and then every processor sends
-// one work message to every object (routed via the home directory; origin
-// notification is off so the routing is timing-independent). An object that
-// has heard from every processor reports completion to processor 0, which
-// stops the machine once all objects have reported.
+// runConformance runs the shared conformance program on m.
 func runConformance(t *testing.T, m substrate.Machine, procs, objects int) ([]mol.Stats, [][]int) {
 	t.Helper()
-	statsOut := make([]mol.Stats, procs)
-	placement := make([][]int, procs)
-	for p := 0; p < procs; p++ {
-		m.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
-			opts := core.DefaultOptions(ilb.Explicit)
-			opts.Mol.NotifyOrigin = false // keep routing independent of notify timing
-			r := core.NewRuntime(ep, opts)
-			self := ep.ID()
-
-			done := 0
-			var hDone dmcs.HandlerID
-			hDone = r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				done++
-				if done == objects {
-					r.StopAll()
-				}
-			})
-			var hWork mol.HandlerID
-			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				o := obj.Data.(*confObj)
-				o.got++
-				r.Compute(2 * substrate.Millisecond)
-				if o.got == procs {
-					r.Comm().SendTagged(0, hDone, nil, 8, substrate.TagApp)
-				}
-			})
-			sendAll := func() {
-				for i := 0; i < objects; i++ {
-					r.Message(mol.MobilePtr{Home: 0, Index: i}, hWork, nil, 8, 0.002)
-				}
-			}
-			hReady := r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				sendAll()
-			})
-
-			if self == 0 {
-				for i := 0; i < objects; i++ {
-					r.Register(&confObj{}, 128)
-				}
-				for i := 0; i < objects; i++ {
-					if dst := i % procs; dst != 0 {
-						if err := r.Mol().Migrate(mol.MobilePtr{Home: 0, Index: i}, dst); err != nil {
-							t.Error(err)
-						}
-					}
-				}
-				// Per-(src,dst) FIFO: the ready announcement arrives after
-				// the migrations, so peers send work only once their
-				// residents are installed.
-				for q := 1; q < procs; q++ {
-					r.Comm().SendTagged(q, hReady, nil, 8, substrate.TagApp)
-				}
-				sendAll()
-			}
-			r.Run()
-
-			var local []int
-			for mp := range r.Mol().Local() {
-				local = append(local, mp.Index)
-			}
-			sort.Ints(local)
-			placement[self] = local
-			statsOut[self] = r.Mol().Stats
-		})
-	}
-	if err := m.Run(); err != nil {
+	stats, placement, err := conformance.Run(m, procs, objects)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return statsOut, placement
+	return stats, placement
 }
 
 // TestCrossBackendConformance: the deterministic simulator and the
@@ -156,8 +55,8 @@ func TestCrossBackendConformance(t *testing.T) {
 // cross-backend agreement — wire-wrapped simulator and wire-wrapped rtm
 // both reproduce the plain simulator's statistics and placement exactly,
 // even though every migration, work message, and ack now crosses the binary
-// codec (the mobile objects' own data included, via the RegisterDataCodec
-// hooks above).
+// codec (the mobile objects' own data included, via the conformance
+// package's RegisterDataCodec hooks).
 func TestWireWrappedConformance(t *testing.T) {
 	const procs, objects = 4, 16
 	plainStats, plainPlace := runConformance(t, sim.NewMachine(sim.Config{Seed: 9}), procs, objects)

@@ -9,16 +9,17 @@ import (
 
 // Endpoint is one real processor: a goroutine plus its delivery channel,
 // inbox, ledger, and random source. All substrate methods must be called
-// from the processor's own body goroutine.
+// from the processor's own body goroutine. A rank hosted elsewhere keeps
+// only its identity and a zero ledger.
 type Endpoint struct {
 	m    *Machine
 	id   int
 	name string
 	body func(substrate.Endpoint)
 
-	// in is the merged delivery feed (written by senders or latency
-	// forwarders); inbox is the drained, application-visible queue, owned
-	// exclusively by this goroutine.
+	// in is the merged delivery feed (written by senders, latency
+	// forwarders, or Inject); inbox is the drained, application-visible
+	// queue, owned exclusively by this goroutine.
 	in    chan *substrate.Msg
 	inbox []*substrate.Msg
 
@@ -44,7 +45,7 @@ func (e *Endpoint) Name() string { return e.name }
 func (e *Endpoint) NumPeers() int { return len(e.m.eps) }
 
 // Now implements substrate.Clock.
-func (e *Endpoint) Now() substrate.Time { return e.m.now() }
+func (e *Endpoint) Now() substrate.Time { return e.m.Now() }
 
 // Rand returns this endpoint's private seeded random source. Unlike the
 // simulator (where all endpoints share the engine's stream), each rtm
@@ -70,30 +71,43 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	if d <= 0 {
 		return
 	}
-	t0 := e.m.now()
+	t0 := e.m.Now()
 	e.m.sleepUntil(t0+d, e.killed)
-	e.acct[cat] += e.m.now() - t0
+	e.acct[cat] += e.m.Now() - t0
 }
 
 // Send transmits m, stamping Src and SentAt, charging per-message send CPU,
 // and scheduling FIFO per-(src,dst) delivery under the injected latency
-// model. The caller must not touch m (or ownership-transferred payload
-// objects) afterwards.
+// model — or, for a rank outside this machine's share, handing it to the
+// remote link. The caller must not touch m (or ownership-transferred
+// payload objects) afterwards.
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	m.Src = e.id
-	m.SentAt = e.m.now()
+	m.SentAt = e.m.Now()
 	if o := e.m.cfg.SendCPU; o > 0 {
 		e.Advance(o, cat)
 	}
 	mach := e.m
+	if !mach.hosts(m.Dst) {
+		if !mach.remote(m) {
+			// Some machine stopped. If it is this one the sender dies;
+			// otherwise the destination is gone and m was a dead letter.
+			select {
+			case <-mach.stop:
+				e.killed()
+			default:
+			}
+		}
+		return
+	}
 	if mach.links == nil {
 		// No injected latency: hand the message straight to the
 		// destination feed. Channel order preserves per-sender FIFO.
-		m.ArrivedAt = mach.now()
+		m.ArrivedAt = mach.Now()
 		e.deliver(mach.eps[m.Dst].in, m)
 		return
 	}
-	arrival := mach.now() + mach.cfg.Latency + substrate.Time(m.Size)*mach.cfg.PerByte
+	arrival := mach.Now() + mach.cfg.Latency + substrate.Time(m.Size)*mach.cfg.PerByte
 	if last := e.lastArrival[m.Dst]; arrival <= last {
 		arrival = last + 1
 	}
@@ -182,23 +196,7 @@ func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg {
 
 // WaitMsg blocks until at least one message is queued, attributing the
 // measured wait to cat.
-func (e *Endpoint) WaitMsg(cat substrate.Category) {
-	if len(e.inbox) > 0 {
-		return
-	}
-	e.drain()
-	if len(e.inbox) > 0 {
-		return
-	}
-	t0 := e.m.now()
-	select {
-	case m := <-e.in:
-		e.inbox = append(e.inbox, m)
-	case <-e.m.stop:
-		e.killed()
-	}
-	e.acct[cat] += e.m.now() - t0
-}
+func (e *Endpoint) WaitMsg(cat substrate.Category) { e.wait(-1, cat) }
 
 // minWait floors timed waits so that aggressively scaled machines still
 // yield the host CPU instead of degenerating into a hot poll loop.
@@ -207,27 +205,29 @@ const minWait = time.Microsecond
 // WaitMsgFor blocks until a message is queued or d elapses, attributing the
 // measured wait to cat. It reports whether a message is available.
 func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
-	if len(e.inbox) > 0 {
+	return e.wait(max(e.m.wall(d), minWait), cat)
+}
+
+// wait is the one blocking receive: until a message is queued, the machine
+// stops, or — when wall is not negative — wall has elapsed.
+func (e *Endpoint) wait(wall time.Duration, cat substrate.Category) bool {
+	if len(e.inbox) > 0 || e.InboxLen() > 0 {
 		return true
 	}
-	e.drain()
-	if len(e.inbox) > 0 {
-		return true
+	t0 := e.m.Now() // before the timer starts: the charge covers all of wall
+	var timeout <-chan time.Time
+	if wall >= 0 {
+		t := time.NewTimer(wall)
+		defer t.Stop()
+		timeout = t.C
 	}
-	wall := e.m.wall(d)
-	if wall < minWait {
-		wall = minWait
-	}
-	t0 := e.m.now()
-	t := time.NewTimer(wall)
-	defer t.Stop()
 	select {
 	case m := <-e.in:
 		e.inbox = append(e.inbox, m)
-	case <-t.C:
+	case <-timeout:
 	case <-e.m.stop:
 		e.killed()
 	}
-	e.acct[cat] += e.m.now() - t0
+	e.acct[cat] += e.m.Now() - t0
 	return len(e.inbox) > 0
 }

@@ -18,11 +18,18 @@
 // ownership it transfers, such as migrating mobile objects) after Send —
 // the same discipline the shared-memory simulator relies on, here enforced
 // by the race detector.
+//
+// A machine may host only a share of the ranks (NewShare): the driver still
+// spawns every rank, a message for a rank outside the share leaves through
+// one remote-link function, and Inject is the way back in. internal/dist
+// puts sockets and a session around a share; this package knows neither
+// codecs nor connections, so every wall-clock run fills one ledger.
 package rtm
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -58,12 +65,13 @@ type Config struct {
 	Spin bool
 	// Seed seeds the per-endpoint random sources (Seed+ID each).
 	Seed int64
-	// ChanCap is the capacity of each delivery channel (per endpoint inbox
-	// feed and per (src,dst) latency link). Defaults to 4096. A full
-	// channel back-pressures the sender, so size it above the largest
-	// plausible in-flight burst.
-	ChanCap int
 }
+
+// ChanCap is the capacity of every delivery queue: endpoint inbox feeds,
+// per-(src,dst) latency links, and the per-peer queues a remote link puts
+// behind a share. A full queue back-pressures the sender, so it sits above
+// the largest plausible in-flight burst.
+const ChanCap = 4096
 
 // DefaultConfig returns a configuration mirroring the simulator's Fast
 // Ethernet model at a 1e-3 time scale.
@@ -77,13 +85,15 @@ func DefaultConfig() Config {
 	}
 }
 
-// Machine is a real-concurrency execution substrate. Create one with New,
-// add processors with Spawn, then call Run; Run returns once every
-// processor body has finished.
+// Machine is a real-concurrency execution substrate. Create one with New
+// (or NewShare), add processors with Spawn, then call Run; Run returns once
+// every hosted processor body has finished.
 type Machine struct {
-	cfg   Config
-	eps   []*Endpoint
-	links [][]chan *substrate.Msg // [src][dst], only when latency is injected
+	cfg    Config
+	lo, hi int                       // hosted rank range
+	remote func(*substrate.Msg) bool // link to the ranks outside it; nil for a whole machine
+	eps    []*Endpoint               // by rank, hosted or not
+	links  [][]chan *substrate.Msg   // [src][dst] over hosted pairs, only when latency is injected
 
 	start   time.Time
 	stop    chan struct{}
@@ -94,48 +104,85 @@ type Machine struct {
 	err error
 }
 
-// New returns a machine with the given configuration.
-func New(cfg Config) *Machine {
+// New returns a machine that hosts every rank.
+func New(cfg Config) *Machine { return NewShare(cfg, 0, math.MaxInt, nil) }
+
+// NewShare returns a machine that hosts ranks [lo, hi) of a larger one. A
+// message for any other rank is handed to remote on the sender's goroutine,
+// stamped and already charged its send CPU; what the hop costs is the link's
+// business. remote may block while its queue is full but must return once
+// the machine has stopped (Stopped), and reports false when it did not take
+// the message because a machine stopped: the sender dies if that machine is
+// its own, else the message was a dead letter. Another share's Inject is
+// such a link.
+func NewShare(cfg Config, lo, hi int, remote func(*substrate.Msg) bool) *Machine {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = DefaultConfig().TimeScale
 	}
-	if cfg.ChanCap <= 0 {
-		cfg.ChanCap = 4096
-	}
-	return &Machine{cfg: cfg, stop: make(chan struct{})}
+	return &Machine{cfg: cfg, lo: lo, hi: hi, remote: remote, stop: make(chan struct{})}
 }
 
-// Spawn adds a processor whose behaviour is body. All Spawn calls must
-// precede Run; IDs are dense in spawn order.
+// Spawn registers the body of the next rank (rank = spawn order,
+// machine-wide). All Spawn calls must precede Run. A share's driver spawns
+// every rank exactly as on a whole machine; bodies of ranks hosted elsewhere
+// are dropped, and their ledgers read as zero.
 func (m *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	if m.ran {
 		panic("rtm: Spawn after Run")
 	}
-	e := &Endpoint{
-		m:    m,
-		id:   len(m.eps),
-		name: name,
-		body: body,
-		in:   make(chan *substrate.Msg, m.cfg.ChanCap),
-		rng:  rand.New(rand.NewSource(m.cfg.Seed + int64(len(m.eps)))),
+	e := &Endpoint{m: m, id: len(m.eps), name: name}
+	if m.hosts(e.id) {
+		e.body = body
+		e.in = make(chan *substrate.Msg, ChanCap)
+		e.rng = rand.New(rand.NewSource(m.cfg.Seed + int64(e.id)))
 	}
 	m.eps = append(m.eps, e)
 }
 
-// Endpoint returns processor i (for direct, backend-specific access).
-func (m *Machine) Endpoint(i int) *Endpoint { return m.eps[i] }
+func (m *Machine) hosts(rank int) bool { return rank >= m.lo && rank < m.hi }
 
-// NumProcs implements substrate.Machine.
+// NumProcs implements substrate.Machine: the machine-wide processor count.
 func (m *Machine) NumProcs() int { return len(m.eps) }
 
 // Account implements substrate.Machine. Only read it after Run returns: the
 // ledger is owned by the processor's goroutine while the machine runs.
 func (m *Machine) Account(i int) *substrate.Account { return &m.eps[i].acct }
 
-// Now returns virtual time elapsed since Run started.
-func (m *Machine) Now() substrate.Time { return m.now() }
+// Now returns virtual time elapsed since the epoch.
+func (m *Machine) Now() substrate.Time {
+	return substrate.Time(float64(time.Since(m.start)) / m.cfg.TimeScale)
+}
 
-// Makespan returns the latest processor finish time (after Run).
+// SetEpoch fixes the instant virtual time counts from; without it the epoch
+// is the moment Run starts. Shares of one machine agree on an epoch so their
+// clocks are comparable, and must set it before anything can Inject — a
+// peer released a hair earlier may deliver before the local bodies launch.
+func (m *Machine) SetEpoch(t time.Time) { m.start = t }
+
+// Stopped returns a channel that is closed once the machine has stopped:
+// every hosted body returned, Stop was called, or a processor panicked.
+func (m *Machine) Stopped() <-chan struct{} { return m.stop }
+
+// Inject delivers a message that reached this share over a remote link: it
+// stamps the arrival with this machine's clock and feeds the inbox of
+// msg.Dst, which must be a hosted rank, blocking while that inbox is full.
+// It reports false — the message is dropped — once the machine has stopped.
+func (m *Machine) Inject(msg *substrate.Msg) bool {
+	select {
+	case <-m.stop:
+		return false
+	default:
+	}
+	msg.ArrivedAt = m.Now()
+	select {
+	case m.eps[msg.Dst].in <- msg:
+		return true
+	case <-m.stop:
+		return false
+	}
+}
+
+// Makespan returns the latest hosted processor finish time (after Run).
 func (m *Machine) Makespan() substrate.Time {
 	var t substrate.Time
 	for _, e := range m.eps {
@@ -148,59 +195,61 @@ func (m *Machine) Makespan() substrate.Time {
 
 // Stop tears the machine down early: processors blocked in (or next
 // entering) a substrate call are killed, as in the simulator's teardown.
-func (m *Machine) Stop() { m.kill(nil) }
+func (m *Machine) Stop() { m.Fail(nil) }
 
-func (m *Machine) kill(err error) {
-	if err != nil {
-		m.mu.Lock()
-		if m.err == nil {
-			m.err = err
-		}
-		m.mu.Unlock()
+// Fail is Stop with a cause: the first non-nil err is what Run returns.
+func (m *Machine) Fail(err error) {
+	m.mu.Lock()
+	if m.err == nil {
+		m.err = err
 	}
+	m.mu.Unlock()
 	m.stopped.Do(func() { close(m.stop) })
 }
 
-// Run launches every processor goroutine, waits for all bodies to finish,
-// and returns the first processor panic (if any) as an error.
+// Err returns the first failure recorded so far, a processor panic or Fail.
+func (m *Machine) Err() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
+// Run launches every hosted processor goroutine, waits for all bodies to
+// finish, and returns the first processor panic (if any) as an error.
 func (m *Machine) Run() error {
 	if m.ran {
 		panic("rtm: Run called twice")
 	}
 	m.ran = true
-	lat := m.cfg.Latency > 0 || m.cfg.PerByte > 0
-	if lat {
-		m.links = make([][]chan *substrate.Msg, len(m.eps))
-		for src := range m.links {
-			m.links[src] = make([]chan *substrate.Msg, len(m.eps))
-		}
+	hosted := m.eps[min(m.lo, len(m.eps)):min(m.hi, len(m.eps))]
+	if m.start.IsZero() {
+		m.start = time.Now()
 	}
-	for _, e := range m.eps {
-		e.lastArrival = make([]substrate.Time, len(m.eps))
-	}
-	m.start = time.Now()
 
 	var wg sync.WaitGroup
 	var fwd sync.WaitGroup
-	if lat {
-		for src := range m.links {
-			for dst := range m.links[src] {
-				ch := make(chan *substrate.Msg, m.cfg.ChanCap)
-				m.links[src][dst] = ch
+	if m.cfg.Latency > 0 || m.cfg.PerByte > 0 {
+		m.links = make([][]chan *substrate.Msg, len(m.eps))
+		for _, src := range hosted {
+			src.lastArrival = make([]substrate.Time, len(m.eps))
+			m.links[src.id] = make([]chan *substrate.Msg, len(m.eps))
+			for _, dst := range hosted {
+				ch := make(chan *substrate.Msg, ChanCap)
+				m.links[src.id][dst.id] = ch
 				fwd.Add(1)
-				go m.forward(ch, m.eps[dst], &fwd)
+				go m.forward(ch, dst, &fwd)
 			}
 		}
 	}
-	for _, e := range m.eps {
+	for _, e := range hosted {
 		wg.Add(1)
 		go func(e *Endpoint) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil && r != errKilled {
-					m.kill(fmt.Errorf("rtm: processor %q panicked: %v\n%s", e.name, r, debug.Stack()))
+					m.Fail(fmt.Errorf("rtm: processor %q panicked: %v\n%s", e.name, r, debug.Stack()))
 				}
-				e.finishedAt = m.now()
+				e.finishedAt = m.Now()
 			}()
 			e.body(e)
 		}(e)
@@ -208,9 +257,7 @@ func (m *Machine) Run() error {
 	wg.Wait()
 	m.stopped.Do(func() { close(m.stop) }) // release forwarders
 	fwd.Wait()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
+	return m.Err()
 }
 
 // forward is the per-(src,dst) latency pipe: it preserves link FIFO order,
@@ -222,7 +269,7 @@ func (m *Machine) forward(ch chan *substrate.Msg, dst *Endpoint, fwd *sync.WaitG
 		select {
 		case msg := <-ch:
 			m.sleepUntil(msg.ArrivedAt, nil) // scheduled arrival, stamped by the sender
-			if now := m.now(); now > msg.ArrivedAt {
+			if now := m.Now(); now > msg.ArrivedAt {
 				msg.ArrivedAt = now // the link backed up; record the real arrival
 			}
 			select {
@@ -234,11 +281,6 @@ func (m *Machine) forward(ch chan *substrate.Msg, dst *Endpoint, fwd *sync.WaitG
 			return
 		}
 	}
-}
-
-// now returns virtual time elapsed since Run started.
-func (m *Machine) now() substrate.Time {
-	return substrate.Time(float64(time.Since(m.start)) / m.cfg.TimeScale)
 }
 
 // wall converts a virtual duration to a wall-clock duration.
@@ -259,7 +301,7 @@ const spinThreshold = 200 * time.Microsecond
 // panics errKilled; forwarders pass nil and just return early).
 func (m *Machine) sleepUntil(target substrate.Time, killed func()) {
 	for {
-		now := m.now()
+		now := m.Now()
 		if now >= target {
 			return
 		}

@@ -4,42 +4,60 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestStackDoesNotImportSim guards the substrate seam: the PREMA stack
-// (dmcs, mol, ilb, policy, core, coll, recov) and the wire codec must
-// depend only on this package, never on a concrete backend. A direct
-// import of internal/sim or internal/rtm from one of these layers would
-// silently re-couple the stack to one backend; this test turns that into a
-// build-time-visible failure.
+// TestStackDoesNotImportSim guards the seams between packages, one row per
+// rule. The PREMA stack (dmcs, mol, ilb, policy, core, coll, recov) and the
+// wire codec must depend only on this package, never on a concrete backend:
+// a direct import of internal/sim, internal/rtm or internal/dist from one of
+// these layers would silently re-couple the stack to one backend. And the
+// wall-clock machine must know neither codecs nor sockets — a remote hop is
+// a function value handed to rtm.NewShare, so every wall-clock run fills its
+// ledger with the same code. This test turns either into a build-time-visible
+// failure.
 func TestStackDoesNotImportSim(t *testing.T) {
-	layers := []string{"dmcs", "mol", "ilb", "policy", "core", "coll", "recov", "wire"}
-	banned := []string{"prema/internal/sim", "prema/internal/rtm"}
+	rules := []struct {
+		layers []string
+		banned []string
+		why    string
+	}{
+		{
+			layers: []string{"dmcs", "mol", "ilb", "policy", "core", "coll", "recov", "wire"},
+			banned: []string{"prema/internal/sim", "prema/internal/rtm", "prema/internal/dist"},
+			why:    "the PREMA stack must depend only on internal/substrate",
+		},
+		{
+			layers: []string{"rtm"},
+			banned: []string{"net", "prema/internal/wire", "prema/internal/dist"},
+			why:    "the wall-clock machine stays codec- and socket-free; encoding lives in dist's link",
+		},
+	}
 	fset := token.NewFileSet()
-	for _, layer := range layers {
-		files, err := filepath.Glob(filepath.Join("..", layer, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 {
-			t.Fatalf("no sources found for layer %s", layer)
-		}
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue // tests may build machines of either backend
-			}
-			f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+	for _, rule := range rules {
+		for _, layer := range rule.layers {
+			files, err := filepath.Glob(filepath.Join("..", layer, "*.go"))
 			if err != nil {
-				t.Fatalf("parse %s: %v", file, err)
+				t.Fatal(err)
 			}
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				for _, b := range banned {
-					if path == b {
-						t.Errorf("%s imports %s; the PREMA stack must depend only on internal/substrate", file, path)
+			if len(files) == 0 {
+				t.Fatalf("no sources found for layer %s", layer)
+			}
+			for _, file := range files {
+				if strings.HasSuffix(file, "_test.go") {
+					continue // tests may build machines of any backend
+				}
+				f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Fatalf("parse %s: %v", file, err)
+				}
+				for _, imp := range f.Imports {
+					path, _ := strconv.Unquote(imp.Path.Value)
+					if slices.Contains(rule.banned, path) {
+						t.Errorf("%s imports %s; %s", file, path, rule.why)
 					}
 				}
 			}

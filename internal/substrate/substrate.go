@@ -2,7 +2,7 @@
 // stack is written against. Every layer above it — dmcs (active messages),
 // mol (mobile objects), ilb (load balancing), policy (the balancing
 // strategies), and core (the assembled runtime) — depends only on the small
-// interfaces in this package, never on a concrete machine. Two backends
+// interfaces in this package, never on a concrete machine. Two machines
 // implement them:
 //
 //   - internal/sim: the deterministic discrete-event simulator. One host
@@ -11,7 +11,9 @@
 //   - internal/rtm: the real-time machine. Each processor is a goroutine,
 //     the network is buffered channels with per-(src,dst) FIFO delivery and
 //     injected latency, and time accounting uses the host's monotonic clock
-//     — genuine parallelism, validated under the race detector.
+//     — genuine parallelism, validated under the race detector. It hosts
+//     every rank in one process, or a share of them with internal/dist's
+//     sockets and session around it.
 //
 // The split mirrors the paper's own layering: DMCS is specified as handlers
 // over an opaque transport, so the transport (and the clock that prices it)
