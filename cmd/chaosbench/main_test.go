@@ -25,8 +25,6 @@ func TestRejections(t *testing.T) {
 	cases := [][]string{
 		{"-system", "parmetis"},
 		{"-system", "charm", "-fault-plan", "none"},
-		{"-system", "prema-diffusion"},
-		{"-system", "prema-diffusion", "-fault-plan", "none"},
 		{"-system", "none,prema-implicit"},
 		{"-backend", "bogus"},
 		{"-trace-ring", "0"},
@@ -40,7 +38,6 @@ func TestRejections(t *testing.T) {
 		append([]string{"-recover"}, dist...),
 		append([]string{"-wire"}, dist...),
 		append([]string{"-trace", "t.json"}, dist...),
-		append([]string{"-system", "prema-multilist"}, dist...),
 	}
 	for _, args := range cases {
 		clitest.Rejected(t, run, "chaosbench", args...)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prema/internal/clitest"
@@ -31,6 +32,25 @@ func TestGoldenTraceAndMetrics(t *testing.T) {
 	clitest.SHA256Files(t, "trace_files.sha256", dir)
 }
 
+// TestPolicySuiteUnderChaos: a policy-suite system takes reliable delivery
+// and a fault plan like every other PREMA row of the system table (the
+// invocation exited 2 while the suite ran on its own driver): it conserves
+// every unit and is same-seed byte-identical.
+func TestPolicySuiteUnderChaos(t *testing.T) {
+	args := []string{"-system", "prema-diffusion", "-procs", "8", "-units-per-proc", "8", "-stride", "0",
+		"-reliable", "-fault-plan", "drop=0.2,dup=0.1", "-fault-seed", "3"}
+	code, first, errOut := clitest.Run(run, args...)
+	if code != 0 {
+		t.Fatalf("%v: exit %d, stderr:\n%s", args, code, errOut)
+	}
+	if !strings.Contains(first, "counters (prema-diffusion): map[") || !strings.Contains(first, "units_run:64]") {
+		t.Errorf("no conserved unit count in:\n%s", first)
+	}
+	if _, second, _ := clitest.Run(run, args...); second != first {
+		t.Errorf("same seed, different output:\n%s\nvs\n%s", first, second)
+	}
+}
+
 // TestRejections: every combination the compatibility matrix refuses exits
 // 2 with a "premabench:" message before any run output. The first three are
 // the lines CI's dist smoke leg used to check on a built binary.
@@ -52,12 +72,6 @@ func TestRejections(t *testing.T) {
 		{"-system", "parmetis", "-wire"},
 		{"-system", "parmetis", "-trace", "t.json"},
 		{"-system", "none,parmetis", "-metrics", "m.txt"},
-
-		{"-system", "prema-diffusion", "-reliable"},
-		{"-system", "prema-multilist", "-fault-plan", "drop=0.1"},
-		{"-system", "prema-worksteal", "-recover"},
-		append([]string{"-system", "prema-diffusion", "-reliable"}, dist...),
-		append([]string{"-system", "prema-diffusion", "-fault-plan", "dup=0.1"}, dist...),
 
 		{"-trace-ring", "0"},
 		{"-trace", "t.json", "-trace-ring", "0"},

@@ -26,7 +26,7 @@ func chaosPlan() faulty.Plan {
 // fought the network to get there.
 func TestChaosRunSurvives(t *testing.T) {
 	w := chaosWorkload()
-	for _, sys := range []string{"none", "prema-explicit", "prema-implicit"} {
+	for _, sys := range append([]string{"none", "prema-explicit", "prema-implicit"}, policySystems...) {
 		sys := sys
 		t.Run(sys, func(t *testing.T) {
 			clean, err := RunSpec{System: sys, W: w}.Run()

@@ -57,10 +57,11 @@ func TestMeshExperimentDeterministic(t *testing.T) {
 }
 
 func TestFigureRunTiny(t *testing.T) {
-	fr, err := RunFigure(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 8, 8)
+	runs, err := RunFigures([]FigureSpec{{ID: 3, Imbalance: 0.5, Ratio: 2.0}}, RunSpec{W: Workload{Procs: 8}, UnitsPerProc: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := runs[0]
 	if len(fr.Results) != len(SystemNames) {
 		t.Fatalf("results = %d", len(fr.Results))
 	}

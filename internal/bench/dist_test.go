@@ -215,7 +215,8 @@ func TestDistPingPong(t *testing.T) {
 	if res.Counters["pingpong_ns_total"] <= 0 {
 		t.Error("pingpong_ns_total not positive")
 	}
-	if res.WireFrames == 0 {
-		t.Error("pingpong encoded no wire frames")
+	// One frame out and one back per round, and nothing else on the wire.
+	if want := uint64(2 * w.Units); res.WireFrames != want {
+		t.Errorf("WireFrames = %d, want 2 per round = %d", res.WireFrames, want)
 	}
 }

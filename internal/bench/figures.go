@@ -63,15 +63,6 @@ type FigureRun struct {
 	Results []*Result // ordered as SystemNames
 }
 
-// RunFigure runs all six configurations of one figure, serially.
-func RunFigure(spec FigureSpec, procs, unitsPerProc int) (*FigureRun, error) {
-	runs, err := RunFigures([]FigureSpec{spec}, RunSpec{W: Workload{Procs: procs}, UnitsPerProc: unitsPerProc, Jobs: 1})
-	if err != nil {
-		return nil, err
-	}
-	return runs[0], nil
-}
-
 // Get returns the named result of a figure run.
 func (fr *FigureRun) Get(name string) *Result {
 	for i, n := range SystemNames {

@@ -2,6 +2,9 @@ package bench
 
 import "testing"
 
+// policySystems are the system-table rows of the paper's policy suite (§4).
+var policySystems = []string{"prema-worksteal", "prema-diffusion", "prema-multilist"}
+
 // TestPolicySuiteBalances: every policy in the suite must complete all work
 // and beat the no-balancing baseline on an imbalanced workload.
 func TestPolicySuiteBalances(t *testing.T) {
@@ -11,10 +14,10 @@ func TestPolicySuiteBalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := w.TotalWork().Seconds()
-	for _, name := range PolicyNames {
+	for _, name := range policySystems {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r, err := RunPremaPolicy(w, name)
+			r, err := RunSystem(name, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,12 +30,5 @@ func TestPolicySuiteBalances(t *testing.T) {
 			}
 			t.Logf("%s: makespan %v (none %v)", name, r.Makespan, none.Makespan)
 		})
-	}
-}
-
-func TestPolicyUnknown(t *testing.T) {
-	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 4)
-	if _, err := RunPremaPolicy(w, "bogus"); err == nil {
-		t.Fatal("unknown policy must error")
 	}
 }

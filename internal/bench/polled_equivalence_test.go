@@ -62,18 +62,16 @@ func drawPolledSpec(seed int64) RunSpec {
 		s.Trace = true
 		s.TraceRing = []int{256, trace.DefaultRingCap}[rng.Intn(2)]
 	}
-	if lookupSystem(s.System).policy == "" { // the policy-suite driver takes no reliable-delivery configuration
-		s.Reliable = rng.Intn(2) == 0
-		// An RTO shorter than a poll interval makes retransmission deadlines
-		// expire inside quiet stretches even on a clean network.
-		s.RTO = []substrate.Time{0, 3 * substrate.Millisecond, 15 * substrate.Millisecond}[rng.Intn(3)]
-		if s.Reliable && rng.Intn(3) == 0 {
-			s.FaultPlan = fmt.Sprintf("drop=%.2f,dup=%.2f", 0.1*rng.Float64(), 0.1*rng.Float64())
-			s.FaultSeed = rng.Int63()
-		}
-		if rng.Intn(4) == 0 {
-			s.Recover, s.Reliable, s.W.Shards = true, true, 1
-		}
+	s.Reliable = rng.Intn(2) == 0
+	// An RTO shorter than a poll interval makes retransmission deadlines
+	// expire inside quiet stretches even on a clean network.
+	s.RTO = []substrate.Time{0, 3 * substrate.Millisecond, 15 * substrate.Millisecond}[rng.Intn(3)]
+	if s.Reliable && rng.Intn(3) == 0 {
+		s.FaultPlan = fmt.Sprintf("drop=%.2f,dup=%.2f", 0.1*rng.Float64(), 0.1*rng.Float64())
+		s.FaultSeed = rng.Int63()
+	}
+	if rng.Intn(4) == 0 {
+		s.Recover, s.Reliable, s.W.Shards = true, true, 1
 	}
 	return s
 }

@@ -15,6 +15,9 @@ import (
 
 // PremaConfig configures the PREMA benchmark driver.
 type PremaConfig struct {
+	// name labels the result and errors with the system-table row the
+	// configuration came from; empty derives "none" or "prema-<mode>".
+	name string
 	// Mode selects explicit or implicit (preemptive) load balancing.
 	Mode ilb.Mode
 	// Balance false runs the "no load balancing" baseline (figures (a)).
@@ -30,6 +33,9 @@ type PremaConfig struct {
 	PollEvery int
 	// WS tunes the work stealing policy.
 	WS policy.WSConfig
+	// Policy builds each processor's balancing policy when Balance is set;
+	// nil selects work stealing tuned by WS.
+	Policy func(Workload) ilb.Policy
 	// Rel switches DMCS into reliable-delivery mode (chaos experiments).
 	// The zero value keeps the classic fire-and-forget transport and the
 	// byte-identical paper-figure outputs.
@@ -62,19 +68,17 @@ func DefaultPremaConfig(mode ilb.Mode, balance bool) PremaConfig {
 	}
 }
 
-// RunPrema executes the synthetic benchmark on the PREMA runtime over the
-// deterministic simulator and returns the per-processor breakdowns.
-func RunPrema(w Workload, cfg PremaConfig) (*Result, error) {
-	return RunPremaOn(w.machine(), w, cfg)
-}
-
 // RunPremaOn executes the synthetic benchmark on any execution substrate —
 // the application and runtime code is identical on the simulator and the
 // real-concurrency machine; only the machine passed in differs.
 func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, error) {
-	name := "none"
-	if cfg.Balance {
+	name := cfg.name
+	switch {
+	case name != "":
+	case cfg.Balance:
 		name = "prema-" + cfg.Mode.String()
+	default:
+		name = "none"
 	}
 	var store *recov.Store
 	if cfg.Recover {
@@ -106,9 +110,12 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 			}
 			opts := core.Options{LB: lbCfg, Mol: mol.DefaultConfig(), Rel: cfg.Rel, Recovery: store}
 			if cfg.Balance {
-				ws := policy.NewWorkStealing(cfg.WS)
-				policies[ep.ID()] = ws
-				opts.Policy = ws
+				if cfg.Policy != nil {
+					opts.Policy = cfg.Policy(w)
+				} else {
+					opts.Policy = policy.NewWorkStealing(cfg.WS)
+				}
+				policies[ep.ID()], _ = opts.Policy.(*policy.WorkStealing)
 			}
 			r := core.NewRuntime(ep, opts)
 
@@ -153,7 +160,9 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 		m.Spawn(fmt.Sprintf("p%03d", p), body(false))
 	}
 	if store != nil {
-		if fm := findFaulty(m); fm != nil {
+		// Crashed processors come back from the fault injector, which may
+		// sit under other decorators (trace, ...).
+		if fm, ok := unwrapTo[*faulty.Machine](m); ok {
 			fm.OnRejoin(func(id int) func(substrate.Endpoint) { return body(true) })
 		}
 	}
@@ -198,17 +207,19 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 		res.Counters["rel_dup_dropped"] = rs.DupDropped
 		res.Counters["rel_held"] = rs.Held
 	}
-	if cfg.Balance {
-		var req, grant, nack, moved int
-		for _, ws := range policies {
-			if ws == nil {
-				continue // rank hosted on another node of a distributed run
-			}
-			req += ws.Stats.Requests
-			grant += ws.Stats.GrantsServed
-			nack += ws.Stats.NacksServed
-			moved += ws.Stats.ObjectsSent
+	var req, grant, nack, moved int
+	stealing := false
+	for _, ws := range policies {
+		if ws == nil {
+			continue // another policy, or a rank hosted on another node of a distributed run
 		}
+		stealing = true
+		req += ws.Stats.Requests
+		grant += ws.Stats.GrantsServed
+		nack += ws.Stats.NacksServed
+		moved += ws.Stats.ObjectsSent
+	}
+	if stealing {
 		res.Counters["steal_requests"] = req
 		res.Counters["steal_grants"] = grant
 		res.Counters["steal_nacks"] = nack
@@ -250,28 +261,12 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 	return res, nil
 }
 
-// findFaulty walks a decorator chain (trace, ...) down to the fault
-// injector, which is where crashed processors come back from (OnRejoin).
-func findFaulty(m substrate.Machine) *faulty.Machine {
-	for {
-		if fm, ok := m.(*faulty.Machine); ok {
-			return fm
-		}
-		u, ok := m.(interface{ Unwrap() substrate.Machine })
-		if !ok {
-			return nil
-		}
-		m = u.Unwrap()
-	}
-}
-
 // engineStats is the simulator engine telemetry surface. sim.Machine
 // satisfies it by embedding *sim.Engine; the real backend does not, and its
 // runs simply carry no engine telemetry. collect unwraps decorators (trace,
 // wire) to reach it — faulty has no Unwrap, so faulted runs stay bare.
 type engineStats interface {
 	EventsFired() uint64
-	ShardEventsFired() []uint64
 	BarrierRounds() uint64
 	PollsElided() uint64
 }
@@ -312,7 +307,6 @@ func collect(name string, w Workload, m substrate.Machine) *Result {
 	}
 	if es, ok := unwrapTo[engineStats](m); ok {
 		res.Events = es.EventsFired()
-		res.ShardEvents = es.ShardEventsFired()
 		res.BarrierRounds = es.BarrierRounds()
 		res.PollsElided = es.PollsElided()
 	}

@@ -146,28 +146,30 @@ func TestRecoveryCrashDeterministic(t *testing.T) {
 
 // TestRecoveryRejoin: a crash:P;recover:P plan re-spawns the processor,
 // which re-joins the machine and takes part in the rest of the run. The
-// application outcome is still exactly-once.
+// application outcome is still exactly-once, under every policy of the
+// suite.
 func TestRecoveryRejoin(t *testing.T) {
-	w := chaosWorkload()
-	res, err := RunSpec{
-		System:    "prema-implicit",
-		W:         w,
-		FaultPlan: "crash:3@35s;recover:3@50s",
-		FaultSeed: 3,
-		Reliable:  true,
-		Recover:   true,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := res.Faults; !st.Crashed || st.Rejoins != 1 {
-		t.Fatalf("faults = %+v, want 1 crash + 1 rejoin", st)
-	}
-	if err := res.CheckConservation(); err != nil {
-		t.Error(err)
-	}
-	if res.Counters["recov_rejoins"] != 1 {
-		t.Errorf("recov_rejoins = %d, want 1", res.Counters["recov_rejoins"])
+	for _, sys := range append([]string{"prema-implicit"}, policySystems...) {
+		res, err := RunSpec{
+			System:    sys,
+			W:         chaosWorkload(),
+			FaultPlan: "crash:3@35s;recover:3@50s",
+			FaultSeed: 3,
+			Reliable:  true,
+			Recover:   true,
+		}.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if st := res.Faults; !st.Crashed || st.Rejoins != 1 {
+			t.Fatalf("%s: faults = %+v, want 1 crash + 1 rejoin", sys, st)
+		}
+		if err := res.CheckConservation(); err != nil {
+			t.Errorf("%s: %v", sys, err)
+		}
+		if res.Counters["recov_rejoins"] != 1 {
+			t.Errorf("%s: recov_rejoins = %d, want 1", sys, res.Counters["recov_rejoins"])
+		}
 	}
 }
 

@@ -50,17 +50,15 @@ type Result struct {
 	// asked for tracing; RunSpec.ExportTrace writes it out).
 	Trace *trace.Collector
 
-	// Engine telemetry (simulator backend only; zero/nil on the real
+	// Engine telemetry (simulator backend only; zero on the real
 	// backend — collect unwraps the trace/wire decorators to reach it, but
 	// faulty hides it). These describe the host-side execution, not the
-	// simulated system, so they appear in perfbench's ledger but never in
-	// Summary/Breakdown/CSV — the outputs the golden hashes and
+	// simulated system, so they appear in benchmark/'s per-layer rows but
+	// never in Summary/Breakdown/CSV — the outputs the golden hashes and
 	// byte-identity tests cover.
 
 	// Events is the total number of simulator events the run fired.
 	Events uint64
-	// ShardEvents is the per-shard event count (len = shard count).
-	ShardEvents []uint64
 	// BarrierRounds is the number of window coordination rounds the sharded
 	// engine executed (0 for serial runs).
 	BarrierRounds uint64
@@ -78,22 +76,6 @@ type Result struct {
 	// Msg.Size (the wire_size_drift_total metrics counter); zero means the
 	// cost model's byte accounting is honest.
 	WireDrift uint64
-}
-
-// ImbalanceRatio returns max/mean of the per-shard event counts — 1.0 is a
-// perfectly balanced partition — or 0 when shard telemetry is unavailable.
-func (r *Result) ImbalanceRatio() float64 {
-	var total, max uint64
-	for _, c := range r.ShardEvents {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(r.ShardEvents)) / float64(total)
 }
 
 // CheckConservation verifies the application-level outcome of a PREMA run:

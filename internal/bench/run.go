@@ -86,22 +86,12 @@ func (s RunSpec) wallConfig(d *systemDef) rtm.Config {
 	return rc
 }
 
-// machine builds the default stack for a bare workload: the deterministic
-// simulator, wire-wrapped when w.Wire is set.
-func (w Workload) machine() substrate.Machine {
-	st, err := RunSpec{W: w}.buildStack(nil, nil)
-	if err != nil {
-		panic(err) // unreachable: no fault plan to parse, known backend
-	}
-	return st.m
-}
-
 // runOn drives system d on a built stack and attaches what the decorators
 // saw: the injector's fault counters and the trace collector.
 func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 	switch {
 	case d.prema != nil:
-		cfg := d.prema()
+		cfg := d.config()
 		if s.Reliable || s.Recover {
 			cfg.Rel = dmcs.DefaultRelConfig()
 			if s.RTO > 0 {
@@ -110,8 +100,6 @@ func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 		}
 		cfg.Recover, cfg.CheckpointInterval, cfg.LeaseTimeout = s.Recover, s.CheckpointInterval, st.lease
 		res, err = RunPremaOn(st.m, s.W, cfg)
-	case d.policy != "":
-		res, err = RunPremaPolicyOn(st.m, s.W, d.policy)
 	case d.probe:
 		dm, ok := st.m.(*dist.Machine)
 		if !ok {

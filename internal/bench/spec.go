@@ -33,9 +33,9 @@ const (
 // explicit. Programmatic callers may leave fields zero to mean "default"
 // (WithDefaults lists them); Run spells those out before validating.
 type RunSpec struct {
-	// System names a row of the system table (see SystemNames, PolicyNames).
-	// CLI templates may hold a comma-separated list (Systems, RunAll) or ""
-	// for "the figure's systems" (RunFigures).
+	// System names a row of the system table (the -system help text lists
+	// them). CLI templates may hold a comma-separated list (Systems, RunAll)
+	// or "" for "the figure's systems" (RunFigures).
 	System string
 	// W is the workload, including the simulator's Shards/Partition knobs
 	// and the Wire serialization loopback.
@@ -123,7 +123,7 @@ func (s RunSpec) tracing() bool { return s.Trace || s.TracePath != "" || s.Metri
 // template's engine and loopback knobs.
 func (s RunSpec) ForFigure(f FigureSpec) RunSpec {
 	w := PaperWorkload(f, s.W.Procs, s.UnitsPerProc)
-	w.Shards, w.Partition, w.FixedWindows, w.Wire = s.W.Shards, s.W.Partition, s.W.FixedWindows, s.W.Wire
+	w.Shards, w.Partition, w.Wire = s.W.Shards, s.W.Partition, s.W.Wire
 	s.W = w
 	return s
 }
@@ -135,7 +135,7 @@ var flagTable = map[string]struct {
 	help  string
 	field func(*RunSpec) any
 }{
-	"system": {"system configuration to run: none, prema-explicit, prema-implicit, parmetis, charm, charm-sync4, prema-worksteal, prema-diffusion, prema-multilist (premabench: a comma-separated list runs them all on one workload)",
+	"system": {"system configuration to run: " + strings.Join(systemNames(false), ", ") + " (premabench: a comma-separated list runs them all on one workload)",
 		func(s *RunSpec) any { return &s.System }},
 	"procs": {"processors of the machine",
 		func(s *RunSpec) any { return &s.W.Procs }},
@@ -330,13 +330,10 @@ var rules = []struct {
 		return c.Backend != BackendSim && c.anySystem(func(d *systemDef) bool { return d.model != nil })
 	}, "-system %q is a cost model without a transport and is simulator-only; use -backend=sim"},
 
-	// What needs a transport, and what needs the PremaConfig driver on it.
+	// What needs a transport.
 	{"transport", func(c *candidate) bool {
 		return (c.W.Wire || c.tracing() || c.chaos()) && c.anySystem(func(d *systemDef) bool { return !d.transport() })
 	}, "-system %q is a cost model without a transport; -wire, -trace, -metrics, -reliable, -fault-plan and -recover need a PREMA configuration"},
-	{"policy-chaos", func(c *candidate) bool {
-		return c.chaos() && c.anySystem(func(d *systemDef) bool { return d.policy != "" })
-	}, "-system %q runs on the policy-suite driver, which takes no reliable-delivery configuration; -reliable, -fault-plan and -recover need none, prema-explicit or prema-implicit"},
 
 	// Crash recovery.
 	{"recover-serial", func(c *candidate) bool { return c.Recover && c.W.Shards > 1 },

@@ -104,17 +104,17 @@ var validateCases = []struct {
 		s.W.Wire, s.TracePath, s.MetricsPath, s.Reliable, s.FaultPlan = true, "t.json", "m.txt", true, "drop=0.1"
 	}, ""},
 	{"transport", "inactive plan on a cost model", func(s *RunSpec) { s.System, s.FaultPlan = "parmetis", "none" }, ""},
-	{"policy-chaos", "repro: premabench -system prema-diffusion -reliable", func(s *RunSpec) {
+	{"transport", "repro: premabench -system prema-diffusion -reliable (refused while the policy suite had its own driver)", func(s *RunSpec) {
 		s.System, s.Reliable = "prema-diffusion", true
-	}, "-reliable"},
-	{"policy-chaos", "repro: the same on -backend dist (was silently ignored)", func(s *RunSpec) {
+	}, ""},
+	{"transport", "the same on -backend dist", func(s *RunSpec) {
 		onDist(s)
 		s.System, s.Reliable = "prema-diffusion", true
-	}, "-reliable"},
-	{"policy-chaos", "fault plan", func(s *RunSpec) { s.System, s.FaultPlan = "prema-multilist", "dup=0.1" }, "-fault-plan"},
-	{"policy-chaos", "recover", func(s *RunSpec) { s.System, s.Recover = "prema-worksteal", true }, "-recover"},
-	{"policy-chaos", "wire and trace are fine", func(s *RunSpec) { s.System, s.W.Wire, s.Trace = "prema-diffusion", true, true }, ""},
-	{"policy-chaos", "so is dist", func(s *RunSpec) { onDist(s); s.System = "prema-multilist" }, ""},
+	}, ""},
+	{"transport", "policy suite under a fault plan", func(s *RunSpec) { s.System, s.FaultPlan = "prema-multilist", "dup=0.1" }, ""},
+	{"transport", "policy suite with recovery", func(s *RunSpec) {
+		s.System, s.Recover, s.FaultPlan = "prema-worksteal", true, "crash:3@35s"
+	}, ""},
 
 	{"recover-serial", "sharded", func(s *RunSpec) { s.Recover, s.W.Shards = true, 2 }, "-shards=1"},
 	{"recover-serial", "serial", func(s *RunSpec) { s.Recover = true }, ""},
@@ -200,10 +200,13 @@ func TestRunValidates(t *testing.T) {
 	if _, err := (RunSpec{System: "none", W: w}).Run(); err != nil {
 		t.Errorf("bare spec: %v", err)
 	}
+	if _, err := (RunSpec{System: "prema-diffusion", W: w, Reliable: true}).Run(); err != nil {
+		t.Errorf("policy system with -reliable: %v", err)
+	}
 	for name, s := range map[string]RunSpec{
-		"policy system with -reliable": {System: "prema-diffusion", W: w, Reliable: true},
-		"no system":                    {W: w},
-		"negative trace ring":          {System: "none", W: w, Trace: true, TraceRing: -1},
+		"cost model with -reliable": {System: "parmetis", W: w, Reliable: true},
+		"no system":                 {W: w},
+		"negative trace ring":       {System: "none", W: w, Trace: true, TraceRing: -1},
 	} {
 		if _, err := s.Run(); err == nil {
 			t.Errorf("%s: Run accepted it", name)
@@ -245,7 +248,7 @@ func fullSpec(t *testing.T) RunSpec {
 		System: "prema-explicit",
 		W: Workload{
 			Procs: 8, Units: 64, HeavyFrac: 0.3, Heavy: 7e9, Light: 3e9, Hints: HintAccurate,
-			UnitBytes: 4096, Seed: -1 << 40, Shards: 3, Partition: PartitionLoaded, FixedWindows: true, Wire: true,
+			UnitBytes: 4096, Seed: -1 << 40, Shards: 3, Partition: PartitionLoaded, Wire: true,
 		},
 		Backend: BackendDist, TimeScale: 1.0 / 3, Spin: true,
 		Reliable: true, RTO: 5e7,
@@ -351,7 +354,7 @@ func renderMatrix() string {
 		{BackendDist, onDist},
 	}
 	classes := []struct{ name, system string }{
-		{"PREMA", "prema-implicit"}, {"policy suite", "prema-diffusion"}, {"cost model", "parmetis"},
+		{"PREMA", "prema-implicit"}, {"cost model", "parmetis"},
 	}
 	var b strings.Builder
 	b.WriteString("| |")

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"prema/internal/sweep"
 )
@@ -15,11 +14,11 @@ import (
 // RunFigures runs the full (figure × system) grid for the given specs at
 // the template's scale (tmpl.W.Procs × tmpl.UnitsPerProc) with at most
 // tmpl.Jobs simulations in flight, returning FigureRuns in spec order with
-// Results ordered as SystemNames — exactly what serial RunFigure calls
-// would produce. The template's engine knobs (W.Shards, W.Partition) apply
-// to every run; its loopback and tracing apply to the systems that have a
-// transport (the cost-model baselines run as usual). None of these knobs
-// changes a single output byte.
+// Results ordered as SystemNames — exactly what a Jobs: 1 run produces. The
+// template's engine knobs (W.Shards, W.Partition) apply to every run; its
+// loopback and tracing apply to the systems that have a transport (the
+// cost-model baselines run as usual). None of these knobs changes a single
+// output byte.
 func RunFigures(specs []FigureSpec, tmpl RunSpec) ([]*FigureRun, error) {
 	nsys := len(SystemNames)
 	results, err := sweep.Map(tmpl.jobs(), len(specs)*nsys, func(i int) (*Result, error) {
@@ -46,12 +45,6 @@ func RunFigures(specs []FigureSpec, tmpl RunSpec) ([]*FigureRun, error) {
 		}
 	}
 	return runs, nil
-}
-
-// RunSystems runs several named system configurations on the same workload
-// with at most jobs simulations in flight, returning results in input order.
-func RunSystems(names []string, w Workload, jobs int) ([]*Result, error) {
-	return RunSpec{System: strings.Join(names, ","), W: w, Jobs: jobs}.RunAll()
 }
 
 // RunMeshSystems runs the mesh experiment's regimes over one prebuilt cost

@@ -1,24 +1,21 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 )
 
 // TestSweepMatchesSerial: the parallel sweep runner must produce exactly the
-// results of serial RunFigure calls — same ordering, same summaries, same
+// results of a serial (Jobs: 1) sweep — same ordering, same summaries, same
 // per-processor ledgers — for any worker count. This is the repository's
 // guarantee that -jobs only changes wall-clock time, never output.
 func TestSweepMatchesSerial(t *testing.T) {
 	specs := Figures()
 	const procs, upp = 8, 8
 
-	var serial []*FigureRun
-	for _, spec := range specs {
-		fr, err := RunFigure(spec, procs, upp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial = append(serial, fr)
+	serial, err := RunFigures(specs, RunSpec{W: Workload{Procs: procs}, UnitsPerProc: upp, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// jobs=8, shards=2, a load-aware partition, and the wire loopback
@@ -74,7 +71,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 func TestRunSystemsOrdering(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 4)
 	names := []string{"charm", "none", "prema-implicit"}
-	rs, err := RunSystems(names, w, 4)
+	rs, err := RunSpec{System: strings.Join(names, ","), W: w, Jobs: 4}.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +80,7 @@ func TestRunSystemsOrdering(t *testing.T) {
 			t.Fatalf("result %d = %s, want %s", i, r.System, names[i])
 		}
 	}
-	if _, err := RunSystems([]string{"none", "bogus"}, w, 4); err == nil {
+	if _, err := (RunSpec{System: "none,bogus", W: w, Jobs: 4}).RunAll(); err == nil {
 		t.Fatal("expected error for unknown system")
 	}
 }

@@ -4,24 +4,21 @@ import (
 	"fmt"
 
 	"prema/internal/ilb"
+	"prema/internal/policy"
 	"prema/internal/substrate"
 )
 
 // systemDef is one row of the system table: what a named system
-// configuration runs on. At most one of prema, policy, model and probe is
-// set; a row with none is the placeholder lookupSystem returns for an
-// unknown name.
+// configuration runs on. At most one of prema, model and probe is set; a
+// row with none is the placeholder lookupSystem returns for an unknown name.
 type systemDef struct {
 	name string
 	// figure marks the six per-figure configurations.
 	figure bool
-	// prema builds the PremaConfig of a system on the full PREMA driver
-	// (RunPremaOn): any backend, and the only driver that takes reliable
-	// delivery, fault tolerance and crash recovery.
+	// prema builds the PremaConfig of a system on the PREMA driver
+	// (RunPremaOn): any backend, reliable delivery, fault tolerance and
+	// crash recovery.
 	prema func() PremaConfig
-	// policy names the load balancing policy of a policy-suite system
-	// (RunPremaPolicyOn): any backend, classic transport only.
-	policy string
 	// model runs a third-party baseline: a cost model on the simulator
 	// engine with no transport to decorate, fault or move off the simulator.
 	model func(Workload) (*Result, error)
@@ -36,11 +33,44 @@ type systemDef struct {
 func (d *systemDef) transport() bool { return d.model == nil }
 
 func (d *systemDef) unknown() bool {
-	return d.prema == nil && d.policy == "" && d.model == nil && !d.probe
+	return d.prema == nil && d.model == nil && !d.probe
+}
+
+// config returns a PREMA row's driver configuration, labelled with the
+// row's name.
+func (d *systemDef) config() PremaConfig {
+	cfg := d.prema()
+	cfg.name = d.name
+	return cfg
 }
 
 func premaSystem(mode ilb.Mode, balance bool) func() PremaConfig {
 	return func() PremaConfig { return DefaultPremaConfig(mode, balance) }
+}
+
+// policySystem is implicit-mode PREMA under another policy of the paper's
+// suite (§4), polling after every unit; nil keeps work stealing.
+func policySystem(mk func(Workload) ilb.Policy) func() PremaConfig {
+	return func() PremaConfig {
+		cfg := DefaultPremaConfig(ilb.Implicit, true)
+		cfg.PollEvery = 1
+		cfg.Policy = mk
+		return cfg
+	}
+}
+
+func diffusionPolicy(w Workload) ilb.Policy {
+	cfg := policy.DefaultDiffConfig()
+	cfg.MinTransfer = w.MeanWeight()
+	cfg.MaxObjects = 2
+	return policy.NewDiffusion(cfg)
+}
+
+func multilistPolicy(w Workload) ilb.Policy {
+	cfg := policy.DefaultMLConfig()
+	cfg.HighMark = 4 * w.MeanWeight()
+	cfg.LowMark = 2 * w.MeanWeight()
+	return policy.NewMultiList(cfg)
 }
 
 func charmSystem(syncPoints int) func(Workload) (*Result, error) {
@@ -48,8 +78,8 @@ func charmSystem(syncPoints int) func(Workload) (*Result, error) {
 }
 
 // systemTable is the one name → driver dispatch behind RunSpec.Run,
-// RunSystem, RunSystemOn, PremaConfigFor, HasTransport, SystemNames and
-// PolicyNames.
+// RunSystem, RunSystemOn, PremaConfigFor, HasTransport, SystemNames and the
+// -system help text.
 var systemTable = []systemDef{
 	{name: "none", figure: true, prema: premaSystem(ilb.Implicit, false)},
 	{name: "prema-explicit", figure: true, prema: premaSystem(ilb.Explicit, true)},
@@ -57,27 +87,25 @@ var systemTable = []systemDef{
 	{name: "parmetis", figure: true, model: func(w Workload) (*Result, error) { return RunParmetis(w, DefaultParmetisConfig()) }},
 	{name: "charm", figure: true, model: charmSystem(0)},
 	{name: "charm-sync4", figure: true, model: charmSystem(4)},
-	{name: "prema-worksteal", policy: "worksteal"},
-	{name: "prema-diffusion", policy: "diffusion"},
-	{name: "prema-multilist", policy: "multilist"},
+	{name: "prema-worksteal", prema: policySystem(nil)},
+	{name: "prema-diffusion", prema: policySystem(diffusionPolicy)},
+	{name: "prema-multilist", prema: policySystem(multilistPolicy)},
 	{name: "pingpong", probe: true},
 }
 
 // SystemNames lists the six per-figure configurations, in the paper's
-// subfigure order (a)-(f); PolicyNames lists the PREMA policy suite the
-// benchmark can drive beyond the paper's featured work stealing (system
-// "prema-<policy>").
-var SystemNames, PolicyNames = func() (figure, policies []string) {
+// subfigure order (a)-(f).
+var SystemNames = systemNames(true)
+
+// systemNames lists the table's rows in order, or only the figure rows.
+func systemNames(figureOnly bool) (names []string) {
 	for _, d := range systemTable {
-		if d.figure {
-			figure = append(figure, d.name)
-		}
-		if d.policy != "" {
-			policies = append(policies, d.policy)
+		if d.figure || !figureOnly {
+			names = append(names, d.name)
 		}
 	}
-	return
-}()
+	return names
+}
 
 // lookupSystem returns the table row for name, or a placeholder row
 // (unknown() == true) carrying the name.
@@ -107,12 +135,12 @@ func RunSystem(name string, w Workload) (*Result, error) {
 }
 
 // PremaConfigFor returns the driver configuration behind a PREMA system
-// name ("none", "prema-explicit", "prema-implicit"), for harnesses that
-// customize it before calling RunPremaOn. Every other system has no
-// PremaConfig and is rejected.
+// name ("none" and the "prema-*" rows), for harnesses that customize it
+// before calling RunPremaOn. Every other system has no PremaConfig and is
+// rejected.
 func PremaConfigFor(name string) (PremaConfig, error) {
 	if d := lookupSystem(name); d.prema != nil {
-		return d.prema(), nil
+		return d.config(), nil
 	}
 	return PremaConfig{}, fmt.Errorf("bench: system %q is unknown or has no PremaConfig", name)
 }

@@ -52,15 +52,10 @@ func requireWireIdentical(t *testing.T, label string, w Workload, run func(Workl
 func TestWireEquivalenceSystems(t *testing.T) {
 	specs := []FigureSpec{Figures()[0], Figures()[3]}
 	for _, spec := range specs {
-		for _, name := range []string{"none", "prema-explicit", "prema-implicit"} {
+		for _, name := range append([]string{"none", "prema-explicit", "prema-implicit"}, policySystems...) {
 			w := PaperWorkload(spec, 8, 8)
 			requireWireIdentical(t, fmt.Sprintf("fig%d/%s", spec.ID, name), w,
 				func(w Workload) (*Result, error) { return RunSystem(name, w) })
-		}
-		for _, pol := range []string{"diffusion", "multilist", "worksteal"} {
-			w := PaperWorkload(spec, 8, 8)
-			requireWireIdentical(t, fmt.Sprintf("fig%d/policy-%s", spec.ID, pol), w,
-				func(w Workload) (*Result, error) { return RunPremaPolicy(w, pol) })
 		}
 	}
 }

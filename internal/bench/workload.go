@@ -71,10 +71,6 @@ type Workload struct {
 	// weight, so shards start with near-equal work). Like Shards it never
 	// changes output, only the shard-level balance and barrier cost.
 	Partition string
-	// FixedWindows forwards sim.Config.FixedWindows: it pins the sharded
-	// engine to one minimum-lookahead window per coordination round so
-	// perfbench can measure the rounds adaptive batching saves.
-	FixedWindows bool
 	// Wire wraps the machine in the serialization loopback (wire.Wrap):
 	// every message is encoded to its binary frame at Send and delivered as
 	// a freshly decoded copy, auditing modeled sizes along the way. Like
@@ -255,16 +251,15 @@ func (w Workload) IdealMakespan() sim.Time {
 }
 
 // simConfig assembles the simulator configuration for this workload —
-// network model, seed, shard count, partition map, window mode. Everything
-// that builds a sim engine or machine for a workload goes through here so
-// the partition plumbing cannot diverge between drivers.
+// network model, seed, shard count, partition map. Everything that builds
+// a sim engine or machine for a workload goes through here so the partition
+// plumbing cannot diverge between drivers.
 func (w Workload) simConfig() sim.Config {
 	return sim.Config{
-		Network:      w.Network,
-		Seed:         w.Seed,
-		Shards:       w.Shards,
-		Partition:    w.partition(),
-		FixedWindows: w.FixedWindows,
+		Network:   w.Network,
+		Seed:      w.Seed,
+		Shards:    w.Shards,
+		Partition: w.partition(),
 	}
 }
 

@@ -66,9 +66,9 @@ type Config struct {
 	Partition func(id, shards int) int
 	// FixedWindows disables adaptive window batching: every coordination
 	// round dispatches one minimum-lookahead-wide window, as the engine did
-	// before windows were batched. It exists so perfbench can measure the
-	// barrier rounds the adaptive protocol saves; there is no reason to set
-	// it otherwise. Output is byte-identical either way.
+	// before windows were batched. It is the reference the adaptive protocol
+	// is tested against (TestAdaptiveWindowsMatchFixed: identical output, no
+	// more barrier rounds); no driver or CLI sets it.
 	FixedWindows bool
 }
 

@@ -19,7 +19,7 @@ type shard struct {
 	now    Time
 	end    Time // current window bound; 0 outside runWindow (closes the Advance fast path)
 	heap   eventHeap
-	fired  uint64 // events executed (telemetry for perfbench's ns/event)
+	fired  uint64 // events executed (Engine.EventsFired)
 	elided uint64 // poll wake-ups charged arithmetically by AdvancePolled
 
 	free     *event // recycled fired events (intrusive list via event.next)

@@ -149,9 +149,9 @@ func TestAdaptiveWindowsMatchFixed(t *testing.T) {
 	}
 }
 
-// TestShardTelemetry: per-shard event counts sum to the total and the
+// TestShardTelemetry: per-shard event counts sum to the total, the
 // imbalance ratio is sane (>= 1 once events fired, exactly the max/mean of
-// the per-shard counts).
+// the per-shard counts) and barrier rounds are counted.
 func TestShardTelemetry(t *testing.T) {
 	e := NewEngine(Config{Seed: 42, Shards: 4})
 	spawnMeshWorkload(e, 13, 10)
@@ -174,6 +174,9 @@ func TestShardTelemetry(t *testing.T) {
 	}
 	if sum != e.EventsFired() {
 		t.Errorf("per-shard sum %d != total %d", sum, e.EventsFired())
+	}
+	if e.BarrierRounds() == 0 {
+		t.Error("a sharded run counted no barrier rounds")
 	}
 	want := float64(max) * 4 / float64(sum)
 	if got := e.ImbalanceRatio(); got != want || got < 1 {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,27 @@ func TestMapDefaultJobs(t *testing.T) {
 	got, err := Map(0, 5, func(i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 5 {
 		t.Fatalf("jobs=0 should fall back to DefaultJobs: %v, %v", got, err)
+	}
+}
+
+// TestJobsFor: the auto pool size never oversubscribes the CPUs with
+// jobs × shards goroutines unless a single job already does, and never
+// drops below one worker.
+func TestJobsFor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ cpus, shards, want int }{
+		{8, 1, 8}, {8, 2, 4}, {8, 3, 2}, {8, 8, 1}, {8, 16, 1},
+		{2, 1, 2}, {2, 4, 1}, {1, 1, 1}, {1, 2, 1},
+		{4, 0, 4}, {4, -3, 4}, // shards < 1 means a serial engine
+	} {
+		runtime.GOMAXPROCS(c.cpus)
+		got := JobsFor(c.shards)
+		if got != c.want {
+			t.Errorf("JobsFor(%d) on %d CPUs = %d, want %d", c.shards, c.cpus, got, c.want)
+		}
+		if got < 1 || (got > 1 && got*c.shards > c.cpus) {
+			t.Errorf("JobsFor(%d) on %d CPUs = %d: jobs x shards = %d oversubscribes", c.shards, c.cpus, got, got*c.shards)
+		}
 	}
 }
 
