@@ -6,8 +6,7 @@
 // Usage:
 //
 //	chaosbench [-system prema-implicit] [-figs 3,4,5,6] \
-//	           [-procs 32] [-units-per-proc 32] [-shards S] \
-//	           [-partition roundrobin|blocked|loaded] [-wire] \
+//	           [-procs 32] [-units-per-proc 32] [-shards S] [-wire] \
 //	           [-fault-plan "drop=0.2,dup=0.1"] [-fault-seed 1] \
 //	           [-rto 50ms] [-backend sim|real|dist] [-timescale 1e-2] [-spin] \
 //	           [-nodes N -dist-listen HOST:PORT] [-premad PATH] [-dist-attach] \
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FaultSeed:    1,
 	}.WithDefaults()
 	fs := flag.NewFlagSet("chaosbench", flag.ContinueOnError)
-	spec.BindFlags(fs, `system procs units-per-proc shards partition wire
+	spec.BindFlags(fs, `system procs units-per-proc shards wire
 		backend timescale spin nodes dist-listen premad dist-attach
 		fault-plan fault-seed rto recover checkpoint-interval lease-timeout
 		trace metrics trace-ring`)

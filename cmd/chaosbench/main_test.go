@@ -28,7 +28,6 @@ func TestRejections(t *testing.T) {
 		{"-system", "none,prema-implicit"},
 		{"-backend", "bogus"},
 		{"-trace-ring", "0"},
-		{"-backend", "real", "-partition", "blocked"},
 		{"-backend", "real", "-shards", "2"},
 		{"-fault-plan", "crash:3@35s"},
 		{"-recover", "-shards", "2"},

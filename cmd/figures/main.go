@@ -4,7 +4,7 @@
 // Usage:
 //
 //	figures [-fig N] [-procs P] [-units-per-proc U] [-stride S] [-jobs J] \
-//	        [-shards S] [-partition roundrobin|blocked|loaded] [-wire] \
+//	        [-shards S] [-wire] \
 //	        [-backend sim|dist] [-nodes N -dist-listen HOST:PORT] \
 //	        [-csv DIR] [-trace trace.json] [-metrics metrics.txt]
 //
@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TimeScale:    1e-3,
 	}.WithDefaults()
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	spec.BindFlags(fs, `procs units-per-proc stride jobs shards partition wire
+	spec.BindFlags(fs, `procs units-per-proc stride jobs shards wire
 		backend timescale nodes dist-listen premad dist-attach
 		trace metrics trace-ring`)
 	fig := fs.Int("fig", 0, "figure to regenerate (3-6; 1 prints the taxonomy; 0 = all benchmarks)")

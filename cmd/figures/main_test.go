@@ -13,8 +13,8 @@ import (
 func TestGoldenFigure3(t *testing.T) {
 	args := []string{"-fig", "3", "-procs", "32", "-units-per-proc", "16"}
 	clitest.Golden(t, run, "fig3.golden", "", args...)
-	// Shards, partition and the wire loopback change no output byte.
-	clitest.Golden(t, run, "fig3.golden", "", append(args, "-shards", "4", "-partition", "loaded", "-wire")...)
+	// Shards and the wire loopback change no output byte.
+	clitest.Golden(t, run, "fig3.golden", "", append(args, "-shards", "4", "-wire")...)
 }
 
 func TestGoldenFigure4Traced(t *testing.T) {
@@ -42,13 +42,11 @@ func TestRejections(t *testing.T) {
 		{"-backend", "bogus"},
 		{"-fig", "7"},
 		{"-shards", "0"},
-		{"-partition", "striped"},
 		{"-nodes", "2"},
 		{"-backend", "dist", "-fig", "3", "-nodes", "2"},
 		append([]string{"-fig", "0"}, dist...),
 		append([]string{"-fig", "1"}, dist...),
 		append([]string{"-fig", "3", "-shards", "2"}, dist...),
-		append([]string{"-fig", "3", "-partition", "blocked"}, dist...),
 		append([]string{"-fig", "3", "-wire"}, dist...),
 		append([]string{"-fig", "3", "-trace", "t.json"}, dist...),
 		append([]string{"-fig", "3", "-procs", "1"}, dist...),

@@ -5,7 +5,7 @@
 //
 //	premabench -system prema-implicit -imbalance 0.5 -ratio 2.0 \
 //	           [-procs 128] [-units-per-proc 128] [-stride 8] [-hints mean] \
-//	           [-jobs J] [-shards S] [-partition roundrobin|blocked|loaded] \
+//	           [-jobs J] [-shards S] \
 //	           [-backend sim|real|dist] [-timescale 1e-3] [-wire] \
 //	           [-nodes N -dist-listen HOST:PORT] [-premad PATH] [-dist-attach] \
 //	           [-spin] [-fault-plan PLAN] [-fault-seed N] [-reliable] \
@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FaultSeed:    1,
 	}.WithDefaults()
 	fs := flag.NewFlagSet("premabench", flag.ContinueOnError)
-	spec.BindFlags(fs, `system procs units-per-proc stride jobs shards partition wire
+	spec.BindFlags(fs, `system procs units-per-proc stride jobs shards wire
 		backend timescale spin nodes dist-listen premad dist-attach
 		fault-plan fault-seed reliable recover checkpoint-interval lease-timeout
 		trace metrics trace-ring`)

@@ -75,8 +75,6 @@ func TestRejections(t *testing.T) {
 
 		{"-trace-ring", "0"},
 		{"-trace", "t.json", "-trace-ring", "0"},
-		{"-backend", "real", "-partition", "blocked"},
-		append([]string{"-partition", "loaded"}, dist...),
 
 		{"-fault-plan", "crash:3@35s"},
 		{"-recover", "-fault-plan", "crash:0@35s"},

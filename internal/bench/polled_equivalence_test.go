@@ -46,8 +46,8 @@ func runStepped(s RunSpec) (*Result, error) {
 var polledSeed = flag.Int64("polled.seed", 0, "replay the one draw of TestPolledEquivalenceProperty with this seed")
 
 // drawPolledSpec draws one run from the accepted feature matrix: system ×
-// scale × seed × shards × partition × wire × reliable × faults × trace ×
-// no-crash recovery.
+// scale × seed × shards × wire × reliable × faults × trace × no-crash
+// recovery.
 func drawPolledSpec(seed int64) RunSpec {
 	rng := rand.New(rand.NewSource(seed))
 	systems := []string{"none", "prema-implicit", "prema-worksteal", "prema-diffusion", "prema-multilist"}
@@ -56,7 +56,6 @@ func drawPolledSpec(seed int64) RunSpec {
 	s.W = PaperWorkload(figs[rng.Intn(len(figs))], 3+rng.Intn(8), 2+rng.Intn(4))
 	s.W.Seed = rng.Int63n(1 << 40)
 	s.W.Shards = []int{1, 2, 4}[rng.Intn(3)]
-	s.W.Partition = PartitionStrategies[rng.Intn(len(PartitionStrategies))]
 	s.W.Wire = rng.Intn(2) == 0
 	if rng.Intn(2) == 0 {
 		s.Trace = true
@@ -96,8 +95,8 @@ func TestPolledEquivalenceProperty(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		s := drawPolledSpec(seed)
-		replay := fmt.Sprintf("replay: go test ./internal/bench -run TestPolledEquivalenceProperty -polled.seed=%d  (%s procs=%d units=%d shards=%d/%s wire=%v reliable=%v rto=%v faults=%q recover=%v trace=%v ring=%d)",
-			seed, s.System, s.W.Procs, s.W.Units, s.W.Shards, s.W.Partition, s.W.Wire, s.Reliable, s.RTO, s.FaultPlan, s.Recover, s.Trace, s.TraceRing)
+		replay := fmt.Sprintf("replay: go test ./internal/bench -run TestPolledEquivalenceProperty -polled.seed=%d  (%s procs=%d units=%d shards=%d wire=%v reliable=%v rto=%v faults=%q recover=%v trace=%v ring=%d)",
+			seed, s.System, s.W.Procs, s.W.Units, s.W.Shards, s.W.Wire, s.Reliable, s.RTO, s.FaultPlan, s.Recover, s.Trace, s.TraceRing)
 		want, err := runStepped(s)
 		if err != nil {
 			t.Fatalf("stepped: %v\n%s", err, replay)

@@ -264,7 +264,7 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 // engineStats is the simulator engine telemetry surface. sim.Machine
 // satisfies it by embedding *sim.Engine; the real backend does not, and its
 // runs simply carry no engine telemetry. collect unwraps decorators (trace,
-// wire) to reach it — faulty has no Unwrap, so faulted runs stay bare.
+// faulty, wire) to reach it.
 type engineStats interface {
 	EventsFired() uint64
 	BarrierRounds() uint64

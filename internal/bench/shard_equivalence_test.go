@@ -80,37 +80,81 @@ func TestShardEquivalenceProperty(t *testing.T) {
 
 // TestShardTraceEquivalence: the trace event streams — per-processor
 // sequences of every recorded event, which subsume the event multiset — are
-// identical between serial and sharded runs of the traced systems.
+// identical between serial and sharded runs of the traced systems, as are
+// makespan and ledgers, and work is conserved. The last row runs behind the
+// fault injector in reliable mode: drops, duplicates, delays and the
+// retransmissions they cause cross shard windows like any other message.
 func TestShardTraceEquivalence(t *testing.T) {
-	spec := FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}
+	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 9, 6)
+	type row struct {
+		name   string
+		spec   RunSpec
+		shards int
+	}
+	var rows []row
 	for _, system := range []string{"none", "prema-explicit", "prema-implicit"} {
 		for _, shards := range []int{2, 7} {
-			t.Run(fmt.Sprintf("%s_s%d", system, shards), func(t *testing.T) {
-				w := PaperWorkload(spec, 9, 6)
-				serial, err := RunSpec{System: system, W: w, Trace: true}.Run()
-				if err != nil {
-					t.Fatal(err)
+			rows = append(rows, row{fmt.Sprintf("%s_s%d", system, shards), RunSpec{System: system}, shards})
+		}
+	}
+	rows = append(rows, row{"prema-implicit_faulted_s4", RunSpec{
+		System:    "prema-implicit",
+		FaultPlan: "drop=0.05,dup=0.05,delay=0.2:2ms",
+		FaultSeed: 11,
+		Reliable:  true,
+	}, 4})
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.W, spec.Trace = w, true
+			serial, err := spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.W.Shards = tc.shards
+			sharded, err := spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			colSerial, colSharded := serial.Trace, sharded.Trace
+			if serial.Makespan != sharded.Makespan {
+				t.Fatalf("makespan diverges: %v vs %v", serial.Makespan, sharded.Makespan)
+			}
+			if !reflect.DeepEqual(serial.Accounts, sharded.Accounts) {
+				t.Errorf("ledgers diverge:\nserial:  %v\nsharded: %v", serial.Accounts, sharded.Accounts)
+			}
+			if err := sharded.CheckConservation(); err != nil {
+				t.Error(err)
+			}
+			if a, b := colSerial.NumProcs(), colSharded.NumProcs(); a != b {
+				t.Fatalf("recorder count diverges: %d vs %d", a, b)
+			}
+			for i := 0; i < colSerial.NumProcs(); i++ {
+				a := colSerial.Recorder(i).Events()
+				b := colSharded.Recorder(i).Events()
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("proc %d trace stream diverges (%d vs %d events)", i, len(a), len(b))
 				}
-				w.Shards = shards
-				sharded, err := RunSpec{System: system, W: w, Trace: true}.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				colSerial, colSharded := serial.Trace, sharded.Trace
-				if serial.Makespan != sharded.Makespan {
-					t.Fatalf("makespan diverges: %v vs %v", serial.Makespan, sharded.Makespan)
-				}
-				if a, b := colSerial.NumProcs(), colSharded.NumProcs(); a != b {
-					t.Fatalf("recorder count diverges: %d vs %d", a, b)
-				}
-				for i := 0; i < colSerial.NumProcs(); i++ {
-					a := colSerial.Recorder(i).Events()
-					b := colSharded.Recorder(i).Events()
-					if !reflect.DeepEqual(a, b) {
-						t.Errorf("proc %d trace stream diverges (%d vs %d events)", i, len(a), len(b))
-					}
-				}
-			})
+			}
+		})
+	}
+}
+
+// TestFigure3BarrierRoundsPinned: the coordination-round counts of
+// prema-implicit on Figure 3 at 8 processors × 6 units, recorded with the
+// engine's matrix relaxation and the blocked placement before the closed-form
+// window rule and the single placement replaced them.
+func TestFigure3BarrierRoundsPinned(t *testing.T) {
+	for shards, want := range map[int]uint64{2: 3360, 4: 3758} {
+		w := PaperWorkload(Figures()[0], 8, 6)
+		w.Shards = shards
+		r, err := RunSystem("prema-implicit", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BarrierRounds != want || r.Events != 11372 {
+			t.Errorf("shards=%d: %d barrier rounds over %d events, want %d over 11372",
+				shards, r.BarrierRounds, r.Events, want)
 		}
 	}
 }

@@ -37,8 +37,8 @@ type RunSpec struct {
 	// them). CLI templates may hold a comma-separated list (Systems, RunAll)
 	// or "" for "the figure's systems" (RunFigures).
 	System string
-	// W is the workload, including the simulator's Shards/Partition knobs
-	// and the Wire serialization loopback.
+	// W is the workload, including the simulator's Shards knob and the Wire
+	// serialization loopback.
 	W Workload
 	// Backend selects the execution substrate: BackendSim (deterministic
 	// discrete-event simulator), BackendReal (one goroutine per processor,
@@ -90,13 +90,11 @@ type RunSpec struct {
 }
 
 // WithDefaults spells out the zero-valued fields that mean "default":
-// the simulator backend, a serial round-robin-partitioned engine, the
-// wall-clock backends' 1e-3 time scale, the DMCS default RTO and the default
-// trace ring.
+// the simulator backend, a serial engine, the wall-clock backends' 1e-3 time
+// scale, the DMCS default RTO and the default trace ring.
 func (s RunSpec) WithDefaults() RunSpec {
 	orDefault(&s.Backend, BackendSim)
 	orDefault(&s.W.Shards, 1)
-	orDefault(&s.W.Partition, PartitionRoundRobin)
 	orDefault(&s.TimeScale, rtm.DefaultConfig().TimeScale)
 	orDefault(&s.RTO, dmcs.DefaultRelConfig().RTO)
 	orDefault(&s.TraceRing, trace.DefaultRingCap)
@@ -123,7 +121,7 @@ func (s RunSpec) tracing() bool { return s.Trace || s.TracePath != "" || s.Metri
 // template's engine and loopback knobs.
 func (s RunSpec) ForFigure(f FigureSpec) RunSpec {
 	w := PaperWorkload(f, s.W.Procs, s.UnitsPerProc)
-	w.Shards, w.Partition, w.Wire = s.W.Shards, s.W.Partition, s.W.Wire
+	w.Shards, w.Wire = s.W.Shards, s.W.Wire
 	s.W = w
 	return s
 }
@@ -147,8 +145,6 @@ var flagTable = map[string]struct {
 		func(s *RunSpec) any { return &s.Jobs }},
 	"shards": {"simulator backend: parallel event-loop shards per simulation (output is identical for any value)",
 		func(s *RunSpec) any { return &s.W.Shards }},
-	"partition": {"simulator backend: processor-to-shard placement strategy: roundrobin, blocked, or loaded (output is identical for any value)",
-		func(s *RunSpec) any { return &s.W.Partition }},
 	"wire": {"run the systems that have a transport behind the serialization loopback (internal/wire codec: encode at Send, deliver a decoded copy; output is identical)",
 		func(s *RunSpec) any { return &s.W.Wire }},
 	"backend": {"execution substrate: sim (deterministic simulator) | real (one goroutine per processor) | dist (premad node processes over TCP)",
@@ -291,8 +287,6 @@ var rules = []struct {
 		"-jobs must be >= 0"},
 	{"shards-range", func(c *candidate) bool { return c.W.Shards < 1 },
 		"-shards must be >= 1"},
-	{"partition-name", func(c *candidate) bool { return !ValidPartition(c.W.Partition) },
-		"-partition must be one of roundrobin, blocked, loaded"},
 	{"timescale-range", func(c *candidate) bool { return c.TimeScale <= 0 },
 		"-timescale must be positive"},
 	{"rto-range", func(c *candidate) bool { return c.RTO <= 0 },
@@ -322,8 +316,6 @@ var rules = []struct {
 	// What only the simulator offers.
 	{"shards-sim", func(c *candidate) bool { return c.W.Shards > 1 && c.Backend != BackendSim },
 		"-shards applies to the simulator backend only; use -backend=sim"},
-	{"partition-sim", func(c *candidate) bool { return c.W.Partition != PartitionRoundRobin && c.Backend != BackendSim },
-		"-partition applies to the simulator backend only; use -backend=sim"},
 	{"multi-sim", func(c *candidate) bool { return len(c.systems) > 1 && c.Backend != BackendSim },
 		"a -system list (multi-system mode) is simulator-only: concurrent wall-clock runs would distort each other; use -backend=sim"},
 	{"model-sim", func(c *candidate) bool {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"prema/internal/sim"
 )
 
 // validSpec is a spelled-out spec every rule accepts: prema-implicit on an
@@ -40,8 +42,6 @@ var validateCases = []struct {
 	{"jobs-range", "explicit", func(s *RunSpec) { s.Jobs = 3 }, ""},
 	{"shards-range", "zero", func(s *RunSpec) { s.W.Shards = 0 }, "-shards"},
 	{"shards-range", "four", func(s *RunSpec) { s.W.Shards = 4 }, ""},
-	{"partition-name", "unknown", func(s *RunSpec) { s.W.Partition = "striped" }, "-partition"},
-	{"partition-name", "loaded", func(s *RunSpec) { s.W.Shards, s.W.Partition = 4, PartitionLoaded }, ""},
 	{"timescale-range", "zero", func(s *RunSpec) { s.TimeScale = 0 }, "-timescale"},
 	{"timescale-range", "slow", func(s *RunSpec) { s.TimeScale = 0.5 }, ""},
 	{"rto-range", "zero", func(s *RunSpec) { s.RTO = 0 }, "-rto"},
@@ -75,11 +75,6 @@ var validateCases = []struct {
 	{"shards-sim", "real", func(s *RunSpec) { s.Backend, s.W.Shards = BackendReal, 2 }, "-shards"},
 	{"shards-sim", "dist", func(s *RunSpec) { onDist(s); s.W.Shards = 2 }, "-shards"},
 	{"shards-sim", "sim", func(s *RunSpec) { s.W.Shards = 2 }, ""},
-	{"partition-sim", "repro: premabench -backend real -partition blocked", func(s *RunSpec) {
-		s.Backend, s.W.Partition = BackendReal, PartitionBlocked
-	}, "-partition"},
-	{"partition-sim", "dist", func(s *RunSpec) { onDist(s); s.W.Partition = PartitionLoaded }, "-partition"},
-	{"partition-sim", "sim", func(s *RunSpec) { s.W.Partition = PartitionBlocked }, ""},
 	{"multi-sim", "real", func(s *RunSpec) { s.Backend, s.System = BackendReal, "none,prema-implicit" }, "-system"},
 	{"multi-sim", "dist", func(s *RunSpec) { onDist(s); s.System = "none,prema-implicit" }, "-system"},
 	{"multi-sim", "sim", func(s *RunSpec) { s.System = "none, prema-implicit,parmetis,prema-diffusion" }, ""},
@@ -248,7 +243,7 @@ func fullSpec(t *testing.T) RunSpec {
 		System: "prema-explicit",
 		W: Workload{
 			Procs: 8, Units: 64, HeavyFrac: 0.3, Heavy: 7e9, Light: 3e9, Hints: HintAccurate,
-			UnitBytes: 4096, Seed: -1 << 40, Shards: 3, Partition: PartitionLoaded, Wire: true,
+			UnitBytes: 4096, Seed: -1 << 40, Shards: 3, Wire: true,
 		},
 		Backend: BackendDist, TimeScale: 1.0 / 3, Spin: true,
 		Reliable: true, RTO: 5e7,
@@ -261,8 +256,7 @@ func fullSpec(t *testing.T) RunSpec {
 		},
 		UnitsPerProc: 8, Jobs: 2, Stride: 4,
 	}
-	s.W.Network.Latency, s.W.Network.PerByte, s.W.Network.SendCPU = 1, 2, 3
-	s.W.Network.RecvCPU, s.W.Network.ZoneSize, s.W.Network.ZoneLatency = 4, 5, 6
+	s.W.Network = sim.NetworkConfig{Latency: 1, PerByte: 2, SendCPU: 3, RecvCPU: 4}
 	var zero func(path string, v reflect.Value)
 	zero = func(path string, v reflect.Value) {
 		if v.Kind() == reflect.Struct {
@@ -307,7 +301,7 @@ func TestRunSpecRoundTrip(t *testing.T) {
 		"truncated":     enc[:len(enc)/2],
 		"trailing byte": append(append([]byte{}, enc...), 0),
 		"second value":  append(append([]byte{}, enc...), enc...),
-		"old version":   append([]byte{1}, enc[1:]...),
+		"old version":   append([]byte{runSpecVersion - 1}, enc[1:]...),
 		"string length": append([]byte{runSpecVersion, 0xff, 0xff, 0x03}, enc[2:]...),
 		"bad bool":      badBool,
 	} {
@@ -330,7 +324,6 @@ var matrixFeatures = []struct {
 }{
 	{"plain run", func(*RunSpec) {}},
 	{"`-shards 2`", func(s *RunSpec) { s.W.Shards = 2 }},
-	{"`-partition blocked`", func(s *RunSpec) { s.W.Partition = PartitionBlocked }},
 	{"`-wire`", func(s *RunSpec) { s.W.Wire = true }},
 	{"`-trace`", func(s *RunSpec) { s.TracePath = "t.json" }},
 	{"`-metrics`", func(s *RunSpec) { s.MetricsPath = "m.txt" }},

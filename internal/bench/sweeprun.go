@@ -15,7 +15,7 @@ import (
 // the template's scale (tmpl.W.Procs × tmpl.UnitsPerProc) with at most
 // tmpl.Jobs simulations in flight, returning FigureRuns in spec order with
 // Results ordered as SystemNames — exactly what a Jobs: 1 run produces. The
-// template's engine knobs (W.Shards, W.Partition) apply to every run; its
+// template's engine knob (W.Shards) applies to every run; its
 // loopback and tracing apply to the systems that have a transport (the
 // cost-model baselines run as usual). None of these knobs changes a single
 // output byte.

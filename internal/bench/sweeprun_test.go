@@ -18,12 +18,11 @@ func TestSweepMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// jobs=8, shards=2, a load-aware partition, and the wire loopback
-	// together exercise the sweep × shard parallelism product, the
-	// placement strategy, and the serialization seam: none of the knobs may
-	// change a single output byte.
+	// jobs=8, shards=2 and the wire loopback together exercise the sweep ×
+	// shard parallelism product and the serialization seam: none of the
+	// knobs may change a single output byte.
 	parallel, err := RunFigures(specs, RunSpec{
-		W:            Workload{Procs: procs, Shards: 2, Partition: PartitionLoaded, Wire: true},
+		W:            Workload{Procs: procs, Shards: 2, Wire: true},
 		UnitsPerProc: upp,
 		Jobs:         8,
 	})

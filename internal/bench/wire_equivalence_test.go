@@ -65,16 +65,16 @@ func TestWireEquivalenceSystems(t *testing.T) {
 func TestWireEquivalenceSharded(t *testing.T) {
 	w := PaperWorkload(Figures()[1], 16, 8)
 	w.Shards = 4
-	w.Partition = PartitionLoaded
 	requireWireIdentical(t, "sharded/prema-implicit", w,
 		func(w Workload) (*Result, error) { return RunSystem("prema-implicit", w) })
 }
 
 // TestWireEquivalenceChaos is the randomized property: across seeded-random
 // fault plans (drop, duplication, delay, reordering) and fault seeds, a
-// wire-wrapped reliable run matches its plain twin exactly. The loopback
-// sits beneath the injector, so dropped and duplicated deliveries operate
-// on decoded copies — the composition the distributed backend will rely on.
+// wire-wrapped reliable run matches its plain twin exactly, encodes frames
+// and passes the size audit. The loopback sits beneath the injector, so
+// dropped and duplicated deliveries operate on decoded copies — the
+// composition the distributed backend relies on.
 func TestWireEquivalenceChaos(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	specs := Figures()
@@ -87,26 +87,17 @@ func TestWireEquivalenceChaos(t *testing.T) {
 			Backend:   BackendSim,
 			Reliable:  true,
 		}
-		cs.W = PaperWorkload(specs[trial%len(specs)], 8, 8)
-		label := fmt.Sprintf("chaos trial %d", trial)
-
-		cs.W.Wire = false
-		plain, err := cs.Run()
-		if err != nil {
-			t.Fatalf("%s plain: %v", label, err)
-		}
-		cs.W.Wire = true
-		wired, err := cs.Run()
-		if err != nil {
-			t.Fatalf("%s wired: %v", label, err)
-		}
-		if fingerprint(plain) != fingerprint(wired) {
-			t.Fatalf("%s: wire loopback changed the faulted run:\nplain:\n%s\nwired:\n%s",
-				label, fingerprint(plain), fingerprint(wired))
-		}
-		// Faulted runs wrap the injector outside the loopback, and the
-		// injector deliberately hides inner telemetry (a faulted machine's
-		// engine stats are not comparable), so frames are not observable
-		// here — identity of the full report is the assertion.
+		w := PaperWorkload(specs[trial%len(specs)], 8, 8)
+		// The injector sits outside the loopback and unwraps to it, so the
+		// frame count and the size audit of a faulted run — the one that
+		// duplicates and retransmits frames — are observed, not void.
+		requireWireIdentical(t, fmt.Sprintf("chaos trial %d", trial), w, func(w Workload) (*Result, error) {
+			cs.W = w
+			res, err := cs.Run()
+			if err == nil && res.Events == 0 {
+				err = fmt.Errorf("engine telemetry hidden behind the injector: 0 events")
+			}
+			return res, err
+		})
 	}
 }

@@ -6,12 +6,7 @@
 // per-processor time breakdowns that Figures 3-6 plot.
 package bench
 
-import (
-	"fmt"
-	"sort"
-
-	"prema/internal/sim"
-)
+import "prema/internal/sim"
 
 // HintMode controls how the computational weight *hints* handed to the load
 // balancers relate to the true weights. The paper intentionally feeds
@@ -59,18 +54,11 @@ type Workload struct {
 	// defaults).
 	Network sim.NetworkConfig
 	// Shards is the simulator's parallel event-loop shard count (<= 1 =
-	// serial). It is a pure performance knob: every report, hash, and trace
-	// is byte-identical for every value (internal/bench/shard_equivalence_test.go
-	// guards this). It only applies to the simulator backend.
+	// serial); processors are placed on shards in contiguous ID blocks (see
+	// simConfig). Every report, hash, and trace is byte-identical for every
+	// value (internal/bench/shard_equivalence_test.go guards this). It only
+	// applies to the simulator backend.
 	Shards int
-	// Partition selects the processor→shard placement strategy when Shards
-	// > 1: PartitionRoundRobin (default; also the empty string),
-	// PartitionBlocked (contiguous ID ranges, which aligns shards with
-	// network zones and with the block unit distribution's heavy prefix),
-	// or PartitionLoaded (greedy LPT over each processor's expected event
-	// weight, so shards start with near-equal work). Like Shards it never
-	// changes output, only the shard-level balance and barrier cost.
-	Partition string
 	// Wire wraps the machine in the serialization loopback (wire.Wrap):
 	// every message is encoded to its binary frame at Send and delivered as
 	// a freshly decoded copy, auditing modeled sizes along the way. Like
@@ -80,117 +68,6 @@ type Workload struct {
 	// systems); the engine-level cost models (parmetis, charm*) have no
 	// transport to wrap.
 	Wire bool
-}
-
-// testPartition, when non-nil, overrides every workload's partition strategy
-// with an explicit processor→shard map. Only the partition-invariance tests
-// set it (and restore nil); it lives outside Workload because Workload must
-// stay comparable, so it cannot carry a func field itself.
-var testPartition func(id, shards int) int
-
-// Partition strategy names accepted by Workload.Partition and the CLIs'
-// -partition flag.
-const (
-	PartitionRoundRobin = "roundrobin"
-	PartitionBlocked    = "blocked"
-	PartitionLoaded     = "loaded"
-)
-
-// PartitionStrategies lists the valid partition strategy names.
-var PartitionStrategies = []string{PartitionRoundRobin, PartitionBlocked, PartitionLoaded}
-
-// ValidPartition reports whether s names a partition strategy ("" counts:
-// it means the round-robin default).
-func ValidPartition(s string) bool {
-	if s == "" {
-		return true
-	}
-	for _, v := range PartitionStrategies {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
-
-// partition resolves the configured strategy to a sim.Config.Partition
-// function (nil = the engine's round-robin default).
-func (w Workload) partition() func(id, shards int) int {
-	if testPartition != nil {
-		return testPartition
-	}
-	switch w.Partition {
-	case "", PartitionRoundRobin:
-		return nil
-	case PartitionBlocked:
-		procs := w.Procs
-		return func(id, shards int) int {
-			if id >= procs { // defensive: extra spawns fall back to round-robin
-				return id % shards
-			}
-			return id * shards / procs
-		}
-	case PartitionLoaded:
-		return w.loadedPartition()
-	default:
-		panic(fmt.Sprintf("bench: unknown partition strategy %q (want %v)", w.Partition, PartitionStrategies))
-	}
-}
-
-// loadedPartition builds the load-aware strategy: each processor's expected
-// event weight is the summed true weight of its initial units (the same
-// quantity the block distribution skews), and processors are placed on
-// shards by greedy LPT — heaviest first, each onto the currently lightest
-// shard. Ties break deterministically (lowest processor, lowest shard), so
-// the map is a pure function of the workload, as sim.Config.Partition
-// requires.
-func (w Workload) loadedPartition() func(id, shards int) int {
-	weights := make([]sim.Time, w.Procs)
-	for p := 0; p < w.Procs; p++ {
-		for _, u := range w.UnitsOf(p) {
-			weights[p] += w.Actual(u)
-		}
-	}
-	var (
-		builtFor int
-		assign   []int
-	)
-	return func(id, shards int) int {
-		if assign == nil || builtFor != shards {
-			assign = lptAssign(weights, shards)
-			builtFor = shards
-		}
-		if id >= len(assign) { // defensive: extra spawns fall back to round-robin
-			return id % shards
-		}
-		return assign[id]
-	}
-}
-
-// lptAssign is greedy longest-processing-time placement of weighted items
-// onto shards: items in descending weight order (stable on index), each to
-// the least-loaded shard (lowest index on ties).
-func lptAssign(weights []sim.Time, shards int) []int {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	load := make([]sim.Time, shards)
-	assign := make([]int, len(weights))
-	for _, p := range order {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		assign[p] = best
-		load[best] += weights[p]
-	}
-	return assign
 }
 
 // NumHeavy returns the number of heavy units.
@@ -250,16 +127,18 @@ func (w Workload) IdealMakespan() sim.Time {
 	return w.TotalWork() / sim.Time(w.Procs)
 }
 
-// simConfig assembles the simulator configuration for this workload —
-// network model, seed, shard count, partition map. Everything that builds
-// a sim engine or machine for a workload goes through here so the partition
-// plumbing cannot diverge between drivers.
+// simConfig assembles the simulator configuration for this workload:
+// network model, seed, shard count, and the one processor→shard placement —
+// contiguous blocks, shard id*S/P for processor id. Everything that builds a
+// sim engine or machine for a workload goes through here, so every driver
+// and the benchmark's two-shard workload run the same placement.
 func (w Workload) simConfig() sim.Config {
+	procs := w.Procs
 	return sim.Config{
 		Network:   w.Network,
 		Seed:      w.Seed,
 		Shards:    w.Shards,
-		Partition: w.partition(),
+		Partition: func(id, shards int) int { return id * shards / procs },
 	}
 }
 

@@ -62,6 +62,11 @@ func Wrap(m substrate.Machine, plan Plan, seed int64) *Machine {
 	return &Machine{inner: m, plan: plan, seed: seed}
 }
 
+// Unwrap returns the decorated machine, so callers can reach what sits
+// beneath the injector: the engine's and the wire loopback's telemetry, the
+// routing table (substrate.RouterOf).
+func (f *Machine) Unwrap() substrate.Machine { return f.inner }
+
 // Spawn implements substrate.Machine. The body runs against a fault-
 // injecting endpoint; a scheduled crash unwinds the body early (recovered
 // here), modeling a fail-stop processor while the machine keeps running.

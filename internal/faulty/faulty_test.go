@@ -241,3 +241,29 @@ func TestCrash(t *testing.T) {
 		t.Errorf("crashed processor sent %d messages, survivors %d and %d", sent[1], sent[0], sent[2])
 	}
 }
+
+// routedMachine is a machine with a routing table of its own.
+type routedMachine struct {
+	substrate.Machine
+	substrate.Router
+}
+
+// TestUnwrapReachesRouter: the injector is transparent to decorator-chain
+// walks — substrate.RouterOf finds the routing table of the machine it wraps
+// instead of falling back to SingleNode.
+func TestUnwrapReachesRouter(t *testing.T) {
+	inner := routedMachine{sim.NewMachine(sim.Config{Seed: 4}), twoNodes{}}
+	fm := Wrap(inner, Plan{}, 1)
+	if fm.Unwrap() != substrate.Machine(inner) {
+		t.Fatal("Unwrap did not return the wrapped machine")
+	}
+	if r := substrate.RouterOf(fm); r.NumNodes() != 2 || r.AddrOf(3) != (substrate.Addr{Node: 1, Proc: 3}) {
+		t.Errorf("RouterOf through the injector = %d nodes, proc 3 at %+v; want the inner two-node table",
+			r.NumNodes(), r.AddrOf(3))
+	}
+}
+
+type twoNodes struct{}
+
+func (twoNodes) AddrOf(proc int) substrate.Addr { return substrate.Addr{Node: proc % 2, Proc: proc} }
+func (twoNodes) NumNodes() int                  { return 2 }

@@ -5,25 +5,25 @@
 //
 // Each simulated processor is a goroutine, but processors only execute when
 // their owning *shard* hands them control over unbuffered channels. With one
-// shard (the default) the simulation is fully sequential, exactly as it was
-// before the engine was parallelized. With S > 1 shards the processors are
-// partitioned across S shard event loops (round-robin by default, or any
-// Config.Partition map) that run on their own goroutines and advance in
-// bounded-lag windows. The window bound is conservative lookahead: a message
-// from shard s cannot arrive at shard d earlier than s's next event plus the
-// cheapest (src in s, dst in d) link latency, so every event a shard fires
-// below that bound is safe. The engine derives a per-(shard,shard) minimum-
-// latency matrix from the NetworkConfig and, each coordination round, solves
-// for the widest per-shard windows the matrix permits (see runSharded) —
-// shards that only talk over expensive links, or not at all, advance many
-// minimum-latency widths per barrier. Cross-shard deliveries wait in
-// per-(shard,shard) mailboxes and are batch-exchanged at the window barrier.
+// shard (the default) the simulation is fully sequential. With S > 1 shards
+// the processors are partitioned across S shard event loops (round-robin by
+// default, or any Config.Partition map) that run on their own goroutines and
+// advance in bounded-lag windows. The window bound is conservative
+// lookahead: a message from shard s cannot arrive at another shard earlier
+// than s's next event plus the network latency, so every event a shard fires
+// below that bound is safe. Each coordination round one pass over the
+// shards' next-event times sets the widest windows that argument permits
+// (see runSharded). Cross-shard deliveries wait in per-(shard,shard)
+// mailboxes and are batch-exchanged at the window barrier.
 //
-// Sharding is a performance knob, not a semantics knob: shards share no
-// mutable state and the event ordering key is partition-invariant (see
-// event.go), so a simulation's output — makespans, accounts, spans, message
-// timings, per-processor RNG streams — is byte-identical for every shard
-// count. Virtual time advances only through the cost model: computation
+// Sharding never changes semantics: shards share no mutable state and the
+// event ordering key is partition-invariant (see event.go), so a
+// simulation's output — makespans, accounts, spans, message timings,
+// per-processor RNG streams — is byte-identical for every shard count.
+// Whether it buys wall-clock time is a measurement, not a promise: the
+// benchmark's sim.s2_speedup row (serial ÷ two-shard wall on Figure 3) is
+// the record, and it reads below 1 on the two-core host it was taken on.
+// Virtual time advances only through the cost model: computation
 // (Proc.Advance), message send/receive CPU overheads, and network
 // latency/bandwidth. This lets the harness reproduce the paper's
 // per-processor time breakdowns (idle, messaging, scheduling, callback,
@@ -50,23 +50,22 @@ type Config struct {
 	Seed int64
 	// Shards is the number of parallel event-loop shards (<= 1 = serial).
 	// Output is byte-identical for every value; more shards trade
-	// per-window barrier overhead for parallelism, so the sweet spot is
-	// min(GOMAXPROCS, a few) for large simulations and 1 for small ones.
-	// Sharding requires a positive Network.Latency for lookahead; with a
-	// zero-latency network the engine silently runs serial.
+	// per-window barrier overhead for parallelism, and which side wins is
+	// what the benchmark's sim.s2_speedup row measures (below 1 on two
+	// cores). Sharding requires a positive Network.Latency for lookahead;
+	// with a zero-latency network the engine silently runs serial.
 	Shards int
 	// Partition maps a processor ID to the shard that owns it (0 <=
 	// result < shards). nil selects the round-robin default (id % shards).
-	// Like Shards it is a pure performance knob: the (time, ord) event
-	// ordering key is partition-invariant, so output is byte-identical for
-	// every assignment — which is what lets drivers pick load-aware
-	// placements (internal/bench's -partition=loaded) without re-validating
-	// a single result. The function must be pure and is called once per
-	// processor at Spawn.
+	// Like Shards it never changes output: the (time, ord) event ordering
+	// key is partition-invariant, so every assignment gives the same bytes
+	// (TestRandomPartitionMatchesSerial feeds random maps, empty shards
+	// included). The function must be pure and is called once per processor
+	// at Spawn.
 	Partition func(id, shards int) int
-	// FixedWindows disables adaptive window batching: every coordination
-	// round dispatches one minimum-lookahead-wide window, as the engine did
-	// before windows were batched. It is the reference the adaptive protocol
+	// FixedWindows disables adaptive windows: every coordination round
+	// dispatches the same window, one latency wide from the globally
+	// earliest event, to every shard. It is the reference the adaptive rule
 	// is tested against (TestAdaptiveWindowsMatchFixed: identical output, no
 	// more barrier rounds); no driver or CLI sets it.
 	FixedWindows bool
@@ -77,7 +76,7 @@ type Config struct {
 // add processors with Spawn, then call Run.
 type Engine struct {
 	cfg     Config
-	look    Time // minimum lookahead over all links (fixed-window width)
+	look    Time // conservative lookahead: the network's link latency
 	procs   []*Proc
 	assign  []int // processor ID -> owning shard (partition map)
 	shards  []*shard
@@ -86,14 +85,13 @@ type Engine struct {
 	err     error
 	stop    atomic.Bool
 
-	// Sharded-mode coordinator state, built at Run: minLat[s][d] is the
-	// smallest latency of any (src in s, dst in d) link — the
-	// per-destination conservative lookahead — and bound/ends are scratch
-	// for the per-round window computation. mail is the exchange's reusable
-	// batch buffer. rounds counts coordination rounds (barriers), the
-	// quantity adaptive windows exist to shrink.
-	minLat [][]Time
-	bound  []Time
+	// Sharded-mode coordinator state, built at Run: owns[s] says whether
+	// shard s owns any processor (only those can send); next/ends are
+	// scratch for the per-round window computation. mail is the exchange's
+	// reusable batch buffer. rounds counts coordination rounds (barriers),
+	// the quantity adaptive windows exist to shrink.
+	owns   []bool
+	next   []Time
 	ends   []Time
 	mail   []heapEntry
 	rounds uint64
@@ -185,8 +183,7 @@ func (e *Engine) ImbalanceRatio() float64 {
 // BarrierRounds returns the number of window coordination rounds the sharded
 // run executed (0 for a serial run). Fewer rounds for the same event count
 // means less synchronization overhead; comparing a FixedWindows run against
-// an adaptive one on the same workload measures what the per-destination
-// lookahead matrix and window batching save.
+// an adaptive one on the same workload measures what adaptive windows save.
 func (e *Engine) BarrierRounds() uint64 { return e.rounds }
 
 // shardOf returns the shard owning processor id.
@@ -340,37 +337,17 @@ func (e *Engine) Run() error {
 }
 
 // runSharded is the conservative parallel loop: one persistent worker
-// goroutine per shard, per-shard window bounds computed each round from the
-// lookahead matrix, mailbox exchange and a full barrier between rounds. The
-// coordinator (this goroutine) only touches shard state while every worker
-// is parked at the barrier, so the whole machine needs no locks — the
-// channels' happens-before edges carry all cross-shard visibility.
-//
-// Window computation. After the exchange every pending delivery sits in
-// some shard's heap, so next[s] (the head of s's heap) is the earliest
-// event s can fire from local state. Let B[s] be the least fixed point of
-//
-//	B[s] = min(next[s], min over r != s of B[r] + minLat[r][s])
-//
-// B[s] lower-bounds the virtual time of *every* event shard s will ever
-// fire — its own pending events and anything a future incoming delivery
-// can trigger — because a delivery from r departs no earlier than B[r] and
-// pays at least minLat[r][s] in flight. Every send s performs therefore
-// departs at or after B[s], so a delivery into shard d arrives at or after
-//
-//	end[d] = min over s != d of B[s] + minLat[s][d]
-//
-// and d can safely fire every event strictly below end[d] in this round.
-// Progress is guaranteed: the globally earliest shard m has end[m] >=
-// B[m] + minLookahead > next[m], so it always fires at least one event.
-// This generalizes both of PR 6's fixed windows (flat network: B collapses
-// to the global minimum and end to min+Latency) and "K-width" batching: a
-// shard whose peers are idle (B[r] = +inf) or far behind gets an unbounded
-// or many-widths-wide window, which is what collapses tail-drain barriers
-// on imbalanced workloads. Config.FixedWindows forces the PR 6 bound so
-// the saved rounds are measurable.
+// goroutine per shard, per-shard window ends computed each round, mailbox
+// exchange and a full barrier between rounds. The coordinator (this
+// goroutine) only touches shard state while every worker is parked at the
+// barrier, so the whole machine needs no locks — the channels'
+// happens-before edges carry all cross-shard visibility.
 func (e *Engine) runSharded() {
-	e.buildLookahead()
+	S := len(e.shards)
+	e.owns, e.next, e.ends = make([]bool, S), make([]Time, S), make([]Time, S)
+	for _, sh := range e.assign {
+		e.owns[sh] = true
+	}
 	for _, s := range e.shards {
 		s.start = make(chan Time)
 		s.done = make(chan struct{}, 1)
@@ -391,10 +368,10 @@ func (e *Engine) runSharded() {
 		any := false
 		for i, s := range e.shards {
 			if at, ok := s.heap.PeekTime(); ok {
-				e.bound[i] = at
+				e.next[i] = at
 				any = true
 			} else {
-				e.bound[i] = maxTime
+				e.next[i] = maxTime
 			}
 		}
 		if !any {
@@ -403,16 +380,16 @@ func (e *Engine) runSharded() {
 		e.rounds++
 		if e.cfg.FixedWindows {
 			base := maxTime
-			for _, b := range e.bound {
-				if b < base {
-					base = b
+			for _, t := range e.next {
+				if t < base {
+					base = t
 				}
 			}
 			for i := range e.ends {
 				e.ends[i] = base + e.look
 			}
 		} else {
-			e.relaxWindows()
+			e.setWindows()
 		}
 		for i, s := range e.shards {
 			s.start <- e.ends[i]
@@ -426,97 +403,49 @@ func (e *Engine) runSharded() {
 	}
 }
 
-// relaxWindows computes the per-shard window ends for one coordination
-// round (see runSharded for the invariant). e.bound holds next[s] on entry
-// and is relaxed in place to the least fixed point B[s]; Bellman-Ford-style
-// sweeps converge in at most S-1 passes because every minLat edge is
-// positive. maxTime means "never" and is skipped rather than added to.
-func (e *Engine) relaxWindows() {
-	b := e.bound
-	for changed := true; changed; {
-		changed = false
-		for d := range b {
-			for r := range b {
-				if r == d || b[r] == maxTime || e.minLat[r][d] == maxTime {
-					continue
-				}
-				if v := b[r] + e.minLat[r][d]; v < b[d] {
-					b[d] = v
-					changed = true
-				}
-			}
+// setWindows computes the per-shard window ends for one coordination round
+// from e.next, the head of every shard's heap after the exchange (maxTime =
+// idle). Write L for the link latency, O for the shards that own at least
+// one processor — only those can send — g and g2 for the smallest and
+// second-smallest next[s] over O, and m for the shard holding g.
+//
+// Safety. B[s] = min(next[s], g+L) lower-bounds every event an owner s will
+// ever fire: its pending ones are at or after next[s], and anything else is
+// triggered by a delivery, which departs no earlier than g and spends at
+// least L in flight. B[m] is g itself (nothing reaches m before g+L). A
+// delivery into d therefore arrives at or after min over s != d of B[s] + L.
+// For d != m that minimum is B[m] + L = g + L. For m the senders are the
+// other owners, whose smallest B is min(g2, g+L): end[m] = min(g2, g+L) + L.
+// So an idle peer that owns processors still bounds the leader at g + 2L —
+// it can be woken at g+L and answer by g+2L. Only a shard that owns no
+// processor never constrains anyone, and when at most one shard owns any
+// there is no cross-shard traffic at all: every window is unbounded.
+//
+// Progress. Shard m holds the globally earliest sender-side event and
+// end[m] > g, so each round fires at least one event.
+func (e *Engine) setWindows() {
+	g, g2, m, owners := maxTime, maxTime, -1, 0
+	for s, t := range e.next {
+		if !e.owns[s] {
+			continue
+		}
+		owners++
+		if t < g {
+			g2, g, m = g, t, s
+		} else if t < g2 {
+			g2 = t
 		}
 	}
 	for d := range e.ends {
-		end := maxTime
-		for s := range b {
-			if s == d || b[s] == maxTime || e.minLat[s][d] == maxTime {
-				continue
-			}
-			if v := b[s] + e.minLat[s][d]; v < end {
-				end = v
-			}
-		}
-		e.ends[d] = end
-	}
-}
-
-// buildLookahead fills minLat[s][d] with the cheapest latency of any link
-// from a processor on shard s to one on shard d, using the partition map
-// and the network's zone structure. On a flat network every entry is
-// Latency. On a zoned network the cheapest (s,d) link is ZoneLatency when
-// the two shards occupy a common zone and Latency when any cross-zone
-// (src,dst) pair exists — which fails only when both shards live entirely
-// in the same single zone. Shards that own no processors can never send, so
-// their rows are maxTime ("never"). Cost is O(P + S^2), not O(P^2): only
-// the per-shard zone sets are scanned.
-func (e *Engine) buildLookahead() {
-	S := len(e.shards)
-	e.minLat = make([][]Time, S)
-	e.bound = make([]Time, S)
-	e.ends = make([]Time, S)
-	net := e.cfg.Network
-	zones := make([]map[int]bool, S)
-	for i := range zones {
-		zones[i] = make(map[int]bool)
-	}
-	for id, sh := range e.assign {
-		zones[sh][net.zoneOf(id)] = true
-	}
-	for s := 0; s < S; s++ {
-		e.minLat[s] = make([]Time, S)
-		for d := 0; d < S; d++ {
-			e.minLat[s][d] = linkMin(net, zones[s], zones[d])
+		switch {
+		case !e.owns[d] || owners == 1 || m < 0:
+			e.ends[d] = maxTime
+		case d == m:
+			e.ends[d] = min(g2, g+e.look) + e.look
+		default:
+			e.ends[d] = g + e.look
 		}
 	}
-}
-
-// linkMin is the cheapest link latency between any processor in zone set a
-// and any in zone set b (maxTime when either set is empty).
-func linkMin(net NetworkConfig, a, b map[int]bool) Time {
-	if len(a) == 0 || len(b) == 0 {
-		return maxTime
-	}
-	if !net.zoned() {
-		return net.Latency
-	}
-	min := maxTime
-	shared := false
-	for z := range a {
-		if b[z] {
-			shared = true
-			break
-		}
-	}
-	if shared {
-		min = net.ZoneLatency
-	}
-	// A cross-zone pair exists unless both shards occupy exactly one
-	// common zone.
-	if !(len(a) == 1 && len(b) == 1 && shared) && net.Latency < min {
-		min = net.Latency
-	}
-	return min
 }
 
 // exchange moves every outbox entry into its destination shard's heap,

@@ -3,19 +3,11 @@ package sim
 // NetworkConfig models a switched commodity cluster interconnect with a
 // simple latency + bandwidth (LogP-flavored) cost model. The defaults
 // approximate the paper's platform: Fast Ethernet with a user-level MPI
-// stack (LAM) on 333 MHz UltraSPARC 2i nodes.
-//
-// Setting ZoneSize > 0 turns the flat interconnect into a two-level one:
-// processors are grouped into zones (racks / switches) of ZoneSize
-// consecutive IDs, messages inside a zone pay ZoneLatency, and messages
-// between zones pay Latency. Heterogeneous links are what makes the sharded
-// engine's per-(shard,shard) lookahead matrix non-trivial: shards whose
-// processors only reach each other over the slow inter-zone links
-// synchronize in windows as wide as the inter-zone latency instead of the
-// global minimum (see engine.go).
+// stack (LAM) on 333 MHz UltraSPARC 2i nodes. The interconnect is flat:
+// every link costs the same Latency, which is what lets the sharded engine
+// compute its windows from one scalar (see engine.go).
 type NetworkConfig struct {
-	// Latency is the end-to-end wire + stack latency for a zero-byte message
-	// (between zones, when ZoneSize > 0).
+	// Latency is the end-to-end wire + stack latency for a zero-byte message.
 	Latency Time
 	// PerByte is the transmission time per payload byte (inverse bandwidth).
 	// Fast Ethernet ~ 12.5 MB/s => 80 ns/byte.
@@ -26,13 +18,6 @@ type NetworkConfig struct {
 	// RecvCPU is receiver-side CPU occupancy per message when it is pulled
 	// out of the inbox; accounted to CatMessaging on the receiver.
 	RecvCPU Time
-	// ZoneSize groups processors into zones of this many consecutive IDs
-	// (0 = flat network, every link costs Latency).
-	ZoneSize int
-	// ZoneLatency is the intra-zone latency when ZoneSize > 0. A value <= 0
-	// means "unset": intra-zone links fall back to Latency and the network
-	// behaves exactly like the flat model.
-	ZoneLatency Time
 }
 
 // DefaultNetwork returns a configuration approximating LAM/MPI over Fast
@@ -46,33 +31,10 @@ func DefaultNetwork() NetworkConfig {
 	}
 }
 
-// zoned reports whether the configuration has distinct intra-zone links.
-func (c NetworkConfig) zoned() bool { return c.ZoneSize > 0 && c.ZoneLatency > 0 }
-
-// zoneOf returns the zone of processor id (0 when the network is flat).
-func (c NetworkConfig) zoneOf(id int) int {
-	if !c.zoned() {
-		return 0
-	}
-	return id / c.ZoneSize
-}
-
-// latencyOf returns the zero-byte latency of the (src,dst) link.
-func (c NetworkConfig) latencyOf(src, dst int) Time {
-	if c.zoned() && src/c.ZoneSize == dst/c.ZoneSize {
-		return c.ZoneLatency
-	}
-	return c.Latency
-}
-
-// MinLatency returns the smallest latency any link can have — the globally
-// safe conservative lookahead. Sharding requires it to be positive.
-func (c NetworkConfig) MinLatency() Time {
-	if c.zoned() && c.ZoneLatency < c.Latency {
-		return c.ZoneLatency
-	}
-	return c.Latency
-}
+// MinLatency returns the smallest latency any link can have — the sharded
+// engine's conservative lookahead, which must be positive. Every link of the
+// flat network costs Latency.
+func (c NetworkConfig) MinLatency() Time { return c.Latency }
 
 // network tracks per-(src,dst) last-arrival times so that delivery between a
 // pair of processors is FIFO, matching the in-order guarantee of the MPI
@@ -90,10 +52,10 @@ func newNetwork(cfg NetworkConfig) *network {
 
 // arrivalTime computes when a message of the given size sent now from src
 // arrives at dst, enforcing FIFO ordering per (src,dst) pair. The FIFO bump
-// only ever moves arrivals later, so latencyOf stays a valid lower bound —
-// the property the sharded engine's lookahead matrix relies on.
+// only ever moves arrivals later, so Latency stays a valid lower bound on
+// time in flight — the property the sharded engine's windows rely on.
 func (n *network) arrivalTime(now Time, src, dst, size int) Time {
-	t := now + n.cfg.latencyOf(src, dst) + Time(size)*n.cfg.PerByte
+	t := now + n.cfg.Latency + Time(size)*n.cfg.PerByte
 	p := pair{src, dst}
 	if last, ok := n.lastArrival[p]; ok && t <= last {
 		t = last + 1

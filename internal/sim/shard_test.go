@@ -43,7 +43,7 @@ func runMesh(t *testing.T, shards, n, rounds int) (Time, []Account, []byte) {
 }
 
 // runMeshCfg is runMesh with full control over the engine configuration
-// (partition map, network zoning, window mode).
+// (partition map, window mode).
 func runMeshCfg(t *testing.T, cfg Config, n, rounds int) (Time, []Account, []byte) {
 	t.Helper()
 	e := NewEngine(cfg)

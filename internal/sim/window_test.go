@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -64,42 +65,10 @@ func TestPartitionOutOfRangePanics(t *testing.T) {
 	e.Spawn("p0", func(p *Proc) {})
 }
 
-// TestZonedNetworkMatchesSerial: with a two-level network (cheap intra-zone
-// links, expensive inter-zone links) the sharded engine still matches the
-// serial engine byte-for-byte, whether shards align with zones (blocked
-// partition: wide inter-shard windows) or cut across them (round-robin:
-// every pair shares a zone, minimum windows). This exercises the per-
-// destination lookahead matrix with genuinely heterogeneous entries.
-func TestZonedNetworkMatchesSerial(t *testing.T) {
-	const n, rounds = 12, 25
-	net := DefaultNetwork()
-	net.ZoneSize = 4
-	net.ZoneLatency = 10 * Microsecond
-	base := Config{Network: net, Seed: 42}
-	wantMakespan, wantAccts, wantCSV := runMeshCfg(t, base, n, rounds)
-	blocked := func(id, shards int) int { return id * shards / n }
-	for _, tc := range []struct {
-		label     string
-		shards    int
-		partition func(id, shards int) int
-	}{
-		{"roundrobin S=2", 2, nil},
-		{"roundrobin S=4", 4, nil},
-		{"blocked S=3 (zone-aligned-ish)", 3, blocked},
-		{"blocked S=4 (one zone per shard)", 4, blocked},
-	} {
-		cfg := base
-		cfg.Shards = tc.shards
-		cfg.Partition = tc.partition
-		makespan, accts, csv := runMeshCfg(t, cfg, n, rounds)
-		equalMesh(t, tc.label, wantMakespan, wantAccts, wantCSV, makespan, accts, csv)
-	}
-}
-
 // TestAdaptiveWindowsMatchFixed: adaptive windows change only how many
 // coordination rounds a run takes, never its output. On a dense, balanced
 // workload they are allowed to collapse to the fixed bound (every shard's
-// next event sits near the global minimum, so the relaxation cannot widen
+// next event sits near the global minimum, so the window rule cannot widen
 // anything) but must never take more rounds; on a skewed partition —
 // where some shards idle while one drains — they must cut rounds by at
 // least 2×, since idle peers stop constraining the busy shard's window.
@@ -135,7 +104,7 @@ func TestAdaptiveWindowsMatchFixed(t *testing.T) {
 	}
 
 	// Degenerate partition (every processor on shard 0, shards 1-3 empty):
-	// empty peers never send, so the relaxation leaves the busy shard's
+	// empty peers never send, so the window rule leaves the busy shard's
 	// window unbounded and the whole run drains in a handful of rounds —
 	// the limiting case of the tail-drain collapse adaptive windows buy on
 	// imbalanced workloads. Fixed windows still pay one barrier per
@@ -184,75 +153,119 @@ func TestShardTelemetry(t *testing.T) {
 	}
 }
 
-// TestLookaheadMatrix: buildLookahead derives the documented matrix from
-// the partition map and zone structure — flat networks give Latency
-// everywhere, zone-aligned shards see the expensive inter-zone latency,
-// zone-straddling shards the cheap intra-zone one, and empty shards never
-// constrain anyone.
-func TestLookaheadMatrix(t *testing.T) {
-	net := DefaultNetwork()
-	net.ZoneSize = 2
-	net.ZoneLatency = 5 * Microsecond
-
-	build := func(cfg Config, nProcs int) *Engine {
-		e := NewEngine(cfg)
-		for i := 0; i < nProcs; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {})
+// relaxRef is the reference the closed-form window rule is checked against:
+// the general conservative-lookahead computation over a per-(shard,shard)
+// minimum-latency matrix, specialised to the flat network (every link between
+// two owning shards costs lat; a shard that owns nothing has no links). B is
+// relaxed Bellman-Ford style to the least fixed point of
+//
+//	B[s] = min(next[s], min over r != s of B[r] + minLat[r][s])
+//
+// and end[d] = min over s != d of B[s] + minLat[s][d].
+func relaxRef(next []Time, owns []bool, lat Time) []Time {
+	S := len(next)
+	minLat := make([][]Time, S)
+	for s := range minLat {
+		minLat[s] = make([]Time, S)
+		for d := range minLat[s] {
+			minLat[s][d] = maxTime
+			if owns[s] && owns[d] {
+				minLat[s][d] = lat
+			}
 		}
-		e.buildLookahead()
-		return e
 	}
-
-	// Flat network: every populated entry is the global latency.
-	e := build(Config{Shards: 2}, 4)
-	if e.minLat[0][1] != e.cfg.Network.Latency || e.minLat[1][0] != e.cfg.Network.Latency {
-		t.Errorf("flat matrix = %v, want all %v", e.minLat, e.cfg.Network.Latency)
+	b := append([]Time(nil), next...)
+	for changed := true; changed; {
+		changed = false
+		for d := range b {
+			for r := range b {
+				if r == d || b[r] == maxTime || minLat[r][d] == maxTime {
+					continue
+				}
+				if v := b[r] + minLat[r][d]; v < b[d] {
+					b[d] = v
+					changed = true
+				}
+			}
+		}
 	}
-
-	// Blocked partition on a zoned network: shard 0 = {0,1} = zone 0,
-	// shard 1 = {2,3} = zone 1. No shared zone, so cross-shard lookahead is
-	// the wide inter-zone latency.
-	blocked := func(id, shards int) int { return id * shards / 4 }
-	e = build(Config{Network: net, Shards: 2, Partition: blocked}, 4)
-	if e.minLat[0][1] != net.Latency {
-		t.Errorf("zone-aligned minLat[0][1] = %v, want inter-zone %v", e.minLat[0][1], net.Latency)
+	ends := make([]Time, S)
+	for d := range ends {
+		ends[d] = maxTime
+		for s := range b {
+			if s == d || b[s] == maxTime || minLat[s][d] == maxTime {
+				continue
+			}
+			if v := b[s] + minLat[s][d]; v < ends[d] {
+				ends[d] = v
+			}
+		}
 	}
+	return ends
+}
 
-	// Round-robin on the same network: both shards occupy both zones, so
-	// the cheapest cross-shard link is intra-zone.
-	e = build(Config{Network: net, Shards: 2}, 4)
-	if e.minLat[0][1] != net.ZoneLatency {
-		t.Errorf("straddling minLat[0][1] = %v, want intra-zone %v", e.minLat[0][1], net.ZoneLatency)
-	}
-
-	// Empty shard: spawn 2 procs on 3 shards round-robin — shard 2 owns
-	// nothing, its row and column are "never".
-	e = build(Config{Shards: 3}, 2)
-	if e.minLat[2][0] != maxTime || e.minLat[0][2] != maxTime {
-		t.Errorf("empty-shard entries = %v / %v, want maxTime", e.minLat[2][0], e.minLat[0][2])
-	}
-
-	// Both shards confined to one common zone: only intra-zone links exist.
-	one := func(id, shards int) int { return id % shards }
-	e = build(Config{Network: net, Shards: 2, Partition: one}, 2)
-	if e.minLat[0][1] != net.ZoneLatency {
-		t.Errorf("single-zone minLat[0][1] = %v, want %v", e.minLat[0][1], net.ZoneLatency)
+// TestWindowRuleMatchesRelaxation: for seeded draws of shard count, owner
+// set (empty shards and a single owner included), latency and next-event
+// times (idle heaps and ties included), setWindows' one-pass ends equal the
+// matrix relaxation's.
+func TestWindowRuleMatchesRelaxation(t *testing.T) {
+	for seed := int64(0); seed < 5000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		S := 1 + rng.Intn(6)
+		e := &Engine{
+			look: Time(1+rng.Intn(100)) * Microsecond,
+			owns: make([]bool, S),
+			next: make([]Time, S),
+			ends: make([]Time, S),
+		}
+		spread := []int64{3, 300, 300_000_000}[rng.Intn(3)] // ns: ties, within a latency, far apart
+		for s := 0; s < S; s++ {
+			e.owns[s] = rng.Intn(4) > 0
+			e.next[s] = Time(rng.Int63n(spread))
+			if rng.Intn(3) == 0 {
+				e.next[s] = maxTime
+			}
+		}
+		e.setWindows()
+		if want := relaxRef(e.next, e.owns, e.look); !slices.Equal(e.ends, want) {
+			t.Fatalf("seed %d: next=%d owns=%v L=%d (ns)\nclosed form %d\nrelaxation  %d",
+				seed, e.next, e.owns, e.look, e.ends, want)
+		}
 	}
 }
 
-// TestMinLatency: the network's global minimum accounts for zoning.
+// TestBarrierRoundsPinned: the coordination-round counts of the mesh
+// fixture at S = 4, recorded with the matrix relaxation before the closed
+// form replaced it. The window rule decides these and nothing else does.
+func TestBarrierRoundsPinned(t *testing.T) {
+	skew := func(int, int) int { return 0 }
+	for _, tc := range []struct {
+		label     string
+		partition func(id, shards int) int
+		fixed     bool
+		want      uint64
+	}{
+		{"round-robin adaptive", nil, false, 42},
+		{"round-robin fixed", nil, true, 42},
+		{"all-on-shard-0 adaptive", skew, false, 1},
+		{"all-on-shard-0 fixed", skew, true, 42},
+	} {
+		e := NewEngine(Config{Seed: 42, Shards: 4, FixedWindows: tc.fixed, Partition: tc.partition})
+		spawnMeshWorkload(e, 13, 25)
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if got := e.BarrierRounds(); got != tc.want {
+			t.Errorf("%s: %d barrier rounds, want %d", tc.label, got, tc.want)
+		}
+	}
+}
+
+// TestMinLatency: the conservative lookahead of the flat network is its
+// link latency.
 func TestMinLatency(t *testing.T) {
 	net := DefaultNetwork()
 	if net.MinLatency() != net.Latency {
-		t.Errorf("flat MinLatency = %v, want %v", net.MinLatency(), net.Latency)
-	}
-	net.ZoneSize = 4
-	net.ZoneLatency = 10 * Microsecond
-	if net.MinLatency() != 10*Microsecond {
-		t.Errorf("zoned MinLatency = %v, want 10µs", net.MinLatency())
-	}
-	net.ZoneLatency = 0 // unset: behaves flat
-	if net.MinLatency() != net.Latency {
-		t.Errorf("unset ZoneLatency MinLatency = %v, want %v", net.MinLatency(), net.Latency)
+		t.Errorf("MinLatency = %v, want %v", net.MinLatency(), net.Latency)
 	}
 }
