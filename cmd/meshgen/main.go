@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prema/internal/bench"
@@ -25,29 +27,34 @@ import (
 	"prema/internal/sweep"
 )
 
-func main() {
-	procs := flag.Int("procs", 32, "simulated processors")
-	iters := flag.Int("iters", 12, "crack growth iterations")
-	real := flag.Bool("real", false, "run the real advancing front mesher for the cost matrix")
-	stride := flag.Int("stride", 0, "per-processor breakdown sampling stride (0 = summaries only)")
-	jobs := flag.Int("jobs", sweep.DefaultJobs(), "max concurrent mesher rows / simulations (1 = serial)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "meshgen: unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("meshgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 32, "simulated processors")
+	iters := fs.Int("iters", 12, "crack growth iterations")
+	real := fs.Bool("real", false, "run the real advancing front mesher for the cost matrix")
+	stride := fs.Int("stride", 0, "per-processor breakdown sampling stride (0 = summaries only)")
+	jobs := fs.Int("jobs", sweep.DefaultJobs(), "max concurrent mesher rows / simulations (1 = serial)")
+	err := fs.Parse(args)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2 // the flag package has reported it
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case *procs < 1 || *iters < 1:
+		err = fmt.Errorf("-procs and -iters must be positive (got %d, %d)", *procs, *iters)
+	case *stride < 0:
+		err = fmt.Errorf("-stride must be >= 0 (got %d)", *stride)
+	case *jobs < 1:
+		err = fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs)
 	}
-	if *procs < 1 || *iters < 1 {
-		fmt.Fprintf(os.Stderr, "meshgen: -procs and -iters must be positive (got %d, %d)\n", *procs, *iters)
-		os.Exit(2)
-	}
-	if *stride < 0 {
-		fmt.Fprintf(os.Stderr, "meshgen: -stride must be >= 0 (got %d)\n", *stride)
-		os.Exit(2)
-	}
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "meshgen: -jobs must be >= 1 (got %d)\n", *jobs)
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintf(stderr, "meshgen: %v\n", err)
+		return 2
 	}
 
 	cfg := bench.DefaultMeshExpConfig()
@@ -59,29 +66,30 @@ func main() {
 	if *real {
 		src = "advancing front mesher"
 	}
-	fmt.Printf("building workload matrix (%s): %d subdomains x %d iterations...\n",
+	fmt.Fprintf(stdout, "building workload matrix (%s): %d subdomains x %d iterations...\n",
 		src, cfg.NumSubdomains(), cfg.Iterations)
 	mc := bench.BuildMeshCostsJobs(cfg, *jobs)
-	fmt.Printf("total work %v, ideal makespan %v on %d procs\n\n",
+	fmt.Fprintf(stdout, "total work %v, ideal makespan %v on %d procs\n\n",
 		mc.TotalWork(cfg), mc.TotalWork(cfg)/sim.Time(cfg.Procs), cfg.Procs)
 
 	results, err := bench.RunMeshSystems(bench.MeshSystems, cfg, mc, *jobs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	for i, r := range results {
-		fmt.Printf("  %-15s makespan=%8.1fs  overhead=%6.3f%% of runtime  sync+partition=%5.1f%% of compute\n",
+		fmt.Fprintf(stdout, "  %-15s makespan=%8.1fs  overhead=%6.3f%% of runtime  sync+partition=%5.1f%% of compute\n",
 			bench.MeshSystems[i], r.Makespan.Seconds(), r.OverheadOfRuntimePct(), r.SyncPct())
 		if *stride > 0 {
-			fmt.Println(r.Breakdown(*stride))
+			fmt.Fprintln(stdout, r.Breakdown(*stride))
 		}
 	}
 	none, prema, repart := results[0], results[1], results[2]
-	fmt.Printf("\nPREMA vs no balancing:        %+.1f%%  (paper: -42%%)\n",
+	fmt.Fprintf(stdout, "\nPREMA vs no balancing:        %+.1f%%  (paper: -42%%)\n",
 		100*(prema.Makespan.Seconds()-none.Makespan.Seconds())/none.Makespan.Seconds())
-	fmt.Printf("PREMA vs stop-and-repartition: %+.1f%%  (paper: -15%%)\n",
+	fmt.Fprintf(stdout, "PREMA vs stop-and-repartition: %+.1f%%  (paper: -15%%)\n",
 		100*(prema.Makespan.Seconds()-repart.Makespan.Seconds())/repart.Makespan.Seconds())
-	fmt.Printf("PREMA overhead:                %.3f%% of total runtime (paper: <1%%)\n",
+	fmt.Fprintf(stdout, "PREMA overhead:                %.3f%% of total runtime (paper: <1%%)\n",
 		prema.OverheadOfRuntimePct())
+	return 0
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,36 +25,45 @@ func TestRunsAreDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Makespan != b.Makespan {
-				t.Fatalf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
-			}
-			for i := range a.Accounts {
-				if a.Accounts[i] != b.Accounts[i] {
-					t.Fatalf("proc %d accounts differ:\n%v\n%v", i, a.Accounts[i], b.Accounts[i])
-				}
-			}
-			for k, v := range a.Counters {
-				if b.Counters[k] != v {
-					t.Fatalf("counter %s differs: %d vs %d", k, v, b.Counters[k])
-				}
+			if d := outcomeDiff(a, b); d != "" {
+				t.Fatal(d)
 			}
 		})
 	}
 }
 
+// outcomeDiff says how two results differ in makespan, ledgers or
+// counters ("" when they do not).
+func outcomeDiff(a, b *Result) string {
+	if a.Makespan != b.Makespan {
+		return fmt.Sprintf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
+	}
+	for i := range a.Accounts {
+		if a.Accounts[i] != b.Accounts[i] {
+			return fmt.Sprintf("proc %d accounts differ:\n%v\n%v", i, a.Accounts[i], b.Accounts[i])
+		}
+	}
+	if !reflect.DeepEqual(a.Counters, b.Counters) {
+		return fmt.Sprintf("counters differ: %v vs %v", a.Counters, b.Counters)
+	}
+	return ""
+}
+
 func TestMeshExperimentDeterministic(t *testing.T) {
 	cfg := quickMeshConfig()
 	mc := BuildMeshCosts(cfg)
-	a, err := RunMeshSystem("prema-implicit", cfg, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMeshSystem("prema-implicit", cfg, mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Makespan != b.Makespan {
-		t.Fatalf("mesh runs differ: %v vs %v", a.Makespan, b.Makespan)
+	for _, sys := range []string{"prema-implicit", "repartition"} {
+		a, err := RunMeshSystem(sys, cfg, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunMeshSystem(sys, cfg, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := outcomeDiff(a, b); d != "" {
+			t.Fatalf("mesh %s runs differ: %s", sys, d)
+		}
 	}
 }
 

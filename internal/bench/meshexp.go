@@ -2,16 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
-	"prema/internal/core"
-	"prema/internal/dmcs"
-	"prema/internal/graph"
 	"prema/internal/ilb"
 	"prema/internal/mesh"
-	"prema/internal/mol"
-	"prema/internal/parmetis"
-	"prema/internal/policy"
 	"prema/internal/sim"
 	"prema/internal/sweep"
 )
@@ -126,334 +119,62 @@ func BuildMeshCostsJobs(cfg MeshExpConfig, jobs int) *MeshCosts {
 	return mc
 }
 
+// application describes the mesh experiment: every subdomain is an object
+// refined once per crack position, and neighbouring subdomains share an
+// edge. The hint for iteration k+1 is the measured cost of iteration k — the
+// persistence guess the moving crack keeps breaking; before any measurement
+// it is the experiment's mean.
+func (mc *MeshCosts) application(cfg MeshExpConfig) application {
+	mean := mc.meanWeight(cfg)
+	return application{
+		objects: cfg.NumSubdomains(),
+		steps:   cfg.Iterations,
+		cost:    func(sub, it int) sim.Time { return mc.Weight(cfg, it, sub) },
+		hint: func(sub, it int) float64 {
+			if it == 0 {
+				return mean
+			}
+			return mc.Weight(cfg, it-1, sub).Seconds()
+		},
+		objBytes:  64 << 10,
+		msgBytes:  16,
+		listBytes: 24, // subdomain, iteration, last measured cost
+		edges:     mesh.Neighbors(cfg.Grid[0], cfg.Grid[1], cfg.Grid[2]),
+	}
+}
+
+// meanWeight is the mean virtual compute seconds of one refinement.
+func (mc *MeshCosts) meanWeight(cfg MeshExpConfig) float64 {
+	return mc.TotalWork(cfg).Seconds() / float64(cfg.NumSubdomains()*cfg.Iterations)
+}
+
 // MeshSystems lists the experiment's three regimes.
 var MeshSystems = []string{"none", "prema-implicit", "repartition"}
 
-// RunMeshSystem runs one regime over a prebuilt cost matrix.
+// RunMeshSystem runs one regime over a prebuilt cost matrix: the PREMA
+// driver (runPrema) or the stop-and-repartition protocol (runRepartition)
+// of the synthetic benchmark, on the mesh application.
 func RunMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts) (*Result, error) {
+	app := mc.application(cfg)
+	mean := mc.meanWeight(cfg)
+	w := Workload{Procs: cfg.Procs, Units: app.objects * app.steps, Seed: cfg.Seed}
+	m := sim.NewMachine(sim.Config{Seed: cfg.Seed})
 	switch system {
-	case "none":
-		return runMeshPrema(cfg, mc, false)
-	case "prema-implicit":
-		return runMeshPrema(cfg, mc, true)
+	case "none", "prema-implicit":
+		pc := DefaultPremaConfig(ilb.Implicit, system != "none")
+		pc.WaterMark = mean
+		pc.PollEvery = 1
+		return runPrema(m, w, app, pc)
 	case "repartition":
-		return runMeshRepartition(cfg, mc)
+		// The benchmark's parmetis; these four fields are all that the two
+		// calibrations differ in.
+		pc := DefaultParmetisConfig()
+		pc.WaterMark = 2 * mean
+		pc.WarrantPerProc = 0
+		pc.RoundInterval = 25 * sim.Second
+		pc.PartitionPerUnitCPU = sim.Millisecond
+		return runRepartition(system, m, w, app, pc)
 	default:
 		return nil, fmt.Errorf("bench: unknown mesh system %q", system)
 	}
-}
-
-type meshIterMsg struct{ Iter int }
-
-// runMeshPrema drives the mesh refinement on the PREMA runtime: every
-// subdomain is a mobile object processing its own iteration chain
-// asynchronously (no global barriers). The hint for iteration k+1 is the
-// measured cost of iteration k — the persistence guess the moving crack
-// keeps breaking.
-func runMeshPrema(cfg MeshExpConfig, mc *MeshCosts, balance bool) (*Result, error) {
-	e := sim.NewEngine(sim.Config{Seed: cfg.Seed})
-	nSubs := cfg.NumSubdomains()
-	meanW := mc.TotalWork(cfg).Seconds() / float64(nSubs*cfg.Iterations)
-	name := "none"
-	if balance {
-		name = "prema-implicit"
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		e.Spawn(fmt.Sprintf("p%03d", p), func(proc *sim.Proc) {
-			lb := ilb.DefaultConfig(ilb.Implicit)
-			lb.PollEvery = 1
-			lb.WaterMark = meanW
-			opts := core.Options{LB: lb, Mol: mol.DefaultConfig()}
-			if balance {
-				ws := policy.DefaultWSConfig()
-				ws.MaxObjects = 1
-				opts.Policy = policy.NewWorkStealing(ws)
-			}
-			r := core.NewRuntime(proc, opts)
-
-			done := 0
-			var hDone dmcs.HandlerID
-			hDone = r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
-				done++
-				if done == nSubs {
-					r.StopAll()
-				}
-			})
-			var hWork mol.HandlerID
-			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				sub := obj.Data.(int)
-				it := data.(meshIterMsg).Iter
-				w := mc.Weight(cfg, it, sub)
-				r.Compute(w)
-				if it+1 < cfg.Iterations {
-					// Chain the next refinement iteration to the object,
-					// hinting with the just-measured cost.
-					r.Message(obj.MP, hWork, meshIterMsg{Iter: it + 1}, 16, w.Seconds())
-					return
-				}
-				r.Comm().SendTagged(0, hDone, nil, 8, sim.TagApp)
-			})
-			for sub := 0; sub < nSubs; sub++ {
-				if sub*cfg.Procs/nSubs == proc.ID() {
-					mp := r.Register(sub, 64<<10)
-					r.Message(mp, hWork, meshIterMsg{Iter: 0}, 16, meanW)
-				}
-			}
-			r.Run()
-		})
-	}
-	if err := e.Run(); err != nil {
-		return nil, fmt.Errorf("mesh %s: %w", name, err)
-	}
-	w := Workload{Procs: cfg.Procs, Units: nSubs * cfg.Iterations, Seed: cfg.Seed}
-	return collect(name, w, sim.Machine{Engine: e}), nil
-}
-
-// mesh repartition wire payloads.
-type meshState struct {
-	Sub  int
-	Iter int // next iteration to run
-	Last float64
-}
-
-type meshListMsg struct {
-	Proc  int
-	Round int
-	Subs  []meshState
-}
-
-type meshMigrateMsg struct{ Subs []meshState }
-
-// runMeshRepartition drives the refinement under root-coordinated
-// stop-and-repartition: processors advance their subdomains round-robin;
-// when one goes hungry the machine synchronizes, exchanges per-subdomain
-// state, repartitions the subdomain adjacency graph (URA, weighted by the
-// persistence-guess costs), and migrates subdomains.
-func runMeshRepartition(cfg MeshExpConfig, mc *MeshCosts) (*Result, error) {
-	e := sim.NewEngine(sim.Config{Seed: cfg.Seed})
-	nSubs := cfg.NumSubdomains()
-	meanW := mc.TotalWork(cfg).Seconds() / float64(nSubs*cfg.Iterations)
-	adjacency := mesh.Neighbors(cfg.Grid[0], cfg.Grid[1], cfg.Grid[2])
-	rounds := 0
-	for p := 0; p < cfg.Procs; p++ {
-		e.Spawn(fmt.Sprintf("p%03d", p), func(proc *sim.Proc) {
-			c := dmcs.New(proc)
-			me := proc.ID()
-			var pending []meshState
-			for sub := 0; sub < nSubs; sub++ {
-				if sub*cfg.Procs/nSubs == me {
-					pending = append(pending, meshState{Sub: sub, Last: meanW})
-				}
-			}
-			hinted := func() float64 {
-				s := 0.0
-				for _, st := range pending {
-					s += st.Last * float64(cfg.Iterations-st.Iter)
-				}
-				return s
-			}
-
-			completed := 0
-			roundActive := false
-			var lastRound sim.Time = -1 << 40
-			rootRound := 0
-
-			joinRound := 0
-			var lastReport sim.Time = -1 << 40
-			reported := false
-			lists := make(map[int][]meshState)
-			arrived := 0
-			stopped := false
-
-			var hDone, hUnder, hSync, hList, hMigrate, hStop dmcs.HandlerID
-			hDone = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				completed++
-				if completed == nSubs && !roundActive {
-					for q := 0; q < cfg.Procs; q++ {
-						if q != me {
-							c.SendTagged(q, hStop, nil, 8, sim.TagSystem)
-						}
-					}
-					stopped = true
-				}
-			})
-			hUnder = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				if roundActive || completed >= nSubs || proc.Now() < lastRound+25*sim.Second {
-					return
-				}
-				roundActive = true
-				lastRound = proc.Now()
-				rootRound++
-				for q := 0; q < cfg.Procs; q++ {
-					if q != me {
-						c.SendTagged(q, hSync, rootRound, 8, sim.TagSystem)
-					}
-				}
-				joinRound = rootRound
-			})
-			hSync = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				joinRound = data.(int)
-			})
-			hList = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				l := data.(meshListMsg)
-				lists[l.Proc] = l.Subs
-			})
-			hMigrate = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				subs := data.(meshMigrateMsg).Subs
-				pending = append(pending, subs...)
-				arrived += len(subs)
-			})
-			hStop = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				stopped = true
-			})
-
-			doRound := func() {
-				round := joinRound
-				joinRound = 0
-				for q := 0; q < cfg.Procs; q++ {
-					if q != me {
-						c.SendTagged(q, hList, meshListMsg{Proc: me, Round: round, Subs: pending}, 24*len(pending)+16, sim.TagSystem)
-					}
-				}
-				lists[me] = pending
-				for len(lists) < cfg.Procs && !stopped {
-					proc.WaitMsg(sim.CatSync)
-					c.Poll()
-				}
-				if stopped {
-					return
-				}
-				var all []meshState
-				owner := make(map[int]int)
-				for q := 0; q < cfg.Procs; q++ {
-					for _, st := range lists[q] {
-						all = append(all, st)
-						owner[st.Sub] = q
-					}
-				}
-				sort.Slice(all, func(i, j int) bool { return all[i].Sub < all[j].Sub })
-				proc.Advance(100*sim.Millisecond+sim.Time(len(all))*sim.Millisecond, sim.CatPartition)
-
-				// URA on the live subdomain adjacency graph, weighted by the
-				// persistence guess (last measured iteration cost times
-				// remaining iterations).
-				newOwner := make(map[int]int, len(all))
-				if len(all) > 0 {
-					local := make(map[int]int, len(all))
-					for i, st := range all {
-						local[st.Sub] = i
-					}
-					b := graph.NewBuilder(len(all))
-					oldPart := make([]int, len(all))
-					for i, st := range all {
-						wgt := int64(st.Last * float64(cfg.Iterations-st.Iter) * 1000)
-						if wgt < 1 {
-							wgt = 1
-						}
-						b.SetVWgt(i, wgt)
-						oldPart[i] = owner[st.Sub]
-					}
-					for _, pr := range adjacency {
-						i, iok := local[pr[0]]
-						j, jok := local[pr[1]]
-						if iok && jok {
-							b.AddEdge(i, j, 1)
-						}
-					}
-					opt := parmetis.DefaultOptions()
-					opt.Part.Seed = cfg.Seed + int64(round)
-					newPart := parmetis.AdaptiveRepart(b.Build(), cfg.Procs, oldPart, opt)
-					for i, st := range all {
-						newOwner[st.Sub] = newPart[i]
-					}
-					if me == 0 {
-						rounds++
-					}
-				}
-				batches := make(map[int][]meshState)
-				var keep []meshState
-				expect := 0
-				for _, st := range pending {
-					if q := newOwner[st.Sub]; q != me {
-						batches[q] = append(batches[q], st)
-					} else {
-						keep = append(keep, st)
-					}
-				}
-				for _, st := range all {
-					if newOwner[st.Sub] == me && owner[st.Sub] != me {
-						expect++
-					}
-				}
-				pending = keep
-				dsts := make([]int, 0, len(batches))
-				for q := range batches {
-					dsts = append(dsts, q)
-				}
-				sort.Ints(dsts)
-				for _, q := range dsts {
-					c.SendTagged(q, hMigrate, meshMigrateMsg{Subs: batches[q]}, (64<<10)*len(batches[q]), sim.TagSystem)
-				}
-				for arrived < expect && !stopped {
-					proc.WaitMsg(sim.CatSync)
-					c.Poll()
-				}
-				arrived -= expect
-				lists = make(map[int][]meshState)
-				reported = false
-				if me == 0 {
-					roundActive = false
-					if completed == nSubs && !stopped {
-						for q := 1; q < cfg.Procs; q++ {
-							c.SendTagged(q, hStop, nil, 8, sim.TagSystem)
-						}
-						stopped = true
-					}
-				}
-			}
-
-			for !stopped {
-				c.Poll()
-				if stopped {
-					break
-				}
-				if joinRound != 0 {
-					doRound()
-					continue
-				}
-				if len(pending) > 0 {
-					st := pending[0]
-					pending = pending[1:]
-					w := mc.Weight(cfg, st.Iter, st.Sub)
-					proc.Advance(w, sim.CatCompute)
-					st.Last = w.Seconds()
-					st.Iter++
-					if st.Iter < cfg.Iterations {
-						pending = append(pending, st) // round-robin progress
-					} else {
-						c.SendTagged(0, hDone, nil, 8, sim.TagApp)
-					}
-					if hinted() < meanW*2 && (!reported || proc.Now() >= lastReport+5*sim.Second) {
-						reported = true
-						lastReport = proc.Now()
-						c.SendTagged(0, hUnder, nil, 8, sim.TagSystem)
-					}
-					continue
-				}
-				if !reported || proc.Now() >= lastReport+5*sim.Second {
-					reported = true
-					lastReport = proc.Now()
-					c.SendTagged(0, hUnder, nil, 8, sim.TagSystem)
-				}
-				proc.WaitMsgFor(200*sim.Millisecond, sim.CatIdle)
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		return nil, fmt.Errorf("mesh repartition: %w", err)
-	}
-	w := Workload{Procs: cfg.Procs, Units: nSubs * cfg.Iterations, Seed: cfg.Seed}
-	res := collect("repartition", w, sim.Machine{Engine: e})
-	res.Counters["lb_rounds"] = rounds
-	return res, nil
 }

@@ -1,14 +1,15 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"os"
-	"sort"
+	"slices"
 
 	"prema/internal/dmcs"
 	"prema/internal/graph"
 	"prema/internal/parmetis"
 	"prema/internal/sim"
+	"prema/internal/substrate"
 )
 
 // ParmetisConfig configures the stop-and-repartition driver (the paper's
@@ -60,30 +61,36 @@ func DefaultParmetisConfig() ParmetisConfig {
 	}
 }
 
-// wire payloads
-type pmList struct {
-	Round int
-	Proc  int
-	Units []int
-}
-
-type pmMigrate struct{ Units []int }
-
 // RunParmetis executes the synthetic benchmark under stop-and-repartition.
 func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
-	e := w.engine()
+	return runRepartition("parmetis", sim.NewMachine(w.simConfig()), w, w.application(), cfg)
+}
+
+// runRepartition is the one stop-and-repartition protocol (see
+// ParmetisConfig), on any application. A work-list entry is one unfinished
+// object and the step it runs next, numbered step*app.objects + obj — for
+// the one-step benchmark the bare unit index, which keeps its all-to-all
+// list exchange at one word per unit. w sizes the machine and labels the
+// result, as for runPrema.
+func runRepartition(name string, m substrate.Machine, w Workload, app application, cfg ParmetisConfig) (*Result, error) {
+	n := app.objects
+	// remaining is the hinted seconds of work entry e still stands for:
+	// every step left is guessed at the next one's hint.
+	remaining := func(e int) float64 {
+		return app.hint(e%n, e/n) * float64(app.steps-e/n)
+	}
 	rounds := 0
 	migrated := 0
 	declined := 0
 	for p := 0; p < w.Procs; p++ {
-		e.Spawn(fmt.Sprintf("p%03d", p), func(proc *sim.Proc) {
-			c := dmcs.New(proc)
-			me := proc.ID()
-			pending := append([]int(nil), w.UnitsOf(me)...)
+		m.Spawn(fmt.Sprintf("p%03d", p), func(ep substrate.Endpoint) {
+			c := dmcs.New(ep)
+			me := ep.ID()
+			pending := blockOf(me, w.Procs, n)
 			hinted := func() float64 {
 				s := 0.0
-				for _, u := range pending {
-					s += w.Hint(u)
+				for _, e := range pending {
+					s += remaining(e)
 				}
 				return s
 			}
@@ -105,7 +112,7 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 			var hDone, hUnder, hSyncStart, hList, hMigrate, hStop dmcs.HandlerID
 			hDone = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 				completed++
-				if completed == w.Units && !roundActive {
+				if completed == n && !roundActive {
 					for q := 0; q < w.Procs; q++ {
 						if q != me {
 							c.SendTagged(q, hStop, nil, 8, sim.TagSystem)
@@ -115,14 +122,14 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 				}
 			})
 			hUnder = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				if roundActive || completed >= w.Units {
+				if roundActive || completed >= n {
 					return
 				}
-				if proc.Now() < lastRound+cfg.RoundInterval {
+				if ep.Now() < lastRound+cfg.RoundInterval {
 					return
 				}
 				roundActive = true
-				lastRound = proc.Now()
+				lastRound = ep.Now()
 				roundID++
 				for q := 0; q < w.Procs; q++ {
 					if q != me {
@@ -135,93 +142,91 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 				joinRound = data.(int)
 			})
 			hList = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				l := data.(pmList)
-				lists[l.Proc] = l.Units
+				lists[src] = data.([]int)
 			})
 			hMigrate = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				units := data.(pmMigrate).Units
-				pending = append(pending, units...)
-				arrivedUnits += len(units)
+				in := data.([]int)
+				pending = append(pending, in...)
+				arrivedUnits += len(in)
 			})
 			hStop = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 				stopped = true
 			})
 
-			// PM_DEBUG=1 prints per-round protocol tracing (diagnostics only).
-			debug := os.Getenv("PM_DEBUG") != ""
 			doRound := func() {
 				round := joinRound
-				if debug {
-					fmt.Printf("[%8.3f] p%02d join round %d pending=%d\n", proc.Now().Seconds(), me, round, len(pending))
-				}
 				joinRound = 0
 				// All-to-all information exchange: ship my pending list to
 				// every other processor.
 				for q := 0; q < w.Procs; q++ {
 					if q != me {
-						c.SendTagged(q, hList, pmList{Round: round, Proc: me, Units: pending}, 4*len(pending)+16, sim.TagSystem)
+						c.SendTagged(q, hList, pending, app.listBytes*len(pending)+16, sim.TagSystem)
 					}
 				}
 				lists[me] = pending
 				// Synchronization: wait for everyone's list. The cost of
 				// this barrier is the paper's "Synchronization Time".
 				for len(lists) < w.Procs && !stopped {
-					proc.WaitMsg(sim.CatSync)
+					ep.WaitMsg(sim.CatSync)
 					c.Poll()
 				}
 				if stopped {
 					return
 				}
-				if debug {
-					h := 0
-					n := 0
-					for q := 0; q < w.Procs; q++ {
-						for _, u := range lists[q] {
-							h = h*31 + u + 7*q
-							n++
-						}
-					}
-					fmt.Printf("[%8.3f] p%02d round %d lists complete n=%d hash=%d\n", proc.Now().Seconds(), me, round, n, h)
-				}
-				// Deterministic global view.
+				// Deterministic global view: every live entry, in object order,
+				// and each object's owner.
 				var all []int
 				oldOwner := make(map[int]int)
 				for q := 0; q < w.Procs; q++ {
-					for _, u := range lists[q] {
-						all = append(all, u)
-						oldOwner[u] = q
+					for _, e := range lists[q] {
+						all = append(all, e)
+						oldOwner[e%n] = q
 					}
 				}
-				sort.Ints(all)
+				slices.SortFunc(all, func(a, b int) int { return cmp.Compare(a%n, b%n) })
 				// Partition calculation (every processor computes the same
 				// answer, as ParMETIS does in parallel).
-				proc.Advance(cfg.PartitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(len(all)), sim.CatPartition)
+				ep.Advance(cfg.PartitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(len(all)), sim.CatPartition)
 				outstandingHinted := 0.0
-				for _, u := range all {
-					outstandingHinted += w.Hint(u)
+				for _, e := range all {
+					outstandingHinted += remaining(e)
 				}
 				newOwner := oldOwner
 				apply := outstandingHinted/float64(w.Procs) >= cfg.WarrantPerProc && len(all) > 0
 				if apply {
+					// URA on the live objects, weighted by their hints and
+					// joined by the application's adjacency, if it has one.
 					b := graph.NewBuilder(len(all))
 					oldPart := make([]int, len(all))
-					for i, u := range all {
-						b.SetVWgt(i, int64(w.Hint(u)*1000))
-						oldPart[i] = oldOwner[u]
+					for i, e := range all {
+						b.SetVWgt(i, max(1, int64(remaining(e)*1000)))
+						oldPart[i] = oldOwner[e%n]
 					}
-					g := b.Build()
+					if app.edges != nil {
+						index := make(map[int]int, len(all))
+						for i, e := range all {
+							index[e%n] = i
+						}
+						for _, pr := range app.edges {
+							i, iok := index[pr[0]]
+							j, jok := index[pr[1]]
+							if iok && jok {
+								b.AddEdge(i, j, 1)
+							}
+						}
+					}
 					opt := parmetis.DefaultOptions()
 					opt.Alpha = cfg.Alpha
 					opt.Part.Seed = w.Seed + int64(round)
-					newPart := parmetis.AdaptiveRepart(g, w.Procs, oldPart, opt)
+					newPart := parmetis.AdaptiveRepart(b.Build(), w.Procs, oldPart, opt)
 					newOwner = make(map[int]int, len(all))
-					for i, u := range all {
-						newOwner[u] = newPart[i]
+					for i, e := range all {
+						newOwner[e%n] = newPart[i]
 					}
 					if me == 0 {
 						rounds++
-						for i, u := range all {
-							if newPart[i] != oldOwner[u] {
+						for i := range all {
+							if newPart[i] != oldPart[i] {
 								migrated++
 							}
 						}
@@ -230,19 +235,19 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 					rounds++
 					declined++
 				}
-				// Migrate: batch my outgoing units per destination.
+				// Migrate: batch my outgoing entries per destination.
 				batches := make(map[int][]int)
 				var keep []int
 				expect := 0
-				for _, u := range pending {
-					if q := newOwner[u]; q != me {
-						batches[q] = append(batches[q], u)
+				for _, e := range pending {
+					if q := newOwner[e%n]; q != me {
+						batches[q] = append(batches[q], e)
 					} else {
-						keep = append(keep, u)
+						keep = append(keep, e)
 					}
 				}
-				for _, u := range all {
-					if newOwner[u] == me && oldOwner[u] != me {
+				for _, e := range all {
+					if newOwner[e%n] == me && oldOwner[e%n] != me {
 						expect++
 					}
 				}
@@ -251,26 +256,23 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 				for q := range batches {
 					dsts = append(dsts, q)
 				}
-				sort.Ints(dsts)
+				slices.Sort(dsts)
 				for _, q := range dsts {
-					c.SendTagged(q, hMigrate, pmMigrate{Units: batches[q]}, w.UnitBytes*len(batches[q])+32, sim.TagSystem)
+					c.SendTagged(q, hMigrate, batches[q], app.objBytes*len(batches[q])+app.batchBytes, sim.TagSystem)
 				}
 				// Wait for my own immigrants before resuming.
 				for arrivedUnits < expect && !stopped {
-					proc.WaitMsg(sim.CatSync)
+					ep.WaitMsg(sim.CatSync)
 					c.Poll()
 				}
 				arrivedUnits -= expect
-				if debug {
-					fmt.Printf("[%8.3f] p%02d round %d done expect=%d pending=%d\n", proc.Now().Seconds(), me, round, expect, len(pending))
-				}
 				lists = make(map[int][]int)
 				reported = false
 				// The root re-arms round initiation and handles a
 				// completion that landed mid-round.
 				if me == 0 {
 					roundActive = false
-					if completed == w.Units && !stopped {
+					if completed == n && !stopped {
 						for q := 1; q < w.Procs; q++ {
 							c.SendTagged(q, hStop, nil, 8, sim.TagSystem)
 						}
@@ -289,30 +291,35 @@ func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
 					continue
 				}
 				if len(pending) > 0 {
-					u := pending[0]
+					e := pending[0]
 					pending = pending[1:]
-					proc.Advance(w.Actual(u), sim.CatCompute)
-					c.SendTagged(0, hDone, nil, 8, sim.TagApp)
+					ep.Advance(app.cost(e%n, e/n), sim.CatCompute)
+					if e/n+1 < app.steps {
+						pending = append(pending, e+n) // round-robin progress
+					} else {
+						c.SendTagged(0, hDone, nil, 8, sim.TagApp)
+					}
+					// Busy processors report underload once per round.
 					if hinted() < cfg.WaterMark && !reported {
 						reported = true
-						lastReport = proc.Now()
+						lastReport = ep.Now()
 						c.SendTagged(0, hUnder, nil, 8, sim.TagSystem)
 					}
 					continue
 				}
-				if !reported || proc.Now() >= lastReport+cfg.ReportInterval {
+				if !reported || ep.Now() >= lastReport+cfg.ReportInterval {
 					reported = true
-					lastReport = proc.Now()
+					lastReport = ep.Now()
 					c.SendTagged(0, hUnder, nil, 8, sim.TagSystem)
 				}
-				proc.WaitMsgFor(cfg.IdleTick, sim.CatIdle)
+				ep.WaitMsgFor(cfg.IdleTick, sim.CatIdle)
 			}
 		})
 	}
-	if err := e.Run(); err != nil {
-		return nil, fmt.Errorf("bench parmetis: %w", err)
+	if err := m.Run(); err != nil {
+		return nil, fmt.Errorf("bench %s: %w", name, err)
 	}
-	res := collect("parmetis", w, sim.Machine{Engine: e})
+	res := collect(name, w, m)
 	res.Counters["lb_rounds"] = rounds
 	res.Counters["rounds_declined"] = declined
 	res.Counters["units_migrated_root"] = migrated

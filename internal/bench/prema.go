@@ -72,6 +72,14 @@ func DefaultPremaConfig(mode ilb.Mode, balance bool) PremaConfig {
 // the application and runtime code is identical on the simulator and the
 // real-concurrency machine; only the machine passed in differs.
 func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, error) {
+	return runPrema(m, w, w.application(), cfg)
+}
+
+// runPrema is the one PREMA driver: every object of app is a mobile object
+// working through its chain of steps asynchronously (no global barriers),
+// each step a message to the object carrying the step's hint. w sizes the
+// machine and labels the result.
+func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig) (*Result, error) {
 	name := cfg.name
 	switch {
 	case name != "":
@@ -123,13 +131,19 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 			var hDone dmcs.HandlerID
 			hDone = r.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
 				done++
-				if done == w.Units {
+				if done == app.objects {
 					r.StopAll()
 				}
 			})
-			hWork := r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				u := obj.Data.(int)
-				r.Compute(w.Actual(u))
+			var hWork mol.HandlerID
+			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
+				o := obj.Data.(int)
+				step, _ := data.(int) // an object's first message carries no data
+				r.Compute(app.cost(o, step))
+				if step+1 < app.steps {
+					r.Message(obj.MP, hWork, step+1, app.msgBytes, app.hint(o, step+1))
+					return
+				}
 				r.Comm().SendTagged(0, hDone, nil, 8, substrate.TagApp)
 			})
 
@@ -141,9 +155,9 @@ func RunPremaOn(m substrate.Machine, w Workload, cfg PremaConfig) (*Result, erro
 				// each its computation message (setup is untimed on the
 				// simulator: registration and local enqueue cost no virtual
 				// time).
-				for _, u := range w.UnitsOf(ep.ID()) {
-					mp := r.Register(u, w.UnitBytes)
-					r.Message(mp, hWork, nil, 8, w.Hint(u))
+				for _, o := range blockOf(ep.ID(), w.Procs, app.objects) {
+					mp := r.Register(o, app.objBytes)
+					r.Message(mp, hWork, nil, app.msgBytes, app.hint(o, 0))
 				}
 			}
 			r.Run()

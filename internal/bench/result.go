@@ -51,8 +51,8 @@ type Result struct {
 	Trace *trace.Collector
 
 	// Engine telemetry (simulator backend only; zero on the real
-	// backend — collect unwraps the trace/wire decorators to reach it, but
-	// faulty hides it). These describe the host-side execution, not the
+	// backend — collect unwraps the trace, faulty and wire decorators to
+	// reach it). These describe the host-side execution, not the
 	// simulated system, so they appear in benchmark/'s per-layer rows but
 	// never in Summary/Breakdown/CSV — the outputs the golden hashes and
 	// byte-identity tests cover.

@@ -100,10 +100,6 @@ func TestMeshCostsJobsIdentical(t *testing.T) {
 			}
 		}
 	}
-	serial, err := RunMeshSystem("prema-implicit", cfg, a)
-	if err != nil {
-		t.Fatal(err)
-	}
 	par, err := RunMeshSystems(MeshSystems, cfg, b, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +107,14 @@ func TestMeshCostsJobsIdentical(t *testing.T) {
 	if len(par) != len(MeshSystems) {
 		t.Fatalf("results = %d", len(par))
 	}
-	if par[1].System != "prema-implicit" || par[1].Makespan != serial.Makespan {
-		t.Fatalf("parallel mesh run diverged: %v vs %v", par[1].Makespan, serial.Makespan)
+	for i, sys := range MeshSystems {
+		serial, err := RunMeshSystem(sys, cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := outcomeDiff(par[i], serial); par[i].System != sys || d != "" {
+			t.Fatalf("parallel mesh run %d (%s, want %s) diverged: %s", i, par[i].System, sys, d)
+		}
 	}
 	if _, err := RunMeshSystems([]string{"nope"}, cfg, a, 1); err == nil {
 		t.Fatal("expected error for unknown mesh system")

@@ -1,9 +1,12 @@
-// Package bench implements the paper's synthetic microbenchmark (§5) and
-// one driver per evaluated system: no load balancing, PREMA with explicit or
-// implicit (preemptive) work stealing, ParMETIS-style stop-and-repartition,
-// and the Charm++-style chare runtime with or without AtSync load balancing
-// iterations. Each driver runs on the simulated cluster and returns the
-// per-processor time breakdowns that Figures 3-6 plot.
+// Package bench implements the paper's synthetic microbenchmark (§5), its
+// mesh-generation experiment, and one driver per evaluated system: no load
+// balancing, PREMA with explicit or implicit (preemptive) work stealing,
+// ParMETIS-style stop-and-repartition, and the Charm++-style chare runtime
+// with or without AtSync load balancing iterations. The PREMA driver and the
+// stop-and-repartition protocol take the application as data, so the two
+// applications run the same balancer code. Each driver runs on the simulated
+// cluster and returns the per-processor time breakdowns that Figures 3-6
+// plot.
 package bench
 
 import "prema/internal/sim"
@@ -108,11 +111,15 @@ func (w Workload) Hint(u int) float64 {
 func (w Workload) Owner(u int) int { return u * w.Procs / w.Units }
 
 // UnitsOf returns the unit indices initially owned by processor p.
-func (w Workload) UnitsOf(p int) []int {
+func (w Workload) UnitsOf(p int) []int { return blockOf(p, w.Procs, w.Units) }
+
+// blockOf returns the objects, of n, that the block distribution starts on
+// processor p of procs: those o with o*procs/n == p.
+func blockOf(p, procs, n int) []int {
 	var out []int
-	lo := (p*w.Units + w.Procs - 1) / w.Procs
-	for u := lo; u < w.Units && w.Owner(u) == p; u++ {
-		out = append(out, u)
+	lo := (p*n + procs - 1) / procs
+	for o := lo; o < n && o*procs/n == p; o++ {
+		out = append(out, o)
 	}
 	return out
 }
@@ -125,6 +132,43 @@ func (w Workload) TotalWork() sim.Time {
 // IdealMakespan returns TotalWork/Procs: the perfect-balance lower bound.
 func (w Workload) IdealMakespan() sim.Time {
 	return w.TotalWork() / sim.Time(w.Procs)
+}
+
+// application is what a system driver runs. The synthetic benchmark and the
+// mesh experiment are its two values (Workload.application and
+// MeshCosts.application), so a balancer under test is the same code on both.
+// Objects start in contiguous blocks (blockOf) and each is a chain of steps, step s+1 enabled by the
+// completion of step s.
+type application struct {
+	objects, steps int
+	// cost is a step's true computation; hint is what the balancers are
+	// told about it beforehand, in seconds.
+	cost func(obj, step int) sim.Time
+	hint func(obj, step int) float64
+	// objBytes is an object's migration payload, msgBytes the size of the
+	// message that starts a step.
+	objBytes, msgBytes int
+	// listBytes is what an unfinished object takes in a work list shipped
+	// between processors, batchBytes the header of a batch of migrating
+	// objects.
+	listBytes, batchBytes int
+	// edges lists adjacent object pairs (nil: independent objects).
+	edges [][2]int
+}
+
+// application describes the synthetic benchmark: every unit is an
+// independent object of one step.
+func (w Workload) application() application {
+	return application{
+		objects:    w.Units,
+		steps:      1,
+		cost:       func(u, _ int) sim.Time { return w.Actual(u) },
+		hint:       func(u, _ int) float64 { return w.Hint(u) },
+		objBytes:   w.UnitBytes,
+		msgBytes:   8,
+		listBytes:  4,
+		batchBytes: 32,
+	}
 }
 
 // simConfig assembles the simulator configuration for this workload:

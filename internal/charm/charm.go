@@ -19,7 +19,6 @@ package charm
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"prema/internal/dmcs"
@@ -327,16 +326,6 @@ func (rt *Runtime) maybeRunStrategy() {
 	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })
 
 	rt.Stats.LBSteps++
-	if debugLB {
-		hist := map[float64]int{}
-		perProc := map[int]float64{}
-		for _, c := range all {
-			hist[c.Load]++
-			perProc[c.Proc] += c.Load
-		}
-		fmt.Printf("[%8.3f] LB step %d: %d records, load histogram %v, proc spread %v\n",
-			rt.p.Now().Seconds(), rt.Stats.LBSteps, len(all), hist, perProc)
-	}
 	if d := rt.opt.StrategyCPUPerChare * sim.Time(len(all)); d > 0 {
 		rt.p.Advance(d, sim.CatScheduling)
 	}
@@ -459,7 +448,3 @@ func (rt *Runtime) Run() {
 	for rt.Step() {
 	}
 }
-
-// debugLB enables load-database tracing at the root strategy (set via the
-// CHARM_DEBUG environment variable; test-only).
-var debugLB = os.Getenv("CHARM_DEBUG") != ""
