@@ -20,8 +20,8 @@
 //
 // The 24 simulations of the full sweep are independent; -jobs fans them out
 // across cores, and -shards additionally parallelizes each simulation's
-// event loop. -wire, -trace and -metrics apply to the systems of each figure
-// that have a transport (the baseline cost models run as usual); the trace
+// event loop. -wire, -trace and -metrics apply to the PREMA systems of each
+// figure (the baselines, which have no codecs, run as usual); the trace
 // and metrics files are written per (figure, system), suffixing figN.system
 // before the extension. Output is byte-identical for any -jobs, -shards,
 // -wire and -trace values.

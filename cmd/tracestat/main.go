@@ -14,8 +14,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -38,33 +40,43 @@ type traceFile struct {
 	TraceEvents []tev `json:"traceEvents"`
 }
 
-func main() {
-	stride := flag.Int("stride", 1, "per-processor table sampling stride (0 = totals only)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "tracestat: exactly one trace file argument required")
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	stride := fs.Int("stride", 1, "per-processor table sampling stride (0 = totals only)")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2 // the flag package has reported it
+	}
+
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "tracestat: exactly one trace file argument required")
+		return 2
 	}
 	if *stride < 0 {
-		fmt.Fprintf(os.Stderr, "tracestat: -stride must be >= 0 (got %d)\n", *stride)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tracestat: -stride must be >= 0 (got %d)\n", *stride)
+		return 2
 	}
-	buf, err := os.ReadFile(flag.Arg(0))
+	buf, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracestat:", err)
+		return 1
 	}
 	var tf traceFile
 	if err := json.Unmarshal(buf, &tf); err != nil {
-		fmt.Fprintln(os.Stderr, "tracestat: not a Chrome trace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracestat: not a Chrome trace:", err)
+		return 1
 	}
 	if len(tf.TraceEvents) == 0 {
-		fmt.Fprintln(os.Stderr, "tracestat: no traceEvents in file")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracestat: no traceEvents in file")
+		return 1
 	}
-	summarize(os.Stdout, &tf, *stride)
+	summarize(stdout, &tf, *stride)
+	return 0
 }
 
 // procStat accumulates one processor's row.
@@ -83,7 +95,7 @@ type procStat struct {
 	replays    int
 }
 
-func summarize(w *os.File, tf *traceFile, stride int) {
+func summarize(w io.Writer, tf *traceFile, stride int) {
 	procs := map[int]*procStat{}
 	get := func(tid int) *procStat {
 		p := procs[tid]

@@ -129,8 +129,8 @@ func TestChaosReliableOverhead(t *testing.T) {
 	}
 }
 
-// TestChaosRejectsBaselines: the third-party baseline cost models have no
-// real transport to fault; Run must refuse them.
+// TestChaosRejectsBaselines: the third-party baselines have no reliable
+// delivery to survive a faulted transport; Run must refuse them.
 func TestChaosRejectsBaselines(t *testing.T) {
 	w := chaosWorkload()
 	for _, sys := range []string{"parmetis", "charm", "charm-sync4", "nonsense"} {

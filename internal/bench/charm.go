@@ -7,6 +7,7 @@ import (
 	"prema/internal/charm"
 	"prema/internal/dmcs"
 	"prema/internal/sim"
+	"prema/internal/substrate"
 )
 
 // CharmConfig configures the Charm++-style benchmark driver.
@@ -61,6 +62,10 @@ func charmWeight(w Workload, cfg CharmConfig, chares int, offsets []int, c, it i
 
 // RunCharm executes the synthetic benchmark on the Charm-style runtime.
 func RunCharm(w Workload, cfg CharmConfig) (*Result, error) {
+	return runCharm(w.simMachine(), w, cfg)
+}
+
+func runCharm(m substrate.Machine, w Workload, cfg CharmConfig) (*Result, error) {
 	name := "charm"
 	iters := 1
 	if cfg.SyncPoints > 0 {
@@ -82,16 +87,15 @@ func RunCharm(w Workload, cfg CharmConfig) (*Result, error) {
 		}
 	}
 
-	e := w.engine()
 	runtimes := make([]*charm.Runtime, w.Procs)
 	for p := 0; p < w.Procs; p++ {
-		e.Spawn(fmt.Sprintf("p%03d", p), func(proc *sim.Proc) {
+		m.Spawn(fmt.Sprintf("p%03d", p), func(ep substrate.Endpoint) {
 			var strat charm.Strategy
 			if cfg.SyncPoints > 0 {
 				strat = cfg.Strategy
 			}
-			rt := charm.NewRuntime(proc, charm.DefaultOptions(strat))
-			runtimes[proc.ID()] = rt
+			rt := charm.NewRuntime(ep, charm.DefaultOptions(strat))
+			runtimes[ep.ID()] = rt
 
 			type chareState struct{ iter int }
 			done := 0
@@ -123,10 +127,10 @@ func RunCharm(w Workload, cfg CharmConfig) (*Result, error) {
 			rt.Run()
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("bench %s: %w", name, err)
 	}
-	res := collect(name, w, sim.Machine{Engine: e})
+	res := collect(name, w, m)
 	var lbSteps, moved int
 	for _, rt := range runtimes {
 		moved += rt.Stats.CharesMoved

@@ -15,6 +15,7 @@ import (
 	"prema/internal/policy"
 	"prema/internal/sim"
 	"prema/internal/solver"
+	"prema/internal/substrate"
 )
 
 // The hybrid experiment implements the paper's future-work direction (§6):
@@ -109,9 +110,10 @@ func RunHybrid(system string, cfg HybridConfig, mc *MeshCosts) (*Result, error) 
 	}
 	meanRefine /= float64(nSubs * cfg.NumPhases)
 
-	e := sim.NewEngine(sim.Config{Seed: cfg.Seed})
+	w := Workload{Procs: cfg.Procs, Units: nSubs * cfg.NumPhases, Seed: cfg.Seed}
+	m := w.simMachine()
 	for p := 0; p < cfg.Procs; p++ {
-		e.Spawn(fmt.Sprintf("p%03d", p), func(proc *sim.Proc) {
+		m.Spawn(fmt.Sprintf("p%03d", p), func(proc substrate.Endpoint) {
 			opts := core.DefaultOptions(ilb.Implicit)
 			opts.LB.WaterMark = meanRefine
 			if steal {
@@ -264,11 +266,10 @@ func RunHybrid(system string, cfg HybridConfig, mc *MeshCosts) (*Result, error) 
 			r.Stop()
 		})
 	}
-	if err := e.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("hybrid %s: %w", system, err)
 	}
-	w := Workload{Procs: cfg.Procs, Units: nSubs * cfg.NumPhases, Seed: cfg.Seed}
-	return collect(system, w, sim.Machine{Engine: e}), nil
+	return collect(system, w, m), nil
 }
 
 // homeIndex returns the registration index of sub on its home processor

@@ -158,7 +158,7 @@ func RunMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts) (*Result, er
 	app := mc.application(cfg)
 	mean := mc.meanWeight(cfg)
 	w := Workload{Procs: cfg.Procs, Units: app.objects * app.steps, Seed: cfg.Seed}
-	m := sim.NewMachine(sim.Config{Seed: cfg.Seed})
+	m := w.simMachine()
 	switch system {
 	case "none", "prema-implicit":
 		pc := DefaultPremaConfig(ilb.Implicit, system != "none")

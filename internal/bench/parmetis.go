@@ -63,7 +63,7 @@ func DefaultParmetisConfig() ParmetisConfig {
 
 // RunParmetis executes the synthetic benchmark under stop-and-repartition.
 func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
-	return runRepartition("parmetis", sim.NewMachine(w.simConfig()), w, w.application(), cfg)
+	return runRepartition("parmetis", w.simMachine(), w, w.application(), cfg)
 }
 
 // runRepartition is the one stop-and-repartition protocol (see

@@ -93,11 +93,30 @@ var pinned = []pinRow{
 	{"hybrid repartition", 349463899455, 0xc0329260d73ceaf, ""},
 	{"hybrid prema", 523906980052, 0x89cc7b65819f1a50, ""},
 	{"hybrid unified", 344484866836, 0x25039193aed67515, ""},
+	// Recorded while the charm driver still spawned *sim.Proc bodies on its
+	// own engine, before it moved onto substrate.Machine.
+	{"charm fig3 8x6", 60001128280, 0x4263b5313c19889, "chares_migrated=0 lb_steps=0"},
+	{"charm fig3 32x16", 160009566640, 0xde1da47f878a6c7b, "chares_migrated=0 lb_steps=0"},
+	{"charm fig4 8x6", 50001162280, 0x153b20b5e9f19139, "chares_migrated=0 lb_steps=0"},
+	{"charm fig4 32x16", 160009576280, 0x1e05c562390f823b, "chares_migrated=0 lb_steps=0"},
+	{"charm fig5 8x6", 36001128280, 0xbc8bd16a3573e1ad, "chares_migrated=0 lb_steps=0"},
+	{"charm fig5 32x16", 96009566640, 0x818143b9648fe9d1, "chares_migrated=0 lb_steps=0"},
+	{"charm fig6 8x6", 34001118640, 0xe2c6354aaef1e6b8, "chares_migrated=0 lb_steps=0"},
+	{"charm fig6 32x16", 96009576280, 0x9ddce4b2582ad47, "chares_migrated=0 lb_steps=0"},
+	{"charm-sync4 fig3 8x6", 80002040320, 0xc73ce3f62cf47419, "chares_migrated=4 lb_steps=3"},
+	{"charm-sync4 fig3 32x16", 175005118680, 0xc82795b3d9671509, "chares_migrated=54 lb_steps=3"},
+	{"charm-sync4 fig4 8x6", 55001540520, 0x3824cee1e2627612, "chares_migrated=3 lb_steps=3"},
+	{"charm-sync4 fig4 32x16", 160003286200, 0x6a3addef7f34a8ea, "chares_migrated=8 lb_steps=3"},
+	{"charm-sync4 fig5 8x6", 47002083280, 0xe9880a389bdf91d5, "chares_migrated=7 lb_steps=3"},
+	{"charm-sync4 fig5 32x16", 96003675200, 0xe87bd441640c1979, "chares_migrated=0 lb_steps=3"},
+	{"charm-sync4 fig6 8x6", 43002092920, 0x5d0fe45fba853bbc, "chares_migrated=2 lb_steps=3"},
+	{"charm-sync4 fig6 32x16", 96003451200, 0xf5a718d41b93ec71, "chares_migrated=0 lb_steps=3"},
 }
 
 // TestDriversPinned holds the drivers to the recorded outcomes: parmetis on
 // Figures 3-6 at three scales and with the warrant forced both ways, the
-// three mesh regimes at three scales, and the hybrid example's makespans.
+// three mesh regimes at three scales, the hybrid example's makespans, and
+// both charm rows on Figures 3-6 at two scales.
 func TestDriversPinned(t *testing.T) {
 	var got []pinRow
 	add := func(name string, counters func(*Result) string, r *Result, err error) {
@@ -156,6 +175,15 @@ func TestDriversPinned(t *testing.T) {
 	for _, sys := range HybridSystems {
 		r, err := RunHybrid(sys, hc, hmc)
 		add("hybrid "+sys, func(*Result) string { return "" }, r, err)
+	}
+
+	for _, sys := range []string{"charm", "charm-sync4"} {
+		for _, f := range Figures() {
+			for _, scale := range [][2]int{{8, 6}, {32, 16}} {
+				r, err := RunSystem(sys, PaperWorkload(f, scale[0], scale[1]))
+				add(fmt.Sprintf("%s fig%d %dx%d", sys, f.ID, scale[0], scale[1]), sortedCounters, r, err)
+			}
+		}
 	}
 
 	if len(got) != len(pinned) {

@@ -176,7 +176,7 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 	if store != nil {
 		// Crashed processors come back from the fault injector, which may
 		// sit under other decorators (trace, ...).
-		if fm, ok := unwrapTo[*faulty.Machine](m); ok {
+		if fm, ok := substrate.Find[*faulty.Machine](m); ok {
 			fm.OnRejoin(func(id int) func(substrate.Endpoint) { return body(true) })
 		}
 	}
@@ -277,8 +277,8 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 
 // engineStats is the simulator engine telemetry surface. sim.Machine
 // satisfies it by embedding *sim.Engine; the real backend does not, and its
-// runs simply carry no engine telemetry. collect unwraps decorators (trace,
-// faulty, wire) to reach it.
+// runs simply carry no engine telemetry. collect reaches it through the
+// decorators with substrate.Find.
 type engineStats interface {
 	EventsFired() uint64
 	BarrierRounds() uint64
@@ -289,21 +289,6 @@ type engineStats interface {
 type wireStats interface {
 	Frames() uint64
 	SizeDrift() uint64
-}
-
-// unwrapTo walks m's decorator chain until a layer satisfies the probe.
-func unwrapTo[T any](m substrate.Machine) (T, bool) {
-	for {
-		if v, ok := m.(T); ok {
-			return v, true
-		}
-		u, ok := m.(interface{ Unwrap() substrate.Machine })
-		if !ok {
-			var zero T
-			return zero, false
-		}
-		m = u.Unwrap()
-	}
 }
 
 // collect snapshots per-processor accounts into a Result, plus engine and
@@ -319,12 +304,12 @@ func collect(name string, w Workload, m substrate.Machine) *Result {
 	for i := 0; i < m.NumProcs(); i++ {
 		res.Accounts[i] = *m.Account(i)
 	}
-	if es, ok := unwrapTo[engineStats](m); ok {
+	if es, ok := substrate.Find[engineStats](m); ok {
 		res.Events = es.EventsFired()
 		res.BarrierRounds = es.BarrierRounds()
 		res.PollsElided = es.PollsElided()
 	}
-	if ws, ok := unwrapTo[wireStats](m); ok {
+	if ws, ok := substrate.Find[wireStats](m); ok {
 		res.WireFrames = ws.Frames()
 		res.WireDrift = ws.SizeDrift()
 	}

@@ -8,7 +8,6 @@ import (
 	"prema/internal/dmcs"
 	"prema/internal/faulty"
 	"prema/internal/rtm"
-	"prema/internal/sim"
 	"prema/internal/substrate"
 	"prema/internal/sweep"
 	"prema/internal/trace"
@@ -36,7 +35,7 @@ func (s RunSpec) buildStack(d *systemDef, node *dist.Node) (*stack, error) {
 	st := &stack{lease: s.LeaseTimeout}
 	switch s.Backend {
 	case "", BackendSim:
-		st.m = sim.NewMachine(s.W.simConfig())
+		st.m = s.W.simMachine()
 	case BackendReal:
 		rc := s.wallConfig(d)
 		if s.Recover && st.lease <= 0 {
@@ -100,6 +99,8 @@ func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 		}
 		cfg.Recover, cfg.CheckpointInterval, cfg.LeaseTimeout = s.Recover, s.CheckpointInterval, st.lease
 		res, err = RunPremaOn(st.m, s.W, cfg)
+	case d.model != nil:
+		res, err = d.model(st.m, s.W)
 	case d.probe:
 		dm, ok := st.m.(*dist.Machine)
 		if !ok {
@@ -107,7 +108,7 @@ func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 		}
 		res, err = runPingPong(dm, s.W)
 	default:
-		return nil, fmt.Errorf("bench: system %q is unknown or simulator-only", d.name)
+		return nil, fmt.Errorf("bench: system %q is unknown", d.name)
 	}
 	if err != nil {
 		return nil, err
@@ -131,9 +132,6 @@ func (s RunSpec) Run() (*Result, error) {
 		return nil, err
 	}
 	d := lookupSystem(s.System)
-	if d.model != nil {
-		return d.model(s.W)
-	}
 	st, err := s.buildStack(d, nil)
 	if err != nil {
 		return nil, err

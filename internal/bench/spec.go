@@ -145,7 +145,7 @@ var flagTable = map[string]struct {
 		func(s *RunSpec) any { return &s.Jobs }},
 	"shards": {"simulator backend: parallel event-loop shards per simulation (output is identical for any value)",
 		func(s *RunSpec) any { return &s.W.Shards }},
-	"wire": {"run the systems that have a transport behind the serialization loopback (internal/wire codec: encode at Send, deliver a decoded copy; output is identical)",
+	"wire": {"run the PREMA systems (the baselines have no codecs) behind the serialization loopback (internal/wire codec: encode at Send, deliver a decoded copy; output is identical)",
 		func(s *RunSpec) any { return &s.W.Wire }},
 	"backend": {"execution substrate: sim (deterministic simulator) | real (one goroutine per processor) | dist (premad node processes over TCP)",
 		func(s *RunSpec) any { return &s.Backend }},

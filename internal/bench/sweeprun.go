@@ -16,8 +16,8 @@ import (
 // tmpl.Jobs simulations in flight, returning FigureRuns in spec order with
 // Results ordered as SystemNames — exactly what a Jobs: 1 run produces. The
 // template's engine knob (W.Shards) applies to every run; its
-// loopback and tracing apply to the systems that have a transport (the
-// cost-model baselines run as usual). None of these knobs changes a single
+// loopback and tracing apply to the PREMA systems (the baselines, which have
+// no codecs, run as usual). None of these knobs changes a single
 // output byte.
 func RunFigures(specs []FigureSpec, tmpl RunSpec) ([]*FigureRun, error) {
 	nsys := len(SystemNames)

@@ -19,17 +19,19 @@ type systemDef struct {
 	// (RunPremaOn): any backend, reliable delivery, fault tolerance and
 	// crash recovery.
 	prema func() PremaConfig
-	// model runs a third-party baseline: a cost model on the simulator
-	// engine with no transport to decorate, fault or move off the simulator.
-	model func(Workload) (*Result, error)
+	// model runs a third-party baseline. It speaks dmcs over the seam like
+	// PREMA, but its payloads have no codecs, it has no reliable delivery,
+	// and its processors share work-list slices, so it stays on the bare
+	// simulator: nothing to wire-wrap, fault or move to a wall-clock backend.
+	model func(substrate.Machine, Workload) (*Result, error)
 	// probe marks the two-rank transport round-trip probe of the
 	// distributed backend.
 	probe bool
 }
 
-// transport reports whether the system sends its messages through the
-// substrate seam, where wire, faulty and trace hook in and which the
-// wall-clock backends replace.
+// transport reports whether the system's traffic can be decorated and
+// moved: encoded by wire, dropped by faulty, recorded by trace, carried by a
+// wall-clock backend. Every row but the baselines.
 func (d *systemDef) transport() bool { return d.model == nil }
 
 func (d *systemDef) unknown() bool {
@@ -73,8 +75,14 @@ func multilistPolicy(w Workload) ilb.Policy {
 	return policy.NewMultiList(cfg)
 }
 
-func charmSystem(syncPoints int) func(Workload) (*Result, error) {
-	return func(w Workload) (*Result, error) { return RunCharm(w, DefaultCharmConfig(syncPoints)) }
+func parmetisSystem(m substrate.Machine, w Workload) (*Result, error) {
+	return runRepartition("parmetis", m, w, w.application(), DefaultParmetisConfig())
+}
+
+func charmSystem(syncPoints int) func(substrate.Machine, Workload) (*Result, error) {
+	return func(m substrate.Machine, w Workload) (*Result, error) {
+		return runCharm(m, w, DefaultCharmConfig(syncPoints))
+	}
 }
 
 // systemTable is the one name → driver dispatch behind RunSpec.Run,
@@ -84,7 +92,7 @@ var systemTable = []systemDef{
 	{name: "none", figure: true, prema: premaSystem(ilb.Implicit, false)},
 	{name: "prema-explicit", figure: true, prema: premaSystem(ilb.Explicit, true)},
 	{name: "prema-implicit", figure: true, prema: premaSystem(ilb.Implicit, true)},
-	{name: "parmetis", figure: true, model: func(w Workload) (*Result, error) { return RunParmetis(w, DefaultParmetisConfig()) }},
+	{name: "parmetis", figure: true, model: parmetisSystem},
 	{name: "charm", figure: true, model: charmSystem(0)},
 	{name: "charm-sync4", figure: true, model: charmSystem(4)},
 	{name: "prema-worksteal", prema: policySystem(nil)},
@@ -118,11 +126,10 @@ func lookupSystem(name string) *systemDef {
 	return &systemDef{name: name}
 }
 
-// HasTransport reports whether a named system runs a real transport through
-// the substrate seam — and can therefore be traced, wire-wrapped, faulted
-// and run on the real and distributed backends. The third-party baseline
-// models (parmetis, charm*) are simulator cost models with nothing to
-// observe; unknown names have nothing at all.
+// HasTransport reports whether a named system can be traced, wire-wrapped,
+// faulted and run on the real and distributed backends. The third-party
+// baselines (parmetis, charm*) cannot — no codecs, no reliable delivery —
+// and unknown names have nothing at all.
 func HasTransport(name string) bool {
 	d := lookupSystem(name)
 	return !d.unknown() && d.transport()
@@ -146,8 +153,12 @@ func PremaConfigFor(name string) (PremaConfig, error) {
 }
 
 // RunSystemOn executes one named system configuration on an arbitrary
-// execution substrate. The third-party baseline models (parmetis, charm*)
-// are wired to the simulator's cost model and are rejected here.
+// execution substrate. The third-party baselines (parmetis, charm*) are
+// simulator-only (see systemDef.model) and are rejected here.
 func RunSystemOn(name string, m substrate.Machine, w Workload) (*Result, error) {
-	return RunSpec{System: name, W: w}.runOn(lookupSystem(name), &stack{m: m})
+	d := lookupSystem(name)
+	if !d.transport() {
+		return nil, fmt.Errorf("bench: system %q is simulator-only", name)
+	}
+	return RunSpec{System: name, W: w}.runOn(d, &stack{m: m})
 }

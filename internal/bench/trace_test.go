@@ -86,8 +86,8 @@ func TestTraceRingOverflowInRun(t *testing.T) {
 	}
 }
 
-// TestTracedSystemRejectsBaselines: the cost models have no transport to
-// observe; asking for a trace of one is a user error, not a silent no-op.
+// TestTracedSystemRejectsBaselines: the baselines run on the bare simulator
+// only; asking for a trace of one is a user error, not a silent no-op.
 func TestTracedSystemRejectsBaselines(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 4, 4)
 	for _, sys := range []string{"parmetis", "charm", "charm-sync4"} {
@@ -96,6 +96,12 @@ func TestTracedSystemRejectsBaselines(t *testing.T) {
 		}
 		if _, err := (RunSpec{System: sys, W: w, Trace: true}).Run(); err == nil {
 			t.Errorf("traced Run of %q did not error", sys)
+		}
+		// Nor do they run on a machine the caller built (it may be decorated
+		// or wall-clock): runOn dispatches them, RunSystemOn still refuses.
+		m := w.simMachine()
+		if _, err := RunSystemOn(sys, m, w); err == nil || m.NumProcs() != 0 {
+			t.Errorf("RunSystemOn(%q) = %v with %d processors spawned; want a refusal before anything runs", sys, err, m.NumProcs())
 		}
 	}
 	for _, sys := range []string{"none", "prema-explicit", "prema-implicit", "prema-diffusion"} {

@@ -67,9 +67,9 @@ type Workload struct {
 	// a freshly decoded copy, auditing modeled sizes along the way. Like
 	// Shards it never changes output — wire runs are byte-identical
 	// (internal/bench/wire_equivalence_test.go) — it only costs host CPU.
-	// It applies to the machine-based drivers (none and the prema-*
-	// systems); the engine-level cost models (parmetis, charm*) have no
-	// transport to wrap.
+	// It applies to the PREMA drivers (none and the prema-* systems); the
+	// baselines (parmetis, charm*) send over the same seam but ship
+	// payloads that have no codec.
 	Wire bool
 }
 
@@ -173,9 +173,7 @@ func (w Workload) application() application {
 
 // simConfig assembles the simulator configuration for this workload:
 // network model, seed, shard count, and the one processor→shard placement —
-// contiguous blocks, shard id*S/P for processor id. Everything that builds a
-// sim engine or machine for a workload goes through here, so every driver
-// and the benchmark's two-shard workload run the same placement.
+// contiguous blocks, shard id*S/P for processor id.
 func (w Workload) simConfig() sim.Config {
 	procs := w.Procs
 	return sim.Config{
@@ -186,7 +184,8 @@ func (w Workload) simConfig() sim.Config {
 	}
 }
 
-// engine builds the simulation engine for this workload.
-func (w Workload) engine() *sim.Engine {
-	return sim.NewEngine(w.simConfig())
+// simMachine builds the simulator for this workload. Every driver and
+// buildStack get theirs here, so they all run the same placement.
+func (w Workload) simMachine() sim.Machine {
+	return sim.NewMachine(w.simConfig())
 }

@@ -22,7 +22,7 @@ import (
 	"sort"
 
 	"prema/internal/dmcs"
-	"prema/internal/sim"
+	"prema/internal/substrate"
 )
 
 // EntryID names a registered entry method.
@@ -45,34 +45,30 @@ type Chare struct {
 	resume   EntryID
 }
 
-// Measured returns the chare's accumulated measured load (seconds) in the
-// current LB interval.
-func (c *Chare) Measured() float64 { return c.measured }
-
 // Options configures a Runtime.
 type Options struct {
 	// Strategy picks the central load balancing strategy invoked at AtSync
 	// barriers; nil disables rebalancing (AtSync still synchronizes).
 	Strategy Strategy
 	// SchedCPU is pick-and-process overhead charged per scheduled message.
-	SchedCPU sim.Time
+	SchedCPU substrate.Time
 	// StrategyCPUPerChare prices the central strategy computation at the
 	// root, charged per database record.
-	StrategyCPUPerChare sim.Time
+	StrategyCPUPerChare substrate.Time
 	// MigrateFixed is fixed per-chare migration overhead in bytes.
 	MigrateFixed int
 	// IdleTick bounds idle blocking in the scheduler loop.
-	IdleTick sim.Time
+	IdleTick substrate.Time
 }
 
 // DefaultOptions returns options matching the experiments.
 func DefaultOptions(s Strategy) Options {
 	return Options{
 		Strategy:            s,
-		SchedCPU:            5 * sim.Microsecond,
-		StrategyCPUPerChare: 2 * sim.Microsecond,
+		SchedCPU:            5 * substrate.Microsecond,
+		StrategyCPUPerChare: 2 * substrate.Microsecond,
 		MigrateFixed:        64,
-		IdleTick:            50 * sim.Millisecond,
+		IdleTick:            50 * substrate.Millisecond,
 	}
 }
 
@@ -111,7 +107,7 @@ type migrateMsg struct{ Chare *Chare }
 
 // Runtime is one processor's Charm-style runtime.
 type Runtime struct {
-	p   *sim.Proc
+	p   substrate.Endpoint
 	c   *dmcs.Comm
 	opt Options
 
@@ -148,13 +144,13 @@ type Stats struct {
 	LBSteps      int
 	CharesMoved  int
 	ForwardHops  int
-	SyncWaitTime sim.Time
+	SyncWaitTime substrate.Time
 }
 
-// NewRuntime builds a Charm-style runtime on a simulated processor. SPMD
+// NewRuntime builds a Charm-style runtime on one processor's endpoint. SPMD
 // discipline applies: all processors construct runtimes and register entry
 // methods in the same order.
-func NewRuntime(p *sim.Proc, opt Options) *Runtime {
+func NewRuntime(p substrate.Endpoint, opt Options) *Runtime {
 	rt := &Runtime{p: p, c: dmcs.New(p), opt: opt,
 		chares: make(map[int]*Chare), contributions: make(map[int]contributionMsg)}
 	rt.hInvoke = rt.c.Register(func(c *dmcs.Comm, src int, data any, size int) {
@@ -180,8 +176,8 @@ func NewRuntime(p *sim.Proc, opt Options) *Runtime {
 	return rt
 }
 
-// Proc returns the underlying simulated processor.
-func (rt *Runtime) Proc() *sim.Proc { return rt.p }
+// Proc returns the processor's endpoint.
+func (rt *Runtime) Proc() substrate.Endpoint { return rt.p }
 
 // Comm returns the underlying active-message endpoint for application use
 // (e.g. completion notifications in the benchmark).
@@ -201,7 +197,7 @@ func (rt *Runtime) RegisterEntry(fn EntryMethod) EntryID {
 func (rt *Runtime) CreateArray(n int, data func(index int) (state any, size int)) {
 	rt.arraySize = n
 	rt.loc = make([]int, n)
-	np := rt.p.Engine().NumProcs()
+	np := rt.p.NumPeers()
 	for i := 0; i < n; i++ {
 		owner := i * np / n
 		rt.loc[i] = owner
@@ -251,7 +247,7 @@ func (rt *Runtime) enqueue(m *invokeMsg) {
 
 // Compute consumes entry-method CPU. Execution is atomic: there is no
 // polling thread, so nothing else is processed until the entry returns.
-func (rt *Runtime) Compute(d sim.Time) { rt.p.Advance(d, sim.CatCompute) }
+func (rt *Runtime) Compute(d substrate.Time) { rt.p.Advance(d, substrate.CatCompute) }
 
 // AtSync signals that chare c reached a load balancing point; it resumes
 // via the given entry once balancing completes (Charm++'s ResumeFromSync).
@@ -326,16 +322,16 @@ func (rt *Runtime) maybeRunStrategy() {
 	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })
 
 	rt.Stats.LBSteps++
-	if d := rt.opt.StrategyCPUPerChare * sim.Time(len(all)); d > 0 {
-		rt.p.Advance(d, sim.CatScheduling)
+	if d := rt.opt.StrategyCPUPerChare * substrate.Time(len(all)); d > 0 {
+		rt.p.Advance(d, substrate.CatScheduling)
 	}
 	newLoc := append([]int(nil), rt.loc...)
 	if rt.opt.Strategy != nil {
-		for idx, proc := range rt.opt.Strategy.Remap(all, rt.p.Engine().NumProcs()) {
+		for idx, proc := range rt.opt.Strategy.Remap(all, rt.p.NumPeers()) {
 			newLoc[idx] = proc
 		}
 	}
-	for i := 1; i < rt.p.Engine().NumProcs(); i++ {
+	for i := 1; i < rt.p.NumPeers(); i++ {
 		rt.c.Send(i, rt.hMapping, newLoc, 4*len(newLoc)+32)
 	}
 	rt.applyMapping(newLoc)
@@ -395,7 +391,7 @@ func (rt *Runtime) Stop() { rt.stopped = true }
 
 // StopAll broadcasts termination to every processor, then stops locally.
 func (rt *Runtime) StopAll() {
-	for i := 0; i < rt.p.Engine().NumProcs(); i++ {
+	for i := 0; i < rt.p.NumPeers(); i++ {
 		if i != rt.p.ID() {
 			rt.c.Send(i, rt.hStop, nil, 8)
 		}
@@ -416,7 +412,7 @@ func (rt *Runtime) Step() bool {
 		m := rt.queue[0]
 		rt.queue = rt.queue[1:]
 		if rt.opt.SchedCPU > 0 {
-			rt.p.Advance(rt.opt.SchedCPU, sim.CatScheduling)
+			rt.p.Advance(rt.opt.SchedCPU, substrate.CatScheduling)
 		}
 		ch := rt.chares[m.Index]
 		if ch == nil {
@@ -436,7 +432,7 @@ func (rt *Runtime) Step() bool {
 		return true
 	}
 	start := rt.p.Now()
-	rt.p.WaitMsgFor(rt.opt.IdleTick, sim.CatIdle)
+	rt.p.WaitMsgFor(rt.opt.IdleTick, substrate.CatIdle)
 	if rt.lbWaiting {
 		rt.Stats.SyncWaitTime += rt.p.Now() - start
 	}

@@ -16,8 +16,6 @@
 package core
 
 import (
-	"time"
-
 	"prema/internal/dmcs"
 	"prema/internal/ilb"
 	"prema/internal/mol"
@@ -156,9 +154,6 @@ func (r *Runtime) Get(mp mol.MobilePtr, reader int, done func(value any)) {
 // the simulator advances virtual time by exactly d, the real-concurrency
 // machine burns scaled wall-clock.
 func (r *Runtime) Compute(d substrate.Time) { r.s.Compute(d) }
-
-// ComputeDuration is Compute for callers holding a time.Duration.
-func (r *Runtime) ComputeDuration(d time.Duration) { r.s.Compute(substrate.FromDuration(d)) }
 
 // Poll is the application-posted polling operation.
 func (r *Runtime) Poll() { r.s.Poll() }

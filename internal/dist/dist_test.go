@@ -302,13 +302,13 @@ func (f *fakeCoord) send(payload any) {
 	}
 }
 
-// startSingleNode drives one node (hosting both ranks of a 2-processor
+// startLoneNode drives one node (hosting both ranks of a 2-processor
 // machine) through join + ready + start against the fake coordinator and
 // returns the machine's Run result channel. With block set, rank 0 parks in
 // Recv forever after one exchange — a "mid-run" machine whose teardown must
 // come from the session machinery; without it, both bodies finish on their
 // own and the machine proceeds to its drain handshake.
-func startSingleNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool) chan error {
+func startLoneNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool) chan error {
 	t.Helper()
 	joinErr := make(chan error, 1)
 	nodeCh := make(chan *dist.Node, 1)
@@ -360,7 +360,7 @@ func startSingleNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool
 // killed, Run returns nonzero — rather than hang.
 func TestNodeAbortsOnLostCoordinator(t *testing.T) {
 	f := newFakeCoord(t)
-	runErr := startSingleNode(t, f, testTimeout, true)
+	runErr := startLoneNode(t, f, testTimeout, true)
 	time.Sleep(50 * time.Millisecond) // let the run get going
 	f.conn.Close()                    // coordinator "crashes"
 	select {
@@ -380,7 +380,7 @@ func TestNodeAbortsOnLostCoordinator(t *testing.T) {
 // Fin must not wedge the node — the drain deadline expires and Run errors.
 func TestNodeDrainDeadline(t *testing.T) {
 	f := newFakeCoord(t)
-	runErr := startSingleNode(t, f, 500*time.Millisecond, false)
+	runErr := startLoneNode(t, f, 500*time.Millisecond, false)
 	f.read() // Done — then withhold Fin
 	select {
 	case err := <-runErr:

@@ -45,10 +45,7 @@ type Machine struct {
 	frames, wireBytes, drift atomic.Int64
 }
 
-var (
-	_ substrate.Machine = (*Machine)(nil)
-	_ substrate.Router  = (*Machine)(nil)
-)
+var _ substrate.Machine = (*Machine)(nil)
 
 // NewMachine builds this node's Machine from its roster. The cost model in
 // cfg applies between hosted ranks; remote messages pay the real network
@@ -86,14 +83,6 @@ func (m *Machine) sendRemote(msg *substrate.Msg) bool {
 // Makespan returns the machine-wide makespan agreed in the coordinator's
 // Fin release — identical on every node.
 func (m *Machine) Makespan() substrate.Time { return m.makespan }
-
-// AddrOf implements substrate.Router.
-func (m *Machine) AddrOf(proc int) substrate.Addr {
-	return substrate.Addr{Node: m.node.procNode[proc], Proc: proc}
-}
-
-// NumNodes implements substrate.Router.
-func (m *Machine) NumNodes() int { return m.node.nodes }
 
 // Range returns the hosted rank range [lo, hi).
 func (m *Machine) Range() (lo, hi int) { return m.node.Range() }

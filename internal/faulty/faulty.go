@@ -39,7 +39,7 @@ func (s *Stats) Add(o Stats) {
 // injection. Build one with Wrap, then use it exactly like the inner
 // machine.
 type Machine struct {
-	inner    substrate.Machine
+	substrate.Machine
 	plan     Plan
 	seed     int64
 	eps      []*Endpoint
@@ -59,13 +59,12 @@ func (f *Machine) OnRejoin(fn func(id int) func(substrate.Endpoint)) { f.onRejoi
 // on the deterministic simulator are themselves deterministic, and faulted
 // runs on the goroutine machine never share unsynchronized state.
 func Wrap(m substrate.Machine, plan Plan, seed int64) *Machine {
-	return &Machine{inner: m, plan: plan, seed: seed}
+	return &Machine{Machine: m, plan: plan, seed: seed}
 }
 
-// Unwrap returns the decorated machine, so callers can reach what sits
-// beneath the injector: the engine's and the wire loopback's telemetry, the
-// routing table (substrate.RouterOf).
-func (f *Machine) Unwrap() substrate.Machine { return f.inner }
+// Unwrap returns the decorated machine, so substrate.Find can reach what
+// sits beneath the injector: the engine's and the wire loopback's telemetry.
+func (f *Machine) Unwrap() substrate.Machine { return f.Machine }
 
 // Spawn implements substrate.Machine. The body runs against a fault-
 // injecting endpoint; a scheduled crash unwinds the body early (recovered
@@ -96,8 +95,8 @@ func (f *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	}
 	sort.Slice(fe.rejoins, func(i, j int) bool { return fe.rejoins[i].At < fe.rejoins[j].At })
 	f.eps = append(f.eps, fe)
-	f.inner.Spawn(name, func(ep substrate.Endpoint) {
-		fe.inner = ep
+	f.Machine.Spawn(name, func(ep substrate.Endpoint) {
+		fe.Endpoint = ep
 		runBody(id, func() { body(fe) })
 		// Scheduled rejoins: each crash may be followed by one fresh
 		// incarnation running the OnRejoin body.
@@ -125,24 +124,6 @@ func runBody(id int, body func()) {
 	}()
 	body()
 }
-
-// Run implements substrate.Machine.
-func (f *Machine) Run() error { return f.inner.Run() }
-
-// Stop implements substrate.Machine.
-func (f *Machine) Stop() { f.inner.Stop() }
-
-// NumProcs implements substrate.Machine.
-func (f *Machine) NumProcs() int { return f.inner.NumProcs() }
-
-// Now implements substrate.Machine.
-func (f *Machine) Now() substrate.Time { return f.inner.Now() }
-
-// Makespan implements substrate.Machine.
-func (f *Machine) Makespan() substrate.Time { return f.inner.Makespan() }
-
-// Account implements substrate.Machine.
-func (f *Machine) Account(i int) *substrate.Account { return f.inner.Account(i) }
 
 // Stats returns the machine-wide injection totals. Only read it after Run.
 func (f *Machine) Stats() Stats {
@@ -176,11 +157,19 @@ type held struct {
 // network arrival, reorder displaces it behind later arrivals. This keeps
 // every decision on the endpoint's own execution context, so injection is
 // deterministic on the simulator and race-free on the goroutine machine.
+//
+// The inner endpoint is embedded as the interface, which hides its optional
+// substrate.PolledAdvancer: a polled computation steps through Advance, so
+// every poll passes check().
 type Endpoint struct {
-	f     *Machine
-	inner substrate.Endpoint
-	id    int
-	rng   *rand.Rand
+	// Endpoint is the inner endpoint, set when the processor's body starts.
+	substrate.Endpoint
+
+	f  *Machine
+	id int
+	// rng is the injection stream, private to the decorator; Rand() stays
+	// the inner endpoint's.
+	rng *rand.Rand
 
 	queue   []held
 	nextOrd uint64
@@ -200,7 +189,7 @@ func (e *Endpoint) popRejoin() (substrate.Time, bool) {
 	}
 	t := e.rejoins[0].At
 	e.rejoins = e.rejoins[1:]
-	if now := e.inner.Now(); t < now {
+	if now := e.Now(); t < now {
 		t = now
 	}
 	return t, true
@@ -212,11 +201,11 @@ func (e *Endpoint) popRejoin() (substrate.Time, bool) {
 // (a fail-stop loses its inbox), and the crash/stall schedules are re-armed
 // for the new incarnation.
 func (e *Endpoint) rejoin(t substrate.Time) {
-	if d := t - e.inner.Now(); d > 0 {
-		e.inner.Advance(d, substrate.CatIdle)
+	if d := t - e.Now(); d > 0 {
+		e.Endpoint.Advance(d, substrate.CatIdle)
 	}
-	for e.inner.InboxLen() > 0 {
-		if e.inner.TryRecv(substrate.CatMessaging) == nil {
+	for e.Endpoint.InboxLen() > 0 {
+		if e.Endpoint.TryRecv(substrate.CatMessaging) == nil {
 			break
 		}
 	}
@@ -236,9 +225,6 @@ func (e *Endpoint) rejoin(t substrate.Time) {
 
 var _ substrate.Endpoint = (*Endpoint)(nil)
 
-// Inner returns the wrapped endpoint (for tests and backend-specific use).
-func (e *Endpoint) Inner() substrate.Endpoint { return e.inner }
-
 // Stats returns this endpoint's injection counts.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
@@ -246,7 +232,7 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // so scheduled faults take effect at the processor's next substrate
 // interaction after their time arrives.
 func (e *Endpoint) check() {
-	now := e.inner.Now()
+	now := e.Now()
 	if e.crashAt >= 0 && !e.crashed && now >= e.crashAt {
 		e.crashed = true
 		e.stats.Crashed = true
@@ -256,16 +242,16 @@ func (e *Endpoint) check() {
 		s := e.stalls[0]
 		e.stalls = e.stalls[1:]
 		e.stats.Stalls++
-		e.inner.Advance(s.For, substrate.CatIdle)
-		now = e.inner.Now()
+		e.Endpoint.Advance(s.For, substrate.CatIdle)
+		now = e.Now()
 	}
 }
 
 // pump drains every message buffered at the inner endpoint, applying the
 // link fault model message by message.
 func (e *Endpoint) pump() {
-	for e.inner.InboxLen() > 0 {
-		m := e.inner.TryRecv(substrate.CatMessaging)
+	for e.Endpoint.InboxLen() > 0 {
+		m := e.Endpoint.TryRecv(substrate.CatMessaging)
 		if m == nil {
 			return
 		}
@@ -283,7 +269,7 @@ func (e *Endpoint) pump() {
 		var release substrate.Time
 		if lf.Delay > 0 && e.rng.Float64() < lf.Delay {
 			e.stats.Delayed++
-			release = e.inner.Now() + 1 + substrate.Time(e.rng.Int63n(int64(lf.DelayMax)))
+			release = e.Now() + 1 + substrate.Time(e.rng.Int63n(int64(lf.DelayMax)))
 		}
 		reorder := lf.Reorder > 0 && e.rng.Float64() < lf.Reorder
 		var bump uint64
@@ -313,7 +299,7 @@ func (e *Endpoint) enqueue(m *substrate.Msg, release substrate.Time) {
 // receive (lowest order among released messages, optionally filtered by
 // tag), or -1.
 func (e *Endpoint) pickDeliverable(tag int, anyTag bool) int {
-	now := e.inner.Now()
+	now := e.Now()
 	best := -1
 	for i, h := range e.queue {
 		if h.release > now {
@@ -332,7 +318,7 @@ func (e *Endpoint) pickDeliverable(tag int, anyTag bool) int {
 // nextRelease returns the earliest pending release time among held messages
 // still in the future, or 0 if none.
 func (e *Endpoint) nextRelease() substrate.Time {
-	now := e.inner.Now()
+	now := e.Now()
 	var t substrate.Time
 	for _, h := range e.queue {
 		if h.release > now && (t == 0 || h.release < t) {
@@ -350,32 +336,10 @@ func (e *Endpoint) take(i int) *substrate.Msg {
 
 // --- substrate.Endpoint implementation ---
 
-// ID implements substrate.Endpoint.
-func (e *Endpoint) ID() int { return e.id }
-
-// Name implements substrate.Endpoint.
-func (e *Endpoint) Name() string { return e.inner.Name() }
-
-// NumPeers implements substrate.Endpoint.
-func (e *Endpoint) NumPeers() int { return e.inner.NumPeers() }
-
-// Now implements substrate.Clock.
-func (e *Endpoint) Now() substrate.Time { return e.inner.Now() }
-
-// Rand implements substrate.Endpoint, passing through the inner stream (the
-// injection stream is private to the decorator).
-func (e *Endpoint) Rand() *rand.Rand { return e.inner.Rand() }
-
-// Account implements substrate.Endpoint.
-func (e *Endpoint) Account() *substrate.Account { return e.inner.Account() }
-
-// Charge implements substrate.Endpoint.
-func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.inner.Charge(cat, d) }
-
 // Advance implements substrate.Endpoint.
 func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	e.check()
-	e.inner.Advance(d, cat)
+	e.Endpoint.Advance(d, cat)
 }
 
 // Send implements substrate.Endpoint. Faults are charged to the receiving
@@ -383,7 +347,7 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 // for messages the network will lose — as on a real wire).
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	e.check()
-	e.inner.Send(m, cat)
+	e.Endpoint.Send(m, cat)
 }
 
 // InboxLen implements substrate.Endpoint. Held (delayed) messages have not
@@ -392,7 +356,7 @@ func (e *Endpoint) InboxLen() int {
 	e.check()
 	e.pump()
 	n := 0
-	now := e.inner.Now()
+	now := e.Now()
 	for _, h := range e.queue {
 		if h.release <= now {
 			n++
@@ -447,24 +411,24 @@ func (e *Endpoint) WaitMsg(cat substrate.Category) {
 			return
 		}
 		if rel := e.nextRelease(); rel > 0 {
-			e.inner.WaitMsgFor(rel-e.inner.Now(), cat)
+			e.Endpoint.WaitMsgFor(rel-e.Now(), cat)
 			continue
 		}
-		e.inner.WaitMsg(cat)
+		e.Endpoint.WaitMsg(cat)
 	}
 }
 
 // WaitMsgFor implements substrate.Endpoint with the same held-message
 // semantics as WaitMsg.
 func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
-	deadline := e.inner.Now() + d
+	deadline := e.Now() + d
 	for {
 		e.check()
 		e.pump()
 		if e.pickDeliverable(0, true) >= 0 {
 			return true
 		}
-		now := e.inner.Now()
+		now := e.Now()
 		if now >= deadline {
 			return false
 		}
@@ -472,6 +436,6 @@ func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
 		if rel := e.nextRelease(); rel > 0 && rel-now < wait {
 			wait = rel - now
 		}
-		e.inner.WaitMsgFor(wait, cat)
+		e.Endpoint.WaitMsgFor(wait, cat)
 	}
 }

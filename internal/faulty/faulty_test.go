@@ -242,28 +242,15 @@ func TestCrash(t *testing.T) {
 	}
 }
 
-// routedMachine is a machine with a routing table of its own.
-type routedMachine struct {
-	substrate.Machine
-	substrate.Router
-}
-
-// TestUnwrapReachesRouter: the injector is transparent to decorator-chain
-// walks — substrate.RouterOf finds the routing table of the machine it wraps
-// instead of falling back to SingleNode.
-func TestUnwrapReachesRouter(t *testing.T) {
-	inner := routedMachine{sim.NewMachine(sim.Config{Seed: 4}), twoNodes{}}
+// TestUnwrapReachesInner: the injector is transparent to decorator-chain
+// walks — substrate.Find reaches the machine it wraps.
+func TestUnwrapReachesInner(t *testing.T) {
+	inner := sim.NewMachine(sim.Config{Seed: 4})
 	fm := Wrap(inner, Plan{}, 1)
 	if fm.Unwrap() != substrate.Machine(inner) {
 		t.Fatal("Unwrap did not return the wrapped machine")
 	}
-	if r := substrate.RouterOf(fm); r.NumNodes() != 2 || r.AddrOf(3) != (substrate.Addr{Node: 1, Proc: 3}) {
-		t.Errorf("RouterOf through the injector = %d nodes, proc 3 at %+v; want the inner two-node table",
-			r.NumNodes(), r.AddrOf(3))
+	if got, ok := substrate.Find[sim.Machine](fm); !ok || got != inner {
+		t.Errorf("Find through the injector = %v, %v; want the inner simulator", got, ok)
 	}
 }
-
-type twoNodes struct{}
-
-func (twoNodes) AddrOf(proc int) substrate.Addr { return substrate.Addr{Node: proc % 2, Proc: proc} }
-func (twoNodes) NumNodes() int                  { return 2 }

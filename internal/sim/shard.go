@@ -4,8 +4,7 @@ package sim
 // event free list, local virtual clock, per-(src,dst) FIFO state for
 // messages *sent* by its processors, span buffer, and outgoing cross-shard
 // mailboxes. Processors are assigned by Config.Partition (round-robin when
-// nil, which spreads the figure workloads' heavy low-index units across
-// shards; internal/bench adds blocked and load-aware strategies on top).
+// nil; internal/bench places them in contiguous blocks).
 //
 // Everything a shard touches while a window executes is owned by that shard
 // — the engine-level structures (procs slice, config, lookahead) are

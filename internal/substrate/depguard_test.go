@@ -11,10 +11,11 @@ import (
 )
 
 // TestStackDoesNotImportSim guards the seams between packages, one row per
-// rule. The PREMA stack (dmcs, mol, ilb, policy, core, coll, recov) and the
-// wire codec must depend only on this package, never on a concrete backend:
-// a direct import of internal/sim, internal/rtm or internal/dist from one of
-// these layers would silently re-couple the stack to one backend. And the
+// rule. The PREMA stack (dmcs, mol, ilb, policy, core, coll, recov), the
+// Charm-style baseline runtime and the three decorators (wire, faulty, trace)
+// must depend only on this package, never on a concrete backend: a direct
+// import of internal/sim, internal/rtm or internal/dist from one of these
+// layers would silently re-couple it to one backend. And the
 // wall-clock machine must know neither codecs nor sockets — a remote hop is
 // a function value handed to rtm.NewShare, so every wall-clock run fills its
 // ledger with the same code. This test turns either into a build-time-visible
@@ -26,9 +27,9 @@ func TestStackDoesNotImportSim(t *testing.T) {
 		why    string
 	}{
 		{
-			layers: []string{"dmcs", "mol", "ilb", "policy", "core", "coll", "recov", "wire"},
+			layers: []string{"dmcs", "mol", "ilb", "policy", "core", "coll", "recov", "charm", "wire", "faulty", "trace"},
 			banned: []string{"prema/internal/sim", "prema/internal/rtm", "prema/internal/dist"},
-			why:    "the PREMA stack must depend only on internal/substrate",
+			why:    "the runtimes and decorators above the seam must depend only on internal/substrate",
 		},
 		{
 			layers: []string{"rtm"},

@@ -1,0 +1,399 @@
+package substrate_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"prema/internal/faulty"
+	"prema/internal/substrate"
+	"prema/internal/trace"
+	"prema/internal/wire"
+)
+
+// The decorator contract (DESIGN §3), checked for wire, faulty and trace in
+// one place against a recording fake: a decorator embeds the interface and
+// overrides only what it changes, so every method reaches the inner value;
+// the optional PolledAdvancer is hidden unless the decorator re-offers it;
+// and Unwrap keeps substrate.Find working through any stack of them.
+
+type (
+	Time     = substrate.Time
+	Category = substrate.Category
+	Msg      = substrate.Msg
+)
+
+// Values the fakes hand out, shared so a decorated and a bare call can be
+// compared with ==.
+var (
+	fakeRand    = rand.New(rand.NewSource(1))
+	fakeAccount = new(substrate.Account)
+	queued      = &Msg{Src: 2, Dst: 0, Tag: 5, Data: 7, Size: 8}
+)
+
+// fakeEP is a one-processor endpoint that logs every call made on it. Its
+// clock moves only by Advance, and its inbox holds what the test queued.
+type fakeEP struct {
+	log   []string
+	now   Time
+	inbox []*Msg
+	sent  *Msg
+}
+
+func (e *fakeEP) rec(format string, args ...any) { e.log = append(e.log, fmt.Sprintf(format, args...)) }
+
+func (e *fakeEP) Now() Time                   { e.rec("Now()"); return e.now }
+func (e *fakeEP) ID() int                     { e.rec("ID()"); return 3 }
+func (e *fakeEP) Name() string                { e.rec("Name()"); return "p003" }
+func (e *fakeEP) NumPeers() int               { e.rec("NumPeers()"); return 11 }
+func (e *fakeEP) Rand() *rand.Rand            { e.rec("Rand()"); return fakeRand }
+func (e *fakeEP) Account() *substrate.Account { e.rec("Account()"); return fakeAccount }
+func (e *fakeEP) Charge(cat Category, d Time) { e.rec("Charge(%v, %d)", cat, d) }
+func (e *fakeEP) Advance(d Time, cat Category) {
+	e.rec("Advance(%d, %v)", d, cat)
+	e.now += d
+}
+func (e *fakeEP) Send(m *Msg, cat Category) {
+	e.rec("Send(%+v, %v)", *m, cat)
+	e.sent = m
+}
+func (e *fakeEP) InboxLen() int { e.rec("InboxLen()"); return len(e.inbox) }
+func (e *fakeEP) HasMsg(tag int) bool {
+	e.rec("HasMsg(%d)", tag)
+	return len(e.inbox) > 0 && e.inbox[0].Tag == tag
+}
+func (e *fakeEP) pop() *Msg {
+	if len(e.inbox) == 0 {
+		return nil
+	}
+	m := e.inbox[0]
+	e.inbox = e.inbox[1:]
+	return m
+}
+func (e *fakeEP) TryRecv(cat Category) *Msg { e.rec("TryRecv(%v)", cat); return e.pop() }
+func (e *fakeEP) TryRecvTag(tag int, cat Category) *Msg {
+	e.rec("TryRecvTag(%d, %v)", tag, cat)
+	return e.pop()
+}
+func (e *fakeEP) Recv(waitCat Category) *Msg { e.rec("Recv(%v)", waitCat); return e.pop() }
+func (e *fakeEP) WaitMsg(cat Category)       { e.rec("WaitMsg(%v)", cat) }
+func (e *fakeEP) WaitMsgFor(d Time, cat Category) bool {
+	e.rec("WaitMsgFor(%d, %v)", d, cat)
+	return len(e.inbox) > 0
+}
+
+// polledEP is a fakeEP that can elide: it takes the whole advance at once.
+type polledEP struct{ fakeEP }
+
+func (e *polledEP) AdvancePolled(d Time, ps substrate.PollSpec) (Time, int) {
+	e.rec("AdvancePolled(%d, %+v)", d, ps)
+	polls := int((d+ps.Interval-1)/ps.Interval) - 1
+	e.now += d + Time(polls)*ps.Cost
+	return d, polls
+}
+
+// fakeMachine runs its bodies one after the other on the endpoint it was
+// given, and carries a telemetry surface shaped like the simulator's.
+type fakeMachine struct {
+	log    []string
+	ep     substrate.Endpoint
+	bodies []func(substrate.Endpoint)
+}
+
+func (m *fakeMachine) rec(format string, args ...any) {
+	m.log = append(m.log, fmt.Sprintf(format, args...))
+}
+
+func (m *fakeMachine) Spawn(name string, body func(substrate.Endpoint)) {
+	m.rec("Spawn(%s)", name)
+	m.bodies = append(m.bodies, body)
+}
+func (m *fakeMachine) Run() error {
+	m.rec("Run()")
+	for _, body := range m.bodies {
+		body(m.ep)
+	}
+	return errRun
+}
+func (m *fakeMachine) Stop()                            { m.rec("Stop()") }
+func (m *fakeMachine) NumProcs() int                    { m.rec("NumProcs()"); return 11 }
+func (m *fakeMachine) Now() Time                        { m.rec("Now()"); return 17 }
+func (m *fakeMachine) Makespan() Time                   { m.rec("Makespan()"); return 19 }
+func (m *fakeMachine) Account(i int) *substrate.Account { m.rec("Account(%d)", i); return fakeAccount }
+
+func (m *fakeMachine) EventsFired() uint64   { return 1 }
+func (m *fakeMachine) BarrierRounds() uint64 { return 2 }
+func (m *fakeMachine) PollsElided() uint64   { return 3 }
+
+var errRun = fmt.Errorf("the fake machine's Run result")
+
+// engineStats is the probe internal/bench walks the chain for.
+type engineStats interface {
+	EventsFired() uint64
+	BarrierRounds() uint64
+	PollsElided() uint64
+}
+
+type wrapper func(substrate.Machine) substrate.Machine
+
+func bare(m substrate.Machine) substrate.Machine       { return m }
+func wrapWire(m substrate.Machine) substrate.Machine   { return wire.Wrap(m) }
+func wrapFaulty(m substrate.Machine) substrate.Machine { return faulty.Wrap(m, faulty.Plan{}, 1) }
+func wrapTrace(m substrate.Machine) substrate.Machine  { return trace.Wrap(m, trace.NewCollector(0)) }
+
+// decorators lists the three, each with whether its endpoint offers
+// AdvancePolled over an inner endpoint that steps and over one that elides.
+var decorators = []struct {
+	name                      string
+	wrap                      wrapper
+	pollsStepped, pollsElided bool
+}{
+	{"wire", wrapWire, false, true},
+	{"faulty", wrapFaulty, false, false},
+	{"trace", wrapTrace, true, true},
+}
+
+// onEndpoint spawns one body on wrap(a fake machine over inner) and runs it.
+func onEndpoint(wrap wrapper, inner substrate.Endpoint, body func(substrate.Endpoint)) {
+	m := wrap(&fakeMachine{ep: inner})
+	m.Spawn("p003", body)
+	m.Run()
+}
+
+// endpointCalls is every substrate.Endpoint method, called with fixed
+// arguments, with the line a fakeEP logs for it. The receiving methods run
+// with one message queued.
+var endpointCalls = []struct {
+	log  string
+	recv bool
+	do   func(substrate.Endpoint) any
+}{
+	{"Now()", false, func(ep substrate.Endpoint) any { return ep.Now() }},
+	{"ID()", false, func(ep substrate.Endpoint) any { return ep.ID() }},
+	{"Name()", false, func(ep substrate.Endpoint) any { return ep.Name() }},
+	{"NumPeers()", false, func(ep substrate.Endpoint) any { return ep.NumPeers() }},
+	{"Rand()", false, func(ep substrate.Endpoint) any { return ep.Rand() }},
+	{"Account()", false, func(ep substrate.Endpoint) any { return ep.Account() }},
+	{"Charge(Idle, 4)", false, func(ep substrate.Endpoint) any { ep.Charge(substrate.CatIdle, 4); return nil }},
+	{"Advance(6, Computation)", false, func(ep substrate.Endpoint) any { ep.Advance(6, substrate.CatCompute); return nil }},
+	{fmt.Sprintf("Send(%+v, Messaging)", Msg{Dst: 1, Tag: 5, Data: 9, Size: 8}), false, func(ep substrate.Endpoint) any {
+		ep.Send(&Msg{Dst: 1, Tag: 5, Data: 9, Size: 8}, substrate.CatMessaging)
+		return nil
+	}},
+	{"InboxLen()", true, func(ep substrate.Endpoint) any { return ep.InboxLen() }},
+	{"HasMsg(5)", true, func(ep substrate.Endpoint) any { return ep.HasMsg(5) }},
+	{"TryRecv(Callback)", true, func(ep substrate.Endpoint) any { return ep.TryRecv(substrate.CatCallback) }},
+	{"TryRecvTag(5, Callback)", true, func(ep substrate.Endpoint) any { return ep.TryRecvTag(5, substrate.CatCallback) }},
+	{"Recv(Idle)", true, func(ep substrate.Endpoint) any { return ep.Recv(substrate.CatIdle) }},
+	{"WaitMsg(Idle)", true, func(ep substrate.Endpoint) any { ep.WaitMsg(substrate.CatIdle); return nil }},
+	{"WaitMsgFor(8, Idle)", true, func(ep substrate.Endpoint) any { return ep.WaitMsgFor(8, substrate.CatIdle) }},
+}
+
+// The methods that do not arrive below as the same call, by design. The
+// injector applies its faults as it drains the inner inbox into its own
+// queue, so every receiving method reaches the inner endpoint as that drain;
+// the tracer receives through its own traced WaitMsg and TryRecv.
+var (
+	faultyDrain = []string{"InboxLen()", "TryRecv(Messaging)", "InboxLen()"}
+	reshaped    = map[string]map[string][]string{
+		"faulty": {
+			"InboxLen()": faultyDrain, "HasMsg(5)": faultyDrain, "TryRecv(Callback)": faultyDrain,
+			"TryRecvTag(5, Callback)": faultyDrain, "WaitMsg(Idle)": faultyDrain, "WaitMsgFor(8, Idle)": faultyDrain,
+			// Recv waits, then receives: the second looks at the inner inbox again.
+			"Recv(Idle)": append(faultyDrain[:3:3], "InboxLen()"),
+		},
+		"trace": {"Recv(Idle)": {"WaitMsg(Idle)", "TryRecv(Messaging)"}},
+	}
+)
+
+// TestDecoratorsReachInnerEndpoint: through each decorator, every Endpoint
+// method reaches the inner endpoint exactly once, with the same arguments,
+// and returns what the inner endpoint returns.
+func TestDecoratorsReachInnerEndpoint(t *testing.T) {
+	for _, dec := range decorators {
+		for _, c := range endpointCalls {
+			run := func(wrap wrapper) (got any, inner *fakeEP) {
+				inner = &fakeEP{now: 23}
+				if c.recv {
+					inner.inbox = []*Msg{queued}
+				}
+				onEndpoint(wrap, inner, func(ep substrate.Endpoint) {
+					inner.log = nil // what the decorator did to get here is not this call's
+					got = c.do(ep)
+				})
+				return got, inner
+			}
+			want, _ := run(bare)
+			got, inner := run(dec.wrap)
+			if got != want {
+				t.Errorf("%s: %s returned %v, the inner endpoint returns %v", dec.name, c.log, got, want)
+			}
+			wantLog := []string{c.log}
+			if r, ok := reshaped[dec.name][c.log]; ok {
+				wantLog = r
+			}
+			// The tracer reads the clock around what it records.
+			var log []string
+			for _, l := range inner.log {
+				if l != "Now()" || c.log == "Now()" {
+					log = append(log, l)
+				}
+			}
+			if !reflect.DeepEqual(log, wantLog) {
+				t.Errorf("%s: %s reached the inner endpoint as %q, want %q", dec.name, c.log, log, wantLog)
+			}
+		}
+		// Only the codec hands the transport a Msg other than the sender's.
+		var sent, arrived *Msg
+		inner := &fakeEP{}
+		onEndpoint(dec.wrap, inner, func(ep substrate.Endpoint) {
+			sent = &Msg{Dst: 1, Data: 9, Size: 8}
+			ep.Send(sent, substrate.CatMessaging)
+			arrived = inner.sent
+		})
+		if same := arrived == sent; same == (dec.name == "wire") {
+			t.Errorf("%s: the transport got the sender's own Msg = %v; only the codec hands it a copy", dec.name, same)
+		}
+	}
+}
+
+// TestDecoratorsReachInnerMachine: the same for substrate.Machine. Spawn
+// arrives below once under the same name, and the body it was given runs.
+func TestDecoratorsReachInnerMachine(t *testing.T) {
+	calls := []struct {
+		log string
+		do  func(substrate.Machine) any
+	}{
+		{"Run()", func(m substrate.Machine) any { return m.Run() }},
+		{"Stop()", func(m substrate.Machine) any { m.Stop(); return nil }},
+		{"NumProcs()", func(m substrate.Machine) any { return m.NumProcs() }},
+		{"Now()", func(m substrate.Machine) any { return m.Now() }},
+		{"Makespan()", func(m substrate.Machine) any { return m.Makespan() }},
+		{"Account(4)", func(m substrate.Machine) any { return m.Account(4) }},
+	}
+	for _, dec := range decorators {
+		for _, c := range calls {
+			plain, inner := &fakeMachine{}, &fakeMachine{}
+			want, got := c.do(plain), c.do(dec.wrap(inner))
+			if got != want || !reflect.DeepEqual(inner.log, []string{c.log}) {
+				t.Errorf("%s: %s = %v through inner calls %q; want %v through exactly that call", dec.name, c.log, got, inner.log, want)
+			}
+		}
+		inner := &fakeMachine{ep: &fakeEP{}}
+		m := dec.wrap(inner)
+		ran := 0
+		m.Spawn("p000", func(ep substrate.Endpoint) { ran++ })
+		if err := m.Run(); err != errRun || ran != 1 || !reflect.DeepEqual(inner.log, []string{"Spawn(p000)", "Run()"}) {
+			t.Errorf("%s: Spawn+Run = %v, body ran %d times, inner calls %q", dec.name, err, ran, inner.log)
+		}
+	}
+}
+
+// TestDecoratorsAndPolledAdvancer: the optional method is hidden by
+// embedding the interface unless a decorator re-offers it. The injector
+// never does, so every poll passes its crash and stall check; the codec does
+// exactly when the endpoint beneath can elide; the tracer always does.
+func TestDecoratorsAndPolledAdvancer(t *testing.T) {
+	offers := func(wrap wrapper, inner substrate.Endpoint) (ok bool) {
+		onEndpoint(wrap, inner, func(ep substrate.Endpoint) { _, ok = ep.(substrate.PolledAdvancer) })
+		return ok
+	}
+	for _, dec := range decorators {
+		if got := offers(dec.wrap, &fakeEP{}); got != dec.pollsStepped {
+			t.Errorf("%s over a stepping endpoint offers AdvancePolled = %v, want %v", dec.name, got, dec.pollsStepped)
+		}
+		if got := offers(dec.wrap, &polledEP{}); got != dec.pollsElided {
+			t.Errorf("%s over an eliding endpoint offers AdvancePolled = %v, want %v", dec.name, got, dec.pollsElided)
+		}
+	}
+}
+
+// TestTraceReplaysElidedPolls: over an endpoint that elides, the tracer
+// forwards the polled advance in one call and records the stream a stepped
+// run records, event for event; so does anything stacked beneath it that
+// keeps the method (the codec) or hides it (the injector).
+func TestTraceReplaysElidedPolls(t *testing.T) {
+	ps := substrate.PollSpec{Interval: 10, Cost: 2, Tag: 5, WakeBy: substrate.Never}
+	const d = Time(35)
+	record := func(under wrapper, inner substrate.Endpoint) []trace.Event {
+		col := trace.NewCollector(0)
+		onEndpoint(func(m substrate.Machine) substrate.Machine { return trace.Wrap(under(m), col) }, inner,
+			func(ep substrate.Endpoint) {
+				for rem := d; rem > 0; {
+					done, _ := substrate.AdvancePolled(ep, rem, ps)
+					rem -= done
+				}
+			})
+		return col.Recorder(0).Events()
+	}
+	stepped := &fakeEP{}
+	want := record(bare, stepped)
+	if len(want) != 10 { // 4 compute spans, 3 × (poll-wake instant, poll span)
+		t.Fatalf("the stepped run recorded %d events, want 10: %+v", len(want), want)
+	}
+	for _, c := range []struct {
+		name   string
+		under  wrapper
+		elided bool
+	}{{"trace", bare, true}, {"trace over wire", wrapWire, true}, {"trace over faulty", wrapFaulty, false}} {
+		inner := &polledEP{}
+		if got := record(c.under, inner); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s over an eliding endpoint recorded\n%+v\nwant the stepped stream\n%+v", c.name, got, want)
+		}
+		polled := 0
+		for _, l := range inner.log {
+			if l == fmt.Sprintf("AdvancePolled(%d, %+v)", d, ps) {
+				polled++
+			}
+		}
+		if c.elided != (polled == 1) || inner.now != stepped.now {
+			t.Errorf("%s: %d whole-advance calls reached the eliding endpoint (elided: want %v), clock %d, want %d",
+				c.name, polled, c.elided, inner.now, stepped.now)
+		}
+	}
+}
+
+// probeMachine is shaped like benchmark/probe.go's: it embeds the interface
+// and offers Unwrap.
+type probeMachine struct{ substrate.Machine }
+
+func (p probeMachine) Unwrap() substrate.Machine { return p.Machine }
+
+// opaque embeds without Unwrap: a chain ends there.
+type opaque struct{ substrate.Machine }
+
+// TestFindWalksEveryOrdering: substrate.Find reaches the backend's telemetry
+// and a decorator in the middle through all six stackings of the three
+// decorators, with or without an embedding wrapper between every pair.
+func TestFindWalksEveryOrdering(t *testing.T) {
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		for _, probed := range []bool{false, true} {
+			backend := &fakeMachine{}
+			var m substrate.Machine = backend
+			name := "backend"
+			for _, i := range order {
+				if probed {
+					m = probeMachine{m}
+				}
+				m = decorators[i].wrap(m)
+				name = decorators[i].name + "(" + name + ")"
+			}
+			if probed {
+				m, name = probeMachine{m}, "probed "+name
+			}
+			if es, ok := substrate.Find[engineStats](m); !ok || es != engineStats(backend) {
+				t.Errorf("%s: Find[engineStats] = %v, %v; want the backend", name, es, ok)
+			}
+			if fm, ok := substrate.Find[*faulty.Machine](m); !ok || fm == nil {
+				t.Errorf("%s: Find[*faulty.Machine] found nothing", name)
+			}
+			if _, ok := substrate.Find[*opaque](m); ok {
+				t.Errorf("%s: Find found a layer that is not in the chain", name)
+			}
+		}
+	}
+	if _, ok := substrate.Find[engineStats](opaque{&fakeMachine{}}); ok {
+		t.Error("Find walked through a wrapper that has no Unwrap")
+	}
+}

@@ -113,3 +113,22 @@ type Machine interface {
 	// Account returns processor i's time ledger; read it after Run.
 	Account(i int) *Account
 }
+
+// Find walks m's decorator chain — m itself, then whatever each layer's
+// Unwrap() Machine returns — and returns the first layer that is a T: a
+// concrete decorator (*faulty.Machine for its rejoin hook) or a telemetry
+// surface (the simulator's event counters, the wire loopback's audit). A
+// chain ends at the first layer without Unwrap.
+func Find[T any](m Machine) (T, bool) {
+	for {
+		if v, ok := m.(T); ok {
+			return v, true
+		}
+		u, ok := m.(interface{ Unwrap() Machine })
+		if !ok {
+			var zero T
+			return zero, false
+		}
+		m = u.Unwrap()
+	}
+}

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"math/rand"
-
-	"prema/internal/substrate"
-)
+import "prema/internal/substrate"
 
 // Machine decorates an inner substrate.Machine so every endpoint handed to a
 // processor body records trace events. Wrap it outermost (outside
@@ -15,13 +11,13 @@ import (
 // traced simulator run has byte-identical makespan and accounts to the
 // untraced run (guarded by a test in internal/bench).
 type Machine struct {
-	inner substrate.Machine
-	col   *Collector
+	substrate.Machine
+	col *Collector
 }
 
 // Wrap returns a tracing view of m recording into col.
 func Wrap(m substrate.Machine, col *Collector) *Machine {
-	return &Machine{inner: m, col: col}
+	return &Machine{Machine: m, col: col}
 }
 
 var _ substrate.Machine = (*Machine)(nil)
@@ -30,43 +26,22 @@ var _ substrate.Machine = (*Machine)(nil)
 // endpoint.
 func (t *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	rec := t.col.attach(len(t.col.recs))
-	t.inner.Spawn(name, func(ep substrate.Endpoint) {
-		body(&Endpoint{inner: ep, rec: rec})
+	t.Machine.Spawn(name, func(ep substrate.Endpoint) {
+		body(&Endpoint{Endpoint: ep, rec: rec})
 	})
 }
 
-// Run implements substrate.Machine.
-func (t *Machine) Run() error { return t.inner.Run() }
-
-// Stop implements substrate.Machine.
-func (t *Machine) Stop() { t.inner.Stop() }
-
-// NumProcs implements substrate.Machine.
-func (t *Machine) NumProcs() int { return t.inner.NumProcs() }
-
-// Now implements substrate.Machine.
-func (t *Machine) Now() substrate.Time { return t.inner.Now() }
-
-// Makespan implements substrate.Machine.
-func (t *Machine) Makespan() substrate.Time { return t.inner.Makespan() }
-
-// Account implements substrate.Machine.
-func (t *Machine) Account(i int) *substrate.Account { return t.inner.Account(i) }
-
-// Collector returns the collector recording this machine's events.
-func (t *Machine) Collector() *Collector { return t.col }
-
 // Unwrap returns the decorated machine, so callers can reach an inner
 // decorator (e.g. internal/faulty's rejoin hook) through the tracing layer.
-func (t *Machine) Unwrap() substrate.Machine { return t.inner }
+func (t *Machine) Unwrap() substrate.Machine { return t.Machine }
 
 // Endpoint decorates one processor's substrate.Endpoint: every operation
 // that consumes time records a category span, and message movement records
 // send/recv instants. Layer-level events (forwards, migrations, work units,
 // policy decisions) are recorded by the layers themselves through Of.
 type Endpoint struct {
-	inner substrate.Endpoint
-	rec   *Recorder
+	substrate.Endpoint
+	rec *Recorder
 }
 
 var _ substrate.Endpoint = (*Endpoint)(nil)
@@ -75,42 +50,17 @@ var _ hasRecorder = (*Endpoint)(nil)
 // TraceRecorder exposes the recorder to Of.
 func (e *Endpoint) TraceRecorder() *Recorder { return e.rec }
 
-// Inner returns the wrapped endpoint (for tests and backend-specific use).
-func (e *Endpoint) Inner() substrate.Endpoint { return e.inner }
-
-// ID implements substrate.Endpoint.
-func (e *Endpoint) ID() int { return e.inner.ID() }
-
-// Name implements substrate.Endpoint.
-func (e *Endpoint) Name() string { return e.inner.Name() }
-
-// NumPeers implements substrate.Endpoint.
-func (e *Endpoint) NumPeers() int { return e.inner.NumPeers() }
-
-// Now implements substrate.Clock.
-func (e *Endpoint) Now() substrate.Time { return e.inner.Now() }
-
-// Rand implements substrate.Endpoint.
-func (e *Endpoint) Rand() *rand.Rand { return e.inner.Rand() }
-
-// Account implements substrate.Endpoint.
-func (e *Endpoint) Account() *substrate.Account { return e.inner.Account() }
-
-// Charge implements substrate.Endpoint. Charged (re-attributed) time has no
-// interval of its own, so no span is recorded.
-func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.inner.Charge(cat, d) }
-
 // Advance implements substrate.Endpoint, recording the consumed interval as
 // a category span. CatPollThread time is only ever one wake-up of the
 // polling thread (substrate.StepPolled), so the poll-wake instant is
 // recorded here, where a stepped and an elided run both pass.
 func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
-	t0 := e.inner.Now()
+	t0 := e.Now()
 	if cat == substrate.CatPollThread {
 		e.rec.Instant(EvPolicy, t0, PolPollWake, 0, 0)
 	}
-	e.inner.Advance(d, cat)
-	e.rec.Span(cat, t0, e.inner.Now())
+	e.Endpoint.Advance(d, cat)
+	e.rec.Span(cat, t0, e.Now())
 }
 
 // AdvancePolled implements substrate.PolledAdvancer. Over an endpoint that
@@ -120,11 +70,11 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 // for event. Over any other endpoint the stepped slice runs through this
 // decorator's own Advance and records itself.
 func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (substrate.Time, int) {
-	pa, ok := e.inner.(substrate.PolledAdvancer)
+	pa, ok := e.Endpoint.(substrate.PolledAdvancer)
 	if !ok {
 		return substrate.StepPolled(e, d, ps)
 	}
-	t := e.inner.Now()
+	t := e.Now()
 	done, polls := pa.AdvancePolled(d, ps)
 	for j := 0; j < polls; j++ {
 		e.rec.Span(substrate.CatCompute, t, t+ps.Interval)
@@ -133,7 +83,7 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (subst
 		e.rec.Span(substrate.CatPollThread, t, t+ps.Cost)
 		t += ps.Cost
 	}
-	e.rec.Span(substrate.CatCompute, t, e.inner.Now())
+	e.rec.Span(substrate.CatCompute, t, e.Now())
 	return done, polls
 }
 
@@ -142,25 +92,19 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (subst
 // the real-concurrency backend the channel handoff transfers ownership.
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	dst, tag, size := m.Dst, m.Tag, m.Size
-	t0 := e.inner.Now()
-	e.inner.Send(m, cat)
-	t1 := e.inner.Now()
+	t0 := e.Now()
+	e.Endpoint.Send(m, cat)
+	t1 := e.Now()
 	e.rec.Span(cat, t0, t1)
 	e.rec.Instant(EvSend, t1, int64(dst), int64(tag), int64(size))
 }
 
-// InboxLen implements substrate.Endpoint.
-func (e *Endpoint) InboxLen() int { return e.inner.InboxLen() }
-
-// HasMsg implements substrate.Endpoint.
-func (e *Endpoint) HasMsg(tag int) bool { return e.inner.HasMsg(tag) }
-
 // TryRecv implements substrate.Endpoint, recording the receive CPU span and
 // an EvRecv instant when a message is popped.
 func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
-	t0 := e.inner.Now()
-	m := e.inner.TryRecv(cat)
-	t1 := e.inner.Now()
+	t0 := e.Now()
+	m := e.Endpoint.TryRecv(cat)
+	t1 := e.Now()
 	e.rec.Span(cat, t0, t1)
 	if m != nil {
 		e.rec.Instant(EvRecv, t1, int64(m.Src), int64(m.Tag), int64(m.Size))
@@ -170,9 +114,9 @@ func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
 
 // TryRecvTag implements substrate.Endpoint.
 func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
-	t0 := e.inner.Now()
-	m := e.inner.TryRecvTag(tag, cat)
-	t1 := e.inner.Now()
+	t0 := e.Now()
+	m := e.Endpoint.TryRecvTag(tag, cat)
+	t1 := e.Now()
 	e.rec.Span(cat, t0, t1)
 	if m != nil {
 		e.rec.Instant(EvRecv, t1, int64(m.Src), int64(m.Tag), int64(m.Size))
@@ -190,15 +134,15 @@ func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg {
 
 // WaitMsg implements substrate.Endpoint, recording the blocked interval.
 func (e *Endpoint) WaitMsg(cat substrate.Category) {
-	t0 := e.inner.Now()
-	e.inner.WaitMsg(cat)
-	e.rec.Span(cat, t0, e.inner.Now())
+	t0 := e.Now()
+	e.Endpoint.WaitMsg(cat)
+	e.rec.Span(cat, t0, e.Now())
 }
 
 // WaitMsgFor implements substrate.Endpoint, recording the blocked interval.
 func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
-	t0 := e.inner.Now()
-	ok := e.inner.WaitMsgFor(d, cat)
-	e.rec.Span(cat, t0, e.inner.Now())
+	t0 := e.Now()
+	ok := e.Endpoint.WaitMsgFor(d, cat)
+	e.rec.Span(cat, t0, e.Now())
 	return ok
 }

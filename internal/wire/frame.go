@@ -24,8 +24,8 @@ import (
 //
 // The padding makes the on-wire payload occupy max(plen, size) bytes, so a
 // frame's length reflects the *modeled* message volume whenever the model
-// is honest — PR 10's TCP transport then carries exactly the byte volumes
-// the simulator priced. plen > size is modeled-size drift; EncodeMsg
+// is honest — internal/dist's TCP transport then carries exactly the byte
+// volumes the simulator priced. plen > size is modeled-size drift; EncodeMsg
 // reports it and wire.Machine counts it (wire_size_drift_total).
 // ArrivedAt is deliberately absent: the receiving transport stamps it.
 const (

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"prema/internal/substrate"
@@ -24,7 +23,7 @@ import (
 // against the real encoding (SizeDrift, surfaced as the
 // wire_size_drift_total metrics counter).
 type Machine struct {
-	inner substrate.Machine
+	substrate.Machine
 
 	frames    atomic.Uint64 // frames encoded (= wrapped sends)
 	wireBytes atomic.Uint64 // total frame bytes, padding included
@@ -32,10 +31,10 @@ type Machine struct {
 }
 
 // Wrap decorates m with the serialization loopback.
-func Wrap(m substrate.Machine) *Machine { return &Machine{inner: m} }
+func Wrap(m substrate.Machine) *Machine { return &Machine{Machine: m} }
 
-// Unwrap returns the decorated machine (decorator-chain walking).
-func (w *Machine) Unwrap() substrate.Machine { return w.inner }
+// Unwrap returns the decorated machine (substrate.Find walks the chain).
+func (w *Machine) Unwrap() substrate.Machine { return w.Machine }
 
 // Frames returns the number of messages that crossed the wire codec.
 func (w *Machine) Frames() uint64 { return w.frames.Load() }
@@ -48,15 +47,12 @@ func (w *Machine) WireBytes() uint64 { return w.wireBytes.Load() }
 // real byte volume. A zero-drift run means the cost model is honest.
 func (w *Machine) SizeDrift() uint64 { return w.sizeDrift.Load() }
 
-// Router exposes the inner machine's routing table (see substrate.RouterOf).
-func (w *Machine) Router() substrate.Router { return substrate.RouterOf(w.inner) }
-
 // Spawn implements substrate.Machine, interposing the codec endpoint. The
 // endpoint offers AdvancePolled exactly when the one beneath it does, so a
 // tracer above a wall-clock backend still sees (and times) every step.
 func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
-	w.inner.Spawn(name, func(ep substrate.Endpoint) {
-		e := &Endpoint{inner: ep, m: w}
+	w.Machine.Spawn(name, func(ep substrate.Endpoint) {
+		e := &Endpoint{Endpoint: ep, m: w}
 		if pa, ok := ep.(substrate.PolledAdvancer); ok {
 			body(polledEndpoint{e, pa})
 			return
@@ -65,30 +61,12 @@ func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	})
 }
 
-// Run implements substrate.Machine.
-func (w *Machine) Run() error { return w.inner.Run() }
-
-// Stop implements substrate.Machine.
-func (w *Machine) Stop() { w.inner.Stop() }
-
-// NumProcs implements substrate.Machine.
-func (w *Machine) NumProcs() int { return w.inner.NumProcs() }
-
-// Now implements substrate.Machine.
-func (w *Machine) Now() substrate.Time { return w.inner.Now() }
-
-// Makespan implements substrate.Machine.
-func (w *Machine) Makespan() substrate.Time { return w.inner.Makespan() }
-
-// Account implements substrate.Machine.
-func (w *Machine) Account(i int) *substrate.Account { return w.inner.Account(i) }
-
-// Endpoint is the per-processor codec interposer. Every method but Send
-// delegates untouched.
+// Endpoint is the per-processor codec interposer: the inner endpoint with
+// Send replaced.
 type Endpoint struct {
-	inner substrate.Endpoint
-	m     *Machine
-	enc   Writer // per-endpoint scratch buffer, reused across sends
+	substrate.Endpoint
+	m   *Machine
+	enc Writer // per-endpoint scratch buffer, reused across sends
 }
 
 // polledEndpoint is an Endpoint over a substrate.PolledAdvancer: the codec
@@ -117,54 +95,5 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	if plen > m.Size {
 		e.m.sizeDrift.Add(1)
 	}
-	e.inner.Send(dm, cat)
-}
-
-// Now implements substrate.Clock.
-func (e *Endpoint) Now() substrate.Time { return e.inner.Now() }
-
-// ID implements substrate.Endpoint.
-func (e *Endpoint) ID() int { return e.inner.ID() }
-
-// Name implements substrate.Endpoint.
-func (e *Endpoint) Name() string { return e.inner.Name() }
-
-// NumPeers implements substrate.Endpoint.
-func (e *Endpoint) NumPeers() int { return e.inner.NumPeers() }
-
-// Rand implements substrate.Endpoint.
-func (e *Endpoint) Rand() *rand.Rand { return e.inner.Rand() }
-
-// Account implements substrate.Endpoint.
-func (e *Endpoint) Account() *substrate.Account { return e.inner.Account() }
-
-// Charge implements substrate.Endpoint.
-func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.inner.Charge(cat, d) }
-
-// Advance implements substrate.Endpoint.
-func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) { e.inner.Advance(d, cat) }
-
-// InboxLen implements substrate.Endpoint.
-func (e *Endpoint) InboxLen() int { return e.inner.InboxLen() }
-
-// HasMsg implements substrate.Endpoint.
-func (e *Endpoint) HasMsg(tag int) bool { return e.inner.HasMsg(tag) }
-
-// TryRecv implements substrate.Endpoint.
-func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg { return e.inner.TryRecv(cat) }
-
-// TryRecvTag implements substrate.Endpoint.
-func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
-	return e.inner.TryRecvTag(tag, cat)
-}
-
-// Recv implements substrate.Endpoint.
-func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg { return e.inner.Recv(waitCat) }
-
-// WaitMsg implements substrate.Endpoint.
-func (e *Endpoint) WaitMsg(cat substrate.Category) { e.inner.WaitMsg(cat) }
-
-// WaitMsgFor implements substrate.Endpoint.
-func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
-	return e.inner.WaitMsgFor(d, cat)
+	e.Endpoint.Send(dm, cat)
 }

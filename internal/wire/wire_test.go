@@ -202,24 +202,6 @@ func TestWrapUnregisteredPanics(t *testing.T) {
 	}
 }
 
-// TestAddrRouting: the default routing table places every processor on one
-// node, and RouterOf finds it through the decorator chain.
-func TestAddrRouting(t *testing.T) {
-	m := wire.Wrap(sim.NewMachine(sim.Config{Seed: 1}))
-	m.Spawn("a", func(ep substrate.Endpoint) {})
-	m.Spawn("b", func(ep substrate.Endpoint) {})
-	r := substrate.RouterOf(m)
-	if n := r.NumNodes(); n != 1 {
-		t.Fatalf("NumNodes = %d, want 1", n)
-	}
-	if a := r.AddrOf(1); a != (substrate.Addr{Node: 0, Proc: 1}) {
-		t.Fatalf("AddrOf(1) = %+v", a)
-	}
-	if r2 := m.Router(); r2.NumNodes() != 1 {
-		t.Fatalf("Machine.Router NumNodes = %d", r2.NumNodes())
-	}
-}
-
 // TestReadFrame: the streaming decoder must frame a TCP byte stream exactly
 // — consecutive frames in, clean io.EOF between them — and reject hostile
 // input (bad magic, bad version, truncation, oversized declared lengths)
