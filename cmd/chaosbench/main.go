@@ -8,7 +8,7 @@
 //	chaosbench [-system prema-implicit] [-figs 3,4,5,6] \
 //	           [-procs 32] [-units-per-proc 32] [-shards S] [-wire] \
 //	           [-fault-plan "drop=0.2,dup=0.1"] [-fault-seed 1] \
-//	           [-rto 50ms] [-backend sim|real|dist] [-timescale 1e-2] [-spin] \
+//	           [-rto 50ms] [-backend sim|real|dist] [-timescale 1e-2] \
 //	           [-nodes N -dist-listen HOST:PORT] [-premad PATH] [-dist-attach] \
 //	           [-recover] [-checkpoint-interval 1s] [-lease-timeout 500ms] \
 //	           [-trace trace.json] [-metrics metrics.txt]
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}.WithDefaults()
 	fs := flag.NewFlagSet("chaosbench", flag.ContinueOnError)
 	spec.BindFlags(fs, `system procs units-per-proc shards wire
-		backend timescale spin nodes dist-listen premad dist-attach
+		backend timescale nodes dist-listen premad dist-attach
 		fault-plan fault-seed rto recover checkpoint-interval lease-timeout
 		trace metrics trace-ring`)
 	figs := fs.String("figs", "3,4,5,6", "comma-separated paper figure scenarios to run")

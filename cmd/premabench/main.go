@@ -8,7 +8,7 @@
 //	           [-jobs J] [-shards S] \
 //	           [-backend sim|real|dist] [-timescale 1e-3] [-wire] \
 //	           [-nodes N -dist-listen HOST:PORT] [-premad PATH] [-dist-attach] \
-//	           [-spin] [-fault-plan PLAN] [-fault-seed N] [-reliable] \
+//	           [-fault-plan PLAN] [-fault-seed N] [-reliable] \
 //	           [-recover] [-checkpoint-interval 1s] [-lease-timeout 500ms] \
 //	           [-trace trace.json] [-metrics metrics.txt] [-trace-ring N]
 //
@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}.WithDefaults()
 	fs := flag.NewFlagSet("premabench", flag.ContinueOnError)
 	spec.BindFlags(fs, `system procs units-per-proc stride jobs shards wire
-		backend timescale spin nodes dist-listen premad dist-attach
+		backend timescale nodes dist-listen premad dist-attach
 		fault-plan fault-seed reliable recover checkpoint-interval lease-timeout
 		trace metrics trace-ring`)
 	imb := fs.Float64("imbalance", 0.5, "initial imbalance percentage (fraction of heavy units)")

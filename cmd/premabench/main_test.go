@@ -91,7 +91,9 @@ func TestHelpAndBadFlag(t *testing.T) {
 	if code, out, _ := clitest.Run(run, "-h"); code != 0 || out != "" {
 		t.Errorf("-h: exit %d, stdout %q", code, out)
 	}
-	if code, out, _ := clitest.Run(run, "-no-such-flag"); code != 2 || out != "" {
-		t.Errorf("-no-such-flag: exit %d, stdout %q", code, out)
+	for _, flag := range []string{"-no-such-flag", "-spin"} { // -spin is a deleted option
+		if code, out, _ := clitest.Run(run, flag); code != 2 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q", flag, code, out)
+		}
 	}
 }

@@ -46,7 +46,6 @@ const (
 var (
 	backend   = flag.String("backend", "sim", "execution substrate: sim (deterministic) | real (goroutines)")
 	timescale = flag.Float64("timescale", 1e-3, "real backend: wall seconds per virtual second")
-	spin      = flag.Bool("spin", false, "real backend: busy-wait instead of sleeping")
 )
 
 // weight returns the true refinement cost of a subdomain at an iteration:
@@ -72,7 +71,6 @@ func newMachine() substrate.Machine {
 		cfg := rtm.DefaultConfig()
 		cfg.Seed = 4
 		cfg.TimeScale = *timescale
-		cfg.Spin = *spin
 		return rtm.New(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q (want sim or real)\n", *backend)

@@ -54,7 +54,7 @@ const (
 	seed      = 7
 )
 
-func newMachine(backend string, timescale float64, spin bool) substrate.Machine {
+func newMachine(backend string, timescale float64) substrate.Machine {
 	switch backend {
 	case "sim":
 		return sim.NewMachine(sim.Config{Seed: seed})
@@ -62,7 +62,6 @@ func newMachine(backend string, timescale float64, spin bool) substrate.Machine 
 		cfg := rtm.DefaultConfig()
 		cfg.Seed = seed
 		cfg.TimeScale = timescale
-		cfg.Spin = spin
 		return rtm.New(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q (want sim or real)\n", backend)
@@ -74,10 +73,9 @@ func newMachine(backend string, timescale float64, spin bool) substrate.Machine 
 func main() {
 	backend := flag.String("backend", "sim", "execution substrate: sim (deterministic) | real (goroutines)")
 	timescale := flag.Float64("timescale", 1e-3, "real backend: wall seconds per virtual second")
-	spin := flag.Bool("spin", false, "real backend: busy-wait instead of sleeping")
 	flag.Parse()
 
-	m := newMachine(*backend, *timescale, *spin)
+	m := newMachine(*backend, *timescale)
 	total := 1<<(treeDepth+1) - 1 // nodes in a complete binary tree
 
 	for p := 0; p < procs; p++ {

@@ -78,7 +78,7 @@ func (s RunSpec) wallConfig(d *systemDef) rtm.Config {
 		// injected message costs.
 		rc = rtm.Config{TimeScale: 1}
 	}
-	rc.Seed, rc.Spin = s.W.Seed, s.Spin
+	rc.Seed = s.W.Seed
 	if s.TimeScale > 0 {
 		rc.TimeScale = s.TimeScale
 	}

@@ -44,10 +44,9 @@ type RunSpec struct {
 	// discrete-event simulator), BackendReal (one goroutine per processor,
 	// scaled wall clock) or BackendDist (node processes over TCP).
 	Backend string
-	// TimeScale (wall seconds per virtual second) and Spin (busy-wait
-	// instead of sleeping) tune the wall-clock backends.
+	// TimeScale (wall seconds per virtual second) tunes the wall-clock
+	// backends.
 	TimeScale float64
-	Spin      bool
 	// Reliable switches DMCS into reliable-delivery mode with initial
 	// retransmission timeout RTO.
 	Reliable bool
@@ -151,8 +150,6 @@ var flagTable = map[string]struct {
 		func(s *RunSpec) any { return &s.Backend }},
 	"timescale": {"real and dist backends: wall seconds per virtual second",
 		func(s *RunSpec) any { return &s.TimeScale }},
-	"spin": {"real and dist backends: busy-wait instead of sleeping",
-		func(s *RunSpec) any { return &s.Spin }},
 	"nodes": {"dist backend: node process count (required, together with -dist-listen)",
 		func(s *RunSpec) any { return &s.Dist.Nodes }},
 	"dist-listen": {"dist backend: coordinator listen address, host:port (required; port 0 picks a free one)",

@@ -245,7 +245,7 @@ func fullSpec(t *testing.T) RunSpec {
 			Procs: 8, Units: 64, HeavyFrac: 0.3, Heavy: 7e9, Light: 3e9, Hints: HintAccurate,
 			UnitBytes: 4096, Seed: -1 << 40, Shards: 3, Wire: true,
 		},
-		Backend: BackendDist, TimeScale: 1.0 / 3, Spin: true,
+		Backend: BackendDist, TimeScale: 1.0 / 3,
 		Reliable: true, RTO: 5e7,
 		FaultPlan: "drop=0.2,dup=0.1;stall:2@100s+20s", FaultSeed: 1<<62 + 1,
 		Recover: true, CheckpointInterval: 1e9, LeaseTimeout: 5e8,
@@ -287,9 +287,9 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	if z, err := DecodeRunSpec(RunSpec{}.Encode()); err != nil || !reflect.DeepEqual(z, RunSpec{}) {
 		t.Errorf("zero spec: %+v, %v", z, err)
 	}
-	noSpin := want
-	noSpin.Spin = false
-	badBool := noSpin.Encode()
+	unreliable := want
+	unreliable.Reliable = false
+	badBool := unreliable.Encode()
 	for i := range badBool { // the one byte that differs is the bool's
 		if badBool[i] != enc[i] {
 			badBool[i] = 7

@@ -12,9 +12,6 @@ import (
 // internal/recov, directory repair and replay in internal/mol, dead-peer
 // transport handling in internal/dmcs.
 
-// Recov returns this processor's recovery handle (nil when recovery is off).
-func (r *Runtime) Recov() *recov.Proc { return r.rp }
-
 // handleDown runs once per crash verdict on every live processor: the
 // transport stops waiting on the dead peer and the directory drops cached
 // pointers to it. The verdict's coordinator additionally re-homes the dead

@@ -42,7 +42,7 @@ type Machine struct {
 	outs     []chan []byte // outbound frame queue by peer node id; nil for self
 	makespan substrate.Time
 
-	frames, wireBytes, drift atomic.Int64
+	frames, drift atomic.Int64
 }
 
 var _ substrate.Machine = (*Machine)(nil)
@@ -68,7 +68,6 @@ func (n *Node) NewMachine(cfg rtm.Config) *Machine {
 func (m *Machine) sendRemote(msg *substrate.Msg) bool {
 	frame, plen := wire.EncodeMsg(msg)
 	m.frames.Add(1)
-	m.wireBytes.Add(int64(len(frame)))
 	if plen > msg.Size {
 		m.drift.Add(1)
 	}
@@ -90,9 +89,6 @@ func (m *Machine) Range() (lo, hi int) { return m.node.Range() }
 // Frames returns the number of frames sent to remote nodes (it satisfies
 // bench's wireStats probe, so dist runs report wire telemetry).
 func (m *Machine) Frames() uint64 { return uint64(m.frames.Load()) }
-
-// WireBytes returns the total bytes of remote frames sent.
-func (m *Machine) WireBytes() int64 { return m.wireBytes.Load() }
 
 // SizeDrift returns how many remote frames carried an encoded payload
 // larger than the modeled Msg.Size.

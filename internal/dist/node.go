@@ -210,12 +210,6 @@ func Join(cfg NodeConfig) (*Node, error) {
 // NodeID returns this node's id in the roster.
 func (n *Node) NodeID() int { return n.id }
 
-// Nodes returns the machine's node count.
-func (n *Node) Nodes() int { return n.nodes }
-
-// Procs returns the machine's total processor count.
-func (n *Node) Procs() int { return n.procs }
-
 // Range returns the contiguous rank range [lo, hi) this node hosts.
 func (n *Node) Range() (lo, hi int) { return RangeOf(n.procs, n.nodes, n.id) }
 

@@ -225,9 +225,6 @@ func (e *Endpoint) rejoin(t substrate.Time) {
 
 var _ substrate.Endpoint = (*Endpoint)(nil)
 
-// Stats returns this endpoint's injection counts.
-func (e *Endpoint) Stats() Stats { return e.stats }
-
 // check fires due crash and stall events. Every interposed method calls it,
 // so scheduled faults take effect at the processor's next substrate
 // interaction after their time arrives.

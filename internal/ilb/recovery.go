@@ -24,9 +24,6 @@ type DownAware interface {
 // right after New, before the run starts.
 func (s *Scheduler) AttachRecov(rp *recov.Proc) { s.rp = rp }
 
-// Recov returns the scheduler's recovery handle (nil when recovery is off).
-func (s *Scheduler) Recov() *recov.Proc { return s.rp }
-
 // OnProcDown registers a callback invoked once for every crash verdict this
 // processor observes (the core runtime hangs directory repair and orphan
 // re-homing here).

@@ -211,9 +211,6 @@ func NewStore(cfg Config) *Store {
 	return &Store{cfg: cfg.withDefaults(), objs: make(map[ObjID]*objRec)}
 }
 
-// Config returns the store's effective (defaulted) configuration.
-func (st *Store) Config() Config { return st.cfg }
-
 // Stats returns a snapshot of the machine-wide recovery counters.
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
@@ -326,9 +323,6 @@ type Proc struct {
 	seen     []int
 	nextCkpt substrate.Time
 }
-
-// ID returns the owning processor's ID.
-func (p *Proc) ID() int { return p.id }
 
 // Store returns the shared store.
 func (p *Proc) Store() *Store { return p.st }

@@ -1,7 +1,11 @@
 package rtm
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"time"
 
 	"prema/internal/substrate"
@@ -17,9 +21,12 @@ type Endpoint struct {
 	name string
 	body func(substrate.Endpoint)
 
-	// in is the merged delivery feed (written by senders, latency
-	// forwarders, or Inject); inbox is the drained, application-visible
-	// queue, owned exclusively by this goroutine.
+	// in is the one delivery feed (written by senders and Inject, each
+	// message already stamped with its arrival time); inbox is what this
+	// goroutine has drained from it, ordered by ArrivedAt and owned
+	// exclusively by it. A message is visible to the application once its
+	// arrival time has passed — as in the simulator, it is not in the inbox
+	// before it arrives — so the visible messages are a prefix of inbox.
 	in    chan *substrate.Msg
 	inbox []*substrate.Msg
 
@@ -47,10 +54,9 @@ func (e *Endpoint) NumPeers() int { return len(e.m.eps) }
 // Now implements substrate.Clock.
 func (e *Endpoint) Now() substrate.Time { return e.m.Now() }
 
-// Rand returns this endpoint's private seeded random source. Unlike the
-// simulator (where all endpoints share the engine's stream), each rtm
-// endpoint owns its stream so concurrent goroutines never share
-// unsynchronized state.
+// Rand returns this endpoint's private random source, seeded Seed+ID as the
+// simulator seeds its per-processor streams; concurrent goroutines never
+// share unsynchronized state.
 func (e *Endpoint) Rand() *rand.Rand { return e.rng }
 
 // Account implements substrate.Endpoint; read it after the machine's Run
@@ -60,27 +66,74 @@ func (e *Endpoint) Account() *substrate.Account { return &e.acct }
 // Charge implements substrate.Endpoint.
 func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.acct[cat] += d }
 
-// killed panics errKilled; the body wrapper in Run recovers it.
-func (e *Endpoint) killed() { panic(errKilled) }
-
-// Advance burns d of CPU time (scaled wall-clock, sleeping or spinning) and
-// attributes the measured elapsed time to cat. Measured — not nominal —
-// time is charged, so accounts reflect what the monotonic clock actually
-// saw, including scheduler overshoot.
+// Advance burns d of CPU time (scaled wall-clock) and attributes the
+// measured elapsed time to cat. Measured — not nominal — time is charged, so
+// accounts reflect what the monotonic clock actually saw, including
+// scheduler overshoot.
 func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	if d <= 0 {
 		return
 	}
 	t0 := e.m.Now()
-	e.m.sleepUntil(t0+d, e.killed)
+	for e.m.Now() < t0+d {
+		e.pause(t0+d, nil, nil)
+	}
 	e.acct[cat] += e.m.Now() - t0
 }
 
-// Send transmits m, stamping Src and SentAt, charging per-message send CPU,
-// and scheduling FIFO per-(src,dst) delivery under the injected latency
-// model — or, for a rank outside this machine's share, handing it to the
-// remote link. The caller must not touch m (or ownership-transferred
-// payload objects) afterwards.
+// spinThreshold is the wall-clock horizon below which a wait for a known
+// instant spins instead of sleeping. OS timers overshoot by up to a
+// millisecond — a 100x error on the tens-of-microsecond waits an aggressive
+// TimeScale produces — so the final stretch of every such wait is spun to
+// keep measured time honest.
+const spinThreshold = 200 * time.Microsecond
+
+// never is the target of a pause that waits for no instant.
+const never = substrate.Time(math.MaxInt64)
+
+// pause is one step of every wait and the one place the sleep-then-spin rule
+// lives. While more than spinThreshold of wall clock remains before virtual
+// time target it sleeps up to that point — less if feed delivers (the message
+// is held) or timeout fires, which it reports; nil channels do neither. From
+// there on it yields once and returns, so the caller's loop spins the rest.
+// Asleep or spinning, the caller dies when the machine stops.
+func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, timeout <-chan time.Time) (timedOut bool) {
+	var sleep <-chan time.Time
+	if target != never {
+		d := e.m.wall(target-e.m.Now()) - spinThreshold
+		if d <= 0 {
+			runtime.Gosched()
+			select {
+			case <-timeout:
+				return true
+			case <-e.m.stop:
+				panic(errKilled)
+			default:
+				return false // the caller looks at the feed between spins
+			}
+		}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		sleep = t.C
+	}
+	select {
+	case m := <-feed:
+		e.hold(m)
+	case <-sleep:
+	case <-timeout:
+		return true
+	case <-e.m.stop:
+		panic(errKilled)
+	}
+	return false
+}
+
+// Send transmits m: it stamps Src and SentAt, charges per-message send CPU,
+// stamps the arrival time the injected latency model gives — strictly after
+// this sender's previous message to the same rank, which is per-(src,dst)
+// FIFO — and puts m on the destination's feed, or, for a rank outside this
+// machine's share, hands it to the remote link. The caller must not touch m
+// (or ownership-transferred payload objects) afterwards.
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	m.Src = e.id
 	m.SentAt = e.m.Now()
@@ -94,98 +147,80 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 			// otherwise the destination is gone and m was a dead letter.
 			select {
 			case <-mach.stop:
-				e.killed()
+				panic(errKilled)
 			default:
 			}
 		}
 		return
 	}
-	if mach.links == nil {
-		// No injected latency: hand the message straight to the
-		// destination feed. Channel order preserves per-sender FIFO.
-		m.ArrivedAt = mach.Now()
-		e.deliver(mach.eps[m.Dst].in, m)
-		return
-	}
-	arrival := mach.Now() + mach.cfg.Latency + substrate.Time(m.Size)*mach.cfg.PerByte
-	if last := e.lastArrival[m.Dst]; arrival <= last {
-		arrival = last + 1
-	}
-	e.lastArrival[m.Dst] = arrival
-	m.ArrivedAt = arrival // the forwarder holds the message until then
-	e.deliver(mach.links[e.id][m.Dst], m)
-}
-
-// deliver pushes onto a delivery channel, aborting if the machine stops
-// while the channel is full (back-pressure during teardown).
-func (e *Endpoint) deliver(ch chan *substrate.Msg, m *substrate.Msg) {
+	m.ArrivedAt = max(mach.Now()+mach.cfg.Latency+substrate.Time(m.Size)*mach.cfg.PerByte, e.lastArrival[m.Dst]+1)
+	e.lastArrival[m.Dst] = m.ArrivedAt
 	select {
-	case ch <- m:
-	case <-e.m.stop:
-		e.killed()
+	case mach.eps[m.Dst].in <- m:
+	case <-mach.stop: // back-pressured by a full feed during teardown
+		panic(errKilled)
 	}
 }
 
-// drain moves everything currently buffered in the delivery feed into the
-// inbox without blocking.
-func (e *Endpoint) drain() {
+// hold files a message taken off the feed by arrival time, behind every
+// message due no later: one sender's arrival times strictly increase, so its
+// messages stay in send order, and ties between senders keep feed order.
+func (e *Endpoint) hold(m *substrate.Msg) {
+	i := len(e.inbox)
+	for i > 0 && e.inbox[i-1].ArrivedAt > m.ArrivedAt {
+		i--
+	}
+	e.inbox = slices.Insert(e.inbox, i, m)
+}
+
+// arrived empties the feed into the inbox without blocking and returns how
+// many messages have arrived — the length of the inbox's visible prefix.
+func (e *Endpoint) arrived() int {
 	for {
 		select {
 		case m := <-e.in:
-			e.inbox = append(e.inbox, m)
+			e.hold(m)
 		default:
-			return
+			now := e.m.Now()
+			return sort.Search(len(e.inbox), func(i int) bool { return e.inbox[i].ArrivedAt > now })
 		}
 	}
 }
 
 // InboxLen implements substrate.Endpoint.
-func (e *Endpoint) InboxLen() int {
-	e.drain()
-	return len(e.inbox)
-}
+func (e *Endpoint) InboxLen() int { return e.arrived() }
 
 // HasMsg implements substrate.Endpoint.
 func (e *Endpoint) HasMsg(tag int) bool {
-	e.drain()
-	for _, m := range e.inbox {
-		if m.Tag == tag {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(e.inbox[:e.arrived()], func(m *substrate.Msg) bool { return m.Tag == tag })
 }
 
 // TryRecv implements substrate.Endpoint.
 func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
-	e.drain()
-	if len(e.inbox) == 0 {
+	if e.arrived() == 0 {
 		return nil
 	}
-	m := e.inbox[0]
-	e.inbox = e.inbox[1:]
-	if len(e.inbox) == 0 {
-		e.inbox = nil
-	}
-	if o := e.m.cfg.RecvCPU; o > 0 {
-		e.Advance(o, cat)
-	}
-	return m
+	return e.take(0, cat)
 }
 
 // TryRecvTag implements substrate.Endpoint.
 func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
-	e.drain()
-	for i, m := range e.inbox {
+	for i, m := range e.inbox[:e.arrived()] {
 		if m.Tag == tag {
-			e.inbox = append(e.inbox[:i], e.inbox[i+1:]...)
-			if o := e.m.cfg.RecvCPU; o > 0 {
-				e.Advance(o, cat)
-			}
-			return m
+			return e.take(i, cat)
 		}
 	}
 	return nil
+}
+
+// take removes inbox[i], charging the per-message receive CPU to cat.
+func (e *Endpoint) take(i int, cat substrate.Category) *substrate.Msg {
+	m := e.inbox[i]
+	e.inbox = slices.Delete(e.inbox, i, i+1)
+	if o := e.m.cfg.RecvCPU; o > 0 {
+		e.Advance(o, cat)
+	}
+	return m
 }
 
 // Recv implements substrate.Endpoint.
@@ -194,7 +229,7 @@ func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg {
 	return e.TryRecv(substrate.CatMessaging)
 }
 
-// WaitMsg blocks until at least one message is queued, attributing the
+// WaitMsg blocks until at least one message has arrived, attributing the
 // measured wait to cat.
 func (e *Endpoint) WaitMsg(cat substrate.Category) { e.wait(-1, cat) }
 
@@ -202,16 +237,17 @@ func (e *Endpoint) WaitMsg(cat substrate.Category) { e.wait(-1, cat) }
 // yield the host CPU instead of degenerating into a hot poll loop.
 const minWait = time.Microsecond
 
-// WaitMsgFor blocks until a message is queued or d elapses, attributing the
-// measured wait to cat. It reports whether a message is available.
+// WaitMsgFor blocks until a message has arrived or d elapses, attributing
+// the measured wait to cat. It reports whether a message is available.
 func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
 	return e.wait(max(e.m.wall(d), minWait), cat)
 }
 
-// wait is the one blocking receive: until a message is queued, the machine
-// stops, or — when wall is not negative — wall has elapsed.
+// wait is the one blocking receive: until a message has arrived, the machine
+// stops, or — when wall is not negative — wall has elapsed. It blocks on the
+// feed and, once it holds a message still in flight, on that arrival too.
 func (e *Endpoint) wait(wall time.Duration, cat substrate.Category) bool {
-	if len(e.inbox) > 0 || e.InboxLen() > 0 {
+	if e.arrived() > 0 {
 		return true
 	}
 	t0 := e.m.Now() // before the timer starts: the charge covers all of wall
@@ -221,13 +257,15 @@ func (e *Endpoint) wait(wall time.Duration, cat substrate.Category) bool {
 		defer t.Stop()
 		timeout = t.C
 	}
-	select {
-	case m := <-e.in:
-		e.inbox = append(e.inbox, m)
-	case <-timeout:
-	case <-e.m.stop:
-		e.killed()
+	n, timedOut := 0, false
+	for n == 0 && !timedOut {
+		next := never
+		if len(e.inbox) > 0 {
+			next = e.inbox[0].ArrivedAt
+		}
+		timedOut = e.pause(next, e.in, timeout)
+		n = e.arrived()
 	}
 	e.acct[cat] += e.m.Now() - t0
-	return len(e.inbox) > 0
+	return n > 0
 }

@@ -1,9 +1,10 @@
 // Package rtm is the real-time machine: a substrate backend that executes
 // the PREMA stack with genuine parallelism. Each processor is a goroutine,
-// the network is buffered channels with per-(src,dst) FIFO delivery and a
-// configurable injected latency/bandwidth model, Compute burns scaled
-// wall-clock (sleeping or spinning), and time accounting uses the host's
-// monotonic clock.
+// the network is one buffered channel per processor with per-(src,dst) FIFO
+// delivery and a configurable injected latency/bandwidth model — the sender
+// stamps each message's arrival time and the receiver releases it then —
+// Compute burns scaled wall-clock (sleeping, then spinning the last stretch),
+// and time accounting uses the host's monotonic clock.
 //
 // Where the discrete-event simulator (internal/sim) trades parallelism for
 // byte-identical determinism, rtm trades determinism for real concurrency:
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -58,19 +58,15 @@ type Config struct {
 	// SendCPU and RecvCPU are per-message CPU occupancies burned on the
 	// endpoints via Advance.
 	SendCPU, RecvCPU substrate.Time
-	// Spin selects busy-waiting instead of sleeping for Advance and the
-	// latency forwarders. Spinning tracks short durations far more
-	// accurately than the OS timer but occupies a host core per processor;
-	// use it only when the machine fits the hardware.
-	Spin bool
 	// Seed seeds the per-endpoint random sources (Seed+ID each).
 	Seed int64
 }
 
-// ChanCap is the capacity of every delivery queue: endpoint inbox feeds,
-// per-(src,dst) latency links, and the per-peer queues a remote link puts
-// behind a share. A full queue back-pressures the sender, so it sits above
-// the largest plausible in-flight burst.
+// ChanCap is the capacity of every delivery queue: endpoint inbox feeds and
+// the per-peer queues a remote link puts behind a share. A sender blocks only
+// while its destination's queue is full — the destination has not looked at
+// its inbox for ChanCap messages — so it sits above the largest plausible
+// in-flight burst.
 const ChanCap = 4096
 
 // DefaultConfig returns a configuration mirroring the simulator's Fast
@@ -93,7 +89,6 @@ type Machine struct {
 	lo, hi int                       // hosted rank range
 	remote func(*substrate.Msg) bool // link to the ranks outside it; nil for a whole machine
 	eps    []*Endpoint               // by rank, hosted or not
-	links  [][]chan *substrate.Msg   // [src][dst] over hosted pairs, only when latency is injected
 
 	start   time.Time
 	stop    chan struct{}
@@ -227,21 +222,8 @@ func (m *Machine) Run() error {
 	}
 
 	var wg sync.WaitGroup
-	var fwd sync.WaitGroup
-	if m.cfg.Latency > 0 || m.cfg.PerByte > 0 {
-		m.links = make([][]chan *substrate.Msg, len(m.eps))
-		for _, src := range hosted {
-			src.lastArrival = make([]substrate.Time, len(m.eps))
-			m.links[src.id] = make([]chan *substrate.Msg, len(m.eps))
-			for _, dst := range hosted {
-				ch := make(chan *substrate.Msg, ChanCap)
-				m.links[src.id][dst.id] = ch
-				fwd.Add(1)
-				go m.forward(ch, dst, &fwd)
-			}
-		}
-	}
 	for _, e := range hosted {
+		e.lastArrival = make([]substrate.Time, len(m.eps))
 		wg.Add(1)
 		go func(e *Endpoint) {
 			defer wg.Done()
@@ -255,78 +237,11 @@ func (m *Machine) Run() error {
 		}(e)
 	}
 	wg.Wait()
-	m.stopped.Do(func() { close(m.stop) }) // release forwarders
-	fwd.Wait()
+	m.stopped.Do(func() { close(m.stop) }) // from here on Inject discards
 	return m.Err()
-}
-
-// forward is the per-(src,dst) latency pipe: it preserves link FIFO order,
-// holding each message until its arrival time before handing it to the
-// destination inbox feed.
-func (m *Machine) forward(ch chan *substrate.Msg, dst *Endpoint, fwd *sync.WaitGroup) {
-	defer fwd.Done()
-	for {
-		select {
-		case msg := <-ch:
-			m.sleepUntil(msg.ArrivedAt, nil) // scheduled arrival, stamped by the sender
-			if now := m.Now(); now > msg.ArrivedAt {
-				msg.ArrivedAt = now // the link backed up; record the real arrival
-			}
-			select {
-			case dst.in <- msg:
-			case <-m.stop:
-				return
-			}
-		case <-m.stop:
-			return
-		}
-	}
 }
 
 // wall converts a virtual duration to a wall-clock duration.
 func (m *Machine) wall(v substrate.Time) time.Duration {
 	return time.Duration(float64(v) * m.cfg.TimeScale)
-}
-
-// spinThreshold is the wall-clock horizon below which sleepUntil spins
-// instead of sleeping. OS timers overshoot by up to a millisecond — a 100x
-// error on the tens-of-microsecond waits an aggressive TimeScale produces —
-// so the final stretch of every wait is spun to keep measured time honest.
-const spinThreshold = 200 * time.Microsecond
-
-// sleepUntil blocks until virtual time reaches target: it sleeps while the
-// remaining wall-clock wait is long, then spins the last stretch (or spins
-// throughout when the configuration demands it). A non-nil killed callback
-// is invoked when the machine stops mid-wait (endpoints pass one that
-// panics errKilled; forwarders pass nil and just return early).
-func (m *Machine) sleepUntil(target substrate.Time, killed func()) {
-	for {
-		now := m.Now()
-		if now >= target {
-			return
-		}
-		remaining := m.wall(target - now)
-		if m.cfg.Spin || remaining <= spinThreshold {
-			runtime.Gosched()
-			select {
-			case <-m.stop:
-				if killed != nil {
-					killed()
-				}
-				return
-			default:
-			}
-			continue
-		}
-		t := time.NewTimer(remaining - spinThreshold)
-		select {
-		case <-t.C:
-		case <-m.stop:
-			t.Stop()
-			if killed != nil {
-				killed()
-			}
-			return
-		}
-	}
 }

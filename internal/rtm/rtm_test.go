@@ -74,9 +74,8 @@ func onBothShapes(t *testing.T, test func(t *testing.T, newMachine func(rtm.Conf
 	})
 }
 
-// TestPerPairFIFOUnderLatency: the injected-latency path (link channels plus
-// forwarder goroutines) must preserve per-(src,dst) order even when arrival
-// times collide.
+// TestPerPairFIFOUnderLatency: the injected latency model must preserve
+// per-(src,dst) order even when arrival times collide.
 func TestPerPairFIFOUnderLatency(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
 		const n = 300
@@ -109,8 +108,8 @@ func TestPerPairFIFOUnderLatency(t *testing.T) {
 	})
 }
 
-// TestPerSenderFIFODirectPath: with no injected latency messages are handed
-// straight to the destination channel; each sender's order must still hold.
+// TestPerSenderFIFODirectPath: with no injected latency a message arrives
+// the moment it is sent; each sender's order must still hold.
 func TestPerSenderFIFODirectPath(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
 		const n = 200

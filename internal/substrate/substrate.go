@@ -9,8 +9,9 @@
 //     thread, virtual time, a seeded RNG — byte-identical reports across
 //     runs, used for all paper-figure reproduction.
 //   - internal/rtm: the real-time machine. Each processor is a goroutine,
-//     the network is buffered channels with per-(src,dst) FIFO delivery and
-//     injected latency, and time accounting uses the host's monotonic clock
+//     the network is one buffered channel per processor with per-(src,dst)
+//     FIFO delivery and injected latency (the receiver releases a message at
+//     its arrival time), and time accounting uses the host's monotonic clock
 //     — genuine parallelism, validated under the race detector. It hosts
 //     every rank in one process, or a share of them with internal/dist's
 //     sockets and session around it.
@@ -61,7 +62,7 @@ type Endpoint interface {
 	Charge(cat Category, d Time)
 	// Advance consumes d of CPU time, attributed to cat. The simulator
 	// advances virtual time; the real-time machine burns scaled wall-clock
-	// (sleeping or spinning).
+	// (sleeping, then spinning the last stretch).
 	Advance(d Time, cat Category)
 
 	// Send transmits m, stamping Src and SentAt and charging the sender's

@@ -173,9 +173,6 @@ func NewRecorder(proc, ringCap int) *Recorder {
 	return newRecorder(proc, p)
 }
 
-// Proc returns the processor ID this recorder belongs to.
-func (r *Recorder) Proc() int { return r.proc }
-
 // Span records a contiguous interval attributed to cat. Zero-length spans
 // are dropped; an interval contiguous with the previous recorded event (same
 // category, no gap) extends it in place instead of pushing a new event.
