@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"prema/internal/bench"
 )
@@ -142,18 +143,19 @@ func runDistFigure(stdout io.Writer, spec bench.RunSpec, fig bench.FigureSpec, c
 	spec = spec.ForFigure(fig)
 	fmt.Fprintf(stdout, "=== Figure %d (distributed backend): imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, nodes=%d) ===\n",
 		fig.ID, fig.Imbalance*100, fig.Ratio, spec.W.Procs, spec.W.Units, spec.Dist.Nodes)
-	var results []*bench.Result
+	var names []string
 	for _, name := range bench.SystemNames {
-		if !bench.HasTransport(name) {
-			continue
+		if bench.HasTransport(name) {
+			names = append(names, name)
 		}
-		spec.System = name
-		r, err := spec.Run()
-		if err != nil {
-			return err
-		}
+	}
+	spec.System = strings.Join(names, ",")
+	results, err := spec.RunAll()
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
 		fmt.Fprintln(stdout, "  "+r.Summary())
-		results = append(results, r)
 	}
 	if spec.Stride > 0 {
 		fmt.Fprintln(stdout, "\nPer-processor breakdowns:")

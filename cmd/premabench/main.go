@@ -19,8 +19,9 @@
 // rejects exits 2 before anything runs.
 //
 // -system also accepts a comma-separated list (multi-system mode): the named
-// configurations all run on the same workload, up to -jobs simulations in
-// flight, and the summaries print in the order given. -trace and -metrics
+// configurations all run on the same workload — up to -jobs simulations in
+// flight, wall-clock runs (-backend real|dist) one after another — and the
+// summaries print in the order given. -trace and -metrics
 // then insert the system name before the file extension. For dedicated
 // chaos sweeps over the paper figures see cmd/chaosbench.
 package main

@@ -13,6 +13,12 @@ func smallWorkload(spec FigureSpec) Workload {
 	return PaperWorkload(spec, 16, 16)
 }
 
+// runParmetis runs the stop-and-repartition driver on the simulator under a
+// customised configuration.
+func runParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
+	return runRepartition("parmetis", w.simMachine(), w, w.application(), cfg)
+}
+
 func TestWorkloadProperties(t *testing.T) {
 	w := smallWorkload(smallSpec())
 	if w.NumHeavy() != 128 {
@@ -37,12 +43,12 @@ func TestWorkloadProperties(t *testing.T) {
 	// Block ownership covers every unit exactly once.
 	seen := make([]bool, w.Units)
 	for p := 0; p < w.Procs; p++ {
-		for _, u := range w.UnitsOf(p) {
+		for _, u := range blockOf(p, w.Procs, w.Units) {
 			if seen[u] {
 				t.Fatalf("unit %d owned twice", u)
 			}
 			seen[u] = true
-			if w.Owner(u) != p {
+			if u*w.Procs/w.Units != p {
 				t.Fatalf("owner mismatch for %d", u)
 			}
 		}
@@ -118,7 +124,7 @@ func TestParmetisBalancesWhenWorkRemains(t *testing.T) {
 	// warrant threshold proportionally so the repartition applies.
 	cfg := DefaultParmetisConfig()
 	cfg.WarrantPerProc = 5
-	pm, err := RunParmetis(w, cfg)
+	pm, err := runParmetis(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestParmetisWarrantRule(t *testing.T) {
 	}
 	strict := DefaultParmetisConfig()
 	strict.WarrantPerProc = 1e9
-	rs, err := RunParmetis(w, strict)
+	rs, err := runParmetis(w, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestParmetisWarrantRule(t *testing.T) {
 	}
 	loose := DefaultParmetisConfig()
 	loose.WarrantPerProc = 1
-	rl, err := RunParmetis(w, loose)
+	rl, err := runParmetis(w, loose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestParmetisSyncCostGrowsWithDeclinedRounds(t *testing.T) {
 	cfg := DefaultParmetisConfig()
 	cfg.WarrantPerProc = 1e9
 	cfg.RoundInterval = 10 * sim.Second
-	r, err := RunParmetis(w, cfg)
+	r, err := runParmetis(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

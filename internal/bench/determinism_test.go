@@ -113,7 +113,7 @@ func TestWorkloadMoreProcsThanUnits(t *testing.T) {
 	w := Workload{Procs: 8, Units: 4, HeavyFrac: 0.5, Heavy: 2 * sim.Second, Light: sim.Second}
 	owned := 0
 	for p := 0; p < w.Procs; p++ {
-		owned += len(w.UnitsOf(p))
+		owned += len(blockOf(p, w.Procs, w.Units))
 	}
 	if owned != 4 {
 		t.Fatalf("owned %d of 4", owned)

@@ -61,11 +61,6 @@ func DefaultParmetisConfig() ParmetisConfig {
 	}
 }
 
-// RunParmetis executes the synthetic benchmark under stop-and-repartition.
-func RunParmetis(w Workload, cfg ParmetisConfig) (*Result, error) {
-	return runRepartition("parmetis", w.simMachine(), w, w.application(), cfg)
-}
-
 // runRepartition is the one stop-and-repartition protocol (see
 // ParmetisConfig), on any application. A work-list entry is one unfinished
 // object and the step it runs next, numbered step*app.objects + obj — for

@@ -143,13 +143,13 @@ func TestDriversPinned(t *testing.T) {
 	for _, f := range Figures() {
 		for _, scale := range [][2]int{{8, 6}, {13, 5}, {32, 16}} {
 			w := PaperWorkload(f, scale[0], scale[1])
-			r, err := RunParmetis(w, DefaultParmetisConfig())
+			r, err := runParmetis(w, DefaultParmetisConfig())
 			addParmetis(fmt.Sprintf("parmetis fig%d %dx%d", f.ID, scale[0], scale[1]), r, err)
 		}
 		for _, warrant := range []float64{0, 1e9} {
 			cfg := DefaultParmetisConfig()
 			cfg.WarrantPerProc = warrant
-			r, err := RunParmetis(PaperWorkload(f, 8, 6), cfg)
+			r, err := runParmetis(PaperWorkload(f, 8, 6), cfg)
 			addParmetis(fmt.Sprintf("parmetis fig%d 8x6 warrant=%g", f.ID, warrant), r, err)
 		}
 	}

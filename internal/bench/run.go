@@ -139,11 +139,15 @@ func (s RunSpec) Run() (*Result, error) {
 	return s.runOn(d, st)
 }
 
-// jobs resolves the Jobs knob: the two parallelism levels multiply (jobs ×
-// shards goroutines want CPUs at once), so auto clamps the product to the
-// CPU count.
+// jobs resolves the Jobs knob. Off the simulator it is 1: concurrent
+// wall-clock runs would distort each other, so they run one after another.
+// On it the two parallelism levels multiply (jobs × shards goroutines want
+// CPUs at once), so auto clamps the product to the CPU count.
 func (s RunSpec) jobs() int {
-	if s.Jobs < 1 {
+	switch {
+	case s.WithDefaults().Backend != BackendSim:
+		return 1
+	case s.Jobs < 1:
 		return sweep.JobsFor(s.W.Shards)
 	}
 	return s.Jobs
@@ -152,12 +156,16 @@ func (s RunSpec) jobs() int {
 // RunAll runs every system the spec names (Systems) on the same workload
 // with at most Jobs simulations in flight, returning results in the order
 // given. Simulations are independent, so the results are identical for any
-// Jobs value.
+// Jobs value. The nodes of a distributed session write their own trace
+// files, so each session of a list gets the system's name in its paths.
 func (s RunSpec) RunAll() ([]*Result, error) {
 	names := s.Systems()
 	return sweep.Map(s.jobs(), len(names), func(i int) (*Result, error) {
 		one := s
 		one.System = names[i]
+		if s.Backend == BackendDist && len(names) > 1 && s.TracePath != "" {
+			one.TracePath = trace.SuffixPath(s.TracePath, names[i])
+		}
 		return one.Run()
 	})
 }

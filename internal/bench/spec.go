@@ -313,8 +313,6 @@ var rules = []struct {
 	// What only the simulator offers.
 	{"shards-sim", func(c *candidate) bool { return c.W.Shards > 1 && c.Backend != BackendSim },
 		"-shards applies to the simulator backend only; use -backend=sim"},
-	{"multi-sim", func(c *candidate) bool { return len(c.systems) > 1 && c.Backend != BackendSim },
-		"a -system list (multi-system mode) is simulator-only: concurrent wall-clock runs would distort each other; use -backend=sim"},
 	{"model-sim", func(c *candidate) bool {
 		return c.Backend != BackendSim && c.anySystem(func(d *systemDef) bool { return d.model != nil })
 	}, "-system %q is a cost model without a transport and is simulator-only; use -backend=sim"},

@@ -75,9 +75,12 @@ var validateCases = []struct {
 	{"shards-sim", "real", func(s *RunSpec) { s.Backend, s.W.Shards = BackendReal, 2 }, "-shards"},
 	{"shards-sim", "dist", func(s *RunSpec) { onDist(s); s.W.Shards = 2 }, "-shards"},
 	{"shards-sim", "sim", func(s *RunSpec) { s.W.Shards = 2 }, ""},
-	{"multi-sim", "real", func(s *RunSpec) { s.Backend, s.System = BackendReal, "none,prema-implicit" }, "-system"},
-	{"multi-sim", "dist", func(s *RunSpec) { onDist(s); s.System = "none,prema-implicit" }, "-system"},
-	{"multi-sim", "sim", func(s *RunSpec) { s.System = "none, prema-implicit,parmetis,prema-diffusion" }, ""},
+	{"model-sim", "a list with a cost model on real", func(s *RunSpec) { s.Backend, s.System = BackendReal, "none,parmetis" }, "-system \"parmetis\""},
+	{"model-sim", "a list with a cost model on sim", func(s *RunSpec) { s.System = "none, prema-implicit,parmetis,prema-diffusion" }, ""},
+	{"model-sim", "a PREMA list on real (runs one after another: TestRunSystemsOrdering)", func(s *RunSpec) {
+		s.Backend, s.System = BackendReal, "none,prema-implicit"
+	}, ""},
+	{"model-sim", "a PREMA list on dist", func(s *RunSpec) { onDist(s); s.System = "none,prema-implicit" }, ""},
 	{"model-sim", "repro: premabench -backend real -system parmetis", func(s *RunSpec) {
 		s.Backend, s.System = BackendReal, "parmetis"
 	}, "-system \"parmetis\""},

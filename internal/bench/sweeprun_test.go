@@ -82,6 +82,24 @@ func TestRunSystemsOrdering(t *testing.T) {
 	if _, err := (RunSpec{System: "none,bogus", W: w, Jobs: 4}).RunAll(); err == nil {
 		t.Fatal("expected error for unknown system")
 	}
+	// Off the simulator a list runs too, one system after another whatever
+	// -jobs says: concurrent wall-clock runs would distort each other.
+	wall := RunSpec{System: "prema-implicit,none", W: w, Backend: BackendReal, TimeScale: 1e-4, Jobs: 4}
+	if got := wall.jobs(); got != 1 {
+		t.Errorf("jobs() = %d on the real backend, want 1", got)
+	}
+	rs, err = wall.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if want := wall.Systems()[i]; r.System != want {
+			t.Errorf("real backend: result %d = %s, want %s", i, r.System, want)
+		}
+		if err := r.CheckConservation(); err != nil {
+			t.Errorf("real backend: %s: %v", r.System, err)
+		}
+	}
 }
 
 // TestMeshCostsJobsIdentical: the cost matrix is identical for any worker

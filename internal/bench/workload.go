@@ -106,13 +106,6 @@ func (w Workload) Hint(u int) float64 {
 	}
 }
 
-// Owner returns unit u's initial processor under the block distribution
-// (step 2 of the benchmark algorithm).
-func (w Workload) Owner(u int) int { return u * w.Procs / w.Units }
-
-// UnitsOf returns the unit indices initially owned by processor p.
-func (w Workload) UnitsOf(p int) []int { return blockOf(p, w.Procs, w.Units) }
-
 // blockOf returns the objects, of n, that the block distribution starts on
 // processor p of procs: those o with o*procs/n == p.
 func blockOf(p, procs, n int) []int {

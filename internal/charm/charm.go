@@ -176,9 +176,6 @@ func NewRuntime(p substrate.Endpoint, opt Options) *Runtime {
 	return rt
 }
 
-// Proc returns the processor's endpoint.
-func (rt *Runtime) Proc() substrate.Endpoint { return rt.p }
-
 // Comm returns the underlying active-message endpoint for application use
 // (e.g. completion notifications in the benchmark).
 func (rt *Runtime) Comm() *dmcs.Comm { return rt.c }
@@ -217,9 +214,6 @@ func (rt *Runtime) Local() []int {
 	sort.Ints(idx)
 	return idx
 }
-
-// Lookup returns the local chare with the given index, or nil.
-func (rt *Runtime) Lookup(index int) *Chare { return rt.chares[index] }
 
 // Invoke sends an entry-method message to chare index (a proxy send).
 func (rt *Runtime) Invoke(index int, e EntryID, data any, size int) {
@@ -386,9 +380,6 @@ func (rt *Runtime) maybeFinishLB() {
 	}
 }
 
-// Stop makes Run return.
-func (rt *Runtime) Stop() { rt.stopped = true }
-
 // StopAll broadcasts termination to every processor, then stops locally.
 func (rt *Runtime) StopAll() {
 	for i := 0; i < rt.p.NumPeers(); i++ {
@@ -439,7 +430,7 @@ func (rt *Runtime) Step() bool {
 	return true
 }
 
-// Run drives the pick-and-process loop until Stop.
+// Run drives the pick-and-process loop until StopAll, here or on a peer.
 func (rt *Runtime) Run() {
 	for rt.Step() {
 	}

@@ -228,7 +228,7 @@ func TestEntryAtomicity(t *testing.T) {
 		rt := NewRuntime(p, DefaultOptions(nil))
 		hPoke := rt.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
 			pokedAt = p.Now()
-			rt.Stop()
+			rt.stopped = true
 		})
 		_ = hPoke
 		eWork := rt.RegisterEntry(func(rt *Runtime, ch *Chare, src int, data any) {
@@ -245,7 +245,7 @@ func TestEntryAtomicity(t *testing.T) {
 		rt.CreateArray(1, func(i int) (any, int) { return nil, 0 })
 		p.Advance(100*sim.Millisecond, sim.CatCompute)
 		rt.Comm().Send(0, hPoke, nil, 8)
-		rt.Stop()
+		rt.stopped = true
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestInvokeRoutesAfterMigration(t *testing.T) {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
 			rt := NewRuntime(p, DefaultOptions(nil))
 			eTouch := rt.RegisterEntry(func(rt *Runtime, ch *Chare, src int, data any) {
-				ranOn = rt.Proc().ID()
+				ranOn = rt.p.ID()
 				hops = rt.Stats.ForwardHops
 				rt.StopAll()
 			})
@@ -336,10 +336,10 @@ func TestLookupAndLocal(t *testing.T) {
 		if len(local) != 5 {
 			t.Fatalf("local = %v", local)
 		}
-		if rt.Lookup(3) == nil || rt.Lookup(3).Data.(int) != 9 {
+		if ch := rt.chares[3]; ch == nil || ch.Data.(int) != 9 {
 			t.Fatal("lookup")
 		}
-		if rt.Lookup(99) != nil {
+		if rt.chares[99] != nil {
 			t.Fatal("phantom chare")
 		}
 	})
@@ -354,65 +354,5 @@ func TestMeasuredAccumulatesAndResets(t *testing.T) {
 	e := charmApp(t, 2, 4, 2, true, GreedyLB{}, weight)
 	if e.Makespan() <= 0 {
 		t.Fatal("no time passed")
-	}
-}
-
-func TestRotateLBShiftsEverything(t *testing.T) {
-	loads := []ChareLoad{{Index: 0, Proc: 0}, {Index: 1, Proc: 2}}
-	m := RotateLB{}.Remap(loads, 3)
-	if m[0] != 1 || m[1] != 0 {
-		t.Fatalf("rotate = %v", m)
-	}
-	if (RotateLB{}).Name() != "rotate" {
-		t.Fatal("name")
-	}
-}
-
-func TestRandCentLBDeterministicAndSpread(t *testing.T) {
-	var loads []ChareLoad
-	for i := 0; i < 256; i++ {
-		loads = append(loads, ChareLoad{Index: i, Proc: 0, Load: 1})
-	}
-	a := (&RandCentLB{Seed: 5}).Remap(loads, 8)
-	b := (&RandCentLB{Seed: 5}).Remap(loads, 8)
-	counts := make([]int, 8)
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatal("nondeterministic")
-		}
-		counts[v]++
-	}
-	for p, c := range counts {
-		if c < 8 {
-			t.Fatalf("proc %d got only %d of 256 chares: %v", p, c, counts)
-		}
-	}
-	// Successive steps differ (the per-step sequence advances).
-	r := &RandCentLB{Seed: 5}
-	first := r.Remap(loads, 8)
-	second := r.Remap(loads, 8)
-	same := true
-	for k, v := range first {
-		if second[k] != v {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("randcent repeated the same placement across steps")
-	}
-}
-
-// TestRandCentRuntimeIntegration: the load-oblivious strategies still keep
-// the chare runtime correct (all work completes).
-func TestRandCentRuntimeIntegration(t *testing.T) {
-	weight := func(i, it int) sim.Time { return 20 * sim.Millisecond }
-	e := charmApp(t, 4, 8, 3, true, &RandCentLB{Seed: 2}, weight)
-	var compute sim.Time
-	for i := 0; i < 4; i++ {
-		compute += e.Proc(i).Account()[sim.CatCompute]
-	}
-	if compute != 8*3*20*sim.Millisecond {
-		t.Fatalf("total compute %v", compute)
 	}
 }

@@ -2,7 +2,6 @@ package charm
 
 import (
 	"container/heap"
-	"math/rand"
 	"sort"
 
 	"prema/internal/graph"
@@ -187,48 +186,6 @@ func (m MetisLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 	out := make(map[int]int, len(sorted))
 	for i, c := range sorted {
 		out[c.Index] = newPart[i]
-	}
-	return out
-}
-
-// RotateLB cyclically shifts every chare to the next processor. It is
-// Charm++'s testing strategy: maximum migration, no load awareness — the
-// floor against which real strategies are judged.
-type RotateLB struct{}
-
-// Name implements Strategy.
-func (RotateLB) Name() string { return "rotate" }
-
-// Remap implements Strategy.
-func (RotateLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
-	out := make(map[int]int, len(loads))
-	for _, c := range loads {
-		out[c.Index] = (c.Proc + 1) % nprocs
-	}
-	return out
-}
-
-// RandCentLB places every chare on a processor drawn from a deterministic
-// per-step pseudo-random sequence (Charm++'s RandCentLB): load-oblivious
-// but statistically balanced for many similar chares.
-type RandCentLB struct {
-	// Seed drives the deterministic placement sequence.
-	Seed int64
-	step int64
-}
-
-// Name implements Strategy.
-func (r *RandCentLB) Name() string { return "randcent" }
-
-// Remap implements Strategy.
-func (r *RandCentLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
-	r.step++
-	rng := rand.New(rand.NewSource(r.Seed*1_000_003 + r.step))
-	sorted := append([]ChareLoad(nil), loads...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	out := make(map[int]int, len(sorted))
-	for _, c := range sorted {
-		out[c.Index] = rng.Intn(nprocs)
 	}
 	return out
 }

@@ -106,9 +106,6 @@ func NewRuntime(p substrate.Endpoint, opt Options) *Runtime {
 	return r
 }
 
-// Proc returns the underlying substrate endpoint.
-func (r *Runtime) Proc() substrate.Endpoint { return r.p }
-
 // Comm returns the raw active-message endpoint for application-level AM use.
 func (r *Runtime) Comm() *dmcs.Comm { return r.c }
 

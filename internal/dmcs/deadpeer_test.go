@@ -9,7 +9,7 @@ import (
 // TestMarkDeadUnblocksQuiesce: a sender with unacked messages toward a peer
 // that will never ack (it stopped polling — the effect of a fail-stop) used
 // to sit in Quiesce retransmitting until DrainTimeout. With a dead-peer
-// verdict the pending buffer is discarded, PendingUnacked drops to zero, and
+// verdict the pending buffer is discarded, nothing is left unacknowledged, and
 // Quiesce returns after Linger instead of the 60s drain cap.
 func TestMarkDeadUnblocksQuiesce(t *testing.T) {
 	backends(t, func(t *testing.T, m substrate.Machine) {
@@ -36,20 +36,20 @@ func TestMarkDeadUnblocksQuiesce(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				c.WaitPollFor(200*substrate.Millisecond, substrate.CatIdle)
 			}
-			if c.PendingUnacked() == 0 {
+			if !c.rel.hasPending() {
 				t.Error("pending buffer empty before MarkDead; test is vacuous")
 			}
 			c.MarkDead(0)
-			if got := c.PendingUnacked(); got != 0 {
-				t.Errorf("PendingUnacked = %d after MarkDead, want 0", got)
+			if c.rel.hasPending() {
+				t.Error("messages still unacknowledged after MarkDead")
 			}
-			if got := c.DeadPeers(); got != 1 {
-				t.Errorf("DeadPeers = %d, want 1", got)
+			if got := len(c.rel.dead); got != 1 {
+				t.Errorf("%d dead peers, want 1", got)
 			}
 			// Sends to a dead peer are fire-and-forget: nothing buffered.
 			c.Send(0, h, 99, 8)
-			if got := c.PendingUnacked(); got != 0 {
-				t.Errorf("PendingUnacked = %d after send to dead peer, want 0", got)
+			if c.rel.hasPending() {
+				t.Error("a send to a dead peer was buffered")
 			}
 			t0 := ep.Now()
 			c.Quiesce()

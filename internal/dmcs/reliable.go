@@ -269,14 +269,6 @@ func (c *Comm) MarkAlive(peer int) {
 	delete(r.dead, peer)
 }
 
-// DeadPeers returns the number of peers currently marked dead.
-func (c *Comm) DeadPeers() int {
-	if c.rel == nil {
-		return 0
-	}
-	return len(c.rel.dead)
-}
-
 // dropPeerState forgets all send and receive stream state toward peer.
 func (r *reliable) dropPeerState(peer int) {
 	sends := r.sendOrder[:0]
@@ -524,19 +516,6 @@ func (r *reliable) hasPending() bool {
 		}
 	}
 	return false
-}
-
-// PendingUnacked returns the number of buffered, unacknowledged messages
-// across all streams (0 when reliable mode is off).
-func (c *Comm) PendingUnacked() int {
-	if c.rel == nil {
-		return 0
-	}
-	n := 0
-	for _, st := range c.rel.sendOrder {
-		n += len(st.pending)
-	}
-	return n
 }
 
 // Quiesce drains the reliable protocol at shutdown: it keeps polling,

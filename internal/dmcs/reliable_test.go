@@ -95,8 +95,8 @@ func relPair(t *testing.T, m substrate.Machine, cfg RelConfig, n int) (gotApp, g
 		// Quiesce retransmits until everything is acknowledged (bounded by
 		// the drain timeout), which is the whole point of reliable mode.
 		c.Quiesce()
-		if p := c.PendingUnacked(); p != 0 {
-			t.Errorf("sender still has %d unacked messages after Quiesce", p)
+		if c.rel.hasPending() {
+			t.Error("sender still has unacked messages after Quiesce")
 		}
 		sender = c.RelStats()
 	})

@@ -134,9 +134,6 @@ func (f *Machine) Stats() Stats {
 	return t
 }
 
-// EndpointStats returns processor i's injection counts (after Run).
-func (f *Machine) EndpointStats(i int) Stats { return f.eps[i].stats }
-
 var _ substrate.Machine = (*Machine)(nil)
 
 // held is one message captured from the inner endpoint, with its faulty-layer
@@ -360,13 +357,6 @@ func (e *Endpoint) InboxLen() int {
 		}
 	}
 	return n
-}
-
-// HasMsg implements substrate.Endpoint.
-func (e *Endpoint) HasMsg(tag int) bool {
-	e.check()
-	e.pump()
-	return e.pickDeliverable(tag, false) >= 0
 }
 
 // TryRecv implements substrate.Endpoint.

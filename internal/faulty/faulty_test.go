@@ -233,7 +233,7 @@ func TestCrash(t *testing.T) {
 	if err := fm.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fm.Stats().Crashed || !fm.EndpointStats(1).Crashed {
+	if !fm.Stats().Crashed || !fm.eps[1].stats.Crashed {
 		t.Fatalf("crash never fired: %+v", fm.Stats())
 	}
 	// The victim stopped at t=5 (≈5 sends); survivors ran the full 20.

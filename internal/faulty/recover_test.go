@@ -47,14 +47,14 @@ func TestRecoverPlanRoundTrip(t *testing.T) {
 // processor; anything else is rejected at parse time.
 func TestRecoverPlanValidation(t *testing.T) {
 	for _, s := range []string{
-		"recover:1@10s",                                    // rejoin with no crash
-		"crash:1@20s;recover:1@10s",                        // rejoin before its crash
-		"crash:1@20s;recover:1@20s",                        // rejoin at the crash instant
-		"crash:1@10s;recover:1@20s;recover:1@30s",          // two rejoins, one crash
+		"recover:1@10s",                                       // rejoin with no crash
+		"crash:1@20s;recover:1@10s",                           // rejoin before its crash
+		"crash:1@20s;recover:1@20s",                           // rejoin at the crash instant
+		"crash:1@10s;recover:1@20s;recover:1@30s",             // two rejoins, one crash
 		"crash:1@10s;crash:1@30s;recover:1@40s;recover:1@50s", // second rejoin after both crashes
-		"recover:-1@10s",                                   // negative processor
-		"recover:1",                                        // missing time
-		"recover:1@sometime",                               // bad duration
+		"recover:-1@10s",                                      // negative processor
+		"recover:1",                                           // missing time
+		"recover:1@sometime",                                  // bad duration
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted an invalid crash/recover schedule", s)
@@ -118,7 +118,7 @@ func TestRejoin(t *testing.T) {
 	if err := fm.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := fm.EndpointStats(1)
+	st := fm.eps[1].stats
 	if !st.Crashed || st.Rejoins != 1 {
 		t.Fatalf("stats = %+v, want crashed with 1 rejoin", st)
 	}
@@ -154,7 +154,7 @@ func TestRejoinThenSecondCrash(t *testing.T) {
 	if err := fm.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := fm.EndpointStats(1)
+	st := fm.eps[1].stats
 	if st.Rejoins != 1 {
 		t.Fatalf("rejoins = %d, want 1", st.Rejoins)
 	}

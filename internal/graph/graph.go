@@ -4,7 +4,10 @@
 // computational weights; edges carry communication weights.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is an undirected weighted graph in compressed sparse row form.
 // Every edge appears twice (u->v and v->u), as in METIS.
@@ -20,9 +23,6 @@ type Graph struct {
 
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Xadj) - 1 }
-
-// Degree returns vertex v's degree.
-func (g *Graph) Degree(v int) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
 
 // Neighbors calls fn for each neighbor of v with the connecting edge weight.
 func (g *Graph) Neighbors(v int, fn func(u int, w int32)) {
@@ -107,7 +107,7 @@ func (b *Builder) Build() *Graph {
 		for u := range m {
 			keys = append(keys, u)
 		}
-		sortInt32(keys)
+		slices.Sort(keys)
 		for _, u := range keys {
 			g.Adjncy = append(g.Adjncy, u)
 			g.AdjWgt = append(g.AdjWgt, m[u])
@@ -115,52 +115,6 @@ func (b *Builder) Build() *Graph {
 	}
 	g.Xadj[b.n] = int32(len(g.Adjncy))
 	return g
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort is fine for typical adjacency degrees; fall back to a
-	// simple quicksort for long lists.
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	quickInt32(a)
-}
-
-func quickInt32(a []int32) {
-	for len(a) > 12 {
-		p := a[len(a)/2]
-		lo, hi := 0, len(a)-1
-		for lo <= hi {
-			for a[lo] < p {
-				lo++
-			}
-			for a[hi] > p {
-				hi--
-			}
-			if lo <= hi {
-				a[lo], a[hi] = a[hi], a[lo]
-				lo++
-				hi--
-			}
-		}
-		if hi < len(a)-lo {
-			quickInt32(a[:hi+1])
-			a = a[lo:]
-		} else {
-			quickInt32(a[lo:])
-			a = a[:hi+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // EdgeCut returns the total weight of edges crossing partition boundaries.

@@ -16,7 +16,7 @@ func TestBuilderBasics(t *testing.T) {
 	if g.NumVertices() != 4 {
 		t.Fatalf("n = %d", g.NumVertices())
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 2 || g.Degree(3) != 0 {
+	if degree(g, 0) != 1 || degree(g, 1) != 2 || degree(g, 3) != 0 {
 		t.Fatalf("degrees wrong")
 	}
 	var w01 int32
@@ -64,12 +64,12 @@ func TestGrid3D(t *testing.T) {
 		t.Fatalf("n = %d", g.NumVertices())
 	}
 	// Corner has degree 3; center has degree 6.
-	if g.Degree(0) != 3 {
-		t.Fatalf("corner degree = %d", g.Degree(0))
+	if degree(g, 0) != 3 {
+		t.Fatalf("corner degree = %d", degree(g, 0))
 	}
 	center := (1*3+1)*3 + 1
-	if g.Degree(center) != 6 {
-		t.Fatalf("center degree = %d", g.Degree(center))
+	if degree(g, center) != 6 {
+		t.Fatalf("center degree = %d", degree(g, center))
 	}
 	// Total directed edges = 2 * undirected; grid has 3*(3*3*2) = 54 edges.
 	if len(g.Adjncy) != 108 {
@@ -125,6 +125,8 @@ func TestAdjacencySorted(t *testing.T) {
 	}
 }
 
+func degree(g *Graph, v int) int { return int(g.Xadj[v+1] - g.Xadj[v]) }
+
 func TestBuilderPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -157,21 +159,26 @@ func TestImbalanceEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestQuicksortLargeAdjacency: every adjacency list Build emits is strictly
+// ascending, a 10⁴-degree hub's included — the property the hand-written
+// quicksort was tested for, now slices.Sort's.
 func TestQuicksortLargeAdjacency(t *testing.T) {
-	// Exercise the quicksort path (>24 neighbors).
-	b := NewBuilder(64)
-	for i := 63; i >= 1; i-- {
+	const n = 10001
+	b := NewBuilder(n)
+	for i := n - 1; i >= 1; i-- {
 		b.AddEdge(0, i, 1)
+		b.AddEdge(i, i*7919%n, 1)
 	}
 	g := b.Build()
-	prev := int32(-1)
-	g.Neighbors(0, func(u int, w int32) {
-		if int32(u) <= prev {
-			t.Fatalf("unsorted at %d", u)
+	if degree(g, 0) != n-1 {
+		t.Fatalf("hub degree = %d", degree(g, 0))
+	}
+	for v := 0; v < n; v++ {
+		adj := g.Adjncy[g.Xadj[v]:g.Xadj[v+1]]
+		for i := 1; i < len(adj); i++ {
+			if adj[i] <= adj[i-1] {
+				t.Fatalf("adjacency of %d not strictly ascending at %d: %v", v, i, adj[i-1:i+1])
+			}
 		}
-		prev = int32(u)
-	})
-	if g.Degree(0) != 63 {
-		t.Fatalf("degree = %d", g.Degree(0))
 	}
 }

@@ -196,9 +196,6 @@ func (s *Scheduler) Comm() *dmcs.Comm { return s.c }
 // Proc returns the underlying substrate endpoint.
 func (s *Scheduler) Proc() substrate.Endpoint { return s.p }
 
-// Config returns the scheduler configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // WaterMark returns the current balancing threshold (hinted seconds).
 func (s *Scheduler) WaterMark() float64 { return s.cfg.WaterMark }
 
@@ -207,9 +204,6 @@ func (s *Scheduler) WaterMark() float64 { return s.cfg.WaterMark }
 // asking the application to guess; policy.WorkStealing's AutoWaterMark mode
 // drives this setter from observed steal round-trip times.
 func (s *Scheduler) SetWaterMark(v float64) { s.cfg.WaterMark = v }
-
-// Policy returns the active load balancing policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
 
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
@@ -262,17 +256,6 @@ func (s *Scheduler) QueueLen() int {
 // unit is excluded: once started it cannot migrate, so it is not balanceable
 // load.
 func (s *Scheduler) Load() float64 { return math.Max(s.load, 0) }
-
-// Executing reports whether a work unit handler is currently running.
-func (s *Scheduler) Executing() bool { return s.current != nil }
-
-// CurrentObject returns the object whose unit is executing, or mol.Nil.
-func (s *Scheduler) CurrentObject() mol.MobilePtr {
-	if s.current == nil {
-		return mol.Nil
-	}
-	return s.current.Obj.MP
-}
 
 // StealableObjects returns distinct locally resident objects that have
 // queued (unstolen) work, newest-queued first — the natural donation order

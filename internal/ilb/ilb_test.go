@@ -268,11 +268,11 @@ func TestSetWaterMark(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	e.Spawn("p", func(p *sim.Proc) {
 		s := newSched(p, Explicit)
-		if s.WaterMark() != DefaultConfig(Explicit).WaterMark {
+		if s.cfg.WaterMark != DefaultConfig(Explicit).WaterMark {
 			t.Error("initial watermark")
 		}
 		s.SetWaterMark(99)
-		if s.WaterMark() != 99 {
+		if s.cfg.WaterMark != 99 {
 			t.Error("set watermark")
 		}
 	})
@@ -288,25 +288,25 @@ func TestSchedulerAccessors(t *testing.T) {
 		if s.Proc() != p || s.Comm() == nil || s.Mol() == nil {
 			t.Error("accessors")
 		}
-		if s.Policy().Name() != "none" {
+		if s.policy.Name() != "none" {
 			t.Error("policy name")
 		}
-		if s.Config().Mode != Implicit {
+		if s.cfg.Mode != Implicit {
 			t.Error("config")
 		}
-		if s.Executing() || !s.CurrentObject().IsNil() {
+		if s.current != nil {
 			t.Error("nothing should be executing")
 		}
 		var sawExecuting bool
 		h := s.Mol().RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-			sawExecuting = s.Executing() && s.CurrentObject() == obj.MP
+			sawExecuting = s.current != nil && s.current.Obj == obj
 		})
 		mp := s.Mol().Register("x", 8)
 		s.Message(mp, h, nil, 0, 1)
 		u := s.dequeue()
 		s.execute(u)
 		if !sawExecuting {
-			t.Error("Executing/CurrentObject during handler")
+			t.Error("current unit not set during handler")
 		}
 		if s.QueuedWeight(s.Mol().Lookup(mp)) != 0 {
 			t.Error("queued weight after execution")

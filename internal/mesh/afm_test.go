@@ -48,12 +48,6 @@ func TestBoxHelpers(t *testing.T) {
 	if !b.Contains(Vec3{0.5, 0.5, 0.5}) || b.Contains(Vec3{1.5, 0, 0}) {
 		t.Fatal("contains")
 	}
-	if d := b.DistToPoint(Vec3{2, 0.5, 0.5}); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("dist = %v", d)
-	}
-	if b.DistToPoint(Vec3{0.5, 0.5, 0.5}) != 0 {
-		t.Fatal("inside dist must be 0")
-	}
 }
 
 func TestCrackSizing(t *testing.T) {
@@ -70,9 +64,6 @@ func TestCrackSizing(t *testing.T) {
 	}
 	if c.Tip() != (Vec3{0.5, 0.5, 0.5}) {
 		t.Fatalf("tip = %v", c.Tip())
-	}
-	if c.Grown(0.8).Length != 0.8 {
-		t.Fatal("grown")
 	}
 }
 
@@ -98,11 +89,10 @@ func checkMesh(t *testing.T, m *Mesh, b Box) {
 				t.Fatalf("tet references missing vertex %d", v)
 			}
 			p := m.Verts[v]
-			if !b.Contains(Vec3{p.X, p.Y, p.Z}) {
-				// Allow tiny epsilon excursions from arithmetic.
-				if b.DistToPoint(p) > 1e-9 {
-					t.Fatalf("vertex %v outside box", p)
-				}
+			// Allow tiny epsilon excursions from arithmetic.
+			eps := Vec3{1e-9, 1e-9, 1e-9}
+			if !(Box{b.Lo.Sub(eps), b.Hi.Add(eps)}).Contains(p) {
+				t.Fatalf("vertex %v outside box", p)
 			}
 		}
 		v := TetVolume(m.Verts[tet[0]], m.Verts[tet[1]], m.Verts[tet[2]], m.Verts[tet[3]])

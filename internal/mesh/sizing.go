@@ -57,12 +57,6 @@ func (c Crack) H(p Vec3) float64 {
 	return c.HMin + (c.HMax-c.HMin)*frac*frac
 }
 
-// Grown returns the crack extended to the given length.
-func (c Crack) Grown(length float64) Crack {
-	c.Length = length
-	return c
-}
-
 // EstimateElements estimates how many tetrahedra a mesher honoring the
 // sizing field produces inside box b, by midpoint integration of dV/h(x)^3
 // over an n^3 sample grid times the tetrahedra-per-cube packing factor (~6

@@ -90,11 +90,3 @@ func (b Box) Contains(p Vec3) bool {
 		p.Y >= b.Lo.Y && p.Y <= b.Hi.Y &&
 		p.Z >= b.Lo.Z && p.Z <= b.Hi.Z
 }
-
-// DistToPoint returns the distance from p to the box (0 if inside).
-func (b Box) DistToPoint(p Vec3) float64 {
-	dx := math.Max(0, math.Max(b.Lo.X-p.X, p.X-b.Hi.X))
-	dy := math.Max(0, math.Max(b.Lo.Y-p.Y, p.Y-b.Hi.Y))
-	dz := math.Max(0, math.Max(b.Lo.Z-p.Z, p.Z-b.Hi.Z))
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}

@@ -48,9 +48,6 @@ func (l *Layer) Get(mp MobilePtr, reader int, done func(value any)) {
 	l.MessageTagged(mp, l.hGetReq, getRequest{ID: id, Reader: reader, Origin: l.Proc().ID()}, 24, substrate.TagApp)
 }
 
-// PendingGets returns the number of Gets awaiting replies.
-func (l *Layer) PendingGets() int { return len(l.getPending) }
-
 // ensureAccess lazily registers the access-layer handlers. The first use
 // must happen at the same construction point on every processor (SPMD), as
 // with all handler registration.

@@ -349,8 +349,8 @@ func TestGetReadsRemoteObject(t *testing.T) {
 			case 1:
 				l.Proc().Advance(sim.Millisecond, sim.CatCompute)
 				l.Get(MobilePtr{Home: 0, Index: 0}, reader, func(v any) { got = v })
-				if l.PendingGets() != 1 {
-					t.Errorf("pending gets = %d", l.PendingGets())
+				if len(l.getPending) != 1 {
+					t.Errorf("pending gets = %d", len(l.getPending))
 				}
 				for got == nil {
 					l.Comm().WaitPoll(sim.CatIdle)

@@ -30,7 +30,7 @@ func policyCluster(t *testing.T, n, units int, dur sim.Time, mk func() ilb.Polic
 					s.Message(mp, h, nil, 8, 0.1)
 				}
 			}
-			p.Engine().After(dur, func() { s.Stop() })
+			e.After(dur, func() { s.Stop() })
 			s.Run()
 		})
 	}
@@ -78,7 +78,7 @@ func TestDiffusionNeighborsExposed(t *testing.T) {
 			d := NewDiffusion(DefaultDiffConfig())
 			ilb.New(l, ilb.DefaultConfig(ilb.Implicit), d)
 			if p.ID() == 0 {
-				nb = d.Neighbors()
+				nb = d.neighbors
 			}
 		})
 	}
@@ -155,10 +155,10 @@ func TestDiffusionSingleProcNoNeighbors(t *testing.T) {
 		})
 		mp := l.Register(0, 8)
 		s.Message(mp, h, nil, 8, 0.01)
-		p.Engine().After(sim.Second, func() { s.Stop() })
+		e.After(sim.Second, func() { s.Stop() })
 		s.Run()
-		if len(d.Neighbors()) != 0 {
-			t.Errorf("solo neighbors = %v", d.Neighbors())
+		if len(d.neighbors) != 0 {
+			t.Errorf("solo neighbors = %v", d.neighbors)
 		}
 	})
 	if err := e.Run(); err != nil {

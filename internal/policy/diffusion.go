@@ -65,9 +65,6 @@ func NewDiffusion(cfg DiffConfig) *Diffusion {
 // Name implements ilb.Policy.
 func (d *Diffusion) Name() string { return "diffusion" }
 
-// Neighbors returns the processor's diffusion neighborhood.
-func (d *Diffusion) Neighbors() []int { return d.neighbors }
-
 // Setup implements ilb.Policy.
 func (d *Diffusion) Setup(s *ilb.Scheduler) {
 	me := s.Proc().ID()

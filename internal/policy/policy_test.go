@@ -95,7 +95,7 @@ func stealCluster(t *testing.T, units int, mode ilb.Mode, dur sim.Time) (*sim.En
 					s.Message(mp, h, nil, 8, 0.1)
 				}
 			}
-			p.Engine().After(dur, func() { s.Stop() })
+			e.After(dur, func() { s.Stop() })
 			s.Run()
 		})
 	}
@@ -165,11 +165,11 @@ func TestAutoWaterMarkTracksLatency(t *testing.T) {
 					s.Message(mp, h, nil, 8, 0.2)
 				}
 			}
-			p.Engine().After(4*sim.Second, func() { s.Stop() })
+			e.After(4*sim.Second, func() { s.Stop() })
 			s.Run()
 			if p.ID() == 1 {
 				finalWM = s.WaterMark()
-				finalRTT = ws.RTT()
+				finalRTT = ws.rttEWMA
 			}
 		})
 	}

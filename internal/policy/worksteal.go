@@ -198,10 +198,6 @@ func (w *WorkStealing) observeRTT(s *ilb.Scheduler) {
 	s.SetWaterMark(safety * w.rttEWMA)
 }
 
-// RTT returns the smoothed steal response latency in seconds (0 before any
-// response has been observed).
-func (w *WorkStealing) RTT() float64 { return w.rttEWMA }
-
 // serveRequest runs at the victim (at a poll in explicit mode; from the
 // polling thread mid-unit in implicit mode).
 func (w *WorkStealing) serveRequest(s *ilb.Scheduler, src int, req stealRequest) {

@@ -45,9 +45,6 @@ var _ substrate.Endpoint = (*Endpoint)(nil)
 // ID implements substrate.Endpoint.
 func (e *Endpoint) ID() int { return e.id }
 
-// Name implements substrate.Endpoint.
-func (e *Endpoint) Name() string { return e.name }
-
 // NumPeers implements substrate.Endpoint.
 func (e *Endpoint) NumPeers() int { return len(e.m.eps) }
 
@@ -58,10 +55,6 @@ func (e *Endpoint) Now() substrate.Time { return e.m.Now() }
 // simulator seeds its per-processor streams; concurrent goroutines never
 // share unsynchronized state.
 func (e *Endpoint) Rand() *rand.Rand { return e.rng }
-
-// Account implements substrate.Endpoint; read it after the machine's Run
-// returns.
-func (e *Endpoint) Account() *substrate.Account { return &e.acct }
 
 // Charge implements substrate.Endpoint.
 func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.acct[cat] += d }
@@ -189,11 +182,6 @@ func (e *Endpoint) arrived() int {
 
 // InboxLen implements substrate.Endpoint.
 func (e *Endpoint) InboxLen() int { return e.arrived() }
-
-// HasMsg implements substrate.Endpoint.
-func (e *Endpoint) HasMsg(tag int) bool {
-	return slices.ContainsFunc(e.inbox[:e.arrived()], func(m *substrate.Msg) bool { return m.Tag == tag })
-}
 
 // TryRecv implements substrate.Endpoint.
 func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {

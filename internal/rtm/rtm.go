@@ -155,7 +155,7 @@ func (m *Machine) Now() substrate.Time {
 func (m *Machine) SetEpoch(t time.Time) { m.start = t }
 
 // Stopped returns a channel that is closed once the machine has stopped:
-// every hosted body returned, Stop was called, or a processor panicked.
+// every hosted body returned, Fail was called, or a processor panicked.
 func (m *Machine) Stopped() <-chan struct{} { return m.stop }
 
 // Inject delivers a message that reached this share over a remote link: it
@@ -188,11 +188,9 @@ func (m *Machine) Makespan() substrate.Time {
 	return t
 }
 
-// Stop tears the machine down early: processors blocked in (or next
+// Fail tears the machine down early: processors blocked in (or next
 // entering) a substrate call are killed, as in the simulator's teardown.
-func (m *Machine) Stop() { m.Fail(nil) }
-
-// Fail is Stop with a cause: the first non-nil err is what Run returns.
+// The first non-nil err is what Run returns.
 func (m *Machine) Fail(err error) {
 	m.mu.Lock()
 	if m.err == nil {

@@ -18,8 +18,9 @@
 //
 // Sharding never changes semantics: shards share no mutable state and the
 // event ordering key is partition-invariant (see event.go), so a
-// simulation's output — makespans, accounts, spans, message timings,
-// per-processor RNG streams — is byte-identical for every shard count.
+// simulation's output — makespans, accounts, message timings, per-processor
+// RNG streams, and so the internal/trace stream recorded over the seam — is
+// byte-identical for every shard count.
 // Whether it buys wall-clock time is a measurement, not a promise: the
 // benchmark's sim.s2_speedup row (serial ÷ two-shard wall on Figure 3) is
 // the record, and it reads below 1 on the two-core host it was taken on.
@@ -38,7 +39,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Config parameterizes an Engine.
@@ -83,7 +83,6 @@ type Engine struct {
 	rng     *rand.Rand
 	running bool // true while Run executes
 	err     error
-	stop    atomic.Bool
 
 	// Sharded-mode coordinator state, built at Run: owns[s] says whether
 	// shard s owns any processor (only those can send); next/ends are
@@ -95,10 +94,6 @@ type Engine struct {
 	ends   []Time
 	mail   []heapEntry
 	rounds uint64
-
-	tracing     bool
-	spans       []Span // merged + canonically sorted, built lazily by Spans
-	spansMerged bool
 }
 
 // maxTime is the "no bound" window end for the serial fast path.
@@ -129,9 +124,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Shards returns the number of shard event loops (1 = serial).
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // EventsFired returns the total number of events executed so far, summed
 // over shards. Read it after Run (or from serial simulation context).
 func (e *Engine) EventsFired() uint64 {
@@ -151,16 +143,6 @@ func (e *Engine) PollsElided() uint64 {
 		n += s.elided
 	}
 	return n
-}
-
-// ShardEventsFired returns the per-shard executed event counts — the raw
-// material for partition-quality telemetry. Read it after Run.
-func (e *Engine) ShardEventsFired() []uint64 {
-	out := make([]uint64, len(e.shards))
-	for i, s := range e.shards {
-		out[i] = s.fired
-	}
-	return out
 }
 
 // ImbalanceRatio returns max/mean of the per-shard event counts: 1.0 is a
@@ -226,22 +208,14 @@ func (e *Engine) After(d Time, fn func()) {
 	if e.running && len(e.shards) > 1 {
 		panic("sim: After is unavailable while a sharded engine runs; schedule before Run or use Shards: 1")
 	}
-	e.shards[0].at(d, fn)
-}
-
-// Stop ends the simulation: remaining events are discarded and
-// still-blocked processors are torn down. On a serial engine it takes
-// effect after the currently firing event, exactly as before; on a sharded
-// engine it takes effect at the current window barrier (the shards finish
-// the window they are in — deterministic run-to-run, but a sharded stop
-// point lands later than the serial one, and adaptive windows can be wide,
-// so drivers that need byte-identical or prompt stop timing should terminate
-// by message protocol, as the PREMA stack's StopAll does).
-func (e *Engine) Stop() {
-	e.stop.Store(true)
-	if len(e.shards) == 1 {
-		e.shards[0].stopped = true
+	if d < 0 {
+		d = 0
 	}
+	s := e.shards[0]
+	ev := s.alloc()
+	ev.kind = evFunc
+	ev.fn = fn
+	s.heap.Push(s.now+d, s.ordNext(), ev)
 }
 
 // Spawn creates a simulated processor whose behaviour is body. The
@@ -301,8 +275,8 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 // some processors are still blocked.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// Run executes the simulation until every event queue is empty, Stop is
-// called, or a processor panics. It returns an error on panic or deadlock
+// Run executes the simulation until every event queue is empty or a
+// processor panics. It returns an error on panic or deadlock
 // (event queues empty with processors still blocked).
 func (e *Engine) Run() error {
 	e.running = true
@@ -328,7 +302,7 @@ func (e *Engine) Run() error {
 	if e.err != nil {
 		return e.err
 	}
-	if len(stuck) > 0 && !e.stop.Load() {
+	if len(stuck) > 0 {
 		sort.Strings(stuck)
 		return fmt.Errorf("%w: %d processors still blocked: %s",
 			ErrDeadlock, len(stuck), strings.Join(stuck, ", "))
@@ -353,7 +327,7 @@ func (e *Engine) runSharded() {
 		s.done = make(chan struct{}, 1)
 		go s.work()
 	}
-	for !e.stop.Load() {
+	for {
 		failed := false
 		for _, s := range e.shards {
 			if s.err != nil {

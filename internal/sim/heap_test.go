@@ -309,9 +309,6 @@ func TestTimeHelpers(t *testing.T) {
 	if (2 * Second).Seconds() != 2.0 {
 		t.Fatal("Seconds")
 	}
-	if (1500 * Microsecond).Millis() != 1.5 {
-		t.Fatal("Millis")
-	}
 	if Scale(10*Second, 0.5) != 5*Second {
 		t.Fatal("Scale")
 	}

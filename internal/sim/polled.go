@@ -7,8 +7,10 @@ import "prema/internal/substrate"
 // instead of firing a compute wake and a poll wake every PollSpec.Interval.
 // The processor's wake-up is moved to a poll boundary only when a poll there
 // would find something to do, and on resume the skipped empty polls are
-// charged arithmetically — clock, Account and spans end up exactly where the
-// stepped loop (substrate.StepPolled) leaves them.
+// charged arithmetically — clock and Account end up exactly where the
+// stepped loop (substrate.StepPolled) leaves them. The engine records no
+// spans: trace.Endpoint.AdvancePolled replays the elided polls into the one
+// trace stream from the (done, polls) returned here.
 
 // polledPark is the state of one AdvancePolled call while its processor is
 // parked. Poll j (1..last) checks the inbox at c_j = t0 + j*period.
@@ -46,7 +48,7 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 	pk.end = s.now + d + Time(pk.last)*ps.Cost
 	pk.target = pk.end
 	switch {
-	case ps.AnyTag && p.inbox.Len() > 0, !ps.AnyTag && p.HasMsg(ps.Tag):
+	case ps.AnyTag && p.inbox.Len() > 0, !ps.AnyTag && p.hasMsg(ps.Tag):
 		pk.target = pk.boundary(1)
 	case ps.WakeBy < pk.end:
 		pk.target = pk.boundaryAtOrAfter(ps.WakeBy)
@@ -54,7 +56,7 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 
 	p.waitGen++
 	// Fast path, as in Advance: the wake would be the next event popped.
-	if pk.target < s.end && !s.stopped && s.err == nil &&
+	if pk.target < s.end && s.err == nil &&
 		(len(s.heap.e) == 0 || pk.target < s.heap.e[0].at) {
 		s.now = pk.target
 		s.fired++
@@ -138,9 +140,9 @@ func (s *shard) firePollEnd(ev *event) (rearmed bool) {
 
 // settlePolled charges the part of the parked advance that lies behind the
 // clock: every completed slice to CatCompute, every completed poll to
-// CatPollThread, with the spans the stepped loop would have recorded. A
-// normal resume lands on a poll boundary or on the end; only a processor
-// torn down mid-advance sees anything else, and is charged what it finished.
+// CatPollThread. A normal resume lands on a poll boundary or on the end;
+// only a processor torn down mid-advance sees anything else, and is charged
+// what it finished.
 func (p *Proc) settlePolled() (done Time, polls int) {
 	s, pk := p.sh, &p.poll
 	interval, cost := pk.spec.Interval, pk.spec.Cost
@@ -156,14 +158,5 @@ func (p *Proc) settlePolled() (done Time, polls int) {
 	p.acct[CatCompute] += done
 	p.acct[CatPollThread] += Time(polls) * cost
 	s.elided += uint64(polls)
-	if s.eng.tracing {
-		t := pk.t0
-		for j := 0; j < polls; j++ {
-			s.recordSpan(p.id, CatCompute, t, t+interval)
-			s.recordSpan(p.id, CatPollThread, t+interval, t+pk.period)
-			t += pk.period
-		}
-		s.recordSpan(p.id, CatCompute, t, t+done-Time(polls)*interval)
-	}
 	return done, polls
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,13 +9,16 @@ import (
 	"testing"
 
 	"prema/internal/substrate"
+	"prema/internal/trace"
 )
 
 // The polled-advance tests hold Proc.AdvancePolled to its contract by
 // running every scenario twice — once through AdvancePolled, once through
 // the literal loop (substrate.StepPolled) — and comparing everything the
-// engine can show: makespan, accounts in nanoseconds, the span CSV, and the
-// trail of (time, polls so far, compute so far, message) at every receive.
+// engine can show: makespan, accounts in nanoseconds, the internal/trace
+// stream recorded over the seam (trace.Endpoint replays the elided polls from
+// what AdvancePolled returns), and the trail of (time, polls so far, compute
+// so far, message) at every receive.
 
 const (
 	pI = 10 * Millisecond // poll interval
@@ -58,7 +60,7 @@ type trailPoint struct {
 type polledOutcome struct {
 	Makespan Time
 	Accounts []Account
-	Spans    string
+	Events   [][]trace.Event
 	Trail    []trailPoint
 	Polls    int
 	calls    int
@@ -67,7 +69,7 @@ type polledOutcome struct {
 
 // victimLoop is ilb.Scheduler.Compute's shape: advance, and while compute
 // remains drain what the poll is entitled to.
-func victimLoop(p *Proc, d Time, ps substrate.PollSpec, stepped bool, o *polledOutcome) {
+func victimLoop(p substrate.Endpoint, d Time, ps substrate.PollSpec, stepped bool, o *polledOutcome) {
 	var total Time
 	for d > 0 {
 		var done Time
@@ -75,7 +77,7 @@ func victimLoop(p *Proc, d Time, ps substrate.PollSpec, stepped bool, o *polledO
 		if stepped {
 			done, polls = substrate.StepPolled(p, d, ps)
 		} else {
-			done, polls = p.AdvancePolled(d, ps)
+			done, polls = substrate.AdvancePolled(p, d, ps)
 		}
 		if o.calls == 0 {
 			o.first = [2]int64{int64(done), int64(polls)}
@@ -105,13 +107,14 @@ func victimLoop(p *Proc, d Time, ps substrate.PollSpec, stepped bool, o *polledO
 func runPolledCase(t *testing.T, c polledCase, stepped bool) polledOutcome {
 	t.Helper()
 	e := NewEngine(Config{Network: polledNet(), Seed: 1, Shards: c.shards})
-	e.EnableTracing()
+	col := trace.NewCollector(0)
+	m := trace.Wrap(Machine{e}, col)
 	var o polledOutcome
-	e.Spawn("victim", func(p *Proc) {
+	m.Spawn("victim", func(p substrate.Endpoint) {
 		p.Advance(c.lead, CatScheduling)
 		victimLoop(p, c.d, c.spec, stepped, &o)
 	})
-	e.Spawn("sender", func(p *Proc) {
+	m.Spawn("sender", func(p substrate.Endpoint) {
 		for i, a := range c.arrivals {
 			p.Advance(a.At-pL-p.Now(), CatCompute)
 			p.Send(&Msg{Dst: 0, Kind: i + 1, Tag: a.Tag}, CatMessaging)
@@ -123,12 +126,8 @@ func runPolledCase(t *testing.T, c polledCase, stepped bool) polledOutcome {
 	o.Makespan = e.Makespan()
 	for i := 0; i < e.NumProcs(); i++ {
 		o.Accounts = append(o.Accounts, *e.Proc(i).Account())
+		o.Events = append(o.Events, col.Recorder(i).Events())
 	}
-	var buf bytes.Buffer
-	if err := e.WriteSpansCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	o.Spans = buf.String()
 	return o
 }
 
@@ -203,8 +202,8 @@ func TestAdvancePolledBoundaries(t *testing.T) {
 				if !reflect.DeepEqual(got.Trail, want.Trail) {
 					t.Errorf("receive trail\n got %v\nwant %v", got.Trail, want.Trail)
 				}
-				if got.Spans != want.Spans {
-					t.Errorf("span CSV differs:\n got %s\nwant %s", got.Spans, want.Spans)
+				if !reflect.DeepEqual(got.Events, want.Events) {
+					t.Errorf("trace stream differs:\n got %v\nwant %v", got.Events, want.Events)
 				}
 				if c.wantFirst != nil && got.first != *c.wantFirst {
 					t.Errorf("first AdvancePolled returned %v, want %v", got.first, *c.wantFirst)
@@ -225,17 +224,20 @@ func TestAdvancePolledBoundaries(t *testing.T) {
 	}
 }
 
-// TestAdvancePolledAbnormalEnds: Stop, a panicking peer and a deadlocked
-// peer while a processor is parked in a polled advance end the run exactly
-// as they do when it steps — no hang, the same error.
+// TestAdvancePolledAbnormalEnds: a deadlocked peer, and a peer that panics
+// mid-slice or between a slice's end and its poll's, while a processor is
+// parked in a polled advance end the run exactly as they do when it steps —
+// no hang, the same error, and on the serial engine (where the teardown
+// instant is the panic's) the same ledger for the torn-down processor.
 func TestAdvancePolledAbnormalEnds(t *testing.T) {
 	spec := substrate.PollSpec{Interval: pI, Cost: pC, Tag: TagSystem, WakeBy: substrate.Never}
-	run := func(shards int, stepped bool, peer func(e *Engine) func(*Proc)) error {
+	run := func(shards int, stepped bool, peer func(*Proc)) (Account, error) {
 		e := NewEngine(Config{Network: polledNet(), Seed: 1, Shards: shards})
 		var o polledOutcome
 		e.Spawn("victim", func(p *Proc) { victimLoop(p, 10*Second, spec, stepped, &o) })
-		e.Spawn("peer", peer(e))
-		return e.Run()
+		e.Spawn("peer", peer)
+		err := e.Run()
+		return *e.Proc(0).Account(), err
 	}
 	firstLine := func(err error) string {
 		if err == nil {
@@ -243,20 +245,20 @@ func TestAdvancePolledAbnormalEnds(t *testing.T) {
 		}
 		return strings.SplitN(err.Error(), "\n", 2)[0]
 	}
-	peers := map[string]func(e *Engine) func(*Proc){
-		"deadlock": func(*Engine) func(*Proc) { return func(p *Proc) { p.WaitMsg(CatIdle) } },
-		"panic": func(*Engine) func(*Proc) {
-			return func(p *Proc) { p.Advance(Second+3, CatCompute); panic("boom") }
-		},
-		"stop": func(e *Engine) func(*Proc) {
-			return func(p *Proc) { p.Advance(Second+3, CatCompute); e.Stop() }
-		},
+	peers := map[string]func(*Proc){
+		"deadlock":      func(p *Proc) { p.WaitMsg(CatIdle) },
+		"panic":         func(p *Proc) { p.Advance(Second+3, CatCompute); panic("boom") },
+		"panic-in-poll": func(p *Proc) { p.Advance(3*(pI+pC)-pC/2, CatCompute); panic("boom") },
 	}
 	for name, peer := range peers {
 		for _, shards := range []int{1, 2} {
-			want, got := run(shards, true, peer), run(shards, false, peer)
+			wantAcct, want := run(shards, true, peer)
+			gotAcct, got := run(shards, false, peer)
 			if firstLine(got) != firstLine(want) {
 				t.Errorf("%s/shards=%d: error %q, stepped %q", name, shards, firstLine(got), firstLine(want))
+			}
+			if shards == 1 && gotAcct != wantAcct {
+				t.Errorf("%s: victim ledger %v, stepped %v", name, gotAcct, wantAcct)
 			}
 			if name == "deadlock" && !errors.Is(got, ErrDeadlock) {
 				t.Errorf("deadlock/shards=%d: got %v", shards, got)

@@ -47,12 +47,6 @@ type Proc struct {
 // ID returns the processor's dense ID (spawn order).
 func (p *Proc) ID() int { return p.id }
 
-// Name returns the processor's name.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.sh.eng }
-
 // Now returns the current virtual time on the processor's shard.
 func (p *Proc) Now() Time { return p.sh.now }
 
@@ -83,7 +77,6 @@ func (p *Proc) park(cat Category) {
 	p.yield()
 	p.blocked = false
 	p.acct[cat] += p.sh.now - start
-	p.sh.recordSpan(p.id, cat, start, p.sh.now)
 }
 
 // Advance consumes d of CPU time, attributed to cat. It models computation
@@ -105,13 +98,11 @@ func (p *Proc) Advance(d Time, cat Category) {
 	p.waitGen++
 	s := p.sh
 	at := s.now + d
-	if at < s.end && !s.stopped && s.err == nil &&
+	if at < s.end && s.err == nil &&
 		(len(s.heap.e) == 0 || at < s.heap.e[0].at) {
-		start := s.now
 		s.now = at
 		s.fired++
 		p.acct[cat] += d
-		s.recordSpan(p.id, cat, start, at)
 		return
 	}
 	s.atWake(d, p, p.waitGen)
@@ -134,8 +125,8 @@ func (p *Proc) Send(m *Msg, cat Category) {
 // InboxLen returns the number of queued, undelivered-to-application messages.
 func (p *Proc) InboxLen() int { return p.inbox.Len() }
 
-// HasMsg reports whether any queued message carries the given tag.
-func (p *Proc) HasMsg(tag int) bool {
+// hasMsg reports whether any queued message carries the given tag.
+func (p *Proc) hasMsg(tag int) bool {
 	for i := 0; i < p.inbox.Len(); i++ {
 		if p.inbox.at(i).Tag == tag {
 			return true

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -100,7 +99,7 @@ func TestTeardownLeavesNoGoroutines(t *testing.T) {
 func TestProcIdentity(t *testing.T) {
 	e := NewEngine(Config{Seed: 1})
 	p := e.Spawn("alice", func(p *Proc) {})
-	if p.ID() != 0 || p.Name() != "alice" || p.Engine() != e {
+	if p.ID() != 0 || p.NumPeers() != 1 {
 		t.Fatal("identity accessors")
 	}
 	if e.NumProcs() != 1 || e.Proc(0) != p {
@@ -169,55 +168,5 @@ func TestHugeFanIn(t *testing.T) {
 	}
 	if got != senders {
 		t.Fatalf("got %d of %d", got, senders)
-	}
-}
-
-func TestTracingRecordsSpans(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	e.EnableTracing()
-	e.Spawn("p", func(p *Proc) {
-		p.Advance(Second, CatCompute)
-		p.Advance(Millisecond, CatScheduling)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spans := e.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %v", spans)
-	}
-	if spans[0] != (Span{Proc: 0, Cat: CatCompute, From: 0, To: Second}) {
-		t.Fatalf("span0 = %+v", spans[0])
-	}
-	if spans[1].Cat != CatScheduling || spans[1].From != Second {
-		t.Fatalf("span1 = %+v", spans[1])
-	}
-}
-
-func TestTracingOffByDefault(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	e.Spawn("p", func(p *Proc) { p.Advance(Second, CatCompute) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Spans()) != 0 {
-		t.Fatal("tracing should be off by default")
-	}
-}
-
-func TestWriteSpansCSV(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	e.EnableTracing()
-	e.Spawn("p", func(p *Proc) { p.Advance(500*Millisecond, CatCompute) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := e.WriteSpansCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "proc,category,from,to\n0,Computation,0.000000,0.500000\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q", sb.String())
 	}
 }

@@ -2,9 +2,9 @@ package sim
 
 // shard owns one partition of the simulated processors: their event heap,
 // event free list, local virtual clock, per-(src,dst) FIFO state for
-// messages *sent* by its processors, span buffer, and outgoing cross-shard
-// mailboxes. Processors are assigned by Config.Partition (round-robin when
-// nil; internal/bench places them in contiguous blocks).
+// messages *sent* by its processors, and outgoing cross-shard mailboxes.
+// Processors are assigned by Config.Partition (round-robin when nil;
+// internal/bench places them in contiguous blocks).
 //
 // Everything a shard touches while a window executes is owned by that shard
 // — the engine-level structures (procs slice, config, lookahead) are
@@ -32,10 +32,7 @@ type shard struct {
 	// barrier. Entries are reused across windows (zero-alloc steady state).
 	out [][]mailEntry
 
-	spans []Span
-
-	err     error // first processor panic on this shard
-	stopped bool  // local view: abort the current window after this event
+	err error // first processor panic on this shard
 
 	// Barrier channels (sharded mode only): the coordinator sends the
 	// window end time, the worker replies when the window is drained.
@@ -89,17 +86,6 @@ func (s *shard) release(ev *event) {
 func (s *shard) ordNext() uint64 {
 	s.allocSeq++
 	return ordLocalBand | s.allocSeq
-}
-
-// at schedules fn to run d from now on this shard's event loop.
-func (s *shard) at(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	ev := s.alloc()
-	ev.kind = evFunc
-	ev.fn = fn
-	s.heap.Push(s.now+d, s.ordNext(), ev)
 }
 
 // atWake schedules p.wakeIf(gen) at now+d without allocating a closure.
@@ -197,7 +183,7 @@ func (s *shard) runWindow(end Time) {
 // fired events, and keeping them in the loop body keeps the whole hot path
 // — pop, clock bump, dispatch, free-list release — in one frame.
 func (s *shard) drain(end Time) {
-	for !s.stopped && s.err == nil {
+	for s.err == nil {
 		n := len(s.heap.e)
 		if n == 0 {
 			return
@@ -245,13 +231,4 @@ func (s *shard) work() {
 		s.runWindow(end)
 		s.done <- struct{}{}
 	}
-}
-
-// recordSpan appends a span when tracing is on. Zero-length spans are
-// dropped.
-func (s *shard) recordSpan(proc int, cat Category, from, to Time) {
-	if !s.eng.tracing || to == from {
-		return
-	}
-	s.spans = append(s.spans, Span{Proc: proc, Cat: cat, From: from, To: to})
 }

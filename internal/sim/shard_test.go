@@ -1,9 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
+
+	"prema/internal/substrate"
+	"prema/internal/trace"
 )
 
 // spawnMeshWorkload builds a deterministic but irregular message-passing
@@ -12,15 +15,15 @@ import (
 // receive. It exercises every hot path — wakes, local and cross-shard
 // deliveries, FIFO bumps, blocked receives with timeouts — so it is the
 // fixture for the serial-vs-sharded equivalence tests below.
-func spawnMeshWorkload(e *Engine, n, rounds int) {
+func spawnMeshWorkload(m substrate.Machine, n, rounds int) {
 	for i := 0; i < n; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+		m.Spawn(fmt.Sprintf("p%d", i), func(p substrate.Endpoint) {
 			rng := p.Rand()
 			for r := 0; r < rounds; r++ {
 				p.Advance(Time(1+rng.Intn(40))*Microsecond, CatCompute)
-				dst := rng.Intn(p.Engine().NumProcs())
+				dst := rng.Intn(p.NumPeers())
 				if dst == p.ID() {
-					dst = (dst + 1) % p.Engine().NumProcs()
+					dst = (dst + 1) % p.NumPeers()
 				}
 				p.Send(&Msg{Dst: dst, Tag: 1, Size: 64 + rng.Intn(256)}, CatMessaging)
 				if p.WaitMsgFor(Time(50+rng.Intn(100))*Microsecond, CatIdle) {
@@ -35,72 +38,82 @@ func spawnMeshWorkload(e *Engine, n, rounds int) {
 	}
 }
 
-// runMesh executes the fixture on a fresh engine and returns its observable
-// output: the error, makespan, per-processor accounts, and the span CSV.
-func runMesh(t *testing.T, shards, n, rounds int) (Time, []Account, []byte) {
-	t.Helper()
-	return runMeshCfg(t, Config{Seed: 42, Shards: shards}, n, rounds)
+// meshRun is the observable output of one fixture run: makespan,
+// per-processor accounts, every processor's internal/trace stream recorded
+// over the seam, and the coordination rounds the run took (the one thing a
+// configuration may change).
+type meshRun struct {
+	makespan Time
+	accts    []Account
+	events   [][]trace.Event
+	rounds   uint64
 }
 
-// runMeshCfg is runMesh with full control over the engine configuration
-// (partition map, window mode).
-func runMeshCfg(t *testing.T, cfg Config, n, rounds int) (Time, []Account, []byte) {
+// runMesh executes the fixture on a fresh engine behind the tracing
+// decorator.
+func runMesh(t *testing.T, cfg Config, n, rounds int) meshRun {
 	t.Helper()
 	e := NewEngine(cfg)
-	e.EnableTracing()
-	spawnMeshWorkload(e, n, rounds)
+	col := trace.NewCollector(0)
+	spawnMeshWorkload(trace.Wrap(Machine{e}, col), n, rounds)
 	if err := e.Run(); err != nil {
-		t.Fatalf("shards=%d: %v", cfg.Shards, err)
+		t.Fatalf("%+v: %v", cfg, err)
 	}
-	accts := make([]Account, n)
+	if col.Dropped() != 0 {
+		t.Fatalf("trace ring overflowed: %d events dropped", col.Dropped())
+	}
+	out := meshRun{makespan: e.Makespan(), rounds: e.BarrierRounds()}
 	for i := 0; i < n; i++ {
-		accts[i] = *e.Proc(i).Account()
+		out.accts = append(out.accts, *e.Proc(i).Account())
+		out.events = append(out.events, col.Recorder(i).Events())
 	}
-	var csv bytes.Buffer
-	if err := e.WriteSpansCSV(&csv); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// equalMesh asserts that two fixture runs produced identical output.
+func equalMesh(t *testing.T, label string, want, got meshRun) {
+	t.Helper()
+	if got.makespan != want.makespan {
+		t.Errorf("%s: makespan %v != reference %v", label, got.makespan, want.makespan)
 	}
-	return e.Makespan(), accts, csv.Bytes()
+	for i := range got.accts {
+		if got.accts[i] != want.accts[i] {
+			t.Errorf("%s: proc %d account %v != reference %v", label, i, got.accts[i], want.accts[i])
+		}
+		if !slices.Equal(got.events[i], want.events[i]) {
+			t.Errorf("%s: proc %d trace stream diverges from reference (%d vs %d events)",
+				label, i, len(got.events[i]), len(want.events[i]))
+		}
+	}
 }
 
 // TestShardedMatchesSerial: for a spread of shard counts (including a prime
 // that divides nothing evenly) the sharded engine produces byte-identical
 // output to the serial engine — same makespan, same per-processor accounts,
-// same span trace. This is the engine-level half of the byte-identity
+// same trace stream. This is the engine-level half of the byte-identity
 // guarantee; internal/bench/shard_equivalence_test.go checks the full-stack
 // half over the paper's drivers.
 func TestShardedMatchesSerial(t *testing.T) {
 	const n, rounds = 13, 30
-	wantMakespan, wantAccts, wantCSV := runMesh(t, 1, n, rounds)
+	want := runMesh(t, Config{Seed: 42}, n, rounds)
 	for _, s := range []int{2, 4, 7, 8} {
-		makespan, accts, csv := runMesh(t, s, n, rounds)
-		if makespan != wantMakespan {
-			t.Errorf("shards=%d: makespan %v != serial %v", s, makespan, wantMakespan)
-		}
-		for i := range accts {
-			if accts[i] != wantAccts[i] {
-				t.Errorf("shards=%d: proc %d account %v != serial %v", s, i, accts[i], wantAccts[i])
-			}
-		}
-		if !bytes.Equal(csv, wantCSV) {
-			t.Errorf("shards=%d: span CSV diverges from serial (%d vs %d bytes)", s, len(csv), len(wantCSV))
-		}
+		equalMesh(t, fmt.Sprintf("shards=%d", s), want, runMesh(t, Config{Seed: 42, Shards: s}, n, rounds))
 	}
 }
 
 // TestShardClampAndAccessors: shard count is clamped to 1 when requested
 // below 1 or when the network has no latency to use as lookahead.
 func TestShardClampAndAccessors(t *testing.T) {
-	if got := NewEngine(Config{Shards: 0}).Shards(); got != 1 {
+	if got := len(NewEngine(Config{Shards: 0}).shards); got != 1 {
 		t.Errorf("Shards:0 clamps to %d, want 1", got)
 	}
-	if got := NewEngine(Config{Shards: 4}).Shards(); got != 4 {
+	if got := len(NewEngine(Config{Shards: 4}).shards); got != 4 {
 		t.Errorf("Shards:4 gives %d", got)
 	}
 	cfg := DefaultNetwork()
 	cfg.Latency = 0
 	cfg.PerByte = 1 // keep the config non-zero so it is not defaulted
-	if got := NewEngine(Config{Network: cfg, Shards: 4}).Shards(); got != 1 {
+	if got := len(NewEngine(Config{Network: cfg, Shards: 4}).shards); got != 1 {
 		t.Errorf("zero-latency network should force serial, got %d shards", got)
 	}
 }

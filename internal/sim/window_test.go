@@ -1,30 +1,11 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 )
-
-// equalMesh asserts that two runMeshCfg outputs are byte-identical.
-func equalMesh(t *testing.T, label string,
-	wantMakespan Time, wantAccts []Account, wantCSV []byte,
-	makespan Time, accts []Account, csv []byte) {
-	t.Helper()
-	if makespan != wantMakespan {
-		t.Errorf("%s: makespan %v != reference %v", label, makespan, wantMakespan)
-	}
-	for i := range accts {
-		if accts[i] != wantAccts[i] {
-			t.Errorf("%s: proc %d account %v != reference %v", label, i, accts[i], wantAccts[i])
-		}
-	}
-	if !bytes.Equal(csv, wantCSV) {
-		t.Errorf("%s: span CSV diverges from reference (%d vs %d bytes)", label, len(csv), len(wantCSV))
-	}
-}
 
 // TestRandomPartitionMatchesSerial: the byte-identity guarantee holds for
 // *arbitrary* processor→shard maps, not just round-robin — including maps
@@ -34,7 +15,7 @@ func equalMesh(t *testing.T, label string,
 // drivers).
 func TestRandomPartitionMatchesSerial(t *testing.T) {
 	const n, rounds = 13, 25
-	wantMakespan, wantAccts, wantCSV := runMesh(t, 1, n, rounds)
+	want := runMesh(t, Config{Seed: 42}, n, rounds)
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		shards := 2 + rng.Intn(6)
@@ -47,9 +28,8 @@ func TestRandomPartitionMatchesSerial(t *testing.T) {
 			Shards:    shards,
 			Partition: func(id, _ int) int { return assign[id] },
 		}
-		makespan, accts, csv := runMeshCfg(t, cfg, n, rounds)
 		label := fmt.Sprintf("trial %d (S=%d, map %v)", trial, shards, assign)
-		equalMesh(t, label, wantMakespan, wantAccts, wantCSV, makespan, accts, csv)
+		equalMesh(t, label, want, runMesh(t, cfg, n, rounds))
 	}
 }
 
@@ -74,33 +54,18 @@ func TestPartitionOutOfRangePanics(t *testing.T) {
 // least 2×, since idle peers stop constraining the busy shard's window.
 func TestAdaptiveWindowsMatchFixed(t *testing.T) {
 	const n, rounds = 13, 25
-	run := func(fixed bool, partition func(id, shards int) int) (Time, []Account, []byte, uint64) {
-		e := NewEngine(Config{Seed: 42, Shards: 4, FixedWindows: fixed, Partition: partition})
-		e.EnableTracing()
-		spawnMeshWorkload(e, n, rounds)
-		if err := e.Run(); err != nil {
-			t.Fatalf("fixed=%v: %v", fixed, err)
-		}
-		accts := make([]Account, n)
-		for i := 0; i < n; i++ {
-			accts[i] = *e.Proc(i).Account()
-		}
-		var csv bytes.Buffer
-		if err := e.WriteSpansCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		return e.Makespan(), accts, csv.Bytes(), e.BarrierRounds()
+	run := func(fixed bool, partition func(id, shards int) int) meshRun {
+		return runMesh(t, Config{Seed: 42, Shards: 4, FixedWindows: fixed, Partition: partition}, n, rounds)
 	}
 
 	// Balanced round-robin: identical output, no more rounds than fixed.
-	fixedMakespan, fixedAccts, fixedCSV, fixedRounds := run(true, nil)
-	adMakespan, adAccts, adCSV, adRounds := run(false, nil)
-	equalMesh(t, "adaptive vs fixed (balanced)", fixedMakespan, fixedAccts, fixedCSV, adMakespan, adAccts, adCSV)
-	if fixedRounds == 0 || adRounds == 0 {
-		t.Fatalf("rounds not counted: fixed=%d adaptive=%d", fixedRounds, adRounds)
+	fixed, adaptive := run(true, nil), run(false, nil)
+	equalMesh(t, "adaptive vs fixed (balanced)", fixed, adaptive)
+	if fixed.rounds == 0 || adaptive.rounds == 0 {
+		t.Fatalf("rounds not counted: fixed=%d adaptive=%d", fixed.rounds, adaptive.rounds)
 	}
-	if adRounds > fixedRounds {
-		t.Errorf("balanced: adaptive used %d rounds, fixed used %d — must not be worse", adRounds, fixedRounds)
+	if adaptive.rounds > fixed.rounds {
+		t.Errorf("balanced: adaptive used %d rounds, fixed used %d — must not be worse", adaptive.rounds, fixed.rounds)
 	}
 
 	// Degenerate partition (every processor on shard 0, shards 1-3 empty):
@@ -110,11 +75,10 @@ func TestAdaptiveWindowsMatchFixed(t *testing.T) {
 	// imbalanced workloads. Fixed windows still pay one barrier per
 	// lookahead width.
 	skew := func(int, int) int { return 0 }
-	fixedMakespan, fixedAccts, fixedCSV, fixedRounds = run(true, skew)
-	adMakespan, adAccts, adCSV, adRounds = run(false, skew)
-	equalMesh(t, "adaptive vs fixed (skewed)", fixedMakespan, fixedAccts, fixedCSV, adMakespan, adAccts, adCSV)
-	if adRounds*2 > fixedRounds {
-		t.Errorf("skewed: adaptive used %d rounds vs fixed %d — expected >= 2x reduction", adRounds, fixedRounds)
+	fixed, adaptive = run(true, skew), run(false, skew)
+	equalMesh(t, "adaptive vs fixed (skewed)", fixed, adaptive)
+	if adaptive.rounds*2 > fixed.rounds {
+		t.Errorf("skewed: adaptive used %d rounds vs fixed %d — expected >= 2x reduction", adaptive.rounds, fixed.rounds)
 	}
 }
 
@@ -123,22 +87,18 @@ func TestAdaptiveWindowsMatchFixed(t *testing.T) {
 // the per-shard counts) and barrier rounds are counted.
 func TestShardTelemetry(t *testing.T) {
 	e := NewEngine(Config{Seed: 42, Shards: 4})
-	spawnMeshWorkload(e, 13, 10)
+	spawnMeshWorkload(Machine{e}, 13, 10)
 	if e.ImbalanceRatio() != 0 {
 		t.Errorf("pre-run imbalance = %v, want 0", e.ImbalanceRatio())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	per := e.ShardEventsFired()
-	if len(per) != 4 {
-		t.Fatalf("ShardEventsFired len = %d", len(per))
-	}
 	var sum, max uint64
-	for _, c := range per {
-		sum += c
-		if c > max {
-			max = c
+	for _, sh := range e.shards {
+		sum += sh.fired
+		if sh.fired > max {
+			max = sh.fired
 		}
 	}
 	if sum != e.EventsFired() {
@@ -251,7 +211,7 @@ func TestBarrierRoundsPinned(t *testing.T) {
 		{"all-on-shard-0 fixed", skew, true, 42},
 	} {
 		e := NewEngine(Config{Seed: 42, Shards: 4, FixedWindows: tc.fixed, Partition: tc.partition})
-		spawnMeshWorkload(e, 13, 25)
+		spawnMeshWorkload(Machine{e}, 13, 25)
 		if err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

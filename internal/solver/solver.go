@@ -1,14 +1,11 @@
 // Package solver implements the loosely synchronous substrate of the
 // paper's target applications: sparse iterative field solvers (§1, §6).
-// It provides a CSR sparse matrix, Jacobi relaxation, and conjugate
-// gradients, enough to drive the hybrid end-to-end experiment's solve
-// phases with real numerical work and residual reductions.
+// It provides a CSR sparse matrix and the weighted Jacobi sweep, enough to
+// drive the hybrid end-to-end experiment's solve phases with real numerical
+// work and residual reductions.
 package solver
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // CSR is a square sparse matrix in compressed sparse row form.
 type CSR struct {
@@ -17,9 +14,6 @@ type CSR struct {
 	Col    []int32
 	Val    []float64
 }
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Val) }
 
 // MulVec computes y = A x.
 func (m *CSR) MulVec(x, y []float64) {
@@ -66,38 +60,6 @@ func Laplacian1D(n int) *CSR {
 	return m
 }
 
-// Laplacian2D builds the 5-point Poisson matrix on an nx x ny grid.
-func Laplacian2D(nx, ny int) *CSR {
-	n := nx * ny
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	idx := func(x, y int) int32 { return int32(y*nx + x) }
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			i := int(idx(x, y))
-			m.RowPtr[i] = int32(len(m.Val))
-			add := func(c int32, v float64) {
-				m.Col = append(m.Col, c)
-				m.Val = append(m.Val, v)
-			}
-			if y > 0 {
-				add(idx(x, y-1), -1)
-			}
-			if x > 0 {
-				add(idx(x-1, y), -1)
-			}
-			add(idx(x, y), 4)
-			if x+1 < nx {
-				add(idx(x+1, y), -1)
-			}
-			if y+1 < ny {
-				add(idx(x, y+1), -1)
-			}
-		}
-	}
-	m.RowPtr[n] = int32(len(m.Val))
-	return m
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	s := 0.0
@@ -127,72 +89,4 @@ func JacobiSweep(a *CSR, diag, x, b, scratch []float64, w float64) float64 {
 		}
 	}
 	return res
-}
-
-// Jacobi runs weighted Jacobi until the residual drops below tol*||b|| or
-// maxIters sweeps, returning the iteration count and final residual.
-func Jacobi(a *CSR, x, b []float64, w, tol float64, maxIters int) (int, float64) {
-	diag := a.Diag()
-	scratch := make([]float64, a.N)
-	bound := tol * Norm2(b)
-	res := 0.0
-	for it := 1; it <= maxIters; it++ {
-		res = JacobiSweep(a, diag, x, b, scratch, w)
-		if res <= bound {
-			return it, res
-		}
-	}
-	return maxIters, res
-}
-
-// CG solves A x = b for symmetric positive definite A by conjugate
-// gradients, returning iterations used and the final residual norm.
-func CG(a *CSR, x, b []float64, tol float64, maxIters int) (int, float64, error) {
-	n := a.N
-	if len(x) != n || len(b) != n {
-		return 0, 0, fmt.Errorf("solver: dimension mismatch")
-	}
-	r := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	a.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-		p[i] = r[i]
-	}
-	rs := dot(r, r)
-	bound := tol * Norm2(b)
-	if math.Sqrt(rs) <= bound {
-		return 0, math.Sqrt(rs), nil
-	}
-	for it := 1; it <= maxIters; it++ {
-		a.MulVec(p, ap)
-		den := dot(p, ap)
-		if den == 0 {
-			return it, math.Sqrt(rs), fmt.Errorf("solver: CG breakdown")
-		}
-		alpha := rs / den
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rsNew := dot(r, r)
-		if math.Sqrt(rsNew) <= bound {
-			return it, math.Sqrt(rsNew), nil
-		}
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return maxIters, math.Sqrt(rs), nil
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -8,8 +8,8 @@ import (
 
 func TestLaplacian1DStructure(t *testing.T) {
 	a := Laplacian1D(5)
-	if a.N != 5 || a.NNZ() != 13 {
-		t.Fatalf("n=%d nnz=%d", a.N, a.NNZ())
+	if a.N != 5 || len(a.Val) != 13 {
+		t.Fatalf("n=%d nnz=%d", a.N, len(a.Val))
 	}
 	d := a.Diag()
 	for _, v := range d {
@@ -29,23 +29,6 @@ func TestLaplacian1DStructure(t *testing.T) {
 	}
 }
 
-func TestLaplacian2DStructure(t *testing.T) {
-	a := Laplacian2D(3, 3)
-	if a.N != 9 {
-		t.Fatalf("n = %d", a.N)
-	}
-	d := a.Diag()
-	for _, v := range d {
-		if v != 4 {
-			t.Fatalf("diag = %v", d)
-		}
-	}
-	// Center row has 4 neighbors: nnz row length 5.
-	if a.RowPtr[5]-a.RowPtr[4] != 5 {
-		t.Fatalf("center row nnz = %d", a.RowPtr[5]-a.RowPtr[4])
-	}
-}
-
 func TestJacobiConverges(t *testing.T) {
 	a := Laplacian1D(32)
 	b := make([]float64, 32)
@@ -53,7 +36,11 @@ func TestJacobiConverges(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, 32)
-	iters, res := Jacobi(a, x, b, 0.8, 1e-8, 100000)
+	diag, scratch := a.Diag(), make([]float64, 32)
+	iters, res := 0, math.Inf(1)
+	for ; res > 1e-8*Norm2(b) && iters < 100000; iters++ {
+		res = JacobiSweep(a, diag, x, b, scratch, 0.8)
+	}
 	if res > 1e-8*Norm2(b) {
 		t.Fatalf("jacobi residual %v after %d iters", res, iters)
 	}
@@ -64,43 +51,6 @@ func TestJacobiConverges(t *testing.T) {
 		if math.Abs(y[i]-b[i]) > 1e-6 {
 			t.Fatalf("Ax[%d] = %v", i, y[i])
 		}
-	}
-}
-
-func TestCGSolvesPoisson2D(t *testing.T) {
-	a := Laplacian2D(12, 12)
-	n := a.N
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%7) - 3
-	}
-	x := make([]float64, n)
-	iters, res, err := CG(a, x, b, 1e-10, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > 1e-10*Norm2(b) {
-		t.Fatalf("CG residual %v after %d iters", res, iters)
-	}
-	// CG on an SPD n-dim system converges in at most n steps.
-	if iters > n {
-		t.Fatalf("CG took %d > n=%d iterations", iters, n)
-	}
-}
-
-func TestCGMuchFasterThanJacobi(t *testing.T) {
-	a := Laplacian1D(128)
-	b := make([]float64, 128)
-	b[64] = 1
-	xj := make([]float64, 128)
-	xc := make([]float64, 128)
-	jIters, _ := Jacobi(a, xj, b, 0.8, 1e-6, 2000000)
-	cIters, _, err := CG(a, xc, b, 1e-6, 2000000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cIters*10 > jIters {
-		t.Fatalf("CG (%d iters) should be far faster than Jacobi (%d)", cIters, jIters)
 	}
 }
 
@@ -145,12 +95,5 @@ func TestResidualAndNorm(t *testing.T) {
 	}
 	if Norm2([]float64{3, 4}) != 5 {
 		t.Fatal("norm")
-	}
-}
-
-func TestCGDimensionMismatch(t *testing.T) {
-	a := Laplacian1D(4)
-	if _, _, err := CG(a, make([]float64, 3), make([]float64, 4), 1e-6, 10); err == nil {
-		t.Fatal("dimension mismatch must error")
 	}
 }

@@ -35,20 +35,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(v / float64(len(xs)))
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs (0 for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -15,13 +15,13 @@ func TestMoments(t *testing.T) {
 	if StdDev(xs) != 2 {
 		t.Fatalf("stddev = %v", StdDev(xs))
 	}
-	if Min(xs) != 2 || Max(xs) != 9 {
-		t.Fatal("min/max")
+	if Max(xs) != 9 {
+		t.Fatal("max")
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty inputs must give 0")
 	}
 }

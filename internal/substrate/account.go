@@ -71,10 +71,3 @@ func (a *Account) Total() Time {
 func (a *Account) Overhead() Time {
 	return a.Total() - a[CatCompute] - a[CatIdle]
 }
-
-// Add accumulates another account into a.
-func (a *Account) Add(b *Account) {
-	for i := range a {
-		a[i] += b[i]
-	}
-}

@@ -33,10 +33,12 @@ type PollSpec struct {
 // With K = ceil(d/Interval)-1 polls, poll j begins at
 // b_j = t0 + j*Interval + (j-1)*Cost and checks the inbox at c_j = b_j+Cost.
 //
-//  1. Returning (done, polls) leaves the clock, the Account (CatCompute +=
-//     done, CatPollThread += polls*Cost) and every recorded span exactly
-//     as polls iterations of StepPolled would: done = polls*Interval, or
-//     all of d with polls = K. d <= Interval is Advance(d, CatCompute).
+//  1. Returning (done, polls) leaves the clock and the Account (CatCompute
+//     += done, CatPollThread += polls*Cost) exactly as polls iterations of
+//     StepPolled would: done = polls*Interval, or all of d with polls = K.
+//     d <= Interval is Advance(d, CatCompute). Every recorded span follows
+//     from the pair: trace.Endpoint replays the elided polls into the
+//     internal/trace stream from what the call returns.
 //  2. Returning early, after any poll, is always legal — the caller then
 //     performs the real poll, as it would after a step. Returning late is
 //     never legal: the call must come back no later than the first c_j at

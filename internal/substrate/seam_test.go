@@ -45,10 +45,8 @@ func (e *fakeEP) rec(format string, args ...any) { e.log = append(e.log, fmt.Spr
 
 func (e *fakeEP) Now() Time                   { e.rec("Now()"); return e.now }
 func (e *fakeEP) ID() int                     { e.rec("ID()"); return 3 }
-func (e *fakeEP) Name() string                { e.rec("Name()"); return "p003" }
 func (e *fakeEP) NumPeers() int               { e.rec("NumPeers()"); return 11 }
 func (e *fakeEP) Rand() *rand.Rand            { e.rec("Rand()"); return fakeRand }
-func (e *fakeEP) Account() *substrate.Account { e.rec("Account()"); return fakeAccount }
 func (e *fakeEP) Charge(cat Category, d Time) { e.rec("Charge(%v, %d)", cat, d) }
 func (e *fakeEP) Advance(d Time, cat Category) {
 	e.rec("Advance(%d, %v)", d, cat)
@@ -59,10 +57,6 @@ func (e *fakeEP) Send(m *Msg, cat Category) {
 	e.sent = m
 }
 func (e *fakeEP) InboxLen() int { e.rec("InboxLen()"); return len(e.inbox) }
-func (e *fakeEP) HasMsg(tag int) bool {
-	e.rec("HasMsg(%d)", tag)
-	return len(e.inbox) > 0 && e.inbox[0].Tag == tag
-}
 func (e *fakeEP) pop() *Msg {
 	if len(e.inbox) == 0 {
 		return nil
@@ -116,7 +110,6 @@ func (m *fakeMachine) Run() error {
 	}
 	return errRun
 }
-func (m *fakeMachine) Stop()                            { m.rec("Stop()") }
 func (m *fakeMachine) NumProcs() int                    { m.rec("NumProcs()"); return 11 }
 func (m *fakeMachine) Now() Time                        { m.rec("Now()"); return 17 }
 func (m *fakeMachine) Makespan() Time                   { m.rec("Makespan()"); return 19 }
@@ -171,10 +164,8 @@ var endpointCalls = []struct {
 }{
 	{"Now()", false, func(ep substrate.Endpoint) any { return ep.Now() }},
 	{"ID()", false, func(ep substrate.Endpoint) any { return ep.ID() }},
-	{"Name()", false, func(ep substrate.Endpoint) any { return ep.Name() }},
 	{"NumPeers()", false, func(ep substrate.Endpoint) any { return ep.NumPeers() }},
 	{"Rand()", false, func(ep substrate.Endpoint) any { return ep.Rand() }},
-	{"Account()", false, func(ep substrate.Endpoint) any { return ep.Account() }},
 	{"Charge(Idle, 4)", false, func(ep substrate.Endpoint) any { ep.Charge(substrate.CatIdle, 4); return nil }},
 	{"Advance(6, Computation)", false, func(ep substrate.Endpoint) any { ep.Advance(6, substrate.CatCompute); return nil }},
 	{fmt.Sprintf("Send(%+v, Messaging)", Msg{Dst: 1, Tag: 5, Data: 9, Size: 8}), false, func(ep substrate.Endpoint) any {
@@ -182,7 +173,6 @@ var endpointCalls = []struct {
 		return nil
 	}},
 	{"InboxLen()", true, func(ep substrate.Endpoint) any { return ep.InboxLen() }},
-	{"HasMsg(5)", true, func(ep substrate.Endpoint) any { return ep.HasMsg(5) }},
 	{"TryRecv(Callback)", true, func(ep substrate.Endpoint) any { return ep.TryRecv(substrate.CatCallback) }},
 	{"TryRecvTag(5, Callback)", true, func(ep substrate.Endpoint) any { return ep.TryRecvTag(5, substrate.CatCallback) }},
 	{"Recv(Idle)", true, func(ep substrate.Endpoint) any { return ep.Recv(substrate.CatIdle) }},
@@ -198,7 +188,7 @@ var (
 	faultyDrain = []string{"InboxLen()", "TryRecv(Messaging)", "InboxLen()"}
 	reshaped    = map[string]map[string][]string{
 		"faulty": {
-			"InboxLen()": faultyDrain, "HasMsg(5)": faultyDrain, "TryRecv(Callback)": faultyDrain,
+			"InboxLen()": faultyDrain, "TryRecv(Callback)": faultyDrain,
 			"TryRecvTag(5, Callback)": faultyDrain, "WaitMsg(Idle)": faultyDrain, "WaitMsgFor(8, Idle)": faultyDrain,
 			// Recv waits, then receives: the second looks at the inner inbox again.
 			"Recv(Idle)": append(faultyDrain[:3:3], "InboxLen()"),
@@ -266,7 +256,6 @@ func TestDecoratorsReachInnerMachine(t *testing.T) {
 		do  func(substrate.Machine) any
 	}{
 		{"Run()", func(m substrate.Machine) any { return m.Run() }},
-		{"Stop()", func(m substrate.Machine) any { m.Stop(); return nil }},
 		{"NumProcs()", func(m substrate.Machine) any { return m.NumProcs() }},
 		{"Now()", func(m substrate.Machine) any { return m.Now() }},
 		{"Makespan()", func(m substrate.Machine) any { return m.Makespan() }},

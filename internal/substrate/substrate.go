@@ -41,8 +41,6 @@ type Endpoint interface {
 
 	// ID returns the processor's dense ID (spawn order).
 	ID() int
-	// Name returns the processor's name.
-	Name() string
 	// NumPeers returns the machine size (total number of endpoints,
 	// including this one).
 	NumPeers() int
@@ -53,9 +51,6 @@ type Endpoint interface {
 	// are partitioned across event-loop shards.
 	Rand() *rand.Rand
 
-	// Account returns the processor's time ledger. The pointer stays valid
-	// for the lifetime of the machine; read it after Run for final figures.
-	Account() *Account
 	// Charge adds time to a category without consuming any. It re-attributes
 	// time (e.g. splitting a receive between messaging and callback
 	// overhead); prefer Advance for real time consumption.
@@ -71,8 +66,6 @@ type Endpoint interface {
 	Send(m *Msg, cat Category)
 	// InboxLen returns the number of queued, undelivered messages.
 	InboxLen() int
-	// HasMsg reports whether any queued message carries the given tag.
-	HasMsg(tag int) bool
 	// TryRecv pops the oldest queued message, charging receive CPU overhead
 	// to cat. It returns nil when no message is queued.
 	TryRecv(cat Category) *Msg
@@ -101,9 +94,6 @@ type Machine interface {
 	// Run executes all processor bodies to completion and returns the first
 	// processor panic (if any) as an error.
 	Run() error
-	// Stop asks the machine to wind down early: remaining work is abandoned
-	// and blocked processors are torn down.
-	Stop()
 	// NumProcs returns the number of spawned processors.
 	NumProcs() int
 	// Now returns the machine's current time.

@@ -9,20 +9,16 @@ func TestTimeConversions(t *testing.T) {
 	cases := []struct {
 		t       Time
 		seconds float64
-		millis  float64
 		str     string
 	}{
-		{0, 0, 0, "0.000s"},
-		{Second, 1, 1000, "1.000s"},
-		{1500 * Millisecond, 1.5, 1500, "1.500s"},
-		{250 * Microsecond, 0.00025, 0.25, "0.000s"},
+		{0, 0, "0.000s"},
+		{Second, 1, "1.000s"},
+		{1500 * Millisecond, 1.5, "1.500s"},
+		{250 * Microsecond, 0.00025, "0.000s"},
 	}
 	for _, c := range cases {
 		if got := c.t.Seconds(); got != c.seconds {
 			t.Errorf("%d.Seconds() = %v, want %v", int64(c.t), got, c.seconds)
-		}
-		if got := c.t.Millis(); got != c.millis {
-			t.Errorf("%d.Millis() = %v, want %v", int64(c.t), got, c.millis)
 		}
 		if got := c.t.String(); got != c.str {
 			t.Errorf("%d.String() = %q, want %q", int64(c.t), got, c.str)
@@ -78,12 +74,6 @@ func TestAccount(t *testing.T) {
 	}
 	if got := a.Overhead(); got != 1500*Millisecond {
 		t.Fatalf("Overhead = %v", got)
-	}
-	var b Account
-	b[CatCompute] = Second
-	a.Add(&b)
-	if a[CatCompute] != 11*Second {
-		t.Fatalf("Add: compute = %v", a[CatCompute])
 	}
 }
 

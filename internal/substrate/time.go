@@ -25,9 +25,6 @@ const (
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis returns the time as a floating-point number of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // String renders the time in seconds with millisecond resolution.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 

@@ -92,16 +92,6 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
-// Each runs fn(0), ..., fn(n-1) on at most jobs concurrent workers with the
-// same ordering and fail-fast guarantees as Map, for jobs that deposit their
-// own results.
-func Each(jobs, n int, fn func(i int) error) error {
-	_, err := Map(jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // call invokes one job, converting a panic into an error.
 func call[T any](i int, fn func(i int) (T, error), results []T) (err error) {
 	defer func() {

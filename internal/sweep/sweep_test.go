@@ -140,24 +140,3 @@ func TestMapPanicBecomesError(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(4, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	if err := Each(4, 10, func(i int) error {
-		if i == 0 {
-			return errors.New("no")
-		}
-		return nil
-	}); err == nil {
-		t.Fatal("expected error")
-	}
-}

@@ -26,7 +26,6 @@ type Machine struct {
 	substrate.Machine
 
 	frames    atomic.Uint64 // frames encoded (= wrapped sends)
-	wireBytes atomic.Uint64 // total frame bytes, padding included
 	sizeDrift atomic.Uint64 // sends whose encoding exceeded modeled Size
 }
 
@@ -38,9 +37,6 @@ func (w *Machine) Unwrap() substrate.Machine { return w.Machine }
 
 // Frames returns the number of messages that crossed the wire codec.
 func (w *Machine) Frames() uint64 { return w.frames.Load() }
-
-// WireBytes returns the total encoded frame bytes, padding included.
-func (w *Machine) WireBytes() uint64 { return w.wireBytes.Load() }
 
 // SizeDrift returns the number of sends whose encoded payload exceeded the
 // modeled Msg.Size — messages whose virtual transfer price undercounts the
@@ -91,7 +87,6 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 		panic(fmt.Sprintf("wire: frame round trip failed for %T payload: %v", m.Data, err))
 	}
 	e.m.frames.Add(1)
-	e.m.wireBytes.Add(uint64(len(frame)))
 	if plen > m.Size {
 		e.m.sizeDrift.Add(1)
 	}

@@ -102,19 +102,6 @@ func Register(k Kind, sample any, enc EncodeFunc, dec DecodeFunc) {
 	byType[t] = c
 }
 
-// KindOf returns the Kind registered for v's dynamic type and whether one
-// exists. nil is KindNil.
-func KindOf(v any) (Kind, bool) {
-	if v == nil {
-		return KindNil, true
-	}
-	c, ok := byType[reflect.TypeOf(v)]
-	if !ok {
-		return 0, false
-	}
-	return c.kind, true
-}
-
 // RegisteredKinds returns every registered Kind in ascending order
 // (including KindNil), for the registry-totality test.
 func RegisteredKinds() []Kind {
