@@ -129,9 +129,11 @@ func triple(stdout io.Writer, faulted bench.RunSpec, fig int) (ok bool, err erro
 	ok = true
 	leg := func(label string, s bench.RunSpec) (*bench.Result, error) {
 		r, err := s.Run()
-		if err != nil {
+		if r == nil {
 			return nil, err
 		}
+		// A run that broke conservation comes back with its result and an
+		// error; report prints the FAIL line for it, so err is dropped here.
 		report(stdout, label, r, &ok)
 		return r, s.ExportTrace(stdout, "  ", r, fmt.Sprintf("fig%d.%s", fig, label))
 	}

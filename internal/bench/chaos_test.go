@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"prema/internal/faulty"
@@ -165,5 +166,36 @@ func TestChaosStallRecovery(t *testing.T) {
 	}
 	if err := res.CheckConservation(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckConservationDoctored: the check names what it got and what it
+// wanted when a result is one unit short or holds one object twice.
+func TestCheckConservationDoctored(t *testing.T) {
+	res, err := RunSpec{System: "prema-implicit", W: PaperWorkload(Figures()[0], 4, 2)}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Counters["units_run"]--
+	if err := res.CheckConservation(); err == nil || !strings.Contains(err.Error(), "ran 7 units, want 8") {
+		t.Errorf("one unit short: %v", err)
+	}
+	res.Counters["units_run"]++
+	res.Resident[1]++
+	if err := res.CheckConservation(); err == nil || !strings.Contains(err.Error(), "9 objects resident, want 8") {
+		t.Errorf("one object resident twice: %v", err)
+	}
+}
+
+// TestRunChecksPromisedConservation: Run applies the check when the spec
+// promises conservation. The crash lands inside the final quiesce window,
+// which recovery does not detect yet (ROADMAP 4(d)), so the promised run
+// loses units and must say so — with its result, for a caller that reports
+// the loss itself (chaosbench).
+func TestRunChecksPromisedConservation(t *testing.T) {
+	w := PaperWorkload(FigureSpec{Imbalance: 0.1, Ratio: 1.2}, 4, 6)
+	res, err := RunSpec{System: "prema-implicit", W: w, Recover: true, FaultPlan: "crash:3@32100ms"}.Run()
+	if res == nil || err == nil || !strings.Contains(err.Error(), "ran 18 units, want 24") {
+		t.Errorf("lossy promised run: result %v, error %v", res != nil, err)
 	}
 }

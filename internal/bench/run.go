@@ -124,7 +124,26 @@ func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 // their defaults (WithDefaults); an invalid spec is refused with Validate's
 // error before anything runs. BackendDist runs a whole coordinator session
 // (RunDist with s.Dist).
+//
+// A PREMA system promises conservation whenever nothing may lose a message
+// for good: no fault plan, or reliable delivery (Reliable, Recover) under
+// one. A run that finished but broke that promise is an error, returned
+// together with its result so a caller can still report what happened.
 func (s RunSpec) Run() (*Result, error) {
+	res, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	if lookupSystem(s.System).prema != nil && (s.FaultPlan == "" || s.Reliable || s.Recover) {
+		if err := res.CheckConservation(); err != nil {
+			return res, fmt.Errorf("bench: conservation broken: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// run is Run without the conservation check.
+func (s RunSpec) run() (*Result, error) {
 	if s.Backend == BackendDist {
 		return RunDist(s, s.Dist)
 	}

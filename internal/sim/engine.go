@@ -3,8 +3,10 @@
 // repository reproduces the PREMA runtime and its baselines (ParMETIS-style
 // stop-and-repartition and a Charm++-style chare runtime).
 //
-// Each simulated processor is a goroutine, but processors only execute when
-// their owning *shard* hands them control over unbuffered channels. With one
+// Each simulated processor body is an iter.Pull coroutine that executes only
+// while its owning *shard* has switched to it: the event loop calls the
+// coroutine's next, a blocking processor calls its yield, and each is one
+// direct switch that bypasses the Go scheduler's run queue. With one
 // shard (the default) the simulation is fully sequential. With S > 1 shards
 // the processors are partitioned across S shard event loops (round-robin by
 // default, or any Config.Partition map) that run on their own goroutines and
@@ -34,6 +36,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -130,6 +133,19 @@ func (e *Engine) EventsFired() uint64 {
 	var n uint64
 	for _, s := range e.shards {
 		n += s.fired
+	}
+	return n
+}
+
+// Transfers returns the number of times an event loop switched into a
+// processor body, summed over shards: the count of hand-off round trips, at
+// most one per fired event. It repeats exactly for a given configuration but,
+// unlike EventsFired, depends on the shard count: an Advance whose wake is
+// next in its own shard's heap skips the switch. Read it after Run.
+func (e *Engine) Transfers() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.transfers
 	}
 	return n
 }
@@ -238,35 +254,19 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	}
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
-	p := &Proc{
-		id:     id,
-		name:   name,
-		sh:     s,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{id: id, name: name, sh: s}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if r == errKilled {
-							return
-						}
-						if s.err == nil {
-							s.err = fmt.Errorf("sim: processor %q panicked: %v\n%s", p.name, r, debug.Stack())
-						}
-					}
-				}()
-				body(p)
-			}()
-		}
-		p.done = true
-		p.finishedAt = s.now
-		p.parked <- struct{}{}
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != errKilled && s.err == nil {
+				s.err = fmt.Errorf("sim: processor %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+			p.done = true
+			p.finishedAt = s.now
+		}()
+		body(p)
+	})
 	s.atTransfer(0, p)
 	return p
 }
@@ -454,14 +454,15 @@ func (e *Engine) exchange() {
 	}
 }
 
-// teardown unwinds any still-blocked processor goroutines so they do not
-// leak past Run. It runs after every shard worker has quiesced, so the
-// sequential transfers below are race-free.
+// teardown stops the coroutine of every processor that has not finished, so
+// none leaks past Run: a parked body unwinds through its defers (its yield
+// reports false, see Proc.park), one that never started is released unrun.
+// It runs after every shard worker has quiesced, so the sequential stops
+// below are race-free.
 func (e *Engine) teardown() {
 	for _, p := range e.procs {
 		if !p.done {
-			p.killed = true
-			p.sh.transfer(p)
+			p.stop()
 		}
 	}
 }

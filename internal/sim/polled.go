@@ -77,11 +77,10 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 		s.atWake(pk.end-s.now, p, p.waitGen)
 	}
 	p.polled, p.blocked = true, true
-	p.parked <- struct{}{}
-	<-p.resume
+	alive := p.yield(struct{}{})
 	p.polled, p.blocked = false, false
 	done, polls = p.settlePolled()
-	if p.killed {
+	if !alive {
 		panic(errKilled)
 	}
 	return done, polls

@@ -7,8 +7,8 @@ import (
 
 var errKilled = errors.New("sim: processor killed")
 
-// Proc is a simulated processor. A Proc's body function runs on its own
-// goroutine but only ever while its owning shard has handed it control, so
+// Proc is a simulated processor. A Proc's body function runs as a coroutine
+// (iter.Pull) and only ever while its owning shard has switched to it, so
 // bodies may freely touch their shard's state (schedule events, send
 // messages) without synchronization.
 //
@@ -20,13 +20,16 @@ type Proc struct {
 	name string
 	sh   *shard
 
-	resume chan struct{} // shard -> proc: you have control
-	parked chan struct{} // proc -> shard: I blocked or finished
+	// The coroutine's three ends. The shard calls next to run the body until
+	// it blocks or finishes; the body calls yield to block, and a false
+	// return means the engine is tearing it down; stop is that teardown.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	blocked    bool
 	waitingMsg bool
 	waitGen    uint64
-	killed     bool
 	done       bool
 	finishedAt Time
 
@@ -59,22 +62,16 @@ func (p *Proc) Account() *Account { return &p.acct }
 // callback overhead); prefer Advance for real time consumption.
 func (p *Proc) Charge(cat Category, d Time) { p.acct[cat] += d }
 
-// yield returns control to the shard and blocks until reawakened.
-func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(errKilled)
-	}
-}
-
 // park blocks the processor, attributing the blocked duration to cat.
 // The caller must have arranged for a wake-up (timer event or message
-// delivery) before calling park.
+// delivery) before calling park. A processor torn down while parked unwinds
+// its body from here, uncharged.
 func (p *Proc) park(cat Category) {
 	start := p.sh.now
 	p.blocked = true
-	p.yield()
+	if !p.yield(struct{}{}) {
+		panic(errKilled)
+	}
 	p.blocked = false
 	p.acct[cat] += p.sh.now - start
 }
@@ -87,8 +84,8 @@ func (p *Proc) park(cat Category) {
 // nothing else is pending strictly before it, and it lands inside the
 // current window — firing it through the heap would hand control to the
 // event loop only for it to hand control straight back. Instead the clock
-// is bumped in place, skipping the heap round trip and the two goroutine
-// handoffs of park/transfer. Ties must take the slow path: a fresh wake
+// is bumped in place, skipping the heap round trip and the two coroutine
+// switches of park/transfer. Ties must take the slow path: a fresh wake
 // carries the largest ordering key, so an equal-time entry already in the
 // heap fires first.
 func (p *Proc) Advance(d Time, cat Category) {

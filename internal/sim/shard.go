@@ -15,17 +15,17 @@ type shard struct {
 	eng *Engine
 	id  int
 
-	now    Time
-	end    Time // current window bound; 0 outside runWindow (closes the Advance fast path)
-	heap   eventHeap
-	fired  uint64 // events executed (Engine.EventsFired)
-	elided uint64 // poll wake-ups charged arithmetically by AdvancePolled
+	now       Time
+	end       Time // current window bound; 0 outside runWindow (closes the Advance fast path)
+	heap      eventHeap
+	fired     uint64 // events executed (Engine.EventsFired)
+	elided    uint64 // poll wake-ups charged arithmetically by AdvancePolled
+	transfers uint64 // switches into a processor body (Engine.Transfers)
 
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
 
-	running *Proc
-	net     *network // FIFO per (src,dst) for locally-sourced messages
+	net *network // FIFO per (src,dst) for locally-sourced messages
 
 	// out[d] buffers deliveries destined for shard d's processors during
 	// the current window; the coordinator moves them into d's heap at the
@@ -149,19 +149,15 @@ func (s *shard) deliver(m *Msg) {
 	}
 }
 
-// transfer hands this shard's thread of control to p until p blocks or
-// finishes. It must only be called from the shard's event loop (or the
-// engine's teardown, after all workers have quiesced); processors never
-// call it directly.
+// transfer switches this shard's thread of control into p's coroutine until
+// p blocks or finishes. It must only be called from the shard's event loop;
+// processors never call it directly.
 func (s *shard) transfer(p *Proc) {
 	if p.done {
 		return
 	}
-	prev := s.running
-	s.running = p
-	p.resume <- struct{}{}
-	<-p.parked
-	s.running = prev
+	s.transfers++
+	p.next()
 }
 
 // runWindow drains this shard's heap up to (excluding) end. The conservative
