@@ -155,9 +155,14 @@ var MeshSystems = []string{"none", "prema-implicit", "repartition"}
 // driver (runPrema) or the stop-and-repartition protocol (runRepartition)
 // of the synthetic benchmark, on the mesh application.
 func RunMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts) (*Result, error) {
+	return runMeshSystem(system, cfg, mc, 1)
+}
+
+// runMeshSystem is RunMeshSystem on a simulator with the given shard count.
+func runMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts, shards int) (*Result, error) {
 	app := mc.application(cfg)
 	mean := mc.meanWeight(cfg)
-	w := Workload{Procs: cfg.Procs, Units: app.objects * app.steps, Seed: cfg.Seed}
+	w := Workload{Procs: cfg.Procs, Units: app.objects * app.steps, Seed: cfg.Seed, Shards: shards}
 	m := w.simMachine()
 	switch system {
 	case "none", "prema-implicit":

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"prema/internal/dmcs"
 	"prema/internal/graph"
@@ -18,7 +18,8 @@ import (
 // warrants a repartition, and — if so — all processors synchronize, exchange
 // load information all-to-all, each compute the same adaptive repartition
 // (ParMETIS_V3_AdaptiveRepart's Unified Repartitioning Algorithm), and
-// migrate work units accordingly.
+// migrate work units accordingly. Virtual time charges every processor for
+// that calculation; the host computes it once per round (repartPlan).
 type ParmetisConfig struct {
 	// WaterMark is the hinted-seconds threshold below which a processor
 	// reports itself underloaded to the root.
@@ -69,14 +70,22 @@ func DefaultParmetisConfig() ParmetisConfig {
 // result, as for runPrema.
 func runRepartition(name string, m substrate.Machine, w Workload, app application, cfg ParmetisConfig) (*Result, error) {
 	n := app.objects
-	// remaining is the hinted seconds of work entry e still stands for:
-	// every step left is guessed at the next one's hint.
-	remaining := func(e int) float64 {
-		return app.hint(e%n, e/n) * float64(app.steps-e/n)
-	}
 	rounds := 0
 	migrated := 0
 	declined := 0
+	// The round's plan, built by the first processor to ask; processors on
+	// other shard workers may ask at once. One slot is enough: asking for
+	// round r+1 takes everyone's r+1 list, sent only after leaving round r.
+	var mu sync.Mutex
+	var slot *repartPlan
+	plan := func(round int, lists map[int][]int) *repartPlan {
+		mu.Lock()
+		defer mu.Unlock()
+		if slot == nil || slot.round != round {
+			slot = planRound(round, lists, w, app, cfg)
+		}
+		return slot
+	}
 	for p := 0; p < w.Procs; p++ {
 		m.Spawn(fmt.Sprintf("p%03d", p), func(ep substrate.Endpoint) {
 			c := dmcs.New(ep)
@@ -85,7 +94,7 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 			hinted := func() float64 {
 				s := 0.0
 				for _, e := range pending {
-					s += remaining(e)
+					s += app.remaining(e)
 				}
 				return s
 			}
@@ -168,82 +177,27 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				if stopped {
 					return
 				}
-				// Deterministic global view: every live entry, in object order,
-				// and each object's owner.
-				var all []int
-				oldOwner := make(map[int]int)
-				for q := 0; q < w.Procs; q++ {
-					for _, e := range lists[q] {
-						all = append(all, e)
-						oldOwner[e%n] = q
-					}
-				}
-				slices.SortFunc(all, func(a, b int) int { return cmp.Compare(a%n, b%n) })
-				// Partition calculation (every processor computes the same
-				// answer, as ParMETIS does in parallel).
-				ep.Advance(cfg.PartitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(len(all)), sim.CatPartition)
-				outstandingHinted := 0.0
-				for _, e := range all {
-					outstandingHinted += remaining(e)
-				}
-				newOwner := oldOwner
-				apply := outstandingHinted/float64(w.Procs) >= cfg.WarrantPerProc && len(all) > 0
-				if apply {
-					// URA on the live objects, weighted by their hints and
-					// joined by the application's adjacency, if it has one.
-					b := graph.NewBuilder(len(all))
-					oldPart := make([]int, len(all))
-					for i, e := range all {
-						b.SetVWgt(i, max(1, int64(remaining(e)*1000)))
-						oldPart[i] = oldOwner[e%n]
-					}
-					if app.edges != nil {
-						index := make(map[int]int, len(all))
-						for i, e := range all {
-							index[e%n] = i
-						}
-						for _, pr := range app.edges {
-							i, iok := index[pr[0]]
-							j, jok := index[pr[1]]
-							if iok && jok {
-								b.AddEdge(i, j, 1)
-							}
-						}
-					}
-					opt := parmetis.DefaultOptions()
-					opt.Alpha = cfg.Alpha
-					opt.Part.Seed = w.Seed + int64(round)
-					newPart := parmetis.AdaptiveRepart(b.Build(), w.Procs, oldPart, opt)
-					newOwner = make(map[int]int, len(all))
-					for i, e := range all {
-						newOwner[e%n] = newPart[i]
-					}
-					if me == 0 {
-						rounds++
-						for i := range all {
-							if newPart[i] != oldPart[i] {
-								migrated++
-							}
-						}
-					}
-				} else if me == 0 {
+				// Partition calculation: every processor is charged for it,
+				// as ParMETIS computes it in parallel, but the answer is the
+				// same everywhere, so the host computes it once.
+				pl := plan(round, lists)
+				ep.Advance(cfg.PartitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(pl.entries), sim.CatPartition)
+				if me == 0 {
 					rounds++
-					declined++
+					if pl.apply {
+						migrated += pl.moved
+					} else {
+						declined++
+					}
 				}
 				// Migrate: batch my outgoing entries per destination.
 				batches := make(map[int][]int)
 				var keep []int
-				expect := 0
 				for _, e := range pending {
-					if q := newOwner[e%n]; q != me {
+					if q := pl.owner[e%n]; q != me {
 						batches[q] = append(batches[q], e)
 					} else {
 						keep = append(keep, e)
-					}
-				}
-				for _, e := range all {
-					if newOwner[e%n] == me && oldOwner[e%n] != me {
-						expect++
 					}
 				}
 				pending = keep
@@ -256,11 +210,11 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 					c.SendTagged(q, hMigrate, batches[q], app.objBytes*len(batches[q])+app.batchBytes, sim.TagSystem)
 				}
 				// Wait for my own immigrants before resuming.
-				for arrivedUnits < expect && !stopped {
+				for arrivedUnits < pl.arrivals[me] && !stopped {
 					ep.WaitMsg(sim.CatSync)
 					c.Poll()
 				}
-				arrivedUnits -= expect
+				arrivedUnits -= pl.arrivals[me]
 				lists = make(map[int][]int)
 				reported = false
 				// The root re-arms round initiation and handles a
@@ -319,4 +273,76 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 	res.Counters["rounds_declined"] = declined
 	res.Counters["units_migrated_root"] = migrated
 	return res, nil
+}
+
+// remaining is the hinted seconds of work entry e still stands for: every
+// step left is guessed at the next one's hint.
+func (a application) remaining(e int) float64 {
+	return a.hint(e%a.objects, e/a.objects) * float64(a.steps-e/a.objects)
+}
+
+// repartPlan is one round's repartition: everything a processor derives
+// from the exchanged lists, none of it from which processor asks.
+type repartPlan struct {
+	round    int
+	entries  int   // live entries: the partition calculation's size
+	apply    bool  // the warrant held, so the URA's answer is used
+	owner    []int // object -> its owner after the round (-1: finished)
+	arrivals []int // processor -> entries it receives
+	moved    int   // entries that change owner
+}
+
+// planRound builds round's plan from every processor's list. An object in
+// two lists breaks conservation; that is a protocol bug, so it panics.
+func planRound(round int, lists map[int][]int, w Workload, app application, cfg ParmetisConfig) *repartPlan {
+	n := app.objects
+	pl := &repartPlan{round: round, owner: slices.Repeat([]int{-1}, n), arrivals: make([]int, w.Procs)}
+	entry := make([]int, n)
+	for q := 0; q < w.Procs; q++ {
+		for _, e := range lists[q] {
+			if p := pl.owner[e%n]; p >= 0 {
+				panic(fmt.Sprintf("parmetis round %d: object %d listed by %d and %d", round, e%n, p, q))
+			}
+			pl.owner[e%n], entry[e%n] = q, e
+		}
+	}
+	// Every live entry, in object order.
+	var all, oldPart []int
+	vertex := make([]int, n) // live object -> its vertex in the URA's graph
+	outstandingHinted := 0.0
+	for obj, q := range pl.owner {
+		if q >= 0 {
+			vertex[obj] = len(all)
+			all, oldPart = append(all, entry[obj]), append(oldPart, q)
+			outstandingHinted += app.remaining(entry[obj])
+		}
+	}
+	pl.entries = len(all)
+	pl.apply = outstandingHinted/float64(w.Procs) >= cfg.WarrantPerProc && len(all) > 0
+	if !pl.apply {
+		return pl
+	}
+	// URA on the live objects, weighted by their hints and joined by the
+	// application's adjacency, if it has one.
+	b := graph.NewBuilder(len(all))
+	for i, e := range all {
+		b.SetVWgt(i, max(1, int64(app.remaining(e)*1000)))
+	}
+	for _, pr := range app.edges {
+		if pl.owner[pr[0]] >= 0 && pl.owner[pr[1]] >= 0 {
+			b.AddEdge(vertex[pr[0]], vertex[pr[1]], 1)
+		}
+	}
+	opt := parmetis.DefaultOptions()
+	opt.Alpha = cfg.Alpha
+	opt.Part.Seed = w.Seed + int64(round)
+	newPart := parmetis.AdaptiveRepart(b.Build(), w.Procs, oldPart, opt)
+	for i, e := range all {
+		if q := newPart[i]; q != oldPart[i] {
+			pl.owner[e%n] = q
+			pl.arrivals[q]++
+			pl.moved++
+		}
+	}
+	return pl
 }

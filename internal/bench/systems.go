@@ -21,8 +21,11 @@ type systemDef struct {
 	prema func() PremaConfig
 	// model runs a third-party baseline. It speaks dmcs over the seam like
 	// PREMA, but its payloads have no codecs, it has no reliable delivery,
-	// and its processors share work-list slices, so it stays on the bare
-	// simulator: nothing to wire-wrap, fault or move to a wall-clock backend.
+	// and its processors share work-list slices and, in the
+	// stop-and-repartition model, each round's plan (computed once on the
+	// host, charged to every processor in virtual time), so it stays on the
+	// bare simulator: nothing to wire-wrap, fault or move to a wall-clock
+	// backend.
 	model func(substrate.Machine, Workload) (*Result, error)
 	// probe marks the two-rank transport round-trip probe of the
 	// distributed backend.

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 
 	"prema/internal/graph"
 )
@@ -117,7 +118,7 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 				scratch[cu] += w
 			})
 		}
-		sortInt32(touched)
+		slices.Sort(touched)
 		for _, cu := range touched {
 			adjncy = append(adjncy, cu)
 			adjwgt = append(adjwgt, scratch[cu])
@@ -128,14 +129,6 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	cg.Adjncy = adjncy
 	cg.AdjWgt = adjwgt
 	return cg, cmap
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // coarsen builds the multilevel hierarchy down to at most target vertices.

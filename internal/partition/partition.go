@@ -90,7 +90,10 @@ func recursiveBisect(g *graph.Graph, vertices []int, k, firstPart int, part []in
 // subgraph extracts the induced subgraph, returning it and the local->global
 // vertex map.
 func subgraph(g *graph.Graph, vertices []int) (*graph.Graph, []int) {
-	toLocal := make(map[int]int32, len(vertices))
+	toLocal := make([]int32, g.NumVertices()) // -1 = not in the subgraph
+	for i := range toLocal {
+		toLocal[i] = -1
+	}
 	for i, v := range vertices {
 		toLocal[v] = int32(i)
 	}
@@ -110,7 +113,7 @@ func subgraph(g *graph.Graph, vertices []int) (*graph.Graph, []int) {
 	for i, v := range vertices {
 		sg.Xadj[i] = int32(len(sg.Adjncy))
 		g.Neighbors(v, func(u int, w int32) {
-			if lu, ok := toLocal[u]; ok {
+			if lu := toLocal[u]; lu >= 0 {
 				sg.Adjncy = append(sg.Adjncy, lu)
 				sg.AdjWgt = append(sg.AdjWgt, w)
 			}
@@ -183,6 +186,9 @@ func growRegion(g *graph.Graph, target int64, rng *rand.Rand) []int {
 	var grown int64
 	inFrontier := make([]bool, n)
 	var frontier []int
+	// Vertices only ever leave side 1, so the first side-1 vertex a restart
+	// can pick only moves up.
+	restart := 0
 	seed := rng.Intn(n)
 	frontier = append(frontier, seed)
 	inFrontier[seed] = true
@@ -214,12 +220,12 @@ func growRegion(g *graph.Graph, target int64, rng *rand.Rand) []int {
 		})
 		// Disconnected graph: restart from any remaining side-1 vertex.
 		if len(frontier) == 0 && grown < target {
-			for u := 0; u < n; u++ {
-				if side[u] == 1 {
-					frontier = append(frontier, u)
-					inFrontier[u] = true
-					break
-				}
+			for restart < n && side[restart] != 1 {
+				restart++
+			}
+			if restart < n {
+				frontier = append(frontier, restart)
+				inFrontier[restart] = true
 			}
 		}
 	}
