@@ -91,6 +91,7 @@ func TestRejections(t *testing.T) {
 		{"-trace", "t.json", "-trace-ring", "0"},
 
 		{"-fault-plan", "crash:3@35s"},
+		{"-fault-plan", "drop=0.01"},
 		{"-recover", "-fault-plan", "crash:0@35s"},
 		{"-system", "quantum"},
 		{"-hints", "psychic"},

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -62,46 +61,6 @@ func TestChaosRunSurvives(t *testing.T) {
 				t.Errorf("%d drops but no retransmissions", st.Dropped)
 			}
 		})
-	}
-}
-
-// TestChaosRunDeterministic: a faulted simulator run is exactly as
-// reproducible as a clean one — same seeds, byte-identical outcome, down to
-// per-processor ledgers and protocol counters.
-func TestChaosRunDeterministic(t *testing.T) {
-	w := chaosWorkload()
-	cs := RunSpec{
-		System:    "prema-implicit",
-		W:         w,
-		FaultPlan: chaosPlan().String(),
-		FaultSeed: 3,
-		Reliable:  true,
-	}
-	a, err := cs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sta, stb := a.Faults, b.Faults
-	if a.Makespan != b.Makespan {
-		t.Fatalf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
-	}
-	if sta != stb {
-		t.Fatalf("fault stats differ: %+v vs %+v", sta, stb)
-	}
-	for i := range a.Accounts {
-		if a.Accounts[i] != b.Accounts[i] {
-			t.Fatalf("proc %d accounts differ:\n%v\n%v", i, a.Accounts[i], b.Accounts[i])
-		}
-	}
-	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		t.Fatalf("counters differ:\n%v\n%v", a.Counters, b.Counters)
-	}
-	if !reflect.DeepEqual(a.Resident, b.Resident) {
-		t.Fatalf("residency differs:\n%v\n%v", a.Resident, b.Resident)
 	}
 }
 

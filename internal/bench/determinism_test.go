@@ -1,69 +1,49 @@
 package bench
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"prema/internal/sim"
 )
 
-// TestRunsAreDeterministic: every driver, run twice on the same workload,
-// must produce byte-identical results — the repository-wide reproducibility
-// guarantee EXPERIMENTS.md relies on.
-func TestRunsAreDeterministic(t *testing.T) {
-	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 8, 8)
+// TestSameSeedSameOutcome: a run repeated with the same seeds has the same
+// outcome — the reproducibility EXPERIMENTS.md relies on. The rows are every
+// figure system, both applications' balancers on the mesh experiment, a
+// faulted reliable run and a crashed-and-recovered one.
+func TestSameSeedSameOutcome(t *testing.T) {
+	w := chaosWorkload()
+	type row struct {
+		name string
+		run  func() (*Result, error)
+	}
+	var rows []row
 	for _, sys := range SystemNames {
-		sys := sys
-		t.Run(sys, func(t *testing.T) {
-			a, err := RunSystem(sys, w)
+		rows = append(rows, row{sys, RunSpec{System: sys, W: w}.Run})
+	}
+	mesh := quickMeshConfig()
+	mc := BuildMeshCosts(mesh)
+	for _, sys := range []string{"prema-implicit", "repartition"} {
+		rows = append(rows, row{"mesh quick " + sys, func() (*Result, error) { return RunMeshSystem(sys, mesh, mc) }})
+	}
+	rows = append(rows,
+		row{"chaos", RunSpec{System: "prema-implicit", W: w, FaultPlan: chaosPlan().String(), FaultSeed: 3, Reliable: true}.Run},
+		row{"recover crash:3@35s", RunSpec{System: "prema-implicit", W: w, FaultPlan: "crash:3@35s", FaultSeed: 3,
+			Reliable: true, Recover: true}.Run})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			a, err := r.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunSystem(sys, w)
+			b, err := r.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := outcomeDiff(a, b); d != "" {
-				t.Fatal(d)
+			if d := sameOutcome(a, b); d != "" {
+				t.Error(d)
 			}
 		})
-	}
-}
-
-// outcomeDiff says how two results differ in makespan, ledgers or
-// counters ("" when they do not).
-func outcomeDiff(a, b *Result) string {
-	if a.Makespan != b.Makespan {
-		return fmt.Sprintf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
-	}
-	for i := range a.Accounts {
-		if a.Accounts[i] != b.Accounts[i] {
-			return fmt.Sprintf("proc %d accounts differ:\n%v\n%v", i, a.Accounts[i], b.Accounts[i])
-		}
-	}
-	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		return fmt.Sprintf("counters differ: %v vs %v", a.Counters, b.Counters)
-	}
-	return ""
-}
-
-func TestMeshExperimentDeterministic(t *testing.T) {
-	cfg := quickMeshConfig()
-	mc := BuildMeshCosts(cfg)
-	for _, sys := range []string{"prema-implicit", "repartition"} {
-		a, err := RunMeshSystem(sys, cfg, mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunMeshSystem(sys, cfg, mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := outcomeDiff(a, b); d != "" {
-			t.Fatalf("mesh %s runs differ: %s", sys, d)
-		}
 	}
 }
 

@@ -108,12 +108,8 @@ func TestRepartitionShardInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Makespan != serial.Makespan ||
-					!reflect.DeepEqual(r.Counters, serial.Counters) ||
-					!reflect.DeepEqual(r.Resident, serial.Resident) ||
-					!reflect.DeepEqual(r.Accounts, serial.Accounts) {
-					t.Errorf("shards=%d diverges from serial:\n got %s %v\nwant %s %v",
-						shards, r.Summary(), r.Counters, serial.Summary(), serial.Counters)
+				if d := sameOutcome(r, serial); d != "" {
+					t.Errorf("shards=%d diverges from serial: %s", shards, d)
 				}
 			}
 		})

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
@@ -70,77 +69,6 @@ func TestRecoveryCrashMidRun(t *testing.T) {
 	perProc := rs.Charged.Seconds() / float64(w.Procs)
 	if lim := 0.05 * clean.Makespan.Seconds(); perProc >= lim {
 		t.Errorf("checkpoint overhead %.3fs/proc >= 5%% of clean makespan (%.1fs)", perProc, clean.Makespan.Seconds())
-	}
-}
-
-// TestRecoveryNoCrashByteIdentical: enabling recovery without a crash must
-// not change a single observable — makespan, every per-processor ledger,
-// every counter, every residency count. Checkpoint costs are charged, never
-// timed, which is what makes this possible.
-func TestRecoveryNoCrashByteIdentical(t *testing.T) {
-	w := chaosWorkload()
-	for _, sys := range []string{"prema-explicit", "prema-implicit"} {
-		sys := sys
-		t.Run(sys, func(t *testing.T) {
-			base, err := RunSpec{System: sys, W: w, Reliable: true}.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, err := RunSpec{System: sys, W: w, Reliable: true, Recover: true}.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.Makespan != rec.Makespan {
-				t.Fatalf("makespans differ: %v vs %v", base.Makespan, rec.Makespan)
-			}
-			for i := range base.Accounts {
-				if base.Accounts[i] != rec.Accounts[i] {
-					t.Fatalf("proc %d ledgers differ:\n%v\n%v", i, base.Accounts[i], rec.Accounts[i])
-				}
-			}
-			if !reflect.DeepEqual(base.Counters, rec.Counters) {
-				t.Fatalf("counters differ:\n%v\n%v", base.Counters, rec.Counters)
-			}
-			if !reflect.DeepEqual(base.Resident, rec.Resident) {
-				t.Fatalf("residency differs:\n%v\n%v", base.Resident, rec.Resident)
-			}
-			if rec.Recov == nil || rec.Recov.Checkpoints == 0 {
-				t.Error("recovery run took no checkpoints (the identity would be vacuous)")
-			}
-		})
-	}
-}
-
-// TestRecoveryCrashDeterministic: a crashed-and-recovered simulator run is
-// exactly as reproducible as a clean one.
-func TestRecoveryCrashDeterministic(t *testing.T) {
-	w := chaosWorkload()
-	cs := RunSpec{
-		System:    "prema-implicit",
-		W:         w,
-		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 35 * substrate.Second}}}.String(),
-		FaultSeed: 3,
-		Reliable:  true,
-		Recover:   true,
-	}
-	a, err := cs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cs.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Makespan != b.Makespan {
-		t.Fatalf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
-	}
-	for i := range a.Accounts {
-		if a.Accounts[i] != b.Accounts[i] {
-			t.Fatalf("proc %d accounts differ:\n%v\n%v", i, a.Accounts[i], b.Accounts[i])
-		}
-	}
-	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		t.Fatalf("counters differ:\n%v\n%v", a.Counters, b.Counters)
 	}
 }
 

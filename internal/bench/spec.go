@@ -329,6 +329,15 @@ var rules = []struct {
 		"-recover (fail-stop crash recovery) is not supported on the distributed backend"},
 	{"failstop", func(c *candidate) bool { return c.failStop() && !c.Recover },
 		"the -fault-plan schedules a fail-stop; add -recover to make it survivable"},
+	// Fire-and-forget delivery never resends: one dropped work unit or
+	// completion notice, and processor 0 waits for its count forever.
+	{"drop-reliable", func(c *candidate) bool {
+		lossy := c.plan.Default.Drop > 0
+		for _, lf := range c.plan.Links {
+			lossy = lossy || lf.Drop > 0
+		}
+		return lossy && !c.Reliable && !c.Recover
+	}, "the -fault-plan drops messages, which only reliable delivery resends; add -reliable"},
 	{"crash-target", func(c *candidate) bool {
 		for _, cr := range c.plan.Crashes {
 			if cr.Proc == 0 || cr.Proc >= c.W.Procs {

@@ -121,6 +121,9 @@ var validateCases = []struct {
 	{"failstop", "crash without recover", func(s *RunSpec) { s.Reliable, s.FaultPlan = true, "crash:3@35s" }, "-recover"},
 	{"failstop", "crash on dist", func(s *RunSpec) { onDist(s); s.FaultPlan = "crash:3@35s" }, "-recover"},
 	{"failstop", "crash and rejoin with recover", func(s *RunSpec) { s.Recover, s.FaultPlan = true, "crash:3@35s;recover:3@50s" }, ""},
+	{"drop-reliable", "repro: premabench -fault-plan drop=0.01 (ran forever)", func(s *RunSpec) { s.FaultPlan = "drop=0.01" }, "-reliable"},
+	{"drop-reliable", "a lossy link override", func(s *RunSpec) { s.FaultPlan = "dup=0.1;link:2-3:drop=0.5" }, "-reliable"},
+	{"drop-reliable", "lossless faults without it", func(s *RunSpec) { s.FaultPlan = "dup=0.1,delay=0.2,reorder=0.2;stall:2@5s+1s" }, ""},
 	{"crash-target", "the head node", func(s *RunSpec) { s.Recover, s.FaultPlan = true, "crash:0@35s" }, "-fault-plan"},
 	{"crash-target", "beyond the machine", func(s *RunSpec) { s.Recover, s.FaultPlan = true, "crash:8@35s" }, "-procs"},
 	{"crash-target", "first and last crashable", func(s *RunSpec) { s.Recover, s.FaultPlan = true, "crash:1@35s;crash:7@40s" }, ""},
@@ -332,6 +335,7 @@ var matrixFeatures = []struct {
 	{"`-metrics`", func(s *RunSpec) { s.MetricsPath = "m.txt" }},
 	{"`-reliable`", func(s *RunSpec) { s.Reliable = true }},
 	{"`-fault-plan drop=0.1`", func(s *RunSpec) { s.FaultPlan = "drop=0.1" }},
+	{"`-reliable -fault-plan drop=0.1`", func(s *RunSpec) { s.Reliable, s.FaultPlan = true, "drop=0.1" }},
 	{"`-recover`", func(s *RunSpec) { s.Recover = true }},
 	{"`-recover -fault-plan crash:3@35s`", func(s *RunSpec) { s.Recover, s.FaultPlan = true, "crash:3@35s" }},
 	{"`-system a,b` (multi-system)", func(s *RunSpec) { s.System += "," + s.System }},

@@ -6,9 +6,9 @@ import (
 )
 
 // TestSweepMatchesSerial: the parallel sweep runner must produce exactly the
-// results of a serial (Jobs: 1) sweep — same ordering, same summaries, same
-// per-processor ledgers — for any worker count. This is the repository's
-// guarantee that -jobs only changes wall-clock time, never output.
+// results of a serial (Jobs: 1) sweep — same ordering, same outcomes — for
+// any worker count. This is the repository's guarantee that -jobs only
+// changes wall-clock time, never output.
 func TestSweepMatchesSerial(t *testing.T) {
 	specs := Figures()
 	const procs, upp = 8, 8
@@ -45,21 +45,8 @@ func TestSweepMatchesSerial(t *testing.T) {
 			if a.System != b.System {
 				t.Fatalf("figure %d result %d: ordering differs: %s vs %s", s.Spec.ID, si, a.System, b.System)
 			}
-			if a.Summary() != b.Summary() {
-				t.Fatalf("figure %d %s: summaries differ:\n%s\n%s", s.Spec.ID, a.System, a.Summary(), b.Summary())
-			}
-			if a.Makespan != b.Makespan {
-				t.Fatalf("figure %d %s: makespan %v vs %v", s.Spec.ID, a.System, a.Makespan, b.Makespan)
-			}
-			for pi := range a.Accounts {
-				if a.Accounts[pi] != b.Accounts[pi] {
-					t.Fatalf("figure %d %s proc %d: ledgers differ", s.Spec.ID, a.System, pi)
-				}
-			}
-			for k, v := range a.Counters {
-				if b.Counters[k] != v {
-					t.Fatalf("figure %d %s: counter %s: %d vs %d", s.Spec.ID, a.System, k, v, b.Counters[k])
-				}
+			if d := sameOutcome(a, b); d != "" {
+				t.Fatalf("figure %d %s: %s", s.Spec.ID, a.System, d)
 			}
 		}
 	}
@@ -130,7 +117,7 @@ func TestMeshCostsJobsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := outcomeDiff(par[i], serial); par[i].System != sys || d != "" {
+		if d := sameOutcome(par[i], serial); par[i].System != sys || d != "" {
 			t.Fatalf("parallel mesh run %d (%s, want %s) diverged: %s", i, par[i].System, sys, d)
 		}
 	}

@@ -59,14 +59,14 @@ type Workload struct {
 	// Shards is the simulator's parallel event-loop shard count (<= 1 =
 	// serial); processors are placed on shards in contiguous ID blocks (see
 	// simConfig). Every report, hash, and trace is byte-identical for every
-	// value (internal/bench/shard_equivalence_test.go guards this). It only
-	// applies to the simulator backend.
+	// value (TestEquivalence guards this). It only applies to the simulator
+	// backend.
 	Shards int
 	// Wire wraps the machine in the serialization loopback (wire.Wrap):
 	// every message is encoded to its binary frame at Send and delivered as
 	// a freshly decoded copy, auditing modeled sizes along the way. Like
 	// Shards it never changes output — wire runs are byte-identical
-	// (internal/bench/wire_equivalence_test.go) — it only costs host CPU.
+	// (TestEquivalence) — it only costs host CPU.
 	// It applies to the PREMA drivers (none and the prema-* systems); the
 	// baselines (parmetis, charm*) send over the same seam but ship
 	// payloads that have no codec.

@@ -91,8 +91,8 @@ func equalMesh(t *testing.T, label string, want, got meshRun) {
 // that divides nothing evenly) the sharded engine produces byte-identical
 // output to the serial engine — same makespan, same per-processor accounts,
 // same trace stream. This is the engine-level half of the byte-identity
-// guarantee; internal/bench/shard_equivalence_test.go checks the full-stack
-// half over the paper's drivers.
+// guarantee; TestEquivalence in internal/bench checks the full-stack half
+// over every system the CLIs run.
 func TestShardedMatchesSerial(t *testing.T) {
 	const n, rounds = 13, 30
 	want := runMesh(t, Config{Seed: 42}, n, rounds)
