@@ -26,19 +26,19 @@ import (
 
 // tev is the subset of a Chrome trace_event record tracestat reads.
 type tev struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Tid  int            `json:"tid"`
-	Ts   float64        `json:"ts"`  // microseconds
-	Dur  float64        `json:"dur"` // microseconds
-	Args map[string]any `json:"args"`
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Tid  int     `json:"tid"`
+	Ts   float64 `json:"ts"`  // microseconds
+	Dur  float64 `json:"dur"` // microseconds
+	Args struct {
+		Hops *float64 `json:"hops"` // forward events only
+	} `json:"args"`
 }
 
-// traceFile is the top-level Chrome trace JSON object.
-type traceFile struct {
-	TraceEvents []tev `json:"traceEvents"`
-}
+// errNoEvents is a well-formed file with no trace events in it.
+var errNoEvents = errors.New("no traceEvents in file")
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -61,22 +61,74 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracestat: -stride must be >= 0 (got %d)\n", *stride)
 		return 2
 	}
-	buf, err := os.ReadFile(fs.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "tracestat:", err)
 		return 1
 	}
-	var tf traceFile
-	if err := json.Unmarshal(buf, &tf); err != nil {
+	defer f.Close()
+	switch err := summarize(stdout, f, *stride); {
+	case errors.Is(err, errNoEvents):
+		fmt.Fprintln(stderr, "tracestat:", err)
+		return 1
+	case err != nil:
 		fmt.Fprintln(stderr, "tracestat: not a Chrome trace:", err)
 		return 1
 	}
-	if len(tf.TraceEvents) == 0 {
-		fmt.Fprintln(stderr, "tracestat: no traceEvents in file")
-		return 1
-	}
-	summarize(stdout, &tf, *stride)
 	return 0
+}
+
+// eachEvent streams the traceEvents array of the Chrome trace JSON in r,
+// decoding each element into one reused tev, zeroed first, and returns how
+// many there were. The rest of the document is checked, not kept.
+func eachEvent(r io.Reader, fn func(*tev)) (int, error) {
+	dec := json.NewDecoder(r)
+	if tok, err := dec.Token(); err != nil {
+		return 0, err
+	} else if tok != json.Delim('{') {
+		return 0, fmt.Errorf("top-level value is %v, not an object", tok)
+	}
+	n := 0
+	var e tev
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return n, err
+		}
+		if key != "traceEvents" {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return n, err
+			}
+			continue
+		}
+		switch tok, err := dec.Token(); {
+		case err != nil:
+			return n, err
+		case tok == nil: // null: no events
+			continue
+		case tok != json.Delim('['):
+			return n, fmt.Errorf("traceEvents is %v, not an array", tok)
+		}
+		for dec.More() {
+			e = tev{}
+			if err := dec.Decode(&e); err != nil {
+				return n, err
+			}
+			fn(&e)
+			n++
+		}
+		if _, err := dec.Token(); err != nil { // ']'
+			return n, err
+		}
+	}
+	if _, err := dec.Token(); err != nil { // '}'
+		return n, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return n, errors.New("data after the trace object")
+	}
+	return n, nil
 }
 
 // procStat accumulates one processor's row.
@@ -95,7 +147,9 @@ type procStat struct {
 	replays    int
 }
 
-func summarize(w io.Writer, tf *traceFile, stride int) {
+// summarize reads the trace in r and prints its summary to w; it prints
+// nothing when the trace is malformed or empty.
+func summarize(w io.Writer, r io.Reader, stride int) error {
 	procs := map[int]*procStat{}
 	get := func(tid int) *procStat {
 		p := procs[tid]
@@ -109,7 +163,7 @@ func summarize(w io.Writer, tf *traceFile, stride int) {
 	var hops []float64
 	var end float64
 	firstSuspect, lastRepair := -1.0, -1.0
-	for _, e := range tf.TraceEvents {
+	events, err := eachEvent(r, func(e *tev) {
 		if t := e.Ts + e.Dur; t > end {
 			end = t
 		}
@@ -130,8 +184,8 @@ func summarize(w io.Writer, tf *traceFile, stride int) {
 				p.migIn++
 			case "forward":
 				p.forwards++
-				if h, ok := e.Args["hops"].(float64); ok {
-					hops = append(hops, h)
+				if e.Args.Hops != nil {
+					hops = append(hops, *e.Args.Hops)
 				}
 			case "send":
 				p.sends++
@@ -156,6 +210,12 @@ func summarize(w io.Writer, tf *traceFile, stride int) {
 				}
 			}
 		}
+	})
+	switch {
+	case err != nil:
+		return err
+	case events == 0:
+		return errNoEvents
 	}
 
 	tids := make([]int, 0, len(procs))
@@ -191,7 +251,7 @@ func summarize(w io.Writer, tf *traceFile, stride int) {
 	recovery := tot.ckpt+tot.suspects+tot.repairs+tot.replays > 0
 
 	fmt.Fprintf(w, "trace: %d processors, %d events, span %.3fs\n\n",
-		len(tids), len(tf.TraceEvents), end/1e6)
+		len(tids), events, end/1e6)
 
 	header := append([]string{"proc"}, names...)
 	header = append(header, "units", "mig-out", "mig-in", "fwd", "sends")
@@ -256,4 +316,5 @@ func summarize(w io.Writer, tf *traceFile, stride int) {
 		fmt.Fprintf(w, "forwarding chains: %d  mean=%.2f p95=%.0f max=%.0f hops\n",
 			len(hops), stats.Mean(hops), stats.P95(hops), stats.Max(hops))
 	}
+	return nil
 }

@@ -61,8 +61,11 @@ func TestRejections(t *testing.T) {
 	// A file that is not a trace is a failed run, not a usage error: exit 1.
 	dir := t.TempDir()
 	for name, content := range map[string]string{
-		"not.json":   "trace: 8 processors\n",
-		"empty.json": `{"displayTimeUnit": "ms"}`,
+		"not.json":       "trace: 8 processors\n",
+		"empty.json":     `{"displayTimeUnit": "ms"}`,
+		"array.json":     `[{"ph":"i","name":"send"}]`,
+		"truncated.json": `{"traceEvents":[{"ph":"i","name":"send"},{"ph"`,
+		"trailing.json":  `{"traceEvents":[{"ph":"i","name":"send"}]} x`,
 	} {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {

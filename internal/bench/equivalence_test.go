@@ -210,7 +210,7 @@ func checkEquivalent(t *testing.T, seed int64, s RunSpec) {
 		fail("trace recorded %d events, dropped %d; the reference %d, %d", a.Total(), a.Dropped(), b.Total(), b.Dropped())
 	}
 	for i := 0; i < b.NumProcs(); i++ {
-		if x, y := a.Recorder(i).Events(), b.Recorder(i).Events(); !reflect.DeepEqual(x, y) {
+		if x, y := slices.Collect(a.Recorder(i).Events()), slices.Collect(b.Recorder(i).Events()); !reflect.DeepEqual(x, y) {
 			fail("proc %d trace stream differs (%d vs %d events retained)", i, len(x), len(y))
 		}
 	}

@@ -108,7 +108,7 @@ func runTracedConformance(t *testing.T, m substrate.Machine, procs, objects, msg
 	sums := make([]traceSummary, procs)
 	for p := 0; p < procs; p++ {
 		s := traceSummary{counts: map[trace.Kind]int{}}
-		for _, e := range col.Recorder(p).Events() {
+		for e := range col.Recorder(p).Events() {
 			switch e.Kind {
 			case trace.EvSend, trace.EvForward, trace.EvMigrateOut, trace.EvMigrateIn,
 				trace.EvUnitBegin, trace.EvUnitEnd, trace.EvRetransmit, trace.EvStop:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,7 +127,7 @@ func runPolledCase(t *testing.T, c polledCase, stepped bool) polledOutcome {
 	o.Makespan = e.Makespan()
 	for i := 0; i < e.NumProcs(); i++ {
 		o.Accounts = append(o.Accounts, *e.Proc(i).Account())
-		o.Events = append(o.Events, col.Recorder(i).Events())
+		o.Events = append(o.Events, slices.Collect(col.Recorder(i).Events()))
 	}
 	return o
 }

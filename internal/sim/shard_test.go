@@ -65,7 +65,7 @@ func runMesh(t *testing.T, cfg Config, n, rounds int) meshRun {
 	out := meshRun{makespan: e.Makespan(), rounds: e.BarrierRounds()}
 	for i := 0; i < n; i++ {
 		out.accts = append(out.accts, *e.Proc(i).Account())
-		out.events = append(out.events, col.Recorder(i).Events())
+		out.events = append(out.events, slices.Collect(col.Recorder(i).Events()))
 	}
 	return out
 }

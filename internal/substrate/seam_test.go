@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"prema/internal/faulty"
@@ -316,7 +317,7 @@ func TestTraceReplaysElidedPolls(t *testing.T) {
 					rem -= done
 				}
 			})
-		return col.Recorder(0).Events()
+		return slices.Collect(col.Recorder(0).Events())
 	}
 	stepped := &fakeEP{}
 	want := record(bare, stepped)

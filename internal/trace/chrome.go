@@ -2,10 +2,10 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 
 	"prema/internal/substrate"
 )
@@ -20,20 +20,153 @@ import (
 // the viewer draws an arrow from the object's old host to its new one.
 //
 // Output is written with deterministic formatting: same-seed simulator runs
-// produce byte-identical trace files (guarded by CI's cmp step).
+// produce byte-identical trace files (guarded by CI's cmp step). Each record
+// is appended straight into the bufio.Writer's free space from tables built
+// at init; no event is copied out of its ring, boxed or formatted by fmt.
 
-// chromeTS renders a substrate time (ns) as Chrome's microsecond timestamps
-// with nanosecond resolution preserved.
-func chromeTS(t substrate.Time) string {
-	micros := t / 1000
-	frac := t % 1000
-	if frac == 0 {
-		return fmt.Sprintf("%d", micros)
-	}
-	return fmt.Sprintf("%d.%03d", micros, frac)
+// argFormat is how a record renders one of an event's A, B, C arguments.
+type argFormat uint8
+
+const (
+	asInt    argFormat = iota // a decimal integer
+	asObj                     // an ObjKey, as the string "home:index"
+	asPolicy                  // a policy decision code, as its quoted name
+)
+
+type chromeArg struct {
+	key string
+	as  argFormat
 }
 
-// flowKey pairs migrate-out with migrate-in events per object in time order.
+// chromeRows is the record of every kind but EvSpan, as data: its name and
+// category, whether it is an interval ("X", stamped with its start) or an
+// instant ("i"), and the keys of its A, B, C arguments in order. A kind
+// without a row writes nothing (EvUnitBegin: its EvUnitEnd carries the
+// interval).
+var chromeRows = [NumKinds]struct {
+	name, cat string
+	interval  bool
+	args      []chromeArg
+}{
+	EvUnitEnd:    {"unit", "unit", true, []chromeArg{{"obj", asObj}, {"origin", asInt}, {"seq", asInt}}},
+	EvSend:       {"send", "msg", false, []chromeArg{{"dst", asInt}, {"tag", asInt}, {"bytes", asInt}}},
+	EvRecv:       {"recv", "msg", false, []chromeArg{{"src", asInt}, {"tag", asInt}, {"bytes", asInt}}},
+	EvForward:    {"forward", "mol", false, []chromeArg{{"next", asInt}, {"hops", asInt}, {"bytes", asInt}}},
+	EvMigrateOut: {"migrate-out", "mol", false, []chromeArg{{"to", asInt}, {"obj", asObj}, {"bytes", asInt}}},
+	EvMigrateIn:  {"migrate-in", "mol", false, []chromeArg{{"from", asInt}, {"obj", asObj}, {"bytes", asInt}}},
+	EvPolicy:     {"policy", "ilb", false, []chromeArg{{"decision", asPolicy}}},
+	EvRetransmit: {"retransmit", "rel", false, []chromeArg{{"peer", asInt}, {"tag", asInt}, {"seq", asInt}}},
+	EvStop:       {"stop-broadcast", "app", false, []chromeArg{{"peers", asInt}}},
+	EvCheckpoint: {"checkpoint", "recov", false, []chromeArg{{"objects", asInt}, {"bytes", asInt}}},
+	EvSuspect:    {"suspect", "recov", false, []chromeArg{{"proc", asInt}, {"coordinator", asInt}}},
+	EvRepair:     {"repair", "recov", false, []chromeArg{{"obj", asObj}, {"from", asInt}, {"bytes", asInt}}},
+	EvReplay:     {"replay", "recov", false, []chromeArg{{"obj", asObj}, {"origin", asInt}, {"seq", asInt}}},
+}
+
+// chromeRecord is a row compiled at init: head is the record up to its
+// timestamp, and each argument's prefix holds its separator and quoted key,
+// so rendering an event is appends only.
+type chromeRecord struct {
+	head     string
+	interval bool
+	args     []chromeArg // key holds the prefix
+}
+
+var (
+	chromeRecords [NumKinds]chromeRecord
+	// spanHeads is each category's span record up to its timestamp; the
+	// last serves every category out of range ("Unknown").
+	spanHeads [substrate.NumCategories + 1]string
+	// quotedPolicies is each policy decision code's name, quoted; the last
+	// serves every code out of range ("unknown").
+	quotedPolicies [PolPollWake + 2]string
+)
+
+func init() {
+	for k, row := range chromeRows {
+		if row.name == "" {
+			continue
+		}
+		ph := `"i","s":"t"`
+		if row.interval {
+			ph = `"X"`
+		}
+		rec := &chromeRecords[k]
+		rec.head = `{"name":` + strconv.Quote(row.name) + `,"cat":` + strconv.Quote(row.cat) + `,"ph":` + ph + `,"ts":`
+		rec.interval = row.interval
+		sep := `,"args":{`
+		for _, a := range row.args {
+			rec.args = append(rec.args, chromeArg{key: sep + strconv.Quote(a.key) + ":", as: a.as})
+			sep = ","
+		}
+	}
+	for cat := range spanHeads {
+		spanHeads[cat] = `{"name":` + strconv.Quote(substrate.Category(cat).String()) + `,"cat":"phase","ph":"X","ts":`
+	}
+	for code := range quotedPolicies {
+		quotedPolicies[code] = strconv.Quote(PolicyName(int64(code)))
+	}
+}
+
+// appendTS appends a substrate time (ns, non-negative) as Chrome's
+// microsecond timestamp with nanosecond resolution preserved: three fraction
+// digits, only when the fraction is non-zero.
+func appendTS(b []byte, t substrate.Time) []byte {
+	b = strconv.AppendInt(b, int64(t/1000), 10)
+	if frac := t % 1000; frac != 0 {
+		b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	}
+	return b
+}
+
+// appendEvent appends e's record on processor row tid; ok is false for an
+// event that has none.
+func appendEvent(b []byte, tid int, e Event) (_ []byte, ok bool) {
+	var rec chromeRecord
+	switch {
+	case e.Kind == EvSpan:
+		// A negative category wraps to a huge index and clamps to "Unknown".
+		cat := min(uint64(e.A), uint64(substrate.NumCategories))
+		rec = chromeRecord{head: spanHeads[cat], interval: true}
+	case e.Kind < NumKinds:
+		rec = chromeRecords[e.Kind]
+	}
+	if rec.head == "" {
+		return b, false
+	}
+	b = append(b, rec.head...)
+	if rec.interval {
+		b = appendTS(b, e.T-e.Dur)
+		b = append(b, `,"dur":`...)
+		b = appendTS(b, e.Dur)
+	} else {
+		b = appendTS(b, e.T)
+	}
+	b = append(b, `,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	vals := [3]int64{e.A, e.B, e.C}
+	for j, a := range rec.args {
+		b = append(b, a.key...)
+		switch v := vals[j]; a.as {
+		case asObj:
+			b = append(b, '"')
+			b = strconv.AppendInt(b, int64(KeyHome(v)), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(KeyIndex(v)), 10)
+			b = append(b, '"')
+		case asPolicy: // out of range, negative included, clamps to "unknown"
+			b = append(b, quotedPolicies[min(uint64(v), uint64(PolPollWake+1))]...)
+		default:
+			b = strconv.AppendInt(b, v, 10)
+		}
+	}
+	if len(rec.args) > 0 {
+		b = append(b, '}')
+	}
+	return append(b, '}'), true
+}
+
+// flowEvent is one migrate-out or migrate-in, kept to pair them into arrows.
 type flowEvent struct {
 	proc int
 	t    substrate.Time
@@ -41,77 +174,83 @@ type flowEvent struct {
 	out  bool
 }
 
-// WriteChrome writes the whole trace as Chrome trace_event JSON.
-func (c *Collector) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
+// recordRoom exceeds the longest record, so one appended into a buffer with
+// this much free space never outgrows it (and never allocates).
+const recordRoom = 1 << 10
+
+// chromeWriter appends records into a bufio.Writer's free space and keeps
+// the first write error, after which it writes nothing more.
+type chromeWriter struct {
+	bw      *bufio.Writer
+	written bool
+	err     error
+}
+
+// next returns the buffer to append one record into, its separator in place.
+func (w *chromeWriter) next() []byte {
+	if w.err == nil && w.bw.Available() < recordRoom {
+		w.err = w.bw.Flush()
 	}
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		fmt.Fprintf(bw, format, args...)
+	b := w.bw.AvailableBuffer()
+	if w.written {
+		b = append(b, ",\n"...)
+	}
+	return b
+}
+
+// write hands one record, built on next's buffer, to the bufio.Writer.
+func (w *chromeWriter) write(b []byte) {
+	if w.err == nil {
+		_, w.err = w.bw.Write(b)
+	}
+	w.written = true
+}
+
+// flow writes one end of migration arrow id.
+func (w *chromeWriter) flow(head string, id int, f flowEvent) {
+	b := append(w.next(), head...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, `,"ts":`...)
+	b = appendTS(b, f.t)
+	b = append(b, `,"pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(f.proc), 10)
+	w.write(append(b, '}'))
+}
+
+// WriteChrome writes the whole trace as Chrome trace_event JSON. It stops at
+// the first write error and returns it.
+func (c *Collector) WriteChrome(w io.Writer) error {
+	cw := chromeWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+	if _, err := cw.bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
+		return err
 	}
 
 	// Thread metadata: one named row per processor, sorted by tid.
 	for i, r := range c.recs {
-		emit(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"p%03d"}}`, i, r.proc)
+		b := append(cw.next(), `{"name":"thread_name","ph":"M","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, `,"args":{"name":"p`...)
+		for pad := 100; pad > 1 && r.proc < pad; pad /= 10 {
+			b = append(b, '0') // %03d
+		}
+		b = strconv.AppendInt(b, int64(r.proc), 10)
+		cw.write(append(b, `"}}`...))
+		if cw.err != nil {
+			return cw.err
+		}
 	}
 
 	var flows []flowEvent
 	for i, r := range c.recs {
-		for _, e := range r.Events() {
-			switch e.Kind {
-			case EvSpan:
-				emit(`{"name":%q,"cat":"phase","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d}`,
-					substrate.Category(e.A).String(), chromeTS(e.T-e.Dur), chromeTS(e.Dur), i)
-			case EvUnitEnd:
-				emit(`{"name":"unit","cat":"unit","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","origin":%d,"seq":%d}}`,
-					chromeTS(e.T-e.Dur), chromeTS(e.Dur), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
-			case EvUnitBegin:
-				// The matching EvUnitEnd carries the interval; the begin
-				// instant is redundant in the timeline view.
-			case EvSend:
-				emit(`{"name":"send","cat":"msg","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"dst":%d,"tag":%d,"bytes":%d}}`,
-					chromeTS(e.T), i, e.A, e.B, e.C)
-			case EvRecv:
-				emit(`{"name":"recv","cat":"msg","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"src":%d,"tag":%d,"bytes":%d}}`,
-					chromeTS(e.T), i, e.A, e.B, e.C)
-			case EvForward:
-				emit(`{"name":"forward","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"next":%d,"hops":%d,"bytes":%d}}`,
-					chromeTS(e.T), i, e.A, e.B, e.C)
-			case EvMigrateOut:
-				emit(`{"name":"migrate-out","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"to":%d,"obj":"%d:%d","bytes":%d}}`,
-					chromeTS(e.T), i, e.A, KeyHome(e.B), KeyIndex(e.B), e.C)
-				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: true})
-			case EvMigrateIn:
-				emit(`{"name":"migrate-in","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"from":%d,"obj":"%d:%d","bytes":%d}}`,
-					chromeTS(e.T), i, e.A, KeyHome(e.B), KeyIndex(e.B), e.C)
-				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: false})
-			case EvPolicy:
-				emit(`{"name":"policy","cat":"ilb","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"decision":%q}}`,
-					chromeTS(e.T), i, PolicyName(e.A))
-			case EvRetransmit:
-				emit(`{"name":"retransmit","cat":"rel","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"peer":%d,"tag":%d,"seq":%d}}`,
-					chromeTS(e.T), i, e.A, e.B, e.C)
-			case EvStop:
-				emit(`{"name":"stop-broadcast","cat":"app","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"peers":%d}}`,
-					chromeTS(e.T), i, e.A)
-			case EvCheckpoint:
-				emit(`{"name":"checkpoint","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"objects":%d,"bytes":%d}}`,
-					chromeTS(e.T), i, e.A, e.B)
-			case EvSuspect:
-				emit(`{"name":"suspect","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"proc":%d,"coordinator":%d}}`,
-					chromeTS(e.T), i, e.A, e.B)
-			case EvRepair:
-				emit(`{"name":"repair","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","from":%d,"bytes":%d}}`,
-					chromeTS(e.T), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
-			case EvReplay:
-				emit(`{"name":"replay","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","origin":%d,"seq":%d}}`,
-					chromeTS(e.T), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
+		for e := range r.Events() {
+			if e.Kind == EvMigrateOut || e.Kind == EvMigrateIn {
+				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: e.Kind == EvMigrateOut})
+			}
+			if b, ok := appendEvent(cw.next(), i, e); ok {
+				cw.write(b)
+			}
+			if cw.err != nil {
+				return cw.err
 			}
 		}
 	}
@@ -139,16 +278,17 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 		o := outs[0]
 		pendingOut[f.key] = outs[1:]
 		id++
-		emit(`{"name":"migration","cat":"mol","ph":"s","id":%d,"ts":%s,"pid":0,"tid":%d}`,
-			id, chromeTS(o.t), o.proc)
-		emit(`{"name":"migration","cat":"mol","ph":"f","bp":"e","id":%d,"ts":%s,"pid":0,"tid":%d}`,
-			id, chromeTS(f.t), f.proc)
+		cw.flow(`{"name":"migration","cat":"mol","ph":"s","id":`, id, o)
+		cw.flow(`{"name":"migration","cat":"mol","ph":"f","bp":"e","id":`, id, f)
+		if cw.err != nil {
+			return cw.err
+		}
 	}
 
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
+	if _, err := cw.bw.WriteString("\n]}\n"); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return cw.bw.Flush()
 }
 
 // WriteChromeFile writes the Chrome trace to path.

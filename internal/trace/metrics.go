@@ -154,7 +154,7 @@ func Summarize(c *Collector, makespan substrate.Time) *Registry {
 		catSecs[i] = make([]float64, c.NumProcs())
 	}
 	for i, r := range c.recs {
-		for _, e := range r.Events() {
+		for e := range r.Events() {
 			kindTotals[e.Kind]++
 			switch e.Kind {
 			case EvSpan:

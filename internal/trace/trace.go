@@ -19,7 +19,11 @@
 // histograms with P50/P95/P99).
 package trace
 
-import "prema/internal/substrate"
+import (
+	"iter"
+
+	"prema/internal/substrate"
+)
 
 // Kind discriminates trace event types.
 type Kind uint8
@@ -243,16 +247,17 @@ func (r *Recorder) Dropped() uint64 {
 	return 0
 }
 
-// Events returns the retained events, oldest first. It copies (cold path);
-// call it after the run.
-func (r *Recorder) Events() []Event {
-	n := r.Len()
-	out := make([]Event, 0, n)
-	start := r.head - uint64(n)
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, r.buf[(start+i)&r.mask])
+// Events yields the retained events, oldest first, read in place from the
+// ring (no copy); range over it after the run. slices.Collect(r.Events())
+// gives them as a slice.
+func (r *Recorder) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for i := r.head - uint64(r.Len()); i < r.head; i++ {
+			if !yield(r.buf[i&r.mask]) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // DefaultRingCap is the per-processor ring capacity (events) used when a

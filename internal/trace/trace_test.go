@@ -1,8 +1,18 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"os"
+	"slices"
+	"sort"
 	"testing"
 
 	"prema/internal/substrate"
@@ -48,7 +58,7 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	if got := r.Dropped(); got != 12 {
 		t.Errorf("Dropped = %d, want 12", got)
 	}
-	evs := r.Events()
+	evs := slices.Collect(r.Events())
 	for i, e := range evs {
 		if want := int64(12 + i); e.A != want {
 			t.Fatalf("event %d has A=%d, want %d (oldest must be dropped first)", i, e.A, want)
@@ -80,7 +90,7 @@ func TestSpanCoalescing(t *testing.T) {
 	r.Span(substrate.CatCompute, 30, 40) // gap: new span
 	r.Span(substrate.CatIdle, 40, 50)    // different cat: new span
 	r.Span(substrate.CatIdle, 50, 50)    // zero length: dropped
-	evs := r.Events()
+	evs := slices.Collect(r.Events())
 	if len(evs) != 3 {
 		t.Fatalf("got %d spans, want 3: %+v", len(evs), evs)
 	}
@@ -200,10 +210,385 @@ func TestChromeOutput(t *testing.T) {
 }
 
 func TestChromeTS(t *testing.T) {
-	if got := chromeTS(1500); got != "1.500" {
-		t.Errorf("chromeTS(1500ns) = %q, want 1.500", got)
+	for ts, want := range map[substrate.Time]string{
+		0: "0", 1: "0.001", 10: "0.010", 100: "0.100", 999: "0.999",
+		1500: "1.500", 2 * substrate.Millisecond: "2000", 3*substrate.Second + 7: "3000000.007",
+	} {
+		if got := string(appendTS(nil, ts)); got != want || chromeTS(ts) != want {
+			t.Errorf("appendTS(%dns) = %q, reference %q, want %q", ts, got, chromeTS(ts), want)
+		}
 	}
-	if got := chromeTS(2 * substrate.Millisecond); got != "2000" {
-		t.Errorf("chromeTS(2ms) = %q, want 2000", got)
+}
+
+// chromeTS and writeChromeReference are the fmt-based Chrome writer the
+// append encoder replaced, kept as the oracle it must match byte for byte.
+
+// chromeTS renders a substrate time (ns) as Chrome's microsecond timestamps
+// with nanosecond resolution preserved.
+func chromeTS(t substrate.Time) string {
+	micros := t / 1000
+	frac := t % 1000
+	if frac == 0 {
+		return fmt.Sprintf("%d", micros)
+	}
+	return fmt.Sprintf("%d.%03d", micros, frac)
+}
+
+// writeChromeReference writes the whole trace as Chrome trace_event JSON.
+func writeChromeReference(c *Collector, w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
+		return err
+	}
+	first := true
+	emit := func(format string, args ...any) {
+		if !first {
+			bw.WriteString(",\n")
+		}
+		first = false
+		fmt.Fprintf(bw, format, args...)
+	}
+
+	// Thread metadata: one named row per processor, sorted by tid.
+	for i, r := range c.recs {
+		emit(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"p%03d"}}`, i, r.proc)
+	}
+
+	var flows []flowEvent
+	for i, r := range c.recs {
+		for e := range r.Events() {
+			switch e.Kind {
+			case EvSpan:
+				emit(`{"name":%q,"cat":"phase","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d}`,
+					substrate.Category(e.A).String(), chromeTS(e.T-e.Dur), chromeTS(e.Dur), i)
+			case EvUnitEnd:
+				emit(`{"name":"unit","cat":"unit","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","origin":%d,"seq":%d}}`,
+					chromeTS(e.T-e.Dur), chromeTS(e.Dur), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
+			case EvUnitBegin:
+				// The matching EvUnitEnd carries the interval; the begin
+				// instant is redundant in the timeline view.
+			case EvSend:
+				emit(`{"name":"send","cat":"msg","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"dst":%d,"tag":%d,"bytes":%d}}`,
+					chromeTS(e.T), i, e.A, e.B, e.C)
+			case EvRecv:
+				emit(`{"name":"recv","cat":"msg","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"src":%d,"tag":%d,"bytes":%d}}`,
+					chromeTS(e.T), i, e.A, e.B, e.C)
+			case EvForward:
+				emit(`{"name":"forward","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"next":%d,"hops":%d,"bytes":%d}}`,
+					chromeTS(e.T), i, e.A, e.B, e.C)
+			case EvMigrateOut:
+				emit(`{"name":"migrate-out","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"to":%d,"obj":"%d:%d","bytes":%d}}`,
+					chromeTS(e.T), i, e.A, KeyHome(e.B), KeyIndex(e.B), e.C)
+				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: true})
+			case EvMigrateIn:
+				emit(`{"name":"migrate-in","cat":"mol","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"from":%d,"obj":"%d:%d","bytes":%d}}`,
+					chromeTS(e.T), i, e.A, KeyHome(e.B), KeyIndex(e.B), e.C)
+				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: false})
+			case EvPolicy:
+				emit(`{"name":"policy","cat":"ilb","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"decision":%q}}`,
+					chromeTS(e.T), i, PolicyName(e.A))
+			case EvRetransmit:
+				emit(`{"name":"retransmit","cat":"rel","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"peer":%d,"tag":%d,"seq":%d}}`,
+					chromeTS(e.T), i, e.A, e.B, e.C)
+			case EvStop:
+				emit(`{"name":"stop-broadcast","cat":"app","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"peers":%d}}`,
+					chromeTS(e.T), i, e.A)
+			case EvCheckpoint:
+				emit(`{"name":"checkpoint","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"objects":%d,"bytes":%d}}`,
+					chromeTS(e.T), i, e.A, e.B)
+			case EvSuspect:
+				emit(`{"name":"suspect","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"proc":%d,"coordinator":%d}}`,
+					chromeTS(e.T), i, e.A, e.B)
+			case EvRepair:
+				emit(`{"name":"repair","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","from":%d,"bytes":%d}}`,
+					chromeTS(e.T), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
+			case EvReplay:
+				emit(`{"name":"replay","cat":"recov","ph":"i","s":"t","ts":%s,"pid":0,"tid":%d,"args":{"obj":"%d:%d","origin":%d,"seq":%d}}`,
+					chromeTS(e.T), i, KeyHome(e.A), KeyIndex(e.A), e.B, e.C)
+			}
+		}
+	}
+
+	// Migration arrows: pair the k-th out with the k-th in per object key,
+	// in time order (objects migrate sequentially, so this pairing is exact
+	// on the simulator and a faithful best effort under real clocks).
+	sort.SliceStable(flows, func(a, b int) bool {
+		if flows[a].t != flows[b].t {
+			return flows[a].t < flows[b].t
+		}
+		return flows[a].proc < flows[b].proc
+	})
+	pendingOut := make(map[int64][]flowEvent)
+	id := 0
+	for _, f := range flows {
+		if f.out {
+			pendingOut[f.key] = append(pendingOut[f.key], f)
+			continue
+		}
+		outs := pendingOut[f.key]
+		if len(outs) == 0 {
+			continue // in without a retained out (ring overflow)
+		}
+		o := outs[0]
+		pendingOut[f.key] = outs[1:]
+		id++
+		emit(`{"name":"migration","cat":"mol","ph":"s","id":%d,"ts":%s,"pid":0,"tid":%d}`,
+			id, chromeTS(o.t), o.proc)
+		emit(`{"name":"migration","cat":"mol","ph":"f","bp":"e","id":%d,"ts":%s,"pid":0,"tid":%d}`,
+			id, chromeTS(f.t), f.proc)
+	}
+
+	if _, err := bw.WriteString("\n]}\n"); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// intn is the one draw randomCollector needs: *rand.Rand for the seeded
+// property, fuzzBytes for the fuzzer.
+type intn interface{ Intn(n int) int }
+
+// fuzzBytes draws from fuzz input, two bytes a draw; once it runs out every
+// draw is 0, which ends every loop of the generator.
+type fuzzBytes []byte
+
+func (s *fuzzBytes) Intn(n int) int {
+	if len(*s) < 2 {
+		return 0
+	}
+	v := int(binary.LittleEndian.Uint16(*s))
+	*s = (*s)[2:]
+	return v % n
+}
+
+// randomCollector draws a collector for the Chrome writer: 1-5 processors
+// with ids of one to four digits; rings of 4-128 events, so many wrap;
+// every Kind plus two out of range; span categories and policy codes one
+// past either end of their range; timestamps and durations whose nanosecond
+// fraction is 0, 1, 10, 100, 999 or anything; integer arguments up to the
+// int64 extremes; and migrations of nine objects among the processors, so
+// objects move several times and some migrate-ins outlive their
+// migrate-outs in the rings.
+func randomCollector(r intn) *Collector {
+	c := NewCollector(4 << r.Intn(6))
+	draw := func() substrate.Time {
+		fracs := [...]int64{0, 1, 10, 100, 999}
+		f := int64(r.Intn(1000))
+		if i := r.Intn(len(fracs) + 1); i < len(fracs) {
+			f = fracs[i]
+		}
+		return substrate.Time(int64(r.Intn(4))*1000 + f)
+	}
+	arg := func() int64 {
+		switch r.Intn(8) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64
+		default:
+			return int64(r.Intn(2000)) - 100
+		}
+	}
+	procs := 1 + r.Intn(5)
+	for p := 0; p < procs; p++ {
+		rec := c.attach([]int{p, 10 + p, 100 + p, 1000 + p}[r.Intn(4)])
+		var t substrate.Time
+		for n := r.Intn(200); n > 0; n-- {
+			t += draw()
+			k := Kind(r.Intn(int(NumKinds) + 2))
+			if k == NumKinds+1 {
+				k = 255
+			}
+			a, b, cc := arg(), arg(), arg()
+			obj := ObjKey(r.Intn(3), r.Intn(3))
+			var dur substrate.Time
+			switch k {
+			case EvSpan:
+				a, dur = int64(r.Intn(int(substrate.NumCategories)+2))-1, min(draw(), t)
+			case EvUnitEnd:
+				a, dur = obj, min(draw(), t)
+			case EvUnitBegin, EvRepair, EvReplay:
+				a = obj
+			case EvMigrateOut, EvMigrateIn:
+				a, b = int64(r.Intn(procs)), obj
+			case EvPolicy:
+				a = int64(r.Intn(5)) - 1
+			}
+			rec.Interval(k, t-dur, t, a, b, cc)
+		}
+	}
+	return c
+}
+
+// chromeCoverage names the cases of randomCollector's promise that c and
+// its Chrome output out exercise.
+func chromeCoverage(c *Collector, out []byte) []string {
+	var seen []string
+	if c.Dropped() > 0 {
+		seen = append(seen, "wrapped ring")
+	}
+	if bytes.Count(out, []byte(`"name":"migrate-in"`)) > bytes.Count(out, []byte(`"ph":"f"`)) {
+		seen = append(seen, "migrate-in without its migrate-out")
+	}
+	outs := map[int64]int{}
+	for _, r := range c.recs {
+		for e := range r.Events() {
+			seen = append(seen, "kind "+e.Kind.String(), fmt.Sprintf("fraction %d", e.T%1000))
+			switch {
+			case e.Kind == EvMigrateOut:
+				if outs[e.B]++; outs[e.B] == 2 {
+					seen = append(seen, "object migrating twice")
+				}
+			case e.Kind == EvSpan && substrate.Category(e.A).String() == "Unknown":
+				seen = append(seen, "category out of range")
+			case e.Kind == EvPolicy && PolicyName(e.A) == "unknown":
+				seen = append(seen, "policy code out of range")
+			}
+		}
+	}
+	return seen
+}
+
+// referenceDiff exports c with both writers and returns the output, and the
+// first line where the two differ ("" when they agree).
+func referenceDiff(c *Collector) (out []byte, diff string) {
+	var got, want bytes.Buffer
+	if err := c.WriteChrome(&got); err != nil {
+		return nil, err.Error()
+	}
+	if err := writeChromeReference(c, &want); err != nil {
+		return nil, err.Error()
+	}
+	g, w := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+	for i := 0; i < max(len(g), len(w)); i++ {
+		if i >= len(g) || i >= len(w) || !bytes.Equal(g[i], w[i]) {
+			return nil, fmt.Sprintf("output differs from the reference at line %d of %d (reference %d)\n got: %q\nwant: %q",
+				i+1, len(g), len(w), g[min(i, len(g)-1)], w[min(i, len(w)-1)])
+		}
+	}
+	return got.Bytes(), ""
+}
+
+// TestChromeMatchesReference is the encoder's contract: on any collector it
+// writes exactly the bytes of the fmt-based writer it replaced.
+func TestChromeMatchesReference(t *testing.T) {
+	covered := map[string]bool{}
+	for seed := int64(0); seed < 2000; seed++ {
+		c := randomCollector(rand.New(rand.NewSource(seed)))
+		out, diff := referenceDiff(c)
+		if diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+		for _, s := range chromeCoverage(c, out) {
+			covered[s] = true
+		}
+	}
+	want := []string{"wrapped ring", "migrate-in without its migrate-out", "object migrating twice",
+		"category out of range", "policy code out of range", "kind unknown",
+		"fraction 0", "fraction 1", "fraction 10", "fraction 100", "fraction 999"}
+	for k := Kind(0); k < NumKinds; k++ {
+		want = append(want, "kind "+k.String())
+	}
+	for _, s := range want {
+		if !covered[s] {
+			t.Errorf("no draw covered: %s", s)
+		}
+	}
+}
+
+// FuzzChromeExport drives randomCollector from fuzz bytes and holds the
+// encoder to the reference.
+func FuzzChromeExport(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{7, 1, 200, 3}, 64))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := fuzzBytes(in)
+		if _, diff := referenceDiff(randomCollector(&src)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
+// TestExportAllocsIndependentOfEvents is the cold-path twin of
+// TestHotPathZeroAlloc: both exporters read the rings in place and format
+// without boxing, so a 100x longer trace costs no more allocations; only the
+// flow list and its map grow, and only with migrations, which are held at
+// ten here.
+func TestExportAllocsIndependentOfEvents(t *testing.T) {
+	allocs := func(perRecorder int) (chrome, summarize float64) {
+		c := NewCollector(1 << 17)
+		for p := 0; p < 2; p++ {
+			r := c.attach(p)
+			for i := 0; i < perRecorder; i++ {
+				k := Kind(i % int(NumKinds))
+				if i >= 10 && (k == EvMigrateOut || k == EvMigrateIn) {
+					k = EvSend
+				}
+				r.Interval(k, substrate.Time(i)*1500, substrate.Time(i)*1500+700, ObjKey(p, i%4), int64(i), 64)
+			}
+		}
+		chrome = testing.AllocsPerRun(2, func() {
+			if err := c.WriteChrome(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		summarize = testing.AllocsPerRun(2, func() { Summarize(c, 0) })
+		return chrome, summarize
+	}
+	smallC, smallS := allocs(1_000)
+	bigC, bigS := allocs(100_000)
+	if bigC > smallC+4 || bigS > smallS+4 {
+		t.Errorf("allocations grow with the event count: WriteChrome %.0f -> %.0f, Summarize %.0f -> %.0f (1,000 -> 100,000 events per recorder)",
+			smallC, bigC, smallS, bigS)
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write, counting the
+// calls made after its first failure.
+type failingWriter struct {
+	limit, n   int
+	failed     bool
+	callsAfter int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.callsAfter++
+		return 0, errDiskFull
+	}
+	if w.n+len(p) <= w.limit {
+		w.n += len(p)
+		return len(p), nil
+	}
+	w.failed = true
+	n := w.limit - w.n
+	w.n = w.limit
+	return n, errDiskFull
+}
+
+// TestChromeStopsAtFirstWriteError: a failed write ends the export with its
+// error instead of formatting the rest of the trace into a dead writer.
+func TestChromeStopsAtFirstWriteError(t *testing.T) {
+	c := NewCollector(1 << 13)
+	for p := 0; p < 2; p++ {
+		r := c.attach(p)
+		for i := 0; i < 5000; i++ { // ~0.5 MB of JSON: many buffer flushes
+			r.Instant(EvSend, substrate.Time(i), 1, 2, 3)
+		}
+	}
+	w := &failingWriter{limit: 1 << 10}
+	if err := c.WriteChrome(w); !errors.Is(err, errDiskFull) {
+		t.Fatalf("WriteChrome into a writer that fails after 1 KiB returned %v, want %v", err, errDiskFull)
+	}
+	if !w.failed || w.callsAfter != 0 {
+		t.Errorf("writer failed: %v; Write calls after the failure: %d, want 0", w.failed, w.callsAfter)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fill")
+	}
+	if err := c.WriteChromeFile("/dev/full"); err == nil {
+		t.Error("WriteChromeFile onto a full device returned no error")
 	}
 }
