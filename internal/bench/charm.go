@@ -94,7 +94,7 @@ func runCharm(m substrate.Machine, w Workload, cfg CharmConfig) (*Result, error)
 			if cfg.SyncPoints > 0 {
 				strat = cfg.Strategy
 			}
-			rt := charm.NewRuntime(ep, charm.DefaultOptions(strat))
+			rt := charm.NewRuntime(ep, strat)
 			runtimes[ep.ID()] = rt
 
 			type chareState struct{ iter int }

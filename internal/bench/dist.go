@@ -31,7 +31,7 @@ func NewDistSpec(system string, w Workload) RunSpec {
 // every node as the Roster's opaque Spec bytes, so every node runs exactly
 // the configuration the coordinator decided — SPMD with centrally
 // distributed parameters.
-const runSpecVersion = 5
+const runSpecVersion = 6
 
 // Encode serializes the spec for Roster.Spec.
 func (s RunSpec) Encode() []byte {

@@ -104,7 +104,7 @@ func BuildMeshCostsJobs(cfg MeshExpConfig, jobs int) *MeshCosts {
 		row := make([]float64, len(subs))
 		for s, b := range subs {
 			if cfg.UseMesher {
-				m := mesh.Generate(b, crack, mesh.DefaultMesherConfig())
+				m := mesh.Generate(b, crack, mesh.MesherConfig{})
 				row[s] = float64(m.NumTets())
 			} else {
 				row[s] = mesh.EstimateElements(b, crack, 6)
@@ -171,8 +171,8 @@ func runMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts, shards int) 
 		pc.PollEvery = 1
 		return runPrema(m, w, app, pc)
 	case "repartition":
-		// The benchmark's parmetis; these four fields are all that the two
-		// calibrations differ in.
+		// The benchmark's parmetis, with every ParmetisConfig field
+		// recalibrated.
 		pc := DefaultParmetisConfig()
 		pc.WaterMark = 2 * mean
 		pc.WarrantPerProc = 0

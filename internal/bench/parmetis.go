@@ -32,19 +32,9 @@ type ParmetisConfig struct {
 	WarrantPerProc float64
 	// RoundInterval is the minimum spacing between repartition rounds.
 	RoundInterval sim.Time
-	// ReportInterval is how often an idle processor re-reports underload to
-	// the root (each report can trigger another round once RoundInterval
-	// has elapsed; in the declined regime this yields the paper's repeated
-	// synchronization cost).
-	ReportInterval sim.Time
-	// Alpha is the URA Relative Cost Factor.
-	Alpha float64
-	// PartitionBaseCPU + PartitionPerUnitCPU model the virtual CPU cost of
-	// one partition calculation over n outstanding units.
-	PartitionBaseCPU    sim.Time
+	// PartitionPerUnitCPU is the virtual CPU cost of one partition
+	// calculation per outstanding unit, on top of partitionBaseCPU.
 	PartitionPerUnitCPU sim.Time
-	// IdleTick bounds idle blocking.
-	IdleTick sim.Time
 }
 
 // DefaultParmetisConfig returns the calibrated configuration for the paper
@@ -54,13 +44,25 @@ func DefaultParmetisConfig() ParmetisConfig {
 		WaterMark:           12,
 		WarrantPerProc:      45,
 		RoundInterval:       15 * sim.Second,
-		ReportInterval:      5 * sim.Second,
-		Alpha:               0.1,
-		PartitionBaseCPU:    100 * sim.Millisecond,
 		PartitionPerUnitCPU: 150 * sim.Microsecond,
-		IdleTick:            200 * sim.Millisecond,
 	}
 }
+
+// The protocol settings that the benchmark's parmetis and the mesh
+// experiment's repartition share; ParmetisConfig holds the ones they differ
+// in. The URA's Relative Cost Factor is parmetis.DefaultOptions' α.
+const (
+	// reportInterval is how often an idle processor re-reports underload to
+	// the root (each report can trigger another round once RoundInterval
+	// has elapsed; in the declined regime this yields the paper's repeated
+	// synchronization cost).
+	reportInterval = 5 * sim.Second
+	// partitionBaseCPU is the fixed virtual CPU cost of one partition
+	// calculation.
+	partitionBaseCPU = 100 * sim.Millisecond
+	// idleTick bounds idle blocking.
+	idleTick = 200 * sim.Millisecond
+)
 
 // runRepartition is the one stop-and-repartition protocol (see
 // ParmetisConfig), on any application. A work-list entry is one unfinished
@@ -181,7 +183,7 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				// as ParMETIS computes it in parallel, but the answer is the
 				// same everywhere, so the host computes it once.
 				pl := plan(round, lists)
-				ep.Advance(cfg.PartitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(pl.entries), sim.CatPartition)
+				ep.Advance(partitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(pl.entries), sim.CatPartition)
 				if me == 0 {
 					rounds++
 					if pl.apply {
@@ -256,12 +258,12 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 					}
 					continue
 				}
-				if !reported || ep.Now() >= lastReport+cfg.ReportInterval {
+				if !reported || ep.Now() >= lastReport+reportInterval {
 					reported = true
 					lastReport = ep.Now()
 					c.SendTagged(0, hUnder, nil, 8, sim.TagSystem)
 				}
-				ep.WaitMsgFor(cfg.IdleTick, sim.CatIdle)
+				ep.WaitMsgFor(idleTick, sim.CatIdle)
 			}
 		})
 	}
@@ -334,7 +336,6 @@ func planRound(round int, lists map[int][]int, w Workload, app application, cfg 
 		}
 	}
 	opt := parmetis.DefaultOptions()
-	opt.Alpha = cfg.Alpha
 	opt.Part.Seed = w.Seed + int64(round)
 	newPart := parmetis.AdaptiveRepart(b.Build(), w.Procs, oldPart, opt)
 	for i, e := range all {

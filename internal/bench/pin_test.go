@@ -111,12 +111,15 @@ var pinned = []pinRow{
 	{"charm-sync4 fig5 32x16", 96003675200, 0xe87bd441640c1979, "chares_migrated=0 lb_steps=3"},
 	{"charm-sync4 fig6 8x6", 43002092920, 0x5d0fe45fba853bbc, "chares_migrated=2 lb_steps=3"},
 	{"charm-sync4 fig6 32x16", 96003451200, 0xf5a718d41b93ec71, "chares_migrated=0 lb_steps=3"},
+	// Recorded while multi-list advertisements could still be given a
+	// time-to-live.
+	{"prema-multilist fig3 32x16", 130305355800, 0x4e9dd7273c914da8, "units_run=512"},
 }
 
 // TestDriversPinned holds the drivers to the recorded outcomes: parmetis on
 // Figures 3-6 at three scales and with the warrant forced both ways, the
-// three mesh regimes at three scales, the hybrid example's makespans, and
-// both charm rows on Figures 3-6 at two scales.
+// three mesh regimes at three scales, the hybrid example's makespans, both
+// charm rows on Figures 3-6 at two scales, and multi-list on Figure 3.
 func TestDriversPinned(t *testing.T) {
 	var got []pinRow
 	add := func(name string, counters func(*Result) string, r *Result, err error) {
@@ -185,6 +188,9 @@ func TestDriversPinned(t *testing.T) {
 			}
 		}
 	}
+
+	r, err := RunSystem("prema-multilist", PaperWorkload(Figures()[0], 32, 16))
+	add("prema-multilist fig3 32x16", sortedCounters, r, err)
 
 	if len(got) != len(pinned) {
 		t.Errorf("%d rows, %d pinned", len(got), len(pinned))

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"prema/internal/sim"
 )
 
 // validSpec is a spelled-out spec every rule accepts: prema-implicit on an
@@ -262,7 +260,6 @@ func fullSpec(t *testing.T) RunSpec {
 		},
 		UnitsPerProc: 8, Jobs: 2, Stride: 4,
 	}
-	s.W.Network = sim.NetworkConfig{Latency: 1, PerByte: 2, SendCPU: 3, RecvCPU: 4}
 	var zero func(path string, v reflect.Value)
 	zero = func(path string, v reflect.Value) {
 		if v.Kind() == reflect.Struct {
@@ -290,9 +287,13 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip changed the spec:\n got %+v\nwant %+v", got, want)
 	}
-	if z, err := DecodeRunSpec(RunSpec{}.Encode()); err != nil || !reflect.DeepEqual(z, RunSpec{}) {
+	zeroEnc := RunSpec{}.Encode()
+	if z, err := DecodeRunSpec(zeroEnc); err != nil || !reflect.DeepEqual(z, RunSpec{}) {
 		t.Errorf("zero spec: %+v, %v", z, err)
 	}
+	// An older premad or coordinator speaks version 5, whose zero spec is
+	// one zero byte per leaf, four leaves (Workload.Network) more than today.
+	v5 := append([]byte{5}, make([]byte, len(zeroEnc)-1+4)...)
 	unreliable := want
 	unreliable.Reliable = false
 	badBool := unreliable.Encode()
@@ -307,7 +308,7 @@ func TestRunSpecRoundTrip(t *testing.T) {
 		"truncated":     enc[:len(enc)/2],
 		"trailing byte": append(append([]byte{}, enc...), 0),
 		"second value":  append(append([]byte{}, enc...), enc...),
-		"old version":   append([]byte{runSpecVersion - 1}, enc[1:]...),
+		"version 5":     v5,
 		"string length": append([]byte{runSpecVersion, 0xff, 0xff, 0x03}, enc[2:]...),
 		"bad bool":      badBool,
 	} {

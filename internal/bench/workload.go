@@ -53,9 +53,6 @@ type Workload struct {
 	UnitBytes int
 	// Seed drives all randomized decisions.
 	Seed int64
-	// Network overrides the interconnect model (zero value = Fast Ethernet
-	// defaults).
-	Network sim.NetworkConfig
 	// Shards is the simulator's parallel event-loop shard count (<= 1 =
 	// serial); processors are placed on shards in contiguous ID blocks (see
 	// simConfig). Every report, hash, and trace is byte-identical for every
@@ -164,13 +161,13 @@ func (w Workload) application() application {
 	}
 }
 
-// simConfig assembles the simulator configuration for this workload:
-// network model, seed, shard count, and the one processor→shard placement —
-// contiguous blocks, shard id*S/P for processor id.
+// simConfig assembles the simulator configuration for this workload: the
+// default (Fast Ethernet) network, seed, shard count, and the one
+// processor→shard placement — contiguous blocks, shard id*S/P for processor
+// id.
 func (w Workload) simConfig() sim.Config {
 	procs := w.Procs
 	return sim.Config{
-		Network:   w.Network,
 		Seed:      w.Seed,
 		Shards:    w.Shards,
 		Partition: func(id, shards int) int { return id * shards / procs },

@@ -45,32 +45,17 @@ type Chare struct {
 	resume   EntryID
 }
 
-// Options configures a Runtime.
-type Options struct {
-	// Strategy picks the central load balancing strategy invoked at AtSync
-	// barriers; nil disables rebalancing (AtSync still synchronizes).
-	Strategy Strategy
-	// SchedCPU is pick-and-process overhead charged per scheduled message.
-	SchedCPU substrate.Time
-	// StrategyCPUPerChare prices the central strategy computation at the
+const (
+	// schedCPU is pick-and-process overhead charged per scheduled message.
+	schedCPU = 5 * substrate.Microsecond
+	// strategyCPUPerChare prices the central strategy computation at the
 	// root, charged per database record.
-	StrategyCPUPerChare substrate.Time
-	// MigrateFixed is fixed per-chare migration overhead in bytes.
-	MigrateFixed int
-	// IdleTick bounds idle blocking in the scheduler loop.
-	IdleTick substrate.Time
-}
-
-// DefaultOptions returns options matching the experiments.
-func DefaultOptions(s Strategy) Options {
-	return Options{
-		Strategy:            s,
-		SchedCPU:            5 * substrate.Microsecond,
-		StrategyCPUPerChare: 2 * substrate.Microsecond,
-		MigrateFixed:        64,
-		IdleTick:            50 * substrate.Millisecond,
-	}
-}
+	strategyCPUPerChare = 2 * substrate.Microsecond
+	// migrateFixed is fixed per-chare migration overhead in bytes.
+	migrateFixed = 64
+	// idleTick bounds idle blocking in the scheduler loop.
+	idleTick = 50 * substrate.Millisecond
+)
 
 // ChareLoad is one database record shipped to the central strategy.
 type ChareLoad struct {
@@ -107,9 +92,11 @@ type migrateMsg struct{ Chare *Chare }
 
 // Runtime is one processor's Charm-style runtime.
 type Runtime struct {
-	p   substrate.Endpoint
-	c   *dmcs.Comm
-	opt Options
+	p substrate.Endpoint
+	c *dmcs.Comm
+	// strategy is the central load balancing strategy invoked at AtSync
+	// barriers; nil disables rebalancing (AtSync still synchronizes).
+	strategy Strategy
 
 	entries []EntryMethod
 	chares  map[int]*Chare
@@ -147,11 +134,12 @@ type Stats struct {
 	SyncWaitTime substrate.Time
 }
 
-// NewRuntime builds a Charm-style runtime on one processor's endpoint. SPMD
+// NewRuntime builds a Charm-style runtime on one processor's endpoint,
+// balancing with strategy at AtSync barriers (nil: never rebalance). SPMD
 // discipline applies: all processors construct runtimes and register entry
 // methods in the same order.
-func NewRuntime(p substrate.Endpoint, opt Options) *Runtime {
-	rt := &Runtime{p: p, c: dmcs.New(p), opt: opt,
+func NewRuntime(p substrate.Endpoint, strategy Strategy) *Runtime {
+	rt := &Runtime{p: p, c: dmcs.New(p), strategy: strategy,
 		chares: make(map[int]*Chare), contributions: make(map[int]contributionMsg)}
 	rt.hInvoke = rt.c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 		rt.enqueue(data.(*invokeMsg))
@@ -316,12 +304,12 @@ func (rt *Runtime) maybeRunStrategy() {
 	sort.Slice(all, func(i, j int) bool { return all[i].Index < all[j].Index })
 
 	rt.Stats.LBSteps++
-	if d := rt.opt.StrategyCPUPerChare * substrate.Time(len(all)); d > 0 {
+	if d := strategyCPUPerChare * substrate.Time(len(all)); d > 0 {
 		rt.p.Advance(d, substrate.CatScheduling)
 	}
 	newLoc := append([]int(nil), rt.loc...)
-	if rt.opt.Strategy != nil {
-		for idx, proc := range rt.opt.Strategy.Remap(all, rt.p.NumPeers()) {
+	if rt.strategy != nil {
+		for idx, proc := range rt.strategy.Remap(all, rt.p.NumPeers()) {
 			newLoc[idx] = proc
 		}
 	}
@@ -344,7 +332,7 @@ func (rt *Runtime) applyMapping(newLoc []int) {
 			ch := rt.chares[i]
 			delete(rt.chares, i)
 			rt.Stats.CharesMoved++
-			rt.c.Send(newLoc[i], rt.hMigrate, migrateMsg{ch}, ch.Size+rt.opt.MigrateFixed)
+			rt.c.Send(newLoc[i], rt.hMigrate, migrateMsg{ch}, ch.Size+migrateFixed)
 		}
 	}
 	expect := 0
@@ -402,9 +390,7 @@ func (rt *Runtime) Step() bool {
 	if len(rt.queue) > 0 && !rt.lbWaiting {
 		m := rt.queue[0]
 		rt.queue = rt.queue[1:]
-		if rt.opt.SchedCPU > 0 {
-			rt.p.Advance(rt.opt.SchedCPU, substrate.CatScheduling)
-		}
+		rt.p.Advance(schedCPU, substrate.CatScheduling)
 		ch := rt.chares[m.Index]
 		if ch == nil {
 			rt.enqueue(m) // moved while queued locally: chase it
@@ -423,7 +409,7 @@ func (rt *Runtime) Step() bool {
 		return true
 	}
 	start := rt.p.Now()
-	rt.p.WaitMsgFor(rt.opt.IdleTick, substrate.CatIdle)
+	rt.p.WaitMsgFor(idleTick, substrate.CatIdle)
 	if rt.lbWaiting {
 		rt.Stats.SyncWaitTime += rt.p.Now() - start
 	}

@@ -118,7 +118,7 @@ func charmApp(t *testing.T, nprocs, n, iters int, sync bool, strat Strategy, wei
 	e := sim.NewEngine(sim.Config{Seed: 21})
 	for pid := 0; pid < nprocs; pid++ {
 		e.Spawn(fmt.Sprintf("p%d", pid), func(p *sim.Proc) {
-			rt := NewRuntime(p, DefaultOptions(strat))
+			rt := NewRuntime(p, strat)
 			// Per-chare state must live in Chare.Data so it migrates with
 			// the chare.
 			type chareState struct{ iter int }
@@ -225,7 +225,7 @@ func TestEntryAtomicity(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 2})
 	var pokedAt sim.Time
 	e.Spawn("p0", func(p *sim.Proc) {
-		rt := NewRuntime(p, DefaultOptions(nil))
+		rt := NewRuntime(p, nil)
 		hPoke := rt.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
 			pokedAt = p.Now()
 			rt.stopped = true
@@ -239,7 +239,7 @@ func TestEntryAtomicity(t *testing.T) {
 		rt.Run()
 	})
 	e.Spawn("p1", func(p *sim.Proc) {
-		rt := NewRuntime(p, DefaultOptions(nil))
+		rt := NewRuntime(p, nil)
 		hPoke := rt.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {})
 		rt.RegisterEntry(func(rt *Runtime, ch *Chare, src int, data any) {})
 		rt.CreateArray(1, func(i int) (any, int) { return nil, 0 })
@@ -294,7 +294,7 @@ func TestInvokeRoutesAfterMigration(t *testing.T) {
 	var ranOn, hops int
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			rt := NewRuntime(p, DefaultOptions(nil))
+			rt := NewRuntime(p, nil)
 			eTouch := rt.RegisterEntry(func(rt *Runtime, ch *Chare, src int, data any) {
 				ranOn = rt.p.ID()
 				hops = rt.Stats.ForwardHops
@@ -329,7 +329,7 @@ func TestInvokeRoutesAfterMigration(t *testing.T) {
 func TestLookupAndLocal(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	e.Spawn("p0", func(p *sim.Proc) {
-		rt := NewRuntime(p, DefaultOptions(nil))
+		rt := NewRuntime(p, nil)
 		rt.RegisterEntry(func(rt *Runtime, ch *Chare, src int, data any) {})
 		rt.CreateArray(5, func(i int) (any, int) { return i * i, 8 })
 		local := rt.Local()

@@ -155,10 +155,7 @@ func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 // load, and the adaptive repartitioner balances them while minimizing
 // migration (no communication edges are available at this interface, so the
 // objective reduces to balance + movement).
-type MetisLB struct {
-	// Alpha is the relative cost factor handed to the repartitioner.
-	Alpha float64
-}
+type MetisLB struct{}
 
 // Name implements Strategy.
 func (m MetisLB) Name() string { return "metis" }
@@ -178,11 +175,7 @@ func (m MetisLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 		oldPart[i] = c.Proc
 	}
 	g := b.Build()
-	opt := parmetis.DefaultOptions()
-	if m.Alpha > 0 {
-		opt.Alpha = m.Alpha
-	}
-	newPart := parmetis.AdaptiveRepart(g, nprocs, oldPart, opt)
+	newPart := parmetis.AdaptiveRepart(g, nprocs, oldPart, parmetis.DefaultOptions())
 	out := make(map[int]int, len(sorted))
 	for i, c := range sorted {
 		out[c.Index] = newPart[i]

@@ -25,13 +25,13 @@ import (
 //     re-observed stream data. Acks are unsequenced control messages
 //     (Kind = ackKind, system-tagged) and may themselves be lost; a later
 //     ack or a retransmission-triggered re-ack repairs that.
-//   - Senders buffer unacked messages and retransmit the whole unacked
-//     window when a per-stream deadline expires, doubling the timeout up to
-//     RTOMax (capped exponential backoff) and resetting it on forward
-//     progress. Retransmission is driven entirely off the existing poll
-//     loop — Poll/PollTag/WaitPollFor tick the protocol — so an idle
-//     processor blocked in ilb's WaitPollFor(IdleTick) wakes and
-//     retransmits without any dedicated thread.
+//   - Senders buffer unacked messages and retransmit the head of the unacked
+//     window (up to retransmitBurst messages) when a per-stream deadline
+//     expires, doubling the timeout up to RTOMax (capped exponential
+//     backoff) and resetting it on forward progress. Retransmission is
+//     driven entirely off the existing poll loop — Poll/PollTag/WaitPollFor
+//     tick the protocol — so an idle processor blocked in ilb's idle-tick
+//     WaitPollFor wakes and retransmits without any dedicated thread.
 //
 // All protocol CPU is charged through the normal substrate categories
 // (sends and receives to CatMessaging), so a faulted run's extra cost shows
@@ -61,26 +61,25 @@ type RelConfig struct {
 	// DrainTimeout hard-bounds Quiesce; a crashed peer that will never ack
 	// cannot hold shutdown hostage beyond this.
 	DrainTimeout substrate.Time
-	// RetransmitBurst caps how many unacked messages a single stream resends
-	// per timeout. Plain go-back-N resends the whole window, which on a slow
-	// or stalled receiver turns every timeout into a message storm that can
-	// starve the very acks that would stop it; capping keeps the protocol
-	// stable (the head of the window is always resent, so progress is
-	// preserved).
-	RetransmitBurst int
 }
 
 // DefaultRelConfig returns the tuning used by the chaos experiments.
 func DefaultRelConfig() RelConfig {
 	return RelConfig{
-		Enabled:         true,
-		RTO:             50 * substrate.Millisecond,
-		RTOMax:          1 * substrate.Second,
-		Linger:          200 * substrate.Millisecond,
-		DrainTimeout:    60 * substrate.Second,
-		RetransmitBurst: 16,
+		Enabled:      true,
+		RTO:          50 * substrate.Millisecond,
+		RTOMax:       1 * substrate.Second,
+		Linger:       200 * substrate.Millisecond,
+		DrainTimeout: 60 * substrate.Second,
 	}
 }
+
+// retransmitBurst caps how many unacked messages a single stream resends per
+// timeout. Plain go-back-N resends the whole window, which on a slow or
+// stalled receiver turns every timeout into a message storm that can starve
+// the very acks that would stop it; capping keeps the protocol stable (the
+// head of the window is always resent, so progress is preserved).
+const retransmitBurst = 16
 
 // RelStats counts reliable-mode protocol activity on one endpoint.
 type RelStats struct {
@@ -186,9 +185,6 @@ func (c *Comm) EnableReliable(cfg RelConfig) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = def.DrainTimeout
-	}
-	if cfg.RetransmitBurst <= 0 {
-		cfg.RetransmitBurst = def.RetransmitBurst
 	}
 	c.rel = &reliable{
 		cfg:  cfg,
@@ -447,8 +443,8 @@ func (c *Comm) tick() {
 		r.stats.Timeouts++
 		r.lastActivity = now
 		burst := st.pending
-		if len(burst) > r.cfg.RetransmitBurst {
-			burst = burst[:r.cfg.RetransmitBurst]
+		if len(burst) > retransmitBurst {
+			burst = burst[:retransmitBurst]
 		}
 		for _, pm := range burst {
 			r.stats.Retransmits++

@@ -53,13 +53,6 @@ type Config struct {
 	WaterMark float64
 	// PollInterval is the implicit-mode polling thread period.
 	PollInterval substrate.Time
-	// PollCost is the CPU cost of one polling-thread wake-up.
-	PollCost substrate.Time
-	// ScheduleCPU is scheduler bookkeeping charged per executed unit.
-	ScheduleCPU substrate.Time
-	// IdleTick bounds how long an idle processor blocks before re-engaging
-	// the policy.
-	IdleTick substrate.Time
 	// PollEvery is how many work units the application executes between
 	// posted polling operations while it has work (it always polls when
 	// idle). 1 (the default) polls between every unit; larger values model
@@ -75,12 +68,19 @@ func DefaultConfig(mode Mode) Config {
 		Mode:         mode,
 		WaterMark:    10,
 		PollInterval: 10 * substrate.Millisecond,
-		PollCost:     4 * substrate.Microsecond,
-		ScheduleCPU:  3 * substrate.Microsecond,
-		IdleTick:     50 * substrate.Millisecond,
 		PollEvery:    1,
 	}
 }
+
+const (
+	// pollCost is the CPU cost of one polling-thread wake-up.
+	pollCost = 4 * substrate.Microsecond
+	// scheduleCPU is scheduler bookkeeping charged per executed unit.
+	scheduleCPU = 3 * substrate.Microsecond
+	// idleTick bounds how long an idle processor blocks before re-engaging
+	// the policy.
+	idleTick = 50 * substrate.Millisecond
+)
 
 // Unit is one schedulable work unit: an in-order mol message waiting to run
 // its handler on a local object.
@@ -346,7 +346,7 @@ func (s *Scheduler) checkLoad() {
 // so a processor deep inside a long work unit still repairs lost messages.
 //
 // The quiet polls in between — nothing queued, no retransmission due — do
-// nothing but cost PollCost, so the substrate is told the whole stretch at
+// nothing but cost pollCost, so the substrate is told the whole stretch at
 // once (substrate.AdvancePolled) and comes back at the first poll that has
 // work; a substrate that cannot look ahead comes back after every poll.
 func (s *Scheduler) Compute(d substrate.Time) {
@@ -361,7 +361,7 @@ func (s *Scheduler) Compute(d substrate.Time) {
 	}
 	ps := substrate.PollSpec{
 		Interval: s.cfg.PollInterval,
-		Cost:     s.cfg.PollCost,
+		Cost:     pollCost,
 		Tag:      substrate.TagSystem,
 		AnyTag:   s.c.Reliable(), // its pump drains every tag
 	}
@@ -390,9 +390,7 @@ func (s *Scheduler) execute(u *Unit) {
 		// a replayed duplicate, skipped to keep execution exactly-once.
 		return
 	}
-	if s.cfg.ScheduleCPU > 0 {
-		s.p.Advance(s.cfg.ScheduleCPU, substrate.CatScheduling)
-	}
+	s.p.Advance(scheduleCPU, substrate.CatScheduling)
 	s.current = u
 	s.Stats.UnitsRun++
 	key := trace.ObjKey(u.Obj.MP.Home, u.Obj.MP.Index)
@@ -450,7 +448,7 @@ func (s *Scheduler) Step() bool {
 	// and retransmits before going back to sleep, so an idle processor
 	// repairs lost messages without a dedicated thread. (The polling
 	// thread's PollTag does the same during long computations.)
-	s.c.WaitPollFor(s.cfg.IdleTick, substrate.CatIdle)
+	s.c.WaitPollFor(idleTick, substrate.CatIdle)
 	return true
 }
 

@@ -171,14 +171,13 @@ func TestPollThreadCostAccounted(t *testing.T) {
 	e.Spawn("p", func(p *sim.Proc) {
 		cfg := DefaultConfig(Implicit)
 		cfg.PollInterval = 10 * sim.Millisecond
-		cfg.PollCost = 5 * sim.Microsecond
 		l := mol.New(dmcs.New(p), mol.DefaultConfig())
 		s := New(l, cfg, NopPolicy{})
 		s.Compute(100 * sim.Millisecond) // 9 interior wakeups
 		if s.Stats.PollWakes != 9 {
 			t.Errorf("poll wakes = %d, want 9", s.Stats.PollWakes)
 		}
-		if got := p.Account()[sim.CatPollThread]; got != 45*sim.Microsecond {
+		if got := p.Account()[sim.CatPollThread]; got != 9*pollCost {
 			t.Errorf("poll thread time = %v", got)
 		}
 		if got := p.Account()[sim.CatCompute]; got != 100*sim.Millisecond {

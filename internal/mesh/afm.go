@@ -22,27 +22,23 @@ func (m *Mesh) NumTets() int { return len(m.Tets) }
 
 // MesherConfig tunes the advancing front process.
 type MesherConfig struct {
-	// ApexFactor scales the sizing field's h into the apex offset distance.
-	ApexFactor float64
-	// SnapFactor scales h into the radius within which an ideal apex snaps
-	// to an existing active front vertex.
-	SnapFactor float64
-	// MinQuality rejects tets whose volume is below MinQuality * h^3/6.
-	MinQuality float64
 	// MaxSteps caps the advancing loop (0 = derive from an element
 	// estimate).
 	MaxSteps int
 }
 
-// DefaultMesherConfig returns the configuration used by the experiments.
-func DefaultMesherConfig() MesherConfig {
-	return MesherConfig{
-		ApexFactor: 0.8,
-		SnapFactor: 0.65,
-		MinQuality: 0.02,
-		MaxSteps:   0,
-	}
-}
+const (
+	// apexFactor scales the sizing field's h into the apex offset distance.
+	apexFactor = 0.8
+	// shortApexFactor is the last-resort apex offset, 0.4*apexFactor as a
+	// float64 product: the constant expression would fold to exactly 0.32.
+	shortApexFactor = 0.32000000000000006
+	// snapFactor scales h into the radius within which an ideal apex snaps
+	// to an existing active front vertex.
+	snapFactor = 0.65
+	// minQuality rejects tets whose volume is below minQuality * h^3/6.
+	minQuality = 0.02
+)
 
 // Generate meshes the box with the sizing field using an advancing front:
 // the box surface is triangulated on a conforming lattice, every surface
@@ -127,9 +123,6 @@ type mesher struct {
 }
 
 func newMesher(b Box, f SizingField, cfg MesherConfig) *mesher {
-	if cfg.ApexFactor <= 0 {
-		cfg = DefaultMesherConfig()
-	}
 	// Cell size: an upper bound on snapping radius. Sample the field.
 	maxH := 0.0
 	for _, p := range []Vec3{b.Lo, b.Hi, b.Center()} {
@@ -486,16 +479,16 @@ func (m *mesher) buildTet(f *face) bool {
 	g := a.Add(b).Add(c).Scale(1.0 / 3)
 	n := TriNormal(a, b, c)
 	h := m.sizing.H(g)
-	ideal := g.Add(n.Scale(m.cfg.ApexFactor * h))
+	ideal := g.Add(n.Scale(apexFactor * h))
 
 	// Candidates: nearby active front vertices (nearest first), then the
 	// fresh ideal point if it is inside the domain.
-	cands := m.nearActive(ideal, m.cfg.SnapFactor*h)
+	cands := m.nearActive(ideal, snapFactor*h)
 	// A second, wider net catches closing fronts.
 	if len(cands) == 0 {
 		cands = m.nearActive(ideal, 1.3*h)
 	}
-	minVol := m.cfg.MinQuality * h * h * h / 6
+	minVol := minQuality * h * h * h / 6
 	try := func(apex int32) bool {
 		if apex == f.v[0] || apex == f.v[1] || apex == f.v[2] {
 			return false
@@ -553,7 +546,7 @@ func (m *mesher) buildTet(f *face) bool {
 	}
 	// Last resort: a shorter fresh apex (half offset) for faces squeezed
 	// near the boundary.
-	short := g.Add(n.Scale(0.4 * m.cfg.ApexFactor * h))
+	short := g.Add(n.Scale(shortApexFactor * h))
 	if m.box.Contains(short) {
 		v := int32(len(m.verts))
 		m.verts = append(m.verts, short)

@@ -120,14 +120,8 @@ type Stats struct {
 // ILB layer overrides it to enqueue schedulable work units.
 type DeliverFunc func(l *Layer, obj *Object, env *Envelope)
 
-// Config tunes the layer's cost model and routing behaviour.
+// Config tunes the layer's routing behaviour.
 type Config struct {
-	// ForwardCPU is charged on a processor that forwards a misdelivered
-	// message toward the object's current location.
-	ForwardCPU substrate.Time
-	// MigrateFixed is the fixed payload overhead of a migration message,
-	// added to Object.Size.
-	MigrateFixed int
 	// NotifyOrigin, when true, makes a forwarding processor send the
 	// message's origin a location-cache update so later sends short-cut the
 	// chain. When false, stale caches keep paying forwarding hops
@@ -137,12 +131,17 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{
-		ForwardCPU:   5 * substrate.Microsecond,
-		MigrateFixed: 64,
-		NotifyOrigin: true,
-	}
+	return Config{NotifyOrigin: true}
 }
+
+const (
+	// forwardCPU is charged on a processor that forwards a misdelivered
+	// message toward the object's current location.
+	forwardCPU = 5 * substrate.Microsecond
+	// migrateFixed is the fixed payload overhead of a migration message,
+	// added to Object.Size.
+	migrateFixed = 64
+)
 
 // Layer is the processor-local mobile object layer endpoint.
 type Layer struct {
@@ -414,9 +413,7 @@ func (l *Layer) forward(env *Envelope) {
 	if env.Hops > 1<<16 {
 		panic("mol: forwarding loop for " + env.MP.String())
 	}
-	if l.cfg.ForwardCPU > 0 {
-		l.Proc().Advance(l.cfg.ForwardCPU, substrate.CatMessaging)
-	}
+	l.Proc().Advance(forwardCPU, substrate.CatMessaging)
 	l.tr.Instant(trace.EvForward, l.Proc().Now(), int64(next), int64(env.Hops), int64(env.Size))
 	l.c.SendTagged(next, l.hEnvelope, env, env.Size+envelopeHeader, env.Tag)
 	if l.cfg.NotifyOrigin && env.Origin != l.Proc().ID() && next != env.Origin {
@@ -444,7 +441,7 @@ func (l *Layer) Migrate(mp MobilePtr, dst int) error {
 	if l.OnMigrateOut != nil {
 		extra = l.OnMigrateOut(obj)
 	}
-	size := obj.Size + l.cfg.MigrateFixed + 16*len(obj.hold)
+	size := obj.Size + migrateFixed + 16*len(obj.hold)
 	l.tr.Instant(trace.EvMigrateOut, l.Proc().Now(), int64(dst), trace.ObjKey(mp.Home, mp.Index), int64(size))
 	l.c.SendTagged(dst, l.hMigrate, &migration{obj: obj, extra: extra}, size, substrate.TagSystem)
 	if l.rp != nil {

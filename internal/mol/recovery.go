@@ -80,7 +80,7 @@ func (l *Layer) Restore(ck *recov.Checkpoint, host int) {
 		if host == me {
 			l.installRecovered(ck)
 		} else {
-			l.c.SendTagged(host, l.hRestore, ck, ck.Size+l.cfg.MigrateFixed, substrate.TagSystem)
+			l.c.SendTagged(host, l.hRestore, ck, ck.Size+migrateFixed, substrate.TagSystem)
 			if _, resident := l.objects[mp]; !resident {
 				l.lastKnown[mp] = host
 			}

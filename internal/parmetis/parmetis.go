@@ -64,7 +64,7 @@ func AdaptiveRepart(g *graph.Graph, k int, oldPart []int, opt Options) []int {
 	// straddle old parts — both remap and diffusion need that invariant.
 	levels := partition.Coarsen(g, popt.CoarsenTo*k, rng, oldPart)
 	coarse := levels[len(levels)-1].Graph()
-	coarseOld := projectDown(levels, oldPart)
+	coarseOld := projectDownTo(levels, len(levels)-1, oldPart)
 
 	// 2a. Scratch-remap candidate.
 	scratch := partition.Partition(coarse, k, popt)
@@ -97,22 +97,8 @@ func AdaptiveRepart(g *graph.Graph, k int, oldPart []int, opt Options) []int {
 	return cur
 }
 
-// projectDown maps a fine-level labeling to the coarsest level (coarse
-// vertex inherits any constituent's label; with local matching they agree).
-func projectDown(levels []partition.Level, fine []int) []int {
-	cur := fine
-	for li := 0; li < len(levels)-1; li++ {
-		cmap := levels[li].CMap()
-		next := make([]int, levels[li+1].Graph().NumVertices())
-		for v, c := range cmap {
-			next[c] = cur[v]
-		}
-		cur = next
-	}
-	return append([]int(nil), cur...)
-}
-
-// projectDownTo maps the finest labeling down to level li.
+// projectDownTo maps the finest labeling down to level li (a coarse vertex
+// inherits any constituent's label; with local matching they agree).
 func projectDownTo(levels []partition.Level, li int, fine []int) []int {
 	cur := fine
 	for l := 0; l < li; l++ {

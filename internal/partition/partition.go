@@ -22,12 +22,15 @@ type Options struct {
 	// CoarsenTo stops coarsening once the graph has at most this many
 	// vertices (default 64).
 	CoarsenTo int
-	// InitTries is how many random greedy-growing bisections to attempt,
-	// keeping the best (default 4).
-	InitTries int
-	// RefinePasses bounds FM passes per uncoarsening level (default 6).
-	RefinePasses int
 }
+
+const (
+	// initTries is how many random greedy-growing bisections to attempt,
+	// keeping the best.
+	initTries = 4
+	// refinePasses bounds FM passes per uncoarsening level.
+	refinePasses = 6
+)
 
 func (o Options) withDefaults() Options {
 	if o.Imbalance <= 0 {
@@ -35,12 +38,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 64
-	}
-	if o.InitTries <= 0 {
-		o.InitTries = 4
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 6
 	}
 	return o
 }
@@ -151,7 +148,7 @@ func initialBisection(g *graph.Graph, frac float64, opt Options, rng *rand.Rand)
 	bestCut := int64(-1)
 	bestBal := 1e18
 	target := int64(float64(g.TotalVWgt()) * frac)
-	for try := 0; try < opt.InitTries; try++ {
+	for try := 0; try < initTries; try++ {
 		side := growRegion(g, target, rng)
 		cut := graph.EdgeCut(g, side)
 		bal := balanceError(g, side, frac)

@@ -51,7 +51,7 @@ func refine2(g *graph.Graph, side []int, frac float64, opt Options) {
 		}
 		return true
 	}
-	for pass := 0; pass < opt.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		// Restore balance.
 		for w0 > max0 {
 			if !moveBest(0) {
@@ -185,7 +185,7 @@ func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, o
 		wgt[to] += g.VWgt[v]
 		part[v] = to
 	}
-	for pass := 0; pass < opt.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		// Rebalance overweight parts.
 		for iter := 0; iter < n; iter++ {
 			heavy := -1

@@ -121,29 +121,6 @@ func TestMultiListMovesWorkThroughLists(t *testing.T) {
 	}
 }
 
-func TestMultiListExpiredAdsAreNacked(t *testing.T) {
-	// With a tiny TTL, ads expire before consumers fetch; no work moves, but
-	// nothing breaks (claims verified at the advertiser anyway).
-	var pols []*MultiList
-	e := policyCluster(t, 2, 6, 1500*sim.Millisecond, func() ilb.Policy {
-		cfg := DefaultMLConfig()
-		cfg.HighMark = 0.2
-		cfg.LowMark = 0.1
-		cfg.AdTTL = sim.Microsecond
-		m := NewMultiList(cfg)
-		pols = append(pols, m)
-		return m
-	})
-	_ = e
-	served := 0
-	for _, m := range pols {
-		served += m.Stats.ClaimsServed
-	}
-	if served != 0 {
-		t.Fatalf("expired ads should not serve claims, served=%d", served)
-	}
-}
-
 func TestDiffusionSingleProcNoNeighbors(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	e.Spawn("solo", func(p *sim.Proc) {

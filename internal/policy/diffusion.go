@@ -10,10 +10,6 @@ import (
 type DiffConfig struct {
 	// Period between load-information exchanges with the neighborhood.
 	Period substrate.Time
-	// Alpha is the diffusion coefficient: the fraction of a pairwise load
-	// difference pushed per exchange. Cybenko's stable choice for a
-	// d-dimensional hypercube is 1/(d+1); 0 selects that automatically.
-	Alpha float64
 	// MinTransfer is the smallest load difference (hinted seconds) worth a
 	// migration; differences below it are left to even out naturally.
 	MinTransfer float64
@@ -21,7 +17,8 @@ type DiffConfig struct {
 	MaxObjects int
 }
 
-// DefaultDiffConfig returns the configuration used in tests and ablations.
+// DefaultDiffConfig returns the configuration the prema-diffusion system
+// starts from.
 func DefaultDiffConfig() DiffConfig {
 	return DiffConfig{
 		Period:      100 * substrate.Millisecond,
@@ -39,16 +36,19 @@ type DiffStats struct {
 // Diffusion implements Cybenko-style first-order diffusive load balancing
 // within a fixed neighborhood (hypercube when the processor count is a power
 // of two, ring otherwise). Each period a processor advertises its load to
-// its neighbors; on hearing a lighter neighbor it pushes Alpha times the
+// its neighbors; on hearing a lighter neighbor it pushes alpha times the
 // difference. Entirely asynchronous: no barriers, only neighborhood
 // messages, matching the paper's description of PREMA's policy suite.
 type Diffusion struct {
 	cfg       DiffConfig
 	neighbors []int
-	alpha     float64
-	next      substrate.Time
-	hLoad     dmcs.HandlerID
-	Stats     DiffStats
+	// alpha is the diffusion coefficient: the fraction of a pairwise load
+	// difference pushed per exchange, Cybenko's stable choice 1/(d+1) for d
+	// neighbors.
+	alpha float64
+	next  substrate.Time
+	hLoad dmcs.HandlerID
+	Stats DiffStats
 }
 
 // NewDiffusion returns a diffusion policy instance (one per processor).
@@ -70,10 +70,7 @@ func (d *Diffusion) Setup(s *ilb.Scheduler) {
 	me := s.Proc().ID()
 	n := s.Proc().NumPeers()
 	d.neighbors = neighborhood(me, n)
-	d.alpha = d.cfg.Alpha
-	if d.alpha <= 0 {
-		d.alpha = 1.0 / float64(len(d.neighbors)+1)
-	}
+	d.alpha = 1.0 / float64(len(d.neighbors)+1)
 	d.hLoad = s.Comm().Register(func(c *dmcs.Comm, src int, data any, size int) {
 		d.onLoadInfo(s, src, data.(float64))
 	})

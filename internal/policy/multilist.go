@@ -17,15 +17,10 @@ type MLConfig struct {
 	// LowMark: a processor with less hinted load than this fetches from the
 	// lists.
 	LowMark float64
-	// AdTTL, when positive, makes list owners discard advertisements older
-	// than this. The default (0) never expires ads: staleness is caught at
-	// claim time anyway (the advertiser verifies the object is still
-	// queued), and early expiry starves consumers that go hungry long after
-	// producers advertised.
-	AdTTL substrate.Time
 }
 
-// DefaultMLConfig returns the configuration used in tests and ablations.
+// DefaultMLConfig returns the configuration the prema-multilist system
+// starts from.
 func DefaultMLConfig() MLConfig {
 	return MLConfig{HighMark: 30, LowMark: 10}
 }
@@ -46,7 +41,9 @@ type MLStats struct {
 // own first), and the list owner redirects the claim to the advertiser,
 // which migrates the object if it is still queued. The global lists give
 // better machine-wide balance than pairwise stealing at the cost of an extra
-// indirection — the trade-off Wu's thesis studies.
+// indirection — the trade-off Wu's thesis studies. Advertisements never
+// expire: staleness is caught at claim time, and expiry would starve
+// consumers that go hungry long after producers advertised.
 type MultiList struct {
 	cfg MLConfig
 
@@ -67,7 +64,6 @@ type ad struct {
 	mp     mol.MobilePtr
 	host   int
 	weight float64
-	posted substrate.Time
 }
 
 // NewMultiList returns a multi-list policy instance (one per processor).
@@ -87,9 +83,7 @@ type claimMsg struct {
 func (m *MultiList) Setup(s *ilb.Scheduler) {
 	c := s.Comm()
 	m.hPost = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-		a := data.(ad)
-		a.posted = s.Proc().Now()
-		m.ads = append(m.ads, a)
+		m.ads = append(m.ads, data.(ad))
 	})
 	m.hFetch = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 		m.serveFetch(s, src)
@@ -133,7 +127,6 @@ func (m *MultiList) post(s *ilb.Scheduler) {
 		m.advertised[obj.MP] = true
 		m.Stats.AdsPosted++
 		if list == s.Proc().ID() {
-			a.posted = s.Proc().Now()
 			m.ads = append(m.ads, a)
 		} else {
 			s.Comm().SendTagged(list, m.hPost, a, 48, substrate.TagSystem)
@@ -163,22 +156,15 @@ func (m *MultiList) maybeFetch(s *ilb.Scheduler) {
 	s.Comm().SendTagged(list, m.hFetch, nil, 16, substrate.TagSystem)
 }
 
-// serveFetch (at a list owner) hands the heaviest live advertisement to the
+// serveFetch (at a list owner) hands the heaviest advertisement to the
 // claimer by redirecting to the advertiser.
 func (m *MultiList) serveFetch(s *ilb.Scheduler, claimer int) {
-	now := s.Proc().Now()
 	best, bestIdx := ad{}, -1
-	live := m.ads[:0]
-	for _, a := range m.ads {
-		if m.cfg.AdTTL > 0 && now-a.posted > m.cfg.AdTTL {
-			continue // expired
-		}
-		live = append(live, a)
+	for i, a := range m.ads {
 		if bestIdx < 0 || a.weight > best.weight {
-			best, bestIdx = a, len(live)-1
+			best, bestIdx = a, i
 		}
 	}
-	m.ads = live
 	if bestIdx < 0 {
 		m.reply(s, claimer, false)
 		return

@@ -50,7 +50,7 @@ func TestNeighborhoodRing(t *testing.T) {
 }
 
 func TestDefaultConfigs(t *testing.T) {
-	if c := DefaultWSConfig(); c.MaxObjects <= 0 || c.Backoff <= 0 {
+	if c := DefaultWSConfig(); c.MaxObjects <= 0 {
 		t.Fatal("ws defaults")
 	}
 	if c := DefaultDiffConfig(); c.Period <= 0 || c.MaxObjects <= 0 {
@@ -149,7 +149,6 @@ func TestAutoWaterMarkTracksLatency(t *testing.T) {
 			l := mol.New(dmcs.New(p), mol.DefaultConfig())
 			cfg := DefaultWSConfig()
 			cfg.AutoWaterMark = true
-			cfg.Safety = 3
 			ws := NewWorkStealing(cfg)
 			lbCfg := ilb.DefaultConfig(ilb.Explicit)
 			lbCfg.WaterMark = 0.01

@@ -2,16 +2,13 @@ package policy
 
 import (
 	"prema/internal/mol"
-	"prema/internal/substrate"
 	"prema/internal/wire"
 )
 
 // Wire codecs for the balancing policies' control traffic. Work stealing's
 // nack/grant ride builtin kinds (nil / int), diffusion broadcasts a builtin
 // float64, and multi-list's fetch is nil — only the structured payloads
-// need codecs here. Every field crosses the wire, including ad.posted: the
-// receiver restamps it with its own clock, but carrying the sender's value
-// keeps decode(encode(x)) == x exact for the round-trip tests.
+// need codecs here.
 func init() {
 	wire.Register(wire.KindPolicySteal, stealRequest{},
 		func(w *wire.Writer, v any) { w.F64(v.(stealRequest).Load) },
@@ -24,15 +21,9 @@ func init() {
 			w.Int(a.mp.Index)
 			w.Int(a.host)
 			w.F64(a.weight)
-			w.I64(int64(a.posted))
 		},
 		func(r *wire.Reader) any {
-			a := ad{}
-			a.mp = mol.MobilePtr{Home: r.Int(), Index: r.Int()}
-			a.host = r.Int()
-			a.weight = r.F64()
-			a.posted = substrate.Time(r.I64())
-			return a
+			return ad{mp: mol.MobilePtr{Home: r.Int(), Index: r.Int()}, host: r.Int(), weight: r.F64()}
 		})
 
 	wire.Register(wire.KindPolicyClaim, claimMsg{},

@@ -17,36 +17,34 @@ type WSConfig struct {
 	// particularly coarse-grained objects; larger values migrate several
 	// finer-grained objects at once (paper footnote 2).
 	MaxObjects int
-	// KeepFactor is the fraction of the victim's estimated load it must
-	// retain; a victim donates only down to KeepFactor*load, and never below
-	// one queued unit.
-	KeepFactor float64
-	// Backoff is how long a requester rests after a full unsuccessful sweep
-	// of potential victims.
-	Backoff substrate.Time
-	// RequestSize/payload bytes for request and control messages.
-	RequestSize int
 	// AutoWaterMark, when true, continuously re-derives the scheduler's
 	// water-mark from measured steal response latencies: the threshold
-	// becomes Safety x the smoothed round-trip time, so requests go out
+	// becomes safety x the smoothed round-trip time, so requests go out
 	// early enough that replacement work arrives before the processor runs
 	// dry — the platform-determined threshold the paper proposes as future
 	// work (§4.2).
 	AutoWaterMark bool
-	// Safety is the AutoWaterMark multiplier (default 3).
-	Safety float64
 }
 
 // DefaultWSConfig returns the work stealing configuration used in the
 // experiments.
 func DefaultWSConfig() WSConfig {
-	return WSConfig{
-		MaxObjects:  4,
-		KeepFactor:  0.5,
-		Backoff:     250 * substrate.Millisecond,
-		RequestSize: 32,
-	}
+	return WSConfig{MaxObjects: 4}
 }
+
+const (
+	// keepFactor is the fraction of the victim's estimated load it must
+	// retain; a victim donates only down to keepFactor*load, and never below
+	// one queued unit.
+	keepFactor = 0.5
+	// backoff is how long a requester rests after a full unsuccessful sweep
+	// of potential victims.
+	backoff = 250 * substrate.Millisecond
+	// requestSize is the payload bytes of request and control messages.
+	requestSize = 32
+	// safety is the AutoWaterMark multiplier.
+	safety = 3
+)
 
 // WSStats counts work stealing activity on one processor.
 type WSStats struct {
@@ -126,7 +124,7 @@ func (w *WorkStealing) Setup(s *ilb.Scheduler) {
 		if w.nacksInSweep >= s.Proc().NumPeers()-1 {
 			// Full unsuccessful sweep: the machine looks empty; rest.
 			w.nacksInSweep = 0
-			w.backoffUntil = s.Proc().Now() + w.cfg.Backoff
+			w.backoffUntil = s.Proc().Now() + backoff
 			return
 		}
 		w.maybeRequest(s)
@@ -176,7 +174,7 @@ func (w *WorkStealing) maybeRequest(s *ilb.Scheduler) {
 	w.outstanding = true
 	w.Stats.Requests++
 	w.requestedAt = s.Proc().Now()
-	s.Comm().SendTagged(w.partner, w.hRequest, stealRequest{Load: s.Load()}, w.cfg.RequestSize, substrate.TagSystem)
+	s.Comm().SendTagged(w.partner, w.hRequest, stealRequest{Load: s.Load()}, requestSize, substrate.TagSystem)
 }
 
 // observeRTT folds one steal response latency into the smoothed estimate
@@ -188,14 +186,9 @@ func (w *WorkStealing) observeRTT(s *ilb.Scheduler) {
 	} else {
 		w.rttEWMA = 0.8*w.rttEWMA + 0.2*sample
 	}
-	if !w.cfg.AutoWaterMark {
-		return
+	if w.cfg.AutoWaterMark {
+		s.SetWaterMark(safety * w.rttEWMA)
 	}
-	safety := w.cfg.Safety
-	if safety <= 0 {
-		safety = 3
-	}
-	s.SetWaterMark(safety * w.rttEWMA)
 }
 
 // serveRequest runs at the victim (at a poll in explicit mode; from the
@@ -204,12 +197,12 @@ func (w *WorkStealing) serveRequest(s *ilb.Scheduler, src int, req stealRequest)
 	donated := w.donate(s, src, req.Load)
 	if donated == 0 {
 		w.Stats.NacksServed++
-		s.Comm().SendTagged(src, w.hNack, nil, w.cfg.RequestSize, substrate.TagSystem)
+		s.Comm().SendTagged(src, w.hNack, nil, requestSize, substrate.TagSystem)
 		return
 	}
 	w.Stats.GrantsServed++
 	w.Stats.ObjectsSent += donated
-	s.Comm().SendTagged(src, w.hGrant, donated, w.cfg.RequestSize, substrate.TagSystem)
+	s.Comm().SendTagged(src, w.hGrant, donated, requestSize, substrate.TagSystem)
 }
 
 // donate migrates up to MaxObjects queued objects toward equalizing the two
@@ -223,7 +216,7 @@ func (w *WorkStealing) donate(s *ilb.Scheduler, dst int, requesterLoad float64) 
 	}
 	myLoad := s.Load()
 	target := (myLoad - requesterLoad) / 2
-	keep := myLoad * w.cfg.KeepFactor
+	keep := myLoad * keepFactor
 	if target <= 0 {
 		return 0
 	}

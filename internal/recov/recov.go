@@ -70,13 +70,14 @@ type Config struct {
 	// the machine's timescale), so it must comfortably exceed scheduling
 	// jitter — see bench.RunSpec.LeaseTimeout.
 	LeaseTimeout substrate.Time
-	// CheckpointFixed is the modeled per-object cost of taking a snapshot,
-	// charged to substrate.CatMessaging. Zero selects the default (10µs).
-	CheckpointFixed substrate.Time
-	// CheckpointPerByte is the modeled per-byte serialization/transfer cost
-	// of a snapshot. Zero selects the default (10ns).
-	CheckpointPerByte substrate.Time
 }
+
+// The modeled cost of a checkpoint: per object snapshotted and per byte
+// serialized, charged to substrate.CatMessaging.
+const (
+	checkpointFixed   = 10 * substrate.Microsecond
+	checkpointPerByte = 10 * substrate.Nanosecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.CheckpointInterval <= 0 {
@@ -84,12 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 500 * substrate.Millisecond
-	}
-	if c.CheckpointFixed <= 0 {
-		c.CheckpointFixed = 10 * substrate.Microsecond
-	}
-	if c.CheckpointPerByte <= 0 {
-		c.CheckpointPerByte = 10 * substrate.Nanosecond
 	}
 	return c
 }
@@ -426,7 +421,7 @@ func (p *Proc) CheckpointDue() bool {
 // cost for the caller to charge to its ledger.
 func (p *Proc) FinishCheckpoint(objects, bytes int) substrate.Time {
 	st := p.st
-	cost := st.cfg.CheckpointFixed*substrate.Time(objects) + st.cfg.CheckpointPerByte*substrate.Time(bytes)
+	cost := checkpointFixed*substrate.Time(objects) + checkpointPerByte*substrate.Time(bytes)
 	st.mu.Lock()
 	st.stats.Checkpoints++
 	st.stats.CheckpointObjects += objects

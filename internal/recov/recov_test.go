@@ -253,14 +253,9 @@ func TestLostUnits(t *testing.T) {
 }
 
 // TestCheckpointTimerAndCost: the periodic timer re-arms and the modeled
-// cost follows the configured fixed/per-byte rates.
+// cost follows the fixed/per-byte rates.
 func TestCheckpointTimerAndCost(t *testing.T) {
-	cfg := Config{
-		CheckpointInterval: 500 * substrate.Millisecond,
-		CheckpointFixed:    10 * substrate.Microsecond,
-		CheckpointPerByte:  10 * substrate.Nanosecond,
-	}
-	st := NewStore(cfg)
+	st := NewStore(Config{CheckpointInterval: 500 * substrate.Millisecond})
 	ep := &fakeEP{id: 0}
 	p := st.Join(ep)
 	if p.CheckpointDue() {
@@ -271,7 +266,7 @@ func TestCheckpointTimerAndCost(t *testing.T) {
 		t.Fatal("checkpoint not due after one interval")
 	}
 	cost := p.FinishCheckpoint(2, 1000)
-	want := 2*10*substrate.Microsecond + 1000*10*substrate.Nanosecond
+	want := 2*checkpointFixed + 1000*checkpointPerByte
 	if cost != want {
 		t.Errorf("cost = %v, want %v", cost, want)
 	}

@@ -167,6 +167,12 @@ func newRecorder(proc, capacity int) *Recorder {
 // through Collector + Wrap; this entry point exists for benchmarks and tests
 // that exercise the hot path directly.
 func NewRecorder(proc, ringCap int) *Recorder {
+	return newRecorder(proc, ringSize(ringCap))
+}
+
+// ringSize is the capacity a ring asked for ringCap events gets: ringCap
+// rounded up to a power of two, DefaultRingCap when ringCap <= 0.
+func ringSize(ringCap int) int {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
@@ -174,7 +180,7 @@ func NewRecorder(proc, ringCap int) *Recorder {
 	for p < ringCap {
 		p <<= 1
 	}
-	return newRecorder(proc, p)
+	return p
 }
 
 // Span records a contiguous interval attributed to cat. Zero-length spans
@@ -277,14 +283,7 @@ type Collector struct {
 // ringCap events (rounded up to a power of two; <= 0 selects
 // DefaultRingCap).
 func NewCollector(ringCap int) *Collector {
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
-	p := 1
-	for p < ringCap {
-		p <<= 1
-	}
-	return &Collector{ringCap: p}
+	return &Collector{ringCap: ringSize(ringCap)}
 }
 
 // attach creates the recorder for the next spawned processor.
