@@ -26,8 +26,8 @@ import (
 func main() {
 	cfg := bench.DefaultHybridConfig()
 	fmt.Printf("hybrid end-to-end application: %d procs, %d subdomains, %d phases "+
-		"(refine -> solve x%d)\n\n", cfg.Procs, cfg.NumSubdomains(), cfg.NumPhases, cfg.SolveIters)
-	mc := bench.BuildHybridCosts(cfg)
+		"(refine -> solve x%d)\n\n", cfg.Procs, cfg.NumSubdomains(), cfg.Iterations, cfg.SolveIters)
+	mc := bench.BuildMeshCosts(cfg.MeshExpConfig)
 
 	type row struct {
 		name string

@@ -60,11 +60,7 @@ func charmWeight(w Workload, cfg CharmConfig, chares int, offsets []int, c, it i
 	return w.Light
 }
 
-// RunCharm executes the synthetic benchmark on the Charm-style runtime.
-func RunCharm(w Workload, cfg CharmConfig) (*Result, error) {
-	return runCharm(w.simMachine(), w, cfg)
-}
-
+// runCharm executes the synthetic benchmark on the Charm-style runtime.
 func runCharm(m substrate.Machine, w Workload, cfg CharmConfig) (*Result, error) {
 	name := "charm"
 	iters := 1

@@ -71,11 +71,11 @@ func TestCharmSyncAdaptiveVsPersistent(t *testing.T) {
 	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 16, 16)
 	persistent := CharmConfig{SyncPoints: 4, Strategy: charm.GreedyLB{}, Shuffle: false}
 	adaptive := CharmConfig{SyncPoints: 4, Strategy: charm.RefineLB{}, Shuffle: true}
-	rp, err := RunCharm(w, persistent)
+	rp, err := runCharm(w.simMachine(), w, persistent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := RunCharm(w, adaptive)
+	ra, err := runCharm(w.simMachine(), w, adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,13 @@ func TestHybridSystemsRunAndConserveWork(t *testing.T) {
 	cfg := DefaultHybridConfig()
 	cfg.Procs = 8
 	cfg.Grid = [3]int{4, 2, 2}
-	cfg.NumPhases = 4
+	cfg.Iterations = 4
 	cfg.SolveIters = 4
-	mc := BuildHybridCosts(cfg)
+	mc := BuildMeshCosts(cfg.MeshExpConfig)
 	var want float64
 	for _, row := range mc.Tets {
 		for _, tets := range row {
-			want += tets * (cfg.PerTetRefine.Seconds() + float64(cfg.SolveIters)*cfg.PerTetSolve.Seconds())
+			want += tets * (cfg.PerTet.Seconds() + float64(cfg.SolveIters)*cfg.PerTetSolve.Seconds())
 		}
 	}
 	for _, sys := range HybridSystems {
@@ -32,7 +32,7 @@ func TestHybridSystemsRunAndConserveWork(t *testing.T) {
 // both single-mechanism regimes.
 func TestHybridUnifiedWins(t *testing.T) {
 	cfg := DefaultHybridConfig()
-	mc := BuildHybridCosts(cfg)
+	mc := BuildMeshCosts(cfg.MeshExpConfig)
 	results := map[string]*Result{}
 	for _, sys := range HybridSystems {
 		r, err := RunHybrid(sys, cfg, mc)

@@ -148,6 +148,16 @@ func (mc *MeshCosts) meanWeight(cfg MeshExpConfig) float64 {
 	return mc.TotalWork(cfg).Seconds() / float64(cfg.NumSubdomains()*cfg.Iterations)
 }
 
+// meshPrema is the PREMA configuration refinement runs under: implicit
+// mode, the water-mark at the mean refinement cost, a poll after every unit.
+// balance false is the no-balancing baseline.
+func meshPrema(balance bool, mean float64) PremaConfig {
+	pc := DefaultPremaConfig(ilb.Implicit, balance)
+	pc.WaterMark = mean
+	pc.PollEvery = 1
+	return pc
+}
+
 // MeshSystems lists the experiment's three regimes.
 var MeshSystems = []string{"none", "prema-implicit", "repartition"}
 
@@ -166,10 +176,7 @@ func runMeshSystem(system string, cfg MeshExpConfig, mc *MeshCosts, shards int) 
 	m := w.simMachine()
 	switch system {
 	case "none", "prema-implicit":
-		pc := DefaultPremaConfig(ilb.Implicit, system != "none")
-		pc.WaterMark = mean
-		pc.PollEvery = 1
-		return runPrema(m, w, app, pc)
+		return runPrema(m, w, app, meshPrema(system != "none", mean))
 	case "repartition":
 		// The benchmark's parmetis, with every ParmetisConfig field
 		// recalibrated.

@@ -75,19 +75,9 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 	rounds := 0
 	migrated := 0
 	declined := 0
-	// The round's plan, built by the first processor to ask; processors on
-	// other shard workers may ask at once. One slot is enough: asking for
-	// round r+1 takes everyone's r+1 list, sent only after leaving round r.
-	var mu sync.Mutex
-	var slot *repartPlan
-	plan := func(round int, lists map[int][]int) *repartPlan {
-		mu.Lock()
-		defer mu.Unlock()
-		if slot == nil || slot.round != round {
-			slot = planRound(round, lists, w, app, cfg)
-		}
-		return slot
-	}
+	var plans planCache
+	// A vertex weighs the hinted seconds its entry still stands for, in ms.
+	weight := func(e int) int64 { return max(1, int64(app.remaining(e)*1000)) }
 	for p := 0; p < w.Procs; p++ {
 		m.Spawn(fmt.Sprintf("p%03d", p), func(ep substrate.Endpoint) {
 			c := dmcs.New(ep)
@@ -182,7 +172,9 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				// Partition calculation: every processor is charged for it,
 				// as ParMETIS computes it in parallel, but the answer is the
 				// same everywhere, so the host computes it once.
-				pl := plan(round, lists)
+				pl := plans.get(round, func() *repartPlan {
+					return planRound(round, lists, w, app, cfg.WarrantPerProc, weight)
+				})
 				ep.Advance(partitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(pl.entries), sim.CatPartition)
 				if me == 0 {
 					rounds++
@@ -294,9 +286,32 @@ type repartPlan struct {
 	moved    int   // entries that change owner
 }
 
-// planRound builds round's plan from every processor's list. An object in
-// two lists breaks conservation; that is a protocol bug, so it panics.
-func planRound(round int, lists map[int][]int, w Workload, app application, cfg ParmetisConfig) *repartPlan {
+// planCache holds the current round's plan, built by the first processor to
+// ask; processors on other shard workers may ask at once. One slot is
+// enough: asking for round r+1 takes everyone's r+1 list, sent only after
+// leaving round r.
+type planCache struct {
+	mu   sync.Mutex
+	slot *repartPlan
+}
+
+// get returns round's plan, calling build only if the slot holds another.
+// build runs under the lock, so askers of one round wait for its one build;
+// it must not ask the cache itself.
+func (c *planCache) get(round int, build func() *repartPlan) *repartPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slot == nil || c.slot.round != round {
+		c.slot = build()
+	}
+	return c.slot
+}
+
+// planRound builds round's plan from every processor's list: the URA's
+// answer, with weight(e) as entry e's vertex weight, if the outstanding
+// hinted work per processor reaches warrant. An object in two lists breaks
+// conservation; that is a protocol bug, so it panics.
+func planRound(round int, lists map[int][]int, w Workload, app application, warrant float64, weight func(e int) int64) *repartPlan {
 	n := app.objects
 	pl := &repartPlan{round: round, owner: slices.Repeat([]int{-1}, n), arrivals: make([]int, w.Procs)}
 	entry := make([]int, n)
@@ -320,15 +335,15 @@ func planRound(round int, lists map[int][]int, w Workload, app application, cfg 
 		}
 	}
 	pl.entries = len(all)
-	pl.apply = outstandingHinted/float64(w.Procs) >= cfg.WarrantPerProc && len(all) > 0
+	pl.apply = outstandingHinted/float64(w.Procs) >= warrant && len(all) > 0
 	if !pl.apply {
 		return pl
 	}
-	// URA on the live objects, weighted by their hints and joined by the
-	// application's adjacency, if it has one.
+	// URA on the live objects, joined by the application's adjacency, if it
+	// has one.
 	b := graph.NewBuilder(len(all))
 	for i, e := range all {
-		b.SetVWgt(i, max(1, int64(app.remaining(e)*1000)))
+		b.SetVWgt(i, weight(e))
 	}
 	for _, pr := range app.edges {
 		if pl.owner[pr[0]] >= 0 && pl.owner[pr[1]] >= 0 {

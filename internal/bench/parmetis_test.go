@@ -3,18 +3,20 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestPlanRound: the round plan on a clean exchange — every live object gets
-// an owner, a finished one none, and the arrivals add up to the moves — and
-// on a doctored one, where an object listed twice is a conservation break
-// reported with the round and both processors.
+// an owner, a finished one none, and the arrivals add up to the moves — the
+// vertex weights reaching the URA, and a doctored exchange, where an object
+// listed twice is a conservation break reported with the round and both
+// processors.
 func TestPlanRound(t *testing.T) {
 	w := PaperWorkload(Figures()[0], 4, 6)
 	app := w.application()
-	cfg := DefaultParmetisConfig()
-	cfg.WarrantPerProc = 0
+	hinted := func(e int) int64 { return max(1, int64(app.remaining(e)*1000)) }
 	// Processor 0 holds most of the work, so the repartition moves some;
 	// object 22 has finished.
 	lists := map[int][]int{}
@@ -35,7 +37,10 @@ func TestPlanRound(t *testing.T) {
 		oldOwner[obj] = q
 	}
 
-	pl := planRound(7, lists, w, app, cfg)
+	if pl := planRound(7, lists, w, app, 1e9, hinted); pl.apply || pl.moved != 0 {
+		t.Errorf("plan under an unmet warrant: apply=%v moved=%d", pl.apply, pl.moved)
+	}
+	pl := planRound(7, lists, w, app, 0, hinted)
 	if !pl.apply || pl.entries != w.Units-1 || pl.round != 7 {
 		t.Fatalf("plan apply=%v entries=%d round=%d, want true %d 7", pl.apply, pl.entries, pl.round, w.Units-1)
 	}
@@ -59,6 +64,18 @@ func TestPlanRound(t *testing.T) {
 		t.Errorf("arrivals %v (sum %d), moved %d; owners imply %v", pl.arrivals, sum, pl.moved, arrivals)
 	}
 
+	// One object outweighing all the others together changes the answer,
+	// whatever the hints say.
+	heavy := func(e int) int64 {
+		if e == 3 {
+			return 1 << 20
+		}
+		return 1
+	}
+	if hp := planRound(7, lists, w, app, 0, heavy); reflect.DeepEqual(hp.owner, pl.owner) {
+		t.Errorf("vertex weights did not reach the URA: owners %v under both weightings", hp.owner)
+	}
+
 	lists[2] = append(lists[2], 5) // object 5 is processor 0's
 	defer func() {
 		want := "parmetis round 7: object 5 listed by 0 and 2"
@@ -66,7 +83,41 @@ func TestPlanRound(t *testing.T) {
 			t.Errorf("doctored lists: panic %v, want %q", r, want)
 		}
 	}()
-	planRound(7, lists, w, app, cfg)
+	planRound(7, lists, w, app, 0, hinted)
+}
+
+// TestPlanCache: processors asking for one round at once get one plan, built
+// once (run it with -race); asking for the next round rebuilds it.
+func TestPlanCache(t *testing.T) {
+	var c planCache
+	var builds atomic.Int32
+	build := func(round int) func() *repartPlan {
+		return func() *repartPlan {
+			builds.Add(1)
+			return &repartPlan{round: round}
+		}
+	}
+	got := make([]*repartPlan, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.get(3, build(3))
+		}()
+	}
+	wg.Wait()
+	for i, pl := range got {
+		if pl != got[0] || pl.round != 3 {
+			t.Fatalf("asker %d got plan %p for round %d, asker 0 %p", i, pl, pl.round, got[0])
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one round", n)
+	}
+	if pl := c.get(4, build(4)); pl.round != 4 || builds.Load() != 2 {
+		t.Fatalf("next round: plan for round %d after %d builds, want 4 after 2", pl.round, builds.Load())
+	}
 }
 
 // TestRepartitionShardInvariant: the round plan is built by whichever

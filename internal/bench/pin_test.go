@@ -174,7 +174,7 @@ func TestDriversPinned(t *testing.T) {
 	}
 
 	hc := DefaultHybridConfig()
-	hmc := BuildHybridCosts(hc)
+	hmc := BuildMeshCosts(hc.MeshExpConfig)
 	for _, sys := range HybridSystems {
 		r, err := RunHybrid(sys, hc, hmc)
 		add("hybrid "+sys, func(*Result) string { return "" }, r, err)

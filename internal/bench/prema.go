@@ -68,6 +68,28 @@ func DefaultPremaConfig(mode ilb.Mode, balance bool) PremaConfig {
 	}
 }
 
+// options is one processor's runtime configuration under cfg, with store's
+// recovery (nil: none). Each call builds a fresh policy.
+func (cfg PremaConfig) options(w Workload, store *recov.Store) core.Options {
+	lbCfg := ilb.DefaultConfig(cfg.Mode)
+	lbCfg.WaterMark = cfg.WaterMark
+	if cfg.PollInterval > 0 {
+		lbCfg.PollInterval = cfg.PollInterval
+	}
+	if cfg.PollEvery > 0 {
+		lbCfg.PollEvery = cfg.PollEvery
+	}
+	opts := core.Options{LB: lbCfg, Mol: mol.DefaultConfig(), Rel: cfg.Rel, Recovery: store}
+	if cfg.Balance {
+		if cfg.Policy != nil {
+			opts.Policy = cfg.Policy(w)
+		} else {
+			opts.Policy = policy.NewWorkStealing(cfg.WS)
+		}
+	}
+	return opts
+}
+
 // RunPremaOn executes the synthetic benchmark on any execution substrate —
 // the application and runtime code is identical on the simulator and the
 // real-concurrency machine; only the machine passed in differs.
@@ -108,23 +130,8 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 	// peers resume sequenced delivery to the fresh transport streams.
 	body := func(rejoin bool) func(substrate.Endpoint) {
 		return func(ep substrate.Endpoint) {
-			lbCfg := ilb.DefaultConfig(cfg.Mode)
-			lbCfg.WaterMark = cfg.WaterMark
-			if cfg.PollInterval > 0 {
-				lbCfg.PollInterval = cfg.PollInterval
-			}
-			if cfg.PollEvery > 0 {
-				lbCfg.PollEvery = cfg.PollEvery
-			}
-			opts := core.Options{LB: lbCfg, Mol: mol.DefaultConfig(), Rel: cfg.Rel, Recovery: store}
-			if cfg.Balance {
-				if cfg.Policy != nil {
-					opts.Policy = cfg.Policy(w)
-				} else {
-					opts.Policy = policy.NewWorkStealing(cfg.WS)
-				}
-				policies[ep.ID()], _ = opts.Policy.(*policy.WorkStealing)
-			}
+			opts := cfg.options(w, store)
+			policies[ep.ID()], _ = opts.Policy.(*policy.WorkStealing)
 			r := core.NewRuntime(ep, opts)
 
 			done := 0

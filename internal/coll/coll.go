@@ -1,23 +1,21 @@
-// Package coll provides collective operations — barrier, broadcast,
-// all-gather, all-reduce — built on the DMCS active-message layer. PREMA
-// itself never needs them (its whole point is avoiding global
-// synchronization), but loosely synchronous phases (field solvers,
-// stop-and-repartition) do, and the paper's future-work direction —
-// end-to-end applications mixing asynchronous and loosely synchronous
-// phases (§6) — is reproduced in this repository's hybrid experiment using
-// this package.
+// Package coll provides the two collective operations — barrier and
+// all-gather — that the loosely synchronous phases of the paper's
+// future-work direction (§6, end-to-end applications mixing asynchronous and
+// loosely synchronous phases) need, built on the DMCS active-message layer.
+// PREMA itself never needs them (its whole point is avoiding global
+// synchronization); this repository's hybrid experiment is their one user.
 //
-// All collectives are root-gathered, linear-fan implementations (gather to
-// processor 0, scatter back): simple, deterministic, and a fair model of
-// small-cluster MPI collectives over Ethernet. Every processor must
-// construct its Coll in the same SPMD order and call the same sequence of
-// collectives; each call site blocks until the collective completes, with
-// blocked time charged to substrate.CatSync.
+// Both are root-gathered, linear-fan implementations (gather to processor
+// 0, scatter back): simple, deterministic, and a fair model of small-cluster
+// MPI collectives over Ethernet. Every processor must construct its Coll in
+// the same SPMD order and call the same sequence of collectives; each call
+// site blocks until the collective completes, with blocked time charged to
+// substrate.CatSync. The payloads have no wire codec, so a collective sent
+// through wire.Wrap panics naming its type.
 package coll
 
 import (
 	"fmt"
-	"sort"
 
 	"prema/internal/dmcs"
 	"prema/internal/substrate"
@@ -32,7 +30,7 @@ type Coll struct {
 	seq      int                 // collective sequence number
 	gathered map[int]map[int]any // root: contributions keyed by seq then proc
 	released bool                // non-root: result arrived
-	result   any                 // the broadcast/reduce result
+	result   any                 // the combined result
 	hGather  dmcs.HandlerID      // contribution to root
 	hRelease dmcs.HandlerID      // root -> all: result
 }
@@ -114,13 +112,6 @@ func (cl *Coll) Barrier() {
 	cl.run(nil, 8, func(map[int]any) (any, int) { return nil, 8 })
 }
 
-// Broadcast returns root's data on every processor (data is ignored on
-// non-root processors).
-func (cl *Coll) Broadcast(data any, size int) any {
-	out := cl.run(data, size, func(g map[int]any) (any, int) { return g[0], size })
-	return out
-}
-
 // AllGather returns every processor's contribution, indexed by processor.
 func (cl *Coll) AllGather(data any, size int) []any {
 	out := cl.run(data, size, func(g map[int]any) (any, int) {
@@ -131,36 +122,4 @@ func (cl *Coll) AllGather(data any, size int) []any {
 		return all, size * cl.n
 	})
 	return out.([]any)
-}
-
-// AllReduceFloat combines one float64 per processor with op ("sum", "max",
-// "min") and returns the result everywhere.
-func (cl *Coll) AllReduceFloat(x float64, op string) float64 {
-	out := cl.run(x, 8, func(g map[int]any) (any, int) {
-		keys := make([]int, 0, len(g))
-		for p := range g {
-			keys = append(keys, p)
-		}
-		sort.Ints(keys)
-		acc := g[keys[0]].(float64)
-		for _, p := range keys[1:] {
-			v := g[p].(float64)
-			switch op {
-			case "sum":
-				acc += v
-			case "max":
-				if v > acc {
-					acc = v
-				}
-			case "min":
-				if v < acc {
-					acc = v
-				}
-			default:
-				panic("coll: unknown reduce op " + op)
-			}
-		}
-		return acc, 8
-	})
-	return out.(float64)
 }

@@ -54,19 +54,6 @@ func TestBarrierChargesSync(t *testing.T) {
 
 func time500() sim.Time { return 500 * sim.Millisecond }
 
-func TestBroadcast(t *testing.T) {
-	spmd(t, 4, func(cl *Coll, p *sim.Proc) {
-		var in any
-		if p.ID() == 0 {
-			in = "payload"
-		}
-		out := cl.Broadcast(in, 64)
-		if out.(string) != "payload" {
-			t.Errorf("proc %d got %v", p.ID(), out)
-		}
-	})
-}
-
 func TestAllGather(t *testing.T) {
 	spmd(t, 5, func(cl *Coll, p *sim.Proc) {
 		all := cl.AllGather(p.ID()*10, 8)
@@ -81,61 +68,41 @@ func TestAllGather(t *testing.T) {
 	})
 }
 
-func TestAllReduce(t *testing.T) {
-	spmd(t, 4, func(cl *Coll, p *sim.Proc) {
-		x := float64(p.ID() + 1)
-		if s := cl.AllReduceFloat(x, "sum"); s != 10 {
-			t.Errorf("sum = %v", s)
-		}
-		if m := cl.AllReduceFloat(x, "max"); m != 4 {
-			t.Errorf("max = %v", m)
-		}
-		if m := cl.AllReduceFloat(x, "min"); m != 1 {
-			t.Errorf("min = %v", m)
-		}
-	})
-}
-
 func TestRepeatedCollectives(t *testing.T) {
 	spmd(t, 3, func(cl *Coll, p *sim.Proc) {
 		for round := 0; round < 10; round++ {
-			got := cl.AllReduceFloat(float64(round), "max")
-			if got != float64(round) {
-				t.Fatalf("round %d: %v", round, got)
+			for q, v := range cl.AllGather(round*10+p.ID(), 8) {
+				if v.(int) != round*10+q {
+					t.Fatalf("round %d: slot %d = %v", round, q, v)
+				}
 			}
 			cl.Barrier()
 		}
 	})
 }
 
-func TestUnknownReduceOpPanics(t *testing.T) {
-	// Two procs: the root's combine must fold at least one remote value,
-	// which is where an unknown op is detected.
-	e := sim.NewEngine(sim.Config{Seed: 1})
-	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			cl := New(dmcs.New(p))
-			cl.AllReduceFloat(1, "median")
-		})
-	}
-	if err := e.Run(); err == nil {
-		t.Fatal("unknown op should panic and surface via Run")
-	}
-}
-
 func TestStaggeredCollectivesBufferAcrossSequence(t *testing.T) {
-	// A fast proc races two collectives ahead of a slow root worker; the
-	// root must buffer early contributions by sequence.
+	// The root works and polls between collectives, as an application's
+	// scheduler does, so the others' contributions to the next collective
+	// reach its handler before it enters that collective; the root must
+	// buffer them by sequence.
+	early := 0
 	spmd(t, 3, func(cl *Coll, p *sim.Proc) {
 		for round := 0; round < 5; round++ {
-			if p.ID() == 2 {
-				// Slow participant.
+			if p.ID() == 0 {
 				p.Advance(100*sim.Millisecond, sim.CatCompute)
+				cl.c.Poll()
+				early += len(cl.gathered[cl.seq+1])
 			}
-			sum := cl.AllReduceFloat(1, "sum")
-			if sum != 3 {
-				t.Errorf("round %d: sum %v", round, sum)
+			for q, v := range cl.AllGather(round, 8) {
+				if v.(int) != round {
+					t.Errorf("round %d: slot %d = %v", round, q, v)
+				}
 			}
+			cl.Barrier()
 		}
 	})
+	if early != 2*5 {
+		t.Fatalf("%d contributions arrived before the root entered their collective, want 10", early)
+	}
 }

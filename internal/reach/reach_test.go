@@ -44,7 +44,6 @@ var allowed = []struct{ symbol, reason string }{
 	{"prema/internal/sim.(*Engine).After", "how sim's and policy's tests stop a run at a virtual instant"},
 	{"prema/internal/trace.(*Collector).Recorder", "how the equivalence tests (sim, bench, rtm, substrate) read one processor's stream"},
 	{"prema/internal/graph.Imbalance", "the balance oracle of partition's and parmetis' tests"},
-	{"prema/internal/bench.RunCharm", "root bench_test.go's DESIGN §5.6 strategy ablation runs a custom CharmConfig through it"},
 	{"prema/internal/charm.MetisLB.Name", "DESIGN §5.6 names Metis beside Greedy and Refine; the ablation and charm's tests run it"},
 	{"prema/internal/charm.MetisLB.Remap", "as MetisLB.Name"},
 	{"prema/internal/ilb.(*Scheduler).WaterMark", "the observable of the §4.2 auto-tuned water-mark (policy's TestAutoWaterMarkTracksLatency)"},
@@ -60,7 +59,6 @@ var allowed = []struct{ symbol, reason string }{
 	{"prema/internal/core.(*Runtime).RegisterReader", "the runtime facade of mol.RegisterReader"},
 	{"prema/internal/core.(*Runtime).Poll", "ilb_poll: the application-posted poll of explicit mode"},
 	{"prema/internal/dmcs.(*Comm).PollOne", "DMCS's single-message poll (dmcs' TestPollOne)"},
-	{"prema/internal/coll.(*Coll).Broadcast", "the broadcast collective (coll's TestBroadcast); the hybrid driver runs Barrier, AllGather and AllReduceFloat only"},
 	// Named by an open ROADMAP item.
 	{"prema/internal/mol.RegisterDataCodec", "ROADMAP item 6 ships dist checkpoints through it"},
 }

@@ -20,7 +20,7 @@ const (
 	KindBool     Kind = 2
 	KindFloat64  Kind = 3
 	KindBytes    Kind = 4 // []byte
-	KindAnySlice Kind = 5 // []any (collective gathers)
+	KindAnySlice Kind = 5 // []any
 
 	// dmcs: 16–31.
 	KindDmcsAck Kind = 16 // reliable-mode cumulative ack
@@ -40,10 +40,6 @@ const (
 	KindPolicySteal Kind = 80
 	KindPolicyAd    Kind = 81
 	KindPolicyClaim Kind = 82
-
-	// coll: 96–111.
-	KindCollContribution Kind = 96
-	KindCollRelease      Kind = 97
 
 	// dist (the multi-process TCP backend's session control plane): 112–127.
 	KindDistHello     Kind = 112

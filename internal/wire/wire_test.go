@@ -17,7 +17,6 @@ import (
 
 	// Each stack layer registers its payload codecs at init; the blank
 	// imports make this test's registry identical to a full run's.
-	_ "prema/internal/coll"
 	_ "prema/internal/dist"
 	_ "prema/internal/dmcs"
 	_ "prema/internal/mol"
@@ -48,8 +47,6 @@ func TestRegistryTotality(t *testing.T) {
 		wire.KindPolicySteal,
 		wire.KindPolicyAd,
 		wire.KindPolicyClaim,
-		wire.KindCollContribution,
-		wire.KindCollRelease,
 		wire.KindDistHello,
 		wire.KindDistRoster,
 		wire.KindDistPeerHello,
