@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"prema/internal/bench"
@@ -55,13 +56,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ratio := fs.Float64("ratio", 2.0, "heavy/light weight ratio")
 	hints := fs.String("hints", "mean", "weight hints given to balancers: mean | accurate")
 	hintMode := map[string]bench.HintMode{"mean": bench.HintMean, "accurate": bench.HintAccurate}
-	checkHints := func() error {
+	checkLocal := func() error {
 		if _, ok := hintMode[*hints]; !ok {
 			return fmt.Errorf("unknown -hints %q (want mean or accurate)", *hints)
 		}
+		// NaN fails every comparison, so both ranges are written to refuse it.
+		if !(*imb >= 0 && *imb <= 1) {
+			return fmt.Errorf("-imbalance must be a fraction in [0, 1], got %v", *imb)
+		}
+		if !(*ratio > 0 && *ratio <= math.MaxFloat64) {
+			return fmt.Errorf("-ratio must be positive and finite, got %v", *ratio)
+		}
 		return nil
 	}
-	if code, done := spec.ParseFlags(fs, args, stderr, checkHints); done {
+	if code, done := spec.ParseFlags(fs, args, stderr, checkLocal); done {
 		return code
 	}
 	spec = spec.ForFigure(bench.FigureSpec{Imbalance: *imb, Ratio: *ratio})

@@ -100,6 +100,22 @@ func TestRejections(t *testing.T) {
 	for _, args := range cases {
 		clitest.Rejected(t, run, "premabench", args...)
 	}
+	// Out-of-range floats, NaN included, name the flag they came in.
+	floats := [][]string{
+		{"-imbalance", "1.5"},
+		{"-imbalance", "NaN"},
+		{"-ratio", "-1"},
+		{"-ratio", "0"},
+		{"-ratio", "NaN"},
+		{"-ratio", "+Inf"},
+		{"-timescale", "NaN"},
+		{"-timescale", "+Inf", "-backend", "real"},
+	}
+	for _, args := range floats {
+		if errOut := clitest.Rejected(t, run, "premabench", args...); !strings.Contains(errOut, args[0]) {
+			t.Errorf("%v: %q does not name %s", args, errOut, args[0])
+		}
+	}
 }
 
 func TestHelpAndBadFlag(t *testing.T) {

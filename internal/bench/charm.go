@@ -41,14 +41,15 @@ func DefaultCharmConfig(syncPoints int) CharmConfig {
 
 // charmWeight returns the true weight of chare c at iteration it for the
 // given config, preserving the workload's total work and heavy fraction.
+// Chare c stands for units c*I..c*I+I-1; when I does not divide the unit
+// count, the last chare's iterations past the final unit weigh nothing.
 func charmWeight(w Workload, cfg CharmConfig, chares int, offsets []int, c, it int) sim.Time {
+	unit := c*max(cfg.SyncPoints, 1) + it
+	if unit >= w.Units {
+		return 0
+	}
 	if cfg.SyncPoints == 0 || !cfg.Shuffle {
-		// Persistent weights: chare c stands for units c*I..c*I+I-1.
-		iters := 1
-		if cfg.SyncPoints > 0 {
-			iters = cfg.SyncPoints
-		}
-		return w.Actual(c*iters + it)
+		return w.Actual(unit) // persistent weights
 	}
 	// Adaptive spike: a contiguous block of HeavyFrac*chares chares is heavy
 	// each iteration, at a per-iteration offset.
@@ -71,7 +72,7 @@ func runCharm(m substrate.Machine, w Workload, cfg CharmConfig) (*Result, error)
 	if cfg.Strategy == nil {
 		cfg.Strategy = charm.GreedyLB{}
 	}
-	chares := w.Units / iters
+	chares := (w.Units + iters - 1) / iters // rounded up: every unit runs
 	// Per-iteration spike offsets, fixed across processors (deterministic).
 	offRng := rand.New(rand.NewSource(w.Seed + 77))
 	offsets := make([]int, iters)

@@ -65,6 +65,27 @@ func TestCharmWeightShuffleIsContiguousSpike(t *testing.T) {
 	}
 }
 
+// TestCharmSyncRunsEveryUnit: with a unit count the four sync points do not
+// divide, charm-sync4 computes every unit once — it used to drop Units mod 4
+// of them, and to panic with fewer than four. At ratio 1 the moving spike
+// weighs what the units do, so total compute is exactly the workload's.
+func TestCharmSyncRunsEveryUnit(t *testing.T) {
+	for _, upp := range []int{1, 5} {
+		w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 1}, 2, upp)
+		res, err := RunSystem("charm-sync4", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compute sim.Time
+		for _, a := range res.Accounts {
+			compute += a[sim.CatCompute]
+		}
+		if compute != w.TotalWork() {
+			t.Errorf("%d units: computed %v, want %v", w.Units, compute, w.TotalWork())
+		}
+	}
+}
+
 // TestCharmSyncAdaptiveVsPersistent: under persistent weights the AtSync
 // balancer helps; under the moving spike it cannot (the paper's premise).
 func TestCharmSyncAdaptiveVsPersistent(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -275,7 +276,7 @@ var rules = []struct {
 	bad func(*candidate) bool
 	msg string
 }{
-	// Ranges.
+	// Ranges. A float range is written as "not inside", which refuses NaN.
 	{"procs-range", func(c *candidate) bool { return c.W.Procs < 1 || (c.W.Units < 1 && c.UnitsPerProc < 1) },
 		"-procs and -units-per-proc must be positive"},
 	{"stride-range", func(c *candidate) bool { return c.Stride < 0 },
@@ -284,8 +285,8 @@ var rules = []struct {
 		"-jobs must be >= 0"},
 	{"shards-range", func(c *candidate) bool { return c.W.Shards < 1 },
 		"-shards must be >= 1"},
-	{"timescale-range", func(c *candidate) bool { return c.TimeScale <= 0 },
-		"-timescale must be positive"},
+	{"timescale-range", func(c *candidate) bool { return !(c.TimeScale > 0 && c.TimeScale <= math.MaxFloat64) },
+		"-timescale must be positive and finite"},
 	{"rto-range", func(c *candidate) bool { return c.RTO <= 0 },
 		"-rto must be positive"},
 	{"recov-timers", func(c *candidate) bool { return c.CheckpointInterval < 0 || c.LeaseTimeout < 0 },

@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -41,6 +42,8 @@ var validateCases = []struct {
 	{"shards-range", "zero", func(s *RunSpec) { s.W.Shards = 0 }, "-shards"},
 	{"shards-range", "four", func(s *RunSpec) { s.W.Shards = 4 }, ""},
 	{"timescale-range", "zero", func(s *RunSpec) { s.TimeScale = 0 }, "-timescale"},
+	{"timescale-range", "NaN", func(s *RunSpec) { s.TimeScale = math.NaN() }, "-timescale"},
+	{"timescale-range", "infinite", func(s *RunSpec) { s.TimeScale = math.Inf(1) }, "-timescale"},
 	{"timescale-range", "slow", func(s *RunSpec) { s.TimeScale = 0.5 }, ""},
 	{"rto-range", "zero", func(s *RunSpec) { s.RTO = 0 }, "-rto"},
 	{"rto-range", "1ms", func(s *RunSpec) { s.Reliable, s.RTO = true, 1_000_000 }, ""},

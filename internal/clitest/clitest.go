@@ -48,14 +48,16 @@ func Golden(t *testing.T, run RunFunc, golden, dir string, args ...string) {
 }
 
 // Rejected asserts that an invocation is refused as a usage error: exit
-// code 2, nothing on stdout, and a "<cmd>: ..." line on stderr.
-func Rejected(t *testing.T, run RunFunc, cmd string, args ...string) {
+// code 2, nothing on stdout, and a "<cmd>: ..." line on stderr, which it
+// returns.
+func Rejected(t *testing.T, run RunFunc, cmd string, args ...string) string {
 	t.Helper()
 	code, out, errOut := Run(run, args...)
 	if code != 2 || out != "" || !strings.HasPrefix(errOut, cmd+": ") {
 		t.Errorf("%s %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout, a %q-prefixed message",
 			cmd, args, code, out, errOut, cmd+": ")
 	}
+	return errOut
 }
 
 // SHA256Files compares the files a run wrote into dir against

@@ -71,17 +71,9 @@ func (c *Comm) Send(dst int, h HandlerID, data any, size int) {
 // mode the message is sequenced and buffered for retransmission until the
 // destination acknowledges it.
 func (c *Comm) SendTagged(dst int, h HandlerID, data any, size int, tag int) {
-	if c.rel != nil {
-		c.relSend(dst, h, data, size, tag)
-		return
-	}
-	c.p.Send(&substrate.Msg{
-		Dst:  dst,
-		Kind: int(h),
-		Tag:  tag,
-		Data: data,
-		Size: size,
-	}, substrate.CatMessaging)
+	m := &substrate.Msg{Dst: dst, Kind: int(h), Tag: tag, Data: data, Size: size}
+	c.sequence(m)
+	c.p.Send(m, substrate.CatMessaging)
 }
 
 // dispatch runs the handler named by m.
@@ -97,52 +89,7 @@ func (c *Comm) dispatch(m *substrate.Msg) {
 // both application- and system-generated messages are processed. In
 // reliable mode Poll also ticks the protocol: due acks are flushed and
 // expired streams retransmitted.
-func (c *Comm) Poll() int {
-	if c.rel != nil {
-		n := 0
-		for {
-			c.pump()
-			m := c.popReady(0, true)
-			if m == nil {
-				break
-			}
-			c.dispatch(m)
-			n++
-		}
-		c.tick()
-		return n
-	}
-	n := 0
-	for {
-		m := c.p.TryRecv(substrate.CatMessaging)
-		if m == nil {
-			return n
-		}
-		c.dispatch(m)
-		n++
-	}
-}
-
-// PollOne dispatches at most one queued message.
-func (c *Comm) PollOne() bool {
-	if c.rel != nil {
-		c.pump()
-		m := c.popReady(0, true)
-		if m == nil {
-			c.tick()
-			return false
-		}
-		c.dispatch(m)
-		c.tick()
-		return true
-	}
-	m := c.p.TryRecv(substrate.CatMessaging)
-	if m == nil {
-		return false
-	}
-	c.dispatch(m)
-	return true
-}
+func (c *Comm) Poll() int { return c.poll(0, true) }
 
 // PollTag dispatches every queued message carrying tag, leaving other
 // traffic untouched. It returns the number dispatched. PollTag with
@@ -153,29 +100,32 @@ func (c *Comm) PollOne() bool {
 // (dedup, ordering, acks) but stay queued for a later matching poll, so
 // preemptive balancing never leaks an application message — and the
 // polling thread doubles as the retransmission timer.
-func (c *Comm) PollTag(tag int) int {
-	if c.rel != nil {
-		n := 0
-		for {
-			c.pump()
-			m := c.popReady(tag, false)
-			if m == nil {
-				break
-			}
-			c.dispatch(m)
-			n++
-		}
-		c.tick()
-		return n
-	}
+func (c *Comm) PollTag(tag int) int { return c.poll(tag, false) }
+
+// poll is Poll (anyTag) and PollTag: dispatch until nothing deliverable is
+// left, then tick the protocol.
+func (c *Comm) poll(tag int, anyTag bool) int {
 	n := 0
-	for {
-		m := c.p.TryRecvTag(tag, substrate.CatMessaging)
-		if m == nil {
-			return n
-		}
+	for m := c.next(tag, anyTag); m != nil; m = c.next(tag, anyTag) {
 		c.dispatch(m)
 		n++
+	}
+	c.tick()
+	return n
+}
+
+// next returns the next deliverable message (of tag unless anyTag), or nil.
+// Fire-and-forget mode takes it straight off the endpoint; reliable mode
+// runs the inbox through the protocol first.
+func (c *Comm) next(tag int, anyTag bool) *substrate.Msg {
+	switch {
+	case c.rel != nil:
+		c.pump()
+		return c.popReady(tag, anyTag)
+	case anyTag:
+		return c.p.TryRecv(substrate.CatMessaging)
+	default:
+		return c.p.TryRecvTag(tag, substrate.CatMessaging)
 	}
 }
 
@@ -184,49 +134,23 @@ func (c *Comm) PollTag(tag int) int {
 // In reliable mode an arrival that turns out to be a duplicate or an ack
 // dispatches nothing, so the wait continues — bounded by the protocol's
 // own retransmission deadlines.
-func (c *Comm) WaitPoll(cat substrate.Category) int {
-	if c.rel != nil {
-		for {
-			n := c.Poll()
-			if n > 0 {
-				return n
-			}
-			if dl := c.rel.nextDeadline(); dl != 0 {
-				now := c.p.Now()
-				if dl <= now {
-					continue
-				}
-				c.p.WaitMsgFor(dl-now, cat)
-			} else {
-				c.p.WaitMsg(cat)
-			}
-		}
-	}
-	c.p.WaitMsg(cat)
-	return c.Poll()
-}
+func (c *Comm) WaitPoll(cat substrate.Category) int { return c.waitPoll(substrate.Never, cat) }
 
 // WaitPollFor blocks until a message arrives or d elapses, then polls. It
 // returns the number of messages dispatched.
 //
 // A zero or negative d never blocks: the call degenerates to a plain Poll
-// of whatever is already queued. (Before this was made explicit, d <= 0 was
-// backend-dependent — an immediate check on the simulator, a clamped
-// one-microsecond wait on the real-time machine.) In reliable mode the wait
+// of whatever is already queued, on every backend. In reliable mode the wait
 // also wakes for retransmission deadlines, so an idle processor blocked
 // here — ilb's idle loop — keeps the protocol moving even when nothing
 // arrives.
 func (c *Comm) WaitPollFor(d substrate.Time, cat substrate.Category) int {
-	if d <= 0 {
-		return c.Poll()
-	}
-	if c.rel == nil {
-		if !c.p.WaitMsgFor(d, cat) {
-			return 0
-		}
-		return c.Poll()
-	}
-	deadline := c.p.Now() + d
+	return c.waitPoll(c.p.Now()+d, cat)
+}
+
+// waitPoll polls until something is dispatched or the clock reaches
+// deadline (substrate.Never: no deadline), blocking in between.
+func (c *Comm) waitPoll(deadline substrate.Time, cat substrate.Category) int {
 	for {
 		if n := c.Poll(); n > 0 {
 			return n
@@ -235,10 +159,21 @@ func (c *Comm) WaitPollFor(d substrate.Time, cat substrate.Category) int {
 		if now >= deadline {
 			return 0
 		}
-		wait := deadline - now
-		if dl := c.rel.nextDeadline(); dl != 0 && dl > now && dl-now < wait {
-			wait = dl - now
-		}
-		c.p.WaitMsgFor(wait, cat)
+		c.block(now, deadline, cat)
+	}
+}
+
+// block waits, from now, for a message until the earlier of until
+// (substrate.Never: unbounded) and the protocol's next retransmission
+// deadline, attributing the wait to cat. A deadline already due does not
+// wait at all: tick reads the clock once, and its own sends can carry it past
+// a stream's deadline, which the caller's next poll then serves.
+func (c *Comm) block(now, until substrate.Time, cat substrate.Category) {
+	until = min(until, c.nextDeadline())
+	switch {
+	case until == substrate.Never:
+		c.p.WaitMsg(cat)
+	case until > now:
+		c.p.WaitMsgFor(until-now, cat)
 	}
 }

@@ -120,30 +120,6 @@ func TestHandlersMayReply(t *testing.T) {
 	}
 }
 
-func TestPollOne(t *testing.T) {
-	count := 0
-	harness(t, 2, func(c *Comm) {
-		h := c.Register(func(c *Comm, src int, data any, size int) { count++ })
-		switch c.Proc().ID() {
-		case 0:
-			c.Proc().Advance(sim.Second, sim.CatCompute)
-			if !c.PollOne() {
-				t.Error("expected a message")
-			}
-			if count != 1 {
-				t.Errorf("PollOne dispatched %d", count)
-			}
-			c.Poll()
-		case 1:
-			c.Send(0, h, nil, 0)
-			c.Send(0, h, nil, 0)
-		}
-	})
-	if count != 2 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestDispatchChargesCallback(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	var cb sim.Time

@@ -231,7 +231,7 @@ func (r *reliable) recvStream(peer, tag int) *recvState {
 // buffered toward it are discarded (they will never be acked — counted in
 // RelStats.DeadDropped) and both stream directions are forgotten, so Quiesce
 // no longer waits out DrainTimeout for a processor that cannot answer.
-// Subsequent sends to the peer go out once, unsequenced (see relSend), which
+// Subsequent sends to the peer go out once, unsequenced (see sequence), which
 // is exactly the fire-and-forget semantics a dead destination deserves —
 // and still reaches the peer if it rejoins before the message is consumed.
 // No-op in fire-and-forget mode or when the peer is already marked.
@@ -288,38 +288,27 @@ func (r *reliable) dropPeerState(peer int) {
 	r.recvOrder = recvs
 }
 
-// relSend sequences and transmits a new data message, buffering it for
-// retransmission.
-func (c *Comm) relSend(dst int, h HandlerID, data any, size int, tag int) {
-	if c.rel.dead[dst] {
-		// Dead destination: transmit once, unsequenced (the receiving side's
-		// accept() passes Seq==0 straight through), and buffer nothing.
-		c.rel.stats.DeadSent++
-		c.p.Send(&substrate.Msg{
-			Dst:  dst,
-			Kind: int(h),
-			Tag:  tag,
-			Data: data,
-			Size: size,
-		}, substrate.CatMessaging)
+// sequence numbers a new data message about to be sent and buffers it for
+// retransmission. Fire-and-forget mode leaves it unsequenced, and so does a
+// dead destination: it is transmitted once (the receiving side's accept()
+// passes Seq==0 straight through) and nothing is buffered.
+func (c *Comm) sequence(m *substrate.Msg) {
+	r := c.rel
+	if r == nil {
 		return
 	}
-	st := c.rel.sendStream(dst, tag)
-	seq := st.nextSeq
+	if r.dead[m.Dst] {
+		r.stats.DeadSent++
+		return
+	}
+	st := r.sendStream(m.Dst, m.Tag)
+	m.Seq = st.nextSeq
 	st.nextSeq++
-	st.pending = append(st.pending, pendingMsg{seq: seq, kind: int(h), data: data, size: size})
+	st.pending = append(st.pending, pendingMsg{seq: m.Seq, kind: m.Kind, data: m.Data, size: m.Size})
 	if st.deadline == 0 {
 		st.deadline = c.p.Now() + st.rto
 	}
-	c.rel.stats.DataSent++
-	c.p.Send(&substrate.Msg{
-		Dst:  dst,
-		Kind: int(h),
-		Tag:  tag,
-		Data: data,
-		Size: size,
-		Seq:  seq,
-	}, substrate.CatMessaging)
+	r.stats.DataSent++
 }
 
 // ackPayload is the body of a cumulative-ack control message: "for your
@@ -419,8 +408,12 @@ func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
 // tick advances the protocol clockwork: flush due acks, retransmit expired
 // streams. It is called at the end of every poll operation, which is what
 // "retransmission driven off the poll loop" means — no timers, no threads.
+// Fire-and-forget mode has no clockwork.
 func (c *Comm) tick() {
 	r := c.rel
+	if r == nil {
+		return
+	}
 	now := c.p.Now()
 	for _, st := range r.recvOrder {
 		if !st.ackDue {
@@ -466,12 +459,15 @@ func (c *Comm) tick() {
 	}
 }
 
-// nextDeadline returns the earliest pending retransmission deadline, or 0.
-func (r *reliable) nextDeadline() substrate.Time {
-	var t substrate.Time
-	for _, st := range r.sendOrder {
-		if st.deadline != 0 && (t == 0 || st.deadline < t) {
-			t = st.deadline
+// nextDeadline returns the earliest pending retransmission deadline, or
+// substrate.Never — always Never in fire-and-forget mode.
+func (c *Comm) nextDeadline() substrate.Time {
+	t := substrate.Never
+	if c.rel != nil {
+		for _, st := range c.rel.sendOrder {
+			if st.deadline != 0 && st.deadline < t {
+				t = st.deadline
+			}
 		}
 	}
 	return t
@@ -498,10 +494,7 @@ func (c *Comm) NextDeadline(tag int) substrate.Time {
 			return c.p.Now()
 		}
 	}
-	if dl := r.nextDeadline(); dl != 0 {
-		return dl
-	}
-	return substrate.Never
+	return c.nextDeadline()
 }
 
 // hasPending reports whether any stream still has unacked data.
@@ -537,16 +530,14 @@ func (c *Comm) Quiesce() {
 		if now >= hard {
 			return
 		}
-		if !r.hasPending() && now-r.lastActivity >= r.cfg.Linger {
+		idle := !r.hasPending()
+		if idle && now-r.lastActivity >= r.cfg.Linger {
 			return
 		}
-		wait := hard - now
-		if q := r.lastActivity + r.cfg.Linger - now; !r.hasPending() && q > 0 && q < wait {
-			wait = q
+		until := hard
+		if linger := r.lastActivity + r.cfg.Linger; idle && linger < until {
+			until = linger
 		}
-		if dl := r.nextDeadline(); dl != 0 && dl > now && dl-now < wait {
-			wait = dl - now
-		}
-		c.p.WaitMsgFor(wait, substrate.CatIdle)
+		c.block(now, until, substrate.CatIdle)
 	}
 }

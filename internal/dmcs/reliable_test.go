@@ -184,6 +184,88 @@ func TestReliableLossyNetwork(t *testing.T) {
 	})
 }
 
+// sendLog records the time and sequence number of every message its
+// endpoint sends.
+type sendLog struct {
+	substrate.Endpoint
+	sends []loggedSend
+}
+
+type loggedSend struct {
+	at    substrate.Time
+	dst   int
+	seq   uint64
+	isAck bool
+}
+
+func (l *sendLog) Send(m *substrate.Msg, cat substrate.Category) {
+	l.sends = append(l.sends, loggedSend{at: l.Now(), dst: m.Dst, seq: m.Seq, isAck: m.Kind == ackKind})
+	l.Endpoint.Send(m, cat)
+}
+
+// TestExpiredDeadlineRetransmitsAtOnce: a retransmission deadline that
+// expires while a poll is flushing acks must be served when the poll ends,
+// not when the surrounding wait does. Processor 0 sends one message to a
+// processor that does not poll for seconds, then — just before that stream's
+// deadline — polls with an ack due: the ack's send CPU carries the clock past
+// the deadline after tick has read it. The wait that follows must retransmit
+// at once instead of blocking for its whole second.
+func TestExpiredDeadlineRetransmitsAtOnce(t *testing.T) {
+	net := sim.DefaultNetwork()
+	rto := DefaultRelConfig().RTO
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	log := &sendLog{}
+	m.Spawn("waiter", func(ep substrate.Endpoint) {
+		log.Endpoint = ep
+		c := New(log)
+		c.EnableReliable(DefaultRelConfig())
+		h := c.Register(func(c *Comm, src int, data any, size int) {})
+		c.Send(1, h, nil, 8) // stream deadline: 0 + rto
+		// Receiving the held message and flushing its ack straddle the deadline.
+		ep.Advance(rto-net.RecvCPU-net.SendCPU/2-ep.Now(), substrate.CatCompute)
+		if n := c.WaitPollFor(substrate.Second, substrate.CatIdle); n != 0 {
+			t.Errorf("WaitPollFor dispatched %d, want 0", n)
+		}
+		c.Quiesce()
+	})
+	m.Spawn("late", func(ep substrate.Endpoint) {
+		c := New(ep)
+		c.EnableReliable(DefaultRelConfig())
+		got := false
+		c.Register(func(c *Comm, src int, data any, size int) { got = true })
+		ep.Advance(3*substrate.Second, substrate.CatCompute)
+		for !got {
+			c.WaitPollFor(substrate.Millisecond, substrate.CatIdle)
+		}
+		c.Quiesce()
+	})
+	m.Spawn("holder", func(ep substrate.Endpoint) {
+		// Sequence number 2 with 1 never sent: processor 0 holds it and owes
+		// an ack, but dispatches nothing.
+		ep.Send(&substrate.Msg{Dst: 0, Tag: substrate.TagApp, Seq: 2, Size: 8}, substrate.CatMessaging)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var first, retransmit substrate.Time = -1, -1
+	for _, s := range log.sends {
+		if s.dst != 1 || s.isAck || s.seq != 1 {
+			continue
+		}
+		if first < 0 {
+			first = s.at
+		} else if retransmit < 0 {
+			retransmit = s.at
+		}
+	}
+	if first != 0 || retransmit < 0 {
+		t.Fatalf("sends of sequence 1 to processor 1 at %v and %v, want a send at 0 and a retransmission", first, retransmit)
+	}
+	if late := retransmit - rto; late < 0 || late > net.SendCPU {
+		t.Errorf("retransmitted %v after the deadline, want within one send (%v)", late.Duration(), net.SendCPU.Duration())
+	}
+}
+
 // TestReliablePollTagPreemption: in reliable mode, PollTag(TagSystem) must
 // dispatch only system-tagged traffic while application data keeps moving
 // through the protocol (acked, deduplicated) without being delivered — the

@@ -2,6 +2,7 @@ package faulty
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"prema/internal/substrate"
@@ -310,22 +311,16 @@ func (e *Endpoint) pickDeliverable(tag int, anyTag bool) int {
 }
 
 // nextRelease returns the earliest pending release time among held messages
-// still in the future, or 0 if none.
+// still in the future, or substrate.Never if none.
 func (e *Endpoint) nextRelease() substrate.Time {
 	now := e.Now()
-	var t substrate.Time
+	t := substrate.Never
 	for _, h := range e.queue {
-		if h.release > now && (t == 0 || h.release < t) {
+		if h.release > now && h.release < t {
 			t = h.release
 		}
 	}
 	return t
-}
-
-func (e *Endpoint) take(i int) *substrate.Msg {
-	m := e.queue[i].m
-	e.queue = append(e.queue[:i], e.queue[i+1:]...)
-	return m
 }
 
 // --- substrate.Endpoint implementation ---
@@ -360,25 +355,26 @@ func (e *Endpoint) InboxLen() int {
 }
 
 // TryRecv implements substrate.Endpoint.
-func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
-	e.check()
-	e.pump()
-	i := e.pickDeliverable(0, true)
-	if i < 0 {
-		return nil
-	}
-	return e.take(i)
-}
+func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg { return e.recv(0, true) }
 
 // TryRecvTag implements substrate.Endpoint.
 func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
+	return e.recv(tag, false)
+}
+
+// recv removes and returns the next deliverable message (of tag unless
+// anyTag), or nil. The receive CPU was charged when pump drained it from the
+// inner endpoint.
+func (e *Endpoint) recv(tag int, anyTag bool) *substrate.Msg {
 	e.check()
 	e.pump()
-	i := e.pickDeliverable(tag, false)
+	i := e.pickDeliverable(tag, anyTag)
 	if i < 0 {
 		return nil
 	}
-	return e.take(i)
+	m := e.queue[i].m
+	e.queue = slices.Delete(e.queue, i, i+1)
+	return m
 }
 
 // Recv implements substrate.Endpoint.
@@ -390,25 +386,19 @@ func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg {
 // WaitMsg implements substrate.Endpoint: it blocks until the decorator has
 // a deliverable message — a message held for extra delay does not count
 // until its release time, so the wait may outlast the inner arrival.
-func (e *Endpoint) WaitMsg(cat substrate.Category) {
-	for {
-		e.check()
-		e.pump()
-		if e.pickDeliverable(0, true) >= 0 {
-			return
-		}
-		if rel := e.nextRelease(); rel > 0 {
-			e.Endpoint.WaitMsgFor(rel-e.Now(), cat)
-			continue
-		}
-		e.Endpoint.WaitMsg(cat)
-	}
-}
+func (e *Endpoint) WaitMsg(cat substrate.Category) { e.wait(substrate.Never, cat) }
 
 // WaitMsgFor implements substrate.Endpoint with the same held-message
 // semantics as WaitMsg.
 func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
-	deadline := e.Now() + d
+	return e.wait(e.Now()+d, cat)
+}
+
+// wait blocks until a message is deliverable or the clock reaches deadline
+// (substrate.Never: no deadline), waking for held messages' release times.
+// Without a deadline or a held message it blocks in the inner WaitMsg, which
+// arms no timer.
+func (e *Endpoint) wait(deadline substrate.Time, cat substrate.Category) bool {
 	for {
 		e.check()
 		e.pump()
@@ -419,10 +409,10 @@ func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
 		if now >= deadline {
 			return false
 		}
-		wait := deadline - now
-		if rel := e.nextRelease(); rel > 0 && rel-now < wait {
-			wait = rel - now
+		if until := min(deadline, e.nextRelease()); until == substrate.Never {
+			e.Endpoint.WaitMsg(cat)
+		} else {
+			e.Endpoint.WaitMsgFor(until-now, cat)
 		}
-		e.Endpoint.WaitMsgFor(wait, cat)
 	}
 }

@@ -58,7 +58,6 @@ var allowed = []struct{ symbol, reason string }{
 	{"prema/internal/core.(*Runtime).Get", "the runtime facade of mol.Get"},
 	{"prema/internal/core.(*Runtime).RegisterReader", "the runtime facade of mol.RegisterReader"},
 	{"prema/internal/core.(*Runtime).Poll", "ilb_poll: the application-posted poll of explicit mode"},
-	{"prema/internal/dmcs.(*Comm).PollOne", "DMCS's single-message poll (dmcs' TestPollOne)"},
 	// Named by an open ROADMAP item.
 	{"prema/internal/mol.RegisterDataCodec", "ROADMAP item 6 ships dist checkpoints through it"},
 }

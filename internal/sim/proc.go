@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"math/rand"
+
+	"prema/internal/substrate"
 )
 
 var errKilled = errors.New("sim: processor killed")
@@ -138,11 +140,7 @@ func (p *Proc) TryRecv(cat Category) *Msg {
 	if p.inbox.Len() == 0 {
 		return nil
 	}
-	m := p.inbox.popFront()
-	if o := p.sh.net.cfg.RecvCPU; o > 0 {
-		p.Advance(o, cat)
-	}
-	return m
+	return p.take(0, cat)
 }
 
 // TryRecvTag pops the oldest queued message with the given tag, preserving
@@ -152,14 +150,19 @@ func (p *Proc) TryRecv(cat Category) *Msg {
 func (p *Proc) TryRecvTag(tag int, cat Category) *Msg {
 	for i := 0; i < p.inbox.Len(); i++ {
 		if p.inbox.at(i).Tag == tag {
-			m := p.inbox.removeAt(i)
-			if o := p.sh.net.cfg.RecvCPU; o > 0 {
-				p.Advance(o, cat)
-			}
-			return m
+			return p.take(i, cat)
 		}
 	}
 	return nil
+}
+
+// take removes the i-th queued message, charging the receive CPU to cat.
+func (p *Proc) take(i int, cat Category) *Msg {
+	m := p.inbox.removeAt(i)
+	if o := p.sh.net.cfg.RecvCPU; o > 0 {
+		p.Advance(o, cat)
+	}
+	return m
 }
 
 // Recv blocks until a message is available and returns it, attributing
@@ -172,22 +175,20 @@ func (p *Proc) Recv(waitCat Category) *Msg {
 
 // WaitMsg blocks until at least one message is queued, attributing the wait
 // to cat.
-func (p *Proc) WaitMsg(cat Category) {
-	for p.inbox.Len() == 0 {
-		p.waitGen++
-		p.waitingMsg = true
-		p.park(cat)
-		p.waitingMsg = false
-	}
-}
+func (p *Proc) WaitMsg(cat Category) { p.wait(substrate.Never, cat) }
 
 // WaitMsgFor blocks until a message is queued or d elapses, attributing the
 // wait to cat. It reports whether a message is available.
-func (p *Proc) WaitMsgFor(d Time, cat Category) bool {
-	deadline := p.sh.now + d
+func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.sh.now+d, cat) }
+
+// wait parks until a message is queued or the clock reaches deadline; with
+// substrate.Never no timer is armed and only a delivery wakes it.
+func (p *Proc) wait(deadline Time, cat Category) bool {
 	for p.inbox.Len() == 0 && p.sh.now < deadline {
 		p.waitGen++
-		p.sh.atWake(deadline-p.sh.now, p, p.waitGen)
+		if deadline != substrate.Never {
+			p.sh.atWake(deadline-p.sh.now, p, p.waitGen)
+		}
 		p.waitingMsg = true
 		p.park(cat)
 		p.waitingMsg = false

@@ -28,19 +28,9 @@ func (r *msgRing) push(m *Msg) {
 	r.n++
 }
 
-// popFront removes and returns the oldest queued message. The ring must be
-// non-empty.
-func (r *msgRing) popFront() *Msg {
-	m := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return m
-}
-
 // removeAt removes and returns the i-th queued message, preserving the
 // relative order of the rest. It shifts whichever side of the ring is
-// shorter.
+// shorter, so popping the front (i = 0) is O(1).
 func (r *msgRing) removeAt(i int) *Msg {
 	m := r.at(i)
 	mask := len(r.buf) - 1

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestRingFIFO: push/popFront is FIFO across many wrap-arounds and growth.
+// TestRingFIFO: push/removeAt(0) is FIFO across many wrap-arounds and growth.
 func TestRingFIFO(t *testing.T) {
 	var r msgRing
 	msgs := make([]Msg, 1000)
@@ -17,7 +17,7 @@ func TestRingFIFO(t *testing.T) {
 			r.push(&msgs[in])
 			in++
 		} else {
-			m := r.popFront()
+			m := r.removeAt(0)
 			if m.Tag != out {
 				t.Fatalf("popped %d, want %d", m.Tag, out)
 			}
@@ -43,7 +43,7 @@ func TestRingRemoveAt(t *testing.T) {
 		next++
 	}
 	for i := 0; i < 20; i++ {
-		r.popFront()
+		r.removeAt(0)
 	}
 	ref = append(ref, r.at(0), r.at(1), r.at(2), r.at(3))
 	for step := 0; step < 2000; step++ {
@@ -85,14 +85,14 @@ func TestRingReusesBacking(t *testing.T) {
 		t.Fatalf("cap = %d, want %d", len(r.buf), ringMinCap)
 	}
 	for range msgs {
-		r.popFront()
+		r.removeAt(0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range msgs {
 			r.push(&msgs[i])
 		}
 		for range msgs {
-			r.popFront()
+			r.removeAt(0)
 		}
 	})
 	if allocs != 0 {

@@ -103,19 +103,18 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 // an EvRecv instant when a message is popped.
 func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
 	t0 := e.Now()
-	m := e.Endpoint.TryRecv(cat)
-	t1 := e.Now()
-	e.rec.Span(cat, t0, t1)
-	if m != nil {
-		e.rec.Instant(EvRecv, t1, int64(m.Src), int64(m.Tag), int64(m.Size))
-	}
-	return m
+	return e.received(cat, t0, e.Endpoint.TryRecv(cat))
 }
 
-// TryRecvTag implements substrate.Endpoint.
+// TryRecvTag implements substrate.Endpoint, recording like TryRecv.
 func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
 	t0 := e.Now()
-	m := e.Endpoint.TryRecvTag(tag, cat)
+	return e.received(cat, t0, e.Endpoint.TryRecvTag(tag, cat))
+}
+
+// received records a receive that began at t0 and returned m (nil: nothing
+// was queued) and passes m on.
+func (e *Endpoint) received(cat substrate.Category, t0 substrate.Time, m *substrate.Msg) *substrate.Msg {
 	t1 := e.Now()
 	e.rec.Span(cat, t0, t1)
 	if m != nil {
@@ -133,16 +132,21 @@ func (e *Endpoint) Recv(waitCat substrate.Category) *substrate.Msg {
 }
 
 // WaitMsg implements substrate.Endpoint, recording the blocked interval.
-func (e *Endpoint) WaitMsg(cat substrate.Category) {
-	t0 := e.Now()
-	e.Endpoint.WaitMsg(cat)
-	e.rec.Span(cat, t0, e.Now())
-}
+func (e *Endpoint) WaitMsg(cat substrate.Category) { e.wait(substrate.Never, cat) }
 
 // WaitMsgFor implements substrate.Endpoint, recording the blocked interval.
-func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool {
+func (e *Endpoint) WaitMsgFor(d substrate.Time, cat substrate.Category) bool { return e.wait(d, cat) }
+
+// wait runs the inner WaitMsgFor(d), or WaitMsg when d is substrate.Never,
+// and records the blocked interval.
+func (e *Endpoint) wait(d substrate.Time, cat substrate.Category) bool {
 	t0 := e.Now()
-	ok := e.Endpoint.WaitMsgFor(d, cat)
+	ok := true
+	if d == substrate.Never {
+		e.Endpoint.WaitMsg(cat)
+	} else {
+		ok = e.Endpoint.WaitMsgFor(d, cat)
+	}
 	e.rec.Span(cat, t0, e.Now())
 	return ok
 }
