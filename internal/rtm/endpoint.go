@@ -74,6 +74,42 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	e.acct[cat] += e.m.Now() - t0
 }
 
+var _ substrate.PolledAdvancer = (*Endpoint)(nil)
+
+// AdvancePolled implements substrate.PolledAdvancer: a quiet stretch of a
+// polled computation is one wait, not a slice-and-poll step every Interval.
+// It waits until the end of the advance, or until the first poll boundary at
+// or after ps.WakeBy or the arrival of the earliest queued message that
+// matches ps, re-aiming whenever the feed delivers. The skipped polls are
+// charged at their nominal Cost; the rest of the measured time, scheduler
+// overshoot included, is compute.
+func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (done substrate.Time, polls int) {
+	t0 := e.m.Now()
+	if !ps.Elides(d, t0) {
+		return substrate.StepPolled(e, d, ps)
+	}
+	g := substrate.NewPollGrid(t0, d, ps)
+	target := g.Due(substrate.Never)
+	for {
+		e.arrived()
+		for _, m := range e.inbox { // by arrival: the first match is the earliest
+			if ps.Matches(m) {
+				target = min(target, g.Due(m.ArrivedAt))
+				break
+			}
+		}
+		if e.m.Now() >= target {
+			break
+		}
+		e.pause(target, e.in, nil)
+	}
+	done, polls = g.Settle(target)
+	cost := substrate.Time(polls) * ps.Cost
+	e.acct[substrate.CatPollThread] += cost
+	e.acct[substrate.CatCompute] += e.m.Now() - t0 - cost
+	return done, polls
+}
+
 // spinThreshold is the wall-clock horizon below which a wait for a known
 // instant spins instead of sleeping. OS timers overshoot by up to a
 // millisecond — a 100x error on the tens-of-microsecond waits an aggressive

@@ -4,7 +4,10 @@
 // delivery and a configurable injected latency/bandwidth model — the sender
 // stamps each message's arrival time and the receiver releases it then —
 // Compute burns scaled wall-clock (sleeping, then spinning the last stretch),
-// and time accounting uses the host's monotonic clock.
+// and time accounting uses the host's monotonic clock. A polled computation
+// (substrate.AdvancePolled) is one such wait per quiet stretch, up to the
+// first poll that would find a message or a deadline, not one per poll
+// interval; its skipped polls are charged at their nominal cost.
 //
 // Where the discrete-event simulator (internal/sim) trades parallelism for
 // byte-identical determinism, rtm trades determinism for real concurrency:

@@ -1,6 +1,7 @@
 package rtm_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,12 +9,14 @@ import (
 
 	"prema/internal/core"
 	"prema/internal/dmcs"
+	"prema/internal/faulty"
 	"prema/internal/ilb"
 	"prema/internal/mol"
 	"prema/internal/rtm"
 	"prema/internal/sim"
 	"prema/internal/substrate"
 	"prema/internal/trace"
+	"prema/internal/wire"
 )
 
 // unitEv is the logical identity of one executed work unit: which object,
@@ -34,18 +37,32 @@ type traceSummary struct {
 	units  []unitEv
 }
 
+// counter is the objects' data: the work messages each has received. It
+// crosses the codec when an object migrates on a wire-wrapped machine.
+type counter struct{ n int }
+
+func init() {
+	mol.RegisterDataCodec(wire.KindUser+2, &counter{},
+		func(data any) []byte { return binary.AppendUvarint(nil, uint64(data.(*counter).n)) },
+		func(b []byte) any {
+			n, _ := binary.Uvarint(b)
+			return &counter{n: int(n)}
+		})
+}
+
 // runTracedConformance executes a program-driven workload (adapted from
 // runConformance: no balancing policy, migrations decided before any work
 // message) with the tracing decorator attached, and returns the per-processor
-// trace summaries. Each processor sends msgsPer messages to every object, so
-// per-(object, origin) sequence numbers exercise the in-order guarantee.
-func runTracedConformance(t *testing.T, m substrate.Machine, procs, objects, msgsPer int) []traceSummary {
+// trace summaries and the collector. Each processor sends msgsPer messages to
+// every object, so per-(object, origin) sequence numbers exercise the
+// in-order guarantee; each message computes work under the scheduler's mode.
+func runTracedConformance(t *testing.T, m substrate.Machine, mode ilb.Mode, work substrate.Time, procs, objects, msgsPer int) ([]traceSummary, *trace.Collector) {
 	t.Helper()
 	col := trace.NewCollector(0)
 	tm := trace.Wrap(m, col)
 	for p := 0; p < procs; p++ {
 		tm.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
-			opts := core.DefaultOptions(ilb.Explicit)
+			opts := core.DefaultOptions(mode)
 			opts.Mol.NotifyOrigin = false
 			r := core.NewRuntime(ep, opts)
 			self := ep.ID()
@@ -60,10 +77,10 @@ func runTracedConformance(t *testing.T, m substrate.Machine, procs, objects, msg
 			})
 			var hWork mol.HandlerID
 			hWork = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				n := obj.Data.(*int)
-				*n++
-				r.Compute(substrate.Millisecond)
-				if *n == procs*msgsPer {
+				c := obj.Data.(*counter)
+				c.n++
+				r.Compute(work)
+				if c.n == procs*msgsPer {
 					r.Comm().SendTagged(0, hDone, nil, 8, substrate.TagApp)
 				}
 			})
@@ -80,8 +97,7 @@ func runTracedConformance(t *testing.T, m substrate.Machine, procs, objects, msg
 
 			if self == 0 {
 				for i := 0; i < objects; i++ {
-					n := 0
-					r.Register(&n, 128)
+					r.Register(&counter{}, 128)
 				}
 				for i := 0; i < objects; i++ {
 					if dst := i % procs; dst != 0 {
@@ -120,7 +136,7 @@ func runTracedConformance(t *testing.T, m substrate.Machine, procs, objects, msg
 		}
 		sums[p] = s
 	}
-	return sums
+	return sums, col
 }
 
 // sortedUnits returns a canonically ordered copy for multiset comparison.
@@ -146,10 +162,10 @@ func sortedUnits(us []unitEv) []unitEv {
 // differ.
 func TestCrossBackendTraceConformance(t *testing.T) {
 	const procs, objects, msgsPer = 4, 8, 3
-	simSums := runTracedConformance(t, sim.NewMachine(sim.Config{Seed: 11}), procs, objects, msgsPer)
+	simSums, _ := runTracedConformance(t, sim.NewMachine(sim.Config{Seed: 11}), ilb.Explicit, substrate.Millisecond, procs, objects, msgsPer)
 	cfg := rtm.DefaultConfig()
 	cfg.Seed = 11
-	rtmSums := runTracedConformance(t, rtm.New(cfg), procs, objects, msgsPer)
+	rtmSums, _ := runTracedConformance(t, rtm.New(cfg), ilb.Explicit, substrate.Millisecond, procs, objects, msgsPer)
 
 	for p := 0; p < procs; p++ {
 		if !reflect.DeepEqual(simSums[p].counts, rtmSums[p].counts) {
@@ -189,5 +205,80 @@ func TestCrossBackendTraceConformance(t *testing.T) {
 		if migOut != migIn {
 			t.Errorf("%s: %d migrate-outs but %d migrate-ins", name, migOut, migIn)
 		}
+	}
+}
+
+// TestTracedRTMSpansMatchLedger: over the wall-clock machine, trace replays
+// the polls a polled advance skipped at their nominal boundaries and lets
+// the last compute span absorb the overshoot, so each processor's Polling
+// Thread spans are its poll wake-ups times the poll cost, and its Compute
+// and Polling Thread spans together cover what its ledger charged — the
+// spans bracket the endpoint's own measurements, so they may only exceed it,
+// and by little. Both stackings the CLIs build are checked: trace over rtm,
+// and trace over wire over rtm, which offers AdvancePolled because rtm does.
+// faulty over rtm hides it, so a faulted run steps.
+func TestTracedRTMSpansMatchLedger(t *testing.T) {
+	const procs, objects, msgsPer = 4, 8, 3
+	const work = 55 * substrate.Millisecond    // five polls a unit
+	const pollCost = 4 * substrate.Microsecond // ilb's, per wake-up
+	cfg := rtm.DefaultConfig()
+	cfg.TimeScale = 1e-2
+	cfg.Seed = 11
+
+	offers := func(m substrate.Machine) (ok bool) {
+		m.Spawn("p", func(ep substrate.Endpoint) { _, ok = ep.(substrate.PolledAdvancer) })
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if !offers(rtm.New(cfg)) || !offers(wire.Wrap(rtm.New(cfg))) {
+		t.Error("rtm, or wire over rtm, does not offer AdvancePolled")
+	}
+	if offers(faulty.Wrap(rtm.New(cfg), faulty.Plan{}, 1)) {
+		t.Error("faulty over rtm offers AdvancePolled")
+	}
+
+	for _, c := range []struct {
+		name string
+		wrap func(substrate.Machine) substrate.Machine
+	}{
+		{"trace/rtm", func(m substrate.Machine) substrate.Machine { return m }},
+		{"trace/wire/rtm", func(m substrate.Machine) substrate.Machine { return wire.Wrap(m) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.wrap(rtm.New(cfg))
+			sums, col := runTracedConformance(t, m, ilb.Implicit, work, procs, objects, msgsPer)
+			units := 0
+			for p := 0; p < procs; p++ {
+				units += sums[p].counts[trace.EvUnitBegin]
+				var spans [substrate.NumCategories]substrate.Time
+				wakes := 0
+				for e := range col.Recorder(p).Events() {
+					switch {
+					case e.Kind == trace.EvSpan:
+						spans[e.A] += e.Dur
+					case e.Kind == trace.EvPolicy && e.A == trace.PolPollWake:
+						wakes++
+					}
+				}
+				acct := m.Account(p)
+				if wakes == 0 {
+					t.Errorf("proc %d: no poll wake-ups traced", p)
+				}
+				if want := substrate.Time(wakes) * pollCost; spans[substrate.CatPollThread] != want || acct[substrate.CatPollThread] != want {
+					t.Errorf("proc %d: polling thread spans %v, ledger %v; want %d wake-ups x %v = %v",
+						p, spans[substrate.CatPollThread], acct[substrate.CatPollThread], wakes, pollCost, want)
+				}
+				traced := spans[substrate.CatCompute] + spans[substrate.CatPollThread]
+				charged := acct[substrate.CatCompute] + acct[substrate.CatPollThread]
+				if traced < charged || traced-charged > charged/20 {
+					t.Errorf("proc %d: compute + polling spans %v, ledger %v: want the spans at most 5%% above", p, traced, charged)
+				}
+			}
+			if want := procs * objects * msgsPer; units != want {
+				t.Errorf("%d units executed, want %d", units, want)
+			}
+		})
 	}
 }

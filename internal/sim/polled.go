@@ -13,15 +13,11 @@ import "prema/internal/substrate"
 // trace stream from the (done, polls) returned here.
 
 // polledPark is the state of one AdvancePolled call while its processor is
-// parked. Poll j (1..last) checks the inbox at c_j = t0 + j*period.
+// parked: the advance's poll grid, and when the processor is currently due
+// back — the grid's End, or an earlier c_j.
 type polledPark struct {
-	spec   substrate.PollSpec
-	t0     Time // entry time
-	d      Time // compute requested
-	period Time // spec.Interval + spec.Cost
-	last   int  // K: polls the whole advance holds
-	end    Time // t0 + d + K*Cost
-	target Time // when the processor is currently due back: end, or an earlier c_j
+	substrate.PollGrid
+	target Time
 }
 
 var _ substrate.PolledAdvancer = (*Proc)(nil)
@@ -40,19 +36,16 @@ var _ substrate.PolledAdvancer = (*Proc)(nil)
 // alive.
 func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls int) {
 	s := p.sh
-	if ps.Interval <= 0 || d <= ps.Interval || ps.WakeBy <= s.now {
+	if !ps.Elides(d, s.now) {
 		return substrate.StepPolled(p, d, ps) // nothing to skip, or told to step
 	}
 	pk := &p.poll
-	*pk = polledPark{spec: ps, t0: s.now, d: d, period: ps.Interval + ps.Cost, last: int((d - 1) / ps.Interval)}
-	pk.end = s.now + d + Time(pk.last)*ps.Cost
-	pk.target = pk.end
-	switch {
-	case ps.AnyTag && p.inbox.Len() > 0, !ps.AnyTag && p.hasMsg(ps.Tag):
-		pk.target = pk.boundary(1)
-	case ps.WakeBy < pk.end:
-		pk.target = pk.boundaryAtOrAfter(ps.WakeBy)
+	pk.PollGrid = substrate.NewPollGrid(s.now, d, ps)
+	queued := substrate.Never
+	if ps.AnyTag && p.inbox.Len() > 0 || !ps.AnyTag && p.hasMsg(ps.Tag) {
+		queued = s.now
 	}
+	pk.target = pk.Due(queued)
 
 	p.waitGen++
 	// Fast path, as in Advance: the wake would be the next event popped.
@@ -63,18 +56,18 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 		return p.settlePolled()
 	}
 	switch {
-	case pk.target < pk.end:
+	case pk.target < pk.End:
 		s.atWake(pk.target-s.now, p, p.waitGen)
 	case p.endAt == 0:
 		ev := s.alloc()
 		ev.kind = evPollEnd
 		ev.proc = p
-		s.heap.Push(pk.end, s.ordNext(), ev)
-		p.endAt = pk.end
-	case p.endAt > pk.end:
+		s.heap.Push(pk.End, s.ordNext(), ev)
+		p.endAt = pk.End
+	case p.endAt > pk.End:
 		// Only a caller that re-enters with less compute than it left with
 		// gets here: the queued end event is too late to serve this advance.
-		s.atWake(pk.end-s.now, p, p.waitGen)
+		s.atWake(pk.End-s.now, p, p.waitGen)
 	}
 	p.polled, p.blocked = true, true
 	alive := p.yield(struct{}{})
@@ -86,24 +79,6 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 	return done, polls
 }
 
-// boundary returns c_j, or the end of the advance when j is past the last
-// poll.
-func (pk *polledPark) boundary(j int) Time {
-	if j > pk.last {
-		return pk.end
-	}
-	return pk.t0 + Time(j)*pk.period
-}
-
-// boundaryAtOrAfter returns the smallest c_j >= t (t >= t0).
-func (pk *polledPark) boundaryAtOrAfter(t Time) Time {
-	j := int((t - pk.t0 + pk.period - 1) / pk.period)
-	if j < 1 {
-		j = 1
-	}
-	return pk.boundary(j)
-}
-
 // pollArrival is shard.deliver's hook for a processor parked in a polled
 // advance: a matching message pulls the wake-up forward to the first poll
 // that will see it. Deliveries sort before local events at equal times, so a
@@ -112,10 +87,10 @@ func (pk *polledPark) boundaryAtOrAfter(t Time) Time {
 // when it fires.
 func (p *Proc) pollArrival(m *Msg) {
 	pk := &p.poll
-	if !pk.spec.AnyTag && m.Tag != pk.spec.Tag {
+	if !pk.Spec.Matches(m) {
 		return
 	}
-	if c := pk.boundaryAtOrAfter(p.sh.now); c < pk.target {
+	if c := pk.AtOrAfter(p.sh.now); c < pk.target {
 		pk.target = c
 		p.sh.atWake(c-p.sh.now, p, p.waitGen)
 	}
@@ -125,8 +100,8 @@ func (p *Proc) pollArrival(m *Msg) {
 // the event was re-armed (and so must not be released).
 func (s *shard) firePollEnd(ev *event) (rearmed bool) {
 	p := ev.proc
-	if p.polled && s.now < p.poll.end {
-		p.endAt = p.poll.end
+	if p.polled && s.now < p.poll.End {
+		p.endAt = p.poll.End
 		s.heap.Push(p.endAt, s.ordNext(), ev)
 		return true
 	}
@@ -138,24 +113,15 @@ func (s *shard) firePollEnd(ev *event) (rearmed bool) {
 }
 
 // settlePolled charges the part of the parked advance that lies behind the
-// clock: every completed slice to CatCompute, every completed poll to
-// CatPollThread. A normal resume lands on a poll boundary or on the end;
-// only a processor torn down mid-advance sees anything else, and is charged
-// what it finished.
+// clock (substrate.PollGrid.Settle): every completed slice to CatCompute,
+// every completed poll to CatPollThread. A normal resume lands on a poll
+// boundary or on the end; only a processor torn down mid-advance sees
+// anything else.
 func (p *Proc) settlePolled() (done Time, polls int) {
-	s, pk := p.sh, &p.poll
-	interval, cost := pk.spec.Interval, pk.spec.Cost
-	if s.now >= pk.end {
-		done, polls = pk.d, pk.last
-	} else {
-		polls = int((s.now - pk.t0) / pk.period)
-		done = Time(polls) * interval
-		if s.now-pk.t0-Time(polls)*pk.period >= interval {
-			done += interval // torn down between a slice's end and its poll's
-		}
-	}
+	pk := &p.poll
+	done, polls = pk.Settle(p.sh.now)
 	p.acct[CatCompute] += done
-	p.acct[CatPollThread] += Time(polls) * cost
-	s.elided += uint64(polls)
+	p.acct[CatPollThread] += Time(polls) * pk.Spec.Cost
+	p.sh.elided += uint64(polls)
 	return done, polls
 }

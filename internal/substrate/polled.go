@@ -48,6 +48,69 @@ type PolledAdvancer interface {
 	AdvancePolled(d Time, ps PollSpec) (done Time, polls int)
 }
 
+// Elides reports whether a polled advance of d entered at now has polls to
+// skip: more than one slice, and no WakeBy already due. Otherwise a
+// PolledAdvancer steps (StepPolled).
+func (ps PollSpec) Elides(d, now Time) bool {
+	return ps.Interval > 0 && d > ps.Interval && ps.WakeBy > now
+}
+
+// Matches reports whether a poll under ps would find m: it carries Tag, or
+// AnyTag is set.
+func (ps PollSpec) Matches(m *Msg) bool { return ps.AnyTag || m.Tag == ps.Tag }
+
+// PollGrid is the arithmetic of the contract above for one advance, shared
+// by every PolledAdvancer: entered at T0 with D of compute, its poll j
+// (1..Last, Last = K) checks the inbox at c_j = T0 + j*Period, and it ends at
+// End = T0 + D + K*Cost.
+type PollGrid struct {
+	Spec   PollSpec
+	T0, D  Time
+	Period Time // Spec.Interval + Spec.Cost
+	Last   int
+	End    Time
+}
+
+// NewPollGrid lays out an advance of d entered at t0; ps must Elide it.
+func NewPollGrid(t0, d Time, ps PollSpec) PollGrid {
+	last := int((d - 1) / ps.Interval)
+	return PollGrid{Spec: ps, T0: t0, D: d, Period: ps.Interval + ps.Cost, Last: last, End: t0 + d + Time(last)*ps.Cost}
+}
+
+// AtOrAfter returns the first c_j >= t, or End when no poll is that late.
+func (g *PollGrid) AtOrAfter(t Time) Time {
+	if t >= g.End {
+		return g.End
+	}
+	j := max(1, int((t-g.T0+g.Period-1)/g.Period))
+	if j > g.Last {
+		return g.End
+	}
+	return g.T0 + Time(j)*g.Period
+}
+
+// Due returns when the advance must come back (case 2 of the contract): the
+// first c_j at or after the earlier of Spec.WakeBy and arrival — the arrival
+// time of the earliest queued message that matches, Never for none — or End.
+func (g *PollGrid) Due(arrival Time) Time { return g.AtOrAfter(min(g.Spec.WakeBy, arrival)) }
+
+// Settle returns what an advance that has run to t completed (case 1 of the
+// contract): every slice and poll behind t. At a poll boundary that is
+// (j*Interval, j); at or past End it is (D, Last). Only an advance cut short
+// off the grid (a processor torn down) sees anything else, and is credited
+// what it finished.
+func (g *PollGrid) Settle(t Time) (done Time, polls int) {
+	if t >= g.End {
+		return g.D, g.Last
+	}
+	polls = int((t - g.T0) / g.Period)
+	done = Time(polls) * g.Spec.Interval
+	if t-g.T0-Time(polls)*g.Period >= g.Spec.Interval {
+		done += g.Spec.Interval // between a slice's end and its poll's
+	}
+	return done, polls
+}
+
 // AdvancePolled runs one quiet stretch of a polled computation on ep and
 // returns how much of d was computed and how many polls woke. When compute
 // remains (done < d) the caller owes the poll that ended the stretch; it

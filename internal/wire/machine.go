@@ -45,7 +45,7 @@ func (w *Machine) SizeDrift() uint64 { return w.sizeDrift.Load() }
 
 // Spawn implements substrate.Machine, interposing the codec endpoint. The
 // endpoint offers AdvancePolled exactly when the one beneath it does, so a
-// tracer above a wall-clock backend still sees (and times) every step.
+// tracer above an endpoint that steps still sees (and times) every step.
 func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	w.Machine.Spawn(name, func(ep substrate.Endpoint) {
 		e := &Endpoint{Endpoint: ep, m: w}
