@@ -3,9 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"prema/internal/faulty"
-	"prema/internal/substrate"
 )
 
 // chaosWorkload is the small figure-3 scenario the chaos tests run.
@@ -15,9 +12,7 @@ func chaosWorkload() Workload {
 
 // chaosPlan is the acceptance-level fault mix: a fifth of all messages
 // dropped, a tenth duplicated.
-func chaosPlan() faulty.Plan {
-	return faulty.Plan{Default: faulty.LinkFaults{Drop: 0.2, Dup: 0.1}}
-}
+const chaosPlan = "drop=0.2,dup=0.1"
 
 // TestChaosRunSurvives: the paper microbenchmark on a lossy, duplicating
 // simulated machine with reliable delivery on must produce the same
@@ -36,7 +31,7 @@ func TestChaosRunSurvives(t *testing.T) {
 			res, err := RunSpec{
 				System:    sys,
 				W:         w,
-				FaultPlan: chaosPlan().String(),
+				FaultPlan: chaosPlan,
 				FaultSeed: 3,
 				Reliable:  true,
 			}.Run()
@@ -94,7 +89,7 @@ func TestChaosReliableOverhead(t *testing.T) {
 func TestChaosRejectsBaselines(t *testing.T) {
 	w := chaosWorkload()
 	for _, sys := range []string{"parmetis", "charm", "charm-sync4", "nonsense"} {
-		if _, err := (RunSpec{System: sys, W: w, FaultPlan: chaosPlan().String()}).Run(); err == nil {
+		if _, err := (RunSpec{System: sys, W: w, FaultPlan: chaosPlan}).Run(); err == nil {
 			t.Errorf("Run accepted a fault plan on system %q", sys)
 		}
 	}
@@ -109,11 +104,9 @@ func TestChaosRejectsBaselines(t *testing.T) {
 func TestChaosStallRecovery(t *testing.T) {
 	w := chaosWorkload()
 	res, err := RunSpec{
-		System: "prema-implicit",
-		W:      w,
-		FaultPlan: faulty.Plan{Stalls: []faulty.Stall{
-			{Proc: 3, At: 10 * substrate.Second, For: 30 * substrate.Second},
-		}}.String(),
+		System:    "prema-implicit",
+		W:         w,
+		FaultPlan: "stall:3@10s+30s",
 		FaultSeed: 3,
 		Reliable:  true,
 	}.Run()

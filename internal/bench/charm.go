@@ -18,7 +18,8 @@ type CharmConfig struct {
 	// I>0 (figures (f), I=4 in the paper) creates an N/I-element array whose
 	// chares each execute I work units with AtSync+LB between iterations.
 	SyncPoints int
-	// Strategy is the central LB strategy (default GreedyLB).
+	// Strategy is the central LB strategy the AtSync rounds run (nil: they
+	// never rebalance). DefaultCharmConfig sets RefineLB.
 	Strategy charm.Strategy
 	// Shuffle models the paper's adaptivity premise for measurement-based
 	// balancers: the computationally heavy region is a contiguous chare
@@ -68,9 +69,6 @@ func runCharm(m substrate.Machine, w Workload, cfg CharmConfig) (*Result, error)
 	if cfg.SyncPoints > 0 {
 		iters = cfg.SyncPoints
 		name = fmt.Sprintf("charm-sync%d", cfg.SyncPoints)
-	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = charm.GreedyLB{}
 	}
 	chares := (w.Units + iters - 1) / iters // rounded up: every unit runs
 	// Per-iteration spike offsets, fixed across processors (deterministic).

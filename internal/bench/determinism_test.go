@@ -27,7 +27,7 @@ func TestSameSeedSameOutcome(t *testing.T) {
 		rows = append(rows, row{"mesh quick " + sys, func() (*Result, error) { return RunMeshSystem(sys, mesh, mc) }})
 	}
 	rows = append(rows,
-		row{"chaos", RunSpec{System: "prema-implicit", W: w, FaultPlan: chaosPlan().String(), FaultSeed: 3, Reliable: true}.Run},
+		row{"chaos", RunSpec{System: "prema-implicit", W: w, FaultPlan: chaosPlan, FaultSeed: 3, Reliable: true}.Run},
 		row{"recover crash:3@35s", RunSpec{System: "prema-implicit", W: w, FaultPlan: "crash:3@35s", FaultSeed: 3,
 			Reliable: true, Recover: true}.Run})
 	for _, r := range rows {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestRecoveryCrashMidRun(t *testing.T) {
 	res, err := RunSpec{
 		System:    "prema-implicit",
 		W:         w,
-		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: crashAt}}}.String(),
+		FaultPlan: fmt.Sprintf("crash:3@%v", crashAt.Duration()),
 		FaultSeed: 3,
 		Reliable:  true,
 		Recover:   true,
@@ -112,7 +113,7 @@ func TestRecoveryRealBackend(t *testing.T) {
 	res, err := RunSpec{
 		System:    "prema-implicit",
 		W:         w,
-		FaultPlan: faulty.Plan{Crashes: []faulty.Crash{{Proc: 3, At: 8 * substrate.Second}}}.String(),
+		FaultPlan: "crash:3@8s",
 		FaultSeed: 3,
 		Reliable:  true,
 		Backend:   BackendReal,
@@ -188,9 +189,9 @@ func runChainThroughCrash(t *testing.T, m substrate.Machine, fm *faulty.Machine,
 			hPump = r.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
 				i := data.(int)
 				r.Compute(500 * substrate.Millisecond)
-				l.Message(targetMP, hPayload, i, 8)
+				l.Message(targetMP, hPayload, i, 8, substrate.TagApp, 0)
 				if i+1 < payloads {
-					l.Message(obj.MP, hPump, i+1, 8)
+					l.Message(obj.MP, hPump, i+1, 8, substrate.TagApp, 0)
 				}
 			})
 			switch ep.ID() {

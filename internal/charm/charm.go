@@ -67,7 +67,6 @@ type ChareLoad struct {
 // Strategy computes a new chare->processor mapping from measured loads.
 // Implementations must be deterministic.
 type Strategy interface {
-	Name() string
 	// Remap returns the new processor for every chare index it wants to
 	// (re)place; omitted indices stay put. nprocs is the machine size.
 	Remap(loads []ChareLoad, nprocs int) map[int]int

@@ -100,11 +100,11 @@ func TestStrategiesDeterministic(t *testing.T) {
 		a := s.Remap(loads, 4)
 		b := s.Remap(loads, 4)
 		if len(a) != len(b) {
-			t.Fatalf("%s nondeterministic", s.Name())
+			t.Fatalf("%T nondeterministic", s)
 		}
 		for k, v := range a {
 			if b[k] != v {
-				t.Fatalf("%s nondeterministic at %d", s.Name(), k)
+				t.Fatalf("%T nondeterministic at %d", s, k)
 			}
 		}
 	}
@@ -255,15 +255,20 @@ func TestEntryAtomicity(t *testing.T) {
 	}
 }
 
+// TestRefineLBToleranceDefault: a zero Tolerance is the documented 5 %.
 func TestRefineLBToleranceDefault(t *testing.T) {
-	if got := (RefineLB{}).Name(); got != "refine" {
-		t.Fatal("name")
+	// Processor 0 is 4 % over the average: inside 5 %, outside 1 %.
+	loads := []ChareLoad{{0, 0, 1.0}, {1, 0, 0.04}, {2, 1, 0.99}, {3, 2, 0.99}, {4, 3, 0.98}}
+	if got := (RefineLB{}).Remap(loads, 4); len(got) != 0 {
+		t.Fatalf("default tolerance moved %v at 4 %% overload", got)
 	}
-	if got := (GreedyLB{}).Name(); got != "greedy" {
-		t.Fatal("name")
+	if got := (RefineLB{Tolerance: 0.01}).Remap(loads, 4); len(got) == 0 {
+		t.Fatal("a 1 % tolerance moved nothing at 4 % overload")
 	}
-	if got := (MetisLB{}).Name(); got != "metis" {
-		t.Fatal("name")
+	// 6 % over: the default moves the small chare off processor 0.
+	loads = []ChareLoad{{0, 0, 1.0}, {1, 0, 0.06}, {2, 1, 0.98}, {3, 2, 0.98}, {4, 3, 0.98}}
+	if got := (RefineLB{}).Remap(loads, 4); len(got) != 1 || got[1] != 1 {
+		t.Fatalf("default tolerance at 6 %% overload moved %v, want chare 1 to processor 1", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package charm
 
 import (
-	"container/heap"
 	"sort"
 
 	"prema/internal/graph"
@@ -14,39 +13,6 @@ import (
 // large (the strategy ignores current placement).
 type GreedyLB struct{}
 
-// Name implements Strategy.
-func (GreedyLB) Name() string { return "greedy" }
-
-// procHeap is a min-heap of processor loads.
-type procHeap struct {
-	load []float64
-	id   []int
-}
-
-func (h *procHeap) Len() int { return len(h.id) }
-func (h *procHeap) Less(i, j int) bool {
-	if h.load[i] != h.load[j] {
-		return h.load[i] < h.load[j]
-	}
-	return h.id[i] < h.id[j]
-}
-func (h *procHeap) Swap(i, j int) {
-	h.load[i], h.load[j] = h.load[j], h.load[i]
-	h.id[i], h.id[j] = h.id[j], h.id[i]
-}
-func (h *procHeap) Push(x any) {
-	p := x.([2]float64)
-	h.load = append(h.load, p[0])
-	h.id = append(h.id, int(p[1]))
-}
-func (h *procHeap) Pop() any {
-	n := len(h.id)
-	v := [2]float64{h.load[n-1], float64(h.id[n-1])}
-	h.load = h.load[:n-1]
-	h.id = h.id[:n-1]
-	return v
-}
-
 // Remap implements Strategy.
 func (GreedyLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 	sorted := append([]ChareLoad(nil), loads...)
@@ -56,18 +22,18 @@ func (GreedyLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 		}
 		return sorted[i].Index < sorted[j].Index
 	})
-	h := &procHeap{}
-	for p := 0; p < nprocs; p++ {
-		h.load = append(h.load, 0)
-		h.id = append(h.id, p)
-	}
-	heap.Init(h)
+	procLoad := make([]float64, nprocs)
 	out := make(map[int]int, len(loads))
 	for _, c := range sorted {
-		v := heap.Pop(h).([2]float64)
-		out[c.Index] = int(v[1])
-		v[0] += c.Load
-		heap.Push(h, v)
+		// The lightest processor, the lowest ID among equals.
+		light := 0
+		for p := 1; p < nprocs; p++ {
+			if procLoad[p] < procLoad[light] {
+				light = p
+			}
+		}
+		out[c.Index] = light
+		procLoad[light] += c.Load
 	}
 	return out
 }
@@ -79,9 +45,6 @@ type RefineLB struct {
 	// Tolerance is the allowed overload fraction (default 0.05).
 	Tolerance float64
 }
-
-// Name implements Strategy.
-func (r RefineLB) Name() string { return "refine" }
 
 // Remap implements Strategy.
 func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
@@ -156,9 +119,6 @@ func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 // migration (no communication edges are available at this interface, so the
 // objective reduces to balance + movement).
 type MetisLB struct{}
-
-// Name implements Strategy.
-func (m MetisLB) Name() string { return "metis" }
 
 // Remap implements Strategy.
 func (m MetisLB) Remap(loads []ChareLoad, nprocs int) map[int]int {

@@ -135,25 +135,12 @@ func (r *Runtime) Message(mp mol.MobilePtr, h mol.HandlerID, data any, size int,
 	r.s.Message(mp, h, data, size, weight)
 }
 
-// RegisterReader installs a remote-read extractor (see mol.RegisterReader);
-// SPMD registration order applies.
-func (r *Runtime) RegisterReader(rd mol.Reader) int { return r.l.RegisterReader(rd) }
-
-// Get requests a read of a mobile object wherever it lives; done runs here
-// with the value (the MOL's consistent remote data access).
-func (r *Runtime) Get(mp mol.MobilePtr, reader int, done func(value any)) {
-	r.l.Get(mp, reader, done)
-}
-
 // Compute consumes d of application CPU inside a work-unit handler; in
 // implicit mode it is preempted by the polling thread (see
 // ilb.Scheduler.Compute). The duration is backend-neutral substrate time:
 // the simulator advances virtual time by exactly d, the real-concurrency
 // machine burns scaled wall-clock.
 func (r *Runtime) Compute(d substrate.Time) { r.s.Compute(d) }
-
-// Poll is the application-posted polling operation.
-func (r *Runtime) Poll() { r.s.Poll() }
 
 // Run drives the scheduler until Stop (or a StopAll broadcast) is seen. In
 // reliable-delivery mode it then quiesces the transport: unacked sends

@@ -203,40 +203,6 @@ func TestStopAllReachesEveryone(t *testing.T) {
 	}
 }
 
-// TestRemoteGetThroughRuntime: the core facade exposes the MOL's remote
-// data access; reads chase migrated objects.
-func TestRemoteGetThroughRuntime(t *testing.T) {
-	e := sim.NewEngine(sim.Config{Seed: 19})
-	var got any
-	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			r := NewRuntime(p, DefaultOptions(ilb.Explicit))
-			reader := r.RegisterReader(func(obj *mol.Object) (any, int) {
-				return obj.Data.(string) + "!", 16
-			})
-			switch p.ID() {
-			case 0:
-				// The host schedules the read like any work unit.
-				r.Register("hello", 64)
-				r.Run()
-			case 1:
-				p.Advance(sim.Millisecond, sim.CatCompute)
-				r.Get(mol.MobilePtr{Home: 0, Index: 0}, reader, func(v any) { got = v })
-				for got == nil {
-					r.Comm().WaitPoll(sim.CatIdle)
-				}
-				r.StopAll()
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != "hello!" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
 func TestRuntimeAccessors(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	e.Spawn("p", func(p *sim.Proc) {
@@ -244,7 +210,7 @@ func TestRuntimeAccessors(t *testing.T) {
 		if r.Mol() == nil || r.Scheduler() == nil || r.Comm() == nil {
 			t.Error("accessors")
 		}
-		r.Poll() // no traffic: must be a cheap no-op
+		r.Scheduler().Poll() // no traffic: must be a cheap no-op
 		r.Compute(10 * sim.Millisecond)
 		if p.Now() != 10*sim.Millisecond {
 			t.Errorf("compute time %v", p.Now())

@@ -27,13 +27,14 @@ type HandlerID int
 // the sending processor and data/size the payload.
 type Handler func(c *Comm, src int, data any, size int)
 
+// dispatchCPU is charged (to substrate.CatCallback) around every handler
+// invocation, modeling the user-level dispatch cost of the AM layer.
+const dispatchCPU = 2 * substrate.Microsecond
+
 // Comm is a processor-local communication endpoint.
 type Comm struct {
 	p        substrate.Endpoint
 	handlers []Handler
-	// DispatchCPU is charged (to substrate.CatCallback) around every handler
-	// invocation, modeling the user-level dispatch cost of the AM layer.
-	DispatchCPU substrate.Time
 	// rel is non-nil in reliable-delivery mode (see reliable.go): sequenced
 	// exactly-once delivery with acks and poll-driven retransmission,
 	// built for lossy transports such as internal/faulty.
@@ -45,7 +46,7 @@ type Comm struct {
 
 // New wraps a substrate endpoint in a DMCS endpoint.
 func New(p substrate.Endpoint) *Comm {
-	return &Comm{p: p, DispatchCPU: 2 * substrate.Microsecond, tr: trace.Of(p)}
+	return &Comm{p: p, tr: trace.Of(p)}
 }
 
 // Proc returns the underlying substrate endpoint.
@@ -78,9 +79,7 @@ func (c *Comm) SendTagged(dst int, h HandlerID, data any, size int, tag int) {
 
 // dispatch runs the handler named by m.
 func (c *Comm) dispatch(m *substrate.Msg) {
-	if c.DispatchCPU > 0 {
-		c.p.Advance(c.DispatchCPU, substrate.CatCallback)
-	}
+	c.p.Advance(dispatchCPU, substrate.CatCallback)
 	c.handlers[m.Kind](c, m.Src, m.Data, m.Size)
 }
 

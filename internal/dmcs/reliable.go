@@ -359,8 +359,9 @@ func (c *Comm) accept(m *substrate.Msg) {
 		return
 	}
 	if m.Seq == 0 {
-		// Unsequenced message (a peer running without reliable mode, or
-		// legacy traffic): pass through as-is.
+		// Unsequenced message: its only source is a peer's send while it had
+		// this processor marked dead (sequence, counted in DeadSent). Pass it
+		// through as-is.
 		r.ready = append(r.ready, m)
 		return
 	}

@@ -8,8 +8,8 @@ import (
 	"prema/internal/substrate"
 )
 
-// errCrashed tears down a crashed processor's body; the Spawn wrapper
-// recovers it so the rest of the machine keeps running.
+// crashSignal is the panic value that tears down a crashed processor's body;
+// the Spawn wrapper recovers it so the rest of the machine keeps running.
 type crashSignal struct{ proc int }
 
 // Stats counts the faults one endpoint injected. Read it after Run.

@@ -9,15 +9,20 @@ import (
 	"prema/internal/substrate"
 )
 
-// TestParsePlanRoundTrip: Plan.String renders the compact syntax ParsePlan
-// accepts, and the two must be inverses for any plan whose magnitude
-// defaults are filled in.
+// TestParsePlanRoundTrip: the compact syntax parses to the plan it spells,
+// with the magnitude defaults of a bare delay or reorder filled in.
 func TestParsePlanRoundTrip(t *testing.T) {
-	plans := []Plan{
-		{},
-		{Default: LinkFaults{Drop: 0.25}},
-		{Default: LinkFaults{Drop: 0.2, Dup: 0.1, Delay: 0.05, DelayMax: 10 * substrate.Millisecond, Reorder: 0.3, ReorderDepth: 4}},
-		{
+	for _, tc := range []struct {
+		text string
+		want Plan
+	}{
+		{"none", Plan{}},
+		{"drop=0.25", Plan{Default: LinkFaults{Drop: 0.25}}},
+		{"drop=0.2,dup=0.1,delay=0.05:10ms,reorder=0.3:4",
+			Plan{Default: LinkFaults{Drop: 0.2, Dup: 0.1, Delay: 0.05, DelayMax: 10 * substrate.Millisecond, Reorder: 0.3, ReorderDepth: 4}}},
+		{"delay=0.05,reorder=0.3",
+			Plan{Default: LinkFaults{Delay: 0.05, DelayMax: 10 * substrate.Millisecond, Reorder: 0.3, ReorderDepth: 4}}},
+		{"drop=0.1;link:0-3:dup=0.5;link:2-1:drop=1;stall:2@5s+500ms;crash:7@20s", Plan{
 			Default: LinkFaults{Drop: 0.1},
 			Links: map[Link]LinkFaults{
 				{Src: 0, Dst: 3}: {Dup: 0.5},
@@ -25,25 +30,14 @@ func TestParsePlanRoundTrip(t *testing.T) {
 			},
 			Stalls:  []Stall{{Proc: 2, At: 5 * substrate.Second, For: 500 * substrate.Millisecond}},
 			Crashes: []Crash{{Proc: 7, At: 20 * substrate.Second}},
-		},
-	}
-	for i, p := range plans {
-		s := p.String()
-		got, err := ParsePlan(s)
+		}},
+	} {
+		got, err := ParsePlan(tc.text)
 		if err != nil {
-			t.Fatalf("plan %d: ParsePlan(%q): %v", i, s, err)
+			t.Fatalf("ParsePlan(%q): %v", tc.text, err)
 		}
-		// ParsePlan fills magnitude defaults; compare against the same view.
-		want := p
-		want.Default = want.Default.withDefaults()
-		for l, lf := range want.Links {
-			want.Links[l] = lf.withDefaults()
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("plan %d: round trip %q:\n got %+v\nwant %+v", i, s, got, want)
-		}
-		if got.String() != s {
-			t.Errorf("plan %d: re-render %q != %q", i, got.String(), s)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParsePlan(%q):\n got %+v\nwant %+v", tc.text, got, tc.want)
 		}
 	}
 }

@@ -128,57 +128,6 @@ func (p Plan) faultsFor(src, dst int) LinkFaults {
 	return p.Default.withDefaults()
 }
 
-// String renders the plan in the compact form ParsePlan accepts.
-func (p Plan) String() string {
-	var parts []string
-	if s := renderLink(p.Default); s != "" {
-		parts = append(parts, s)
-	}
-	links := make([]Link, 0, len(p.Links))
-	for l := range p.Links {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].Src != links[j].Src {
-			return links[i].Src < links[j].Src
-		}
-		return links[i].Dst < links[j].Dst
-	})
-	for _, l := range links {
-		parts = append(parts, fmt.Sprintf("link:%d-%d:%s", l.Src, l.Dst, renderLink(p.Links[l])))
-	}
-	for _, s := range p.Stalls {
-		parts = append(parts, fmt.Sprintf("stall:%d@%s+%s", s.Proc, renderDur(s.At), renderDur(s.For)))
-	}
-	for _, c := range p.Crashes {
-		parts = append(parts, fmt.Sprintf("crash:%d@%s", c.Proc, renderDur(c.At)))
-	}
-	for _, r := range p.Recovers {
-		parts = append(parts, fmt.Sprintf("recover:%d@%s", r.Proc, renderDur(r.At)))
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ";")
-}
-
-func renderLink(lf LinkFaults) string {
-	var fs []string
-	if lf.Drop > 0 {
-		fs = append(fs, fmt.Sprintf("drop=%g", lf.Drop))
-	}
-	if lf.Dup > 0 {
-		fs = append(fs, fmt.Sprintf("dup=%g", lf.Dup))
-	}
-	if lf.Delay > 0 {
-		fs = append(fs, fmt.Sprintf("delay=%g:%s", lf.Delay, renderDur(lf.DelayMax)))
-	}
-	if lf.Reorder > 0 {
-		fs = append(fs, fmt.Sprintf("reorder=%g:%d", lf.Reorder, lf.ReorderDepth))
-	}
-	return strings.Join(fs, ",")
-}
-
 func renderDur(t substrate.Time) string { return t.Duration().String() }
 
 // ParsePlan parses the compact fault-plan syntax used by the -fault-plan

@@ -8,37 +8,33 @@ import (
 	"prema/internal/substrate"
 )
 
-// TestRecoverPlanRoundTrip: recover clauses render and re-parse like every
-// other plan entry.
+// TestRecoverPlanRoundTrip: recover clauses parse like every other plan
+// entry, and a plan holding one is active.
 func TestRecoverPlanRoundTrip(t *testing.T) {
-	plans := []Plan{
-		{
+	for _, tc := range []struct {
+		text string
+		want Plan
+	}{
+		{"crash:7@20s;recover:7@40s", Plan{
 			Crashes:  []Crash{{Proc: 7, At: 20 * substrate.Second}},
 			Recovers: []Recover{{Proc: 7, At: 40 * substrate.Second}},
-		},
-		{
+		}},
+		{"drop=0.1;stall:2@5s+500ms;crash:1@10s;crash:1@1m0s;recover:1@30s", Plan{
 			Default:  LinkFaults{Drop: 0.1},
 			Stalls:   []Stall{{Proc: 2, At: 5 * substrate.Second, For: 500 * substrate.Millisecond}},
 			Crashes:  []Crash{{Proc: 1, At: 10 * substrate.Second}, {Proc: 1, At: 60 * substrate.Second}},
 			Recovers: []Recover{{Proc: 1, At: 30 * substrate.Second}},
-		},
-	}
-	for i, p := range plans {
-		s := p.String()
-		got, err := ParsePlan(s)
+		}},
+	} {
+		got, err := ParsePlan(tc.text)
 		if err != nil {
-			t.Fatalf("plan %d: ParsePlan(%q): %v", i, s, err)
+			t.Fatalf("ParsePlan(%q): %v", tc.text, err)
 		}
-		want := p
-		want.Default = want.Default.withDefaults()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("plan %d: round trip %q:\n got %+v\nwant %+v", i, s, got, want)
-		}
-		if got.String() != s {
-			t.Errorf("plan %d: re-render %q != %q", i, got.String(), s)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParsePlan(%q):\n got %+v\nwant %+v", tc.text, got, tc.want)
 		}
 		if !got.Active() {
-			t.Errorf("plan %d: %q should be active", i, s)
+			t.Errorf("%q should be active", tc.text)
 		}
 	}
 }

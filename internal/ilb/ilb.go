@@ -106,7 +106,6 @@ type Stats struct {
 // register their own system-message handlers in Setup (identical
 // registration order across processors, as everywhere in the stack).
 type Policy interface {
-	Name() string
 	// Setup is called once per processor before the run starts.
 	Setup(s *Scheduler)
 	// OnLowLoad fires when the local estimated load crosses below the
@@ -123,9 +122,6 @@ type Policy interface {
 // NopPolicy is a Policy that never balances (the "no load balancing"
 // baseline).
 type NopPolicy struct{}
-
-// Name implements Policy.
-func (NopPolicy) Name() string { return "none" }
 
 // Setup implements Policy.
 func (NopPolicy) Setup(*Scheduler) {}
@@ -213,7 +209,7 @@ func (s *Scheduler) Stopped() bool { return s.stopped }
 // weight is the hinted computational weight in seconds (may be inaccurate —
 // that is the adaptive regime the framework is built for).
 func (s *Scheduler) Message(mp mol.MobilePtr, h mol.HandlerID, data any, size int, weight float64) {
-	s.l.MessageWeighted(mp, h, data, size, substrate.TagApp, weight)
+	s.l.Message(mp, h, data, size, substrate.TagApp, weight)
 }
 
 func (s *Scheduler) enqueue(u *Unit) {

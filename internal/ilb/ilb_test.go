@@ -63,7 +63,7 @@ func TestPackUnitsMarksStolen(t *testing.T) {
 		s.Message(a, h, nil, 0, 2)
 		s.Message(b, h, nil, 0, 3)
 		s.Message(a, h, nil, 0, 4)
-		envs := s.packUnits(s.Mol().Lookup(a))
+		envs := s.packUnits(s.Mol().Local()[a])
 		if len(envs) != 2 {
 			t.Fatalf("packed %d envelopes", len(envs))
 		}
@@ -287,8 +287,8 @@ func TestSchedulerAccessors(t *testing.T) {
 		if s.Proc() != p || s.Comm() == nil || s.Mol() == nil {
 			t.Error("accessors")
 		}
-		if s.policy.Name() != "none" {
-			t.Error("policy name")
+		if _, ok := s.policy.(NopPolicy); !ok {
+			t.Errorf("policy %T, want NopPolicy", s.policy)
 		}
 		if s.cfg.Mode != Implicit {
 			t.Error("config")
@@ -307,7 +307,7 @@ func TestSchedulerAccessors(t *testing.T) {
 		if !sawExecuting {
 			t.Error("current unit not set during handler")
 		}
-		if s.QueuedWeight(s.Mol().Lookup(mp)) != 0 {
+		if s.QueuedWeight(s.Mol().Local()[mp]) != 0 {
 			t.Error("queued weight after execution")
 		}
 	})
@@ -318,9 +318,6 @@ func TestSchedulerAccessors(t *testing.T) {
 
 func TestNopPolicyIsInert(t *testing.T) {
 	var p NopPolicy
-	if p.Name() != "none" {
-		t.Fatal("name")
-	}
 	// All hooks are no-ops on a nil scheduler.
 	p.Setup(nil)
 	p.OnLowLoad(nil)

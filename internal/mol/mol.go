@@ -174,14 +174,6 @@ type Layer struct {
 	rp          *recov.Proc
 	restoreHold []*Envelope
 
-	// Remote data access state (access.go).
-	accessReady bool
-	readers     []Reader
-	getPending  map[uint64]func(any)
-	getSeq      uint64
-	hGetReq     HandlerID
-	hGetReply   dmcs.HandlerID
-
 	Stats Stats
 }
 
@@ -276,10 +268,6 @@ func (l *Layer) install(obj *Object) {
 	delete(l.lastKnown, obj.MP)
 }
 
-// Lookup returns the locally installed object for mp, or nil if mp is not
-// resident here.
-func (l *Layer) Lookup(mp MobilePtr) *Object { return l.objects[mp] }
-
 // Local returns the locally installed objects (in unspecified order).
 func (l *Layer) Local() map[MobilePtr]*Object { return l.objects }
 
@@ -302,20 +290,10 @@ func (l *Layer) bestGuess(mp MobilePtr) int {
 }
 
 // Message sends an application message to the object named by mp, invoking
-// handler h at the object's current host. Message order from this processor
-// to mp is preserved across migrations.
-func (l *Layer) Message(mp MobilePtr, h HandlerID, data any, size int) {
-	l.MessageTagged(mp, h, data, size, substrate.TagApp)
-}
-
-// MessageTagged is Message with an explicit traffic-class tag.
-func (l *Layer) MessageTagged(mp MobilePtr, h HandlerID, data any, size int, tag int) {
-	l.MessageWeighted(mp, h, data, size, tag, 0)
-}
-
-// MessageWeighted is MessageTagged with a computational weight hint carried
-// to the scheduler at the object's host.
-func (l *Layer) MessageWeighted(mp MobilePtr, h HandlerID, data any, size int, tag int, weight float64) {
+// handler h at the object's current host; tag is its traffic class and weight
+// the computational weight hint carried to the scheduler there. Message order
+// from this processor to mp is preserved across migrations.
+func (l *Layer) Message(mp MobilePtr, h HandlerID, data any, size int, tag int, weight float64) {
 	if mp.IsNil() {
 		panic("mol: message to nil mobile pointer")
 	}

@@ -45,7 +45,7 @@ func TestLocalMessageDeliversInProcess(t *testing.T) {
 		})
 		return func() {
 			mp := l.Register(100, 64)
-			l.Message(mp, h, 5, 8)
+			l.Message(mp, h, 5, 8, sim.TagApp, 0)
 		}
 	})
 	if got != 105 {
@@ -69,7 +69,7 @@ func TestRemoteMessage(t *testing.T) {
 				l.Comm().Poll()
 			case 1:
 				l.Proc().Advance(sim.Millisecond, sim.CatCompute) // let mp be set
-				l.Message(mp, h, nil, 8)
+				l.Message(mp, h, nil, 8, sim.TagApp, 0)
 			}
 		}
 	})
@@ -94,11 +94,11 @@ func TestMigrationMovesObjectAndData(t *testing.T) {
 				if err := l.Migrate(mp, 1); err != nil {
 					t.Error(err)
 				}
-				if l.Lookup(mp) != nil {
+				if l.Local()[mp] != nil {
 					t.Error("object still resident after migrate")
 				}
 				// Message after migration must chase the object.
-				l.Message(mp, h, nil, 8)
+				l.Message(mp, h, nil, 8, sim.TagApp, 0)
 			case 1:
 				for l.Stats.Delivered == 0 {
 					l.Comm().WaitPoll(sim.CatIdle)
@@ -145,7 +145,7 @@ func TestForwardingChasesMigrationChain(t *testing.T) {
 			case 2:
 				// Sender with a stale view: believes the object is at home 0.
 				l.Proc().Advance(50*sim.Millisecond, sim.CatCompute)
-				l.Message(MobilePtr{Home: 0, Index: 0}, h, nil, 8)
+				l.Message(MobilePtr{Home: 0, Index: 0}, h, nil, 8, sim.TagApp, 0)
 				for !done {
 					if l.Comm().WaitPollFor(200*sim.Millisecond, sim.CatIdle) == 0 {
 						return
@@ -177,7 +177,7 @@ func TestOrderingAcrossMigration(t *testing.T) {
 				_ = mp
 				for i := 0; i < 20; i++ {
 					l.Comm().WaitPollFor(10*sim.Millisecond, sim.CatIdle)
-					if i == 5 && l.Lookup(mp) != nil {
+					if i == 5 && l.Local()[mp] != nil {
 						l.Migrate(mp, 1)
 					}
 				}
@@ -196,7 +196,7 @@ func TestOrderingAcrossMigration(t *testing.T) {
 			case 2: // the sender
 				mp := MobilePtr{Home: 0, Index: 0}
 				for i := 0; i < numMsgs; i++ {
-					l.Message(mp, h, i, 16)
+					l.Message(mp, h, i, 16, sim.TagApp, 0)
 					l.Proc().Advance(sim.Millisecond, sim.CatCompute)
 					l.Comm().PollTag(sim.TagSystem) // absorb location updates
 				}
@@ -244,7 +244,7 @@ func TestOrderingPropertyRandomized(t *testing.T) {
 			l.Proc().Advance(sim.Millisecond, sim.CatCompute)
 			for i := 0; i < msgs; i++ {
 				for o := 0; o < objects; o++ {
-					l.Message(MobilePtr{Home: 0, Index: o}, h, [2]int{o, i}, 16)
+					l.Message(MobilePtr{Home: 0, Index: o}, h, [2]int{o, i}, 16, sim.TagApp, 0)
 				}
 				l.Proc().Advance(sim.Time(rng.Intn(3000))*sim.Microsecond, sim.CatCompute)
 				l.Comm().Poll()
@@ -290,7 +290,7 @@ func TestMigrateErrors(t *testing.T) {
 			if err := l.Migrate(mp, 0); err != nil {
 				t.Errorf("self-migration should be a no-op: %v", err)
 			}
-			if l.Lookup(mp) == nil {
+			if l.Local()[mp] == nil {
 				t.Error("self-migration lost the object")
 			}
 		}
@@ -326,81 +326,10 @@ func TestWeightHintTravels(t *testing.T) {
 		l.SetDeliver(func(l *Layer, obj *Object, env *Envelope) { w = env.Weight })
 		return func() {
 			mp := l.Register("obj", 8)
-			l.MessageWeighted(mp, h, nil, 0, sim.TagApp, 7.5)
+			l.Message(mp, h, nil, 0, sim.TagApp, 7.5)
 		}
 	})
 	if w != 7.5 {
 		t.Fatalf("weight = %v", w)
-	}
-}
-
-func TestGetReadsRemoteObject(t *testing.T) {
-	var got any
-	cluster(t, 2, DefaultConfig(), func(l *Layer) func() {
-		reader := l.RegisterReader(func(obj *Object) (any, int) {
-			return obj.Data.(int) * 2, 8
-		})
-		return func() {
-			switch l.Proc().ID() {
-			case 0:
-				l.Register(21, 64)
-				for l.Comm().WaitPollFor(300*sim.Millisecond, sim.CatIdle) > 0 {
-				}
-			case 1:
-				l.Proc().Advance(sim.Millisecond, sim.CatCompute)
-				l.Get(MobilePtr{Home: 0, Index: 0}, reader, func(v any) { got = v })
-				if len(l.getPending) != 1 {
-					t.Errorf("pending gets = %d", len(l.getPending))
-				}
-				for got == nil {
-					l.Comm().WaitPoll(sim.CatIdle)
-				}
-			}
-		}
-	})
-	if got != 42 {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestGetFollowsMigration(t *testing.T) {
-	var got any
-	cluster(t, 3, DefaultConfig(), func(l *Layer) func() {
-		reader := l.RegisterReader(func(obj *Object) (any, int) { return obj.Data, 8 })
-		return func() {
-			switch l.Proc().ID() {
-			case 0:
-				mp := l.Register("moved-data", 64)
-				l.Migrate(mp, 1)
-				for l.Comm().WaitPollFor(300*sim.Millisecond, sim.CatIdle) > 0 {
-				}
-			case 1:
-				for l.Comm().WaitPollFor(300*sim.Millisecond, sim.CatIdle) > 0 {
-				}
-			case 2:
-				l.Proc().Advance(50*sim.Millisecond, sim.CatCompute)
-				l.Get(MobilePtr{Home: 0, Index: 0}, reader, func(v any) { got = v })
-				for got == nil {
-					l.Comm().WaitPoll(sim.CatIdle)
-				}
-			}
-		}
-	})
-	if got != "moved-data" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestGetLocalObject(t *testing.T) {
-	var got any
-	cluster(t, 1, DefaultConfig(), func(l *Layer) func() {
-		reader := l.RegisterReader(func(obj *Object) (any, int) { return obj.Data, 8 })
-		return func() {
-			mp := l.Register(7, 8)
-			l.Get(mp, reader, func(v any) { got = v })
-		}
-	})
-	if got != 7 {
-		t.Fatalf("local get = %v", got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 //   - every registered/migrated object keeps its manifest entry and
 //     checkpoint fresh in the store (hooks in mol.go);
 //   - every sent envelope is logged at its origin until its work unit is
-//     known executed (MessageWeighted hook);
+//     known executed (Message hook);
 //   - after a crash verdict, bestGuess routes around the dead processor via
 //     the manifest, forward() parks chain-dead-end envelopes instead of
 //     dropping them, and the coordinator calls Restore for each recovery

@@ -9,8 +9,8 @@ import (
 // Wire codecs for every payload the mobile object layer (and the ilb layer,
 // which sends exclusively through it) puts on the transport: envelopes,
 // migrations (the full Object, reorder state included, plus the packed work
-// units the scheduler attaches as extra), location-cache updates, and the
-// remote-access request/reply pair. Application object *data* serializes
+// units the scheduler attaches as extra) and location-cache updates.
+// Application object *data* serializes
 // through the registry too — builtin kinds cover int/bool/float64/[]byte,
 // and RegisterDataCodec adds marshal/unmarshal hooks for custom types.
 
@@ -166,33 +166,12 @@ func init() {
 				loc: int(r.I32()),
 			}
 		})
-
-	wire.Register(wire.KindMolGetRequest, getRequest{},
-		func(w *wire.Writer, v any) {
-			g := v.(getRequest)
-			w.U64(g.ID)
-			w.Int(g.Reader)
-			w.Int(g.Origin)
-		},
-		func(r *wire.Reader) any {
-			return getRequest{ID: r.U64(), Reader: r.Int(), Origin: r.Int()}
-		})
-
-	wire.Register(wire.KindMolGetReply, getReply{},
-		func(w *wire.Writer, v any) {
-			g := v.(getReply)
-			w.U64(g.ID)
-			wire.EncodeAny(w, g.Value)
-		},
-		func(r *wire.Reader) any {
-			return getReply{ID: r.U64(), Value: wire.DecodeAny(r)}
-		})
 }
 
 // RegisterDataCodec installs a wire codec for an application mobile-object
 // data type: sample fixes the concrete type, and marshal/unmarshal map it
 // to and from bytes. Objects whose Data is of that type then serialize for
-// real when a migration, checkpoint restore, or Get reply crosses a
+// real when a migration or checkpoint restore crosses a
 // wire-wrapped machine (builtin kinds already cover int, bool, float64 and
 // []byte). kind must be at or above wire.KindUser — the range reserved for
 // applications — and, like Layer.Register, calls must happen before any

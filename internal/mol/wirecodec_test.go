@@ -83,9 +83,6 @@ func TestMigrationRoundTrip(t *testing.T) {
 func TestControlPayloadRoundTrips(t *testing.T) {
 	for _, v := range []any{
 		&locationUpdate{mp: MobilePtr{Home: 2, Index: 17}, loc: 5},
-		getRequest{ID: 77, Reader: 3, Origin: 1},
-		getReply{ID: 77, Value: []byte{1, 2}},
-		getReply{ID: 78, Value: nil},
 		[]*Envelope(nil),
 	} {
 		got := encDec(t, v)

@@ -30,8 +30,11 @@ func policyCluster(t *testing.T, n, units int, dur sim.Time, mk func() ilb.Polic
 					s.Message(mp, h, nil, 8, 0.1)
 				}
 			}
-			e.After(dur, func() { s.Stop() })
-			s.Run()
+			for s.Step() {
+				if p.Now() >= dur {
+					s.Stop()
+				}
+			}
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -132,8 +135,11 @@ func TestDiffusionSingleProcNoNeighbors(t *testing.T) {
 		})
 		mp := l.Register(0, 8)
 		s.Message(mp, h, nil, 8, 0.01)
-		e.After(sim.Second, func() { s.Stop() })
-		s.Run()
+		for s.Step() {
+			if p.Now() >= sim.Second {
+				s.Stop()
+			}
+		}
 		if len(d.neighbors) != 0 {
 			t.Errorf("solo neighbors = %v", d.neighbors)
 		}

@@ -62,9 +62,6 @@ func NewDiffusion(cfg DiffConfig) *Diffusion {
 	return &Diffusion{cfg: cfg}
 }
 
-// Name implements ilb.Policy.
-func (d *Diffusion) Name() string { return "diffusion" }
-
 // Setup implements ilb.Policy.
 func (d *Diffusion) Setup(s *ilb.Scheduler) {
 	me := s.Proc().ID()

@@ -71,9 +71,6 @@ func NewMultiList(cfg MLConfig) *MultiList {
 	return &MultiList{cfg: cfg, advertised: make(map[mol.MobilePtr]bool)}
 }
 
-// Name implements ilb.Policy.
-func (m *MultiList) Name() string { return "multilist" }
-
 type claimMsg struct {
 	mp      mol.MobilePtr
 	claimer int

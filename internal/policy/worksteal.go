@@ -88,9 +88,6 @@ func NewWorkStealing(cfg WSConfig) *WorkStealing {
 	return &WorkStealing{cfg: cfg}
 }
 
-// Name implements ilb.Policy.
-func (w *WorkStealing) Name() string { return "worksteal" }
-
 type stealRequest struct {
 	Load float64 // requester's estimated local load (hinted seconds)
 }

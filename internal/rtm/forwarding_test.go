@@ -64,7 +64,7 @@ func runForwardingChain(t *testing.T, m substrate.Machine, procs, hops, msgs int
 			// object is resident when the token arrives.
 			hHop = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 				k := data.(int)
-				if l.Lookup(mp) == nil {
+				if l.Local()[mp] == nil {
 					t.Errorf("proc %d: hop %d token overtook its migration", self, k)
 					return
 				}
@@ -106,7 +106,7 @@ func runForwardingChain(t *testing.T, m substrate.Machine, procs, hops, msgs int
 				}
 			}
 			for i := 0; i < msgs; i++ {
-				l.Message(mp, hWork, i, 16)
+				l.Message(mp, hWork, i, 16, substrate.TagApp, 0)
 			}
 			deadline := ep.Now() + 600*substrate.Second
 			for !stopped && ep.Now() < deadline {
@@ -116,7 +116,7 @@ func runForwardingChain(t *testing.T, m substrate.Machine, procs, hops, msgs int
 				t.Errorf("proc %d: timed out before global stop", self)
 			}
 			c.Quiesce()
-			if obj := l.Lookup(mp); obj != nil {
+			if obj := l.Local()[mp]; obj != nil {
 				results[self] = obj.Data.(*chainObj).perOrigin
 			}
 			forwards[self] = l.Stats.Forwards

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-// TestScheduleFireZeroAllocs: once the free list is warm, scheduling and
-// firing closure-free events allocates nothing — the engine recycles event
-// structs and the heap's backing array stops growing.
-func TestScheduleFireZeroAllocs(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	fired := 0
-	tick := func() { fired++ }
-	drain := func() {
-		for i := 0; i < 64; i++ {
-			e.After(Time(i), tick)
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drain() // warm the free list and heap capacity
-	allocs := testing.AllocsPerRun(50, drain)
-	if allocs != 0 {
-		t.Errorf("schedule+fire allocates %v per cycle of 64 events, want 0", allocs)
-	}
-	if fired == 0 {
-		t.Fatal("no events fired")
-	}
-}
-
 // TestProcEventZeroSteadyStateAllocs: the full hot path of a simulated
 // processor — Advance scheduling a typed wake event, the engine firing it
 // and handing control back — is allocation-free in steady state.

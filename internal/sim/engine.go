@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/rand"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -48,8 +47,8 @@ import (
 type Config struct {
 	// Network is the interconnect cost model.
 	Network NetworkConfig
-	// Seed seeds the engine's deterministic RNGs (the engine-level stream
-	// and the per-processor streams derived from it).
+	// Seed seeds the per-processor deterministic RNG streams (Proc.Rand
+	// draws from seed+ID).
 	Seed int64
 	// Shards is the number of parallel event-loop shards (<= 1 = serial).
 	// Output is byte-identical for every value; more shards trade
@@ -83,7 +82,6 @@ type Engine struct {
 	procs   []*Proc
 	assign  []int // processor ID -> owning shard (partition map)
 	shards  []*shard
-	rng     *rand.Rand
 	running bool // true while Run executes
 	err     error
 
@@ -118,7 +116,6 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:  cfg,
 		look: cfg.Network.MinLatency(),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -204,35 +201,11 @@ func (e *Engine) Now() Time {
 	return t
 }
 
-// Rand returns the engine's deterministic random source. It must only be
-// used from serial simulation context (event handlers and processor bodies
-// on a one-shard engine) or before Run; sharded processor bodies must use
-// their own Proc.Rand stream.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // NumProcs returns the number of spawned processors.
 func (e *Engine) NumProcs() int { return len(e.procs) }
 
 // Proc returns processor i.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
-
-// After schedules fn to run d from now on shard 0's event loop. It may be
-// called before Run on any engine, or from simulation context on a serial
-// (one-shard) engine; calling it mid-run on a sharded engine panics, since
-// the closure would race with the other shards.
-func (e *Engine) After(d Time, fn func()) {
-	if e.running && len(e.shards) > 1 {
-		panic("sim: After is unavailable while a sharded engine runs; schedule before Run or use Shards: 1")
-	}
-	if d < 0 {
-		d = 0
-	}
-	s := e.shards[0]
-	ev := s.alloc()
-	ev.kind = evFunc
-	ev.fn = fn
-	s.heap.Push(s.now+d, s.ordNext(), ev)
-}
 
 // Spawn creates a simulated processor whose behaviour is body. The
 // processor starts executing when virtual time reaches the moment of the

@@ -255,20 +255,6 @@ func TestMakespan(t *testing.T) {
 	}
 }
 
-func TestAfterFiresInOrder(t *testing.T) {
-	e := NewEngine(testConfig())
-	var seen []int
-	e.After(2*Second, func() { seen = append(seen, 2) })
-	e.After(1*Second, func() { seen = append(seen, 1) })
-	e.After(1*Second, func() { seen = append(seen, 11) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 || seen[0] != 1 || seen[1] != 11 || seen[2] != 2 {
-		t.Fatalf("seen = %v", seen)
-	}
-}
-
 // TestDeterminism runs a mildly chaotic message storm twice and requires
 // byte-identical outcomes.
 func TestDeterminism(t *testing.T) {
@@ -277,7 +263,7 @@ func TestDeterminism(t *testing.T) {
 		const n = 8
 		for i := 0; i < n; i++ {
 			e.Spawn("p", func(p *Proc) {
-				rng := e.Rand()
+				rng := p.Rand()
 				for round := 0; round < 20; round++ {
 					p.Advance(Time(rng.Intn(1000))*Microsecond, CatCompute)
 					dst := rng.Intn(n)

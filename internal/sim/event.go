@@ -6,32 +6,29 @@ package sim
 // and per processor handoff, so this is the simulator's hottest allocation
 // site. Three measures keep the hot path cheap:
 //
-//   - the common occurrences (processor wake-ups, message deliveries,
-//     control transfers) are encoded as a kind tag plus typed operands
-//     instead of a fresh closure per event;
+//   - every occurrence (processor wake-up, message delivery, control
+//     transfer, end of a polled advance) is encoded as a kind tag plus typed
+//     operands instead of a fresh closure per event;
 //   - fired events are recycled through the owning shard's intrusive free
 //     list (each shard's event loop is single-threaded, so no sync.Pool is
 //     needed);
 //   - the ordering key (timestamp + ord, see below) lives inline in the
 //     heap's entry array, not behind the event pointer, so heap sifts touch
 //     one contiguous array instead of chasing a pointer per comparison. The
-//     event struct itself is 48 bytes — under a cache line.
+//     event struct itself is 40 bytes — under a cache line.
 type event struct {
 	proc *Proc  // evWake, evTransfer, evPollEnd: target processor
 	msg  *Msg   // evDeliver: message to deliver
-	fn   func() // evFunc: arbitrary callback (Engine.After)
 	next *event // shard free list link (nil while scheduled)
 	gen  uint64 // evWake: wait generation to test
 	kind eventKind
 }
 
-// eventKind discriminates the typed hot-path events from the generic
-// closure-carrying kind.
+// eventKind says which operands an event carries and what firing it does.
 type eventKind uint8
 
 const (
-	evFunc     eventKind = iota // fn()
-	evWake                      // wake proc if still in generation gen
+	evWake     eventKind = iota // wake proc if still in generation gen
 	evDeliver                   // deliver msg to its destination inbox
 	evTransfer                  // hand control to proc
 	evPollEnd                   // end of proc's polled advance (polled.go)
@@ -49,7 +46,7 @@ const (
 //     processor's ID and its per-processor send sequence number. Both are
 //     properties of the sender's own execution, identical under any
 //     partitioning.
-//   - local events (wakes, transfers, callbacks) carry a per-shard
+//   - local events (wakes, transfers, poll ends) carry a per-shard
 //     allocation counter with the top bit set. These events are only ever
 //     created by their own shard's execution, so the shard-local counter
 //     induces the same relative order the global counter did — for any
@@ -103,8 +100,6 @@ func (a heapEntry) before(b heapEntry) bool {
 type eventHeap struct {
 	e []heapEntry
 }
-
-func (h *eventHeap) Len() int { return len(h.e) }
 
 // Push inserts an event with its ordering key.
 func (h *eventHeap) Push(at Time, ord uint64, ev *event) {

@@ -47,7 +47,7 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	var popped []Time
 	var lastPopped Time = -1
 	for i := 0; i < 5000; i++ {
-		if rng.Intn(3) != 0 || h.Len() == 0 {
+		if rng.Intn(3) != 0 || len(h.e) == 0 {
 			ord++
 			// Never schedule in the past relative to the last pop: mimics the
 			// engine's invariant.
@@ -62,7 +62,7 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 			popped = append(popped, e.at)
 		}
 	}
-	for h.Len() > 0 {
+	for len(h.e) > 0 {
 		e, _ := h.Pop()
 		popped = append(popped, e.at)
 	}
@@ -170,7 +170,7 @@ func TestQuaternaryMatchesBinaryHeap(t *testing.T) {
 				}
 			}
 		}
-		for quad.Len() > 0 || len(bin.e) > 0 {
+		for len(quad.e) > 0 || len(bin.e) > 0 {
 			if !checkPop() {
 				return false
 			}
@@ -207,7 +207,7 @@ func TestPushAllMatchesSequentialPushes(t *testing.T) {
 		}
 		// Occasionally pre-drain some entries so the two heaps' internal
 		// arrangements diverge before the bulk insert.
-		for bulk.Len() > 0 && rng.Intn(4) == 0 {
+		for len(bulk.e) > 0 && rng.Intn(4) == 0 {
 			bulk.Pop()
 			seq.Pop()
 		}
@@ -255,7 +255,7 @@ func TestPushAllZeroAllocs(t *testing.T) {
 			batch[i] = heapEntry{at: Time(ord % 17), ord: ord, ev: events[i]}
 		}
 		h.PushAll(batch)
-		for h.Len() > 0 {
+		for len(h.e) > 0 {
 			h.Pop()
 		}
 	}
@@ -278,8 +278,8 @@ func TestHeapPeek(t *testing.T) {
 	if at, ok := h.PeekTime(); !ok || at != 3 {
 		t.Fatalf("peek = %v, %v", at, ok)
 	}
-	if h.Len() != 2 {
-		t.Fatalf("len = %d", h.Len())
+	if len(h.e) != 2 {
+		t.Fatalf("len = %d", len(h.e))
 	}
 }
 

@@ -296,7 +296,7 @@ func TestAdvancePolledHeapBound(t *testing.T) {
 		if n := victimTimers(victim); n > worst {
 			worst = n
 		}
-		if n := victim.sh.heap.Len(); n > worstHeap {
+		if n := len(victim.sh.heap.e); n > worstHeap {
 			worstHeap = n
 		}
 	}

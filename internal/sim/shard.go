@@ -81,8 +81,8 @@ func (s *shard) release(ev *event) {
 	s.free = ev
 }
 
-// ordNext returns the next local-band ordering key (wakes, transfers,
-// callbacks — events that never cross a shard boundary).
+// ordNext returns the next local-band ordering key (wakes, transfers, poll
+// ends — events that never cross a shard boundary).
 func (s *shard) ordNext() uint64 {
 	s.allocSeq++
 	return ordLocalBand | s.allocSeq
@@ -212,8 +212,6 @@ func (s *shard) drain(end Time) {
 			if s.firePollEnd(ev) {
 				continue
 			}
-		default:
-			ev.fn()
 		}
 		s.release(ev)
 	}

@@ -25,13 +25,12 @@ const (
 	// dmcs: 16–31.
 	KindDmcsAck Kind = 16 // reliable-mode cumulative ack
 
-	// mol (the ilb layer sends exclusively through mol): 32–63.
+	// mol (the ilb layer sends exclusively through mol): 32–63. 36 and 37
+	// were the retired remote-read request and reply; they stay unassigned.
 	KindMolEnvelope      Kind = 32
 	KindMolEnvelopeSlice Kind = 33 // []*mol.Envelope (migration extra: packed work units)
 	KindMolMigration     Kind = 34
 	KindMolLocation      Kind = 35
-	KindMolGetRequest    Kind = 36
-	KindMolGetReply      Kind = 37
 
 	// recov: 64–79.
 	KindRecovCheckpoint Kind = 64 // restore message (also carries replay log)

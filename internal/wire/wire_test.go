@@ -41,8 +41,6 @@ func TestRegistryTotality(t *testing.T) {
 		wire.KindMolEnvelopeSlice,
 		wire.KindMolMigration,
 		wire.KindMolLocation,
-		wire.KindMolGetRequest,
-		wire.KindMolGetReply,
 		wire.KindRecovCheckpoint,
 		wire.KindPolicySteal,
 		wire.KindPolicyAd,
