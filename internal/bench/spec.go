@@ -177,7 +177,7 @@ var flagTable = map[string]struct {
 		func(s *RunSpec) any { return &s.TracePath }},
 	"metrics": {"write aggregated trace metrics per traced run to FILE (.json = JSON, else text; same suffixing as -trace)",
 		func(s *RunSpec) any { return &s.MetricsPath }},
-	"trace-ring": {"per-processor trace ring capacity in events (rounded up to a power of two)",
+	"trace-ring": {"per-processor trace ring capacity in events (rounded up to a power of two): the most a processor's trace holds; memory is allocated as events arrive",
 		func(s *RunSpec) any { return &s.TraceRing }},
 }
 

@@ -64,11 +64,12 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 }
 
 // AdvancePolled implements substrate.PolledAdvancer. Over an endpoint that
-// can elide, the call is forwarded and the polls it skipped are replayed
-// into the ring — per poll, in the stepped order: compute span, poll-wake
-// instant, poll span — so the stream is the one a stepped run records, event
-// for event. Over any other endpoint the stepped slice runs through this
-// decorator's own Advance and records itself.
+// can elide, the call is forwarded and the polls it skipped are folded into
+// the ring (Recorder.polls), which expands them on read in the stepped
+// order — compute span, poll-wake instant, poll span — so the stream is the
+// one a stepped run records, event for event. Over any other endpoint the
+// stepped slice runs through this decorator's own Advance and records
+// itself.
 func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (substrate.Time, int) {
 	pa, ok := e.Endpoint.(substrate.PolledAdvancer)
 	if !ok {
@@ -76,14 +77,8 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (subst
 	}
 	t := e.Now()
 	done, polls := pa.AdvancePolled(d, ps)
-	for j := 0; j < polls; j++ {
-		e.rec.Span(substrate.CatCompute, t, t+ps.Interval)
-		t += ps.Interval
-		e.rec.Instant(EvPolicy, t, PolPollWake, 0, 0)
-		e.rec.Span(substrate.CatPollThread, t, t+ps.Cost)
-		t += ps.Cost
-	}
-	e.rec.Span(substrate.CatCompute, t, e.Now())
+	e.rec.polls(t, polls, ps.Interval, ps.Cost)
+	e.rec.Span(substrate.CatCompute, t+substrate.Time(polls)*(ps.Interval+ps.Cost), e.Now())
 	return done, polls
 }
 

@@ -6,11 +6,14 @@
 // real-concurrency machine it is wall-clock-stamped.
 //
 // The design keeps the hot path allocation-free: every endpoint owns a
-// fixed-capacity power-of-two ring of value-typed Events, written in place
-// (oldest events are overwritten once the ring is full; the drop count is
-// surfaced in the metrics registry). Recording is a couple of stores — cheap
-// enough to leave on during production runs, which is the property the
-// paper's "<1% runtime overhead" claim (§5) is about.
+// ring retaining a power-of-two number of value-typed events, written in
+// place (oldest events are overwritten once the ring is full; the drop count
+// is surfaced in the metrics registry). The ring's storage grows in fixed
+// chunks as records arrive, and a quiet stretch of polls is folded into one
+// record that is expanded on read, so memory follows what the ring holds
+// rather than its capacity. Recording is a couple of stores — cheap enough
+// to leave on during production runs, which is the property the paper's
+// "<1% runtime overhead" claim (§5) is about.
 //
 // Two exporters read a Collector after the run: a Chrome trace_event JSON
 // writer (chrome.go, loadable in Perfetto / chrome://tracing for
@@ -143,23 +146,64 @@ func KeyHome(key int64) int { return int(key >> 32) }
 // KeyIndex extracts the home-local index from an ObjKey.
 func KeyIndex(key int64) int { return int(uint32(key)) }
 
-// Recorder is one processor's event sink: a fixed-capacity ring of events
-// plus a running total. All recording methods are safe on a nil receiver (a
-// no-op), which is how untraced runs pay nothing at the call sites — layers
-// obtain their recorder once via Of and call unconditionally.
+// Recorder is one processor's event sink: a ring retaining the last
+// capacity events plus a running total. All recording methods are safe on a
+// nil receiver (a no-op), which is how untraced runs pay nothing at the call
+// sites — layers obtain their recorder once via Of and call unconditionally.
+//
+// The ring holds records, not events. A record is one event, or a folded
+// stretch of polls (see polls) that Events expands on read, so the
+// capacity, Total, Len, Dropped and Events all count logical events. Every
+// record holds at least one event, so capacity records always cover the
+// window; they are stored in chunks allocated as records arrive and never
+// copied, so memory follows what the ring holds, up to that ceiling.
 //
 // A Recorder is owned by its processor's execution context; it is not safe
 // for cross-processor sharing. Read it only after the machine's Run returns.
 type Recorder struct {
-	buf  []Event
-	mask uint64
-	head uint64 // total events pushed since creation
-	proc int
+	chunks [][]record
+	mask   uint64 // capacity - 1
+	nrec   uint64 // records pushed since creation
+	head   uint64 // events recorded since creation
+	proc   int
 }
+
+// record is one ring slot: an event's fields, or, when folded, b polls of a
+// stretch whose first compute slice starts at t, with dur = the poll
+// interval and a = the poll cost.
+type record struct {
+	t, dur  substrate.Time
+	a, b, c int64
+	kind    Kind
+	folded  bool
+}
+
+// chunkShift sizes the chunks ring storage grows by: 1024 records, 48 KiB.
+const chunkShift = 10
 
 // newRecorder builds a recorder with a power-of-two capacity.
 func newRecorder(proc, capacity int) *Recorder {
-	return &Recorder{buf: make([]Event, capacity), mask: uint64(capacity - 1), proc: proc}
+	return &Recorder{chunks: make([][]record, max(1, capacity>>chunkShift)), mask: uint64(capacity - 1), proc: proc}
+}
+
+// at returns the slot of record i, which must have been pushed.
+func (r *Recorder) at(i uint64) *record {
+	s := i & r.mask
+	return &r.chunks[s>>chunkShift][s&(1<<chunkShift-1)]
+}
+
+// push claims the slot of the next record, allocating its chunk on first
+// use, and counts the n events it holds.
+func (r *Recorder) push(n uint64) *record {
+	s := r.nrec & r.mask
+	c := r.chunks[s>>chunkShift]
+	if c == nil {
+		c = make([]record, min(r.mask+1, 1<<chunkShift))
+		r.chunks[s>>chunkShift] = c
+	}
+	r.nrec++
+	r.head += n
+	return &c[s&(1<<chunkShift-1)]
 }
 
 // NewRecorder builds a standalone recorder retaining ringCap events (rounded
@@ -190,16 +234,15 @@ func (r *Recorder) Span(cat substrate.Category, start, end substrate.Time) {
 	if r == nil || end <= start {
 		return
 	}
-	if r.head > 0 {
-		last := &r.buf[(r.head-1)&r.mask]
-		if last.Kind == EvSpan && last.A == int64(cat) && last.T == start {
-			last.T = end
-			last.Dur += end - start
+	if r.nrec > 0 {
+		last := r.at(r.nrec - 1)
+		if last.kind == EvSpan && !last.folded && last.a == int64(cat) && last.t == start {
+			last.t = end
+			last.dur += end - start
 			return
 		}
 	}
-	r.buf[r.head&r.mask] = Event{T: end, Dur: end - start, A: int64(cat), Kind: EvSpan}
-	r.head++
+	*r.push(1) = record{t: end, dur: end - start, a: int64(cat), kind: EvSpan}
 }
 
 // Instant records a zero-duration event.
@@ -207,8 +250,7 @@ func (r *Recorder) Instant(k Kind, t substrate.Time, a, b, c int64) {
 	if r == nil {
 		return
 	}
-	r.buf[r.head&r.mask] = Event{T: t, A: a, B: b, C: c, Kind: k}
-	r.head++
+	*r.push(1) = record{t: t, a: a, b: b, c: c, kind: k}
 }
 
 // Interval records an event spanning [start, end] (work units).
@@ -216,8 +258,123 @@ func (r *Recorder) Interval(k Kind, start, end substrate.Time, a, b, c int64) {
 	if r == nil {
 		return
 	}
-	r.buf[r.head&r.mask] = Event{T: end, Dur: end - start, A: a, B: b, C: c, Kind: k}
-	r.head++
+	*r.push(1) = record{t: end, dur: end - start, a: a, b: b, c: c, kind: k}
+}
+
+// polls records n wake-ups of a polling thread whose first compute slice
+// starts at t, each the three events a stepped poll records through
+// Endpoint.Advance: a CatCompute span of interval, a PolPollWake instant and
+// a CatPollThread span of cost (dropped at zero cost, as Span drops it).
+// The first poll is recorded plainly, because its compute span may extend
+// the span before it; so is the last, because the next span may extend its
+// poll span. The polls between are one folded record: none of their events
+// can coalesce with a neighbour, so expanding it on read gives exactly the
+// events n Span/Instant/Span triples would have.
+func (r *Recorder) polls(t substrate.Time, n int, interval, cost substrate.Time) {
+	if r == nil {
+		return
+	}
+	period := interval + cost
+	poll := func(t substrate.Time) {
+		r.Span(substrate.CatCompute, t, t+interval)
+		r.Instant(EvPolicy, t+interval, PolPollWake, 0, 0)
+		r.Span(substrate.CatPollThread, t+interval, t+period)
+	}
+	if n < 3 {
+		for j := 0; j < n; j++ {
+			poll(t + substrate.Time(j)*period)
+		}
+		return
+	}
+	poll(t)
+	f := record{t: t + period, dur: interval, a: int64(cost), b: int64(n - 2), folded: true}
+	*r.push(f.size()) = f
+	poll(t + substrate.Time(n-1)*period)
+}
+
+// firstPoll returns the events of folded record f's first poll, of which
+// [lo, hi) are recorded: the compute span only at a positive interval, the
+// poll span only at a positive cost. Poll p's are these, p periods later.
+func (f *record) firstPoll() (evs [3]Event, lo, hi int) {
+	interval, cost := f.dur, substrate.Time(f.a)
+	wake := f.t + interval
+	evs = [3]Event{
+		{T: wake, Dur: interval, A: int64(substrate.CatCompute), Kind: EvSpan},
+		{T: wake, A: PolPollWake, Kind: EvPolicy},
+		{T: wake + cost, Dur: cost, A: int64(substrate.CatPollThread), Kind: EvSpan},
+	}
+	lo, hi = 0, 3
+	if interval <= 0 {
+		lo = 1
+	}
+	if cost <= 0 {
+		hi = 2
+	}
+	return evs, lo, hi
+}
+
+// size returns how many events the record holds.
+func (f *record) size() uint64 {
+	if !f.folded {
+		return 1
+	}
+	_, lo, hi := f.firstPoll()
+	return uint64(f.b) * uint64(hi-lo)
+}
+
+// cursor reads a recorder's records as events, one poll at a time:
+// evs[k:hi] is what is left of the current poll, or of the current plain
+// event at evs[0]; polls more polls of the current record follow, period
+// apart; record i is next.
+type cursor struct {
+	r         *Recorder
+	i         uint64
+	evs       [3]Event
+	k, lo, hi int
+	polls     uint64
+	period    substrate.Time
+}
+
+// readFrom returns a cursor at event skip of record first.
+func (r *Recorder) readFrom(first, skip uint64) cursor {
+	c := cursor{r: r, i: first}
+	if c.advance() {
+		perPoll := uint64(c.hi - c.lo)
+		c.shift(skip / perPoll)
+		c.k += int(skip % perPoll)
+	}
+	return c
+}
+
+// advance moves c to the start of its next poll, or else of its next
+// record, and reports whether there is one.
+func (c *cursor) advance() bool {
+	if c.polls > 0 {
+		c.shift(1)
+		c.k = c.lo
+		return true
+	}
+	if c.i == c.r.nrec {
+		return false
+	}
+	f := c.r.at(c.i)
+	c.i++
+	if !f.folded {
+		c.evs[0] = Event{T: f.t, Dur: f.dur, A: f.a, B: f.b, C: f.c, Kind: f.kind}
+		c.k, c.lo, c.hi = 0, 0, 1
+		return true
+	}
+	c.evs, c.lo, c.hi = f.firstPoll()
+	c.k, c.polls, c.period = c.lo, uint64(f.b-1), f.dur+substrate.Time(f.a)
+	return true
+}
+
+// shift moves c p polls on within the current record.
+func (c *cursor) shift(p uint64) {
+	c.polls -= p
+	for j := range c.evs {
+		c.evs[j].T += substrate.Time(p) * c.period
+	}
 }
 
 // Total returns the number of events recorded over the recorder's lifetime,
@@ -234,10 +391,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.head < uint64(len(r.buf)) {
-		return int(r.head)
-	}
-	return len(r.buf)
+	return int(min(r.head, r.mask+1))
 }
 
 // Dropped returns how many events were overwritten by ring overflow
@@ -247,28 +401,49 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	if retained := uint64(len(r.buf)); r.head > retained {
-		return r.head - retained
-	}
-	return 0
+	return r.head - uint64(r.Len())
 }
 
 // Events yields the retained events, oldest first, read in place from the
 // ring (no copy); range over it after the run. slices.Collect(r.Events())
-// gives them as a slice.
+// gives them as a slice. A folded record is expanded poll by poll; when the
+// window starts inside one, its events before the window are trimmed. A nil
+// recorder yields nothing.
 func (r *Recorder) Events() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		for i := r.head - uint64(r.Len()); i < r.head; i++ {
-			if !yield(r.buf[i&r.mask]) {
-				return
+		if r == nil {
+			return
+		}
+		c := r.readFrom(r.window())
+		for ok := true; ok; ok = c.advance() {
+			for _, e := range c.evs[c.k:c.hi] {
+				if !yield(e) {
+					return
+				}
 			}
 		}
 	}
 }
 
+// window returns the oldest record holding a retained event and how many of
+// its events are older than the window.
+func (r *Recorder) window() (first, skip uint64) {
+	first = r.nrec
+	for want := uint64(r.Len()); want > 0; {
+		first--
+		n := r.at(first).size()
+		if n >= want {
+			return first, n - want
+		}
+		want -= n
+	}
+	return first, 0
+}
+
 // DefaultRingCap is the per-processor ring capacity (events) used when a
-// Collector is built with capacity <= 0. At 48 bytes per event this retains
-// the last ~3 MiB of activity per processor.
+// Collector is built with capacity <= 0. At 48 bytes per event a full ring
+// holds ~3 MiB per processor; that is the ceiling, not the cost: storage
+// grows with the records held, and a folded poll stretch is one record.
 const DefaultRingCap = 1 << 16
 
 // Collector owns the per-processor recorders of one traced machine. Build

@@ -8,19 +8,23 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"prema/internal/substrate"
 )
 
 // TestHotPathZeroAlloc is the guard behind the "<1% overhead, leave it on"
 // design: recording an event must not allocate, whatever mix of spans,
-// instants and intervals the layers emit, including after the ring wraps.
+// instants, intervals and folded poll stretches the layers emit, including
+// after the ring wraps.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRecorder(0, 1<<10)
 	var tick substrate.Time
@@ -28,9 +32,13 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		r.Instant(EvSend, tick, 1, 2, 3)
 		r.Span(substrate.CatCompute, tick, tick+7)
 		r.Interval(EvUnitEnd, tick, tick+9, 4, 5, 6)
-		tick += 10
+		r.polls(tick+10, 5, 1, 1)
+		tick += 20
 	}); allocs != 0 {
 		t.Fatalf("trace hot path allocates %.1f times per event batch, want 0", allocs)
+	}
+	if r.Dropped() == 0 {
+		t.Fatal("the ring never wrapped")
 	}
 }
 
@@ -39,8 +47,39 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Instant(EvSend, 1, 2, 3, 4)
 	r.Span(substrate.CatIdle, 0, 5)
 	r.Interval(EvUnitEnd, 0, 5, 1, 2, 3)
+	r.polls(0, 5, 10, 1)
 	if r.Total() != 0 || r.Len() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder reported non-zero state")
+	}
+	for e := range r.Events() {
+		t.Errorf("nil recorder yielded %+v", e)
+	}
+}
+
+// TestRingMemoryFollowsRecords: a ring allocates storage for the records it
+// has been given, not for its capacity, and a stretch of polls is a
+// constant number of records however long it is.
+func TestRingMemoryFollowsRecords(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(0, DefaultRingCap)
+	for i := 0; i < 1000; i++ {
+		r.Instant(EvSend, substrate.Time(i), 1, 2, 3)
+	}
+	runtime.ReadMemStats(&after)
+	full := uint64(DefaultRingCap) * uint64(unsafe.Sizeof(Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= full/10 {
+		t.Errorf("1,000 events into a %d-event ring allocated %d bytes, want under a tenth of the full ring's %d", DefaultRingCap, got, full)
+	}
+	for _, n := range []int{10_000, 1_000_000} {
+		records, total := r.nrec, r.Total()
+		r.polls(substrate.Time(2000), n, 10, 2)
+		if got := r.nrec - records; got != 7 {
+			t.Errorf("a %d-poll stretch took %d records, want 7 (first and last poll plain, the rest folded)", n, got)
+		}
+		if got := r.Total() - total; got != uint64(3*n) {
+			t.Errorf("a %d-poll stretch counted %d events, want %d", n, got, 3*n)
+		}
 	}
 }
 
@@ -591,4 +630,237 @@ func TestChromeStopsAtFirstWriteError(t *testing.T) {
 	if err := c.WriteChromeFile("/dev/full"); err == nil {
 		t.Error("WriteChromeFile onto a full device returned no error")
 	}
+}
+
+// refRecorder is the Recorder before poll folding and chunked storage: a
+// flat ring of events written in place, each poll of a stretch replayed as
+// its three events. It is kept as the oracle the folded ring must match on
+// every call sequence.
+type refRecorder struct {
+	buf  []Event
+	mask uint64
+	head uint64 // total events pushed since creation
+}
+
+func newRefRecorder(ringCap int) *refRecorder {
+	n := ringSize(ringCap)
+	return &refRecorder{buf: make([]Event, n), mask: uint64(n - 1)}
+}
+
+func (r *refRecorder) Span(cat substrate.Category, start, end substrate.Time) {
+	if end <= start {
+		return
+	}
+	if r.head > 0 {
+		last := &r.buf[(r.head-1)&r.mask]
+		if last.Kind == EvSpan && last.A == int64(cat) && last.T == start {
+			last.T = end
+			last.Dur += end - start
+			return
+		}
+	}
+	r.buf[r.head&r.mask] = Event{T: end, Dur: end - start, A: int64(cat), Kind: EvSpan}
+	r.head++
+}
+
+func (r *refRecorder) Instant(k Kind, t substrate.Time, a, b, c int64) {
+	r.buf[r.head&r.mask] = Event{T: t, A: a, B: b, C: c, Kind: k}
+	r.head++
+}
+
+func (r *refRecorder) Interval(k Kind, start, end substrate.Time, a, b, c int64) {
+	r.buf[r.head&r.mask] = Event{T: end, Dur: end - start, A: a, B: b, C: c, Kind: k}
+	r.head++
+}
+
+func (r *refRecorder) polls(t substrate.Time, n int, interval, cost substrate.Time) {
+	for j := 0; j < n; j++ {
+		r.Span(substrate.CatCompute, t, t+interval)
+		t += interval
+		r.Instant(EvPolicy, t, PolPollWake, 0, 0)
+		r.Span(substrate.CatPollThread, t, t+cost)
+		t += cost
+	}
+}
+
+func (r *refRecorder) Total() uint64 { return r.head }
+
+func (r *refRecorder) Len() int { return int(min(r.head, uint64(len(r.buf)))) }
+
+func (r *refRecorder) Dropped() uint64 { return r.head - uint64(r.Len()) }
+
+func (r *refRecorder) Events() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for i := r.head - uint64(r.Len()); i < r.head; i++ {
+			if !yield(r.buf[i&r.mask]) {
+				return
+			}
+		}
+	}
+}
+
+// recorder is what a call sequence drives: the Recorder or its reference.
+type recorder interface {
+	Span(cat substrate.Category, start, end substrate.Time)
+	Instant(k Kind, t substrate.Time, a, b, c int64)
+	Interval(k Kind, start, end substrate.Time, a, b, c int64)
+	polls(t substrate.Time, n int, interval, cost substrate.Time)
+}
+
+// both forwards every call to a Recorder and its reference.
+type both [2]recorder
+
+func (x both) Span(cat substrate.Category, start, end substrate.Time) {
+	x[0].Span(cat, start, end)
+	x[1].Span(cat, start, end)
+}
+
+func (x both) Instant(k Kind, t substrate.Time, a, b, c int64) {
+	x[0].Instant(k, t, a, b, c)
+	x[1].Instant(k, t, a, b, c)
+}
+
+func (x both) Interval(k Kind, start, end substrate.Time, a, b, c int64) {
+	x[0].Interval(k, start, end, a, b, c)
+	x[1].Interval(k, start, end, a, b, c)
+}
+
+func (x both) polls(t substrate.Time, n int, interval, cost substrate.Time) {
+	x[0].polls(t, n, interval, cost)
+	x[1].polls(t, n, interval, cost)
+}
+
+// randomRecorders draws a ring of 1-1,024 events, so most sequences wrap,
+// and feeds a Recorder and its reference the same calls in the shapes
+// trace.Endpoint makes: spans of every category, often abutting (so they
+// coalesce) and sometimes empty; instants and intervals of every kind
+// (intervals of EvSpan too); and stretches of 0-39 polls, 1, 2 and 3 often,
+// at an interval of 0-3 and a cost of 0-2. A stretch may start right where
+// a compute span ends and may be followed by its closing compute span, a
+// CatPollThread span from where it ends, or anything else. It returns the
+// cases it drew that the property must cover.
+func randomRecorders(r intn) (*Recorder, *refRecorder, []string) {
+	ringCap := 1 + r.Intn(1024)
+	got, want := NewRecorder(0, ringCap), newRefRecorder(ringCap)
+	b := both{got, want}
+	var drew []string
+	var t substrate.Time
+	for n := r.Intn(400); n > 0; n-- {
+		switch r.Intn(6) {
+		case 0:
+			start := t + substrate.Time(r.Intn(2))
+			t = start + substrate.Time(r.Intn(4))
+			b.Span(substrate.Category(r.Intn(int(substrate.NumCategories))), start, t)
+		case 1:
+			b.Instant(Kind(r.Intn(int(NumKinds))), t, int64(r.Intn(3)), 0, 0)
+		case 2:
+			start := t
+			t += substrate.Time(r.Intn(4))
+			b.Interval(Kind(r.Intn(int(NumKinds))), start, t, int64(r.Intn(int(substrate.NumCategories))), 1, 2)
+		default:
+			polls := []int{1, 2, 3, r.Intn(40)}[r.Intn(4)]
+			interval, cost := substrate.Time(r.Intn(4)), substrate.Time(r.Intn(3))
+			if r.Intn(2) == 0 {
+				b.Span(substrate.CatCompute, t-1, t)
+				if polls > 0 && interval > 0 {
+					drew = append(drew, "stretch right after a compute span")
+				}
+			}
+			b.polls(t, polls, interval, cost)
+			t += substrate.Time(polls) * (interval + cost)
+			drew = append(drew, fmt.Sprintf("%d-poll stretch", polls))
+			if polls >= 3 && cost == 0 {
+				drew = append(drew, "folded stretch at cost 0")
+			}
+			if polls >= 3 && interval == 0 {
+				drew = append(drew, "folded stretch at interval 0")
+			}
+			switch r.Intn(3) {
+			case 0:
+				end := t + substrate.Time(r.Intn(3))
+				b.Span(substrate.CatCompute, t, end)
+				t = end
+			case 1:
+				b.Span(substrate.CatPollThread, t, t+1)
+				t++
+				if polls > 0 && cost > 0 {
+					drew = append(drew, "CatPollThread span where a stretch ends")
+				}
+			}
+		}
+	}
+	if got.Dropped() > 0 {
+		drew = append(drew, "wrapped ring")
+	}
+	if _, skip := got.window(); skip > 0 {
+		drew = append(drew, "window starting inside a folded record")
+	}
+	return got, want, drew
+}
+
+// recorderDiff compares every reading of got with want's: "" when they
+// agree, else the first difference.
+func recorderDiff(got *Recorder, want *refRecorder) string {
+	g := [3]uint64{got.Total(), uint64(got.Len()), got.Dropped()}
+	if w := [3]uint64{want.Total(), uint64(want.Len()), want.Dropped()}; g != w {
+		return fmt.Sprintf("Total, Len, Dropped = %v, reference %v", g, w)
+	}
+	ge, we := slices.Collect(got.Events()), slices.Collect(want.Events())
+	if !slices.Equal(ge, we) {
+		i := 0
+		for i < min(len(ge), len(we)) && ge[i] == we[i] {
+			i++
+		}
+		return fmt.Sprintf("events differ from event %d on: got %d events, %+v..., reference %d, %+v...",
+			i, len(ge), ge[i:min(i+3, len(ge))], len(we), we[i:min(i+3, len(we))])
+	}
+	half := len(we) / 2
+	var head []Event
+	for e := range got.Events() {
+		if len(head) == half {
+			break
+		}
+		head = append(head, e)
+	}
+	if !slices.Equal(head, we[:half]) {
+		return fmt.Sprintf("the first %d events read with a break differ from the reference's", half)
+	}
+	return ""
+}
+
+// TestRecorderMatchesReference is the folded ring's contract: on any call
+// sequence it reads exactly like the flat ring it replaced.
+func TestRecorderMatchesReference(t *testing.T) {
+	covered := map[string]bool{}
+	for seed := int64(0); seed < 2000; seed++ {
+		got, want, drew := randomRecorders(rand.New(rand.NewSource(seed)))
+		if diff := recorderDiff(got, want); diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+		for _, s := range drew {
+			covered[s] = true
+		}
+	}
+	for _, s := range []string{"1-poll stretch", "2-poll stretch", "3-poll stretch", "0-poll stretch",
+		"stretch right after a compute span", "CatPollThread span where a stretch ends",
+		"folded stretch at cost 0", "folded stretch at interval 0", "wrapped ring",
+		"window starting inside a folded record"} {
+		if !covered[s] {
+			t.Errorf("no draw covered: %s", s)
+		}
+	}
+}
+
+// FuzzRecorderMatchesReference drives randomRecorders from fuzz bytes and
+// holds the folded ring to the reference.
+func FuzzRecorderMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{5, 0, 3, 1, 200, 2}, 64))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := fuzzBytes(in)
+		got, want, _ := randomRecorders(&src)
+		if diff := recorderDiff(got, want); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
