@@ -205,17 +205,19 @@ func TestDriversPinned(t *testing.T) {
 // TestFigure3BarrierRoundsPinned: the coordination-round counts of
 // prema-implicit on Figure 3 at 8 processors × 6 units, recorded with the
 // engine's matrix relaxation and the blocked placement before the closed-form
-// window rule and the single placement replaced them.
+// window rule and the single placement replaced them, then re-recorded when
+// the simulator stopped firing wait timeouts a message had beaten (1,417
+// fewer events; 3,360 → 2,467 and 3,758 → 2,742 rounds).
 func TestFigure3BarrierRoundsPinned(t *testing.T) {
-	for shards, want := range map[int]uint64{2: 3360, 4: 3758} {
+	for shards, want := range map[int]uint64{2: 2467, 4: 2742} {
 		w := PaperWorkload(Figures()[0], 8, 6)
 		w.Shards = shards
 		r, err := RunSystem("prema-implicit", w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.BarrierRounds != want || r.Events != 11372 {
-			t.Errorf("shards=%d: %d barrier rounds over %d events, want %d over 11372",
+		if r.BarrierRounds != want || r.Events != 9955 {
+			t.Errorf("shards=%d: %d barrier rounds over %d events, want %d over 9955",
 				shards, r.BarrierRounds, r.Events, want)
 		}
 	}

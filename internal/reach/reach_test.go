@@ -48,14 +48,13 @@ var allowed = []struct{ symbol, reason string }{
 	// Test support: harnesses and references other packages' tests run against.
 	{"prema/internal/clitest.", "the in-process golden/rejection harness of every cmd/*/main_test.go"},
 	{"prema/internal/conformance.", "the backend-neutral DMCS+MOL conformance program rtm's tests run on every machine"},
-	{"prema/internal/sim.(*eventHeap).Pop", "the pop the heap-order property tests drive; drain inlines its own copy, which measured faster"},
 	{"prema/internal/trace.(*Collector).Recorder", "how the equivalence tests (sim, bench, rtm, substrate) read one processor's stream"},
 	{"prema/internal/graph.Imbalance", "the balance oracle of graph's, partition's and parmetis' tests"},
 	{"prema/internal/charm.GreedyLB.Remap", "DESIGN §5.6 names Greedy beside Refine and Metis; the ablation and charm's tests run it"},
 	{"prema/internal/charm.MetisLB.Remap", "as GreedyLB.Remap"},
 	{"prema/internal/ilb.(*Scheduler).WaterMark", "the observable of the §4.2 auto-tuned water-mark (policy's TestAutoWaterMarkTracksLatency)"},
 	// Named by an open ROADMAP item.
-	{"prema/internal/mol.RegisterDataCodec", "ROADMAP item 9 ships dist checkpoints through it"},
+	{"prema/internal/mol.RegisterDataCodec", "ROADMAP item 12(a) ships dist checkpoints through it"},
 }
 
 func TestReach(t *testing.T) {

@@ -216,6 +216,51 @@ func TestWaitMsgForWakesEarlyOnDelivery(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutsLeaveWithTheirWait: a steal storm in miniature. Every
+// processor idles in WaitMsgFor(50 ms) and is pinged about once per network
+// round trip, so nearly every wait ends by a message long before its
+// timeout. A beaten timeout must leave the heap with its wait: the heap
+// never holds more than two timers per processor (a wait's timeout plus a
+// CPU-overhead wake) plus the messages in flight. Leaving beaten timeouts
+// to fire dead grows the heap to hundreds of entries per processor.
+func TestWaitTimeoutsLeaveWithTheirWait(t *testing.T) {
+	const P = 16
+	e := NewEngine(testConfig())
+	inFlight, worst, waits, over := 0, 0, 0, 0
+	for i := 0; i < P; i++ {
+		e.Spawn("p", func(p *Proc) {
+			next := (p.ID() + 1) % P
+			inFlight++
+			p.Send(&Msg{Dst: next}, CatMessaging)
+			for p.Now() < 200*Millisecond {
+				waits++
+				n := len(p.sh.heap.e)
+				worst = max(worst, n)
+				if n > 2*P+inFlight {
+					over++
+				}
+				if !p.WaitMsgFor(50*Millisecond, CatIdle) {
+					continue
+				}
+				p.TryRecv(CatMessaging)
+				inFlight--
+				p.Advance(100*Microsecond, CatCompute)
+				inFlight++
+				p.Send(&Msg{Dst: next}, CatMessaging)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if waits < 100*P {
+		t.Fatalf("only %d waits, want a storm of >= %d", waits, 100*P)
+	}
+	if over > 0 {
+		t.Errorf("%d of %d waits began with more than 2P + in-flight heap entries (peak %d, P = %d)", over, waits, worst, P)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine(testConfig())
 	e.Spawn("waiter", func(p *Proc) {

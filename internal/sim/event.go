@@ -13,15 +13,17 @@ package sim
 //     list (each shard's event loop is single-threaded, so no sync.Pool is
 //     needed);
 //   - the ordering key (timestamp + ord, see below) lives inline in the
-//     heap's entry array, not behind the event pointer, so heap sifts touch
-//     one contiguous array instead of chasing a pointer per comparison. The
-//     event struct itself is 40 bytes — under a cache line.
+//     heap's entry array, not behind the event pointer, so heap sifts
+//     compare within one contiguous array and follow the pointer only to
+//     record an entry's new slot (idx). The event struct is 40 bytes —
+//     under a cache line; idx fits in the padding after kind.
 type event struct {
 	proc *Proc  // evWake, evTransfer, evPollEnd: target processor
 	msg  *Msg   // evDeliver: message to deliver
 	next *event // shard free list link (nil while scheduled)
 	gen  uint64 // evWake: wait generation to test
 	kind eventKind
+	idx  int32 // slot in the shard's heap while scheduled (eventHeap.Remove)
 }
 
 // eventKind says which operands an event carries and what firing it does.
@@ -97,24 +99,25 @@ func (a heapEntry) before(b heapEntry) bool {
 // eventHeap is a d-ary min-heap ordered by (at, ord). It is implemented
 // directly rather than through container/heap to avoid interface boxing on
 // the simulator's hottest path.
+//
+// Every scheduled event records its slot in ev.idx, kept current by every
+// operation that moves an entry, so Remove can take a known event out in
+// O(log n): a message that beats a wait timeout removes the timeout instead
+// of leaving it to fire dead (shard.deliver).
 type eventHeap struct {
 	e []heapEntry
+}
+
+// set stores x in slot i and records the slot in its event.
+func (h *eventHeap) set(i int, x heapEntry) {
+	h.e[i] = x
+	x.ev.idx = int32(i)
 }
 
 // Push inserts an event with its ordering key.
 func (h *eventHeap) Push(at Time, ord uint64, ev *event) {
 	h.e = append(h.e, heapEntry{at: at, ord: ord, ev: ev})
-	i := len(h.e) - 1
-	x := h.e[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !x.before(h.e[parent]) {
-			break
-		}
-		h.e[i] = h.e[parent]
-		i = parent
-	}
-	h.e[i] = x
+	h.siftUp(len(h.e) - 1)
 }
 
 // PushAll inserts a batch of prebuilt entries in one operation — the bulk
@@ -134,6 +137,9 @@ func (h *eventHeap) PushAll(entries []heapEntry) {
 	h.e = append(h.e, entries...)
 	n := len(h.e)
 	if was == 0 || k >= was/2 {
+		for i := was; i < n; i++ {
+			h.e[i].ev.idx = int32(i)
+		}
 		// Rebuild from the last parent down: every subtree rooted at or
 		// above the first appended index gets re-heapified.
 		for i := (n - 2) / heapArity; i >= 0; i-- {
@@ -142,58 +148,76 @@ func (h *eventHeap) PushAll(entries []heapEntry) {
 		return
 	}
 	for i := was; i < n; i++ {
-		x := h.e[i]
-		j := i
-		for j > 0 {
-			parent := (j - 1) / heapArity
-			if !x.before(h.e[parent]) {
-				break
-			}
-			h.e[j] = h.e[parent]
-			j = parent
+		h.siftUp(i)
+	}
+}
+
+// Pop removes and returns the earliest entry. The heap must not be empty.
+// It is one call to Remove, small enough to inline into the event loop
+// (shard.drain).
+func (h *eventHeap) Pop() heapEntry {
+	top := h.e[0]
+	h.Remove(0)
+	return top
+}
+
+// Remove deletes the entry in slot i, moving the last entry into the hole
+// and sifting it whichever way restores the heap order.
+func (h *eventHeap) Remove(i int) {
+	n := len(h.e) - 1
+	x := h.e[n]
+	h.e[n] = heapEntry{}
+	h.e = h.e[:n]
+	if i == n {
+		return
+	}
+	h.e[i] = x
+	if i > 0 && x.before(h.e[(i-1)/heapArity]) {
+		h.siftUp(i)
+	} else {
+		h.siftDown(i)
+	}
+}
+
+// siftUp moves the entry in slot i towards the root until its parent is
+// earlier, recording the final slot of every entry it moves.
+func (h *eventHeap) siftUp(i int) {
+	x := h.e[i]
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !x.before(h.e[parent]) {
+			break
 		}
-		h.e[j] = x
+		h.set(i, h.e[parent])
+		i = parent
 	}
+	h.set(i, x)
 }
 
-// Pop removes and returns the earliest entry; ok is false if the heap is
-// empty.
-func (h *eventHeap) Pop() (top heapEntry, ok bool) {
-	n := len(h.e)
-	if n == 0 {
-		return heapEntry{}, false
-	}
-	top = h.e[0]
-	h.e[0] = h.e[n-1]
-	h.e[n-1] = heapEntry{}
-	h.e = h.e[:n-1]
-	h.siftDown(0)
-	return top, true
-}
-
+// siftDown moves the entry in slot i towards the leaves until no child is
+// earlier, recording the final slot of every entry it moves.
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.e)
+	x := h.e[i]
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
-		smallest := i
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
+		smallest := first
+		last := min(first+heapArity, n)
+		for c := first + 1; c < last; c++ {
 			if h.e[c].before(h.e[smallest]) {
 				smallest = c
 			}
 		}
-		if smallest == i {
-			return
+		if !h.e[smallest].before(x) {
+			break
 		}
-		h.e[i], h.e[smallest] = h.e[smallest], h.e[i]
+		h.set(i, h.e[smallest])
 		i = smallest
 	}
+	h.set(i, x)
 }
 
 // PeekTime returns the earliest entry's timestamp; ok is false if the heap

@@ -2,10 +2,19 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// tryPop pops the earliest entry; ok is false if the heap is empty.
+func tryPop(h *eventHeap) (top heapEntry, ok bool) {
+	if len(h.e) == 0 {
+		return heapEntry{}, false
+	}
+	return h.Pop(), true
+}
 
 // TestHeapOrderingProperty: popping all entries from a heap built from any
 // sequence of push times yields a sequence sorted by (time, ord).
@@ -24,7 +33,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 		var prev heapEntry
 		var any bool
 		for {
-			e, ok := h.Pop()
+			e, ok := tryPop(&h)
 			if !ok {
 				break
 			}
@@ -54,7 +63,7 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 			at := lastPopped + Time(rng.Intn(100))
 			h.Push(at, ord, &event{})
 		} else {
-			e, _ := h.Pop()
+			e := h.Pop()
 			if e.at < lastPopped {
 				t.Fatalf("pop went backwards: %v after %v", e.at, lastPopped)
 			}
@@ -63,7 +72,7 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 		}
 	}
 	for len(h.e) > 0 {
-		e, _ := h.Pop()
+		e := h.Pop()
 		popped = append(popped, e.at)
 	}
 	if !sort.SliceIsSorted(popped, func(i, j int) bool { return popped[i] < popped[j] }) {
@@ -82,7 +91,7 @@ func TestHeapBandOrdering(t *testing.T) {
 	h.Push(10, deliverOrd(0, 2), &event{})
 	want := []uint64{deliverOrd(0, 2), deliverOrd(0, 7), deliverOrd(4096, 1), ordLocalBand | 1}
 	for i, w := range want {
-		e, ok := h.Pop()
+		e, ok := tryPop(&h)
 		if !ok || e.ord != w {
 			t.Fatalf("pop %d: got ord %#x, want %#x", i, e.ord, w)
 		}
@@ -155,7 +164,7 @@ func TestQuaternaryMatchesBinaryHeap(t *testing.T) {
 			bin.Push(tm, ord)
 		}
 		checkPop := func() bool {
-			q, qok := quad.Pop()
+			q, qok := tryPop(&quad)
 			b, bok := bin.Pop()
 			if qok != bok {
 				return false
@@ -219,8 +228,8 @@ func TestPushAllMatchesSequentialPushes(t *testing.T) {
 		}
 		bulk.PushAll(entries)
 		for {
-			b, bok := bulk.Pop()
-			s, sok := seq.Pop()
+			b, bok := tryPop(&bulk)
+			s, sok := tryPop(&seq)
 			if bok != sok {
 				return false
 			}
@@ -231,6 +240,87 @@ func TestPushAllMatchesSequentialPushes(t *testing.T) {
 				return false
 			}
 		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSlots reports whether every entry's event records its own slot and
+// every entry sorts after its parent.
+func checkSlots(h *eventHeap) bool {
+	for i, x := range h.e {
+		if int(x.ev.idx) != i || i > 0 && x.before(h.e[(i-1)/heapArity]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHeapOpsMatchSortedReference: any interleaving of Push, Pop, PushAll
+// and Remove at a random slot pops in the order of a sorted reference list
+// holding the same keys, and after every operation each entry's event
+// records the slot the entry occupies — the index Remove trusts when a
+// delivery takes a wait timeout out of the heap.
+func TestHeapOpsMatchSortedReference(t *testing.T) {
+	f := func(ops []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var h eventHeap
+		var ref []heapEntry // the same keys, kept sorted
+		var ord uint64
+		entry := func(raw uint16) heapEntry {
+			ord++
+			return heapEntry{at: Time(raw % 64), ord: ord, ev: &event{}} // heavy timestamp collisions
+		}
+		insert := func(x heapEntry) {
+			i, _ := slices.BinarySearchFunc(ref, x, func(a, b heapEntry) int {
+				if a.before(b) {
+					return -1
+				}
+				return 1
+			})
+			ref = slices.Insert(ref, i, x)
+		}
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				x := entry(op >> 2)
+				h.Push(x.at, x.ord, x.ev)
+				insert(x)
+			case 1:
+				if len(h.e) == 0 {
+					continue
+				}
+				if got := h.Pop(); got != ref[0] {
+					return false
+				}
+				ref = ref[1:]
+			case 2:
+				batch := make([]heapEntry, rng.Intn(len(h.e)+2))
+				for i := range batch {
+					batch[i] = entry(uint16(rng.Intn(1 << 16)))
+					insert(batch[i])
+				}
+				h.PushAll(batch)
+			case 3:
+				if len(h.e) == 0 {
+					continue
+				}
+				x := h.e[rng.Intn(len(h.e))]
+				h.Remove(int(x.ev.idx))
+				ref = slices.DeleteFunc(ref, func(y heapEntry) bool { return y == x })
+			}
+			if len(h.e) != len(ref) || !checkSlots(&h) {
+				return false
+			}
+		}
+		for len(ref) > 0 {
+			if h.Pop() != ref[0] || !checkSlots(&h) {
+				return false
+			}
+			ref = ref[1:]
+		}
+		return len(h.e) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -269,9 +359,6 @@ func TestHeapPeek(t *testing.T) {
 	var h eventHeap
 	if _, ok := h.PeekTime(); ok {
 		t.Fatal("empty heap should have no peek time")
-	}
-	if _, ok := h.Pop(); ok {
-		t.Fatal("empty heap should pop nothing")
 	}
 	h.Push(5, 1, &event{})
 	h.Push(3, 2, &event{})

@@ -83,8 +83,10 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 // advance: a matching message pulls the wake-up forward to the first poll
 // that will see it. Deliveries sort before local events at equal times, so a
 // message arriving exactly at c_j is seen by poll j, as in the stepped loop.
-// The superseded wake (or end event) stays behind and is ignored or re-armed
-// when it fires.
+// Unlike a beaten wait timeout (shard.deliver), the wake this supersedes is
+// not removed: it fails the waitGen check or, if it is the end event, is
+// re-armed when it fires. Such wakes are rare — the paper-scale Figure 3
+// run leaves none; every dead wake it used to fire was a wait timeout.
 func (p *Proc) pollArrival(m *Msg) {
 	pk := &p.poll
 	if !pk.Spec.Matches(m) {

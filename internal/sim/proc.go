@@ -32,6 +32,7 @@ type Proc struct {
 	blocked    bool
 	waitingMsg bool
 	waitGen    uint64
+	timeout    *event // the parked wait's pending timeout in the heap, or nil
 	done       bool
 	finishedAt Time
 
@@ -182,16 +183,19 @@ func (p *Proc) WaitMsg(cat Category) { p.wait(substrate.Never, cat) }
 func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.sh.now+d, cat) }
 
 // wait parks until a message is queued or the clock reaches deadline; with
-// substrate.Never no timer is armed and only a delivery wakes it.
+// substrate.Never no timer is armed and only a delivery wakes it. The timer
+// is p.timeout while parked: a delivery removes it from the heap
+// (shard.deliver), so it fires only when it, not a message, ends the wait.
 func (p *Proc) wait(deadline Time, cat Category) bool {
 	for p.inbox.Len() == 0 && p.sh.now < deadline {
 		p.waitGen++
 		if deadline != substrate.Never {
-			p.sh.atWake(deadline-p.sh.now, p, p.waitGen)
+			p.timeout = p.sh.atWake(deadline-p.sh.now, p, p.waitGen)
 		}
 		p.waitingMsg = true
 		p.park(cat)
 		p.waitingMsg = false
+		p.timeout = nil
 	}
 	return p.inbox.Len() > 0
 }

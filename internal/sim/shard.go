@@ -88,8 +88,9 @@ func (s *shard) ordNext() uint64 {
 	return ordLocalBand | s.allocSeq
 }
 
-// atWake schedules p.wakeIf(gen) at now+d without allocating a closure.
-func (s *shard) atWake(d Time, p *Proc, gen uint64) {
+// atWake schedules a wake of p, if still in generation gen, at now+d
+// without allocating a closure. It returns the scheduled event.
+func (s *shard) atWake(d Time, p *Proc, gen uint64) *event {
 	if d < 0 {
 		d = 0
 	}
@@ -98,6 +99,7 @@ func (s *shard) atWake(d Time, p *Proc, gen uint64) {
 	ev.proc = p
 	ev.gen = gen
 	s.heap.Push(s.now+d, s.ordNext(), ev)
+	return ev
 }
 
 // atTransfer schedules a control handoff to p at now+d.
@@ -142,7 +144,14 @@ func (s *shard) deliver(m *Msg) {
 		return
 	}
 	if p.waitingMsg {
-		p.waitGen++ // invalidate any pending wait timeout
+		// The message beat the wait's timeout: take the timeout out of the
+		// heap rather than leave it to fire dead. Every other event keeps
+		// its (at, ord) key, so the live pop order does not change.
+		if ev := p.timeout; ev != nil {
+			p.timeout = nil
+			s.heap.Remove(int(ev.idx))
+			s.release(ev)
+		}
 		s.transfer(p)
 	} else if p.polled {
 		p.pollArrival(m)
@@ -180,18 +189,10 @@ func (s *shard) runWindow(end Time) {
 // — pop, clock bump, dispatch, free-list release — in one frame.
 func (s *shard) drain(end Time) {
 	for s.err == nil {
-		n := len(s.heap.e)
-		if n == 0 {
+		if len(s.heap.e) == 0 || s.heap.e[0].at >= end {
 			return
 		}
-		top := s.heap.e[0]
-		if top.at >= end {
-			return
-		}
-		s.heap.e[0] = s.heap.e[n-1]
-		s.heap.e[n-1] = heapEntry{}
-		s.heap.e = s.heap.e[:n-1]
-		s.heap.siftDown(0)
+		top := s.heap.Pop()
 		if top.at < s.now {
 			panic("sim: event scheduled in the past")
 		}

@@ -165,8 +165,11 @@ func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 		sendSeq++
 		src.post(m, sendSeq)
 		e.exchange()
-		top, ok := dst.heap.Pop()
-		if !ok || top.ev.msg != m {
+		if len(dst.heap.e) != 1 {
+			t.Fatal("message did not cross the mailbox")
+		}
+		top := dst.heap.Pop()
+		if top.ev.msg != m {
 			t.Fatal("message did not cross the mailbox")
 		}
 		dst.release(top.ev)

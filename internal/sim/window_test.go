@@ -196,7 +196,9 @@ func TestWindowRuleMatchesRelaxation(t *testing.T) {
 
 // TestBarrierRoundsPinned: the coordination-round counts of the mesh
 // fixture at S = 4, recorded with the matrix relaxation before the closed
-// form replaced it. The window rule decides these and nothing else does.
+// form replaced it, then lowered 42 → 41 when wait timeouts a message beat
+// left the heap (111 of the fixture's 1,474 events) instead of holding a
+// window open. Otherwise the window rule decides these and nothing else does.
 func TestBarrierRoundsPinned(t *testing.T) {
 	skew := func(int, int) int { return 0 }
 	for _, tc := range []struct {
@@ -205,10 +207,10 @@ func TestBarrierRoundsPinned(t *testing.T) {
 		fixed     bool
 		want      uint64
 	}{
-		{"round-robin adaptive", nil, false, 42},
-		{"round-robin fixed", nil, true, 42},
+		{"round-robin adaptive", nil, false, 41},
+		{"round-robin fixed", nil, true, 41},
 		{"all-on-shard-0 adaptive", skew, false, 1},
-		{"all-on-shard-0 fixed", skew, true, 42},
+		{"all-on-shard-0 fixed", skew, true, 41},
 	} {
 		e := NewEngine(Config{Seed: 42, Shards: 4, FixedWindows: tc.fixed, Partition: tc.partition})
 		spawnMeshWorkload(Machine{e}, 13, 25)
