@@ -8,6 +8,7 @@ import (
 	"prema/internal/dmcs"
 	"prema/internal/faulty"
 	"prema/internal/rtm"
+	"prema/internal/sim"
 	"prema/internal/substrate"
 	"prema/internal/sweep"
 	"prema/internal/trace"
@@ -35,7 +36,12 @@ func (s RunSpec) buildStack(d *systemDef, node *dist.Node) (*stack, error) {
 	st := &stack{lease: s.LeaseTimeout}
 	switch s.Backend {
 	case "", BackendSim:
-		st.m = s.W.simMachine()
+		cfg := s.W.simConfig()
+		// The recovery store is host memory every processor reads: no
+		// processor may run ahead of the event loop and see a peer's write
+		// from its own future (the reason recover-serial refuses -shards).
+		cfg.Lockstep = s.Recover
+		st.m = sim.NewMachine(cfg)
 	case BackendReal:
 		rc := s.wallConfig(d)
 		if s.Recover && st.lease <= 0 {

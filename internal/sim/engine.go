@@ -16,7 +16,10 @@
 // below that bound is safe. Each coordination round one pass over the
 // shards' next-event times sets the widest windows that argument permits
 // (see runSharded). Cross-shard deliveries wait in per-(shard,shard)
-// mailboxes and are batch-exchanged at the window barrier.
+// mailboxes and are batch-exchanged at the window barrier. The same bound
+// works inside one event loop, one processor at a time: a processor with
+// nothing in flight to it runs ahead of its shard's clock by less than the
+// latency instead of yielding to the loop (Proc.Advance).
 //
 // Sharding never changes semantics: shards share no mutable state and the
 // event ordering key is partition-invariant (see event.go), so a
@@ -71,6 +74,14 @@ type Config struct {
 	// is tested against (TestAdaptiveWindowsMatchFixed: identical output, no
 	// more barrier rounds); no driver or CLI sets it.
 	FixedWindows bool
+	// Lockstep keeps every processor on its shard's clock: an Advance that
+	// no event can interrupt parks until the event loop reaches its end
+	// instead of running ahead (Proc.skipTo). Output is identical either
+	// way while processors share nothing outside the simulated network.
+	// internal/bench sets it for -recover, whose recovery store is host
+	// memory every processor reads: a processor running ahead could see a
+	// peer's write from its own future.
+	Lockstep bool
 }
 
 // Engine owns the simulated machine: configuration, the set of processors,
@@ -120,6 +131,9 @@ func NewEngine(cfg Config) *Engine {
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i, cfg.Shards)
+		if !cfg.Lockstep {
+			e.shards[i].ahead = e.look
+		}
 	}
 	return e
 }
@@ -136,9 +150,11 @@ func (e *Engine) EventsFired() uint64 {
 
 // Transfers returns the number of times an event loop switched into a
 // processor body, summed over shards: the count of hand-off round trips, at
-// most one per fired event. It repeats exactly for a given configuration but,
-// unlike EventsFired, depends on the shard count: an Advance whose wake is
-// next in its own shard's heap skips the switch. Read it after Run.
+// most one per fired event (about one for every three on wide_fine). It
+// repeats exactly for a given configuration but, unlike EventsFired, depends
+// on the shard count and Config.Lockstep: an Advance that no event can
+// interrupt skips the switch (Proc.skipTo), and what can interrupt it
+// depends on what its shard's heap holds. Read it after Run.
 func (e *Engine) Transfers() uint64 {
 	var n uint64
 	for _, s := range e.shards {
@@ -184,19 +200,18 @@ func (e *Engine) BarrierRounds() uint64 { return e.rounds }
 // shardOf returns the shard owning processor id.
 func (e *Engine) shardOf(id int) int { return e.assign[id] }
 
-// Now returns the engine's notion of current virtual time: the (single)
-// shard clock in serial mode, the maximum shard clock in sharded mode.
-// Processor bodies should use Proc.Now, which is their own shard's clock;
-// Engine.Now is for drivers before and after Run.
+// Now returns the engine's notion of current virtual time: the latest
+// clock of any shard or processor. After Run that is the instant of the
+// last event, even when the last processor ran ahead of its shard's loop to
+// finish. Processor bodies should use Proc.Now, their own clock; Engine.Now
+// is for drivers before and after Run.
 func (e *Engine) Now() Time {
-	if len(e.shards) == 1 {
-		return e.shards[0].now
-	}
 	var t Time
 	for _, s := range e.shards {
-		if s.now > t {
-			t = s.now
-		}
+		t = max(t, s.now)
+	}
+	for _, p := range e.procs {
+		t = max(t, p.now)
 	}
 	return t
 }
@@ -209,9 +224,9 @@ func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
 // Spawn creates a simulated processor whose behaviour is body. The
 // processor starts executing when virtual time reaches the moment of the
-// Spawn call (normally time zero, before Run). Processor IDs are assigned
-// densely in spawn order. On a sharded engine all Spawn calls must precede
-// Run.
+// Spawn call (normally time zero, before Run; inside a running body, the
+// caller's clock). Processor IDs are assigned densely in spawn order. On a
+// sharded engine all Spawn calls must precede Run.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	if e.running && len(e.shards) > 1 {
 		panic("sim: Spawn is unavailable while a sharded engine runs; spawn before Run or use Shards: 1")
@@ -227,20 +242,24 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	}
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
-	p := &Proc{id: id, name: name, sh: s}
+	p := &Proc{id: id, name: name, sh: s, now: s.now}
+	if e.running {
+		p.now = s.cur.now // serial: s runs the caller
+	}
 	e.procs = append(e.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != errKilled && s.err == nil {
 				s.err = fmt.Errorf("sim: processor %q panicked: %v\n%s", p.name, r, debug.Stack())
+				s.now = max(s.now, p.now) // the teardown instant is the panic's
 			}
 			p.done = true
-			p.finishedAt = s.now
+			p.finishedAt = p.now
 		}()
 		body(p)
 	})
-	s.atTransfer(0, p)
+	s.atTransfer(p.now, p)
 	return p
 }
 
@@ -414,6 +433,7 @@ func (e *Engine) exchange() {
 				ev := dst.alloc()
 				ev.kind = evDeliver
 				ev.msg = ent.m
+				e.procs[ent.m.Dst].inflight++
 				batch = append(batch, heapEntry{at: ent.at, ord: ent.ord, ev: ev})
 				*ent = mailEntry{} // drop the Msg reference
 			}
@@ -430,11 +450,13 @@ func (e *Engine) exchange() {
 // teardown stops the coroutine of every processor that has not finished, so
 // none leaks past Run: a parked body unwinds through its defers (its yield
 // reports false, see Proc.park), one that never started is released unrun.
-// It runs after every shard worker has quiesced, so the sequential stops
-// below are race-free.
+// A parked processor's clock first catches up with its shard's, the instant
+// the run ended, unless it had already run ahead of it. It runs after every
+// shard worker has quiesced, so the sequential stops below are race-free.
 func (e *Engine) teardown() {
 	for _, p := range e.procs {
 		if !p.done {
+			p.now = max(p.now, p.sh.now)
 			p.stop()
 		}
 	}

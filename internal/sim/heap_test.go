@@ -372,23 +372,48 @@ func TestHeapPeek(t *testing.T) {
 
 func TestNetworkFIFOProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		n := newNetwork(DefaultNetwork())
-		var now, last Time
+		e := NewEngine(Config{})
+		src := e.Spawn("src", func(*Proc) {})
+		e.Spawn("dst", func(*Proc) {})
+		net := DefaultNetwork()
+		last := Time(-1)
 		for _, s := range sizes {
-			at := n.arrivalTime(now, 0, 1, int(s))
-			if at <= last && last != 0 {
-				return false
-			}
-			if at < now {
+			at := src.arrival(1, int(s))
+			if at <= last || at < src.now+net.Latency+Time(s)*net.PerByte {
 				return false
 			}
 			last = at
-			now += Time(s) // sender moves forward a bit
+			src.now += Time(s) // sender moves forward a bit
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFIFOFirstArrivalAtZero: on a zero-latency network two empty messages
+// sent at time 0 arrive at 0 and 1. The sender's "nothing sent yet" state
+// must not read as an arrival at 0, nor a real arrival at 0 as nothing.
+func TestFIFOFirstArrivalAtZero(t *testing.T) {
+	e := NewEngine(Config{Network: NetworkConfig{RecvCPU: 1}})
+	var got []Time
+	e.Spawn("rx", func(p *Proc) {
+		for len(got) < 3 {
+			p.WaitMsg(CatIdle)
+			got = append(got, p.TryRecv(CatMessaging).ArrivedAt)
+		}
+	})
+	e.Spawn("tx", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Send(&Msg{Dst: 0}, CatMessaging)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []Time{0, 1, 2}) {
+		t.Errorf("arrivals %v, want [0 1 2]", got)
 	}
 }
 

@@ -36,30 +36,26 @@ func DefaultNetwork() NetworkConfig {
 // flat network costs Latency.
 func (c NetworkConfig) MinLatency() Time { return c.Latency }
 
-// network tracks per-(src,dst) last-arrival times so that delivery between a
-// pair of processors is FIFO, matching the in-order guarantee of the MPI
-// point-to-point channels PREMA's DMCS layer is built on.
-type network struct {
-	cfg         NetworkConfig
-	lastArrival map[pair]Time
-}
-
-type pair struct{ src, dst int }
-
-func newNetwork(cfg NetworkConfig) *network {
-	return &network{cfg: cfg, lastArrival: make(map[pair]Time)}
-}
-
-// arrivalTime computes when a message of the given size sent now from src
-// arrives at dst, enforcing FIFO ordering per (src,dst) pair. The FIFO bump
-// only ever moves arrivals later, so Latency stays a valid lower bound on
-// time in flight — the property the sharded engine's windows rely on.
-func (n *network) arrivalTime(now Time, src, dst, size int) Time {
-	t := now + n.cfg.Latency + Time(size)*n.cfg.PerByte
-	p := pair{src, dst}
-	if last, ok := n.lastArrival[p]; ok && t <= last {
-		t = last + 1
+// arrival computes when a message of the given size that p sends now
+// arrives at dst, enforcing FIFO order per (src, dst) pair, matching the
+// in-order guarantee of the MPI point-to-point channels PREMA's DMCS layer is
+// built on. The sender owns the state: p.fifo[dst] is one past its last
+// arrival at dst, the earliest its next may land, and the zero value of a
+// pair not yet used bounds nothing — a first arrival at time 0 on a
+// zero-latency network included. Owned by the sender, it is the same under
+// any partition and needs no lock. The FIFO bump only ever moves arrivals
+// later, so Latency stays a valid lower bound on time in flight — the
+// property the sharded engine's windows and run-ahead rely on.
+func (p *Proc) arrival(dst, size int) Time {
+	c := &p.sh.net
+	t := p.now + c.Latency + Time(size)*c.PerByte
+	if dst >= len(p.fifo) {
+		n := max(dst+1, len(p.sh.eng.procs))
+		p.fifo = append(p.fifo, make([]Time, n-len(p.fifo))...)
 	}
-	n.lastArrival[p] = t
+	if f := p.fifo[dst]; t < f {
+		t = f
+	}
+	p.fifo[dst] = t + 1
 	return t
 }

@@ -35,29 +35,28 @@ var _ substrate.PolledAdvancer = (*Proc)(nil)
 // times inside one work unit would otherwise keep thousands of dead events
 // alive.
 func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls int) {
-	s := p.sh
-	if !ps.Elides(d, s.now) {
+	if !ps.Elides(d, p.now) {
 		return substrate.StepPolled(p, d, ps) // nothing to skip, or told to step
 	}
 	pk := &p.poll
-	pk.PollGrid = substrate.NewPollGrid(s.now, d, ps)
+	pk.PollGrid = substrate.NewPollGrid(p.now, d, ps)
 	queued := substrate.Never
 	if ps.AnyTag && p.inbox.Len() > 0 || !ps.AnyTag && p.hasMsg(ps.Tag) {
-		queued = s.now
+		queued = p.now
 	}
 	pk.target = pk.Due(queued)
 
 	p.waitGen++
-	// Fast path, as in Advance: the wake would be the next event popped.
-	if pk.target < s.end && s.err == nil &&
-		(len(s.heap.e) == 0 || pk.target < s.heap.e[0].at) {
-		s.now = pk.target
-		s.fired++
+	// As in Advance: when no event can move the wake-up, move the clock in
+	// place. No delivery lands before the target, so none would pull it
+	// forward.
+	if p.skipTo(pk.target) {
 		return p.settlePolled()
 	}
+	s := p.sh
 	switch {
 	case pk.target < pk.End:
-		s.atWake(pk.target-s.now, p, p.waitGen)
+		s.atWake(pk.target, p, p.waitGen)
 	case p.endAt == 0:
 		ev := s.alloc()
 		ev.kind = evPollEnd
@@ -67,7 +66,7 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 	case p.endAt > pk.End:
 		// Only a caller that re-enters with less compute than it left with
 		// gets here: the queued end event is too late to serve this advance.
-		s.atWake(pk.End-s.now, p, p.waitGen)
+		s.atWake(pk.End, p, p.waitGen)
 	}
 	p.polled, p.blocked = true, true
 	alive := p.yield(struct{}{})
@@ -94,7 +93,7 @@ func (p *Proc) pollArrival(m *Msg) {
 	}
 	if c := pk.AtOrAfter(p.sh.now); c < pk.target {
 		pk.target = c
-		p.sh.atWake(c-p.sh.now, p, p.waitGen)
+		p.sh.atWake(c, p, p.waitGen)
 	}
 }
 
@@ -115,13 +114,13 @@ func (s *shard) firePollEnd(ev *event) (rearmed bool) {
 }
 
 // settlePolled charges the part of the parked advance that lies behind the
-// clock (substrate.PollGrid.Settle): every completed slice to CatCompute,
-// every completed poll to CatPollThread. A normal resume lands on a poll
-// boundary or on the end; only a processor torn down mid-advance sees
-// anything else.
+// processor's clock (substrate.PollGrid.Settle): every completed slice to
+// CatCompute, every completed poll to CatPollThread. A normal resume lands
+// on a poll boundary or on the end; only a processor torn down mid-advance
+// sees anything else.
 func (p *Proc) settlePolled() (done Time, polls int) {
 	pk := &p.poll
-	done, polls = pk.Settle(p.sh.now)
+	done, polls = pk.Settle(p.now)
 	p.acct[CatCompute] += done
 	p.acct[CatPollThread] += Time(polls) * pk.Spec.Cost
 	p.sh.elided += uint64(polls)

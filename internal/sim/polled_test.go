@@ -229,11 +229,13 @@ func TestAdvancePolledBoundaries(t *testing.T) {
 // mid-slice or between a slice's end and its poll's, while a processor is
 // parked in a polled advance end the run exactly as they do when it steps —
 // no hang, the same error, and on the serial engine (where the teardown
-// instant is the panic's) the same ledger for the torn-down processor.
+// instant is the panic's) the same ledger for the torn-down processor, but
+// for one case below.
 func TestAdvancePolledAbnormalEnds(t *testing.T) {
 	spec := substrate.PollSpec{Interval: pI, Cost: pC, Tag: TagSystem, WakeBy: substrate.Never}
-	run := func(shards int, stepped bool, peer func(*Proc)) (Account, error) {
-		e := NewEngine(Config{Network: polledNet(), Seed: 1, Shards: shards})
+	run := func(cfg Config, stepped bool, peer func(*Proc)) (Account, error) {
+		cfg.Network, cfg.Seed = polledNet(), 1
+		e := NewEngine(cfg)
 		var o polledOutcome
 		e.Spawn("victim", func(p *Proc) { victimLoop(p, 10*Second, spec, stepped, &o) })
 		e.Spawn("peer", peer)
@@ -251,14 +253,37 @@ func TestAdvancePolledAbnormalEnds(t *testing.T) {
 		"panic":         func(p *Proc) { p.Advance(Second+3, CatCompute); panic("boom") },
 		"panic-in-poll": func(p *Proc) { p.Advance(3*(pI+pC)-pC/2, CatCompute); panic("boom") },
 	}
+	// The peer panics at 3I+2.5C, halfway through the victim's third poll
+	// (3I+2C to 3I+3C). The elided victim is parked in its polled advance
+	// and settles two polls at the panic instant. The stepped victim's third
+	// poll is one Advance(C) shorter than the latency with nothing in
+	// flight, so it ran ahead through the whole poll before the peer's
+	// panic fired: three polls. In lockstep both read two.
+	pollLedger := func(polls Time) Account {
+		var a Account
+		a[CatCompute], a[CatPollThread] = 3*pI, polls*pC
+		return a
+	}
+	pinned := map[bool]Account{true: pollLedger(3), false: pollLedger(2)}
 	for name, peer := range peers {
 		for _, shards := range []int{1, 2} {
-			wantAcct, want := run(shards, true, peer)
-			gotAcct, got := run(shards, false, peer)
+			wantAcct, want := run(Config{Shards: shards}, true, peer)
+			gotAcct, got := run(Config{Shards: shards}, false, peer)
 			if firstLine(got) != firstLine(want) {
 				t.Errorf("%s/shards=%d: error %q, stepped %q", name, shards, firstLine(got), firstLine(want))
 			}
-			if shards == 1 && gotAcct != wantAcct {
+			switch {
+			case shards > 1:
+			case name == "panic-in-poll":
+				for stepped, acct := range map[bool]Account{true: wantAcct, false: gotAcct} {
+					if acct != pinned[stepped] {
+						t.Errorf("%s (stepped %v): victim ledger %v, want %v", name, stepped, acct, pinned[stepped])
+					}
+					if lock, _ := run(Config{Lockstep: true}, stepped, peer); lock != pinned[false] {
+						t.Errorf("%s (stepped %v, lockstep): victim ledger %v, want %v", name, stepped, lock, pinned[false])
+					}
+				}
+			case gotAcct != wantAcct:
 				t.Errorf("%s: victim ledger %v, stepped %v", name, gotAcct, wantAcct)
 			}
 			if name == "deadlock" && !errors.Is(got, ErrDeadlock) {

@@ -14,6 +14,11 @@ var errKilled = errors.New("sim: processor killed")
 // bodies may freely touch their shard's state (schedule events, send
 // messages) without synchronization.
 //
+// A processor keeps its own clock. The shard sets it to the loop clock at
+// every switch into the body; while the body runs, an Advance that no event
+// can interrupt moves only the processor's clock (run-ahead, see Advance),
+// so it may lead the shard's by less than one network latency.
+//
 // All methods that advance virtual time (Advance, Send, Recv*, Wait*) must be
 // called from the Proc's own body; calling them from another goroutine or
 // from an engine event handler corrupts the handoff protocol.
@@ -21,6 +26,7 @@ type Proc struct {
 	id   int
 	name string
 	sh   *shard
+	now  Time // the processor's clock: never behind its shard's while it runs
 
 	// The coroutine's three ends. The shard calls next to run the body until
 	// it blocks or finishes; the body calls yield to block, and a false
@@ -43,8 +49,10 @@ type Proc struct {
 	endAt  Time
 	poll   polledPark
 
-	sendSeq uint64     // per-processor message send counter (ordering band 1)
-	rng     *rand.Rand // lazily built deterministic per-processor stream
+	sendSeq  uint64     // per-processor message send counter (ordering band 1)
+	fifo     []Time     // per-destination FIFO floor of this sender's arrivals (network.go)
+	inflight int        // deliveries to this processor in its shard's heap
+	rng      *rand.Rand // lazily built deterministic per-processor stream
 
 	inbox msgRing
 	acct  Account
@@ -53,8 +61,9 @@ type Proc struct {
 // ID returns the processor's dense ID (spawn order).
 func (p *Proc) ID() int { return p.id }
 
-// Now returns the current virtual time on the processor's shard.
-func (p *Proc) Now() Time { return p.sh.now }
+// Now returns the processor's virtual time: its shard's clock, or ahead of
+// it while the body runs ahead (Advance).
+func (p *Proc) Now() Time { return p.now }
 
 // Account returns the processor's time ledger. The pointer stays valid for
 // the lifetime of the simulation; read it after Run for final figures.
@@ -70,43 +79,65 @@ func (p *Proc) Charge(cat Category, d Time) { p.acct[cat] += d }
 // delivery) before calling park. A processor torn down while parked unwinds
 // its body from here, uncharged.
 func (p *Proc) park(cat Category) {
-	start := p.sh.now
+	start := p.now
 	p.blocked = true
 	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
 	p.blocked = false
-	p.acct[cat] += p.sh.now - start
+	p.acct[cat] += p.now - start
 }
 
 // Advance consumes d of CPU time, attributed to cat. It models computation
 // (CatCompute), runtime bookkeeping (CatScheduling, CatCallback, ...), or any
 // other busy occupancy. Control returns after virtual time has advanced.
 //
-// Fast path: when the wake would be the very next event the shard pops —
-// nothing else is pending strictly before it, and it lands inside the
-// current window — firing it through the heap would hand control to the
-// event loop only for it to hand control straight back. Instead the clock
-// is bumped in place, skipping the heap round trip and the two coroutine
-// switches of park/transfer. Ties must take the slow path: a fresh wake
-// carries the largest ordering key, so an equal-time entry already in the
-// heap fires first.
+// When no event can interrupt the advance, the processor moves its clock in
+// place (skipTo) instead of parking on a wake in the heap, which would hand
+// control to the event loop only for it to hand control straight back.
 func (p *Proc) Advance(d Time, cat Category) {
 	if d <= 0 {
 		return
 	}
 	p.waitGen++
-	s := p.sh
-	at := s.now + d
-	if at < s.end && s.err == nil &&
-		(len(s.heap.e) == 0 || at < s.heap.e[0].at) {
-		s.now = at
-		s.fired++
+	if p.skipTo(p.now + d) {
 		p.acct[cat] += d
 		return
 	}
-	s.atWake(d, p, p.waitGen)
+	p.sh.atWake(p.now+d, p, p.waitGen)
 	p.park(cat)
+}
+
+// skipTo moves p's clock to at without yielding when nothing p could see
+// fires before at, counting the wake it elides as fired; it reports whether
+// it did. Either of two arms allows it, inside the current window:
+//
+//   - Fast path: at is before the head of the heap. The wake would be the
+//     very next event the shard pops, so the shard clock moves too. Ties
+//     take the slow path: a fresh wake carries the largest ordering key, so
+//     an equal-time entry already in the heap fires first.
+//   - Run-ahead: no delivery to p is in the heap (inflight), at is less
+//     than one latency past the shard clock (the horizon), so no message
+//     sent from now on lands first, and at is before p's own pending
+//     end-of-advance event (endAt), whose firing reads p's state (polled.go).
+//     Only p's clock moves. Events of other processors before at fire later
+//     in host order than in virtual order, which is invisible: processors
+//     share no mutable state, and every event that crosses between them is
+//     a delivery keyed by its sender. Config.Lockstep closes this arm (a
+//     zero horizon).
+func (p *Proc) skipTo(at Time) bool {
+	s := p.sh
+	if at >= s.end || s.err != nil {
+		return false
+	}
+	if len(s.heap.e) == 0 || at < s.heap.e[0].at {
+		s.now = at
+	} else if p.inflight != 0 || at >= s.now+s.ahead || p.endAt != 0 && at >= p.endAt {
+		return false
+	}
+	p.now = at
+	s.fired++
+	return true
 }
 
 // Send transmits m across the simulated network, stamping Src and SentAt.
@@ -114,12 +145,12 @@ func (p *Proc) Advance(d Time, cat Category) {
 // (normally CatMessaging). Delivery is asynchronous and FIFO per (src,dst).
 func (p *Proc) Send(m *Msg, cat Category) {
 	m.Src = p.id
-	m.SentAt = p.sh.now
-	if o := p.sh.net.cfg.SendCPU; o > 0 {
+	m.SentAt = p.now
+	if o := p.sh.net.SendCPU; o > 0 {
 		p.Advance(o, cat)
 	}
 	p.sendSeq++
-	p.sh.post(m, p.sendSeq)
+	p.sh.post(m, p.arrival(m.Dst, m.Size), p.sendSeq)
 }
 
 // InboxLen returns the number of queued, undelivered-to-application messages.
@@ -160,7 +191,7 @@ func (p *Proc) TryRecvTag(tag int, cat Category) *Msg {
 // take removes the i-th queued message, charging the receive CPU to cat.
 func (p *Proc) take(i int, cat Category) *Msg {
 	m := p.inbox.removeAt(i)
-	if o := p.sh.net.cfg.RecvCPU; o > 0 {
+	if o := p.sh.net.RecvCPU; o > 0 {
 		p.Advance(o, cat)
 	}
 	return m
@@ -180,17 +211,17 @@ func (p *Proc) WaitMsg(cat Category) { p.wait(substrate.Never, cat) }
 
 // WaitMsgFor blocks until a message is queued or d elapses, attributing the
 // wait to cat. It reports whether a message is available.
-func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.sh.now+d, cat) }
+func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.now+d, cat) }
 
 // wait parks until a message is queued or the clock reaches deadline; with
 // substrate.Never no timer is armed and only a delivery wakes it. The timer
 // is p.timeout while parked: a delivery removes it from the heap
 // (shard.deliver), so it fires only when it, not a message, ends the wait.
 func (p *Proc) wait(deadline Time, cat Category) bool {
-	for p.inbox.Len() == 0 && p.sh.now < deadline {
+	for p.inbox.Len() == 0 && p.now < deadline {
 		p.waitGen++
 		if deadline != substrate.Never {
-			p.timeout = p.sh.atWake(deadline-p.sh.now, p, p.waitGen)
+			p.timeout = p.sh.atWake(deadline, p, p.waitGen)
 		}
 		p.waitingMsg = true
 		p.park(cat)

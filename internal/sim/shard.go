@@ -1,8 +1,7 @@
 package sim
 
 // shard owns one partition of the simulated processors: their event heap,
-// event free list, local virtual clock, per-(src,dst) FIFO state for
-// messages *sent* by its processors, and outgoing cross-shard mailboxes.
+// event free list, local virtual clock and outgoing cross-shard mailboxes.
 // Processors are assigned by Config.Partition (round-robin when nil;
 // internal/bench places them in contiguous blocks).
 //
@@ -16,7 +15,9 @@ type shard struct {
 	id  int
 
 	now       Time
-	end       Time // current window bound; 0 outside runWindow (closes the Advance fast path)
+	end       Time  // current window bound; 0 outside runWindow (closes Proc.skipTo)
+	ahead     Time  // run-ahead horizon past now: the lookahead, 0 under Config.Lockstep
+	cur       *Proc // the processor last switched into (Spawn inside a body)
 	heap      eventHeap
 	fired     uint64 // events executed (Engine.EventsFired)
 	elided    uint64 // poll wake-ups charged arithmetically by AdvancePolled
@@ -25,7 +26,7 @@ type shard struct {
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
 
-	net *network // FIFO per (src,dst) for locally-sourced messages
+	net NetworkConfig
 
 	// out[d] buffers deliveries destined for shard d's processors during
 	// the current window; the coordinator moves them into d's heap at the
@@ -55,7 +56,7 @@ func newShard(e *Engine, id, nShards int) *shard {
 		eng:  e,
 		id:   id,
 		heap: eventHeap{e: make([]heapEntry, 0, 1024)},
-		net:  newNetwork(e.cfg.Network),
+		net:  e.cfg.Network,
 		out:  make([][]mailEntry, nShards),
 	}
 	return s
@@ -88,45 +89,41 @@ func (s *shard) ordNext() uint64 {
 	return ordLocalBand | s.allocSeq
 }
 
-// atWake schedules a wake of p, if still in generation gen, at now+d
-// without allocating a closure. It returns the scheduled event.
-func (s *shard) atWake(d Time, p *Proc, gen uint64) *event {
-	if d < 0 {
-		d = 0
-	}
+// atWake schedules a wake of p, if still in generation gen, at time at
+// (never before now) without allocating a closure. It returns the scheduled
+// event.
+func (s *shard) atWake(at Time, p *Proc, gen uint64) *event {
 	ev := s.alloc()
 	ev.kind = evWake
 	ev.proc = p
 	ev.gen = gen
-	s.heap.Push(s.now+d, s.ordNext(), ev)
+	s.heap.Push(at, s.ordNext(), ev)
 	return ev
 }
 
-// atTransfer schedules a control handoff to p at now+d.
-func (s *shard) atTransfer(d Time, p *Proc) {
-	if d < 0 {
-		d = 0
-	}
+// atTransfer schedules a control handoff to p at time at.
+func (s *shard) atTransfer(at Time, p *Proc) {
 	ev := s.alloc()
 	ev.kind = evTransfer
 	ev.proc = p
-	s.heap.Push(s.now+d, s.ordNext(), ev)
+	s.heap.Push(at, s.ordNext(), ev)
 }
 
-// post injects m into the network from shard context, charging no CPU. The
-// sender has already stamped Src/SentAt and consumed its send overhead.
-// Local deliveries go straight onto this shard's heap; cross-shard
-// deliveries wait in the outbox until the window barrier. Both carry the
-// delivery-band (src, sendSeq) ordering key, so where the destination lives
-// does not change when — or in what order — the delivery fires.
-func (s *shard) post(m *Msg, sendSeq uint64) {
-	arrival := s.net.arrivalTime(s.now, m.Src, m.Dst, m.Size)
+// post injects m, arriving at arrival, into the network, charging no CPU.
+// The sender has already stamped Src/SentAt, consumed its send overhead and
+// computed the arrival from its own clock (Proc.arrival). Local deliveries
+// go straight onto this shard's heap; cross-shard deliveries wait in the
+// outbox until the window barrier. Both carry the delivery-band (src,
+// sendSeq) ordering key, so where the destination lives does not change
+// when — or in what order — the delivery fires.
+func (s *shard) post(m *Msg, arrival Time, sendSeq uint64) {
 	ord := deliverOrd(m.Src, sendSeq)
 	d := s.eng.shardOf(m.Dst)
 	if d == s.id {
 		ev := s.alloc()
 		ev.kind = evDeliver
 		ev.msg = m
+		s.eng.procs[m.Dst].inflight++
 		s.heap.Push(arrival, ord, ev)
 		return
 	}
@@ -138,6 +135,7 @@ func (s *shard) post(m *Msg, sendSeq uint64) {
 // advance has its wake-up pulled forward to the poll that will see m.
 func (s *shard) deliver(m *Msg) {
 	p := s.eng.procs[m.Dst]
+	p.inflight--
 	m.ArrivedAt = s.now
 	p.inbox.push(m)
 	if !p.blocked {
@@ -159,13 +157,15 @@ func (s *shard) deliver(m *Msg) {
 }
 
 // transfer switches this shard's thread of control into p's coroutine until
-// p blocks or finishes. It must only be called from the shard's event loop;
-// processors never call it directly.
+// p blocks or finishes, with p's clock set to the loop's. It must only be
+// called from the shard's event loop; processors never call it directly.
 func (s *shard) transfer(p *Proc) {
 	if p.done {
 		return
 	}
 	s.transfers++
+	p.now = s.now
+	s.cur = p
 	p.next()
 }
 
@@ -174,9 +174,9 @@ func (s *shard) transfer(p *Proc) {
 // window, so the pop order below — (at, ord) over an exclusively-owned heap
 // — is the shard's one and only event order, independent of S.
 //
-// It publishes the bound in s.end while draining so Proc.Advance can take
-// its in-window fast path, and clears it on exit so no processor resumed
-// outside a window (teardown) can advance the clock.
+// It publishes the bound in s.end while draining so Proc.skipTo can move a
+// clock in place inside the window, and clears it on exit so no processor
+// resumed outside a window (teardown) can advance the clock.
 func (s *shard) runWindow(end Time) {
 	s.end = end
 	s.drain(end)

@@ -157,14 +157,20 @@ func TestShardedPanicPropagates(t *testing.T) {
 // nothing. This pins the claim in Engine.exchange's doc comment.
 func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 	e := NewEngine(Config{Shards: 2})
-	e.assign = []int{0, 1} // what Spawn would build for two procs, sans procs
+	// Round-robin puts the two processors on shards 0 and 1. They are never
+	// run: the fixture needs only the state post and exchange keep per
+	// processor (the sender's FIFO, the receiver's in-flight count).
+	from := e.Spawn("src", func(*Proc) {})
+	to := e.Spawn("dst", func(*Proc) {})
 	src, dst := e.shards[0], e.shards[1]
+	src.heap.e, dst.heap.e = src.heap.e[:0], dst.heap.e[:0] // drop the start transfers
 	m := &Msg{Src: 0, Dst: 1, Size: 8}
 	var sendSeq uint64
 	cycle := func() {
 		sendSeq++
-		src.post(m, sendSeq)
+		src.post(m, from.arrival(m.Dst, m.Size), sendSeq)
 		e.exchange()
+		to.inflight--
 		if len(dst.heap.e) != 1 {
 			t.Fatal("message did not cross the mailbox")
 		}
