@@ -144,13 +144,21 @@ type reliable struct {
 	recv map[stream]*recvState
 	// sendOrder and recvOrder list the streams in creation order: iteration
 	// must be deterministic (map order would leak host randomness into the
-	// simulator), and every poll walks them, so they hold the states
-	// themselves rather than keys to look up.
+	// simulator), and a poll with an ack or a retransmission due walks them,
+	// so they hold the states themselves rather than keys to look up.
 	sendOrder []*sendState
 	recvOrder []*recvState
 
 	// ready holds in-sequence messages awaiting dispatch, in release order.
 	ready []*substrate.Msg
+
+	// acksDue counts the receive streams with ackDue set, and due is the
+	// earliest send-stream deadline (substrate.Never for none) unless
+	// dueStale, so a poll walks recvOrder or sendOrder only when something
+	// in it is due (see setDeadline and earliest).
+	acksDue  int
+	due      substrate.Time
+	dueStale bool
 
 	// dead marks peers under a fail-stop verdict: no buffering, no
 	// retransmission, no sequencing toward them (see Comm.MarkDead).
@@ -190,6 +198,7 @@ func (c *Comm) EnableReliable(cfg RelConfig) {
 		cfg:  cfg,
 		send: make(map[stream]*sendState),
 		recv: make(map[stream]*recvState),
+		due:  substrate.Never,
 	}
 }
 
@@ -271,6 +280,7 @@ func (r *reliable) dropPeerState(peer int) {
 	for _, st := range r.sendOrder {
 		if st.peer == peer {
 			r.stats.DeadDropped += len(st.pending)
+			r.setDeadline(st, 0)
 			delete(r.send, st.stream)
 			continue
 		}
@@ -280,6 +290,9 @@ func (r *reliable) dropPeerState(peer int) {
 	recvs := r.recvOrder[:0]
 	for _, st := range r.recvOrder {
 		if st.peer == peer {
+			if st.ackDue {
+				r.acksDue--
+			}
 			delete(r.recv, st.stream)
 			continue
 		}
@@ -306,9 +319,40 @@ func (c *Comm) sequence(m *substrate.Msg) {
 	st.nextSeq++
 	st.pending = append(st.pending, pendingMsg{seq: m.Seq, kind: m.Kind, data: m.Data, size: m.Size})
 	if st.deadline == 0 {
-		st.deadline = c.p.Now() + st.rto
+		r.setDeadline(st, c.p.Now()+st.rto)
 	}
 	r.stats.DataSent++
+}
+
+// setDeadline moves st's retransmission deadline to at (0 clears it) and
+// keeps the cached earliest deadline exact: an earlier deadline lowers it,
+// and clearing or postponing the deadline that held it leaves it stale for
+// earliest to recompute.
+func (r *reliable) setDeadline(st *sendState, at substrate.Time) {
+	old := st.deadline
+	st.deadline = at
+	switch {
+	case r.dueStale:
+	case at != 0 && at <= r.due:
+		r.due = at
+	case old == r.due:
+		r.dueStale = true
+	}
+}
+
+// earliest returns the earliest retransmission deadline of any stream, or
+// substrate.Never, walking sendOrder only when the cached value is stale.
+func (r *reliable) earliest() substrate.Time {
+	if r.dueStale {
+		r.due = substrate.Never
+		for _, st := range r.sendOrder {
+			if st.deadline != 0 && st.deadline < r.due {
+				r.due = st.deadline
+			}
+		}
+		r.dueStale = false
+	}
+	return r.due
 }
 
 // ackPayload is the body of a cumulative-ack control message: "for your
@@ -351,9 +395,9 @@ func (c *Comm) accept(m *substrate.Msg) {
 			// Forward progress: reset the backoff.
 			st.rto = r.cfg.RTO
 			if len(st.pending) == 0 {
-				st.deadline = 0
+				r.setDeadline(st, 0)
 			} else {
-				st.deadline = c.p.Now() + st.rto
+				r.setDeadline(st, c.p.Now()+st.rto)
 			}
 		}
 		return
@@ -366,7 +410,10 @@ func (c *Comm) accept(m *substrate.Msg) {
 		return
 	}
 	st := r.recvStream(m.Src, m.Tag)
-	st.ackDue = true
+	if !st.ackDue {
+		st.ackDue = true
+		r.acksDue++
+	}
 	switch {
 	case m.Seq == st.next:
 		r.ready = append(r.ready, m)
@@ -409,7 +456,10 @@ func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
 // tick advances the protocol clockwork: flush due acks, retransmit expired
 // streams. It is called at the end of every poll operation, which is what
 // "retransmission driven off the poll loop" means — no timers, no threads.
-// Fire-and-forget mode has no clockwork.
+// Acks go out in recvOrder and retransmissions in sendOrder, whose send
+// sequence orders their deliveries; a walk stops after the last due ack and
+// skips sendOrder while no deadline has passed. Fire-and-forget mode has no
+// clockwork.
 func (c *Comm) tick() {
 	r := c.rel
 	if r == nil {
@@ -417,10 +467,14 @@ func (c *Comm) tick() {
 	}
 	now := c.p.Now()
 	for _, st := range r.recvOrder {
+		if r.acksDue == 0 {
+			break
+		}
 		if !st.ackDue {
 			continue
 		}
 		st.ackDue = false
+		r.acksDue--
 		r.stats.AcksSent++
 		c.p.Send(&substrate.Msg{
 			Dst:  st.peer,
@@ -429,6 +483,9 @@ func (c *Comm) tick() {
 			Data: ackPayload{Tag: st.tag, Cum: st.next - 1},
 			Size: ackBytes,
 		}, substrate.CatMessaging)
+	}
+	if now < r.earliest() {
+		return
 	}
 	for _, st := range r.sendOrder {
 		if st.deadline == 0 || now < st.deadline || len(st.pending) == 0 {
@@ -456,22 +513,17 @@ func (c *Comm) tick() {
 		if st.rto > r.cfg.RTOMax {
 			st.rto = r.cfg.RTOMax
 		}
-		st.deadline = c.p.Now() + st.rto
+		r.setDeadline(st, c.p.Now()+st.rto)
 	}
 }
 
 // nextDeadline returns the earliest pending retransmission deadline, or
 // substrate.Never — always Never in fire-and-forget mode.
 func (c *Comm) nextDeadline() substrate.Time {
-	t := substrate.Never
-	if c.rel != nil {
-		for _, st := range c.rel.sendOrder {
-			if st.deadline != 0 && st.deadline < t {
-				t = st.deadline
-			}
-		}
+	if c.rel == nil {
+		return substrate.Never
 	}
-	return t
+	return c.rel.earliest()
 }
 
 // NextDeadline returns the time before which PollTag(tag) does nothing
@@ -490,12 +542,10 @@ func (c *Comm) NextDeadline(tag int) substrate.Time {
 			return c.p.Now()
 		}
 	}
-	for _, st := range r.recvOrder {
-		if st.ackDue {
-			return c.p.Now()
-		}
+	if r.acksDue > 0 {
+		return c.p.Now()
 	}
-	return c.nextDeadline()
+	return r.earliest()
 }
 
 // hasPending reports whether any stream still has unacked data.

@@ -184,6 +184,100 @@ func TestReliableLossyNetwork(t *testing.T) {
 	})
 }
 
+// TestReliableCachedClockwork: the count of due acks and the earliest
+// retransmission deadline, which tick and NextDeadline read instead of
+// walking every stream, agree with a walk after every send, poll and
+// dead-peer verdict, through loss, duplication, reordering and backoff.
+func TestReliableCachedClockwork(t *testing.T) {
+	const procs, n = 4, 60
+	plan := faulty.Plan{Default: faulty.LinkFaults{Drop: 0.2, Dup: 0.1, Reorder: 0.2}}
+	cfg := RelConfig{
+		Enabled:      true,
+		RTO:          5 * substrate.Millisecond,
+		RTOMax:       20 * substrate.Millisecond,
+		Linger:       50 * substrate.Millisecond,
+		DrainTimeout: 5 * substrate.Second,
+	}
+	bad := 0
+	check := func(c *Comm) {
+		r := c.rel
+		acks, due := 0, substrate.Never
+		for _, st := range r.recvOrder {
+			if st.ackDue {
+				acks++
+			}
+		}
+		for _, st := range r.sendOrder {
+			if st.deadline != 0 && st.deadline < due {
+				due = st.deadline
+			}
+		}
+		if got := c.nextDeadline(); r.acksDue != acks || got != due {
+			if bad++; bad <= 5 {
+				t.Errorf("at %d ns: %d acks due and earliest deadline %d ns; a walk reads %d and %d ns", c.p.Now(), r.acksDue, got, acks, due)
+			}
+		}
+	}
+	m := faulty.Wrap(sim.NewMachine(sim.Config{Seed: 5}), plan, 9)
+	for i := 0; i < procs; i++ {
+		m.Spawn("p", func(ep substrate.Endpoint) {
+			c := New(ep)
+			c.EnableReliable(cfg)
+			heard := 0
+			h := c.Register(func(c *Comm, src int, data any, size int) {
+				check(c)
+				// Processor 0 declares the last one dead from inside a poll,
+				// with an ack to it due.
+				if ep.ID() == 0 && src == procs-1 {
+					if heard++; heard == n/8 {
+						c.MarkDead(src)
+						check(c)
+					}
+				}
+			})
+			rng := ep.Rand()
+			for k := 0; k < n; k++ {
+				dst := (ep.ID() + 1 + rng.Intn(procs-1)) % procs
+				c.SendTagged(dst, h, k, 8, []int{substrate.TagApp, substrate.TagSystem}[rng.Intn(2)])
+				check(c)
+				c.WaitPollFor(substrate.Time(rng.Intn(3))*substrate.Millisecond, substrate.CatIdle)
+				check(c)
+			}
+			c.Quiesce()
+			check(c)
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReliableDeadPeerDeadline: a dead-peer verdict that drops the stream
+// holding the earliest retransmission deadline hands the deadline on to the
+// next stream's.
+func TestReliableDeadPeerDeadline(t *testing.T) {
+	m := sim.NewMachine(sim.Config{Seed: 1})
+	m.Spawn("send", func(ep substrate.Endpoint) {
+		c := New(ep)
+		c.EnableReliable(DefaultRelConfig())
+		h := c.Register(func(c *Comm, src int, data any, size int) {})
+		c.Send(2, h, 0, 8)
+		ep.Advance(substrate.Millisecond, substrate.CatCompute)
+		want := ep.Now() + DefaultRelConfig().RTO
+		c.Send(1, h, 0, 8)
+		c.MarkDead(2)
+		if got := c.NextDeadline(substrate.TagSystem); got != want {
+			t.Errorf("after dropping the earliest stream: deadline %v, want the other stream's %v", got, want)
+		}
+	})
+	for i := 0; i < 2; i++ {
+		m.Spawn("peer", func(ep substrate.Endpoint) {})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sendLog records the time and sequence number of every message its
 // endpoint sends.
 type sendLog struct {

@@ -17,9 +17,10 @@
 // shards' next-event times sets the widest windows that argument permits
 // (see runSharded). Cross-shard deliveries wait in per-(shard,shard)
 // mailboxes and are batch-exchanged at the window barrier. The same bound
-// works inside one event loop, one processor at a time: a processor with
-// nothing in flight to it runs ahead of its shard's clock by less than the
-// latency instead of yielding to the loop (Proc.Advance).
+// works inside one event loop, one processor at a time: a processor runs
+// ahead of its shard's clock by less than the latency, and short of the
+// earliest delivery in flight to it, instead of yielding to the loop
+// (Proc.Advance).
 //
 // Sharding never changes semantics: shards share no mutable state and the
 // event ordering key is partition-invariant (see event.go), so a
@@ -150,7 +151,7 @@ func (e *Engine) EventsFired() uint64 {
 
 // Transfers returns the number of times an event loop switched into a
 // processor body, summed over shards: the count of hand-off round trips, at
-// most one per fired event (about one for every three on wide_fine). It
+// most one per fired event (about one for every four on wide_fine). It
 // repeats exactly for a given configuration but, unlike EventsFired, depends
 // on the shard count and Config.Lockstep: an Advance that no event can
 // interrupt skips the switch (Proc.skipTo), and what can interrupt it
@@ -242,7 +243,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	}
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
-	p := &Proc{id: id, name: name, sh: s, now: s.now}
+	p := &Proc{id: id, name: name, sh: s, now: s.now, inflight: arrivals{first: maxTime}}
 	if e.running {
 		p.now = s.cur.now // serial: s runs the caller
 	}
@@ -433,7 +434,7 @@ func (e *Engine) exchange() {
 				ev := dst.alloc()
 				ev.kind = evDeliver
 				ev.msg = ent.m
-				e.procs[ent.m.Dst].inflight++
+				e.procs[ent.m.Dst].inflight.push(ent.at)
 				batch = append(batch, heapEntry{at: ent.at, ord: ent.ord, ev: ev})
 				*ent = mailEntry{} // drop the Msg reference
 			}

@@ -51,7 +51,7 @@ type Proc struct {
 
 	sendSeq  uint64     // per-processor message send counter (ordering band 1)
 	fifo     []Time     // per-destination FIFO floor of this sender's arrivals (network.go)
-	inflight int        // deliveries to this processor in its shard's heap
+	inflight arrivals   // when the deliveries to this processor in its shard's heap land
 	rng      *rand.Rand // lazily built deterministic per-processor stream
 
 	inbox msgRing
@@ -116,10 +116,13 @@ func (p *Proc) Advance(d Time, cat Category) {
 //     very next event the shard pops, so the shard clock moves too. Ties
 //     take the slow path: a fresh wake carries the largest ordering key, so
 //     an equal-time entry already in the heap fires first.
-//   - Run-ahead: no delivery to p is in the heap (inflight), at is less
-//     than one latency past the shard clock (the horizon), so no message
-//     sent from now on lands first, and at is before p's own pending
-//     end-of-advance event (endAt), whose firing reads p's state (polled.go).
+//   - Run-ahead: at is before the earliest delivery to p in the heap
+//     (inflight), and less than one latency past the shard clock (the
+//     horizon), so no message sent from now on lands first, and at is
+//     before p's own pending end-of-advance event (endAt), whose firing
+//     reads p's state (polled.go). The first bound is strict like the
+//     others: a delivery at exactly at fires before the wake (deliveries
+//     sort first), so p must park to see it.
 //     Only p's clock moves. Events of other processors before at fire later
 //     in host order than in virtual order, which is invisible: processors
 //     share no mutable state, and every event that crosses between them is
@@ -132,7 +135,7 @@ func (p *Proc) skipTo(at Time) bool {
 	}
 	if len(s.heap.e) == 0 || at < s.heap.e[0].at {
 		s.now = at
-	} else if p.inflight != 0 || at >= s.now+s.ahead || p.endAt != 0 && at >= p.endAt {
+	} else if at >= p.inflight.first || at >= s.now+s.ahead || p.endAt != 0 && at >= p.endAt {
 		return false
 	}
 	p.now = at

@@ -20,7 +20,7 @@ func rlNet() NetworkConfig { return NetworkConfig{Latency: 100 * Microsecond} }
 // lands inside the next Advance, even when the Advance ends inside the
 // horizon. The receiver moves the shard clock to 90 µs on the fast path,
 // then asks for 20 µs more: 110 µs is past the message's arrival at 100 µs
-// and before the horizon at 190 µs, so only the in-flight count stops it.
+// and before the horizon at 190 µs, so only the arrival in flight stops it.
 func TestRunAheadWaitsForDeliveryInFlight(t *testing.T) {
 	e := NewEngine(Config{Network: rlNet()})
 	e.Spawn("tx", func(p *Proc) { p.Send(&Msg{Dst: 1, Kind: 7}, CatMessaging) })
@@ -31,6 +31,133 @@ func TestRunAheadWaitsForDeliveryInFlight(t *testing.T) {
 		m := p.TryRecv(CatMessaging)
 		if m == nil || m.ArrivedAt != 100*Microsecond || p.Now() != 110*Microsecond {
 			t.Errorf("at %v got %+v, want the message that arrived at 100µs", p.Now(), m)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunAheadPastLaterDelivery: a delivery in flight that lands after an
+// Advance ends does not stop the Advance from running ahead, and still
+// arrives when it should. The receiver's start is queued behind a third
+// processor's at 0, so no Advance of it takes the fast path; its 50 µs and
+// 40 µs Advances end before the message lands at 100 µs, inside the
+// horizon, and run ahead: four switches, where parking on the first
+// (lockstep) takes five. Both runs fire the same events.
+func TestRunAheadPastLaterDelivery(t *testing.T) {
+	run := func(lockstep bool) *Engine {
+		e := NewEngine(Config{Network: rlNet(), Lockstep: lockstep})
+		e.Spawn("tx", func(p *Proc) { p.Send(&Msg{Dst: 1}, CatMessaging) })
+		e.Spawn("rx", func(p *Proc) {
+			p.Advance(50*Microsecond, CatCompute)
+			p.Advance(40*Microsecond, CatCompute)
+			m := p.Recv(CatIdle)
+			if m.ArrivedAt != 100*Microsecond || p.Now() != 100*Microsecond {
+				t.Errorf("lockstep=%v: at %v got %+v, want the message that arrived at 100µs", lockstep, p.Now(), m)
+			}
+		})
+		e.Spawn("late", func(p *Proc) {})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	lock, ahead := run(true), run(false)
+	if ahead.EventsFired() != lock.EventsFired() || ahead.Transfers() != 4 || lock.Transfers() != 5 {
+		t.Errorf("run-ahead: %d transfers for %d events; lockstep %d for %d; want 4 and 5",
+			ahead.Transfers(), ahead.EventsFired(), lock.Transfers(), lock.EventsFired())
+	}
+}
+
+// TestRunAheadStopsAtArrival: an Advance that ends exactly when a delivery
+// in flight lands parks, and sees the message when it resumes: the delivery
+// sorts before the wake at equal times. The receiver moves the shard clock
+// to 10 µs on the fast path; its next Advance ends at the arrival, 100 µs,
+// inside the horizon at 110 µs.
+func TestRunAheadStopsAtArrival(t *testing.T) {
+	e := NewEngine(Config{Network: rlNet()})
+	e.Spawn("tx", func(p *Proc) { p.Send(&Msg{Dst: 1}, CatMessaging) })
+	e.Spawn("rx", func(p *Proc) {
+		p.Advance(10*Microsecond, CatCompute)
+		p.Advance(90*Microsecond, CatCompute)
+		if m := p.TryRecv(CatMessaging); m == nil || m.ArrivedAt != 100*Microsecond {
+			t.Errorf("at %v got %+v, want the message that arrived at 100µs", p.Now(), m)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunAheadEarliestArrival: with two deliveries in flight the guard is
+// the earlier arrival, whichever was sent first. One sender's message
+// lands at 100 µs, the other's, 50 bytes at 1 µs a byte, at 150 µs; the
+// receiver moves the shard clock to 10 µs on the fast path and then asks
+// for 95 µs, past the first arrival only.
+func TestRunAheadEarliestArrival(t *testing.T) {
+	for _, sizes := range [][2]int{{0, 50}, {50, 0}} {
+		e := NewEngine(Config{Network: NetworkConfig{Latency: 100 * Microsecond, PerByte: Microsecond}})
+		for _, size := range sizes {
+			e.Spawn("tx", func(p *Proc) { p.Send(&Msg{Dst: 2, Size: size}, CatMessaging) })
+		}
+		e.Spawn("rx", func(p *Proc) {
+			p.Advance(10*Microsecond, CatCompute)
+			p.Advance(95*Microsecond, CatCompute)
+			if m := p.TryRecv(CatMessaging); m == nil || m.ArrivedAt != 100*Microsecond || p.InboxLen() != 0 {
+				t.Errorf("sizes %v: at %v got %+v with %d queued, want only the message that arrived at 100µs", sizes, p.Now(), m, p.InboxLen())
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRunAheadSeesExchangedDelivery: on two shards a delivery handed over
+// at the window barrier counts as in flight like a local one. The sender
+// on the other shard sends at 50 µs, arriving at 150 µs; the first windows
+// end at 100 µs, so the receiver's first Advance parks until 100 µs, and
+// the barrier before that resume moves the message into its heap. Its next
+// Advance, to 160 µs, is inside the horizon (200 µs) and the window
+// (300 µs): only the exchanged arrival stops it.
+func TestRunAheadSeesExchangedDelivery(t *testing.T) {
+	e := NewEngine(Config{Network: rlNet(), Shards: 2})
+	e.Spawn("rx", func(p *Proc) {
+		p.Advance(100*Microsecond, CatCompute)
+		p.Advance(60*Microsecond, CatCompute)
+		if m := p.TryRecv(CatMessaging); m == nil || m.ArrivedAt != 150*Microsecond {
+			t.Errorf("at %v got %+v, want the message that arrived at 150µs", p.Now(), m)
+		}
+	})
+	e.Spawn("tx", func(p *Proc) {
+		p.Advance(50*Microsecond, CatCompute)
+		p.Send(&Msg{Dst: 0}, CatMessaging)
+	})
+	if e.shardOf(0) == e.shardOf(1) {
+		t.Fatal("fixture needs the two processors on different shards")
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunAheadPolledBoundaryArrival: a polled advance whose wake-up is the
+// poll boundary where a delivery in flight lands parks, so that poll sees
+// the message, as it would stepped. The receiver moves the shard clock to
+// 16 µs on the fast path and enters a polled advance with polls every
+// 21 µs from there and WakeBy 90 µs: it is due back at poll 4, at 100 µs,
+// exactly when the message arrives, inside the horizon at 116 µs.
+func TestRunAheadPolledBoundaryArrival(t *testing.T) {
+	ps := substrate.PollSpec{Interval: 20 * Microsecond, Cost: Microsecond, Tag: TagSystem, WakeBy: 90 * Microsecond}
+	e := NewEngine(Config{Network: rlNet()})
+	e.Spawn("tx", func(p *Proc) { p.Send(&Msg{Dst: 1, Tag: TagSystem}, CatMessaging) })
+	e.Spawn("rx", func(p *Proc) {
+		p.Advance(16*Microsecond, CatCompute)
+		done, polls := p.AdvancePolled(Millisecond, ps)
+		m := p.TryRecvTag(TagSystem, CatMessaging)
+		if done != 80*Microsecond || polls != 4 || m == nil || m.ArrivedAt != 100*Microsecond {
+			t.Errorf("returned (%v, %d) and got %+v; want (80µs, 4) and the message that arrived at 100µs", done, polls, m)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -57,7 +184,7 @@ func TestRunAheadHorizon(t *testing.T) {
 }
 
 // TestRunAheadWindowEnd: on two shards a delivery from the other shard waits
-// in a mailbox until the window barrier, where no in-flight count sees it.
+// in a mailbox until the window barrier, where no in-flight arrival sees it.
 // Both shards start at 0, so the first windows end at 100 µs, the earliest
 // the peer's send at 0 can land. The receiver's second Advance, 60 µs to
 // 160 µs, has an empty heap and is inside the horizon: only the window end
@@ -204,18 +331,22 @@ func stealStorm(t *testing.T, cfg Config) (*Engine, uint64) {
 
 // TestStealStormTransfers: in a steal storm most events are the overheads
 // of short sends and receives, which run ahead, so the event loop switches
-// into a body for at most half of the events (0.40 serial, 0.43 on two
-// shards) — against four in five in lockstep — and every ledger and request
-// count is the same.
+// into a body for at most 0.30 of the events serially and 0.40 on two
+// shards (0.26 and 0.36; 0.40 and 0.43 while any delivery in flight stopped
+// run-ahead) — against four in five in lockstep — and every ledger and
+// request count is the same.
 func TestStealStormTransfers(t *testing.T) {
 	lock, wantSum := stealStorm(t, Config{Seed: 3, Lockstep: true})
-	for _, shards := range []int{1, 2} {
-		e, sum := stealStorm(t, Config{Seed: 3, Shards: shards})
+	for _, c := range []struct {
+		shards int
+		most   float64
+	}{{1, 0.30}, {2, 0.40}} {
+		e, sum := stealStorm(t, Config{Seed: 3, Shards: c.shards})
 		if sum != wantSum || e.EventsFired() != lock.EventsFired() {
-			t.Errorf("shards=%d: %d events, hash %#x; lockstep %d, %#x", shards, e.EventsFired(), sum, lock.EventsFired(), wantSum)
+			t.Errorf("shards=%d: %d events, hash %#x; lockstep %d, %#x", c.shards, e.EventsFired(), sum, lock.EventsFired(), wantSum)
 		}
-		if r := float64(e.Transfers()) / float64(e.EventsFired()); r > 0.5 {
-			t.Errorf("shards=%d: %d transfers for %d events (%.2f), want at most half", shards, e.Transfers(), e.EventsFired(), r)
+		if r := float64(e.Transfers()) / float64(e.EventsFired()); r > c.most {
+			t.Errorf("shards=%d: %d transfers for %d events (%.2f), want at most %.2f", c.shards, e.Transfers(), e.EventsFired(), r, c.most)
 		}
 	}
 	if r := float64(lock.Transfers()) / float64(lock.EventsFired()); r < 0.75 {

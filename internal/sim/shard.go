@@ -123,7 +123,7 @@ func (s *shard) post(m *Msg, arrival Time, sendSeq uint64) {
 		ev := s.alloc()
 		ev.kind = evDeliver
 		ev.msg = m
-		s.eng.procs[m.Dst].inflight++
+		s.eng.procs[m.Dst].inflight.push(arrival)
 		s.heap.Push(arrival, ord, ev)
 		return
 	}
@@ -135,7 +135,7 @@ func (s *shard) post(m *Msg, arrival Time, sendSeq uint64) {
 // advance has its wake-up pulled forward to the poll that will see m.
 func (s *shard) deliver(m *Msg) {
 	p := s.eng.procs[m.Dst]
-	p.inflight--
+	p.inflight.pop() // the earliest, at s.now
 	m.ArrivedAt = s.now
 	p.inbox.push(m)
 	if !p.blocked {

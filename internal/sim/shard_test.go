@@ -159,7 +159,7 @@ func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 	e := NewEngine(Config{Shards: 2})
 	// Round-robin puts the two processors on shards 0 and 1. They are never
 	// run: the fixture needs only the state post and exchange keep per
-	// processor (the sender's FIFO, the receiver's in-flight count).
+	// processor (the sender's FIFO, the receiver's in-flight arrivals).
 	from := e.Spawn("src", func(*Proc) {})
 	to := e.Spawn("dst", func(*Proc) {})
 	src, dst := e.shards[0], e.shards[1]
@@ -170,7 +170,7 @@ func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 		sendSeq++
 		src.post(m, from.arrival(m.Dst, m.Size), sendSeq)
 		e.exchange()
-		to.inflight--
+		to.inflight.pop()
 		if len(dst.heap.e) != 1 {
 			t.Fatal("message did not cross the mailbox")
 		}
