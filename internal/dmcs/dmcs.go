@@ -42,11 +42,42 @@ type Comm struct {
 	// tr is the trace recorder behind p (nil when the run is untraced; the
 	// nil recorder's methods are no-ops).
 	tr *trace.Recorder
+	// free holds zeroed messages this processor has finished with, for its
+	// next sends (substrate.Msg says why a delivered message is ours to
+	// reuse). Only the processor's own goroutine or coroutine runs a Comm,
+	// so the list needs no locking.
+	free []*substrate.Msg
 }
+
+// freeCap bounds a Comm's free list: a burst of deliveries larger than this
+// leaves its surplus to the garbage collector.
+const freeCap = 64
 
 // New wraps a substrate endpoint in a DMCS endpoint.
 func New(p substrate.Endpoint) *Comm {
-	return &Comm{p: p, tr: trace.Of(p)}
+	return &Comm{p: p, tr: trace.Of(p), free: make([]*substrate.Msg, 0, freeCap)}
+}
+
+// newMsg returns a message holding v, recycled when one is free.
+func (c *Comm) newMsg(v substrate.Msg) *substrate.Msg {
+	var m *substrate.Msg
+	if n := len(c.free); n > 0 {
+		m = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		m = new(substrate.Msg)
+	}
+	*m = v
+	return m
+}
+
+// recycle zeroes a delivered message dmcs has finished with and keeps it for
+// a later send. Zeroing drops the payload, so a kept message pins nothing.
+func (c *Comm) recycle(m *substrate.Msg) {
+	if len(c.free) < freeCap {
+		*m = substrate.Msg{}
+		c.free = append(c.free, m)
+	}
 }
 
 // Proc returns the underlying substrate endpoint.
@@ -72,15 +103,17 @@ func (c *Comm) Send(dst int, h HandlerID, data any, size int) {
 // mode the message is sequenced and buffered for retransmission until the
 // destination acknowledges it.
 func (c *Comm) SendTagged(dst int, h HandlerID, data any, size int, tag int) {
-	m := &substrate.Msg{Dst: dst, Kind: int(h), Tag: tag, Data: data, Size: size}
+	m := c.newMsg(substrate.Msg{Dst: dst, Kind: int(h), Tag: tag, Data: data, Size: size})
 	c.sequence(m)
 	c.p.Send(m, substrate.CatMessaging)
 }
 
-// dispatch runs the handler named by m.
+// dispatch runs the handler named by m, then recycles m: a handler sees the
+// payload, never the message.
 func (c *Comm) dispatch(m *substrate.Msg) {
 	c.p.Advance(dispatchCPU, substrate.CatCallback)
 	c.handlers[m.Kind](c, m.Src, m.Data, m.Size)
+	c.recycle(m)
 }
 
 // Poll receives and dispatches every queued message, returning the number

@@ -1,6 +1,8 @@
 package dmcs
 
 import (
+	"slices"
+
 	"prema/internal/substrate"
 	"prema/internal/trace"
 )
@@ -119,7 +121,7 @@ type sendState struct {
 }
 
 // pendingMsg is an unacked message kept for retransmission. Each
-// (re)transmission builds a fresh substrate.Msg — a delivered message is
+// (re)transmission sends its own substrate.Msg — a delivered message is
 // owned by the receiver and must never be resent.
 type pendingMsg struct {
 	seq  uint64
@@ -389,7 +391,11 @@ func (c *Comm) accept(m *substrate.Msg) {
 			i++
 		}
 		if i > 0 {
-			st.pending = st.pending[i:]
+			// Copy the survivors down so the window keeps its array and
+			// pins no acked payload.
+			n := copy(st.pending, st.pending[i:])
+			clear(st.pending[n:])
+			st.pending = st.pending[:n]
 		}
 		if len(st.pending) < before {
 			// Forward progress: reset the backoff.
@@ -400,6 +406,7 @@ func (c *Comm) accept(m *substrate.Msg) {
 				r.setDeadline(st, c.p.Now()+st.rto)
 			}
 		}
+		c.recycle(m)
 		return
 	}
 	if m.Seq == 0 {
@@ -430,6 +437,7 @@ func (c *Comm) accept(m *substrate.Msg) {
 	case m.Seq > st.next:
 		if _, dup := st.hold[m.Seq]; dup {
 			r.stats.DupDropped++
+			c.recycle(m)
 		} else {
 			r.stats.Held++
 			st.hold[m.Seq] = m
@@ -438,6 +446,7 @@ func (c *Comm) accept(m *substrate.Msg) {
 		// Already delivered: a network duplicate or a retransmission that
 		// crossed our ack. Re-ack so the sender stops resending.
 		r.stats.DupDropped++
+		c.recycle(m)
 	}
 }
 
@@ -446,7 +455,7 @@ func (c *Comm) accept(m *substrate.Msg) {
 func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
 	for i, m := range c.rel.ready {
 		if anyTag || m.Tag == tag {
-			c.rel.ready = append(c.rel.ready[:i], c.rel.ready[i+1:]...)
+			c.rel.ready = slices.Delete(c.rel.ready, i, i+1)
 			return m
 		}
 	}
@@ -476,13 +485,13 @@ func (c *Comm) tick() {
 		st.ackDue = false
 		r.acksDue--
 		r.stats.AcksSent++
-		c.p.Send(&substrate.Msg{
+		c.p.Send(c.newMsg(substrate.Msg{
 			Dst:  st.peer,
 			Kind: ackKind,
 			Tag:  substrate.TagSystem,
 			Data: ackPayload{Tag: st.tag, Cum: st.next - 1},
 			Size: ackBytes,
-		}, substrate.CatMessaging)
+		}), substrate.CatMessaging)
 	}
 	if now < r.earliest() {
 		return
@@ -500,14 +509,14 @@ func (c *Comm) tick() {
 		for _, pm := range burst {
 			r.stats.Retransmits++
 			c.tr.Instant(trace.EvRetransmit, now, int64(st.peer), int64(st.tag), int64(pm.seq))
-			c.p.Send(&substrate.Msg{
+			c.p.Send(c.newMsg(substrate.Msg{
 				Dst:  st.peer,
 				Kind: pm.kind,
 				Tag:  st.tag,
 				Data: pm.data,
 				Size: pm.size,
 				Seq:  pm.seq,
-			}, substrate.CatMessaging)
+			}), substrate.CatMessaging)
 		}
 		st.rto *= 2
 		if st.rto > r.cfg.RTOMax {

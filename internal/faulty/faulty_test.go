@@ -157,6 +157,39 @@ func TestLinkFaultModes(t *testing.T) {
 	})
 }
 
+// TestDupDeliversACopy: a delivered message belongs to its receiver (see
+// substrate.Msg), so a duplicated delivery hands up a copy — never the
+// pointer it already handed up — and the receiver may reuse each message.
+func TestDupDeliversACopy(t *testing.T) {
+	const n = 20
+	fm := Wrap(sim.NewMachine(sim.Config{Seed: 4}), Plan{Default: LinkFaults{Dup: 1}}, 1)
+	seen := make(map[*substrate.Msg]int)
+	fm.Spawn("recv", func(ep substrate.Endpoint) {
+		for len(seen) < 2*n {
+			if !ep.WaitMsgFor(secs(1), substrate.CatIdle) {
+				break
+			}
+			for m := ep.TryRecv(substrate.CatMessaging); m != nil; m = ep.TryRecv(substrate.CatMessaging) {
+				if prev, ok := seen[m]; ok {
+					t.Errorf("message %d handed up twice as the same pointer (first as %d)", m.Data.(int), prev)
+				}
+				seen[m] = m.Data.(int)
+			}
+		}
+	})
+	fm.Spawn("send", func(ep substrate.Endpoint) {
+		for i := 0; i < n; i++ {
+			ep.Send(&substrate.Msg{Dst: 0, Data: i, Size: 8}, substrate.CatMessaging)
+		}
+	})
+	if err := fm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2*n {
+		t.Errorf("received %d distinct messages, want %d", len(seen), 2*n)
+	}
+}
+
 // TestPerLinkOverride: a link override replaces the default model on that
 // directed link only.
 func TestPerLinkOverride(t *testing.T) {

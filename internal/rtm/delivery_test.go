@@ -3,6 +3,7 @@ package rtm_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"prema/internal/rtm"
 	"prema/internal/sim"
@@ -150,5 +151,36 @@ func TestDeliveryInArrivalOrder(t *testing.T) {
 		if i > 0 && msg.ArrivedAt < got[i-1].ArrivedAt {
 			t.Errorf("delivery %d arrived at %v, before delivery %d at %v", i, msg.ArrivedAt, i-1, got[i-1].ArrivedAt)
 		}
+	}
+}
+
+// TestSendToFinishedRankIsDeadLetter: once a rank's body has returned,
+// nothing drains its feed, so a message for it is dropped instead of
+// blocking the sender when the feed is full — by Send and by Inject alike.
+// Before the drop, the ChanCap+1st send here blocked for good.
+func TestSendToFinishedRankIsDeadLetter(t *testing.T) {
+	m := rtm.New(rtm.DefaultConfig())
+	m.Spawn("finished", func(substrate.Endpoint) {})
+	m.Spawn("sender", func(ep substrate.Endpoint) {
+		ep.Advance(substrate.Millisecond, substrate.CatCompute)
+		for i := 0; i <= rtm.ChanCap; i++ {
+			ep.Send(&substrate.Msg{Dst: 0, Size: 8}, substrate.CatMessaging)
+		}
+		for i := 0; i <= rtm.ChanCap; i++ {
+			if !m.Inject(&substrate.Msg{Src: 1, Dst: 0, Size: 8}) {
+				t.Errorf("Inject %d reported a stopped machine while the sender runs", i)
+				return
+			}
+		}
+	})
+	ran := make(chan error, 1)
+	go func() { ran <- m.Run() }()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sends to a finished rank still blocked after 5 s")
 	}
 }

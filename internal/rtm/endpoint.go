@@ -29,6 +29,9 @@ type Endpoint struct {
 	// before it arrives — so the visible messages are a prefix of inbox.
 	in    chan *substrate.Msg
 	inbox []*substrate.Msg
+	// done is closed when the body returns: nothing drains in after that,
+	// so a send to this rank is a dead letter rather than a block.
+	done chan struct{}
 
 	// lastArrival[dst] is the latest arrival time this endpoint has
 	// scheduled toward dst; it enforces per-(src,dst) FIFO under the
@@ -161,7 +164,8 @@ func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, time
 // stamps the arrival time the injected latency model gives — strictly after
 // this sender's previous message to the same rank, which is per-(src,dst)
 // FIFO — and puts m on the destination's feed, or, for a rank outside this
-// machine's share, hands it to the remote link. The caller must not touch m
+// machine's share, hands it to the remote link. A message for a rank whose
+// body has returned is dropped, a dead letter. The caller must not touch m
 // (or ownership-transferred payload objects) afterwards.
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	m.Src = e.id
@@ -184,8 +188,10 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	}
 	m.ArrivedAt = max(mach.Now()+mach.cfg.Latency+substrate.Time(m.Size)*mach.cfg.PerByte, e.lastArrival[m.Dst]+1)
 	e.lastArrival[m.Dst] = m.ArrivedAt
+	dst := mach.eps[m.Dst]
 	select {
-	case mach.eps[m.Dst].in <- m:
+	case dst.in <- m:
+	case <-dst.done: // nobody will drain the feed again
 	case <-mach.stop: // back-pressured by a full feed during teardown
 		panic(errKilled)
 	}

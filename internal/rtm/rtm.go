@@ -132,6 +132,7 @@ func (m *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	if m.hosts(e.id) {
 		e.body = body
 		e.in = make(chan *substrate.Msg, ChanCap)
+		e.done = make(chan struct{})
 		e.rng = rand.New(rand.NewSource(m.cfg.Seed + int64(e.id)))
 	}
 	m.eps = append(m.eps, e)
@@ -164,7 +165,9 @@ func (m *Machine) Stopped() <-chan struct{} { return m.stop }
 // Inject delivers a message that reached this share over a remote link: it
 // stamps the arrival with this machine's clock and feeds the inbox of
 // msg.Dst, which must be a hosted rank, blocking while that inbox is full.
-// It reports false — the message is dropped — once the machine has stopped.
+// A message for a rank whose body has returned is a dead letter, dropped at
+// once. It reports false — the message is dropped — once the machine has
+// stopped.
 func (m *Machine) Inject(msg *substrate.Msg) bool {
 	select {
 	case <-m.stop:
@@ -172,12 +175,14 @@ func (m *Machine) Inject(msg *substrate.Msg) bool {
 	default:
 	}
 	msg.ArrivedAt = m.Now()
+	dst := m.eps[msg.Dst]
 	select {
-	case m.eps[msg.Dst].in <- msg:
-		return true
+	case dst.in <- msg:
+	case <-dst.done:
 	case <-m.stop:
 		return false
 	}
+	return true
 }
 
 // Makespan returns the latest hosted processor finish time (after Run).
@@ -233,6 +238,7 @@ func (m *Machine) Run() error {
 					m.Fail(fmt.Errorf("rtm: processor %q panicked: %v\n%s", e.name, r, debug.Stack()))
 				}
 				e.finishedAt = m.Now()
+				close(e.done)
 			}()
 			e.body(e)
 		}(e)

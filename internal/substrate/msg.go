@@ -7,6 +7,12 @@ package substrate
 // serialized bytes. On the real-time backend the channel handoff of the Msg
 // pointer is the synchronization point: a sender must not touch the message
 // (or payload objects it transfers ownership of) after Send.
+//
+// A delivered message belongs to its receiver. No backend or decorator may
+// keep, or deliver a second time, a pointer it has handed up: a backend
+// forgets the slot it popped, a decorator that duplicates a delivery hands
+// up a copy, and one that records a message copies its fields. dmcs relies
+// on this to reuse every message it has consumed for its next send.
 type Msg struct {
 	// Src and Dst are processor IDs.
 	Src, Dst int

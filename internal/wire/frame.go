@@ -136,8 +136,12 @@ func EncodeMsg(m *substrate.Msg) ([]byte, int) {
 // sender's value. Corrupt, truncated, or trailing-garbage input returns an
 // error; it never panics. ArrivedAt is left zero for the transport to
 // stamp on delivery.
-func DecodeMsg(b []byte) (*substrate.Msg, error) {
-	r := NewReader(b)
+func DecodeMsg(b []byte) (*substrate.Msg, error) { return decodeMsg(new(Reader), b) }
+
+// decodeMsg is DecodeMsg reading through r, which it resets to b: a caller
+// that decodes many frames keeps one Reader instead of allocating one each.
+func decodeMsg(r *Reader, b []byte) (*substrate.Msg, error) {
+	*r = Reader{buf: b}
 	if magic := r.U16(); r.Err() == nil && magic != frameMagic {
 		return nil, fmt.Errorf("wire: bad frame magic %#04x", magic)
 	}

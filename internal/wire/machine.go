@@ -63,6 +63,7 @@ type Endpoint struct {
 	substrate.Endpoint
 	m   *Machine
 	enc Writer // per-endpoint scratch buffer, reused across sends
+	dec Reader // per-endpoint decoder, reused across sends
 }
 
 // polledEndpoint is an Endpoint over a substrate.PolledAdvancer: the codec
@@ -82,7 +83,7 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	e.enc.Reset()
 	plen := AppendMsg(&e.enc, m)
 	frame := e.enc.Buf()
-	dm, err := DecodeMsg(frame)
+	dm, err := decodeMsg(&e.dec, frame)
 	if err != nil {
 		panic(fmt.Sprintf("wire: frame round trip failed for %T payload: %v", m.Data, err))
 	}
