@@ -5,7 +5,6 @@
 //
 //	figures [-fig N] [-procs P] [-units-per-proc U] [-stride S] [-jobs J] \
 //	        [-shards S] [-wire] \
-//	        [-backend sim|dist] [-nodes N -dist-listen HOST:PORT] \
 //	        [-csv DIR] [-trace trace.json] [-metrics metrics.txt]
 //
 // Everything but -fig and -csv is a shared flag: one declaration in
@@ -19,28 +18,26 @@
 // paper's Figure 1 taxonomy table.
 //
 // The 24 simulations of the full sweep are independent; -jobs fans them out
-// across cores, and -shards additionally parallelizes each simulation's
-// event loop. -wire, -trace and -metrics apply to the PREMA systems of each
-// figure (the baselines, which have no codecs, run as usual); the trace
-// and metrics files are written per (figure, system), suffixing figN.system
-// before the extension. Output is byte-identical for any -jobs, -shards,
-// -wire and -trace values.
+// across cores. -shards runs each simulation's event loop on that many
+// shards; it changes no output and is not a speedup (two shards take about
+// twice the serial wall time — the benchmark's sim.s2_speedup row).
+// -wire, -trace and -metrics apply to the PREMA systems of each figure (the
+// baselines, which have no codecs, run as usual); the trace and metrics
+// files are written per (figure, system), suffixing figN.system before the
+// extension. Output is byte-identical for any -jobs, -shards, -wire and
+// -trace values.
 //
-// -backend=dist replays one figure's transport-backed systems (none,
-// prema-explicit, prema-implicit) on the distributed backend, one session
-// per system, one after another (concurrent sessions would distort each
-// other's wall clock). Makespans are wall-clock under -timescale and not
-// comparable to the simulator's; the counter and residency columns are.
+// figures runs the simulator only. A figure's transport-backed systems on
+// the distributed backend are one premabench invocation:
+// premabench -system none,prema-explicit,prema-implicit -backend dist ...
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"prema/internal/bench"
 )
@@ -61,11 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		W:            bench.Workload{Procs: 128},
 		UnitsPerProc: 128,
 		Stride:       8,
-		TimeScale:    1e-3,
 	}.WithDefaults()
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	spec.BindFlags(fs, `procs units-per-proc stride jobs shards wire
-		backend timescale nodes dist-listen premad dist-attach
 		trace metrics trace-ring`)
 	fig := fs.Int("fig", 0, "figure to regenerate (3-6; 1 prints the taxonomy; 0 = all benchmarks)")
 	csvDir := fs.String("csv", "", "directory to write per-system breakdown CSVs into (plots)")
@@ -81,16 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			specs = []bench.FigureSpec{f}
 		}
-		switch {
-		case spec.Backend == bench.BackendReal:
-			return errors.New("unknown -backend \"real\" (want sim or dist)")
-		case spec.Backend != bench.BackendDist:
-			return nil
-		case len(specs) != 1:
-			return errors.New("-backend=dist runs one figure's PREMA systems; pick it with -fig 3..6")
-		case spec.TracePath != "" || spec.MetricsPath != "":
-			return errors.New("-trace and -metrics apply to the simulator backend; use premabench -backend=dist -trace for per-node timelines")
-		}
 		return nil
 	}
 	if code, done := spec.ParseFlags(fs, args, stderr, local); done {
@@ -100,13 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, taxonomy)
 		return 0
 	}
-	var err error
-	if spec.Backend == bench.BackendDist {
-		err = runDistFigure(stdout, spec, specs[0], *csvDir)
-	} else {
-		err = runFigures(stdout, spec, specs, *csvDir)
-	}
-	if err != nil {
+	if err := runFigures(stdout, spec, specs, *csvDir); err != nil {
 		fmt.Fprintln(stderr, "figures:", err)
 		return 1
 	}
@@ -134,36 +113,6 @@ func runFigures(stdout io.Writer, spec bench.RunSpec, specs []bench.FigureSpec, 
 		}
 	}
 	return nil
-}
-
-// runDistFigure runs one figure's transport-backed systems as full
-// multi-process sessions and prints the same summary/breakdown shape as the
-// simulator sweep.
-func runDistFigure(stdout io.Writer, spec bench.RunSpec, fig bench.FigureSpec, csvDir string) error {
-	spec = spec.ForFigure(fig)
-	fmt.Fprintf(stdout, "=== Figure %d (distributed backend): imbalance %.0f%%, heavy = %.1fx light (procs=%d, units=%d, nodes=%d) ===\n",
-		fig.ID, fig.Imbalance*100, fig.Ratio, spec.W.Procs, spec.W.Units, spec.Dist.Nodes)
-	var names []string
-	for _, name := range bench.SystemNames {
-		if bench.HasTransport(name) {
-			names = append(names, name)
-		}
-	}
-	spec.System = strings.Join(names, ",")
-	results, err := spec.RunAll()
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Fprintln(stdout, "  "+r.Summary())
-	}
-	if spec.Stride > 0 {
-		fmt.Fprintln(stdout, "\nPer-processor breakdowns:")
-		for _, r := range results {
-			fmt.Fprintln(stdout, r.Breakdown(spec.Stride))
-		}
-	}
-	return writeCSVs(stdout, csvDir, fig.ID, results)
 }
 
 // writeCSVs dumps one breakdown CSV per result into dir ("" = none).

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prema/internal/clitest"
@@ -31,27 +32,31 @@ func TestTaxonomy(t *testing.T) {
 }
 
 // TestRejections: every combination the compatibility matrix (or figures'
-// own -fig/-backend checks) refuses exits 2 with a "figures:" message
-// before any simulation runs.
+// own -fig check) refuses exits 2 with a "figures:" message before any
+// simulation runs.
 func TestRejections(t *testing.T) {
-	dist := []string{"-backend", "dist", "-nodes", "2", "-dist-listen", "127.0.0.1:0"}
 	cases := [][]string{
 		{"-trace", "t.json", "-trace-ring", "0"},
 		{"-trace-ring", "-1"},
-		{"-backend", "real"},
-		{"-backend", "bogus"},
 		{"-fig", "7"},
 		{"-shards", "0"},
-		{"-nodes", "2"},
-		{"-backend", "dist", "-fig", "3", "-nodes", "2"},
-		append([]string{"-fig", "0"}, dist...),
-		append([]string{"-fig", "1"}, dist...),
-		append([]string{"-fig", "3", "-shards", "2"}, dist...),
-		append([]string{"-fig", "3", "-wire"}, dist...),
-		append([]string{"-fig", "3", "-trace", "t.json"}, dist...),
-		append([]string{"-fig", "3", "-procs", "1"}, dist...),
 	}
 	for _, args := range cases {
 		clitest.Rejected(t, run, "figures", args...)
+	}
+}
+
+// TestNoDistFlags: figures runs the simulator only (a figure's systems on
+// the distributed backend are one premabench invocation), so each flag of
+// the other backends is a usage error.
+func TestNoDistFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-backend", "dist"}, {"-timescale", "1e-4"}, {"-nodes", "2"},
+		{"-dist-listen", "127.0.0.1:0"}, {"-premad", "premad"}, {"-dist-attach"},
+	} {
+		code, out, errOut := clitest.Run(run, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "flag provided but not defined: "+args[0]) {
+			t.Errorf("figures %v: exit %d, stdout %q, stderr %q; want exit 2 on an unknown flag", args, code, out, errOut)
+		}
 	}
 }

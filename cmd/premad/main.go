@@ -4,19 +4,21 @@
 //
 // Usage:
 //
-//	premad -coord HOST:PORT [-listen 127.0.0.1:0] [-node -1] \
+//	premad -coord HOST:PORT -node N [-listen 127.0.0.1:0] \
 //	       [-sessions 1] [-join-timeout 30s] [-drain-timeout 30s] \
 //	       [-max-frame 1048576]
 //
 // The daemon dials the coordinator (retrying until -join-timeout, so it
-// may be started before the coordinator is listening), joins the session,
+// may be started before the coordinator is listening), claims node id N,
 // receives the roster and scenario, runs its share of the benchmark, and
-// reports its partial result. With -sessions 1 (the default) it exits
-// after one session; -sessions 0 loops forever, serving session after
-// session — the attach-mode deployment where daemons outlive coordinators.
+// finishes the session with its partial result. With -sessions 1 (the
+// default) it exits after one session; -sessions 0 loops forever, serving
+// session after session — the attach-mode deployment where daemons outlive
+// coordinators.
 //
-// -node claims a fixed node id (the rank range [id*procs/n, (id+1)*procs/n));
-// the default -1 lets the coordinator assign ids in arrival order.
+// -node is required: node N of n hosts the rank range
+// [N*procs/n, (N+1)*procs/n), and the coordinator refuses a session in
+// which an id is claimed twice or is not below n.
 //
 // Any session failure — lost coordinator connection, a peer dying mid-run,
 // a missed drain deadline — makes the daemon exit with status 1 and a
@@ -35,7 +37,7 @@ import (
 func main() {
 	coord := flag.String("coord", "", "coordinator control address (host:port; required)")
 	listen := flag.String("listen", "127.0.0.1:0", "data-plane listen address for peer connections")
-	node := flag.Int("node", -1, "node id to claim (-1 = coordinator-assigned)")
+	node := flag.Int("node", -1, "node id to claim, 0 <= N < nodes (required)")
 	sessions := flag.Int("sessions", 1, "sessions to serve before exiting (0 = loop forever)")
 	joinTimeout := flag.Duration("join-timeout", dist.DefaultJoinTimeout, "bound on the join handshake (dial retries, roster, mesh)")
 	drainTimeout := flag.Duration("drain-timeout", dist.DefaultDrainTimeout, "bound on the shutdown handshake after the last local processor finishes")
@@ -46,8 +48,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "premad: unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-	if *coord == "" {
-		fmt.Fprintln(os.Stderr, "premad: -coord is required")
+	if *coord == "" || *node < 0 {
+		fmt.Fprintln(os.Stderr, "premad: -coord and -node are required (-node >= 0)")
 		os.Exit(2)
 	}
 	if *sessions < 0 {
@@ -79,7 +81,8 @@ func main() {
 	}
 }
 
-// serve joins one session, runs this node's share, and reports the result.
+// serve joins one session, runs this node's share, and finishes with its
+// result.
 func serve(cfg dist.NodeConfig) error {
 	n, err := dist.Join(cfg)
 	if err != nil {

@@ -31,7 +31,7 @@ func NewDistSpec(system string, w Workload) RunSpec {
 // every node as the Roster's opaque Spec bytes, so every node runs exactly
 // the configuration the coordinator decided — SPMD with centrally
 // distributed parameters.
-const runSpecVersion = 6
+const runSpecVersion = 7
 
 // Encode serializes the spec for Roster.Spec.
 func (s RunSpec) Encode() []byte {
@@ -112,8 +112,8 @@ func readLeaves(b []byte, v reflect.Value) (rest []byte, ok bool) {
 // the roster, builds this node's machine stack with the shared builder,
 // runs the selected system (the same driver code the in-process backends
 // run), writes the node's timeline when the spec traces (as FILE.nodeN, on
-// this node's filesystem), and reports the node's partial result to the
-// coordinator. premad calls it once per session.
+// this node's filesystem), and finishes the session with the node's partial
+// result. premad calls it once per session.
 func RunDistNode(n *dist.Node) error {
 	spec, err := DecodeRunSpec(n.Spec())
 	if err != nil {
@@ -134,7 +134,7 @@ func RunDistNode(n *dist.Node) error {
 	if err := spec.ExportTrace(io.Discard, "", res, fmt.Sprintf("node%d", n.NodeID())); err != nil {
 		return err
 	}
-	return n.Report(encodeDistPartial(res))
+	return n.Finish(encodeDistPartial(res))
 }
 
 // runPingPong is the transport round-trip probe: rank 0 bounces Units
@@ -175,15 +175,14 @@ func runPingPong(dm *dist.Machine, w Workload) (*Result, error) {
 	return res, nil
 }
 
-const distPartialVersion = 1
+const distPartialVersion = 2
 
 // encodeDistPartial serializes the node-local share of a Result: counters,
-// residency, and wire telemetry. Makespan and accounts travel separately in
-// the session's Done/Fin frames.
+// residency, and wire telemetry. Finish time and accounts travel beside it
+// in the session's Done frame.
 func encodeDistPartial(res *Result) []byte {
 	var w wire.Writer
 	w.U8(distPartialVersion)
-	w.Bytes([]byte(res.System))
 	keys := make([]string, 0, len(res.Counters))
 	for k := range res.Counters {
 		keys = append(keys, k)
@@ -205,7 +204,6 @@ func encodeDistPartial(res *Result) []byte {
 
 // distPartial is one node's decoded share.
 type distPartial struct {
-	system     string
 	counters   map[string]int
 	resident   []int
 	wireFrames uint64
@@ -217,7 +215,7 @@ func decodeDistPartial(b []byte) (*distPartial, error) {
 	if v := r.U8(); r.Err() == nil && v != distPartialVersion {
 		return nil, fmt.Errorf("bench: dist partial version %d, want %d", v, distPartialVersion)
 	}
-	p := &distPartial{system: string(r.Bytes()), counters: map[string]int{}}
+	p := &distPartial{counters: map[string]int{}}
 	for i, n := 0, r.Count(5); i < n; i++ { // key length u32 + >=1 byte + int
 		k := string(r.Bytes())
 		p.counters[k] = r.Int()
@@ -249,10 +247,6 @@ type DistOptions struct {
 	// Attach skips spawning: the node daemons were started externally and
 	// will dial the coordinator themselves.
 	Attach bool
-	// JoinTimeout and DrainTimeout bound the session phases (zero = dist
-	// defaults).
-	JoinTimeout  time.Duration
-	DrainTimeout time.Duration
 }
 
 // premadName is the node daemon's binary name, and the name of the flag
@@ -289,13 +283,7 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 	if err := spec.check(); err != nil {
 		return nil, err
 	}
-	c, err := dist.Listen(dist.CoordConfig{
-		Listen:       opt.Listen,
-		Nodes:        opt.Nodes,
-		Procs:        spec.W.Procs,
-		JoinTimeout:  opt.JoinTimeout,
-		DrainTimeout: opt.DrainTimeout,
-	})
+	c, err := dist.Listen(dist.CoordConfig{Listen: opt.Listen, Nodes: opt.Nodes, Procs: spec.W.Procs})
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +325,7 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 		return nil, err
 	}
 	// The session is complete; the daemons exit on their own after the
-	// goodbye. Reap every spawned one, then surface the lowest-numbered
+	// Fin. Reap every spawned one, then surface the lowest-numbered
 	// nonzero exit.
 	var exitErr error
 	for i, cmd := range cmds {
@@ -350,6 +338,7 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 	}
 
 	res := &Result{
+		System:   spec.System,
 		W:        spec.W,
 		Makespan: sum.Makespan,
 		Accounts: sum.Accounts,
@@ -359,11 +348,6 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 		p, err := decodeDistPartial(blob)
 		if err != nil {
 			return nil, fmt.Errorf("node %d report: %w", node, err)
-		}
-		if res.System == "" {
-			res.System = p.system
-		} else if res.System != p.system {
-			return nil, fmt.Errorf("bench: node %d ran system %q, node 0 ran %q", node, p.system, res.System)
 		}
 		for k, v := range p.counters {
 			res.Counters[k] += v

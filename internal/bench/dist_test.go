@@ -14,8 +14,6 @@ import (
 	"prema/internal/dist"
 )
 
-const distTestTimeout = 30 * time.Second
-
 // stubPremadEnv, when set, turns the re-exec'd test binary into a premad
 // stand-in (see stubPremad); its value is the directory for exit markers.
 const stubPremadEnv = "PREMA_BENCH_STUB_PREMAD"
@@ -39,7 +37,7 @@ func stubPremad(dir string) int {
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
 	}
-	n, err := dist.Join(dist.NodeConfig{Coord: *coord, Node: *node, JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout})
+	n, err := dist.Join(dist.NodeConfig{Coord: *coord, Node: *node})
 	if err != nil {
 		return 2
 	}
@@ -70,10 +68,7 @@ func TestDistReapsEveryChild(t *testing.T) {
 	const nodes = 3
 	spec := NewDistSpec("none", PaperWorkload(Figures()[0], nodes, 1))
 	spec.TimeScale = 1e-4
-	_, err := RunDist(spec, DistOptions{
-		Nodes: nodes, Listen: "127.0.0.1:0", Premad: os.Args[0],
-		JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout,
-	})
+	_, err := RunDist(spec, DistOptions{Nodes: nodes, Listen: "127.0.0.1:0", Premad: os.Args[0]})
 	if err == nil || !strings.Contains(err.Error(), "premad node 0") {
 		t.Fatalf("RunDist error = %v, want node 0's exit status", err)
 	}
@@ -107,10 +102,7 @@ func runDistInProcess(t *testing.T, spec RunSpec, nodes int) *Result {
 	errCh := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
-			n, err := dist.Join(dist.NodeConfig{
-				Coord: addr, Node: i,
-				JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout,
-			})
+			n, err := dist.Join(dist.NodeConfig{Coord: addr, Node: i})
 			if err != nil {
 				errCh <- err
 				return
@@ -119,10 +111,7 @@ func runDistInProcess(t *testing.T, spec RunSpec, nodes int) *Result {
 			errCh <- RunDistNode(n)
 		}(i)
 	}
-	res, err := RunDist(spec, DistOptions{
-		Nodes: nodes, Listen: addr, Attach: true,
-		JoinTimeout: distTestTimeout, DrainTimeout: distTestTimeout,
-	})
+	res, err := RunDist(spec, DistOptions{Nodes: nodes, Listen: addr, Attach: true})
 	if err != nil {
 		t.Fatal(err)
 	}

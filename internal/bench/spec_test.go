@@ -257,10 +257,7 @@ func fullSpec(t *testing.T) RunSpec {
 		FaultPlan: "drop=0.2,dup=0.1;stall:2@100s+20s", FaultSeed: 1<<62 + 1,
 		Recover: true, CheckpointInterval: 1e9, LeaseTimeout: 5e8,
 		Trace: true, TracePath: "/tmp/t.json", MetricsPath: "m.txt", TraceRing: 4096,
-		Dist: DistOptions{
-			Nodes: 4, Listen: "127.0.0.1:0", Premad: "/bin/premad", Attach: true,
-			JoinTimeout: time.Second, DrainTimeout: time.Minute,
-		},
+		Dist:         DistOptions{Nodes: 4, Listen: "127.0.0.1:0", Premad: "/bin/premad", Attach: true},
 		UnitsPerProc: 8, Jobs: 2, Stride: 4,
 	}
 	var zero func(path string, v reflect.Value)
@@ -294,9 +291,10 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	if z, err := DecodeRunSpec(zeroEnc); err != nil || !reflect.DeepEqual(z, RunSpec{}) {
 		t.Errorf("zero spec: %+v, %v", z, err)
 	}
-	// An older premad or coordinator speaks version 5, whose zero spec is
-	// one zero byte per leaf, four leaves (Workload.Network) more than today.
-	v5 := append([]byte{5}, make([]byte, len(zeroEnc)-1+4)...)
+	// An older premad or coordinator speaks version 6, whose zero spec is
+	// one zero byte per leaf, two leaves (Dist.JoinTimeout, DrainTimeout)
+	// more than today.
+	v6 := append([]byte{6}, make([]byte, len(zeroEnc)-1+2)...)
 	unreliable := want
 	unreliable.Reliable = false
 	badBool := unreliable.Encode()
@@ -311,7 +309,7 @@ func TestRunSpecRoundTrip(t *testing.T) {
 		"truncated":     enc[:len(enc)/2],
 		"trailing byte": append(append([]byte{}, enc...), 0),
 		"second value":  append(append([]byte{}, enc...), enc...),
-		"version 5":     v5,
+		"version 6":     v6,
 		"string length": append([]byte{runSpecVersion, 0xff, 0xff, 0x03}, enc[2:]...),
 		"bad bool":      badBool,
 	} {

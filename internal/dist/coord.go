@@ -3,13 +3,16 @@ package dist
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"prema/internal/substrate"
 	"prema/internal/wire"
 )
 
-// CoordConfig parameterizes a session coordinator.
+// CoordConfig parameterizes a session coordinator. The session deadlines
+// are DefaultJoinTimeout and DefaultDrainTimeout, and frames are bounded by
+// wire.DefaultMaxFrame.
 type CoordConfig struct {
 	// Listen is the control-plane listen address (host:port; port 0 picks a
 	// free one — read it back with Addr before starting nodes).
@@ -18,14 +21,6 @@ type CoordConfig struct {
 	Nodes int
 	// Procs is the total processor count, split across nodes by RangeOf.
 	Procs int
-	// JoinTimeout bounds the join phase (0 = DefaultJoinTimeout).
-	JoinTimeout time.Duration
-	// DrainTimeout bounds the shutdown handshake once the first node
-	// finishes (0 = DefaultDrainTimeout).
-	DrainTimeout time.Duration
-	// MaxFrame is the largest frame accepted from the wire
-	// (0 = wire.DefaultMaxFrame).
-	MaxFrame int
 }
 
 // Coordinator owns a session's control plane: it collects node joins,
@@ -38,8 +33,6 @@ type Coordinator struct {
 
 // Summary is what a completed session yields on the coordinator side.
 type Summary struct {
-	// Procs is the machine-wide processor count.
-	Procs int
 	// Makespan is the latest processor finish time across all nodes.
 	Makespan substrate.Time
 	// Accounts holds every processor's final ledger, indexed by rank.
@@ -57,15 +50,6 @@ func Listen(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Procs < cfg.Nodes {
 		return nil, fmt.Errorf("dist: %d processors cannot cover %d nodes", cfg.Procs, cfg.Nodes)
 	}
-	if cfg.JoinTimeout <= 0 {
-		cfg.JoinTimeout = DefaultJoinTimeout
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listener on %s: %w", cfg.Listen, err)
@@ -80,21 +64,19 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
 // Run drives one full session: join → roster → ready barrier → start →
-// done collection → fin broadcast → report collection. spec is the opaque
-// scenario payload handed verbatim to every node. Any node missing a
-// phase deadline aborts the whole session with an error; closing the
-// control connections then makes the surviving node processes exit
-// nonzero rather than hang.
+// done collection → fin broadcast. spec is the opaque scenario payload
+// handed verbatim to every node. Any node missing a phase deadline aborts
+// the whole session with an error; closing the control connections then
+// makes the surviving node processes exit nonzero rather than hang.
 func (c *Coordinator) Run(spec []byte) (*Summary, error) {
-	defer c.ln.Close()
 	cfg := c.cfg
-	links := make([]*ctl, cfg.Nodes)   // by assigned node id
-	addrs := make([]string, cfg.Nodes) // data address per node id
+	links, addrs, err := c.join()
+	if err != nil {
+		return nil, err
+	}
 	closeAll := func() {
 		for _, l := range links {
-			if l != nil {
-				l.c.Close()
-			}
+			l.c.Close()
 		}
 	}
 	fail := func(err error) (*Summary, error) {
@@ -102,83 +84,25 @@ func (c *Coordinator) Run(spec []byte) (*Summary, error) {
 		return nil, err
 	}
 
-	// Join: accept until every slot is claimed. Explicit claims win their
-	// slot immediately; anonymous joiners (Hello.Node < 0) fill the free
-	// slots in arrival order afterwards.
-	type joiner struct {
-		l    *ctl
-		addr string
-	}
-	var anon []joiner
-	failJoin := func(err error) (*Summary, error) {
-		for _, j := range anon {
-			j.l.c.Close()
-		}
-		return fail(err)
-	}
-	joined := 0
-	if tl, ok := c.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now().Add(cfg.JoinTimeout))
-	}
-	for joined < cfg.Nodes {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return failJoin(fmt.Errorf("dist: %d of %d nodes joined: %w", joined, cfg.Nodes, err))
-		}
-		l := newCtl(conn, cfg.MaxFrame)
-		h, err := recvAs[*Hello](l, cfg.JoinTimeout, "hello")
-		if err != nil {
-			conn.Close() // not a member (port scan, stray connect); keep accepting
-			continue
-		}
-		switch id := int(h.Node); {
-		case id < 0:
-			anon = append(anon, joiner{l, h.Addr})
-			joined++
-		case id >= cfg.Nodes:
-			conn.Close()
-			return failJoin(fmt.Errorf("dist: node claimed id %d, roster has %d slots", id, cfg.Nodes))
-		case links[id] != nil:
-			conn.Close()
-			return failJoin(fmt.Errorf("dist: node id %d claimed twice", id))
-		default:
-			links[id] = l
-			addrs[id] = h.Addr
-			joined++
-		}
-	}
-	for id := range links {
-		if links[id] == nil {
-			j := anon[0]
-			anon = anon[1:]
-			links[id] = j.l
-			addrs[id] = j.addr
-		}
-	}
-
-	// Roster: every node learns its id, the machine shape, and the spec.
+	// Roster: every node learns the machine shape and the spec.
+	ro := &Roster{Procs: int32(cfg.Procs), Nodes: addrs, Spec: spec}
 	for id, l := range links {
-		ro := &Roster{You: int32(id), Procs: int32(cfg.Procs), Nodes: addrs, Spec: spec}
-		if err := l.send(ro, cfg.JoinTimeout); err != nil {
+		if err := l.send(ro, DefaultJoinTimeout); err != nil {
 			return fail(fmt.Errorf("dist: roster to node %d: %w", id, err))
 		}
 	}
 
 	// Ready barrier: every node has built its mesh and spawned processors.
 	for id, l := range links {
-		r, err := recvAs[*Ready](l, cfg.JoinTimeout, fmt.Sprintf("ready from node %d", id))
-		if err != nil {
+		if _, err := recvAs[*Ready](l, DefaultJoinTimeout, fmt.Sprintf("ready from node %d", id)); err != nil {
 			return fail(err)
-		}
-		if int(r.Node) != id {
-			return fail(fmt.Errorf("dist: node %d sent Ready claiming id %d", id, r.Node))
 		}
 	}
 
 	// Start release: nodes stamp their wall-clock epoch on receipt, so the
 	// machine-wide epoch skew is bounded by this broadcast's spread.
 	for id, l := range links {
-		if err := l.send(&Start{}, cfg.JoinTimeout); err != nil {
+		if err := l.send(&Start{}, DefaultJoinTimeout); err != nil {
 			return fail(fmt.Errorf("dist: start to node %d: %w", id, err))
 		}
 	}
@@ -204,9 +128,6 @@ func (c *Coordinator) Run(spec []byte) (*Summary, error) {
 		if r.err != nil {
 			return fail(r.err)
 		}
-		if int(r.d.Node) != r.id {
-			return fail(fmt.Errorf("dist: node %d sent Done claiming id %d", r.id, r.d.Node))
-		}
 		lo, hi := RangeOf(cfg.Procs, cfg.Nodes, r.id)
 		if len(r.d.Accounts) != hi-lo {
 			return fail(fmt.Errorf("dist: node %d reported %d accounts, hosts %d ranks", r.id, len(r.d.Accounts), hi-lo))
@@ -216,7 +137,7 @@ func (c *Coordinator) Run(spec []byte) (*Summary, error) {
 			// Arm the drain deadline on every still-pending connection; a
 			// deadline set concurrently unblocks the reader goroutines'
 			// in-flight reads.
-			dl := time.Now().Add(cfg.DrainTimeout)
+			dl := time.Now().Add(DefaultDrainTimeout)
 			for id, l := range links {
 				if dones[id] == nil && id != r.id {
 					l.c.SetReadDeadline(dl)
@@ -225,47 +146,117 @@ func (c *Coordinator) Run(spec []byte) (*Summary, error) {
 		}
 	}
 
-	makespan := substrate.Time(0)
-	accounts := make([]substrate.Account, cfg.Procs)
+	sum := &Summary{Accounts: make([]substrate.Account, cfg.Procs), Reports: make([][]byte, cfg.Nodes)}
 	for id, d := range dones {
-		if d.FinishedAt > makespan {
-			makespan = d.FinishedAt
-		}
+		sum.Makespan = max(sum.Makespan, d.FinishedAt)
 		lo, _ := RangeOf(cfg.Procs, cfg.Nodes, id)
-		copy(accounts[lo:], d.Accounts)
+		copy(sum.Accounts[lo:], d.Accounts)
+		sum.Reports[id] = d.Blob
 	}
 
-	// Fin broadcast: release the drain barrier with the agreed makespan.
+	// Fin broadcast: release the drain barrier.
 	for id, l := range links {
-		if err := l.send(&Fin{Makespan: makespan}, cfg.DrainTimeout); err != nil {
+		if err := l.send(&Fin{}, DefaultDrainTimeout); err != nil {
 			return fail(fmt.Errorf("dist: fin to node %d: %w", id, err))
 		}
 	}
+	closeAll()
+	return sum, nil
+}
 
-	// Report collection: each node's driver sends its result blob goodbye.
-	type repRes struct {
-		id  int
-		rp  *Report
+// join accepts connections until every node id in [0, Nodes) is claimed by
+// a Hello, all within one join deadline, and returns each member's control
+// link and data address by id. Each connection's Hello is read in its own
+// goroutine, so a connection that never speaks holds up no one; every
+// connection without a valid Hello is closed when the join ends. A claim
+// outside the roster or a second claim of one id fails the join. On return
+// the listener is closed and join's goroutines have exited.
+func (c *Coordinator) join() (links []*ctl, addrs []string, err error) {
+	var wg sync.WaitGroup
+	defer wg.Wait() // last: the listener, stop and every non-member are closed by then
+	defer c.ln.Close()
+	n := c.cfg.Nodes
+	deadline := time.Now().Add(DefaultJoinTimeout)
+	if tl, ok := c.ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
+	}
+	type hello struct {
+		l   *ctl
+		h   *Hello
 		err error
 	}
-	repCh := make(chan repRes, cfg.Nodes)
-	for id, l := range links {
-		go func(id int, l *ctl) {
-			rp, err := recvAs[*Report](l, cfg.DrainTimeout, fmt.Sprintf("report from node %d", id))
-			repCh <- repRes{id, rp, err}
-		}(id, l)
-	}
-	reports := make([][]byte, cfg.Nodes)
-	for got := 0; got < cfg.Nodes; got++ {
-		r := <-repCh
-		if r.err != nil {
-			return fail(r.err)
+	conns := make(chan net.Conn)
+	hellos := make(chan hello)
+	acceptErr := make(chan error, 1)
+	stop := make(chan struct{})
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := c.ln.Accept()
+			if err != nil {
+				acceptErr <- err
+				return
+			}
+			select {
+			case conns <- conn:
+			case <-stop:
+				conn.Close()
+				return
+			}
 		}
-		if int(r.rp.Node) != r.id {
-			return fail(fmt.Errorf("dist: node %d sent Report claiming id %d", r.id, r.rp.Node))
+	}()
+
+	pending := map[*ctl]bool{} // accepted, not (yet) a member
+	links, addrs = make([]*ctl, n), make([]string, n)
+	end := func(err error) ([]*ctl, []string, error) {
+		for l := range pending {
+			l.c.Close()
 		}
-		reports[r.id] = r.rp.Blob
+		if err != nil {
+			for _, l := range links {
+				if l != nil {
+					l.c.Close()
+				}
+			}
+			return nil, nil, err
+		}
+		return links, addrs, nil
 	}
-	closeAll()
-	return &Summary{Procs: cfg.Procs, Makespan: makespan, Accounts: accounts, Reports: reports}, nil
+	for joined := 0; joined < n; {
+		select {
+		case conn := <-conns:
+			l := newCtl(conn, wire.DefaultMaxFrame)
+			pending[l] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h, err := recvAs[*Hello](l, time.Until(deadline), "hello")
+				select {
+				case hellos <- hello{l, h, err}:
+				case <-stop:
+				}
+			}()
+		case j := <-hellos:
+			if j.err != nil {
+				delete(pending, j.l)
+				j.l.c.Close() // not a member (port scan, stray connect); keep accepting
+				continue
+			}
+			switch id := int(j.h.Node); {
+			case id < 0 || id >= n:
+				return end(fmt.Errorf("dist: node claimed id %d, roster has %d slots", id, n))
+			case links[id] != nil:
+				return end(fmt.Errorf("dist: node id %d claimed twice", id))
+			default:
+				delete(pending, j.l)
+				links[id], addrs[id] = j.l, j.h.Addr
+				joined++
+			}
+		case err := <-acceptErr:
+			return end(fmt.Errorf("dist: %d of %d nodes joined: %w", joined, n, err))
+		}
+	}
+	return end(nil)
 }

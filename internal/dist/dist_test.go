@@ -3,11 +3,13 @@ package dist_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,7 +36,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// nodeShare is one node's conformance outcome, gob-encoded into its Report
+// nodeShare is one node's conformance outcome, gob-encoded into its Done
 // blob by the multi-process child (and passed over a channel in-process).
 type nodeShare struct {
 	Lo, Hi int
@@ -82,10 +84,7 @@ func TestDistConformance(t *testing.T) {
 		t.Fatalf("sim and rtm diverge before dist even runs:\n sim: %+v\n rtm: %+v", simStats, rtmStats)
 	}
 
-	c, err := dist.Listen(dist.CoordConfig{
-		Listen: "127.0.0.1:0", Nodes: nodes, Procs: procs,
-		JoinTimeout: testTimeout, DrainTimeout: testTimeout,
-	})
+	c, err := dist.Listen(dist.CoordConfig{Listen: "127.0.0.1:0", Nodes: nodes, Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +92,7 @@ func TestDistConformance(t *testing.T) {
 	errCh := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
-			n, err := dist.Join(dist.NodeConfig{
-				Coord: c.Addr(), Node: i,
-				JoinTimeout: testTimeout, DrainTimeout: testTimeout,
-			})
+			n, err := dist.Join(dist.NodeConfig{Coord: c.Addr(), Node: i})
 			if err != nil {
 				errCh <- fmt.Errorf("node %d: %w", i, err)
 				return
@@ -109,7 +105,7 @@ func TestDistConformance(t *testing.T) {
 				errCh <- fmt.Errorf("node %d: %w", i, err)
 				return
 			}
-			if err := n.Report(nil); err != nil {
+			if err := n.Finish(nil); err != nil {
 				errCh <- err
 				return
 			}
@@ -140,13 +136,11 @@ func TestDistConformance(t *testing.T) {
 }
 
 // childMain is the multi-process test's node body: join the coordinator
-// named in the environment, run the conformance share, report it gob-encoded.
+// named in the environment, run the conformance share, finish with it
+// gob-encoded.
 func childMain() int {
 	nodeID, _ := strconv.Atoi(os.Getenv("PREMA_DIST_NODE"))
-	n, err := dist.Join(dist.NodeConfig{
-		Coord: os.Getenv("PREMA_DIST_COORD"), Node: nodeID,
-		JoinTimeout: testTimeout, DrainTimeout: testTimeout,
-	})
+	n, err := dist.Join(dist.NodeConfig{Coord: os.Getenv("PREMA_DIST_COORD"), Node: nodeID})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -171,7 +165,7 @@ func childMain() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := n.Report(buf.Bytes()); err != nil {
+	if err := n.Finish(buf.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -188,10 +182,7 @@ func TestDistMultiProcessConformance(t *testing.T) {
 	const nodes, procs, objects = 4, 8, 16
 	simStats, simPlace := simConformance(t, procs, objects)
 
-	c, err := dist.Listen(dist.CoordConfig{
-		Listen: "127.0.0.1:0", Nodes: nodes, Procs: procs,
-		JoinTimeout: testTimeout, DrainTimeout: testTimeout,
-	})
+	c, err := dist.Listen(dist.CoordConfig{Listen: "127.0.0.1:0", Nodes: nodes, Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,19 +295,17 @@ func (f *fakeCoord) send(payload any) {
 
 // startLoneNode drives one node (hosting both ranks of a 2-processor
 // machine) through join + ready + start against the fake coordinator and
-// returns the machine's Run result channel. With block set, rank 0 parks in
-// Recv forever after one exchange — a "mid-run" machine whose teardown must
-// come from the session machinery; without it, both bodies finish on their
-// own and the machine proceeds to its drain handshake.
+// returns the result channel of the machine's Run followed by the node's
+// Finish. With block set, rank 0 parks in Recv forever after one exchange —
+// a "mid-run" machine whose teardown must come from the session machinery;
+// without it, both bodies finish on their own and Finish drives the drain
+// handshake.
 func startLoneNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool) chan error {
 	t.Helper()
 	joinErr := make(chan error, 1)
 	nodeCh := make(chan *dist.Node, 1)
 	go func() {
-		n, err := dist.Join(dist.NodeConfig{
-			Coord: f.addr(), Node: 0,
-			JoinTimeout: testTimeout, DrainTimeout: drain,
-		})
+		n, err := dist.Join(dist.NodeConfig{Coord: f.addr(), Node: 0, DrainTimeout: drain})
 		if err != nil {
 			joinErr <- err
 			return
@@ -324,7 +313,7 @@ func startLoneNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool) 
 		nodeCh <- n
 	}()
 	f.accept()
-	f.send(&dist.Roster{You: 0, Procs: 2, Nodes: []string{"unused"}})
+	f.send(&dist.Roster{Procs: 2, Nodes: []string{"unused"}})
 	var n *dist.Node
 	select {
 	case n = <-nodeCh:
@@ -349,7 +338,13 @@ func startLoneNode(t *testing.T, f *fakeCoord, drain time.Duration, block bool) 
 		})
 	}
 	runErr := make(chan error, 1)
-	go func() { runErr <- m.Run() }()
+	go func() {
+		if err := m.Run(); err != nil {
+			runErr <- err
+			return
+		}
+		runErr <- n.Finish(nil)
+	}()
 	f.read() // Ready
 	f.send(&dist.Start{})
 	return runErr
@@ -377,7 +372,7 @@ func TestNodeAbortsOnLostCoordinator(t *testing.T) {
 }
 
 // TestNodeDrainDeadline: a coordinator that accepts Done but never releases
-// Fin must not wedge the node — the drain deadline expires and Run errors.
+// Fin must not wedge the node — the drain deadline expires and Finish errors.
 func TestNodeDrainDeadline(t *testing.T) {
 	f := newFakeCoord(t)
 	runErr := startLoneNode(t, f, 500*time.Millisecond, false)
@@ -385,12 +380,172 @@ func TestNodeDrainDeadline(t *testing.T) {
 	select {
 	case err := <-runErr:
 		if err == nil {
-			t.Fatal("Run returned nil despite the withheld Fin")
+			t.Fatal("Finish returned nil despite the withheld Fin")
 		}
 		if want := "drain deadline"; !strings.Contains(err.Error(), want) {
-			t.Fatalf("Run error %q does not mention %q", err, want)
+			t.Fatalf("Finish error %q does not mention %q", err, want)
 		}
 	case <-time.After(testTimeout):
-		t.Fatal("Run hung past the drain deadline")
+		t.Fatal("Finish hung past the drain deadline")
+	}
+}
+
+// runNode is one in-process node of a 2-processor session: it claims id,
+// runs a body per rank (rank 0 sends rank 1 one message, so the message
+// crosses the mesh when the ranks live on different nodes) and, unless
+// failBeforeFinish is set, finishes; either way it closes the node.
+func runNode(cfg dist.NodeConfig, failBeforeFinish bool) error {
+	n, err := dist.Join(cfg)
+	if err != nil {
+		return err
+	}
+	defer n.Close()
+	m := n.NewMachine(rtm.DefaultConfig())
+	for p := 0; p < 2; p++ {
+		m.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
+			if ep.ID() == 0 {
+				ep.Send(&substrate.Msg{Dst: 1, Tag: substrate.TagApp, Data: 1, Size: 8}, substrate.CatMessaging)
+			} else {
+				ep.Recv(substrate.CatIdle)
+			}
+		})
+	}
+	if err := m.Run(); err != nil {
+		return err
+	}
+	if failBeforeFinish {
+		return fmt.Errorf("node %d: driver failed after Run", cfg.Node)
+	}
+	return n.Finish([]byte{byte(cfg.Node)})
+}
+
+// session runs a coordinator for 2 processors on len(claims) nodes and
+// one in-process node per claimed id, and returns the coordinator's result,
+// every node's error and the coordinator's error. It fails the test if anything is still running
+// after 10 s.
+func session(t *testing.T, claims []int, join time.Duration, failBeforeFinish bool, extra func(addr string)) (*dist.Summary, []error, error) {
+	t.Helper()
+	c, err := dist.Listen(dist.CoordConfig{Listen: "127.0.0.1:0", Nodes: len(claims), Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra != nil {
+		extra(c.Addr())
+	}
+	errs := make(chan error, len(claims))
+	for _, id := range claims {
+		go func() {
+			errs <- runNode(dist.NodeConfig{Coord: c.Addr(), Node: id, JoinTimeout: join}, failBeforeFinish)
+		}()
+	}
+	type result struct {
+		sum *dist.Summary
+		err error
+	}
+	coord := make(chan result, 1)
+	go func() {
+		sum, err := c.Run(nil)
+		coord <- result{sum, err}
+	}()
+	timeout := time.After(10 * time.Second)
+	var r result
+	select {
+	case r = <-coord:
+	case <-timeout:
+		t.Fatal("coordinator still running after 10 s")
+	}
+	var nodeErrs []error
+	for range claims {
+		select {
+		case err := <-errs:
+			nodeErrs = append(nodeErrs, err)
+		case <-timeout:
+			t.Fatal("a node still running after 10 s")
+		}
+	}
+	return r.sum, nodeErrs, r.err
+}
+
+// TestJoinSurvivesSilentConnection: a connection that never sends its Hello
+// holds up no one — the nodes behind it in the accept queue join, and the
+// session completes well inside the join deadline.
+func TestJoinSurvivesSilentConnection(t *testing.T) {
+	var silent net.Conn
+	t0 := time.Now()
+	sum, nodeErrs, err := session(t, []int{0, 1}, 0, false, func(addr string) {
+		var err error
+		if silent, err = net.Dial("tcp", addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { silent.Close() })
+	})
+	if err != nil {
+		t.Fatalf("session with a silent connection: %v", err)
+	}
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("session took %v with a silent connection, want < 5 s", d)
+	}
+	for _, err := range nodeErrs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if !reflect.DeepEqual(sum.Reports, [][]byte{{0}, {1}}) {
+		t.Errorf("reports = %v, want each node's id", sum.Reports)
+	}
+	// The join closed the connection that never spoke.
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("silent connection still open after the join: %v", err)
+	}
+}
+
+// TestJoinRejectsBadClaims: a second claim of one id, or a claim outside
+// the roster, fails the session, and every node that joined sees an error
+// within seconds instead of hanging.
+func TestJoinRejectsBadClaims(t *testing.T) {
+	for _, tc := range []struct {
+		claims []int
+		want   string
+	}{
+		{[]int{0, 0}, "node id 0 claimed twice"},
+		{[]int{0, 2}, "node claimed id 2, roster has 2 slots"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			_, nodeErrs, err := session(t, tc.claims, 3*time.Second, false, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("coordinator error %v, want %q", err, tc.want)
+			}
+			for i, err := range nodeErrs {
+				if err == nil {
+					t.Errorf("node %d of a refused session returned nil", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCloseWithoutFinishStopsPumps: a driver that fails between Run and
+// Finish closes its node (which, like any node failure, aborts its peers'
+// runs); the pumps, the Fin reader and the coordinator's
+// readers all end, so the goroutine count settles back to where it was.
+func TestCloseWithoutFinishStopsPumps(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, nodeErrs, err := session(t, []int{0, 1}, 0, true, nil)
+	if err == nil {
+		t.Error("coordinator succeeded though no node finished")
+	}
+	for i, err := range nodeErrs {
+		if err == nil {
+			t.Errorf("node %d of a failed session returned nil", i)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before the session, %d after Close:\n%s", before, now, buf[:runtime.Stack(buf, true)])
 	}
 }

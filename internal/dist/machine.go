@@ -32,17 +32,19 @@ import (
 // Machine is one node's share of a distributed machine: an rtm share plus
 // the session and the transport around it. The driver must Spawn a body for
 // every global rank, in rank order, exactly as on the in-process backends;
-// only the ranks this node hosts run. Run participates in the session
-// barriers (Ready → Start → Done → Fin), so it starts and finishes in
-// lockstep with every other node, and returns an error — never hangs — if
-// the coordinator or a peer dies mid-run.
+// only the ranks this node hosts run. Run passes the start barrier
+// (Ready → Start), so it starts in lockstep with every other node, and
+// returns an error — never hangs — if the coordinator or a peer dies
+// mid-run. The node's Finish passes the drain barrier (Done → Fin).
 type Machine struct {
 	*rtm.Machine
-	node     *Node
-	outs     []chan []byte // outbound frame queue by peer node id; nil for self
-	makespan substrate.Time
+	node *Node
+	outs []chan []byte // outbound frame queue by peer node id; nil for self
+	fin  chan struct{} // closed once the Fin release arrived or the session failed
+	tr   sync.WaitGroup
 
 	frames, drift atomic.Int64
+	stopOnce      sync.Once
 }
 
 var _ substrate.Machine = (*Machine)(nil)
@@ -52,6 +54,7 @@ var _ substrate.Machine = (*Machine)(nil)
 // instead (SendCPU and RecvCPU are charged on every message either way).
 func (n *Node) NewMachine(cfg rtm.Config) *Machine {
 	m := &Machine{node: n, outs: make([]chan []byte, n.nodes)}
+	n.m = m
 	for id, p := range n.peers {
 		if p != nil {
 			m.outs[id] = make(chan []byte, rtm.ChanCap)
@@ -78,10 +81,6 @@ func (m *Machine) sendRemote(msg *substrate.Msg) bool {
 		return false
 	}
 }
-
-// Makespan returns the machine-wide makespan agreed in the coordinator's
-// Fin release — identical on every node.
-func (m *Machine) Makespan() substrate.Time { return m.makespan }
 
 // Range returns the hosted rank range [lo, hi).
 func (m *Machine) Range() (lo, hi int) { return m.node.Range() }
@@ -115,16 +114,17 @@ func (m *Machine) stopped() bool {
 }
 
 // Run executes this node's share of the machine: it reports Ready, waits
-// for the Start release, runs the share with the transport pumping
-// underneath, then drives the drain handshake. The returned error is the
-// first local failure — a processor panic, a lost coordinator or peer
-// connection, or a missed session deadline.
+// for the Start release, and runs the share with the transport pumping
+// underneath. It returns once every hosted body has returned; the pumps
+// stay up until the node's Finish or Close. The returned error is the first
+// local failure — a processor panic, a lost coordinator or peer connection,
+// or a missed session deadline.
 func (m *Machine) Run() error {
 	n := m.node
 	if m.NumProcs() != n.procs {
 		return fmt.Errorf("dist: driver spawned %d processors, roster expects %d", m.NumProcs(), n.procs)
 	}
-	if err := n.coord.send(&Ready{Node: int32(n.id)}, n.cfg.JoinTimeout); err != nil {
+	if err := n.coord.send(&Ready{}, n.cfg.JoinTimeout); err != nil {
 		return m.fail(fmt.Errorf("dist: node %d ready: %w", n.id, err))
 	}
 	if _, err := recvAs[*Start](n.coord, n.cfg.JoinTimeout, fmt.Sprintf("node %d: Start release", n.id)); err != nil {
@@ -134,29 +134,20 @@ func (m *Machine) Run() error {
 	// the first read loop exists: a peer released a hair earlier can deliver
 	// a frame before the local bodies launch.
 	m.SetEpoch(time.Now())
-	fin := make(chan *Fin, 1)
-	go m.awaitFin(fin)
+	m.fin = make(chan struct{})
+	m.tr.Add(1)
+	go m.awaitFin()
 
 	// One write pump and one read loop per peer connection. The pumps
-	// outlive the share — a body's last sends still go out — and end when
-	// their queues are closed below, after every body has returned.
-	var tr sync.WaitGroup
+	// outlive the share — a body's last sends still go out — and end in
+	// stopTransport, after every body has returned.
 	for peerID, p := range n.peers {
 		if p != nil {
-			tr.Add(2)
-			go m.writeLoop(p, m.outs[peerID], &tr)
-			go m.readLoop(peerID, p, &tr)
+			m.tr.Add(2)
+			go m.writeLoop(p, m.outs[peerID])
+			go m.readLoop(peerID, p)
 		}
 	}
-	defer func() {
-		for _, out := range m.outs {
-			if out != nil {
-				close(out)
-			}
-		}
-		n.closePeers() // unblock the read loops
-		tr.Wait()
-	}()
 
 	// Once every hosted processor has returned the share is stopped and
 	// Inject discards: the read loops keep consuming, so no peer deadlocks
@@ -164,37 +155,35 @@ func (m *Machine) Run() error {
 	if err := m.Machine.Run(); err != nil {
 		return m.fail(err)
 	}
-	lo, hi := m.Range()
-	done := &Done{Node: int32(n.id), FinishedAt: m.Machine.Makespan(), Accounts: make([]substrate.Account, hi-lo)}
-	for p := lo; p < hi; p++ {
-		done.Accounts[p-lo] = *m.Account(p)
-	}
-	if err := n.coord.send(done, n.cfg.DrainTimeout); err != nil {
-		return m.fail(fmt.Errorf("dist: node %d done: %w", n.id, err))
-	}
-	select {
-	case f, ok := <-fin:
-		if ok {
-			m.makespan = f.Makespan
+	return nil
+}
+
+// stopTransport ends the pumps: the write queues close, the mesh closes
+// under the read loops, and it waits for every pump and the Fin reader to
+// return. It runs once; it must not run while hosted bodies can still send.
+func (m *Machine) stopTransport() {
+	m.stopOnce.Do(func() {
+		for _, out := range m.outs {
+			if out != nil {
+				close(out)
+			}
 		}
-	case <-time.After(n.cfg.DrainTimeout):
-		m.fail(fmt.Errorf("dist: node %d: no Fin from coordinator within %v (drain deadline)", n.id, n.cfg.DrainTimeout))
-	}
-	return m.Err()
+		m.node.closePeers() // unblock the read loops
+		m.tr.Wait()
+	})
 }
 
 // awaitFin reads the coordinator connection from the Start release on; the
-// one message due is the Fin drain release, and fin is closed without it
-// when the session fails first. Losing the connection is a session abort,
-// not a hang.
-func (m *Machine) awaitFin(fin chan<- *Fin) {
-	defer close(fin)
+// one message due is the Fin drain release, and fin is closed on it — or
+// without it when the session fails first. Losing the connection is a
+// session abort, not a hang.
+func (m *Machine) awaitFin() {
+	defer m.tr.Done()
+	defer close(m.fin)
 	v, err := m.node.coord.recv(0)
 	if err != nil {
 		m.fail(fmt.Errorf("dist: node %d lost coordinator connection: %v", m.node.id, err))
-	} else if f, ok := v.(*Fin); ok {
-		fin <- f
-	} else {
+	} else if _, ok := v.(*Fin); !ok {
 		m.fail(fmt.Errorf("dist: node %d: unexpected control message %T", m.node.id, v))
 	}
 }
@@ -202,8 +191,8 @@ func (m *Machine) awaitFin(fin chan<- *Fin) {
 // writeLoop is the per-peer send pump: it batches whatever is queued into
 // one buffered write, then flushes — coalescing bursts into few syscalls
 // while keeping latency at one channel handoff when traffic is sparse.
-func (m *Machine) writeLoop(p *peer, out chan []byte, tr *sync.WaitGroup) {
-	defer tr.Done()
+func (m *Machine) writeLoop(p *peer, out chan []byte) {
+	defer m.tr.Done()
 	bw := bufio.NewWriter(p.c)
 	for frame := range out {
 		bw.Write(frame)
@@ -222,8 +211,8 @@ func (m *Machine) writeLoop(p *peer, out chan []byte, tr *sync.WaitGroup) {
 // readLoop is the per-peer receive pump: frames are length-checked before
 // allocation (ReadFrame), decoded strictly, validated to target a hosted
 // rank, and injected into the share, which stamps them with the local clock.
-func (m *Machine) readLoop(peerID int, p *peer, tr *sync.WaitGroup) {
-	defer tr.Done()
+func (m *Machine) readLoop(peerID int, p *peer) {
+	defer m.tr.Done()
 	lo, hi := m.Range()
 	for {
 		frame, err := wire.ReadFrame(p.r, m.node.cfg.MaxFrame)

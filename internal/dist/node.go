@@ -7,12 +7,13 @@ import (
 	"sync"
 	"time"
 
+	"prema/internal/substrate"
 	"prema/internal/wire"
 )
 
 // Default session deadlines. Join covers everything up to the start
 // barrier (dial retries, roster, mesh); drain covers everything after the
-// last local processor finishes (Done → Fin → Report).
+// last local processor finishes (Done → Fin).
 const (
 	DefaultJoinTimeout  = 30 * time.Second
 	DefaultDrainTimeout = 30 * time.Second
@@ -28,7 +29,8 @@ type NodeConfig struct {
 	// (default 127.0.0.1:0 — any free localhost port). On a real network
 	// this must name an interface the other nodes can reach.
 	Listen string
-	// Node is the node id to claim, or -1 for coordinator-assigned.
+	// Node is the node id to claim, in [0, nodes): it fixes the rank range
+	// the node hosts.
 	Node int
 	// JoinTimeout bounds the join handshake (0 = DefaultJoinTimeout).
 	JoinTimeout time.Duration
@@ -65,7 +67,8 @@ type peer struct {
 // Node is one joined member of a distributed machine: the coordinator
 // control link, the full peer mesh, and the roster (processor→node map)
 // every member agreed on. Create one with Join, build a Machine with
-// NewMachine, send the driver's result blob with Report, then Close.
+// NewMachine and Run it, send the driver's result blob with Finish, then
+// Close.
 type Node struct {
 	cfg      NodeConfig
 	id       int
@@ -73,8 +76,9 @@ type Node struct {
 	procs    int
 	spec     []byte
 	coord    *ctl
-	peers    []*peer // by node id; nil for self
-	procNode []int   // global rank → hosting node
+	peers    []*peer  // by node id; nil for self
+	procNode []int    // global rank → hosting node
+	m        *Machine // built by NewMachine; Finish reports its ledger
 
 	closeOnce sync.Once
 }
@@ -87,10 +91,10 @@ func RangeOf(procs, nodes, node int) (lo, hi int) {
 	return node * procs / nodes, (node + 1) * procs / nodes
 }
 
-// Join dials the coordinator, performs the hello → roster handshake, and
-// builds the full peer mesh (dialing lower-numbered nodes, accepting from
-// higher-numbered ones). On return every member holds an identical roster
-// and a connection to every other member.
+// Join dials the coordinator, claims cfg.Node with the hello → roster
+// handshake, and builds the full peer mesh (dialing lower-numbered nodes,
+// accepting from higher-numbered ones). On return every member holds an
+// identical roster and a connection to every other member.
 func Join(cfg NodeConfig) (*Node, error) {
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -127,12 +131,12 @@ func Join(cfg NodeConfig) (*Node, error) {
 		return fail(err)
 	}
 	nodes := len(ro.Nodes)
-	if nodes < 1 || int(ro.You) < 0 || int(ro.You) >= nodes || ro.Procs < 0 {
-		return fail(fmt.Errorf("dist: implausible roster: you=%d nodes=%d procs=%d", ro.You, nodes, ro.Procs))
+	if cfg.Node < 0 || cfg.Node >= nodes || ro.Procs < 0 {
+		return fail(fmt.Errorf("dist: implausible roster for node %d: nodes=%d procs=%d", cfg.Node, nodes, ro.Procs))
 	}
 	n := &Node{
 		cfg:   cfg,
-		id:    int(ro.You),
+		id:    cfg.Node,
 		nodes: nodes,
 		procs: int(ro.Procs),
 		spec:  ro.Spec,
@@ -216,13 +220,31 @@ func (n *Node) Range() (lo, hi int) { return RangeOf(n.procs, n.nodes, n.id) }
 // Spec returns the coordinator's opaque scenario payload.
 func (n *Node) Spec() []byte { return n.spec }
 
-// Report sends the driver's result blob to the coordinator — the session
-// goodbye. Call it after the machine's Run returned without error.
-func (n *Node) Report(blob []byte) error {
-	if err := n.coord.send(&Report{Node: int32(n.id), Blob: blob}, n.cfg.DrainTimeout); err != nil {
-		return fmt.Errorf("dist: node %d report: %w", n.id, err)
+// Finish ends the session for this node: it sends Done — the hosted
+// ranks' finish time and ledgers from the machine's Run, plus the driver's
+// result blob — waits for the coordinator's Fin under the drain deadline,
+// then tears down the transport. Call it after the machine's Run returned
+// without error.
+func (n *Node) Finish(blob []byte) error {
+	m := n.m
+	if m == nil || m.fin == nil {
+		return fmt.Errorf("dist: node %d: Finish before the machine's Run", n.id)
 	}
-	return nil
+	defer m.stopTransport()
+	lo, hi := n.Range()
+	done := &Done{FinishedAt: m.Makespan(), Accounts: make([]substrate.Account, hi-lo), Blob: blob}
+	for p := lo; p < hi; p++ {
+		done.Accounts[p-lo] = *m.Account(p)
+	}
+	if err := n.coord.send(done, n.cfg.DrainTimeout); err != nil {
+		return m.fail(fmt.Errorf("dist: node %d done: %w", n.id, err))
+	}
+	select {
+	case <-m.fin:
+	case <-time.After(n.cfg.DrainTimeout):
+		m.fail(fmt.Errorf("dist: node %d: no Fin from coordinator within %v (drain deadline)", n.id, n.cfg.DrainTimeout))
+	}
+	return m.Err()
 }
 
 // closePeers tears down the data mesh (idempotent per conn).
@@ -242,8 +264,13 @@ func (n *Node) closeAll() {
 	})
 }
 
-// Close releases the node's connections.
+// Close releases the node's connections and, when Finish did not, stops
+// its machine's transport. It is safe to call more than once, but not
+// while the machine's Run is in progress.
 func (n *Node) Close() error {
 	n.closeAll()
+	if n.m != nil {
+		n.m.stopTransport()
+	}
 	return nil
 }

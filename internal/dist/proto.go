@@ -20,10 +20,10 @@ import (
 const ctlRank = -1
 
 // Hello is the first frame a node sends on its coordinator connection:
-// the node id it claims (or -1 for coordinator-assigned) and the address
-// its data listener accepts peer connections on.
+// the node id it claims and the address its data listener accepts peer
+// connections on.
 type Hello struct {
-	// Node is the claimed node id, or -1 to let the coordinator assign one.
+	// Node is the claimed node id, in [0, nodes).
 	Node int32
 	// Addr is the node's data-plane listen address (host:port).
 	Addr string
@@ -32,11 +32,9 @@ type Hello struct {
 // Roster is the coordinator's reply to every Hello once all nodes have
 // joined: the global machine shape, the per-node data addresses, and the
 // opaque scenario spec the coordinator wants each node to run. All nodes
-// receive the same roster (bar You), so every process starts with an
-// identical processor→node map.
+// receive the same roster, so every process starts with an identical
+// processor→node map.
 type Roster struct {
-	// You is the receiving node's assigned id (its index into Nodes).
-	You int32
 	// Procs is the total processor count across all nodes.
 	Procs int32
 	// Nodes lists every node's data-plane address, indexed by node id.
@@ -54,49 +52,32 @@ type PeerHello struct {
 
 // Ready tells the coordinator this node has finished building its peer
 // mesh and spawning processors, and is waiting at the start barrier.
-type Ready struct {
-	// Node is the reporting node's id.
-	Node int32
-}
+type Ready struct{}
 
 // Start releases the start barrier: every node sets its share's clock epoch
 // (rtm.Machine.SetEpoch) on receipt.
 type Start struct{}
 
-// Done reports that every processor hosted by a node has finished: the
-// node's local makespan and the final per-processor time ledgers for the
-// node's rank range.
+// Done reports that every processor hosted by a node has finished and its
+// driver is through: the node's local makespan, the final per-processor
+// time ledgers for the node's rank range, and the driver's result blob.
 type Done struct {
-	// Node is the reporting node's id.
-	Node int32
 	// FinishedAt is the latest local processor finish time (virtual).
 	FinishedAt substrate.Time
 	// Accounts holds the ledgers of the node's ranks, lo..hi in order.
 	Accounts []substrate.Account
-}
-
-// Fin is the coordinator's drain release once every node reported Done:
-// it carries the machine-wide makespan so all nodes agree on it.
-type Fin struct {
-	// Makespan is the maximum FinishedAt across all nodes.
-	Makespan substrate.Time
-}
-
-// Report carries a node's benchmark-level result blob (counters, residency)
-// back to the coordinator after its driver finished; it is the session's
-// goodbye.
-type Report struct {
-	// Node is the reporting node's id.
-	Node int32
 	// Blob is an opaque driver payload (bench partial-result encoding).
 	Blob []byte
 }
+
+// Fin is the coordinator's drain release once every node reported Done.
+type Fin struct{}
 
 func encodeString(w *wire.Writer, s string) { w.Bytes([]byte(s)) }
 func decodeString(r *wire.Reader) string    { return string(r.Bytes()) }
 
 func init() {
-	wire.Register(wire.KindDistHello, &Hello{Node: -1, Addr: "127.0.0.1:7421"},
+	wire.Register(wire.KindDistHello, &Hello{Node: 1, Addr: "127.0.0.1:7421"},
 		func(w *wire.Writer, v any) {
 			h := v.(*Hello)
 			w.I32(h.Node)
@@ -106,10 +87,9 @@ func init() {
 			return &Hello{Node: r.I32(), Addr: decodeString(r)}
 		})
 	wire.Register(wire.KindDistRoster,
-		&Roster{You: 1, Procs: 8, Nodes: []string{"127.0.0.1:7431", "127.0.0.1:7432"}, Spec: []byte{1, 2, 3}},
+		&Roster{Procs: 8, Nodes: []string{"127.0.0.1:7431", "127.0.0.1:7432"}, Spec: []byte{1, 2, 3}},
 		func(w *wire.Writer, v any) {
 			ro := v.(*Roster)
-			w.I32(ro.You)
 			w.I32(ro.Procs)
 			w.U32(uint32(len(ro.Nodes)))
 			for _, a := range ro.Nodes {
@@ -118,7 +98,7 @@ func init() {
 			w.Bytes(ro.Spec)
 		},
 		func(r *wire.Reader) any {
-			ro := &Roster{You: r.I32(), Procs: r.I32()}
+			ro := &Roster{Procs: r.I32()}
 			n := r.Count(4) // each address carries at least a u32 length
 			if n > 0 {
 				ro.Nodes = make([]string, n)
@@ -132,17 +112,16 @@ func init() {
 	wire.Register(wire.KindDistPeerHello, &PeerHello{Node: 1},
 		func(w *wire.Writer, v any) { w.I32(v.(*PeerHello).Node) },
 		func(r *wire.Reader) any { return &PeerHello{Node: r.I32()} })
-	wire.Register(wire.KindDistReady, &Ready{Node: 1},
-		func(w *wire.Writer, v any) { w.I32(v.(*Ready).Node) },
-		func(r *wire.Reader) any { return &Ready{Node: r.I32()} })
+	wire.Register(wire.KindDistReady, &Ready{},
+		func(w *wire.Writer, v any) {},
+		func(r *wire.Reader) any { return &Ready{} })
 	wire.Register(wire.KindDistStart, &Start{},
 		func(w *wire.Writer, v any) {},
 		func(r *wire.Reader) any { return &Start{} })
 	wire.Register(wire.KindDistDone,
-		&Done{Node: 1, FinishedAt: 42 * substrate.Second, Accounts: []substrate.Account{{1, 2, 3}}},
+		&Done{FinishedAt: 42 * substrate.Second, Accounts: []substrate.Account{{1, 2, 3}}, Blob: []byte{4, 5}},
 		func(w *wire.Writer, v any) {
 			d := v.(*Done)
-			w.I32(d.Node)
 			w.I64(int64(d.FinishedAt))
 			w.U32(uint32(len(d.Accounts)))
 			for i := range d.Accounts {
@@ -150,9 +129,10 @@ func init() {
 					w.I64(int64(t))
 				}
 			}
+			w.Bytes(d.Blob)
 		},
 		func(r *wire.Reader) any {
-			d := &Done{Node: r.I32(), FinishedAt: substrate.Time(r.I64())}
+			d := &Done{FinishedAt: substrate.Time(r.I64())}
 			n := r.Count(int(substrate.NumCategories) * 8)
 			if n > 0 {
 				d.Accounts = make([]substrate.Account, n)
@@ -162,20 +142,12 @@ func init() {
 					}
 				}
 			}
+			d.Blob = r.Bytes()
 			return d
 		})
-	wire.Register(wire.KindDistFin, &Fin{Makespan: 99 * substrate.Second},
-		func(w *wire.Writer, v any) { w.I64(int64(v.(*Fin).Makespan)) },
-		func(r *wire.Reader) any { return &Fin{Makespan: substrate.Time(r.I64())} })
-	wire.Register(wire.KindDistReport, &Report{Node: 1, Blob: []byte{4, 5}},
-		func(w *wire.Writer, v any) {
-			rp := v.(*Report)
-			w.I32(rp.Node)
-			w.Bytes(rp.Blob)
-		},
-		func(r *wire.Reader) any {
-			return &Report{Node: r.I32(), Blob: r.Bytes()}
-		})
+	wire.Register(wire.KindDistFin, &Fin{},
+		func(w *wire.Writer, v any) {},
+		func(r *wire.Reader) any { return &Fin{} })
 }
 
 // encodeCtl frames a control payload as a wire frame.

@@ -41,6 +41,7 @@ const (
 	KindPolicyClaim Kind = 82
 
 	// dist (the multi-process TCP backend's session control plane): 112–127.
+	// 119 was the retired driver-result report; it stays unassigned.
 	KindDistHello     Kind = 112
 	KindDistRoster    Kind = 113
 	KindDistPeerHello Kind = 114
@@ -48,7 +49,6 @@ const (
 	KindDistStart     Kind = 116
 	KindDistDone      Kind = 117
 	KindDistFin       Kind = 118
-	KindDistReport    Kind = 119
 
 	// KindUser is the first Kind available to application payload types
 	// (mobile-object data registered via mol.RegisterDataCodec).

@@ -52,7 +52,6 @@ func TestRegistryTotality(t *testing.T) {
 		wire.KindDistStart,
 		wire.KindDistDone,
 		wire.KindDistFin,
-		wire.KindDistReport,
 	}
 	got := wire.RegisteredKinds()
 	if !reflect.DeepEqual(got, want) {
