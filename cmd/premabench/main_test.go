@@ -53,10 +53,11 @@ func TestPolicySuiteUnderChaos(t *testing.T) {
 
 // TestLossyPromisedRunFails: a run whose spec promises every unit (-recover)
 // and that loses some must not exit 0. The plan crashes a processor inside
-// the final quiesce window, where no surviving peer notices (ROADMAP 4(d)):
-// 18 of 24 units run. This is the detection half; when 4(d)'s protocol fix
-// lands the same invocation becomes a clean run and this test flips to
-// expecting exit 0 with units_run:24.
+// the final quiesce window, where no surviving peer notices (an open hole in
+// the ROADMAP, "termination as a protocol"): 18 of 24 units run. This is
+// the detection half; when the protocol fix lands the same invocation
+// becomes a clean run and this test flips to expecting exit 0 with
+// units_run:24.
 func TestLossyPromisedRunFails(t *testing.T) {
 	code, out, errOut := clitest.Run(run, "-system", "prema-implicit", "-imbalance", "0.1", "-ratio", "1.2",
 		"-procs", "4", "-units-per-proc", "6", "-recover", "-fault-plan", "crash:3@32100ms")

@@ -141,9 +141,10 @@ func TestCheckConservationDoctored(t *testing.T) {
 
 // TestRunChecksPromisedConservation: Run applies the check when the spec
 // promises conservation. The crash lands inside the final quiesce window,
-// which recovery does not detect yet (ROADMAP 4(d)), so the promised run
-// loses units and must say so — with its result, for a caller that reports
-// the loss itself (chaosbench).
+// which recovery does not detect yet (an open hole in the ROADMAP,
+// "termination as a protocol"), so the promised run loses units and must
+// say so — with its result, for a caller that reports the loss itself
+// (chaosbench).
 func TestRunChecksPromisedConservation(t *testing.T) {
 	w := PaperWorkload(FigureSpec{Imbalance: 0.1, Ratio: 1.2}, 4, 6)
 	res, err := RunSpec{System: "prema-implicit", W: w, Recover: true, FaultPlan: "crash:3@32100ms"}.Run()

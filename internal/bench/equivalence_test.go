@@ -66,7 +66,8 @@ func drawSpec(seed int64) RunSpec {
 // -recover a stall longer than the lease is a crash verdict (DESIGN §10,
 // "Scope and limits"), so a recover draw gets no stall. Without reliable
 // delivery multilist forks its fetch loop on every duplicated refusal and
-// does not finish (ROADMAP 4(g)), so it gets no dup.
+// does not finish (`premabench -system prema-multilist -procs 8
+// -units-per-proc 4 -fault-plan dup=0.1`), so it gets no dup.
 func drawPlan(rng *rand.Rand, s RunSpec) string {
 	faults := []string{"drop=%.2f", "delay=%.2f:2ms", "reorder=%.2f:3"}
 	if s.Reliable || s.Recover || s.System != "prema-multilist" {

@@ -260,7 +260,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 		}()
 		body(p)
 	})
-	s.atTransfer(p.now, p)
+	s.atWake(p.now, p)
 	return p
 }
 

@@ -3,25 +3,29 @@ package sim
 // event is a scheduled occurrence in virtual time.
 //
 // The engine schedules one event per work unit advance, per message delivery
-// and per processor handoff, so this is the simulator's hottest allocation
+// and per processor start, so this is the simulator's hottest allocation
 // site. Three measures keep the hot path cheap:
 //
-//   - every occurrence (processor wake-up, message delivery, control
-//     transfer, end of a polled advance) is encoded as a kind tag plus typed
-//     operands instead of a fresh closure per event;
+//   - every occurrence (a processor's wake-up, a message delivery) is
+//     encoded as a kind tag plus typed operands instead of a fresh closure
+//     per event;
 //   - fired events are recycled through the owning shard's intrusive free
 //     list (each shard's event loop is single-threaded, so no sync.Pool is
 //     needed);
 //   - the ordering key (timestamp + ord, see below) lives inline in the
 //     heap's entry array, not behind the event pointer, so heap sifts
 //     compare within one contiguous array and follow the pointer only to
-//     record an entry's new slot (idx). The event struct is 40 bytes —
-//     under a cache line; idx fits in the padding after kind.
+//     record an entry's new slot (idx). The event struct is 32 bytes —
+//     half a cache line; idx fits in the padding after kind.
+//
+// Every event in a heap is live: it fires, or is removed before it would
+// (eventHeap.Remove). A processor's wake is its one event in the heap while
+// it is parked or not yet started (Proc.wake), and a delivery that changes
+// when the processor is due back removes or moves it (shard.deliver).
 type event struct {
-	proc *Proc  // evWake, evTransfer, evPollEnd: target processor
+	proc *Proc  // evWake: processor to resume
 	msg  *Msg   // evDeliver: message to deliver
 	next *event // shard free list link (nil while scheduled)
-	gen  uint64 // evWake: wait generation to test
 	kind eventKind
 	idx  int32 // slot in the shard's heap while scheduled (eventHeap.Remove)
 }
@@ -30,10 +34,8 @@ type event struct {
 type eventKind uint8
 
 const (
-	evWake     eventKind = iota // wake proc if still in generation gen
-	evDeliver                   // deliver msg to its destination inbox
-	evTransfer                  // hand control to proc
-	evPollEnd                   // end of proc's polled advance (polled.go)
+	evWake    eventKind = iota // switch into proc, which is parked on this event
+	evDeliver                  // deliver msg to its destination inbox
 )
 
 // Event ordering
@@ -48,11 +50,11 @@ const (
 //     processor's ID and its per-processor send sequence number. Both are
 //     properties of the sender's own execution, identical under any
 //     partitioning.
-//   - local events (wakes, transfers, poll ends) carry a per-shard
-//     allocation counter with the top bit set. These events are only ever
-//     created by their own shard's execution, so the shard-local counter
-//     induces the same relative order the global counter did — for any
-//     shard count, including one.
+//   - local events (wakes) carry a per-shard allocation counter with the
+//     top bit set, drawn afresh whenever a wake is pushed or moved. These
+//     events are only ever created by their own shard's execution, so the
+//     shard-local counter induces the same relative order the global
+//     counter did — for any shard count, including one.
 //
 // Deliveries sort before local events at equal timestamps: when a delivery
 // ties with a local wake to the nanosecond, the delivery fires first, under
@@ -102,8 +104,9 @@ func (a heapEntry) before(b heapEntry) bool {
 //
 // Every scheduled event records its slot in ev.idx, kept current by every
 // operation that moves an entry, so Remove can take a known event out in
-// O(log n): a message that beats a wait timeout removes the timeout instead
-// of leaving it to fire dead (shard.deliver).
+// O(log n): a message that beats a wait timeout removes the timeout, and one
+// that pulls a polled advance's wake-up forward moves the wake (Earlier),
+// instead of leaving either to fire dead (shard.deliver).
 type eventHeap struct {
 	e []heapEntry
 }
@@ -159,6 +162,14 @@ func (h *eventHeap) Pop() heapEntry {
 	top := h.e[0]
 	h.Remove(0)
 	return top
+}
+
+// Earlier gives the entry in slot i a key before its current one and sifts
+// it up: the pop order a Remove and a Push with that key would give, for
+// one sift.
+func (h *eventHeap) Earlier(i int, at Time, ord uint64) {
+	h.e[i].at, h.e[i].ord = at, ord
+	h.siftUp(i)
 }
 
 // Remove deletes the entry in slot i, moving the last entry into the hole

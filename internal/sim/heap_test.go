@@ -257,11 +257,12 @@ func checkSlots(h *eventHeap) bool {
 	return true
 }
 
-// TestHeapOpsMatchSortedReference: any interleaving of Push, Pop, PushAll
-// and Remove at a random slot pops in the order of a sorted reference list
-// holding the same keys, and after every operation each entry's event
-// records the slot the entry occupies — the index Remove trusts when a
-// delivery takes a wait timeout out of the heap.
+// TestHeapOpsMatchSortedReference: any interleaving of Push, Pop, PushAll,
+// and Remove and Earlier at a random slot pops in the order of a sorted
+// reference list holding the same keys, and after every operation each
+// entry's event records the slot the entry occupies — the index Remove and
+// Earlier trust when a delivery takes a wait timeout out of the heap or
+// moves a polled advance's wake.
 func TestHeapOpsMatchSortedReference(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -282,7 +283,7 @@ func TestHeapOpsMatchSortedReference(t *testing.T) {
 			ref = slices.Insert(ref, i, x)
 		}
 		for _, op := range ops {
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
 				x := entry(op >> 2)
 				h.Push(x.at, x.ord, x.ev)
@@ -309,6 +310,21 @@ func TestHeapOpsMatchSortedReference(t *testing.T) {
 				x := h.e[rng.Intn(len(h.e))]
 				h.Remove(int(x.ev.idx))
 				ref = slices.DeleteFunc(ref, func(y heapEntry) bool { return y == x })
+			case 4:
+				if len(h.e) == 0 {
+					continue
+				}
+				x := h.e[rng.Intn(len(h.e))]
+				if x.at == 0 {
+					continue
+				}
+				// A fresh ord is the largest yet, so only an earlier time
+				// makes the key earlier, as in pollArrival.
+				ord++
+				y := heapEntry{at: Time(rng.Int63n(int64(x.at))), ord: ord, ev: x.ev}
+				h.Earlier(int(x.ev.idx), y.at, y.ord)
+				ref = slices.DeleteFunc(ref, func(z heapEntry) bool { return z == x })
+				insert(y)
 			}
 			if len(h.e) != len(ref) || !checkSlots(&h) {
 				return false

@@ -35,18 +35,17 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	blocked    bool
-	waitingMsg bool
-	waitGen    uint64
-	timeout    *event // the parked wait's pending timeout in the heap, or nil
+	// wake is the processor's one event in its shard's heap: the wake that
+	// starts it, or, while it is parked, the one that resumes it (a wait
+	// with no deadline has none). A running processor has none.
+	wake       *event
+	waitingMsg bool // parked in wait: a delivery ends the wait
 	done       bool
 	finishedAt Time
 
 	// Polled-advance state (polled.go): polled marks a park inside
-	// AdvancePolled; endAt is when the processor's one end-of-advance event
-	// in the heap fires (0 = none queued).
+	// AdvancePolled, whose wake a matching delivery may move.
 	polled bool
-	endAt  Time
 	poll   polledPark
 
 	sendSeq  uint64     // per-processor message send counter (ordering band 1)
@@ -75,16 +74,14 @@ func (p *Proc) Account() *Account { return &p.acct }
 func (p *Proc) Charge(cat Category, d Time) { p.acct[cat] += d }
 
 // park blocks the processor, attributing the blocked duration to cat.
-// The caller must have arranged for a wake-up (timer event or message
+// The caller must have arranged for a wake-up (p.wake, or for a wait a
 // delivery) before calling park. A processor torn down while parked unwinds
 // its body from here, uncharged.
 func (p *Proc) park(cat Category) {
 	start := p.now
-	p.blocked = true
 	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
-	p.blocked = false
 	p.acct[cat] += p.now - start
 }
 
@@ -99,12 +96,11 @@ func (p *Proc) Advance(d Time, cat Category) {
 	if d <= 0 {
 		return
 	}
-	p.waitGen++
 	if p.skipTo(p.now + d) {
 		p.acct[cat] += d
 		return
 	}
-	p.sh.atWake(p.now+d, p, p.waitGen)
+	p.sh.atWake(p.now+d, p)
 	p.park(cat)
 }
 
@@ -118,11 +114,11 @@ func (p *Proc) Advance(d Time, cat Category) {
 //     an equal-time entry already in the heap fires first.
 //   - Run-ahead: at is before the earliest delivery to p in the heap
 //     (inflight), and less than one latency past the shard clock (the
-//     horizon), so no message sent from now on lands first, and at is
-//     before p's own pending end-of-advance event (endAt), whose firing
-//     reads p's state (polled.go). The first bound is strict like the
-//     others: a delivery at exactly at fires before the wake (deliveries
-//     sort first), so p must park to see it.
+//     horizon), so no message sent from now on lands first. The first
+//     bound is strict like the others: a delivery at exactly at fires
+//     before the wake (deliveries sort first), so p must park to see it.
+//     A running processor has no event of its own in the heap (Proc.wake),
+//     so nothing else of p's can fire in between.
 //     Only p's clock moves. Events of other processors before at fire later
 //     in host order than in virtual order, which is invisible: processors
 //     share no mutable state, and every event that crosses between them is
@@ -135,7 +131,7 @@ func (p *Proc) skipTo(at Time) bool {
 	}
 	if len(s.heap.e) == 0 || at < s.heap.e[0].at {
 		s.now = at
-	} else if at >= p.inflight.first || at >= s.now+s.ahead || p.endAt != 0 && at >= p.endAt {
+	} else if at >= p.inflight.first || at >= s.now+s.ahead {
 		return false
 	}
 	p.now = at
@@ -218,18 +214,16 @@ func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.now+d, ca
 
 // wait parks until a message is queued or the clock reaches deadline; with
 // substrate.Never no timer is armed and only a delivery wakes it. The timer
-// is p.timeout while parked: a delivery removes it from the heap
+// is p.wake while parked: a delivery removes it from the heap
 // (shard.deliver), so it fires only when it, not a message, ends the wait.
 func (p *Proc) wait(deadline Time, cat Category) bool {
 	for p.inbox.Len() == 0 && p.now < deadline {
-		p.waitGen++
 		if deadline != substrate.Never {
-			p.timeout = p.sh.atWake(deadline, p, p.waitGen)
+			p.sh.atWake(deadline, p)
 		}
 		p.waitingMsg = true
 		p.park(cat)
 		p.waitingMsg = false
-		p.timeout = nil
 	}
 	return p.inbox.Len() > 0
 }

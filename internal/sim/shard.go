@@ -82,30 +82,21 @@ func (s *shard) release(ev *event) {
 	s.free = ev
 }
 
-// ordNext returns the next local-band ordering key (wakes, transfers, poll
-// ends — events that never cross a shard boundary).
+// ordNext returns the next local-band ordering key (wakes, the events that
+// never cross a shard boundary).
 func (s *shard) ordNext() uint64 {
 	s.allocSeq++
 	return ordLocalBand | s.allocSeq
 }
 
-// atWake schedules a wake of p, if still in generation gen, at time at
-// (never before now) without allocating a closure. It returns the scheduled
-// event.
-func (s *shard) atWake(at Time, p *Proc, gen uint64) *event {
+// atWake schedules p's wake at time at (never before now) and records it in
+// p.wake, p's one event in the heap until it fires or a delivery removes or
+// moves it.
+func (s *shard) atWake(at Time, p *Proc) {
 	ev := s.alloc()
 	ev.kind = evWake
 	ev.proc = p
-	ev.gen = gen
-	s.heap.Push(at, s.ordNext(), ev)
-	return ev
-}
-
-// atTransfer schedules a control handoff to p at time at.
-func (s *shard) atTransfer(at Time, p *Proc) {
-	ev := s.alloc()
-	ev.kind = evTransfer
-	ev.proc = p
+	p.wake = ev
 	s.heap.Push(at, s.ordNext(), ev)
 }
 
@@ -131,22 +122,19 @@ func (s *shard) post(m *Msg, arrival Time, sendSeq uint64) {
 }
 
 // deliver appends m to its destination inbox and wakes the destination if
-// it is blocked waiting for a message; a destination parked in a polled
-// advance has its wake-up pulled forward to the poll that will see m.
+// it is parked waiting for a message; a destination parked in a polled
+// advance has its wake moved forward to the poll that will see m.
 func (s *shard) deliver(m *Msg) {
 	p := s.eng.procs[m.Dst]
 	p.inflight.pop() // the earliest, at s.now
 	m.ArrivedAt = s.now
 	p.inbox.push(m)
-	if !p.blocked {
-		return
-	}
 	if p.waitingMsg {
 		// The message beat the wait's timeout: take the timeout out of the
 		// heap rather than leave it to fire dead. Every other event keeps
 		// its (at, ord) key, so the live pop order does not change.
-		if ev := p.timeout; ev != nil {
-			p.timeout = nil
+		if ev := p.wake; ev != nil {
+			p.wake = nil
 			s.heap.Remove(int(ev.idx))
 			s.release(ev)
 		}
@@ -160,9 +148,6 @@ func (s *shard) deliver(m *Msg) {
 // p blocks or finishes, with p's clock set to the loop's. It must only be
 // called from the shard's event loop; processors never call it directly.
 func (s *shard) transfer(p *Proc) {
-	if p.done {
-		return
-	}
 	s.transfers++
 	p.now = s.now
 	s.cur = p
@@ -183,10 +168,12 @@ func (s *shard) runWindow(end Time) {
 	s.end = 0
 }
 
-// drain is runWindow's loop body. The wake and deliver arms are inlined
-// here rather than dispatched through a helper: together they are >95% of
-// fired events, and keeping them in the loop body keeps the whole hot path
-// — pop, clock bump, dispatch, free-list release — in one frame.
+// drain is runWindow's loop body. The wake and deliver arms, one per event
+// kind, are inlined here rather than dispatched through a helper: keeping
+// them in the loop body keeps the whole hot path — pop, clock bump,
+// dispatch, free-list release — in one frame. A wake always finds its
+// processor parked on it, or not yet started; anything else is an engine
+// bug, caught here rather than left to switch into the wrong processor.
 func (s *shard) drain(end Time) {
 	for s.err == nil {
 		if len(s.heap.e) == 0 || s.heap.e[0].at >= end {
@@ -202,17 +189,13 @@ func (s *shard) drain(end Time) {
 		switch ev.kind {
 		case evWake:
 			p := ev.proc
-			if !p.done && p.blocked && p.waitGen == ev.gen {
-				s.transfer(p)
+			if p.wake != ev {
+				panic("sim: a wake fired for processor " + p.name + ", which is not parked on it")
 			}
+			p.wake = nil
+			s.transfer(p)
 		case evDeliver:
 			s.deliver(ev.msg)
-		case evTransfer:
-			s.transfer(ev.proc)
-		case evPollEnd:
-			if s.firePollEnd(ev) {
-				continue
-			}
 		}
 		s.release(ev)
 	}

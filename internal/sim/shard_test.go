@@ -163,7 +163,7 @@ func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 	from := e.Spawn("src", func(*Proc) {})
 	to := e.Spawn("dst", func(*Proc) {})
 	src, dst := e.shards[0], e.shards[1]
-	src.heap.e, dst.heap.e = src.heap.e[:0], dst.heap.e[:0] // drop the start transfers
+	src.heap.e, dst.heap.e = src.heap.e[:0], dst.heap.e[:0] // drop the start wakes
 	m := &Msg{Src: 0, Dst: 1, Size: 8}
 	var sendSeq uint64
 	cycle := func() {
