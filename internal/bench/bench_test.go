@@ -33,12 +33,12 @@ func TestWorkloadProperties(t *testing.T) {
 	if w.MeanWeight() != 7.5 {
 		t.Fatalf("mean = %v", w.MeanWeight())
 	}
-	if w.Hint(0) != 7.5 {
-		t.Fatalf("mean hint = %v", w.Hint(0))
+	if h := w.application().hint(0, 0); h != 7.5 {
+		t.Fatalf("mean hint = %v", h)
 	}
 	w.Hints = HintAccurate
-	if w.Hint(0) != 10 {
-		t.Fatalf("accurate hint = %v", w.Hint(0))
+	if h, l := w.application().hint(0, 0), w.application().hint(200, 0); h != 10 || l != 5 {
+		t.Fatalf("accurate hints = %v, %v", h, l)
 	}
 	// Block ownership covers every unit exactly once.
 	seen := make([]bool, w.Units)

@@ -148,7 +148,7 @@ func RunHybrid(system string, cfg HybridConfig, mc *MeshCosts) (*Result, error) 
 						subs[i] = obj.Data.(int)
 					}
 					gathered := cl.AllGather(subs, 16*len(subs)+16)
-					lists := make(map[int][]int, len(gathered))
+					lists := make([][]int, len(gathered))
 					for q, l := range gathered {
 						lists[q] = l.([]int)
 					}

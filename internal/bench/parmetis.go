@@ -100,7 +100,8 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 			// Per-proc round state.
 			joinRound := 0 // round id to join, 0 = none
 			var lastReport sim.Time = -1 << 40
-			lists := make(map[int][]int)
+			lists := newRoundLists(w.Procs)
+			batches := make([][]int, w.Procs) // outgoing entries, by destination
 			arrivedUnits := 0
 			stopped := false
 			reported := false
@@ -138,7 +139,7 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				joinRound = data.(int)
 			})
 			hList = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
-				lists[src] = data.([]int)
+				lists.add(src, data.([]int))
 			})
 			hMigrate = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 				in := data.([]int)
@@ -154,15 +155,16 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				joinRound = 0
 				// All-to-all information exchange: ship my pending list to
 				// every other processor.
+				var list any = pending
 				for q := 0; q < w.Procs; q++ {
 					if q != me {
-						c.SendTagged(q, hList, pending, app.listBytes*len(pending)+16, sim.TagSystem)
+						c.SendTagged(q, hList, list, app.listBytes*len(pending)+16, sim.TagSystem)
 					}
 				}
-				lists[me] = pending
+				lists.add(me, pending)
 				// Synchronization: wait for everyone's list. The cost of
 				// this barrier is the paper's "Synchronization Time".
-				for len(lists) < w.Procs && !stopped {
+				for lists.heard < w.Procs && !stopped {
 					ep.WaitMsg(sim.CatSync)
 					c.Poll()
 				}
@@ -173,7 +175,7 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 				// as ParMETIS computes it in parallel, but the answer is the
 				// same everywhere, so the host computes it once.
 				pl := plans.get(round, func() *repartPlan {
-					return planRound(round, lists, w, app, cfg.WarrantPerProc, weight)
+					return planRound(round, lists.lists, w, app, cfg.WarrantPerProc, weight)
 				})
 				ep.Advance(partitionBaseCPU+cfg.PartitionPerUnitCPU*sim.Time(pl.entries), sim.CatPartition)
 				if me == 0 {
@@ -184,8 +186,9 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 						declined++
 					}
 				}
-				// Migrate: batch my outgoing entries per destination.
-				batches := make(map[int][]int)
+				// Migrate: batch my outgoing entries per destination. A
+				// batch's array is refilled next round, after its receiver
+				// has copied it out: it ships its next list only then.
 				var keep []int
 				for _, e := range pending {
 					if q := pl.owner[e%n]; q != me {
@@ -195,13 +198,11 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 					}
 				}
 				pending = keep
-				dsts := make([]int, 0, len(batches))
-				for q := range batches {
-					dsts = append(dsts, q)
-				}
-				slices.Sort(dsts)
-				for _, q := range dsts {
-					c.SendTagged(q, hMigrate, batches[q], app.objBytes*len(batches[q])+app.batchBytes, sim.TagSystem)
+				for q, b := range batches {
+					if len(b) > 0 {
+						c.SendTagged(q, hMigrate, b, app.objBytes*len(b)+app.batchBytes, sim.TagSystem)
+						batches[q] = b[:0]
+					}
 				}
 				// Wait for my own immigrants before resuming.
 				for arrivedUnits < pl.arrivals[me] && !stopped {
@@ -209,7 +210,7 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 					c.Poll()
 				}
 				arrivedUnits -= pl.arrivals[me]
-				lists = make(map[int][]int)
+				lists.clear()
 				reported = false
 				// The root re-arms round initiation and handles a
 				// completion that landed mid-round.
@@ -269,6 +270,40 @@ func runRepartition(name string, m substrate.Machine, w Workload, app applicatio
 	return res, nil
 }
 
+// roundLists is one processor's view of a round's exchange: every
+// processor's work list, by processor. A processor with nothing pending
+// ships an empty or nil list, so the barrier counts who was heard from
+// rather than which lists are set.
+type roundLists struct {
+	round int // the round whose lists are gathered, counted from 1
+	lists [][]int
+	got   []bool
+	heard int // distinct processors heard from this round
+}
+
+func newRoundLists(procs int) *roundLists {
+	return &roundLists{round: 1, lists: make([][]int, procs), got: make([]bool, procs)}
+}
+
+// add records q's list. Every processor ships one list per round, so a
+// second one is a protocol bug that would release the barrier with a list
+// missing: it panics.
+func (r *roundLists) add(q int, list []int) {
+	if r.got[q] {
+		panic(fmt.Sprintf("parmetis round %d: processor %d listed twice", r.round, q))
+	}
+	r.got[q], r.lists[q] = true, list
+	r.heard++
+}
+
+// clear empties the lists for the next round.
+func (r *roundLists) clear() {
+	clear(r.lists)
+	clear(r.got)
+	r.heard = 0
+	r.round++
+}
+
 // remaining is the hinted seconds of work entry e still stands for: every
 // step left is guessed at the next one's hint.
 func (a application) remaining(e int) float64 {
@@ -311,12 +346,12 @@ func (c *planCache) get(round int, build func() *repartPlan) *repartPlan {
 // answer, with weight(e) as entry e's vertex weight, if the outstanding
 // hinted work per processor reaches warrant. An object in two lists breaks
 // conservation; that is a protocol bug, so it panics.
-func planRound(round int, lists map[int][]int, w Workload, app application, warrant float64, weight func(e int) int64) *repartPlan {
+func planRound(round int, lists [][]int, w Workload, app application, warrant float64, weight func(e int) int64) *repartPlan {
 	n := app.objects
 	pl := &repartPlan{round: round, owner: slices.Repeat([]int{-1}, n), arrivals: make([]int, w.Procs)}
 	entry := make([]int, n)
-	for q := 0; q < w.Procs; q++ {
-		for _, e := range lists[q] {
+	for q, list := range lists {
+		for _, e := range list {
 			if p := pl.owner[e%n]; p >= 0 {
 				panic(fmt.Sprintf("parmetis round %d: object %d listed by %d and %d", round, e%n, p, q))
 			}

@@ -19,7 +19,7 @@ func TestPlanRound(t *testing.T) {
 	hinted := func(e int) int64 { return max(1, int64(app.remaining(e)*1000)) }
 	// Processor 0 holds most of the work, so the repartition moves some;
 	// object 22 has finished.
-	lists := map[int][]int{}
+	lists := make([][]int, w.Procs)
 	oldOwner := map[int]int{}
 	for obj := 0; obj < w.Units; obj++ {
 		q := 0
@@ -84,6 +84,27 @@ func TestPlanRound(t *testing.T) {
 		}
 	}()
 	planRound(7, lists, w, app, 0, hinted)
+}
+
+// TestRoundListsCountsProcessors: the barrier counts processors, an empty
+// list included, and a second list from one processor in one round is a
+// protocol bug reported with the round and the processor.
+func TestRoundListsCountsProcessors(t *testing.T) {
+	r := newRoundLists(3)
+	r.add(1, []int{4, 5})
+	r.clear()
+	r.add(0, nil)
+	r.add(2, []int{7})
+	if r.heard != 2 || r.lists[1] != nil {
+		t.Fatalf("round 2 heard %d processors, lists %v; want 2 with processor 1's cleared", r.heard, r.lists)
+	}
+	defer func() {
+		want := "parmetis round 2: processor 0 listed twice"
+		if r := recover(); fmt.Sprint(r) != want {
+			t.Errorf("second list: panic %v, want %q", r, want)
+		}
+	}()
+	r.add(0, []int{8})
 }
 
 // TestPlanCache: processors asking for one round at once get one plan, built

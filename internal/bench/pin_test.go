@@ -76,6 +76,9 @@ var pinned = []pinRow{
 	{"parmetis fig6 32x16", 108311877920, 0xb11bb71aa4314ad6, "lb_rounds=3 rounds_declined=3 units_migrated_root=0"},
 	{"parmetis fig6 8x6 warrant=0", 35102466160, 0xb6decde36a5ef583, "lb_rounds=1 rounds_declined=0 units_migrated_root=1"},
 	{"parmetis fig6 8x6 warrant=1e+09", 35102374280, 0x7113d6583d27995a, "lb_rounds=1 rounds_declined=1 units_migrated_root=0"},
+	// Recorded while a hint was still Workload.Hint, recomputed on each call.
+	{"parmetis fig3 8x6 hints=accurate", 80406180240, 0xda5cef96722cebac, "lb_rounds=4 rounds_declined=4 units_migrated_root=0"},
+	{"parmetis fig4 13x5 hints=accurate", 55304589280, 0x150f09236ce3d8d7, "lb_rounds=3 rounds_declined=3 units_migrated_root=0"},
 	{"mesh quick none", 212006263707, 0x7c709222c3e82d0, ""},
 	{"mesh quick prema-implicit", 173263905930, 0xca42df67153757ca, ""},
 	// The one row recorded after the merge (before: 0x329f982a6440fc73). The
@@ -117,9 +120,10 @@ var pinned = []pinRow{
 }
 
 // TestDriversPinned holds the drivers to the recorded outcomes: parmetis on
-// Figures 3-6 at three scales and with the warrant forced both ways, the
-// three mesh regimes at three scales, the hybrid example's makespans, both
-// charm rows on Figures 3-6 at two scales, and multi-list on Figure 3.
+// Figures 3-6 at three scales, with the warrant forced both ways and, on
+// Figures 3 and 4, with accurate hints, the three mesh regimes at three
+// scales, the hybrid example's makespans, both charm rows on Figures 3-6 at
+// two scales, and multi-list on Figure 3.
 func TestDriversPinned(t *testing.T) {
 	var got []pinRow
 	add := func(name string, counters func(*Result) string, r *Result, err error) {
@@ -155,6 +159,12 @@ func TestDriversPinned(t *testing.T) {
 			r, err := runParmetis(PaperWorkload(f, 8, 6), cfg)
 			addParmetis(fmt.Sprintf("parmetis fig%d 8x6 warrant=%g", f.ID, warrant), r, err)
 		}
+	}
+	for _, c := range []struct{ fig, procs, perProc int }{{3, 8, 6}, {4, 13, 5}} {
+		w := PaperWorkload(Figures()[c.fig-3], c.procs, c.perProc)
+		w.Hints = HintAccurate
+		r, err := runParmetis(w, DefaultParmetisConfig())
+		addParmetis(fmt.Sprintf("parmetis fig%d %dx%d hints=accurate", c.fig, c.procs, c.perProc), r, err)
 	}
 	if !applied || !declined || !mixed {
 		t.Errorf("parmetis rows cover applied=%v declined=%v mixed=%v rounds; want all three", applied, declined, mixed)

@@ -93,16 +93,6 @@ func (w Workload) MeanWeight() float64 {
 	return (h*w.Heavy.Seconds() + l*w.Light.Seconds()) / float64(w.Units)
 }
 
-// Hint returns the weight estimate the load balancers see for unit u.
-func (w Workload) Hint(u int) float64 {
-	switch w.Hints {
-	case HintAccurate:
-		return w.Actual(u).Seconds()
-	default:
-		return w.MeanWeight()
-	}
-}
-
 // blockOf returns the objects, of n, that the block distribution starts on
 // processor p of procs: those o with o*procs/n == p.
 func blockOf(p, procs, n int) []int {
@@ -147,13 +137,26 @@ type application struct {
 }
 
 // application describes the synthetic benchmark: every unit is an
-// independent object of one step.
+// independent object of one step. Its hint is the weight estimate the load
+// balancers see (see HintMode), worked out once here: the drivers ask for
+// it over whole work lists.
 func (w Workload) application() application {
+	mean := w.MeanWeight()
+	hint := func(int, int) float64 { return mean }
+	if w.Hints == HintAccurate {
+		heavy, light, numHeavy := w.Heavy.Seconds(), w.Light.Seconds(), w.NumHeavy()
+		hint = func(u, _ int) float64 {
+			if u < numHeavy {
+				return heavy
+			}
+			return light
+		}
+	}
 	return application{
 		objects:    w.Units,
 		steps:      1,
 		cost:       func(u, _ int) sim.Time { return w.Actual(u) },
-		hint:       func(u, _ int) float64 { return w.Hint(u) },
+		hint:       hint,
 		objBytes:   w.UnitBytes,
 		msgBytes:   8,
 		listBytes:  4,

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"prema/internal/graph"
@@ -117,12 +120,14 @@ func refine2(g *graph.Graph, side []int, frac float64, opt Options) {
 // CostFn scores a candidate vertex move for k-way refinement. gainCut is
 // the edge-cut reduction of the move (positive = better); moveDelta is the
 // signed change in migration volume. The default (nil) objective is
-// gainCut alone; the parmetis package supplies |Ecut| + alpha*|Vmove|.
+// gainCut alone; the parmetis package supplies |Ecut| + alpha*|Vmove|. A
+// CostFn must not return NaN: RefineKWay compares scores as a total order.
 type CostFn func(gainCut int64, moveDelta int64) float64
 
 // RefineKWay improves a k-way partition in place with greedy boundary
 // passes: each pass restores balance, then applies every positive-objective
-// boundary move. oldPart (may be nil) anchors the migration-volume term.
+// boundary move. oldPart (may be nil, or part itself) anchors the
+// migration-volume term.
 func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, opt Options) {
 	opt = opt.withDefaults()
 	if cost == nil {
@@ -132,8 +137,22 @@ func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, o
 	wgt := graph.PartWeights(g, part, k)
 	tot := g.TotalVWgt()
 	maxw := int64(float64(tot) / float64(k) * (1 + opt.Imbalance))
+	// absW bounds the magnitude of every part weight, whatever moves.
+	var absW int64
+	for _, w := range g.VWgt {
+		absW += max(w, -w)
+	}
 
-	conn := make([]int64, k)
+	conn := make([]int64, k) // v's edge weight into each part (0 outside adj)
+	touched := make([]bool, k)
+	adj := make([]int, 0, k) // the parts v's neighbours are in
+	cands := make([]int, 0, k)
+	all := make([]int, k)   // every part, ascending
+	order := make([]int, k) // every part, by (weight, index)
+	for p := range all {
+		all[p], order[p] = p, p
+	}
+	byWeight := func(a, b int) int { return cmp.Or(cmp.Compare(wgt[a], wgt[b]), cmp.Compare(a, b)) }
 	moveDelta := func(v, to int) int64 {
 		if oldPart == nil {
 			return 0
@@ -147,17 +166,66 @@ func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, o
 		}
 		return d
 	}
+	// rebalanceCandidates returns, ascending, the parts a forced move of v
+	// out of cur must score. A forced move scores part b as
+	//
+	//	-float64(wgt[b]) + cost(conn[b]-conn[cur], moveDelta(v, b))*1e-9
+	//
+	// and the scan keeps the first strictly higher score, so it picks the
+	// lowest-index part of the highest score. A part that no neighbour of v
+	// is in and that is neither cur nor oldPart[v] has conn[b] == 0 and the
+	// same moveDelta as every other such part, so they all add the same
+	// cost term t. Rounded addition is monotone, so the lightest of them,
+	// lowest index first, scores highest among them, and it is the only one
+	// that can win: the adjacent parts, oldPart[v] and that lightest part
+	// give the scan over all k parts its answer. While every |wgt[b]| + |t|
+	// stays below 2^50, -wgt[b]+t keeps two unequal weights apart after
+	// rounding; past that (or on a NaN t) two could tie and leave a
+	// heavier, lower-index part the winner, so the vertex scores all k.
+	rebalanceCandidates := func(v, cur int) []int {
+		old := -1
+		if oldPart != nil {
+			old = oldPart[v]
+		}
+		cands = append(cands[:0], adj...)
+		if old != cur && old >= 0 && !touched[old] {
+			cands = append(cands, old)
+		}
+		for _, b := range order {
+			if b == cur || b == old || touched[b] {
+				continue
+			}
+			if t := cost(-conn[cur], moveDelta(v, b)) * 1e-9; !(math.Abs(t) < 1<<50-float64(absW)) {
+				return all
+			}
+			cands = append(cands, b)
+			break
+		}
+		slices.Sort(cands)
+		return cands
+	}
 	// bestMove returns the best target part for v and its objective value.
 	bestMove := func(v int, force bool) (int, float64) {
 		cur := part[v]
-		for i := range conn {
-			conn[i] = 0
+		for _, b := range adj {
+			conn[b], touched[b] = 0, false
 		}
+		adj = adj[:0]
 		g.Neighbors(v, func(u int, w int32) {
-			conn[part[u]] += int64(w)
+			b := part[u]
+			if !touched[b] {
+				touched[b] = true
+				adj = append(adj, b)
+			}
+			conn[b] += int64(w)
 		})
+		slices.Sort(adj)
+		parts := adj
+		if force {
+			parts = rebalanceCandidates(v, cur)
+		}
 		bestP, bestScore := -1, 0.0
-		for b := 0; b < k; b++ {
+		for _, b := range parts {
 			if b == cur {
 				continue
 			}
@@ -197,6 +265,7 @@ func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, o
 			if heavy == -1 {
 				break
 			}
+			slices.SortFunc(order, byWeight)
 			bestV, bestP, bestScore := -1, -1, 0.0
 			for v := 0; v < n; v++ {
 				if part[v] != heavy {
