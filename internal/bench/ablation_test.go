@@ -64,7 +64,7 @@ func ablatePrema[T any](b *testing.B, figure int, mode ilb.Mode, settings []T, n
 func BenchmarkAblationPollInterval(b *testing.B) {
 	ablatePrema(b, 4, ilb.Implicit,
 		[]sim.Time{1 * sim.Millisecond, 10 * sim.Millisecond, 100 * sim.Millisecond, sim.Second},
-		sim.Time.String, func(cfg *PremaConfig, interval sim.Time) { cfg.PollInterval = interval })
+		sim.Time.String, func(cfg *PremaConfig, interval sim.Time) { cfg.LB.PollInterval = interval })
 }
 
 // BenchmarkAblationPollEvery sweeps how often the application posts polls
@@ -72,7 +72,7 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 func BenchmarkAblationPollEvery(b *testing.B) {
 	ablatePrema(b, 4, ilb.Explicit, []int{1, 4, 8, 32},
 		func(every int) string { return fmt.Sprintf("every%d", every) },
-		func(cfg *PremaConfig, every int) { cfg.PollEvery = every })
+		func(cfg *PremaConfig, every int) { cfg.LB.PollEvery = every })
 }
 
 // BenchmarkAblationMaxObjects sweeps how many mobile objects migrate per
@@ -88,7 +88,7 @@ func BenchmarkAblationMaxObjects(b *testing.B) {
 func BenchmarkAblationWaterMark(b *testing.B) {
 	ablatePrema(b, 4, ilb.Explicit, []float64{3, 12, 50, 200},
 		func(wm float64) string { return fmt.Sprintf("wm%.0f", wm) },
-		func(cfg *PremaConfig, wm float64) { cfg.WaterMark = wm })
+		func(cfg *PremaConfig, wm float64) { cfg.LB.WaterMark = wm })
 }
 
 // BenchmarkAblationAutoWaterMark compares the fixed explicit-mode water-mark

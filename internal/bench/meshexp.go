@@ -153,8 +153,8 @@ func (mc *MeshCosts) meanWeight(cfg MeshExpConfig) float64 {
 // balance false is the no-balancing baseline.
 func meshPrema(balance bool, mean float64) PremaConfig {
 	pc := DefaultPremaConfig(ilb.Implicit, balance)
-	pc.WaterMark = mean
-	pc.PollEvery = 1
+	pc.LB.WaterMark = mean
+	pc.LB.PollEvery = 1
 	return pc
 }
 

@@ -18,19 +18,12 @@ type PremaConfig struct {
 	// name labels the result and errors with the system-table row the
 	// configuration came from; empty derives "none" or "prema-<mode>".
 	name string
-	// Mode selects explicit or implicit (preemptive) load balancing.
-	Mode ilb.Mode
+	// LB is every processor's load-balancer configuration: explicit or
+	// implicit (preemptive) mode, the water-mark, the polling thread period
+	// and how many units run between posted polls.
+	LB ilb.Config
 	// Balance false runs the "no load balancing" baseline (figures (a)).
 	Balance bool
-	// WaterMark is the hinted-seconds threshold for explicit-mode
-	// balancing initiation.
-	WaterMark float64
-	// PollInterval is the implicit-mode polling thread period.
-	PollInterval substrate.Time
-	// PollEvery is how many units the application executes between posted
-	// polls (see ilb.Config.PollEvery). The paper's benchmark executes
-	// coarse, well-tuned work units; 8 is the calibrated default.
-	PollEvery int
 	// WS tunes the work stealing policy.
 	WS policy.WSConfig
 	// Policy builds each processor's balancing policy when Balance is set;
@@ -40,16 +33,13 @@ type PremaConfig struct {
 	// The zero value keeps the classic fire-and-forget transport and the
 	// byte-identical paper-figure outputs.
 	Rel dmcs.RelConfig
-	// Recover enables the crash-recovery subsystem (internal/recov):
-	// checkpointed objects, lease-based failure detection, directory repair,
-	// and orphan re-homing, so faulty crash plans are survivable. Requires
+	// Recovery, when not nil, enables the crash-recovery subsystem
+	// (internal/recov) under that configuration: checkpointed objects,
+	// lease-based failure detection, directory repair, and orphan
+	// re-homing, so faulty crash plans are survivable. Requires
 	// Rel.Enabled. A recovery-enabled run without a crash is byte-identical
 	// to one without recovery (checkpoint costs are charged, never timed).
-	Recover bool
-	// CheckpointInterval and LeaseTimeout override the recov defaults
-	// (zero = default: 1s checkpoints, 500ms leases, both virtual time).
-	CheckpointInterval substrate.Time
-	LeaseTimeout       substrate.Time
+	Recovery *recov.Config
 }
 
 // DefaultPremaConfig returns the configuration used for the paper figures.
@@ -58,28 +48,18 @@ func DefaultPremaConfig(mode ilb.Mode, balance bool) PremaConfig {
 	// Coarse-grained objects: a single mobile object migrates per steal
 	// (paper footnote 2).
 	ws.MaxObjects = 1
-	return PremaConfig{
-		Mode:         mode,
-		Balance:      balance,
-		WaterMark:    12,
-		PollInterval: 10 * substrate.Millisecond,
-		PollEvery:    8,
-		WS:           ws,
-	}
+	lb := ilb.DefaultConfig(mode)
+	lb.WaterMark = 12
+	// The paper's benchmark executes coarse, well-tuned work units: 8 per
+	// posted poll is the calibrated default.
+	lb.PollEvery = 8
+	return PremaConfig{LB: lb, Balance: balance, WS: ws}
 }
 
 // options is one processor's runtime configuration under cfg, with store's
 // recovery (nil: none). Each call builds a fresh policy.
 func (cfg PremaConfig) options(w Workload, store *recov.Store) core.Options {
-	lbCfg := ilb.DefaultConfig(cfg.Mode)
-	lbCfg.WaterMark = cfg.WaterMark
-	if cfg.PollInterval > 0 {
-		lbCfg.PollInterval = cfg.PollInterval
-	}
-	if cfg.PollEvery > 0 {
-		lbCfg.PollEvery = cfg.PollEvery
-	}
-	opts := core.Options{LB: lbCfg, Mol: mol.DefaultConfig(), Rel: cfg.Rel, Recovery: store}
+	opts := core.Options{LB: cfg.LB, Mol: mol.DefaultConfig(), Rel: cfg.Rel, Recovery: store}
 	if cfg.Balance {
 		if cfg.Policy != nil {
 			opts.Policy = cfg.Policy(w)
@@ -106,16 +86,13 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 	switch {
 	case name != "":
 	case cfg.Balance:
-		name = "prema-" + cfg.Mode.String()
+		name = "prema-" + cfg.LB.Mode.String()
 	default:
 		name = "none"
 	}
 	var store *recov.Store
-	if cfg.Recover {
-		store = recov.NewStore(recov.Config{
-			CheckpointInterval: cfg.CheckpointInterval,
-			LeaseTimeout:       cfg.LeaseTimeout,
-		})
+	if cfg.Recovery != nil {
+		store = recov.NewStore(*cfg.Recovery)
 	}
 	policies := make([]*policy.WorkStealing, w.Procs)
 	unitsRun := make([]int, w.Procs)

@@ -7,6 +7,7 @@ import (
 	"prema/internal/dist"
 	"prema/internal/dmcs"
 	"prema/internal/faulty"
+	"prema/internal/recov"
 	"prema/internal/rtm"
 	"prema/internal/sim"
 	"prema/internal/substrate"
@@ -82,7 +83,7 @@ func (s RunSpec) wallConfig(d *systemDef) rtm.Config {
 	if d.probe {
 		// The round-trip probe measures the raw transport: real time, no
 		// injected message costs.
-		rc = rtm.Config{TimeScale: 1}
+		rc = rtm.Config{TimeScale: 1, Network: &substrate.Network{}}
 	}
 	rc.Seed = s.W.Seed
 	if s.TimeScale > 0 {
@@ -103,7 +104,9 @@ func (s RunSpec) runOn(d *systemDef, st *stack) (res *Result, err error) {
 				cfg.Rel.RTO = s.RTO
 			}
 		}
-		cfg.Recover, cfg.CheckpointInterval, cfg.LeaseTimeout = s.Recover, s.CheckpointInterval, st.lease
+		if s.Recover {
+			cfg.Recovery = &recov.Config{CheckpointInterval: s.CheckpointInterval, LeaseTimeout: st.lease}
+		}
 		res, err = RunPremaOn(st.m, s.W, cfg)
 	case d.model != nil:
 		res, err = d.model(st.m, s.W)

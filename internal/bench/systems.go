@@ -58,7 +58,7 @@ func premaSystem(mode ilb.Mode, balance bool) func() PremaConfig {
 func policySystem(mk func(Workload) ilb.Policy) func() PremaConfig {
 	return func() PremaConfig {
 		cfg := DefaultPremaConfig(ilb.Implicit, true)
-		cfg.PollEvery = 1
+		cfg.LB.PollEvery = 1
 		cfg.Policy = mk
 		return cfg
 	}

@@ -49,9 +49,10 @@ type Machine struct {
 
 var _ substrate.Machine = (*Machine)(nil)
 
-// NewMachine builds this node's Machine from its roster. The cost model in
-// cfg applies between hosted ranks; remote messages pay the real network
-// instead (SendCPU and RecvCPU are charged on every message either way).
+// NewMachine builds this node's Machine from its roster. cfg.Network's cost
+// model (nil: substrate.DefaultNetwork) applies between hosted ranks; remote
+// messages pay the real network instead (its SendCPU and RecvCPU are charged
+// on every message either way).
 func (n *Node) NewMachine(cfg rtm.Config) *Machine {
 	m := &Machine{node: n, outs: make([]chan []byte, n.nodes)}
 	n.m = m

@@ -305,7 +305,7 @@ func (l *sendLog) Send(m *substrate.Msg, cat substrate.Category) {
 // the deadline after tick has read it. The wait that follows must retransmit
 // at once instead of blocking for its whole second.
 func TestExpiredDeadlineRetransmitsAtOnce(t *testing.T) {
-	net := sim.DefaultNetwork()
+	net := substrate.DefaultNetwork()
 	rto := DefaultRelConfig().RTO
 	m := sim.NewMachine(sim.Config{Seed: 1})
 	log := &sendLog{}

@@ -6,16 +6,33 @@ import (
 	"time"
 
 	"prema/internal/rtm"
-	"prema/internal/sim"
 	"prema/internal/substrate"
 )
 
-// TestDefaultConfigMirrorsSimNetwork: DefaultConfig claims the simulator's
-// Fast Ethernet model; the two cost tables are written twice, so pin them.
-func TestDefaultConfigMirrorsSimNetwork(t *testing.T) {
-	c, n := rtm.DefaultConfig(), sim.DefaultNetwork()
-	if c.Latency != n.Latency || c.PerByte != n.PerByte || c.SendCPU != n.SendCPU || c.RecvCPU != n.RecvCPU {
-		t.Errorf("rtm.DefaultConfig() = %+v, sim.DefaultNetwork() = %+v", c, n)
+// TestNilNetworkIsDefault: a config with no network runs the paper's Fast
+// Ethernet (substrate.DefaultNetwork), as the simulator does, and
+// &substrate.Network{} is free: a zero-byte message flies at least Latency
+// past its send CPU on the one and charges no send CPU on the other.
+func TestNilNetworkIsDefault(t *testing.T) {
+	def := substrate.DefaultNetwork()
+	for _, net := range []*substrate.Network{nil, {}} {
+		m := rtm.New(rtm.Config{TimeScale: 1e-3, Network: net})
+		var flight substrate.Time
+		m.Spawn("rx", func(ep substrate.Endpoint) {
+			msg := ep.Recv(substrate.CatIdle)
+			flight = msg.ArrivedAt - msg.SentAt
+		})
+		m.Spawn("tx", func(ep substrate.Endpoint) { ep.Send(&substrate.Msg{Dst: 0}, substrate.CatMessaging) })
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		charged := m.Account(1)[substrate.CatMessaging]
+		if net == nil && (flight < def.SendCPU+def.Latency || charged < def.SendCPU) {
+			t.Errorf("nil network: flight %v, send CPU %v; want at least %v and %v", flight, charged, def.SendCPU+def.Latency, def.SendCPU)
+		}
+		if net != nil && charged != 0 {
+			t.Errorf("free network charged %v of send CPU", charged)
+		}
 	}
 }
 
@@ -63,7 +80,7 @@ func TestMachineFootprintIsLinear(t *testing.T) {
 // clock plus a microsecond a byte: long enough for a test to look at the
 // receiver while a message is in flight.
 func slowNet() *rtm.Machine {
-	return rtm.New(rtm.Config{TimeScale: 1, Latency: 50 * substrate.Millisecond, PerByte: substrate.Microsecond, Seed: 1})
+	return rtm.New(rtm.Config{TimeScale: 1, Network: &substrate.Network{Latency: 50 * substrate.Millisecond, PerByte: substrate.Microsecond}, Seed: 1})
 }
 
 // TestMessageInvisibleUntilArrival: the simulator's inbox semantics — a

@@ -33,10 +33,10 @@ type Endpoint struct {
 	// so a send to this rank is a dead letter rather than a block.
 	done chan struct{}
 
-	// lastArrival[dst] is the latest arrival time this endpoint has
-	// scheduled toward dst; it enforces per-(src,dst) FIFO under the
-	// injected latency model. Only the owning goroutine touches it.
-	lastArrival []substrate.Time
+	// fifo[dst] is this endpoint's substrate.Network.Arrival slot for dst:
+	// one past its last arrival there, which keeps per-(src,dst) FIFO under
+	// the injected latency model. Only the owning goroutine touches it.
+	fifo []substrate.Time
 
 	acct       substrate.Account
 	rng        *rand.Rand
@@ -170,7 +170,7 @@ func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, time
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	m.Src = e.id
 	m.SentAt = e.m.Now()
-	if o := e.m.cfg.SendCPU; o > 0 {
+	if o := e.m.cfg.Network.SendCPU; o > 0 {
 		e.Advance(o, cat)
 	}
 	mach := e.m
@@ -186,8 +186,7 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 		}
 		return
 	}
-	m.ArrivedAt = max(mach.Now()+mach.cfg.Latency+substrate.Time(m.Size)*mach.cfg.PerByte, e.lastArrival[m.Dst]+1)
-	e.lastArrival[m.Dst] = m.ArrivedAt
+	m.ArrivedAt = mach.cfg.Network.Arrival(mach.Now(), m.Size, &e.fifo[m.Dst])
 	dst := mach.eps[m.Dst]
 	select {
 	case dst.in <- m:
@@ -247,7 +246,7 @@ func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
 func (e *Endpoint) take(i int, cat substrate.Category) *substrate.Msg {
 	m := e.inbox[i]
 	e.inbox = slices.Delete(e.inbox, i, i+1)
-	if o := e.m.cfg.RecvCPU; o > 0 {
+	if o := e.m.cfg.Network.RecvCPU; o > 0 {
 		e.Advance(o, cat)
 	}
 	return m

@@ -53,14 +53,13 @@ type Config struct {
 	// microseconds when sleeping) lose fidelity — lower TimeScale trades
 	// accuracy for speed.
 	TimeScale float64
-	// Latency is the injected end-to-end latency for a zero-byte message,
-	// in virtual time (same semantics as sim.NetworkConfig.Latency).
-	Latency substrate.Time
-	// PerByte is the injected transmission time per payload byte.
-	PerByte substrate.Time
-	// SendCPU and RecvCPU are per-message CPU occupancies burned on the
-	// endpoints via Advance.
-	SendCPU, RecvCPU substrate.Time
+	// Network is the injected cost model, in virtual time: the arrival
+	// stamp each send gets, and the per-message CPU occupancies burned on
+	// the endpoints via Advance. nil runs the paper's Fast Ethernet
+	// (substrate.DefaultNetwork), as the simulator does; any other value is
+	// copied at construction and used as written, so &substrate.Network{}
+	// is free.
+	Network *substrate.Network
 	// Seed seeds the per-endpoint random sources (Seed+ID each).
 	Seed int64
 }
@@ -72,17 +71,9 @@ type Config struct {
 // in-flight burst.
 const ChanCap = 4096
 
-// DefaultConfig returns a configuration mirroring the simulator's Fast
-// Ethernet model at a 1e-3 time scale.
-func DefaultConfig() Config {
-	return Config{
-		TimeScale: 1e-3,
-		Latency:   60 * substrate.Microsecond,
-		PerByte:   80 * substrate.Nanosecond,
-		SendCPU:   15 * substrate.Microsecond,
-		RecvCPU:   15 * substrate.Microsecond,
-	}
-}
+// DefaultConfig returns the paper's Fast Ethernet network at a 1e-3 time
+// scale.
+func DefaultConfig() Config { return Config{TimeScale: 1e-3} }
 
 // Machine is a real-concurrency execution substrate. Create one with New
 // (or NewShare), add processors with Spawn, then call Run; Run returns once
@@ -117,6 +108,11 @@ func NewShare(cfg Config, lo, hi int, remote func(*substrate.Msg) bool) *Machine
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = DefaultConfig().TimeScale
 	}
+	net := substrate.DefaultNetwork()
+	if cfg.Network != nil {
+		net = *cfg.Network
+	}
+	cfg.Network = &net
 	return &Machine{cfg: cfg, lo: lo, hi: hi, remote: remote, stop: make(chan struct{})}
 }
 
@@ -229,7 +225,7 @@ func (m *Machine) Run() error {
 
 	var wg sync.WaitGroup
 	for _, e := range hosted {
-		e.lastArrival = make([]substrate.Time, len(m.eps))
+		e.fifo = make([]substrate.Time, len(m.eps))
 		wg.Add(1)
 		go func(e *Endpoint) {
 			defer wg.Done()

@@ -89,8 +89,7 @@ func TestPerPairFIFOUnderLatency(t *testing.T) {
 		const n = 300
 		m := newMachine(rtm.Config{
 			TimeScale: 1e-6, // scheduled arrivals are all in the past: worst case for reordering
-			Latency:   50 * substrate.Microsecond,
-			PerByte:   10 * substrate.Nanosecond,
+			Network:   &substrate.Network{Latency: 50 * substrate.Microsecond, PerByte: 10 * substrate.Nanosecond},
 			Seed:      1,
 		})
 		var got []int
@@ -121,7 +120,7 @@ func TestPerPairFIFOUnderLatency(t *testing.T) {
 func TestPerSenderFIFODirectPath(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
 		const n = 200
-		m := newMachine(rtm.Config{TimeScale: 1e-3, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 		bySrc := map[int][]int{}
 		m.Spawn("recv", func(ep substrate.Endpoint) {
 			for total := 0; total < 2*n; total++ {
@@ -155,7 +154,7 @@ func TestPerSenderFIFODirectPath(t *testing.T) {
 // TestAdvanceChargesMeasuredTime: Advance must burn at least the requested
 // virtual duration and charge what the monotonic clock measured.
 func TestAdvanceChargesMeasuredTime(t *testing.T) {
-	m := rtm.New(rtm.Config{TimeScale: 1e-3, Seed: 1})
+	m := rtm.New(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 	m.Spawn("p", func(ep substrate.Endpoint) {
 		ep.Advance(20*substrate.Millisecond, substrate.CatCompute)
 		ep.Advance(-substrate.Second, substrate.CatCompute) // non-positive: no-op
@@ -173,7 +172,7 @@ func TestAdvanceChargesMeasuredTime(t *testing.T) {
 
 func TestWaitMsgForTimesOut(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
-		m := newMachine(rtm.Config{TimeScale: 1e-3, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 		m.Spawn("lonely", func(ep substrate.Endpoint) {
 			t0 := ep.Now()
 			if ep.WaitMsgFor(10*substrate.Millisecond, substrate.CatIdle) {
@@ -197,7 +196,7 @@ func TestWaitMsgForTimesOut(t *testing.T) {
 
 func TestTryRecvTagFiltering(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
-		m := newMachine(rtm.Config{TimeScale: 1e-3, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 		m.Spawn("recv", func(ep substrate.Endpoint) {
 			for ep.InboxLen() < 3 {
 				ep.WaitMsgFor(substrate.Millisecond, substrate.CatIdle)
@@ -227,7 +226,7 @@ func TestTryRecvTagFiltering(t *testing.T) {
 // error and release processors blocked in substrate calls.
 func TestPanicTearsDownMachine(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
-		m := newMachine(rtm.Config{TimeScale: 1e-3, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 		m.Spawn("waiter", func(ep substrate.Endpoint) {
 			ep.WaitMsg(substrate.CatIdle) // would block forever
 		})
@@ -246,7 +245,7 @@ func TestPanicTearsDownMachine(t *testing.T) {
 // mid-Advance without reporting an error.
 func TestStopKillsBlockedProcessors(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
-		m := newMachine(rtm.Config{TimeScale: 1, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1, Network: &substrate.Network{}, Seed: 1})
 		m.Spawn("sleeper", func(ep substrate.Endpoint) {
 			ep.Advance(3600*substrate.Second, substrate.CatCompute) // an hour of wall-clock unless killed
 		})
@@ -264,7 +263,7 @@ func TestStopKillsBlockedProcessors(t *testing.T) {
 // the other share's Inject — must die when the machine stops, not hang it.
 func TestStopReleasesSenderBlockedOnFullLink(t *testing.T) {
 	onBothShapes(t, func(t *testing.T, newMachine func(rtm.Config) machine) {
-		m := newMachine(rtm.Config{TimeScale: 1, Seed: 1})
+		m := newMachine(rtm.Config{TimeScale: 1, Network: &substrate.Network{}, Seed: 1})
 		var sent atomic.Int64
 		m.Spawn("deaf", func(ep substrate.Endpoint) {
 			ep.Advance(3600*substrate.Second, substrate.CatCompute) // never receives
@@ -292,7 +291,7 @@ func TestStopReleasesSenderBlockedOnFullLink(t *testing.T) {
 // false, and to a sender on a share that is still running that is a dead
 // letter, not its own death.
 func TestInjectAfterStop(t *testing.T) {
-	j := joinShares(rtm.Config{TimeScale: 1e-3, Seed: 1})
+	j := joinShares(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 1})
 	finished := make(chan struct{})
 	j.Spawn("early", func(ep substrate.Endpoint) {})
 	j.Spawn("late", func(ep substrate.Endpoint) {
@@ -316,7 +315,7 @@ func TestInjectAfterStop(t *testing.T) {
 }
 
 func TestEndpointIdentity(t *testing.T) {
-	m := rtm.New(rtm.Config{TimeScale: 1e-3, Seed: 42})
+	m := rtm.New(rtm.Config{TimeScale: 1e-3, Network: &substrate.Network{}, Seed: 42})
 	m.Spawn("a", func(ep substrate.Endpoint) {
 		if ep.ID() != 0 || ep.NumPeers() != 2 {
 			t.Errorf("identity: id=%d peers=%d", ep.ID(), ep.NumPeers())

@@ -3,6 +3,8 @@ package sim
 import (
 	"runtime"
 	"testing"
+
+	"prema/internal/substrate"
 )
 
 // TestProcEventZeroSteadyStateAllocs: the full hot path of a simulated
@@ -89,7 +91,7 @@ func TestInflightSteadyStateAllocs(t *testing.T) {
 		n       = 5000
 	)
 	var allocs uint64
-	e := NewEngine(Config{Seed: 1, Network: NetworkConfig{Latency: 60 * Microsecond, SendCPU: 15 * Microsecond}})
+	e := NewEngine(Config{Seed: 1, Network: &substrate.Network{Latency: 60 * Microsecond, SendCPU: 15 * Microsecond}})
 	e.Spawn("rx", func(p *Proc) {
 		for i := 0; i < senders*warm; i++ {
 			p.Recv(CatIdle)

@@ -45,12 +45,16 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
+
+	"prema/internal/substrate"
 )
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Network is the interconnect cost model.
-	Network NetworkConfig
+	// Network is the interconnect cost model. nil runs the paper's Fast
+	// Ethernet (substrate.DefaultNetwork); any other value is copied at
+	// NewEngine and used as written, so &substrate.Network{} is free.
+	Network *substrate.Network
 	// Seed seeds the per-processor deterministic RNG streams (Proc.Rand
 	// draws from seed+ID).
 	Seed int64
@@ -59,7 +63,8 @@ type Config struct {
 	// per-window barrier overhead for parallelism, and which side wins is
 	// what the benchmark's sim.s2_speedup row measures (below 1 on two
 	// cores). Sharding requires a positive Network.Latency for lookahead;
-	// with a zero-latency network the engine silently runs serial.
+	// on a network with Latency 0, &substrate.Network{} included, the
+	// engine silently runs serial.
 	Shards int
 	// Partition maps a processor ID to the shard that owns it (0 <=
 	// result < shards). nil selects the round-robin default (id % shards).
@@ -114,20 +119,22 @@ const maxTime = Time(math.MaxInt64)
 
 // NewEngine returns an engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
-	if cfg.Network == (NetworkConfig{}) {
-		cfg.Network = DefaultNetwork()
+	net := substrate.DefaultNetwork()
+	if cfg.Network != nil {
+		net = *cfg.Network
 	}
+	cfg.Network = &net
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.Network.MinLatency() <= 0 {
+	if net.Latency <= 0 {
 		// No positive lookahead: conservative windows would have zero
 		// width. Run serial; output is identical either way.
 		cfg.Shards = 1
 	}
 	e := &Engine{
 		cfg:  cfg,
-		look: cfg.Network.MinLatency(),
+		look: net.Latency,
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"prema/internal/substrate"
 )
 
 func testConfig() Config {
-	return Config{Network: DefaultNetwork(), Seed: 1}
+	net := substrate.DefaultNetwork()
+	return Config{Network: &net, Seed: 1}
 }
 
 func TestAdvanceMovesVirtualTime(t *testing.T) {
@@ -69,7 +72,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestSendRecvLatencyAndOverheads(t *testing.T) {
 	cfg := testConfig()
-	cfg.Network = NetworkConfig{
+	cfg.Network = &substrate.Network{
 		Latency: 100 * Microsecond,
 		PerByte: 10 * Nanosecond,
 		SendCPU: 5 * Microsecond,

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"prema/internal/substrate"
 )
 
 // tryPop pops the earliest entry; ok is false if the heap is empty.
@@ -391,7 +393,7 @@ func TestNetworkFIFOProperty(t *testing.T) {
 		e := NewEngine(Config{})
 		src := e.Spawn("src", func(*Proc) {})
 		e.Spawn("dst", func(*Proc) {})
-		net := DefaultNetwork()
+		net := substrate.DefaultNetwork()
 		last := Time(-1)
 		for _, s := range sizes {
 			at := src.arrival(1, int(s))
@@ -412,7 +414,7 @@ func TestNetworkFIFOProperty(t *testing.T) {
 // sent at time 0 arrive at 0 and 1. The sender's "nothing sent yet" state
 // must not read as an arrival at 0, nor a real arrival at 0 as nothing.
 func TestFIFOFirstArrivalAtZero(t *testing.T) {
-	e := NewEngine(Config{Network: NetworkConfig{RecvCPU: 1}})
+	e := NewEngine(Config{Network: &substrate.Network{}})
 	var got []Time
 	e.Spawn("rx", func(p *Proc) {
 		for len(got) < 3 {

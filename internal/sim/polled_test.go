@@ -27,8 +27,8 @@ const (
 	pL = 100 * Microsecond
 )
 
-func polledNet() NetworkConfig {
-	return NetworkConfig{Latency: pL, RecvCPU: 7 * Microsecond}
+func polledNet() *substrate.Network {
+	return &substrate.Network{Latency: pL, RecvCPU: 7 * Microsecond}
 }
 
 // arrival is one message the sender makes land in the victim's inbox at

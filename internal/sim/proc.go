@@ -49,7 +49,7 @@ type Proc struct {
 	poll   polledPark
 
 	sendSeq  uint64     // per-processor message send counter (ordering band 1)
-	fifo     []Time     // per-destination FIFO floor of this sender's arrivals (network.go)
+	fifo     []Time     // per-destination substrate.Network.Arrival slots of this sender
 	inflight arrivals   // when the deliveries to this processor in its shard's heap land
 	rng      *rand.Rand // lazily built deterministic per-processor stream
 
@@ -150,6 +150,20 @@ func (p *Proc) Send(m *Msg, cat Category) {
 	}
 	p.sendSeq++
 	p.sh.post(m, p.arrival(m.Dst, m.Size), p.sendSeq)
+}
+
+// arrival computes when a message of the given size that p sends now
+// arrives at dst, by the network's FIFO rule. The sender owns the slots, so
+// they are the same under any partition and need no lock; the rule only
+// ever moves arrivals later, which keeps Latency a valid lower bound on time
+// in flight — the property the sharded engine's windows and run-ahead rely
+// on.
+func (p *Proc) arrival(dst, size int) Time {
+	if dst >= len(p.fifo) {
+		n := max(dst+1, len(p.sh.eng.procs))
+		p.fifo = append(p.fifo, make([]Time, n-len(p.fifo))...)
+	}
+	return p.sh.net.Arrival(p.now, size, &p.fifo[dst])
 }
 
 // InboxLen returns the number of queued, undelivered-to-application messages.

@@ -275,7 +275,7 @@ func TestProcIdentity(t *testing.T) {
 }
 
 func TestNetworkDefaultsApplied(t *testing.T) {
-	e := NewEngine(Config{}) // zero network -> defaults
+	e := NewEngine(Config{}) // nil network -> defaults
 	var arrive Time
 	e.Spawn("r", func(p *Proc) {
 		m := p.Recv(CatIdle)
@@ -287,7 +287,7 @@ func TestNetworkDefaultsApplied(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := DefaultNetwork().SendCPU + DefaultNetwork().Latency
+	want := substrate.DefaultNetwork().SendCPU + substrate.DefaultNetwork().Latency
 	if arrive != want {
 		t.Fatalf("arrival %v, want %v", arrive, want)
 	}

@@ -1,5 +1,7 @@
 package sim
 
+import "prema/internal/substrate"
+
 // shard owns one partition of the simulated processors: their event heap,
 // event free list, local virtual clock and outgoing cross-shard mailboxes.
 // Processors are assigned by Config.Partition (round-robin when nil;
@@ -26,7 +28,7 @@ type shard struct {
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
 
-	net NetworkConfig
+	net substrate.Network
 
 	// out[d] buffers deliveries destined for shard d's processors during
 	// the current window; the coordinator moves them into d's heap at the
@@ -56,7 +58,7 @@ func newShard(e *Engine, id, nShards int) *shard {
 		eng:  e,
 		id:   id,
 		heap: eventHeap{e: make([]heapEntry, 0, 1024)},
-		net:  e.cfg.Network,
+		net:  *e.cfg.Network,
 		out:  make([][]mailEntry, nShards),
 	}
 	return s

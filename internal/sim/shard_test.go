@@ -110,10 +110,7 @@ func TestShardClampAndAccessors(t *testing.T) {
 	if got := len(NewEngine(Config{Shards: 4}).shards); got != 4 {
 		t.Errorf("Shards:4 gives %d", got)
 	}
-	cfg := DefaultNetwork()
-	cfg.Latency = 0
-	cfg.PerByte = 1 // keep the config non-zero so it is not defaulted
-	if got := len(NewEngine(Config{Network: cfg, Shards: 4}).shards); got != 1 {
+	if got := len(NewEngine(Config{Network: &substrate.Network{}, Shards: 4}).shards); got != 1 {
 		t.Errorf("zero-latency network should force serial, got %d shards", got)
 	}
 }

@@ -20,7 +20,11 @@ import (
 // another that a body can see moves a trail. The pinned hash holds no event
 // counts: it was re-taken without them on the last engine that fired
 // superseded events, which still matched the hash, counts included, that
-// was recorded before processors could run ahead of the event loop.
+// was recorded before processors could run ahead of the event loop. It was
+// re-taken once more when an all-zero network stopped meaning the default:
+// 13 of the 34 no-lookahead programs (seeds 14, 49, 70, …, 238) had drawn
+// one and run on 60 µs links; the old hash still held with those 13 given
+// the default explicitly.
 
 // trailOp names one operation in a trail.
 const (
@@ -35,9 +39,9 @@ const (
 )
 
 // trailProgram draws program seed's network and processor count.
-func trailProgram(seed int64) (NetworkConfig, int) {
+func trailProgram(seed int64) (substrate.Network, int) {
 	r := rand.New(rand.NewSource(seed))
-	net := NetworkConfig{
+	net := substrate.Network{
 		Latency: Time(1+r.Intn(100)) * Microsecond,
 		PerByte: Time(r.Intn(100)),
 		SendCPU: Time(r.Intn(20)) * Microsecond,
@@ -46,14 +50,14 @@ func trailProgram(seed int64) (NetworkConfig, int) {
 	if seed%7 == 0 {
 		// No lookahead at all: the engine runs serial and nothing may run
 		// ahead; size-0 messages then arrive the instant they are sent.
-		net = NetworkConfig{RecvCPU: Time(r.Intn(3)) * Microsecond}
+		net = substrate.Network{RecvCPU: Time(r.Intn(3)) * Microsecond}
 	}
 	return net, 2 + r.Intn(15)
 }
 
 // trailBody runs processor p's part of a trail program, appending what it
 // observes to h.
-func trailBody(p *Proc, net NetworkConfig, h hash.Hash64) {
+func trailBody(p *Proc, net substrate.Network, h hash.Hash64) {
 	r := p.Rand()
 	lat := net.Latency
 	if lat == 0 {
@@ -143,7 +147,7 @@ func trailBody(p *Proc, net NetworkConfig, h hash.Hash64) {
 func runTrailProgram(t *testing.T, seed int64, cfg Config) (*Engine, uint64) {
 	t.Helper()
 	net, procs := trailProgram(seed)
-	cfg.Network, cfg.Seed = net, seed
+	cfg.Network, cfg.Seed = &net, seed
 	e := NewEngine(cfg)
 	trails := make([]hash.Hash64, procs)
 	for i := range trails {
@@ -173,15 +177,15 @@ func runTrailProgram(t *testing.T, seed int64, cfg Config) (*Engine, uint64) {
 const trailPrograms = 240
 
 // TestRunAheadTrailsPinned: every processor of 240 random programs sees the
-// same trail and ledger, and every program ends at the same makespan, as
-// before processors ran ahead, on the serial engine and on two and three
-// shards. The programs fire 181,879 events in all: the 184,699 they fired
-// while superseded events stayed in the heap, less the 2,820 of those that
-// fired dead or were re-armed.
+// same trail and ledger, and every program ends at the same makespan, on the
+// serial engine and on two and three shards. The programs fire 178,820
+// events in all: 181,879 while 13 no-lookahead programs ran on the default
+// network instead (the 184,699 fired while superseded events stayed in the
+// heap, less the 2,820 of those that fired dead or were re-armed).
 func TestRunAheadTrailsPinned(t *testing.T) {
 	const (
-		want   = 0xd68eb882586ab344 // trails, ledgers and makespans
-		events = 181879
+		want   = 0x178d35e3d8c1d759 // trails, ledgers and makespans
+		events = 178820
 	)
 	for _, shards := range []int{1, 2, 3} {
 		all := fnv.New64a()

@@ -222,12 +222,3 @@ func TestBarrierRoundsPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestMinLatency: the conservative lookahead of the flat network is its
-// link latency.
-func TestMinLatency(t *testing.T) {
-	net := DefaultNetwork()
-	if net.MinLatency() != net.Latency {
-		t.Errorf("MinLatency = %v, want %v", net.MinLatency(), net.Latency)
-	}
-}
