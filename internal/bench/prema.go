@@ -100,6 +100,7 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 	resident := make([]int, w.Procs)
 	rels := make([]dmcs.RelStats, w.Procs)
 	mols := make([]mol.Stats, w.Procs)
+	pc := &cfg // every body reads one copy instead of capturing its own
 	// body builds one processor incarnation. rejoin=true is the post-crash
 	// re-spawn: the same runtime stack and handler registration order (SPMD
 	// discipline), but no initial subdomains — the crashed incarnation's
@@ -107,7 +108,7 @@ func runPrema(m substrate.Machine, w Workload, app application, cfg PremaConfig)
 	// peers resume sequenced delivery to the fresh transport streams.
 	body := func(rejoin bool) func(substrate.Endpoint) {
 		return func(ep substrate.Endpoint) {
-			opts := cfg.options(w, store)
+			opts := pc.options(w, store)
 			policies[ep.ID()], _ = opts.Policy.(*policy.WorkStealing)
 			r := core.NewRuntime(ep, opts)
 

@@ -156,9 +156,9 @@ type held struct {
 // every decision on the endpoint's own execution context, so injection is
 // deterministic on the simulator and race-free on the goroutine machine.
 //
-// The inner endpoint is embedded as the interface, which hides its optional
-// substrate.PolledAdvancer: a polled computation steps through Advance, so
-// every poll passes check().
+// A polled computation elides only the polls at which the injector has
+// nothing to do (AdvancePolled); every other poll steps through Advance and
+// passes check().
 type Endpoint struct {
 	// Endpoint is the inner endpoint, set when the processor's body starts.
 	substrate.Endpoint
@@ -329,6 +329,39 @@ func (e *Endpoint) nextRelease() substrate.Time {
 func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	e.check()
 	e.Endpoint.Advance(d, cat)
+}
+
+// AdvancePolled implements substrate.Endpoint. The stretch it forwards ends
+// before any poll at which this layer would act, so every check() and
+// pump() happens at the instant it happens in a stepped run:
+//   - the inner advance wakes for an arrival of any tag (AnyTag), because
+//     the poll's receive pumps every message and draws its faults then;
+//   - it wakes one poll period before the next stall or the crash, so the
+//     slice and poll in which either fires are stepped through Advance;
+//   - it wakes at the release of a held message the poll would take.
+//
+// When the earliest of these is not in the future it declines, and the
+// caller steps. Nothing is pumped or checked here: a pump would move receive
+// CPU off the poll that pays it, and a stall fired here would land in the
+// span a tracer above has already begun instead of in the slice's.
+func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (substrate.Time, int) {
+	period, wake := ps.Interval+ps.Cost, ps.WakeBy
+	if len(e.stalls) > 0 {
+		wake = min(wake, e.stalls[0].At-period)
+	}
+	if e.crashAt >= 0 && !e.crashed {
+		wake = min(wake, e.crashAt-period)
+	}
+	for _, h := range e.queue {
+		if ps.Matches(h.m) {
+			wake = min(wake, h.release)
+		}
+	}
+	ps.AnyTag, ps.WakeBy = true, wake
+	if !ps.Elides(d, e.Now()) {
+		return 0, 0
+	}
+	return e.Endpoint.AdvancePolled(d, ps)
 }
 
 // Send implements substrate.Endpoint. Faults are charged to the receiving

@@ -343,8 +343,9 @@ func (s *Scheduler) checkLoad() {
 //
 // The quiet polls in between — nothing queued, no retransmission due — do
 // nothing but cost pollCost, so the substrate is told the whole stretch at
-// once (substrate.AdvancePolled) and comes back at the first poll that has
-// work; a substrate that cannot look ahead comes back after every poll.
+// once (Endpoint.AdvancePolled) and comes back at the first poll that has
+// work; when it declines, one slice and one poll are stepped through the
+// top of the stack.
 func (s *Scheduler) Compute(d substrate.Time) {
 	// A long unit must not expire our own lease: pre-extend it to cover the
 	// whole computation before burning the time.
@@ -368,7 +369,10 @@ func (s *Scheduler) Compute(d substrate.Time) {
 		if s.rp == nil {
 			ps.WakeBy = s.c.NextDeadline(substrate.TagSystem)
 		}
-		done, polls := substrate.AdvancePolled(s.p, d, ps)
+		done, polls := s.p.AdvancePolled(d, ps)
+		if done == 0 {
+			done, polls = substrate.StepPolled(s.p, d, ps)
+		}
 		d -= done
 		s.Stats.PollWakes += polls
 		if d > 0 {

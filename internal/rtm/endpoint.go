@@ -77,19 +77,18 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	e.acct[cat] += e.m.Now() - t0
 }
 
-var _ substrate.PolledAdvancer = (*Endpoint)(nil)
-
-// AdvancePolled implements substrate.PolledAdvancer: a quiet stretch of a
+// AdvancePolled implements substrate.Endpoint: a quiet stretch of a
 // polled computation is one wait, not a slice-and-poll step every Interval.
 // It waits until the end of the advance, or until the first poll boundary at
 // or after ps.WakeBy or the arrival of the earliest queued message that
 // matches ps, re-aiming whenever the feed delivers. The skipped polls are
 // charged at their nominal Cost; the rest of the measured time, scheduler
-// overshoot included, is compute.
+// overshoot included, is compute. It declines when there is nothing to skip
+// or it is told to step.
 func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (done substrate.Time, polls int) {
 	t0 := e.m.Now()
 	if !ps.Elides(d, t0) {
-		return substrate.StepPolled(e, d, ps)
+		return 0, 0
 	}
 	g := substrate.NewPollGrid(t0, d, ps)
 	target := g.Due(substrate.Never)

@@ -56,13 +56,9 @@ type polled struct {
 }
 
 func advancePolled(ep substrate.Endpoint, ps substrate.PollSpec) polled {
-	pa, ok := ep.(substrate.PolledAdvancer)
-	if !ok {
-		panic("rtm endpoint does not offer AdvancePolled")
-	}
 	var r polled
 	r.t0 = ep.Now()
-	r.done, r.polls = pa.AdvancePolled(unit, ps)
+	r.done, r.polls = ep.AdvancePolled(unit, ps)
 	r.t1 = ep.Now()
 	return r
 }
@@ -200,7 +196,7 @@ func TestAdvancePolledFail(t *testing.T) {
 		returned := false
 		m.Spawn("computer", func(ep substrate.Endpoint) {
 			// An hour of virtual compute: 36 s of wall clock unless killed.
-			ep.(substrate.PolledAdvancer).AdvancePolled(3600*substrate.Second, pollSpec)
+			ep.AdvancePolled(3600*substrate.Second, pollSpec)
 			returned = true
 		})
 		m.Spawn("stopper", func(ep substrate.Endpoint) {

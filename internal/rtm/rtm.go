@@ -5,7 +5,7 @@
 // stamps each message's arrival time and the receiver releases it then —
 // Compute burns scaled wall-clock (sleeping, then spinning the last stretch),
 // and time accounting uses the host's monotonic clock. A polled computation
-// (substrate.AdvancePolled) is one such wait per quiet stretch, up to the
+// (Endpoint.AdvancePolled) is one such wait per quiet stretch, up to the
 // first poll that would find a message or a deadline, not one per poll
 // interval; its skipped polls are charged at their nominal cost.
 //

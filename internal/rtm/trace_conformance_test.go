@@ -214,9 +214,9 @@ func TestCrossBackendTraceConformance(t *testing.T) {
 // Thread spans are its poll wake-ups times the poll cost, and its Compute
 // and Polling Thread spans together cover what its ledger charged — the
 // spans bracket the endpoint's own measurements, so they may only exceed it,
-// and by little. Both stackings the CLIs build are checked: trace over rtm,
-// and trace over wire over rtm, which offers AdvancePolled because rtm does.
-// faulty over rtm hides it, so a faulted run steps.
+// and by little. Every stacking the CLIs build is checked, and each elides:
+// trace over rtm, over wire over rtm, and over faulty over rtm with delayed
+// and reordered links.
 func TestTracedRTMSpansMatchLedger(t *testing.T) {
 	const procs, objects, msgsPer = 4, 8, 3
 	const work = 55 * substrate.Millisecond    // five polls a unit
@@ -224,19 +224,9 @@ func TestTracedRTMSpansMatchLedger(t *testing.T) {
 	cfg := rtm.DefaultConfig()
 	cfg.TimeScale = 1e-2
 	cfg.Seed = 11
-
-	offers := func(m substrate.Machine) (ok bool) {
-		m.Spawn("p", func(ep substrate.Endpoint) { _, ok = ep.(substrate.PolledAdvancer) })
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	}
-	if !offers(rtm.New(cfg)) || !offers(wire.Wrap(rtm.New(cfg))) {
-		t.Error("rtm, or wire over rtm, does not offer AdvancePolled")
-	}
-	if offers(faulty.Wrap(rtm.New(cfg), faulty.Plan{}, 1)) {
-		t.Error("faulty over rtm offers AdvancePolled")
+	plan, err := faulty.ParsePlan("delay=0.1:2ms,reorder=0.1")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, c := range []struct {
@@ -245,8 +235,19 @@ func TestTracedRTMSpansMatchLedger(t *testing.T) {
 	}{
 		{"trace/rtm", func(m substrate.Machine) substrate.Machine { return m }},
 		{"trace/wire/rtm", func(m substrate.Machine) substrate.Machine { return wire.Wrap(m) }},
+		{"trace/faulty/rtm", func(m substrate.Machine) substrate.Machine { return faulty.Wrap(m, plan, 3) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			elides := c.wrap(rtm.New(cfg))
+			elides.Spawn("p", func(ep substrate.Endpoint) {
+				ps := substrate.PollSpec{Interval: 10 * substrate.Millisecond, Cost: pollCost, WakeBy: substrate.Never}
+				if done, polls := ep.AdvancePolled(work, ps); done != work || polls != 5 {
+					t.Errorf("a quiet unit advanced (%v, %d), want (%v, 5) in one call", done, polls, work)
+				}
+			})
+			if err := elides.Run(); err != nil {
+				t.Fatal(err)
+			}
 			m := c.wrap(rtm.New(cfg))
 			sums, col := runTracedConformance(t, m, ilb.Implicit, work, procs, objects, msgsPer)
 			units := 0

@@ -2,7 +2,7 @@ package sim
 
 import "prema/internal/substrate"
 
-// This file is the simulator's exact poll elision (substrate.PolledAdvancer):
+// This file is the simulator's exact poll elision (Endpoint.AdvancePolled):
 // a processor computing under a polling thread parks once per quiet stretch,
 // on one wake, instead of firing a compute wake and a poll wake every
 // PollSpec.Interval. The wake is moved to an earlier poll boundary only when
@@ -20,17 +20,16 @@ type polledPark struct {
 	target Time
 }
 
-var _ substrate.PolledAdvancer = (*Proc)(nil)
-
-// AdvancePolled implements substrate.PolledAdvancer. The processor parks on
+// AdvancePolled implements substrate.Endpoint. The processor parks on
 // one wake at its target: the end of the advance, or the first poll boundary
 // c_j at which a matching message is queued or ps.WakeBy has passed.
 // Deliveries that land while it is parked move the wake forward
 // (pollArrival); it fires once, and an interrupted advance leaves nothing
-// behind in the heap.
+// behind in the heap. It declines when there is nothing to skip or it is
+// told to step.
 func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls int) {
 	if !ps.Elides(d, p.now) {
-		return substrate.StepPolled(p, d, ps) // nothing to skip, or told to step
+		return 0, 0
 	}
 	pk := &p.poll
 	pk.PollGrid = substrate.NewPollGrid(p.now, d, ps)

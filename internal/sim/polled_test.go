@@ -78,7 +78,7 @@ func victimLoop(p substrate.Endpoint, d Time, ps substrate.PollSpec, stepped boo
 		if stepped {
 			done, polls = substrate.StepPolled(p, d, ps)
 		} else {
-			done, polls = substrate.AdvancePolled(p, d, ps)
+			done, polls = advancePolled(p, d, ps)
 		}
 		if o.calls == 0 {
 			o.first = [2]int64{int64(done), int64(polls)}
@@ -103,6 +103,15 @@ func victimLoop(p substrate.Endpoint, d Time, ps substrate.PollSpec, stepped boo
 			o.Trail = append(o.Trail, trailPoint{p.Now(), o.Polls, total, m.Kind})
 		}
 	}
+}
+
+// advancePolled is ilb.Scheduler.Compute's call: one polled advance, or one
+// stepped slice when the endpoint declines.
+func advancePolled(p substrate.Endpoint, d Time, ps substrate.PollSpec) (Time, int) {
+	if done, polls := p.AdvancePolled(d, ps); done != 0 {
+		return done, polls
+	}
+	return substrate.StepPolled(p, d, ps)
 }
 
 func runPolledCase(t *testing.T, c polledCase, stepped bool) polledOutcome {
@@ -327,7 +336,7 @@ func TestAdvancePolledHeapBound(t *testing.T) {
 	victim = e.Spawn("victim", func(p *Proc) {
 		d := Time(storms+50) * pI
 		for d > 0 {
-			done, _ := p.AdvancePolled(d, spec)
+			done, _ := advancePolled(p, d, spec)
 			calls++
 			check()
 			d -= done
@@ -458,7 +467,7 @@ func TestAdvancePolledZeroAllocs(t *testing.T) {
 				// One call per stretch, as many as it takes to use up 4.5
 				// intervals (1 when nothing interrupts, 5 under the storm).
 				for d := 4*pI + pI/2; d > 0; {
-					done, _ := p.AdvancePolled(d, spec)
+					done, _ := advancePolled(p, d, spec)
 					d -= done
 					for d > 0 && p.TryRecvTag(TagSystem, CatMessaging) != nil {
 					}

@@ -298,7 +298,7 @@ func stealStorm(t *testing.T, cfg Config, probe func(*Proc)) (*Engine, uint64) {
 				for p.Now() < until {
 					left := Time(1+rng.Intn(8)) * Millisecond
 					for left > 0 {
-						done, _ := p.AdvancePolled(left, ps)
+						done, _ := advancePolled(p, left, ps)
 						probe(p)
 						left -= done
 						for m := p.TryRecvTag(TagSystem, CatPollThread); m != nil; m = p.TryRecvTag(TagSystem, CatPollThread) {

@@ -130,7 +130,7 @@ func trailBody(p *Proc, net substrate.Network, h hash.Hash64) {
 			var polls int
 			op := opPolled
 			if k < 18 {
-				done, polls = p.AdvancePolled(d, ps)
+				done, polls = advancePolled(p, d, ps)
 			} else {
 				op = opStepped
 				done, polls = substrate.StepPolled(p, d, ps)

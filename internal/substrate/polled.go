@@ -24,33 +24,36 @@ type PollSpec struct {
 	WakeBy Time
 }
 
-// PolledAdvancer is the optional endpoint method behind AdvancePolled:
-// "compute for d, interrupted every Interval by a poll, and come back at
-// the first poll that has something to do". Endpoint itself does not
-// declare it, so a decorator that embeds Endpoint hides it and the stack
-// above falls back to stepping.
+// The polled-advance contract. Endpoint.AdvancePolled(d, ps) means
+// "compute for d, interrupted every Interval by a poll, and come back at the
+// first poll that has something to do". An endpoint that cannot skip a poll
+// declines: it returns (0, 0) having done nothing, and the caller steps
+// through its own Advance (StepPolled), so every slice and poll crosses the
+// whole stack above the endpoint that declined.
 //
 // With K = ceil(d/Interval)-1 polls, poll j begins at
 // b_j = t0 + j*Interval + (j-1)*Cost and checks the inbox at c_j = b_j+Cost.
+// An advance that does not decline obeys:
 //
 //  1. Returning (done, polls) leaves the clock and the Account (CatCompute
 //     += done, CatPollThread += polls*Cost) exactly as polls iterations of
 //     StepPolled would: done = polls*Interval, or all of d with polls = K.
-//     d <= Interval is Advance(d, CatCompute). Every recorded span follows
-//     from the pair: trace.Endpoint replays the elided polls into the
-//     internal/trace stream from what the call returns.
+//     Every recorded span follows from the pair: trace.Endpoint replays the
+//     elided polls into the internal/trace stream from what the call
+//     returns.
 //  2. Returning early, after any poll, is always legal — the caller then
 //     performs the real poll, as it would after a step. Returning late is
 //     never legal: the call must come back no later than the first c_j at
 //     which a message matching ps is queued (queued at entry, or arrived at
 //     or before c_j) or c_j >= ps.WakeBy.
-type PolledAdvancer interface {
-	AdvancePolled(d Time, ps PollSpec) (done Time, polls int)
-}
+//
+// A decorator that embeds Endpoint and changes Advance or a receive must
+// define AdvancePolled itself, declining or narrowing the call; one that
+// changes neither lets the embedded method through.
 
 // Elides reports whether a polled advance of d entered at now has polls to
-// skip: more than one slice, and no WakeBy already due. Otherwise a
-// PolledAdvancer steps (StepPolled).
+// skip: more than one slice, and no WakeBy already due. Otherwise the
+// endpoint declines.
 func (ps PollSpec) Elides(d, now Time) bool {
 	return ps.Interval > 0 && d > ps.Interval && ps.WakeBy > now
 }
@@ -60,7 +63,7 @@ func (ps PollSpec) Elides(d, now Time) bool {
 func (ps PollSpec) Matches(m *Msg) bool { return ps.AnyTag || m.Tag == ps.Tag }
 
 // PollGrid is the arithmetic of the contract above for one advance, shared
-// by every PolledAdvancer: entered at T0 with D of compute, its poll j
+// by every endpoint that elides: entered at T0 with D of compute, its poll j
 // (1..Last, Last = K) checks the inbox at c_j = T0 + j*Period, and it ends at
 // End = T0 + D + K*Cost.
 type PollGrid struct {
@@ -111,23 +114,11 @@ func (g *PollGrid) Settle(t Time) (done Time, polls int) {
 	return done, polls
 }
 
-// AdvancePolled runs one quiet stretch of a polled computation on ep and
-// returns how much of d was computed and how many polls woke. When compute
-// remains (done < d) the caller owes the poll that ended the stretch; it
-// loops until d is used up. Endpoints that cannot look ahead take one
-// StepPolled slice per call.
-func AdvancePolled(ep Endpoint, d Time, ps PollSpec) (done Time, polls int) {
-	if pa, ok := ep.(PolledAdvancer); ok {
-		return pa.AdvancePolled(d, ps)
-	}
-	return StepPolled(ep, d, ps)
-}
-
 // StepPolled is the literal polling thread: one slice of computation and,
-// if compute remains, one poll wake-up. It is the reference PolledAdvancer
-// implementations are exact against, and what decorators call on themselves
-// when the endpoint beneath them cannot elide. The poll's Advance is made
-// even at zero Cost: a tracing decorator records the wake-up from it.
+// if compute remains, one poll wake-up. It is the reference every eliding
+// AdvancePolled is exact against, and what the caller runs on the top of
+// its stack when the call declines. The poll's Advance is made even at zero
+// Cost: a tracing decorator records the wake-up from it.
 func StepPolled(ep Endpoint, d Time, ps PollSpec) (done Time, polls int) {
 	slice := ps.Interval
 	if slice <= 0 || slice >= d {

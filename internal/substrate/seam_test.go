@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"prema/internal/faulty"
@@ -16,8 +17,9 @@ import (
 // The decorator contract (DESIGN §3), checked for wire, faulty and trace in
 // one place against a recording fake: a decorator embeds the interface and
 // overrides only what it changes, so every method reaches the inner value;
-// the optional PolledAdvancer is hidden unless the decorator re-offers it;
-// and Unwrap keeps substrate.Find working through any stack of them.
+// a polled advance elides through every decorator over an endpoint that
+// elides and is declined by every one over an endpoint that declines; and
+// Unwrap keeps substrate.Find working through any stack of them.
 
 type (
 	Time     = substrate.Time
@@ -34,7 +36,8 @@ var (
 )
 
 // fakeEP is a one-processor endpoint that logs every call made on it. Its
-// clock moves only by Advance, and its inbox holds what the test queued.
+// clock moves only by Advance, its inbox holds what the test queued, and it
+// declines every polled advance.
 type fakeEP struct {
 	log   []string
 	now   Time
@@ -52,6 +55,10 @@ func (e *fakeEP) Charge(cat Category, d Time) { e.rec("Charge(%v, %d)", cat, d) 
 func (e *fakeEP) Advance(d Time, cat Category) {
 	e.rec("Advance(%d, %v)", d, cat)
 	e.now += d
+}
+func (e *fakeEP) AdvancePolled(d Time, ps substrate.PollSpec) (Time, int) {
+	e.rec("AdvancePolled(%d, %+v)", d, ps)
+	return 0, 0
 }
 func (e *fakeEP) Send(m *Msg, cat Category) {
 	e.rec("Send(%+v, %v)", *m, cat)
@@ -138,16 +145,27 @@ func wrapWire(m substrate.Machine) substrate.Machine   { return wire.Wrap(m) }
 func wrapFaulty(m substrate.Machine) substrate.Machine { return faulty.Wrap(m, faulty.Plan{}, 1) }
 func wrapTrace(m substrate.Machine) substrate.Machine  { return trace.Wrap(m, trace.NewCollector(0)) }
 
-// decorators lists the three, each with whether its endpoint offers
-// AdvancePolled over an inner endpoint that steps and over one that elides.
+// decorators lists the three.
 var decorators = []struct {
-	name                      string
-	wrap                      wrapper
-	pollsStepped, pollsElided bool
+	name string
+	wrap wrapper
 }{
-	{"wire", wrapWire, false, true},
-	{"faulty", wrapFaulty, false, false},
-	{"trace", wrapTrace, true, true},
+	{"wire", wrapWire},
+	{"faulty", wrapFaulty},
+	{"trace", wrapTrace},
+}
+
+// quiet is a polled advance every decorator may forward: more than one
+// slice, no deadline, no fault scheduled.
+var quiet = substrate.PollSpec{Interval: 10, Cost: 2, Tag: 5, WakeBy: substrate.Never}
+
+// advancePolled is ilb.Scheduler.Compute's call: one polled advance, or one
+// stepped slice when the endpoint declines.
+func advancePolled(ep substrate.Endpoint, d Time, ps substrate.PollSpec) (Time, int) {
+	if done, polls := ep.AdvancePolled(d, ps); done != 0 {
+		return done, polls
+	}
+	return substrate.StepPolled(ep, d, ps)
 }
 
 // onEndpoint spawns one body on wrap(a fake machine over inner) and runs it.
@@ -171,6 +189,10 @@ var endpointCalls = []struct {
 	{"Rand()", false, func(ep substrate.Endpoint) any { return ep.Rand() }},
 	{"Charge(Idle, 4)", false, func(ep substrate.Endpoint) any { ep.Charge(substrate.CatIdle, 4); return nil }},
 	{"Advance(6, Computation)", false, func(ep substrate.Endpoint) any { ep.Advance(6, substrate.CatCompute); return nil }},
+	{fmt.Sprintf("AdvancePolled(35, %+v)", quiet), false, func(ep substrate.Endpoint) any {
+		done, polls := ep.AdvancePolled(35, quiet)
+		return [2]int64{int64(done), int64(polls)}
+	}},
 	{fmt.Sprintf("Send(%+v, Messaging)", Msg{Dst: 1, Tag: 5, Data: 9, Size: 8}), false, func(ep substrate.Endpoint) any {
 		ep.Send(&Msg{Dst: 1, Tag: 5, Data: 9, Size: 8}, substrate.CatMessaging)
 		return nil
@@ -185,12 +207,15 @@ var endpointCalls = []struct {
 
 // The methods that do not arrive below as the same call, by design. The
 // injector applies its faults as it drains the inner inbox into its own
-// queue, so every receiving method reaches the inner endpoint as that drain;
-// the tracer receives through its own traced WaitMsg and TryRecv.
+// queue, so every receiving method reaches the inner endpoint as that drain,
+// and it widens a polled advance to every tag, since that drain takes them
+// all; the tracer receives through its own traced WaitMsg and TryRecv.
 var (
 	faultyDrain = []string{"InboxLen()", "TryRecv(Messaging)", "InboxLen()"}
+	anyTag      = substrate.PollSpec{Interval: quiet.Interval, Cost: quiet.Cost, Tag: quiet.Tag, AnyTag: true, WakeBy: quiet.WakeBy}
 	reshaped    = map[string]map[string][]string{
 		"faulty": {
+			fmt.Sprintf("AdvancePolled(35, %+v)", quiet): {fmt.Sprintf("AdvancePolled(35, %+v)", anyTag)},
 			"InboxLen()": faultyDrain, "TryRecv(Callback)": faultyDrain,
 			"TryRecvTag(5, Callback)": faultyDrain, "WaitMsg(Idle)": faultyDrain, "WaitMsgFor(8, Idle)": faultyDrain,
 			// Recv waits, then receives: the second looks at the inner inbox again.
@@ -282,38 +307,46 @@ func TestDecoratorsReachInnerMachine(t *testing.T) {
 	}
 }
 
-// TestDecoratorsAndPolledAdvancer: the optional method is hidden by
-// embedding the interface unless a decorator re-offers it. The injector
-// never does, so every poll passes its crash and stall check; the codec does
-// exactly when the endpoint beneath can elide; the tracer always does.
+// TestDecoratorsAndPolledAdvancer: over an endpoint that elides, a polled
+// advance through any decorator is one call below that takes the whole
+// stretch; over an endpoint that declines, every decorator declines and
+// leaves the clock where it was, so the caller steps through the stack.
 func TestDecoratorsAndPolledAdvancer(t *testing.T) {
-	offers := func(wrap wrapper, inner substrate.Endpoint) (ok bool) {
-		onEndpoint(wrap, inner, func(ep substrate.Endpoint) { _, ok = ep.(substrate.PolledAdvancer) })
-		return ok
-	}
+	const d = Time(35)
 	for _, dec := range decorators {
-		if got := offers(dec.wrap, &fakeEP{}); got != dec.pollsStepped {
-			t.Errorf("%s over a stepping endpoint offers AdvancePolled = %v, want %v", dec.name, got, dec.pollsStepped)
+		var done Time
+		var polls int
+		elider := &polledEP{}
+		onEndpoint(dec.wrap, elider, func(ep substrate.Endpoint) { done, polls = ep.AdvancePolled(d, quiet) })
+		if done != d || polls != 3 || elider.now != d+3*quiet.Cost || !slices.ContainsFunc(elider.log, isPolled) {
+			t.Errorf("%s over an eliding endpoint: (%d, %d), clock %d, inner calls %q; want the whole advance in one call",
+				dec.name, done, polls, elider.now, elider.log)
 		}
-		if got := offers(dec.wrap, &polledEP{}); got != dec.pollsElided {
-			t.Errorf("%s over an eliding endpoint offers AdvancePolled = %v, want %v", dec.name, got, dec.pollsElided)
+		decliner := &fakeEP{}
+		onEndpoint(dec.wrap, decliner, func(ep substrate.Endpoint) { done, polls = ep.AdvancePolled(d, quiet) })
+		if done != 0 || polls != 0 || decliner.now != 0 {
+			t.Errorf("%s over a declining endpoint: (%d, %d), clock %d; want (0, 0) with the clock unmoved",
+				dec.name, done, polls, decliner.now)
 		}
 	}
 }
 
+// isPolled reports whether a fake's log line is an AdvancePolled call.
+func isPolled(l string) bool { return strings.HasPrefix(l, "AdvancePolled(") }
+
 // TestTraceReplaysElidedPolls: over an endpoint that elides, the tracer
 // forwards the polled advance in one call and records the stream a stepped
-// run records, event for event; so does anything stacked beneath it that
-// keeps the method (the codec) or hides it (the injector).
+// run records, event for event, with the codec or the injector beneath it
+// too.
 func TestTraceReplaysElidedPolls(t *testing.T) {
-	ps := substrate.PollSpec{Interval: 10, Cost: 2, Tag: 5, WakeBy: substrate.Never}
+	ps := quiet
 	const d = Time(35)
 	record := func(under wrapper, inner substrate.Endpoint) []trace.Event {
 		col := trace.NewCollector(0)
 		onEndpoint(func(m substrate.Machine) substrate.Machine { return trace.Wrap(under(m), col) }, inner,
 			func(ep substrate.Endpoint) {
 				for rem := d; rem > 0; {
-					done, _ := substrate.AdvancePolled(ep, rem, ps)
+					done, _ := advancePolled(ep, rem, ps)
 					rem -= done
 				}
 			})
@@ -325,23 +358,16 @@ func TestTraceReplaysElidedPolls(t *testing.T) {
 		t.Fatalf("the stepped run recorded %d events, want 10: %+v", len(want), want)
 	}
 	for _, c := range []struct {
-		name   string
-		under  wrapper
-		elided bool
-	}{{"trace", bare, true}, {"trace over wire", wrapWire, true}, {"trace over faulty", wrapFaulty, false}} {
+		name  string
+		under wrapper
+	}{{"trace", bare}, {"trace over wire", wrapWire}, {"trace over faulty", wrapFaulty}} {
 		inner := &polledEP{}
 		if got := record(c.under, inner); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s over an eliding endpoint recorded\n%+v\nwant the stepped stream\n%+v", c.name, got, want)
 		}
-		polled := 0
-		for _, l := range inner.log {
-			if l == fmt.Sprintf("AdvancePolled(%d, %+v)", d, ps) {
-				polled++
-			}
-		}
-		if c.elided != (polled == 1) || inner.now != stepped.now {
-			t.Errorf("%s: %d whole-advance calls reached the eliding endpoint (elided: want %v), clock %d, want %d",
-				c.name, polled, c.elided, inner.now, stepped.now)
+		if polled := len(slices.DeleteFunc(slices.Clone(inner.log), func(l string) bool { return !isPolled(l) })); polled != 1 || inner.now != stepped.now {
+			t.Errorf("%s: %d polled advances reached the eliding endpoint, clock %d; want 1, %d",
+				c.name, polled, inner.now, stepped.now)
 		}
 	}
 }

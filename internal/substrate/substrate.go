@@ -59,6 +59,12 @@ type Endpoint interface {
 	// advances virtual time; the real-time machine burns scaled wall-clock
 	// (sleeping, then spinning the last stretch).
 	Advance(d Time, cat Category)
+	// AdvancePolled runs one quiet stretch of a polled computation of d
+	// under ps and returns how much of d was computed and how many polls
+	// woke; the caller owes the poll that ended the stretch when compute
+	// remains. An endpoint that cannot skip a poll returns (0, 0) and the
+	// caller steps (StepPolled). The contract is in polled.go.
+	AdvancePolled(d Time, ps PollSpec) (done Time, polls int)
 
 	// Send transmits m, stamping Src and SentAt and charging the sender's
 	// per-message CPU overhead to cat. Delivery is asynchronous and FIFO

@@ -88,14 +88,9 @@ func (r *stepRecorder) Advance(d Time, cat Category) {
 	r.calls, r.cats = append(r.calls, d), append(r.cats, cat)
 }
 
-type eliding struct{ stepRecorder }
-
-func (e *eliding) AdvancePolled(d Time, ps PollSpec) (Time, int) { return d, 7 }
-
-// TestAdvancePolledFallback: an endpoint without the optional method takes
-// exactly one stepped slice per call — a poll only while compute remains,
-// made even at zero cost so a tracer sees the wake — and one with it is
-// handed the whole advance.
+// TestAdvancePolledFallback: when an endpoint declines a polled advance, the
+// caller's StepPolled takes exactly one slice per call — a poll only while
+// compute remains, made even at zero cost so a tracer sees the wake.
 func TestAdvancePolledFallback(t *testing.T) {
 	ps := PollSpec{Interval: 10 * Millisecond, Cost: 4 * Microsecond}
 	cases := []struct {
@@ -112,12 +107,12 @@ func TestAdvancePolledFallback(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := &stepRecorder{}
-		done, polls := AdvancePolled(r, c.d, c.ps)
+		done, polls := StepPolled(r, c.d, c.ps)
 		if done != c.done || polls != c.polls {
-			t.Errorf("AdvancePolled(%v) = (%v, %d), want (%v, %d)", c.d, done, polls, c.done, c.polls)
+			t.Errorf("StepPolled(%v) = (%v, %d), want (%v, %d)", c.d, done, polls, c.done, c.polls)
 		}
 		if len(r.calls) != len(c.calls) {
-			t.Fatalf("AdvancePolled(%v) made Advance calls %v, want %v", c.d, r.calls, c.calls)
+			t.Fatalf("StepPolled(%v) made Advance calls %v, want %v", c.d, r.calls, c.calls)
 		}
 		for i := range c.calls {
 			wantCat := CatCompute
@@ -125,12 +120,8 @@ func TestAdvancePolledFallback(t *testing.T) {
 				wantCat = CatPollThread
 			}
 			if r.calls[i] != c.calls[i] || r.cats[i] != wantCat {
-				t.Errorf("AdvancePolled(%v) call %d = (%v, %v), want (%v, %v)", c.d, i, r.calls[i], r.cats[i], c.calls[i], wantCat)
+				t.Errorf("StepPolled(%v) call %d = (%v, %v), want (%v, %v)", c.d, i, r.calls[i], r.cats[i], c.calls[i], wantCat)
 			}
 		}
-	}
-	e := &eliding{}
-	if done, polls := AdvancePolled(e, Second, ps); done != Second || polls != 7 || len(e.calls) != 0 {
-		t.Errorf("a PolledAdvancer was stepped: (%v, %d), Advance calls %v", done, polls, e.calls)
 	}
 }

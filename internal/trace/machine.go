@@ -63,20 +63,19 @@ func (e *Endpoint) Advance(d substrate.Time, cat substrate.Category) {
 	e.rec.Span(cat, t0, e.Now())
 }
 
-// AdvancePolled implements substrate.PolledAdvancer. Over an endpoint that
-// can elide, the call is forwarded and the polls it skipped are folded into
-// the ring (Recorder.polls), which expands them on read in the stepped
-// order — compute span, poll-wake instant, poll span — so the stream is the
-// one a stepped run records, event for event. Over any other endpoint the
-// stepped slice runs through this decorator's own Advance and records
-// itself.
+// AdvancePolled implements substrate.Endpoint. The call is forwarded, and
+// the polls an eliding endpoint skipped are folded into the ring
+// (Recorder.polls), which expands them on read in the stepped order —
+// compute span, poll-wake instant, poll span — so the stream is the one a
+// stepped run records, event for event. When the endpoint below declines,
+// so does this one: the caller's stepped slice then runs through this
+// decorator's own Advance and records itself.
 func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (substrate.Time, int) {
-	pa, ok := e.Endpoint.(substrate.PolledAdvancer)
-	if !ok {
-		return substrate.StepPolled(e, d, ps)
-	}
 	t := e.Now()
-	done, polls := pa.AdvancePolled(d, ps)
+	done, polls := e.Endpoint.AdvancePolled(d, ps)
+	if done == 0 {
+		return 0, 0
+	}
 	e.rec.polls(t, polls, ps.Interval, ps.Cost)
 	e.rec.Span(substrate.CatCompute, t+substrate.Time(polls)*(ps.Interval+ps.Cost), e.Now())
 	return done, polls

@@ -43,34 +43,21 @@ func (w *Machine) Frames() uint64 { return w.frames.Load() }
 // real byte volume. A zero-drift run means the cost model is honest.
 func (w *Machine) SizeDrift() uint64 { return w.sizeDrift.Load() }
 
-// Spawn implements substrate.Machine, interposing the codec endpoint. The
-// endpoint offers AdvancePolled exactly when the one beneath it does, so a
-// tracer above an endpoint that steps still sees (and times) every step.
+// Spawn implements substrate.Machine, interposing the codec endpoint.
 func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	w.Machine.Spawn(name, func(ep substrate.Endpoint) {
-		e := &Endpoint{Endpoint: ep, m: w}
-		if pa, ok := ep.(substrate.PolledAdvancer); ok {
-			body(polledEndpoint{e, pa})
-			return
-		}
-		body(e)
+		body(&Endpoint{Endpoint: ep, m: w})
 	})
 }
 
 // Endpoint is the per-processor codec interposer: the inner endpoint with
-// Send replaced.
+// Send replaced. The codec has no stake in time, so AdvancePolled is the
+// inner endpoint's, promoted: it elides or declines as the one beneath does.
 type Endpoint struct {
 	substrate.Endpoint
 	m   *Machine
 	enc Writer // per-endpoint scratch buffer, reused across sends
 	dec Reader // per-endpoint decoder, reused across sends
-}
-
-// polledEndpoint is an Endpoint over a substrate.PolledAdvancer: the codec
-// has no stake in time, so AdvancePolled is forwarded verbatim (promoted).
-type polledEndpoint struct {
-	*Endpoint
-	substrate.PolledAdvancer
 }
 
 // Send implements substrate.Endpoint: m is encoded to its wire frame,
