@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 12, "crack growth iterations")
 	real := fs.Bool("real", false, "run the real advancing front mesher for the cost matrix")
 	stride := fs.Int("stride", 0, "per-processor breakdown sampling stride (0 = summaries only)")
-	jobs := fs.Int("jobs", sweep.DefaultJobs(), "max concurrent mesher rows / simulations (1 = serial)")
+	jobs := fs.Int("jobs", sweep.DefaultJobs(), "max concurrent subdomain meshes / simulations (1 = serial)")
 	err := fs.Parse(args)
 	switch {
 	case errors.Is(err, flag.ErrHelp):

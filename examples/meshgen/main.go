@@ -17,7 +17,7 @@ func main() {
 	domain := mesh.Box{Lo: mesh.Vec3{X: 0, Y: 0, Z: 0}, Hi: mesh.Vec3{X: 2, Y: 1, Z: 1}}
 
 	fmt.Println("uniform sizing, whole domain:")
-	m := mesh.Generate(domain, mesh.Uniform{Size: 0.25}, mesh.MesherConfig{})
+	m := mesh.Generate(domain, mesh.Uniform{Size: 0.25})
 	fmt.Printf("  h=0.25: %6d vertices, %6d tets (%d defects)\n", len(m.Verts), m.NumTets(), m.Defects)
 
 	// A crack growing along the domain diagonal.
@@ -38,7 +38,7 @@ func main() {
 	subs := mesh.Decompose(domain, 4, 2, 2)
 	maxTets, minTets := 0, 1<<60
 	for i, b := range subs {
-		sm := mesh.Generate(b, crack, mesh.MesherConfig{})
+		sm := mesh.Generate(b, crack)
 		n := sm.NumTets()
 		if n > maxTets {
 			maxTets = n

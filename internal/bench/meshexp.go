@@ -92,30 +92,30 @@ func (mc *MeshCosts) TotalWork(cfg MeshExpConfig) sim.Time {
 // shared by all three system drivers, so the comparison is exact.
 func BuildMeshCosts(cfg MeshExpConfig) *MeshCosts { return BuildMeshCostsJobs(cfg, 1) }
 
-// BuildMeshCostsJobs is BuildMeshCosts with up to jobs crack positions
-// meshed concurrently. The mesher is deterministic and each iteration's row
-// is independent, so the matrix is identical for any worker count.
+// BuildMeshCostsJobs is BuildMeshCosts with up to jobs subdomains meshed
+// concurrently. The mesher is deterministic and each (iteration, subdomain)
+// cell is independent, so the matrix is identical for any worker count.
 func BuildMeshCostsJobs(cfg MeshExpConfig, jobs int) *MeshCosts {
 	domain := mesh.Box{Lo: mesh.Vec3{X: 0, Y: 0, Z: 0}, Hi: mesh.Vec3{X: 2, Y: 1, Z: 1}}
 	subs := mesh.Decompose(domain, cfg.Grid[0], cfg.Grid[1], cfg.Grid[2])
-	mc := &MeshCosts{Subs: subs}
-	rows, err := sweep.Map(jobs, cfg.Iterations, func(it int) ([]float64, error) {
-		crack := cfg.crackAt(domain, it)
-		row := make([]float64, len(subs))
-		for s, b := range subs {
-			if cfg.UseMesher {
-				m := mesh.Generate(b, crack, mesh.MesherConfig{})
-				row[s] = float64(m.NumTets())
-			} else {
-				row[s] = mesh.EstimateElements(b, crack, 6)
-			}
+	cracks := make([]mesh.Crack, cfg.Iterations)
+	for it := range cracks {
+		cracks[it] = cfg.crackAt(domain, it)
+	}
+	cells, err := sweep.Map(jobs, len(cracks)*len(subs), func(i int) (float64, error) {
+		crack, b := cracks[i/len(subs)], subs[i%len(subs)]
+		if cfg.UseMesher {
+			return float64(mesh.Generate(b, crack).NumTets()), nil
 		}
-		return row, nil
+		return mesh.EstimateElements(b, crack, 6), nil
 	})
-	if err != nil { // the row builder never errors; sweep only adds panics
+	if err != nil { // the cell builder never errors; sweep only adds panics
 		panic(err)
 	}
-	mc.Tets = rows
+	mc := &MeshCosts{Subs: subs, Tets: make([][]float64, len(cracks))}
+	for it := range mc.Tets {
+		mc.Tets[it] = cells[it*len(subs) : (it+1)*len(subs) : (it+1)*len(subs)]
+	}
 	return mc
 }
 

@@ -34,13 +34,14 @@ func TestMeshCostsRespondToCrack(t *testing.T) {
 
 // The mesher's cost grows faster than a subdomain's tetrahedron count, so
 // the cheapest configuration that drives UseMesher is many small subdomains
-// (the default 8x4x4 decomposition) at a single crack position: ~5 s, where
-// four large subdomains at two positions took 30-45 s.
+// (the default 8x4x4 decomposition) at a single crack position: ~6 s of CPU,
+// where four large subdomains at two positions took 30-45 s. The 128
+// subdomains are meshed on every core.
 func TestMeshCostsWithRealMesher(t *testing.T) {
 	cfg := DefaultMeshExpConfig()
 	cfg.Iterations = 1
 	cfg.UseMesher = true
-	mc := BuildMeshCosts(cfg)
+	mc := BuildMeshCostsJobs(cfg, 0)
 	for it := range mc.Tets {
 		for sub, tets := range mc.Tets[it] {
 			if tets <= 0 {

@@ -268,7 +268,6 @@ type engineStats interface {
 	EventsFired() uint64
 	BarrierRounds() uint64
 	PollsElided() uint64
-	Transfers() uint64
 }
 
 // wireStats is the serialization loopback's audit surface (wire.Machine).
@@ -294,7 +293,6 @@ func collect(name string, w Workload, m substrate.Machine) *Result {
 		res.Events = es.EventsFired()
 		res.BarrierRounds = es.BarrierRounds()
 		res.PollsElided = es.PollsElided()
-		res.Transfers = es.Transfers()
 	}
 	if ws, ok := substrate.Find[wireStats](m); ok {
 		res.WireFrames = ws.Frames()

@@ -65,10 +65,6 @@ type Result struct {
 	// PollsElided is the number of polling-thread wake-ups the simulator
 	// charged arithmetically instead of firing (sim.Proc.AdvancePolled).
 	PollsElided uint64
-	// Transfers is the number of times an event loop switched into a
-	// processor body (sim.Engine.Transfers): the denominator for a host
-	// cost per hand-off, at most one per event.
-	Transfers uint64
 
 	// Wire telemetry (wire-wrapped runs only; zero otherwise). Like the
 	// engine telemetry it is host-side observability, excluded from

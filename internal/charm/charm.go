@@ -3,7 +3,7 @@
 // array whose elements are driven by entry-method messages selected by a
 // per-processor pick-and-process loop, a load balancing database fed by
 // runtime measurement of entry executions, an AtSync() barrier, and plug-in
-// central load balancing strategies (Greedy, Refine, Metis-based — see
+// central load balancing strategies (Greedy and Refine — see
 // strategies.go).
 //
 // Two properties matter for the paper's argument and are modeled exactly:

@@ -1,11 +1,6 @@
 package charm
 
-import (
-	"sort"
-
-	"prema/internal/graph"
-	"prema/internal/parmetis"
-)
+import "sort"
 
 // GreedyLB is Charm++'s simplest central strategy: sort chares by measured
 // load descending and repeatedly assign the heaviest unplaced chare to the
@@ -39,19 +34,15 @@ func (GreedyLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 }
 
 // RefineLB moves chares only off overloaded processors, minimizing
-// migrations: while some processor exceeds (1+Tolerance) x average, its
-// heaviest chare moves to the currently lightest processor.
-type RefineLB struct {
-	// Tolerance is the allowed overload fraction (default 0.05).
-	Tolerance float64
-}
+// migrations: while some processor exceeds (1+refineTolerance) x average,
+// its heaviest chare moves to the currently lightest processor.
+type RefineLB struct{}
+
+// refineTolerance is the overload fraction RefineLB leaves alone.
+const refineTolerance = 0.05
 
 // Remap implements Strategy.
-func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
-	tol := r.Tolerance
-	if tol <= 0 {
-		tol = 0.05
-	}
+func (RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 	procLoad := make([]float64, nprocs)
 	perProc := make([][]ChareLoad, nprocs)
 	total := 0.0
@@ -69,7 +60,7 @@ func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 		})
 	}
 	avg := total / float64(nprocs)
-	limit := avg * (1 + tol)
+	limit := avg * (1 + refineTolerance)
 	out := make(map[int]int)
 	for iter := 0; iter < len(loads); iter++ {
 		// Heaviest processor above the limit.
@@ -109,36 +100,6 @@ func (r RefineLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
 		if !moved {
 			break
 		}
-	}
-	return out
-}
-
-// MetisLB feeds the database to the graph partitioner, as Charm++'s
-// Metis-based strategies do: chares become vertices weighted by measured
-// load, and the adaptive repartitioner balances them while minimizing
-// migration (no communication edges are available at this interface, so the
-// objective reduces to balance + movement).
-type MetisLB struct{}
-
-// Remap implements Strategy.
-func (m MetisLB) Remap(loads []ChareLoad, nprocs int) map[int]int {
-	sorted := append([]ChareLoad(nil), loads...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	b := graph.NewBuilder(len(sorted))
-	oldPart := make([]int, len(sorted))
-	for i, c := range sorted {
-		w := int64(c.Load * 1e6)
-		if w < 1 {
-			w = 1
-		}
-		b.SetVWgt(i, w)
-		oldPart[i] = c.Proc
-	}
-	g := b.Build()
-	newPart := parmetis.AdaptiveRepart(g, nprocs, oldPart, parmetis.DefaultOptions())
-	out := make(map[int]int, len(sorted))
-	for i, c := range sorted {
-		out[c.Index] = newPart[i]
 	}
 	return out
 }

@@ -192,15 +192,6 @@ func (s *Scheduler) Comm() *dmcs.Comm { return s.c }
 // Proc returns the underlying substrate endpoint.
 func (s *Scheduler) Proc() substrate.Endpoint { return s.p }
 
-// WaterMark returns the current balancing threshold (hinted seconds).
-func (s *Scheduler) WaterMark() float64 { return s.cfg.WaterMark }
-
-// SetWaterMark adjusts the balancing threshold at runtime. The paper (§4.2)
-// proposes deriving it from platform-measured response latencies instead of
-// asking the application to guess; policy.WorkStealing's AutoWaterMark mode
-// drives this setter from observed steal round-trip times.
-func (s *Scheduler) SetWaterMark(v float64) { s.cfg.WaterMark = v }
-
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
@@ -352,7 +343,7 @@ func (s *Scheduler) Compute(d substrate.Time) {
 	if s.rp != nil {
 		s.rp.Extend(s.p.Now() + d)
 	}
-	if s.cfg.Mode == Explicit || s.cfg.PollInterval <= 0 {
+	if s.cfg.Mode == Explicit {
 		s.p.Advance(d, substrate.CatCompute)
 		return
 	}

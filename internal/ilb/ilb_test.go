@@ -263,23 +263,6 @@ func TestPollEveryGatesApplicationPolls(t *testing.T) {
 	}
 }
 
-func TestSetWaterMark(t *testing.T) {
-	e := sim.NewEngine(sim.Config{Seed: 1})
-	e.Spawn("p", func(p *sim.Proc) {
-		s := newSched(p, Explicit)
-		if s.cfg.WaterMark != DefaultConfig(Explicit).WaterMark {
-			t.Error("initial watermark")
-		}
-		s.SetWaterMark(99)
-		if s.cfg.WaterMark != 99 {
-			t.Error("set watermark")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSchedulerAccessors(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Seed: 1})
 	e.Spawn("p", func(p *sim.Proc) {

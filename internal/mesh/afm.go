@@ -20,13 +20,6 @@ type Mesh struct {
 // NumTets returns the tetrahedron count — the experiment's workload unit.
 func (m *Mesh) NumTets() int { return len(m.Tets) }
 
-// MesherConfig tunes the advancing front process.
-type MesherConfig struct {
-	// MaxSteps caps the advancing loop (0 = derive from an element
-	// estimate).
-	MaxSteps int
-}
-
 const (
 	// apexFactor scales the sizing field's h into the apex offset distance.
 	apexFactor = 0.8
@@ -44,8 +37,8 @@ const (
 // the box surface is triangulated on a conforming lattice, every surface
 // triangle (normal inward) seeds the front, and fronts advance and cancel
 // until the volume is filled.
-func Generate(b Box, f SizingField, cfg MesherConfig) *Mesh {
-	m := newMesher(b, f, cfg)
+func Generate(b Box, f SizingField) *Mesh {
+	m := newMesher(b, f)
 	m.seedSurface()
 	m.advance()
 	return &Mesh{Verts: m.verts, Tets: m.tets, Defects: m.defects, Steps: m.steps}
@@ -102,7 +95,6 @@ func sameOrientation(a, b [3]int32) bool {
 type mesher struct {
 	box     Box
 	sizing  SizingField
-	cfg     MesherConfig
 	verts   []Vec3
 	tets    [][4]int32
 	front   map[faceKey]*face
@@ -122,7 +114,7 @@ type mesher struct {
 	tetCells map[[3]int32][]int32
 }
 
-func newMesher(b Box, f SizingField, cfg MesherConfig) *mesher {
+func newMesher(b Box, f SizingField) *mesher {
 	// Cell size: an upper bound on snapping radius. Sample the field.
 	maxH := 0.0
 	for _, p := range []Vec3{b.Lo, b.Hi, b.Center()} {
@@ -131,7 +123,6 @@ func newMesher(b Box, f SizingField, cfg MesherConfig) *mesher {
 	return &mesher{
 		box:      b,
 		sizing:   f,
-		cfg:      cfg,
 		front:    make(map[faceKey]*face),
 		cellSize: maxH,
 		cells:    make(map[[3]int32][]int32),
@@ -452,11 +443,7 @@ func surfaceSamples(b Box, i, j int) []Vec3 {
 // advance runs the main loop: smallest front face first, place or snap an
 // apex, build the tetrahedron, update the front.
 func (m *mesher) advance() {
-	maxSteps := m.cfg.MaxSteps
-	if maxSteps == 0 {
-		est := EstimateElements(m.box, m.sizing, 8)
-		maxSteps = 80*int(est) + 200000
-	}
+	maxSteps := 80*int(EstimateElements(m.box, m.sizing, 8)) + 200000
 	for len(m.front) > 0 && m.steps < maxSteps {
 		f := heap.Pop(&m.heap).(*face)
 		if f.dead {

@@ -113,14 +113,14 @@ func checkMesh(t *testing.T, m *Mesh, b Box) {
 }
 
 func TestGenerateUniformCoarse(t *testing.T) {
-	m := Generate(unitBox(), Uniform{0.5}, MesherConfig{})
+	m := Generate(unitBox(), Uniform{0.5})
 	checkMesh(t, m, unitBox())
 	t.Logf("coarse: %d verts, %d tets, %d defects, %d steps", len(m.Verts), m.NumTets(), m.Defects, m.Steps)
 }
 
 func TestGenerateUniformFiner(t *testing.T) {
-	coarse := Generate(unitBox(), Uniform{0.5}, MesherConfig{})
-	fine := Generate(unitBox(), Uniform{0.25}, MesherConfig{})
+	coarse := Generate(unitBox(), Uniform{0.5})
+	fine := Generate(unitBox(), Uniform{0.25})
 	checkMesh(t, fine, unitBox())
 	if fine.NumTets() <= coarse.NumTets() {
 		t.Fatalf("finer sizing should give more tets: %d vs %d", fine.NumTets(), coarse.NumTets())
@@ -130,8 +130,8 @@ func TestGenerateUniformFiner(t *testing.T) {
 
 func TestGenerateCrackRefinesLocally(t *testing.T) {
 	crack := Crack{Origin: Vec3{0, 0.5, 0.5}, Dir: Vec3{1, 0, 0}, Length: 0.6, Radius: 0.35, HMin: 0.08, HMax: 0.35}
-	withCrack := Generate(unitBox(), crack, MesherConfig{})
-	uniform := Generate(unitBox(), Uniform{0.35}, MesherConfig{})
+	withCrack := Generate(unitBox(), crack)
+	uniform := Generate(unitBox(), Uniform{0.35})
 	checkMesh(t, withCrack, unitBox())
 	if withCrack.NumTets() < 2*uniform.NumTets() {
 		t.Fatalf("crack refinement should multiply element count: %d vs %d",
@@ -141,8 +141,8 @@ func TestGenerateCrackRefinesLocally(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(unitBox(), Uniform{0.4}, MesherConfig{})
-	b := Generate(unitBox(), Uniform{0.4}, MesherConfig{})
+	a := Generate(unitBox(), Uniform{0.4})
+	b := Generate(unitBox(), Uniform{0.4})
 	if a.NumTets() != b.NumTets() || len(a.Verts) != len(b.Verts) {
 		t.Fatalf("nondeterministic mesh: %d/%d vs %d/%d", a.NumTets(), len(a.Verts), b.NumTets(), len(b.Verts))
 	}
@@ -167,7 +167,7 @@ func TestGeneratePinned(t *testing.T) {
 		{"uniform 0.25", Uniform{0.25}, "verts=133 tets=304 defects=348 steps=652 digest=0xfc69d3da0d65286"},
 		{"crack", crack, "verts=1235 tets=1982 defects=3844 steps=5826 digest=0x45b77d0b9f393eb5"},
 	} {
-		m := Generate(unitBox(), c.field, MesherConfig{})
+		m := Generate(unitBox(), c.field)
 		h := fnv.New64a()
 		for _, v := range m.Verts {
 			binary.Write(h, binary.LittleEndian, [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)})
@@ -219,7 +219,7 @@ func TestSameOrientation(t *testing.T) {
 // mesh experiment's -real flag depends on the two agreeing in shape).
 func TestEstimatorTracksMesher(t *testing.T) {
 	for _, h := range []float64{0.5, 0.33, 0.25} {
-		m := Generate(unitBox(), Uniform{h}, MesherConfig{})
+		m := Generate(unitBox(), Uniform{h})
 		est := EstimateElements(unitBox(), Uniform{h}, 8)
 		ratio := float64(m.NumTets()) / est
 		if ratio < 0.2 || ratio > 5 {
@@ -231,7 +231,7 @@ func TestEstimatorTracksMesher(t *testing.T) {
 // TestMesherFillFraction: the mesher must fill most of the box (voids from
 // abandoned fronts stay minor).
 func TestMesherFillFraction(t *testing.T) {
-	m := Generate(unitBox(), Uniform{0.3}, MesherConfig{})
+	m := Generate(unitBox(), Uniform{0.3})
 	var vol float64
 	for _, tet := range m.Tets {
 		vol += TetVolume(m.Verts[tet[0]], m.Verts[tet[1]], m.Verts[tet[2]], m.Verts[tet[3]])
@@ -248,7 +248,7 @@ func TestNoOverlapProperty(t *testing.T) {
 	for _, hmin := range []float64{0.12, 0.2} {
 		crack := Crack{Origin: Vec3{0, 0, 0}, Dir: Vec3{1, 0, 0}, Length: 0.6,
 			Radius: 0.4, HMin: hmin, HMax: 0.45}
-		m := Generate(unitBox(), crack, MesherConfig{})
+		m := Generate(unitBox(), crack)
 		var vol float64
 		for _, tet := range m.Tets {
 			v := TetVolume(m.Verts[tet[0]], m.Verts[tet[1]], m.Verts[tet[2]], m.Verts[tet[3]])
@@ -265,16 +265,6 @@ func TestNoOverlapProperty(t *testing.T) {
 
 func TestNonCubicDomain(t *testing.T) {
 	b := Box{Lo: Vec3{0, 0, 0}, Hi: Vec3{2, 0.5, 1}}
-	m := Generate(b, Uniform{0.25}, MesherConfig{})
+	m := Generate(b, Uniform{0.25})
 	checkMesh(t, m, b)
-}
-
-func TestMaxStepsCapRespected(t *testing.T) {
-	m := Generate(unitBox(), Uniform{0.2}, MesherConfig{MaxSteps: 10})
-	if m.Steps > 10 {
-		t.Fatalf("steps %d exceeded cap", m.Steps)
-	}
-	if m.Defects == 0 {
-		t.Fatal("cap must surface abandoned faces as defects")
-	}
 }

@@ -63,7 +63,7 @@ func AdaptiveRepart(g *graph.Graph, k int, oldPart []int, opt Options) []int {
 	// 1. Coarsen with local (intra-part) matching so coarse vertices never
 	// straddle old parts — both remap and diffusion need that invariant.
 	levels := partition.Coarsen(g, popt.CoarsenTo*k, rng, oldPart)
-	coarse := levels[len(levels)-1].Graph()
+	coarse := levels[len(levels)-1].Graph
 	coarseOld := projectDownTo(levels, len(levels)-1, oldPart)
 
 	// 2a. Scratch-remap candidate.
@@ -92,7 +92,7 @@ func AdaptiveRepart(g *graph.Graph, k int, oldPart []int, opt Options) []int {
 		if li > 0 {
 			fineOld = projectDownTo(levels, li, oldPart)
 		}
-		partition.RefineKWay(levels[li].Graph(), cur, k, fineOld, cost, popt)
+		partition.RefineKWay(levels[li].Graph, cur, k, fineOld, cost, popt)
 	}
 	return cur
 }
@@ -102,8 +102,8 @@ func AdaptiveRepart(g *graph.Graph, k int, oldPart []int, opt Options) []int {
 func projectDownTo(levels []partition.Level, li int, fine []int) []int {
 	cur := fine
 	for l := 0; l < li; l++ {
-		cmap := levels[l].CMap()
-		next := make([]int, levels[l+1].Graph().NumVertices())
+		cmap := levels[l].CMap
+		next := make([]int, levels[l+1].Graph.NumVertices())
 		for v, c := range cmap {
 			next[c] = cur[v]
 		}
@@ -114,8 +114,8 @@ func projectDownTo(levels []partition.Level, li int, fine []int) []int {
 
 // projectUp expands a level li+1 labeling to level li.
 func projectUp(levels []partition.Level, li int, coarsePart []int) []int {
-	cmap := levels[li].CMap()
-	fine := make([]int, levels[li].Graph().NumVertices())
+	cmap := levels[li].CMap
+	fine := make([]int, levels[li].Graph.NumVertices())
 	for v := range fine {
 		fine[v] = coarsePart[cmap[v]]
 	}

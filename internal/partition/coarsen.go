@@ -7,10 +7,10 @@ import (
 	"prema/internal/graph"
 )
 
-// level is one rung of the multilevel hierarchy.
-type level struct {
-	g    *graph.Graph
-	cmap []int32 // fine vertex -> coarse vertex in the next level up
+// Level is one rung of a multilevel hierarchy.
+type Level struct {
+	Graph *graph.Graph
+	CMap  []int32 // fine vertex -> coarse vertex in the next level up; nil on the coarsest
 }
 
 // heavyEdgeMatching computes a matching that prefers heavy edges (Karypis &
@@ -131,12 +131,13 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	return cg, cmap
 }
 
-// coarsen builds the multilevel hierarchy down to at most target vertices.
-// The returned slice starts at the original graph; the last entry is the
-// coarsest. restrict is threaded through to the matcher (may be nil); it is
-// projected to each coarser level.
-func coarsen(g *graph.Graph, target int, rng *rand.Rand, restrict []int) []level {
-	levels := []level{{g: g}}
+// Coarsen builds the multilevel hierarchy by heavy-edge matching down to
+// at most target vertices. The returned slice starts at the original graph;
+// the last entry is the coarsest. restrict, when non-nil, only allows
+// matching vertices with equal restrict labels (URA's local matching); it
+// is projected to each coarser level.
+func Coarsen(g *graph.Graph, target int, rng *rand.Rand, restrict []int) []Level {
+	levels := []Level{{Graph: g}}
 	cur := g
 	curRestrict := restrict
 	for cur.NumVertices() > target {
@@ -145,8 +146,8 @@ func coarsen(g *graph.Graph, target int, rng *rand.Rand, restrict []int) []level
 		if cg.NumVertices() >= cur.NumVertices() { // no progress; give up
 			break
 		}
-		levels[len(levels)-1].cmap = cmap
-		levels = append(levels, level{g: cg})
+		levels[len(levels)-1].CMap = cmap
+		levels = append(levels, Level{Graph: cg})
 		if curRestrict != nil {
 			next := make([]int, cg.NumVertices())
 			for v := 0; v < cur.NumVertices(); v++ {

@@ -2,8 +2,7 @@
 // style of METIS (Karypis & Kumar 1995): heavy-edge-matching coarsening,
 // greedy-growing initial bisection, and FM-style boundary refinement, with
 // k-way partitions produced by recursive bisection. It is the algorithmic
-// substrate for the ParMETIS-style adaptive repartitioner (package parmetis)
-// and the Charm++ Metis-based strategy (package charm).
+// substrate for the ParMETIS-style adaptive repartitioner (package parmetis).
 package partition
 
 import (
@@ -32,7 +31,8 @@ const (
 	refinePasses = 6
 )
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills unset options with their defaults.
+func (o Options) WithDefaults() Options {
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
 	}
@@ -45,7 +45,7 @@ func (o Options) withDefaults() Options {
 // Partition computes a k-way partition of g minimizing edge cut subject to
 // the balance constraint. The result maps vertex -> part in [0,k).
 func Partition(g *graph.Graph, k int, opt Options) []int {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	part := make([]int, g.NumVertices())
 	if k <= 1 {
 		return part
@@ -123,19 +123,19 @@ func subgraph(g *graph.Graph, vertices []int) (*graph.Graph, []int) {
 // bisect produces a 2-way split of g with side-0 target weight fraction
 // frac, via the full multilevel pipeline.
 func bisect(g *graph.Graph, frac float64, opt Options, rng *rand.Rand) []int {
-	levels := coarsen(g, opt.CoarsenTo, rng, nil)
-	coarsest := levels[len(levels)-1].g
+	levels := Coarsen(g, opt.CoarsenTo, rng, nil)
+	coarsest := levels[len(levels)-1].Graph
 	side := initialBisection(coarsest, frac, opt, rng)
 	refine2(coarsest, side, frac, opt)
 	// Project back up, refining at each level.
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li]
-		fineSide := make([]int, fine.g.NumVertices())
+		fineSide := make([]int, fine.Graph.NumVertices())
 		for v := range fineSide {
-			fineSide[v] = side[fine.cmap[v]]
+			fineSide[v] = side[fine.CMap[v]]
 		}
 		side = fineSide
-		refine2(fine.g, side, frac, opt)
+		refine2(fine.Graph, side, frac, opt)
 	}
 	return side
 }

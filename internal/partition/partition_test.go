@@ -98,11 +98,11 @@ func TestCoarsenPreservesTotals(t *testing.T) {
 		t.Fatal("no coarsening happened")
 	}
 	for _, l := range levels {
-		if l.Graph().TotalVWgt() != g.TotalVWgt() {
-			t.Fatalf("vertex weight not conserved: %d vs %d", l.Graph().TotalVWgt(), g.TotalVWgt())
+		if l.Graph.TotalVWgt() != g.TotalVWgt() {
+			t.Fatalf("vertex weight not conserved: %d vs %d", l.Graph.TotalVWgt(), g.TotalVWgt())
 		}
 	}
-	coarsest := levels[len(levels)-1].Graph()
+	coarsest := levels[len(levels)-1].Graph
 	if coarsest.NumVertices() > g.NumVertices()/2 {
 		t.Fatalf("weak coarsening: %d of %d", coarsest.NumVertices(), g.NumVertices())
 	}
@@ -121,8 +121,8 @@ func TestCoarsenRestrictedNeverCrossesLabels(t *testing.T) {
 	// Walk the hierarchy: each coarse vertex's constituents must share a label.
 	labels := restrict
 	for li := 0; li < len(levels)-1; li++ {
-		cmap := levels[li].CMap()
-		nc := levels[li+1].Graph().NumVertices()
+		cmap := levels[li].CMap
+		nc := levels[li+1].Graph.NumVertices()
 		next := make([]int, nc)
 		for i := range next {
 			next[i] = -1

@@ -129,7 +129,7 @@ type CostFn func(gainCut int64, moveDelta int64) float64
 // boundary move. oldPart (may be nil, or part itself) anchors the
 // migration-volume term.
 func RefineKWay(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, opt Options) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if cost == nil {
 		cost = func(gainCut, _ int64) float64 { return float64(gainCut) }
 	}

@@ -12,7 +12,7 @@ import (
 // scored every part for every vertex of the heaviest part: the reference
 // FuzzRefineKWayMatchesReference holds the candidate rule to.
 func refineKWayReference(g *graph.Graph, part []int, k int, oldPart []int, cost CostFn, opt Options) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if cost == nil {
 		cost = func(gainCut, _ int64) float64 { return float64(gainCut) }
 	}

@@ -132,53 +132,3 @@ func TestVictimKeepsWork(t *testing.T) {
 	}
 	_ = e
 }
-
-func TestAutoWaterMarkTracksLatency(t *testing.T) {
-	e := sim.NewEngine(sim.Config{Seed: 17})
-	var finalWM, finalRTT float64
-	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
-			l := mol.New(dmcs.New(p), mol.DefaultConfig())
-			cfg := DefaultWSConfig()
-			cfg.AutoWaterMark = true
-			ws := NewWorkStealing(cfg)
-			lbCfg := ilb.DefaultConfig(ilb.Explicit)
-			lbCfg.WaterMark = 0.01
-			// Victims answer slowly: they only poll every 4 units of 200ms.
-			lbCfg.PollEvery = 4
-			s := ilb.New(l, lbCfg, ws)
-			h := l.RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {
-				s.Compute(200 * sim.Millisecond)
-			})
-			if p.ID() == 0 {
-				for u := 0; u < 30; u++ {
-					mp := l.Register(u, 128)
-					s.Message(mp, h, nil, 8, 0.2)
-				}
-			}
-			for s.Step() {
-				if p.Now() >= 4*sim.Second {
-					s.Stop()
-				}
-			}
-			if p.ID() == 1 {
-				finalWM = s.WaterMark()
-				finalRTT = ws.rttEWMA
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if finalRTT <= 0 {
-		t.Fatal("no RTT observed")
-	}
-	if finalWM != 3*finalRTT {
-		t.Fatalf("watermark %v != 3 x rtt %v", finalWM, finalRTT)
-	}
-	// The victim's poll gap is up to 0.8s; the derived watermark must
-	// reflect a real (>10ms) measured latency, far above the initial 0.01.
-	if finalWM < 0.05 {
-		t.Fatalf("watermark %v did not adapt upward", finalWM)
-	}
-}

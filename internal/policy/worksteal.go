@@ -17,13 +17,6 @@ type WSConfig struct {
 	// particularly coarse-grained objects; larger values migrate several
 	// finer-grained objects at once (paper footnote 2).
 	MaxObjects int
-	// AutoWaterMark, when true, continuously re-derives the scheduler's
-	// water-mark from measured steal response latencies: the threshold
-	// becomes safety x the smoothed round-trip time, so requests go out
-	// early enough that replacement work arrives before the processor runs
-	// dry — the platform-determined threshold the paper proposes as future
-	// work (§4.2).
-	AutoWaterMark bool
 }
 
 // DefaultWSConfig returns the work stealing configuration used in the
@@ -42,8 +35,6 @@ const (
 	backoff = 250 * substrate.Millisecond
 	// requestSize is the payload bytes of request and control messages.
 	requestSize = 32
-	// safety is the AutoWaterMark multiplier.
-	safety = 3
 )
 
 // WSStats counts work stealing activity on one processor.
@@ -69,8 +60,6 @@ type WorkStealing struct {
 	outstanding  bool
 	nacksInSweep int
 	backoffUntil substrate.Time
-	requestedAt  substrate.Time
-	rttEWMA      float64 // smoothed steal response latency, seconds
 
 	hRequest dmcs.HandlerID
 	hGrant   dmcs.HandlerID
@@ -110,13 +99,11 @@ func (w *WorkStealing) Setup(s *ilb.Scheduler) {
 		w.Stats.GrantsReceived++
 		w.outstanding = false
 		w.nacksInSweep = 0
-		w.observeRTT(s)
 	})
 	w.hNack = c.Register(func(c *dmcs.Comm, src int, data any, size int) {
 		w.Stats.NacksReceived++
 		w.outstanding = false
 		w.nacksInSweep++
-		w.observeRTT(s)
 		w.advancePartner(s)
 		if w.nacksInSweep >= s.Proc().NumPeers()-1 {
 			// Full unsuccessful sweep: the machine looks empty; rest.
@@ -170,22 +157,7 @@ func (w *WorkStealing) maybeRequest(s *ilb.Scheduler) {
 	}
 	w.outstanding = true
 	w.Stats.Requests++
-	w.requestedAt = s.Proc().Now()
 	s.Comm().SendTagged(w.partner, w.hRequest, stealRequest{Load: s.Load()}, requestSize, substrate.TagSystem)
-}
-
-// observeRTT folds one steal response latency into the smoothed estimate
-// and, in AutoWaterMark mode, re-derives the scheduler's threshold from it.
-func (w *WorkStealing) observeRTT(s *ilb.Scheduler) {
-	sample := (s.Proc().Now() - w.requestedAt).Seconds()
-	if w.rttEWMA == 0 {
-		w.rttEWMA = sample
-	} else {
-		w.rttEWMA = 0.8*w.rttEWMA + 0.2*sample
-	}
-	if w.cfg.AutoWaterMark {
-		s.SetWaterMark(safety * w.rttEWMA)
-	}
 }
 
 // serveRequest runs at the victim (at a poll in explicit mode; from the

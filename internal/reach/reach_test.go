@@ -50,9 +50,7 @@ var allowed = []struct{ symbol, reason string }{
 	{"prema/internal/conformance.", "the backend-neutral DMCS+MOL conformance program rtm's tests run on every machine"},
 	{"prema/internal/trace.(*Collector).Recorder", "how the equivalence tests (sim, bench, rtm, substrate) read one processor's stream"},
 	{"prema/internal/graph.Imbalance", "the balance oracle of graph's, partition's and parmetis' tests"},
-	{"prema/internal/charm.GreedyLB.Remap", "DESIGN §5.6 names Greedy beside Refine and Metis; the ablation and charm's tests run it"},
-	{"prema/internal/charm.MetisLB.Remap", "as GreedyLB.Remap"},
-	{"prema/internal/ilb.(*Scheduler).WaterMark", "the observable of the §4.2 auto-tuned water-mark (policy's TestAutoWaterMarkTracksLatency)"},
+	{"prema/internal/charm.GreedyLB.Remap", "row 6 of DESIGN §5's ablation table (TestAblations): Greedy vs Refine under persistent and moving-spike weights, the evidence for EXPERIMENTS deviation 3"},
 	// Named by an open ROADMAP item.
 	{"prema/internal/mol.RegisterDataCodec", "ROADMAP item 12(a) ships dist checkpoints through it"},
 }

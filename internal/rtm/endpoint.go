@@ -1,7 +1,6 @@
 package rtm
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -119,18 +118,16 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (done 
 // keep measured time honest.
 const spinThreshold = 200 * time.Microsecond
 
-// never is the target of a pause that waits for no instant.
-const never = substrate.Time(math.MaxInt64)
-
 // pause is one step of every wait and the one place the sleep-then-spin rule
 // lives. While more than spinThreshold of wall clock remains before virtual
-// time target it sleeps up to that point — less if feed delivers (the message
-// is held) or timeout fires, which it reports; nil channels do neither. From
-// there on it yields once and returns, so the caller's loop spins the rest.
-// Asleep or spinning, the caller dies when the machine stops.
+// time target (substrate.Never: no instant) it sleeps up to that point —
+// less if feed delivers (the message is held) or timeout fires, which it
+// reports; nil channels do neither. From there on it yields once and
+// returns, so the caller's loop spins the rest. Asleep or spinning, the
+// caller dies when the machine stops.
 func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, timeout <-chan time.Time) (timedOut bool) {
 	var sleep <-chan time.Time
-	if target != never {
+	if target != substrate.Never {
 		d := e.m.wall(target-e.m.Now()) - spinThreshold
 		if d <= 0 {
 			runtime.Gosched()
@@ -287,7 +284,7 @@ func (e *Endpoint) wait(wall time.Duration, cat substrate.Category) bool {
 	}
 	n, timedOut := 0, false
 	for n == 0 && !timedOut {
-		next := never
+		next := substrate.Never
 		if len(e.inbox) > 0 {
 			next = e.inbox[0].ArrivedAt
 		}

@@ -74,12 +74,6 @@ type Config struct {
 	// included). The function must be pure and is called once per processor
 	// at Spawn.
 	Partition func(id, shards int) int
-	// FixedWindows disables adaptive windows: every coordination round
-	// dispatches the same window, one latency wide from the globally
-	// earliest event, to every shard. It is the reference the adaptive rule
-	// is tested against (TestAdaptiveWindowsMatchFixed: identical output, no
-	// more barrier rounds); no driver or CLI sets it.
-	FixedWindows bool
 	// Lockstep keeps every processor on its shard's clock: an Advance that
 	// no event can interrupt parks until the event loop reaches its end
 	// instead of running ahead (Proc.skipTo). Output is identical either
@@ -156,21 +150,6 @@ func (e *Engine) EventsFired() uint64 {
 	return n
 }
 
-// Transfers returns the number of times an event loop switched into a
-// processor body, summed over shards: the count of hand-off round trips, at
-// most one per fired event (about one for every four on wide_fine). It
-// repeats exactly for a given configuration but, unlike EventsFired, depends
-// on the shard count and Config.Lockstep: an Advance that no event can
-// interrupt skips the switch (Proc.skipTo), and what can interrupt it
-// depends on what its shard's heap holds. Read it after Run.
-func (e *Engine) Transfers() uint64 {
-	var n uint64
-	for _, s := range e.shards {
-		n += s.transfers
-	}
-	return n
-}
-
 // PollsElided returns the number of polling-thread wake-ups AdvancePolled
 // charged arithmetically instead of firing, summed over shards. Read it
 // after Run.
@@ -201,8 +180,7 @@ func (e *Engine) ImbalanceRatio() float64 {
 
 // BarrierRounds returns the number of window coordination rounds the sharded
 // run executed (0 for a serial run). Fewer rounds for the same event count
-// means less synchronization overhead; comparing a FixedWindows run against
-// an adaptive one on the same workload measures what adaptive windows save.
+// means less synchronization overhead.
 func (e *Engine) BarrierRounds() uint64 { return e.rounds }
 
 // shardOf returns the shard owning processor id.
@@ -230,14 +208,13 @@ func (e *Engine) NumProcs() int { return len(e.procs) }
 // Proc returns processor i.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// Spawn creates a simulated processor whose behaviour is body. The
-// processor starts executing when virtual time reaches the moment of the
-// Spawn call (normally time zero, before Run; inside a running body, the
-// caller's clock). Processor IDs are assigned densely in spawn order. On a
-// sharded engine all Spawn calls must precede Run.
+// Spawn creates a simulated processor whose behaviour is body; it starts
+// executing when Run does. Processor IDs are assigned densely in spawn
+// order. Every Spawn call must precede Run, as substrate.Machine requires:
+// a call while the engine runs panics.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	if e.running && len(e.shards) > 1 {
-		panic("sim: Spawn is unavailable while a sharded engine runs; spawn before Run or use Shards: 1")
+	if e.running {
+		panic("sim: Spawn while the engine runs; spawn every processor before Run")
 	}
 	id := len(e.procs)
 	sh := id % len(e.shards)
@@ -251,9 +228,6 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
 	p := &Proc{id: id, name: name, sh: s, now: s.now, inflight: arrivals{first: maxTime}}
-	if e.running {
-		p.now = s.cur.now // serial: s runs the caller
-	}
 	e.procs = append(e.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -352,19 +326,7 @@ func (e *Engine) runSharded() {
 			break // every heap and mailbox is empty: simulation over
 		}
 		e.rounds++
-		if e.cfg.FixedWindows {
-			base := maxTime
-			for _, t := range e.next {
-				if t < base {
-					base = t
-				}
-			}
-			for i := range e.ends {
-				e.ends[i] = base + e.look
-			}
-		} else {
-			e.setWindows()
-		}
+		e.setWindows()
 		for i, s := range e.shards {
 			s.start <- e.ends[i]
 		}

@@ -45,24 +45,20 @@ func TestWaitMsgForReturnsImmediatelyWhenQueued(t *testing.T) {
 	}
 }
 
+// TestSpawnDuringRun: substrate.Machine requires every Spawn to precede
+// Run; a body that spawns anyway panics, on the serial and the sharded
+// engine alike, and the run reports the panic.
 func TestSpawnDuringRun(t *testing.T) {
-	e := NewEngine(Config{Seed: 1})
-	childRan := false
-	e.Spawn("parent", func(p *Proc) {
-		p.Advance(Second, CatCompute)
-		e.Spawn("child", func(c *Proc) {
-			if c.Now() != Second {
-				t.Errorf("child started at %v", c.Now())
-			}
-			childRan = true
-		})
-		p.Advance(Second, CatCompute)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !childRan {
-		t.Fatal("child never ran")
+	for _, shards := range []int{1, 2} {
+		e := NewEngine(Config{Seed: 1, Shards: shards})
+		e.Spawn("parent", func(p *Proc) { e.Spawn("child", func(*Proc) {}) })
+		e.Spawn("peer", func(*Proc) {})
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "Spawn while the engine runs") {
+			t.Errorf("shards=%d: Run = %v, want the parent's Spawn panic", shards, err)
+		}
+		if e.NumProcs() != 2 {
+			t.Errorf("shards=%d: %d processors after the run, want 2", shards, e.NumProcs())
+		}
 	}
 }
 
@@ -209,28 +205,23 @@ func TestHandoff(t *testing.T) {
 		})
 	}
 	t.Run("spawn-inside-body", func(t *testing.T) {
-		// A coroutine created inside a coroutine: the child is switched to
-		// by the event loop, not by its parent, at the spawn instant.
+		// A body that spawns panics (TestSpawnDuringRun); teardown then
+		// unwinds a peer parked in its Advance, as after any panic.
 		e := NewEngine(Config{Seed: 1})
-		var childAt, parentAt Time
+		unwound := false
+		e.Spawn("bystander", func(p *Proc) {
+			defer func() { unwound = true }()
+			p.Advance(3*Second, CatCompute)
+		})
 		e.Spawn("parent", func(p *Proc) {
 			p.Advance(Second, CatCompute)
-			e.Spawn("child", func(c *Proc) {
-				childAt = c.Now()
-				c.Advance(3*Second, CatCompute)
-			})
-			if childAt != 0 {
-				t.Error("the child ran inside Spawn")
-			}
-			p.Advance(Second, CatCompute)
-			parentAt = p.Now()
+			e.Spawn("child", func(*Proc) {})
 		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "Spawn while the engine runs") {
+			t.Fatalf("Run = %v, want the parent's Spawn panic", err)
 		}
-		if childAt != Second || parentAt != 2*Second || e.Makespan() != 4*Second {
-			t.Errorf("child started at %v, parent finished at %v, makespan %v; want 1s, 2s, 4s",
-				childAt, parentAt, e.Makespan())
+		if !unwound || e.Makespan() != Second {
+			t.Errorf("bystander unwound %v, makespan %v; want true, 1s", unwound, e.Makespan())
 		}
 	})
 }

@@ -17,13 +17,12 @@ type shard struct {
 	id  int
 
 	now       Time
-	end       Time  // current window bound; 0 outside runWindow (closes Proc.skipTo)
-	ahead     Time  // run-ahead horizon past now: the lookahead, 0 under Config.Lockstep
-	cur       *Proc // the processor last switched into (Spawn inside a body)
+	end       Time // current window bound; 0 outside runWindow (closes Proc.skipTo)
+	ahead     Time // run-ahead horizon past now: the lookahead, 0 under Config.Lockstep
 	heap      eventHeap
 	fired     uint64 // events executed (Engine.EventsFired)
 	elided    uint64 // poll wake-ups charged arithmetically by AdvancePolled
-	transfers uint64 // switches into a processor body (Engine.Transfers)
+	transfers uint64 // switches into a processor body (Engine.Transfers, in runahead_test.go)
 
 	free     *event // recycled fired events (intrusive list via event.next)
 	allocSeq uint64 // local-band ordering counter (see event.go)
@@ -152,7 +151,6 @@ func (s *shard) deliver(m *Msg) {
 func (s *shard) transfer(p *Proc) {
 	s.transfers++
 	p.now = s.now
-	s.cur = p
 	p.next()
 }
 

@@ -39,14 +39,12 @@ func spawnMeshWorkload(m substrate.Machine, n, rounds int) {
 }
 
 // meshRun is the observable output of one fixture run: makespan,
-// per-processor accounts, every processor's internal/trace stream recorded
-// over the seam, and the coordination rounds the run took (the one thing a
-// configuration may change).
+// per-processor accounts and every processor's internal/trace stream
+// recorded over the seam.
 type meshRun struct {
 	makespan Time
 	accts    []Account
 	events   [][]trace.Event
-	rounds   uint64
 }
 
 // runMesh executes the fixture on a fresh engine behind the tracing
@@ -62,7 +60,7 @@ func runMesh(t *testing.T, cfg Config, n, rounds int) meshRun {
 	if col.Dropped() != 0 {
 		t.Fatalf("trace ring overflowed: %d events dropped", col.Dropped())
 	}
-	out := meshRun{makespan: e.Makespan(), rounds: e.BarrierRounds()}
+	out := meshRun{makespan: e.Makespan()}
 	for i := 0; i < n; i++ {
 		out.accts = append(out.accts, *e.Proc(i).Account())
 		out.events = append(out.events, slices.Collect(col.Recorder(i).Events()))

@@ -45,43 +45,6 @@ func TestPartitionOutOfRangePanics(t *testing.T) {
 	e.Spawn("p0", func(p *Proc) {})
 }
 
-// TestAdaptiveWindowsMatchFixed: adaptive windows change only how many
-// coordination rounds a run takes, never its output. On a dense, balanced
-// workload they are allowed to collapse to the fixed bound (every shard's
-// next event sits near the global minimum, so the window rule cannot widen
-// anything) but must never take more rounds; on a skewed partition —
-// where some shards idle while one drains — they must cut rounds by at
-// least 2×, since idle peers stop constraining the busy shard's window.
-func TestAdaptiveWindowsMatchFixed(t *testing.T) {
-	const n, rounds = 13, 25
-	run := func(fixed bool, partition func(id, shards int) int) meshRun {
-		return runMesh(t, Config{Seed: 42, Shards: 4, FixedWindows: fixed, Partition: partition}, n, rounds)
-	}
-
-	// Balanced round-robin: identical output, no more rounds than fixed.
-	fixed, adaptive := run(true, nil), run(false, nil)
-	equalMesh(t, "adaptive vs fixed (balanced)", fixed, adaptive)
-	if fixed.rounds == 0 || adaptive.rounds == 0 {
-		t.Fatalf("rounds not counted: fixed=%d adaptive=%d", fixed.rounds, adaptive.rounds)
-	}
-	if adaptive.rounds > fixed.rounds {
-		t.Errorf("balanced: adaptive used %d rounds, fixed used %d — must not be worse", adaptive.rounds, fixed.rounds)
-	}
-
-	// Degenerate partition (every processor on shard 0, shards 1-3 empty):
-	// empty peers never send, so the window rule leaves the busy shard's
-	// window unbounded and the whole run drains in a handful of rounds —
-	// the limiting case of the tail-drain collapse adaptive windows buy on
-	// imbalanced workloads. Fixed windows still pay one barrier per
-	// lookahead width.
-	skew := func(int, int) int { return 0 }
-	fixed, adaptive = run(true, skew), run(false, skew)
-	equalMesh(t, "adaptive vs fixed (skewed)", fixed, adaptive)
-	if adaptive.rounds*2 > fixed.rounds {
-		t.Errorf("skewed: adaptive used %d rounds vs fixed %d — expected >= 2x reduction", adaptive.rounds, fixed.rounds)
-	}
-}
-
 // TestShardTelemetry: per-shard event counts sum to the total, the
 // imbalance ratio is sane (>= 1 once events fired, exactly the max/mean of
 // the per-shard counts) and barrier rounds are counted.
@@ -204,15 +167,12 @@ func TestBarrierRoundsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		label     string
 		partition func(id, shards int) int
-		fixed     bool
 		want      uint64
 	}{
-		{"round-robin adaptive", nil, false, 41},
-		{"round-robin fixed", nil, true, 41},
-		{"all-on-shard-0 adaptive", skew, false, 1},
-		{"all-on-shard-0 fixed", skew, true, 41},
+		{"round-robin adaptive", nil, 41},
+		{"all-on-shard-0 adaptive", skew, 1},
 	} {
-		e := NewEngine(Config{Seed: 42, Shards: 4, FixedWindows: tc.fixed, Partition: tc.partition})
+		e := NewEngine(Config{Seed: 42, Shards: 4, Partition: tc.partition})
 		spawnMeshWorkload(Machine{e}, 13, 25)
 		if err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", tc.label, err)

@@ -126,7 +126,6 @@ func (m *fakeMachine) Account(i int) *substrate.Account { m.rec("Account(%d)", i
 func (m *fakeMachine) EventsFired() uint64   { return 1 }
 func (m *fakeMachine) BarrierRounds() uint64 { return 2 }
 func (m *fakeMachine) PollsElided() uint64   { return 3 }
-func (m *fakeMachine) Transfers() uint64     { return 4 }
 
 var errRun = fmt.Errorf("the fake machine's Run result")
 
@@ -135,7 +134,6 @@ type engineStats interface {
 	EventsFired() uint64
 	BarrierRounds() uint64
 	PollsElided() uint64
-	Transfers() uint64
 }
 
 type wrapper func(substrate.Machine) substrate.Machine
