@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"prema/internal/charm"
 	"prema/internal/sim"
 )
 
@@ -83,25 +82,6 @@ func TestCharmSyncRunsEveryUnit(t *testing.T) {
 		if compute != w.TotalWork() {
 			t.Errorf("%d units: computed %v, want %v", w.Units, compute, w.TotalWork())
 		}
-	}
-}
-
-// TestCharmSyncAdaptiveVsPersistent: under persistent weights the AtSync
-// balancer helps; under the moving spike it cannot (the paper's premise).
-func TestCharmSyncAdaptiveVsPersistent(t *testing.T) {
-	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.5, Ratio: 2.0}, 16, 16)
-	persistent := CharmConfig{SyncPoints: 4, Strategy: charm.GreedyLB{}, Shuffle: false}
-	adaptive := CharmConfig{SyncPoints: 4, Strategy: charm.RefineLB{}, Shuffle: true}
-	rp, err := runCharm(w.simMachine(), w, persistent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := runCharm(w.simMachine(), w, adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Makespan >= ra.Makespan {
-		t.Fatalf("persistent+greedy (%v) should beat adaptive+refine (%v)", rp.Makespan, ra.Makespan)
 	}
 }
 

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"prema/internal/trace"
@@ -99,5 +101,36 @@ func TestChaosTraceRecordsRetransmits(t *testing.T) {
 	if int(reg.Counters["ev_retransmit_total"]) != res.Counters["rel_retransmits"] {
 		t.Fatalf("traced retransmits %d != protocol counter %d",
 			reg.Counters["ev_retransmit_total"], res.Counters["rel_retransmits"])
+	}
+}
+
+// TestTraceExportPinned pins the exported bytes of one traced run across
+// versions, not only run against run: the sha256 of the Chrome file and of
+// the metrics registry's JSON, recorded from the writer that formatted every
+// poll of a folded stretch one by one. A changed digest is a changed output.
+func TestTraceExportPinned(t *testing.T) {
+	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.50, Ratio: 2.0}, 8, 8)
+	res, err := RunSpec{System: "prema-implicit", W: w, Trace: true}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome, metrics bytes.Buffer
+	if err := res.Trace.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Summarize(res.Trace, res.Makespan).WriteJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		out  []byte
+		want string
+	}{
+		{"Chrome trace", chrome.Bytes(), "04f006fb581df8709f66d704cdf19f2e576e83ac7e2226c0b1d5c5b622a7d87f"},
+		{"metrics JSON", metrics.Bytes(), "6035e4714800d3f184efff17057748ac6ef66e709de44fe72afcaded77f3e69c"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.out)); got != c.want {
+			t.Errorf("%s: sha256 %s (%d bytes), pinned %s", c.name, got, len(c.out), c.want)
+		}
 	}
 }

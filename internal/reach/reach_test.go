@@ -49,6 +49,7 @@ var allowed = []struct{ symbol, reason string }{
 	{"prema/internal/clitest.", "the in-process golden/rejection harness of every cmd/*/main_test.go"},
 	{"prema/internal/conformance.", "the backend-neutral DMCS+MOL conformance program rtm's tests run on every machine"},
 	{"prema/internal/trace.(*Collector).Recorder", "how the equivalence tests (sim, bench, rtm, substrate) read one processor's stream"},
+	{"prema/internal/trace.(*Recorder).Events", "how the equivalence tests (sim, bench, rtm, substrate) read one processor's stream, event by event; the exporters read it a run at a time"},
 	{"prema/internal/graph.Imbalance", "the balance oracle of graph's, partition's and parmetis' tests"},
 	{"prema/internal/charm.GreedyLB.Remap", "row 6 of DESIGN §5's ablation table (TestAblations): Greedy vs Refine under persistent and moving-spike weights, the evidence for EXPERIMENTS deviation 3"},
 	// Named by an open ROADMAP item.

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -22,7 +24,9 @@ import (
 // Output is written with deterministic formatting: same-seed simulator runs
 // produce byte-identical trace files (guarded by CI's cmp step). Each record
 // is appended straight into the bufio.Writer's free space from tables built
-// at init; no event is copied out of its ring, boxed or formatted by fmt.
+// at init; no event is copied out of its ring, boxed or formatted by fmt. A
+// folded stretch of polls is rendered once and each further poll written
+// from that rendering with its timestamps advanced in place (pollTemplate).
 
 // argFormat is how a record renders one of an event's A, B, C arguments.
 type argFormat uint8
@@ -119,28 +123,36 @@ func appendTS(b []byte, t substrate.Time) []byte {
 	return b
 }
 
-// appendEvent appends e's record on processor row tid; ok is false for an
-// event that has none.
-func appendEvent(b []byte, tid int, e Event) (_ []byte, ok bool) {
-	var rec chromeRecord
+// recordOf returns e's compiled record; its head is "" for an event that
+// has none.
+func recordOf(e Event) chromeRecord {
 	switch {
 	case e.Kind == EvSpan:
 		// A negative category wraps to a huge index and clamps to "Unknown".
 		cat := min(uint64(e.A), uint64(substrate.NumCategories))
-		rec = chromeRecord{head: spanHeads[cat], interval: true}
+		return chromeRecord{head: spanHeads[cat], interval: true}
 	case e.Kind < NumKinds:
-		rec = chromeRecords[e.Kind]
+		return chromeRecords[e.Kind]
 	}
-	if rec.head == "" {
-		return b, false
-	}
-	b = append(b, rec.head...)
+	return chromeRecord{}
+}
+
+// ts returns the timestamp e's record carries: an interval's start, else
+// e.T.
+func (rec *chromeRecord) ts(e Event) substrate.Time {
 	if rec.interval {
-		b = appendTS(b, e.T-e.Dur)
+		return e.T - e.Dur
+	}
+	return e.T
+}
+
+// append appends e's record, rec, on processor row tid.
+func (rec *chromeRecord) append(b []byte, tid int, e Event) []byte {
+	b = append(b, rec.head...)
+	b = appendTS(b, rec.ts(e))
+	if rec.interval {
 		b = append(b, `,"dur":`...)
 		b = appendTS(b, e.Dur)
-	} else {
-		b = appendTS(b, e.T)
 	}
 	b = append(b, `,"pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
@@ -163,7 +175,95 @@ func appendEvent(b []byte, tid int, e Event) (_ []byte, ok bool) {
 	if len(rec.args) > 0 {
 		b = append(b, '}')
 	}
-	return append(b, '}'), true
+	return append(b, '}')
+}
+
+// pollTemplate is one poll of a folded stretch rendered with its separators,
+// and where each of its records' "ts" value sits: the next poll is the same
+// bytes with the period added to every timestamp.
+type pollTemplate struct {
+	buf []byte
+	ts  []tsSlot
+	// period holds the period's non-zero decimal digits (ns), least
+	// significant first; wholeUS is whether it is a whole number of µs.
+	period  []digit
+	wholeUS bool
+}
+
+// digit is decimal digit v at position pos (0 = ones) of a nanosecond count.
+type digit struct{ pos, v uint8 }
+
+// tsSlot is timestamp t rendered at buf[at:end], with a fraction when frac;
+// lim is the first time whose microseconds have one more digit.
+type tsSlot struct {
+	at, end int
+	t, lim  substrate.Time
+	frac    bool
+}
+
+// setPeriod readies the template for a stretch of this period.
+func (tp *pollTemplate) setPeriod(period substrate.Time) {
+	tp.period, tp.wholeUS = tp.period[:0], period%1000 == 0
+	for pos := uint8(0); period > 0; pos, period = pos+1, period/10 {
+		if v := uint8(period % 10); v != 0 {
+			tp.period = append(tp.period, digit{pos, v})
+		}
+	}
+}
+
+// render renders evs, shift later, on processor row tid into the template.
+func (tp *pollTemplate) render(tid int, evs []Event, shift substrate.Time) {
+	tp.buf, tp.ts = tp.buf[:0], tp.ts[:0]
+	for _, e := range evs {
+		e.T += shift
+		rec := recordOf(e)
+		if rec.head == "" {
+			continue
+		}
+		at := len(tp.buf) + len(",\n") + len(rec.head)
+		tp.buf = rec.append(append(tp.buf, ",\n"...), tid, e)
+		s := tsSlot{at: at, end: at + bytes.IndexByte(tp.buf[at:], ','), t: rec.ts(e), lim: 10 * 1000}
+		s.frac = s.t%1000 != 0
+		for s.lim <= s.t && s.lim <= math.MaxInt64/10 {
+			s.lim *= 10
+		}
+		tp.ts = append(tp.ts, s)
+	}
+}
+
+// step adds period to every timestamp of the template in place, as decimal
+// ASCII, and reports whether it could: it cannot when a timestamp would
+// change shape (its digit count grows, or its fraction turns zero or
+// non-zero), and leaves the template half stepped, to be rendered afresh.
+func (tp *pollTemplate) step(period substrate.Time) bool {
+	for j := range tp.ts {
+		s := &tp.ts[j]
+		if s.t += period; s.t >= s.lim || !tp.wholeUS && (s.t%1000 != 0) != s.frac {
+			return false
+		}
+		ts := tp.buf[s.at:s.end]
+		for _, d := range tp.period {
+			// ns digit pos sits pos places left of the last one, past the
+			// decimal point if it is a µs digit; a whole-µs timestamp
+			// ends at the µs ones.
+			i := len(ts) - 1 - int(d.pos)
+			if !s.frac {
+				i += 3
+			} else if d.pos >= 3 {
+				i--
+			}
+			v := ts[i] + d.v
+			for v > '9' { // carry; the shape check keeps it inside ts
+				ts[i] = v - 10
+				if i--; ts[i] == '.' {
+					i--
+				}
+				v = ts[i] + 1
+			}
+			ts[i] = v
+		}
+	}
+	return true
 }
 
 // flowEvent is one migrate-out or migrate-in, kept to pair them into arrows.
@@ -184,6 +284,7 @@ type chromeWriter struct {
 	bw      *bufio.Writer
 	written bool
 	err     error
+	tpl     pollTemplate
 }
 
 // next returns the buffer to append one record into, its separator in place.
@@ -204,6 +305,24 @@ func (w *chromeWriter) write(b []byte) {
 		_, w.err = w.bw.Write(b)
 	}
 	w.written = true
+}
+
+// stretch writes the n polls of run ru on processor row tid: the first
+// poll is rendered into the template, each next one patched from the one
+// before and written with one Write, and rendered afresh only where a
+// timestamp changes shape. A stretch never starts the output (the thread
+// rows come first), so every record of it takes a separator.
+func (w *chromeWriter) stretch(tid int, ru run) {
+	tp := &w.tpl
+	tp.setPeriod(ru.period)
+	tp.render(tid, ru.evs, 0)
+	w.write(tp.buf)
+	for p := uint64(1); p < ru.n && w.err == nil; p++ {
+		if !tp.step(ru.period) {
+			tp.render(tid, ru.evs, substrate.Time(p)*ru.period)
+		}
+		w.write(tp.buf)
+	}
 }
 
 // flow writes one end of migration arrow id.
@@ -240,14 +359,21 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 		}
 	}
 
+	// A folded stretch holds no migration, so only a run of one adds flows.
 	var flows []flowEvent
 	for i, r := range c.recs {
-		for e := range r.Events() {
-			if e.Kind == EvMigrateOut || e.Kind == EvMigrateIn {
-				flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: e.Kind == EvMigrateOut})
-			}
-			if b, ok := appendEvent(cw.next(), i, e); ok {
-				cw.write(b)
+		for ru := range r.runs() {
+			if ru.n > 1 {
+				cw.stretch(i, ru)
+			} else {
+				for _, e := range ru.evs {
+					if e.Kind == EvMigrateOut || e.Kind == EvMigrateIn {
+						flows = append(flows, flowEvent{proc: i, t: e.T, key: e.B, out: e.Kind == EvMigrateOut})
+					}
+					if rec := recordOf(e); rec.head != "" {
+						cw.write(rec.append(cw.next(), i, e))
+					}
+				}
 			}
 			if cw.err != nil {
 				return cw.err

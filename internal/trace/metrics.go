@@ -153,20 +153,33 @@ func Summarize(c *Collector, makespan substrate.Time) *Registry {
 	for i := range catSecs {
 		catSecs[i] = make([]float64, c.NumProcs())
 	}
+	// A stretch of n polls is folded: its kinds are counted n at a time,
+	// and each span's seconds are added n times, never multiplied by n
+	// (which rounds apart). Its spans are of distinct categories, so this is
+	// the order the expanded events add in; the histograms' kinds come in
+	// runs of one only. A kind out of range is counted nowhere, as the Chrome
+	// writer writes it nowhere.
 	for i, r := range c.recs {
-		for e := range r.Events() {
-			kindTotals[e.Kind]++
-			switch e.Kind {
-			case EvSpan:
-				if cat := substrate.Category(e.A); cat >= 0 && cat < substrate.NumCategories {
-					catSecs[cat][i] += e.Dur.Seconds()
+		for ru := range r.runs() {
+			for _, e := range ru.evs {
+				if e.Kind < NumKinds {
+					kindTotals[e.Kind] += int64(ru.n)
 				}
-			case EvUnitEnd:
-				unitSec.Observe(e.Dur.Seconds())
-			case EvForward:
-				hops.Observe(float64(e.B))
-			case EvSend:
-				sendBytes.Observe(float64(e.C))
+				switch e.Kind {
+				case EvSpan:
+					if cat := substrate.Category(e.A); cat >= 0 && cat < substrate.NumCategories {
+						x, d := &catSecs[cat][i], e.Dur.Seconds()
+						for range ru.n {
+							*x += d
+						}
+					}
+				case EvUnitEnd:
+					unitSec.Observe(e.Dur.Seconds())
+				case EvForward:
+					hops.Observe(float64(e.B))
+				case EvSend:
+					sendBytes.Observe(float64(e.C))
+				}
 			}
 		}
 	}

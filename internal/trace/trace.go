@@ -322,58 +322,61 @@ func (f *record) size() uint64 {
 	return uint64(f.b) * uint64(hi-lo)
 }
 
-// cursor reads a recorder's records as events, one poll at a time:
-// evs[k:hi] is what is left of the current poll, or of the current plain
-// event at evs[0]; polls more polls of the current record follow, period
-// apart; record i is next.
-type cursor struct {
-	r         *Recorder
-	i         uint64
-	evs       [3]Event
-	k, lo, hi int
-	polls     uint64
-	period    substrate.Time
+// A run is evs followed by n-1 copies of them, each period later than the
+// one before: a plain event, or what is left of a poll when the window
+// starts inside one, is a run of one; the whole polls of a folded record
+// after it are one run, whose events are a poll's spans and poll-wake
+// instant (firstPoll).
+type run struct {
+	evs    []Event
+	n      uint64
+	period substrate.Time
 }
 
-// readFrom returns a cursor at event skip of record first.
-func (r *Recorder) readFrom(first, skip uint64) cursor {
-	c := cursor{r: r, i: first}
-	if c.advance() {
-		perPoll := uint64(c.hi - c.lo)
-		c.shift(skip / perPoll)
-		c.k += int(skip % perPoll)
-	}
-	return c
-}
-
-// advance moves c to the start of its next poll, or else of its next
-// record, and reports whether there is one.
-func (c *cursor) advance() bool {
-	if c.polls > 0 {
-		c.shift(1)
-		c.k = c.lo
-		return true
-	}
-	if c.i == c.r.nrec {
-		return false
-	}
-	f := c.r.at(c.i)
-	c.i++
-	if !f.folded {
-		c.evs[0] = Event{T: f.t, Dur: f.dur, A: f.a, B: f.b, C: f.c, Kind: f.kind}
-		c.k, c.lo, c.hi = 0, 0, 1
-		return true
-	}
-	c.evs, c.lo, c.hi = f.firstPoll()
-	c.k, c.polls, c.period = c.lo, uint64(f.b-1), f.dur+substrate.Time(f.a)
-	return true
-}
-
-// shift moves c p polls on within the current record.
-func (c *cursor) shift(p uint64) {
-	c.polls -= p
-	for j := range c.evs {
-		c.evs[j].T += substrate.Time(p) * c.period
+// runs yields the retained events, oldest first, a run at a time, read in
+// place from the ring: a folded record is never expanded. A run's evs are
+// valid until the next yield.
+func (r *Recorder) runs() iter.Seq[run] {
+	return func(yield func(run) bool) {
+		if r == nil {
+			return
+		}
+		var evs [3]Event
+		first, skip := r.window()
+		for i := first; i < r.nrec; i++ {
+			f := r.at(i)
+			if !f.folded {
+				evs[0] = Event{T: f.t, Dur: f.dur, A: f.a, B: f.b, C: f.c, Kind: f.kind}
+				if !yield(run{evs[:1], 1, 0}) {
+					return
+				}
+				continue
+			}
+			var lo, hi int
+			evs, lo, hi = f.firstPoll()
+			polls, period := uint64(f.b), f.dur+substrate.Time(f.a)
+			if skip > 0 { // the window starts inside this record, at event k of poll p
+				perPoll := uint64(hi - lo)
+				p, k := skip/perPoll, lo+int(skip%perPoll)
+				for j := range evs {
+					evs[j].T += substrate.Time(p) * period
+				}
+				polls -= p
+				if k > lo {
+					if !yield(run{evs[k:hi], 1, 0}) {
+						return
+					}
+					for j := range evs {
+						evs[j].T += period
+					}
+					polls--
+				}
+				skip = 0
+			}
+			if polls > 0 && !yield(run{evs[lo:hi], polls, period}) {
+				return
+			}
+		}
 	}
 }
 
@@ -411,14 +414,13 @@ func (r *Recorder) Dropped() uint64 {
 // recorder yields nothing.
 func (r *Recorder) Events() iter.Seq[Event] {
 	return func(yield func(Event) bool) {
-		if r == nil {
-			return
-		}
-		c := r.readFrom(r.window())
-		for ok := true; ok; ok = c.advance() {
-			for _, e := range c.evs[c.k:c.hi] {
-				if !yield(e) {
-					return
+		for ru := range r.runs() {
+			for p := range ru.n {
+				for _, e := range ru.evs {
+					e.T += substrate.Time(p) * ru.period
+					if !yield(e) {
+						return
+					}
 				}
 			}
 		}

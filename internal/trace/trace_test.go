@@ -12,9 +12,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -405,9 +407,13 @@ func (s *fuzzBytes) Intn(n int) int {
 // every Kind plus two out of range; span categories and policy codes one
 // past either end of their range; timestamps and durations whose nanosecond
 // fraction is 0, 1, 10, 100, 999 or anything; integer arguments up to the
-// int64 extremes; and migrations of nine objects among the processors, so
+// int64 extremes; migrations of nine objects among the processors, so
 // objects move several times and some migrate-ins outlive their
-// migrate-outs in the rings.
+// migrate-outs in the rings; and folded stretches of 3-42 polls at an
+// interval and a cost drawn like a duration or zero, so their periods are
+// whole µs or not and their timestamps' fractions stay, turn zero or turn
+// non-zero, some jumping to just below 10,000,000 µs so that their
+// timestamps gain a digit.
 func randomCollector(r intn) *Collector {
 	c := NewCollector(4 << r.Intn(6))
 	draw := func() substrate.Time {
@@ -434,6 +440,22 @@ func randomCollector(r intn) *Collector {
 		var t substrate.Time
 		for n := r.Intn(200); n > 0; n-- {
 			t += draw()
+			if r.Intn(8) == 0 {
+				if r.Intn(4) == 0 {
+					t = max(t, 9_999_990*substrate.Microsecond+draw())
+				}
+				interval, cost := draw(), draw()
+				if r.Intn(4) == 0 {
+					interval = 0
+				}
+				if r.Intn(4) == 0 {
+					cost = 0
+				}
+				polls := 3 + r.Intn(40)
+				rec.polls(t, polls, interval, cost)
+				t += substrate.Time(polls) * (interval + cost)
+				continue
+			}
 			k := Kind(r.Intn(int(NumKinds) + 2))
 			if k == NumKinds+1 {
 				k = 255
@@ -471,6 +493,14 @@ func chromeCoverage(c *Collector, out []byte) []string {
 	}
 	outs := map[int64]int{}
 	for _, r := range c.recs {
+		if first, skip := r.window(); skip > 0 && r.at(first).folded {
+			seen = append(seen, "window starting inside a stretch")
+		}
+		for ru := range r.runs() {
+			if ru.n > 1 {
+				seen = append(seen, stretchCoverage(ru)...)
+			}
+		}
 		for e := range r.Events() {
 			seen = append(seen, "kind "+e.Kind.String(), fmt.Sprintf("fraction %d", e.T%1000))
 			switch {
@@ -484,6 +514,45 @@ func chromeCoverage(c *Collector, out []byte) []string {
 				seen = append(seen, "policy code out of range")
 			}
 		}
+	}
+	return seen
+}
+
+// stretchCoverage names the cases of a stretch, a run of n > 1 polls.
+func stretchCoverage(ru run) []string {
+	seen := []string{"stretch at a non-whole-µs period"}
+	if ru.period%1000 == 0 {
+		seen[0] = "stretch at a whole-µs period"
+	}
+	compute, pollThread := false, false
+	for _, e := range ru.evs {
+		first := e.T
+		if e.Kind == EvSpan {
+			first -= e.Dur
+			compute = compute || substrate.Category(e.A) == substrate.CatCompute
+			pollThread = pollThread || substrate.Category(e.A) == substrate.CatPollThread
+		}
+		last := first + substrate.Time(ru.n-1)*ru.period
+		if first%1000 == 0 {
+			seen = append(seen, "stretch timestamp with fraction 0")
+		} else {
+			seen = append(seen, "stretch timestamp with a fraction")
+		}
+		if (first%1000 == 0) != ((first+ru.period)%1000 == 0) {
+			seen = append(seen, "stretch timestamp whose fraction turns zero or non-zero")
+		}
+		if len(fmt.Sprint(int64(first/1000))) != len(fmt.Sprint(int64(last/1000))) {
+			seen = append(seen, "stretch timestamp gaining a digit")
+			if last >= 10_000_000*substrate.Microsecond {
+				seen = append(seen, "stretch timestamp crossing 10,000,000 µs")
+			}
+		}
+	}
+	if !compute {
+		seen = append(seen, "stretch at interval 0")
+	}
+	if !pollThread {
+		seen = append(seen, "stretch at cost 0")
 	}
 	return seen
 }
@@ -524,7 +593,11 @@ func TestChromeMatchesReference(t *testing.T) {
 	}
 	want := []string{"wrapped ring", "migrate-in without its migrate-out", "object migrating twice",
 		"category out of range", "policy code out of range", "kind unknown",
-		"fraction 0", "fraction 1", "fraction 10", "fraction 100", "fraction 999"}
+		"fraction 0", "fraction 1", "fraction 10", "fraction 100", "fraction 999",
+		"stretch at a whole-µs period", "stretch at a non-whole-µs period", "stretch at interval 0",
+		"stretch at cost 0", "stretch timestamp with fraction 0", "stretch timestamp with a fraction",
+		"stretch timestamp whose fraction turns zero or non-zero", "stretch timestamp gaining a digit",
+		"stretch timestamp crossing 10,000,000 µs", "window starting inside a stretch"}
 	for k := Kind(0); k < NumKinds; k++ {
 		want = append(want, "kind "+k.String())
 	}
@@ -548,13 +621,92 @@ func FuzzChromeExport(f *testing.F) {
 	})
 }
 
+// summarizeReference is Summarize before stretches were folded: a registry
+// built event by event from Events, kept as the oracle Summarize must match.
+// It ignores a kind out of range, which the Summarize it replaced indexed
+// past its counts with.
+func summarizeReference(c *Collector, makespan substrate.Time) *Registry {
+	reg := &Registry{
+		Counters:   map[string]int64{},
+		Hists:      map[string]*Hist{},
+		Categories: map[string]PerProcSummary{},
+		Procs:      c.NumProcs(),
+		MakespanS:  makespan.Seconds(),
+	}
+	unitSec := NewHist(0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10, 20, 50, 100)
+	hops := NewHist(1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
+	sendBytes := NewHist(16, 64, 256, 1024, 4096, 16384, 65536)
+	var kindTotals [NumKinds]int64
+	catSecs := make([][]float64, substrate.NumCategories)
+	for i := range catSecs {
+		catSecs[i] = make([]float64, c.NumProcs())
+	}
+	for i, r := range c.recs {
+		for e := range r.Events() {
+			if e.Kind < NumKinds {
+				kindTotals[e.Kind]++
+			}
+			switch e.Kind {
+			case EvSpan:
+				if cat := substrate.Category(e.A); cat >= 0 && cat < substrate.NumCategories {
+					catSecs[cat][i] += e.Dur.Seconds()
+				}
+			case EvUnitEnd:
+				unitSec.Observe(e.Dur.Seconds())
+			case EvForward:
+				hops.Observe(float64(e.B))
+			case EvSend:
+				sendBytes.Observe(float64(e.C))
+			}
+		}
+	}
+	for k, n := range kindTotals {
+		reg.Counters["ev_"+strings.ReplaceAll(Kind(k).String(), "-", "_")+"_total"] = n
+	}
+	reg.Counters["trace_events_total"] = int64(c.Total())
+	reg.Counters["trace_dropped_total"] = int64(c.Dropped())
+	reg.Hists["unit_seconds"] = unitSec
+	reg.Hists["forward_hops"] = hops
+	reg.Hists["send_bytes"] = sendBytes
+	for cat := substrate.Category(0); cat < substrate.NumCategories; cat++ {
+		if s := summarize(catSecs[cat]); s.Total > 0 {
+			reg.Categories[strings.ToLower(cat.String())+"_s"] = s
+		}
+	}
+	return reg
+}
+
+// TestSummarizeMatchesReference: on any collector, stretches included,
+// Summarize builds exactly the registry the event-by-event fold builds.
+// reflect.DeepEqual compares every float sum with ==, so a stretch whose
+// seconds were added in another order, or multiplied, fails it.
+func TestSummarizeMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		c := randomCollector(rand.New(rand.NewSource(seed)))
+		if got, want := Summarize(c, 7), summarizeReference(c, 7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Summarize differs from the event-by-event registry\n got: %s\nwant: %s", seed, got.Text(), want.Text())
+		}
+	}
+}
+
 // TestExportAllocsIndependentOfEvents is the cold-path twin of
 // TestHotPathZeroAlloc: both exporters read the rings in place and format
 // without boxing, so a 100x longer trace costs no more allocations; only the
 // flow list and its map grow, and only with migrations, which are held at
-// ten here.
+// ten here. A folded stretch is exported through one template reused for
+// every poll, so a 10,000-poll stretch costs what a 10-poll one does, also
+// when its timestamps gain digits and change fraction as they go.
 func TestExportAllocsIndependentOfEvents(t *testing.T) {
-	allocs := func(perRecorder int) (chrome, summarize float64) {
+	allocs := func(c *Collector) (chrome, summarize float64) {
+		chrome = testing.AllocsPerRun(2, func() {
+			if err := c.WriteChrome(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		summarize = testing.AllocsPerRun(2, func() { Summarize(c, 0) })
+		return chrome, summarize
+	}
+	mixed := func(perRecorder int) *Collector {
 		c := NewCollector(1 << 17)
 		for p := 0; p < 2; p++ {
 			r := c.attach(p)
@@ -566,19 +718,34 @@ func TestExportAllocsIndependentOfEvents(t *testing.T) {
 				r.Interval(k, substrate.Time(i)*1500, substrate.Time(i)*1500+700, ObjKey(p, i%4), int64(i), 64)
 			}
 		}
-		chrome = testing.AllocsPerRun(2, func() {
-			if err := c.WriteChrome(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		})
-		summarize = testing.AllocsPerRun(2, func() { Summarize(c, 0) })
-		return chrome, summarize
+		return c
 	}
-	smallC, smallS := allocs(1_000)
-	bigC, bigS := allocs(100_000)
-	if bigC > smallC+4 || bigS > smallS+4 {
-		t.Errorf("allocations grow with the event count: WriteChrome %.0f -> %.0f, Summarize %.0f -> %.0f (1,000 -> 100,000 events per recorder)",
-			smallC, bigC, smallS, bigS)
+	polled := func(polls int) *Collector {
+		c := NewCollector(1 << 17)
+		for p := 0; p < 2; p++ {
+			r := c.attach(p)
+			t := substrate.Time(9_990 * substrate.Microsecond)
+			for i := 0; i < 20; i++ {
+				r.Instant(EvSend, t, 1, 2, 64)
+				r.polls(t+1500, polls, 10*substrate.Microsecond+500, 4*substrate.Microsecond)
+				t += substrate.Time(polls+1) * 15 * substrate.Microsecond
+			}
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		what       string
+		small, big *Collector
+	}{
+		{"1,000 -> 100,000 events per recorder", mixed(1_000), mixed(100_000)},
+		{"10-poll -> 10,000-poll stretches", polled(10), polled(10_000)},
+	} {
+		smallC, smallS := allocs(tc.small)
+		bigC, bigS := allocs(tc.big)
+		if bigC > smallC+4 || bigS > smallS+4 {
+			t.Errorf("allocations grow with the event count: WriteChrome %.0f -> %.0f, Summarize %.0f -> %.0f (%s)",
+				smallC, bigC, smallS, bigS, tc.what)
+		}
 	}
 }
 
