@@ -182,8 +182,11 @@ func checkEquivalent(t *testing.T, seed int64, s RunSpec) {
 		fail("the stepped reference elided %d polls", want.PollsElided)
 	}
 	plan, _ := faulty.ParsePlan(s.FaultPlan) // Run has parsed it
-	if !s.Recover && got.PollsElided == 0 && slices.ContainsFunc(got.PollWakes, func(n int) bool { return n > 0 }) {
+	if got.PollsElided == 0 && slices.ContainsFunc(got.PollWakes, func(n int) bool { return n > 0 }) {
 		fail("nothing was elided in %v poll wakes", got.PollWakes)
+	}
+	if d := ledgersSumToMakespan(got); d != "" {
+		fail("%s", d)
 	}
 	if plan.Active() && got.Events == 0 {
 		fail("engine telemetry hidden behind the injector: 0 events")
@@ -206,15 +209,24 @@ func checkEquivalent(t *testing.T, seed int64, s RunSpec) {
 		fail("traced reference: %v", err)
 		return
 	}
-	a, b := got.Trace, traced.Trace
+	if d := sameStreams(got.Trace, traced.Trace); d != "" {
+		fail("%s", d)
+	}
+}
+
+// sameStreams says how two traced runs' recordings differ ("" when they do
+// not): the totals recorded and dropped, and every processor's retained
+// stream.
+func sameStreams(a, b *trace.Collector) string {
 	if a.Total() != b.Total() || a.Dropped() != b.Dropped() {
-		fail("trace recorded %d events, dropped %d; the reference %d, %d", a.Total(), a.Dropped(), b.Total(), b.Dropped())
+		return fmt.Sprintf("trace recorded %d events, dropped %d; the reference %d, %d", a.Total(), a.Dropped(), b.Total(), b.Dropped())
 	}
 	for i := 0; i < b.NumProcs(); i++ {
 		if x, y := slices.Collect(a.Recorder(i).Events()), slices.Collect(b.Recorder(i).Events()); !reflect.DeepEqual(x, y) {
-			fail("proc %d trace stream differs (%d vs %d events retained)", i, len(x), len(y))
+			return fmt.Sprintf("proc %d trace stream differs (%d vs %d events retained)", i, len(x), len(y))
 		}
 	}
+	return ""
 }
 
 // The suites the harness replaced keep their names as pinned draws: the
@@ -283,10 +295,26 @@ func TestTracingIsObservational(t *testing.T) {
 }
 
 // TestRecoveryNoCrashByteIdentical: -recover without a crash, whose
-// checkpoint costs are charged, never timed.
+// checkpoint costs are reported in the recovery ledger, never timed. Its
+// quiet polls elide as the plain run's do, so the simulator fires at most
+// 10% more events than without -recover (4x as many while -recover stepped
+// every poll).
 func TestRecoveryNoCrashByteIdentical(t *testing.T) {
 	for _, system := range []string{"prema-explicit", "prema-implicit"} {
 		pinnedDraw(t, system, RunSpec{System: system, W: chaosWorkload(), Reliable: true, Recover: true})
+	}
+	s := RunSpec{System: "prema-implicit", W: chaosWorkload(), Reliable: true}
+	plain, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Recover = true
+	rec, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Events*10 > plain.Events*11 {
+		t.Errorf("-recover fired %d simulator events, the plain run %d", rec.Events, plain.Events)
 	}
 }
 
@@ -353,6 +381,23 @@ func sameOutcome(a, b *Result) string {
 		return fmt.Sprintf("poll wakes %v vs %v", a.PollWakes, b.PollWakes)
 	case a.Faults != b.Faults:
 		return fmt.Sprintf("faults %+v vs %+v", a.Faults, b.Faults)
+	}
+	return ""
+}
+
+// ledgersSumToMakespan says how a simulated run's ledgers fail to account
+// for its elapsed time ("" when they do not): no processor's ledger may sum
+// to more than the makespan, and the last to finish sums to exactly it.
+func ledgersSumToMakespan(r *Result) string {
+	var most substrate.Time
+	for i, a := range r.Accounts {
+		if a.Total() > r.Makespan {
+			return fmt.Sprintf("proc %d ledger sums to %v, past the %v makespan", i, a.Total(), r.Makespan)
+		}
+		most = max(most, a.Total())
+	}
+	if most != r.Makespan {
+		return fmt.Sprintf("the largest ledger sums to %v, not the %v makespan", most, r.Makespan)
 	}
 	return ""
 }

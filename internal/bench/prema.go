@@ -38,7 +38,8 @@ type PremaConfig struct {
 	// lease-based failure detection, directory repair, and orphan
 	// re-homing, so faulty crash plans are survivable. Requires
 	// Rel.Enabled. A recovery-enabled run without a crash is byte-identical
-	// to one without recovery (checkpoint costs are charged, never timed).
+	// to one without recovery: the modeled checkpoint cost is reported in
+	// the recovery ledger (recov.Stats.Charged), in no processor's.
 	Recovery *recov.Config
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,6 +46,9 @@ func TestRecoveryCrashMidRun(t *testing.T) {
 	if err := res.CheckConservation(); err != nil {
 		t.Errorf("crashed run: %v", err)
 	}
+	if d := ledgersSumToMakespan(res); d != "" {
+		t.Errorf("crashed run: %s", d)
+	}
 	if res.Counters["units_run"] != clean.Counters["units_run"] {
 		t.Errorf("crashed run computed %d units, clean run %d",
 			res.Counters["units_run"], clean.Counters["units_run"])
@@ -65,12 +69,100 @@ func TestRecoveryCrashMidRun(t *testing.T) {
 	if rs.Checkpoints == 0 {
 		t.Error("no checkpoints taken")
 	}
-	// Checkpoint overhead: total charged cost averaged over processors,
+	// Checkpoint overhead: total modeled cost averaged over processors,
 	// against the clean makespan.
 	perProc := rs.Charged.Seconds() / float64(w.Procs)
 	if lim := 0.05 * clean.Makespan.Seconds(); perProc >= lim {
 		t.Errorf("checkpoint overhead %.3fs/proc >= 5%% of clean makespan (%.1fs)", perProc, clean.Makespan.Seconds())
 	}
+}
+
+// TestRecoveryElidesExactly: crashed -recover runs elide their quiet polls
+// up to the recovery heartbeat's next act (recov.Proc.NextAct) and are still
+// exactly the stepped run, trace streams included. Each term of the deadline
+// has a spec here that fails without it, and one that fails if it wakes
+// 2 ms late; the diffusion tie also fails if same-instant wakes fire in push
+// order (sim's wake ordering key), since two of its processors poll the
+// store at the same nanosecond.
+func TestRecoveryElidesExactly(t *testing.T) {
+	crash := func(system, plan string) RunSpec {
+		return RunSpec{System: system, W: chaosWorkload(), FaultPlan: plan, FaultSeed: 3, Reliable: true, Recover: true}
+	}
+	traced := func(s RunSpec) RunSpec { s.Trace = true; return s }
+	lossy := crash("prema-implicit", "drop=0.05,dup=0.05;crash:3@35s;recover:3@50s")
+	lossy.FaultSeed = 5
+	wide := traced(crash("prema-implicit", "crash:7@60s"))
+	wide.W = PaperWorkload(Figures()[0], 32, 16)
+	tie := crash("prema-diffusion", "crash:3@52110353us")
+	tie.FaultSeed = 11
+	for _, c := range []struct {
+		name string
+		s    RunSpec
+	}{
+		{"implicit", crash("prema-implicit", "crash:3@35s")},
+		{"implicit_traced", traced(crash("prema-implicit", "crash:3@35s"))},
+		{"implicit_rejoin", crash("prema-implicit", "crash:3@35s;recover:3@50s")},
+		{"explicit_rejoin", crash("prema-explicit", "crash:3@35s;recover:3@50s")},
+		{"implicit_two_crashes", crash("prema-implicit", "crash:2@20s;crash:5@40s")},
+		{"diffusion", crash("prema-diffusion", "crash:3@35s")},
+		{"multilist", crash("prema-multilist", "crash:3@35s")},
+		{"diffusion_tie", tie},
+		{"implicit_lossy_rejoin", lossy},
+		{"implicit_32x16_traced", wide},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := c.s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runStepped(c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Faults.Crashed {
+				t.Fatalf("crash never fired: %+v", got.Faults)
+			}
+			if d := sameOutcome(got, want); d != "" {
+				t.Errorf("differs from the stepped run: %s", d)
+			}
+			if c.s.Trace {
+				if d := sameStreams(got.Trace, want.Trace); d != "" {
+					t.Error(d)
+				}
+			}
+			if got.PollsElided == 0 && slices.ContainsFunc(got.PollWakes, func(n int) bool { return n > 0 }) {
+				t.Errorf("nothing was elided in %v poll wakes", got.PollWakes)
+			}
+			if d := ledgersSumToMakespan(got); d != "" {
+				t.Error(d)
+			}
+		})
+	}
+	// The forwarding-chain program parks envelopes for directory repair.
+	t.Run("chain", func(t *testing.T) {
+		plan, err := faulty.ParsePlan("crash:2@8s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(step bool) substrate.Machine {
+			fm := faulty.Wrap(sim.NewMachine(sim.Config{Seed: 2, Lockstep: true}), plan, 7)
+			var m substrate.Machine = fm
+			if step {
+				m = steppedMachine{fm}
+			}
+			runChainThroughCrash(t, m, fm, 0)
+			return fm
+		}
+		got, want := run(false), run(true)
+		if got.Makespan() != want.Makespan() {
+			t.Errorf("makespan %v, stepped %v", got.Makespan(), want.Makespan())
+		}
+		for i := 0; i < want.NumProcs(); i++ {
+			if *got.Account(i) != *want.Account(i) {
+				t.Errorf("proc %d ledger %v, stepped %v", i, *got.Account(i), *want.Account(i))
+			}
+		}
+	})
 }
 
 // TestRecoveryRejoin: a crash:P;recover:P plan re-spawns the processor,
@@ -95,6 +187,9 @@ func TestRecoveryRejoin(t *testing.T) {
 		}
 		if err := res.CheckConservation(); err != nil {
 			t.Errorf("%s: %v", sys, err)
+		}
+		if d := ledgersSumToMakespan(res); d != "" {
+			t.Errorf("%s: %s", sys, d)
 		}
 		if res.Counters["recov_rejoins"] != 1 {
 			t.Errorf("%s: recov_rejoins = %d, want 1", sys, res.Counters["recov_rejoins"])

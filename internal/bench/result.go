@@ -39,7 +39,7 @@ type Result struct {
 	// backends, nil otherwise). Like Resident it is for checks, not reports.
 	PollWakes []int
 	// Recov is the machine-wide crash-recovery ledger (nil unless the run
-	// had PremaConfig.Recovery set): checkpoints taken, charged overhead,
+	// had PremaConfig.Recovery set): checkpoints taken, their modeled cost,
 	// crash verdicts, objects re-homed, envelopes replayed.
 	Recov *recov.Stats
 	// Faults is the fault injector's machine-wide ledger (zero unless the

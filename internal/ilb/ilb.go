@@ -153,9 +153,8 @@ type Scheduler struct {
 	stopped   bool
 
 	// Crash recovery (nil / empty unless AttachRecov was called).
-	rp            *recov.Proc
-	onDown        []func(recov.Down)
-	pendingCharge substrate.Time // accrued checkpoint cost not yet on the ledger
+	rp     *recov.Proc
+	onDown []func(recov.Down)
 
 	Stats Stats
 }
@@ -354,11 +353,11 @@ func (s *Scheduler) Compute(d substrate.Time) {
 		AnyTag:   s.c.Reliable(), // its pump drains every tag
 	}
 	for d > 0 {
-		// The recovery heartbeat is time-driven: every poll counts (WakeBy
-		// stays zero). Otherwise an empty poll acts only once a
-		// retransmission deadline has passed.
-		if s.rp == nil {
-			ps.WakeBy = s.c.NextDeadline(substrate.TagSystem)
+		// An empty poll acts only once a retransmission deadline has
+		// passed, or once the recovery heartbeat it runs has work.
+		ps.WakeBy = s.c.NextDeadline(substrate.TagSystem)
+		if s.rp != nil {
+			ps.WakeBy = min(ps.WakeBy, s.rp.NextAct())
 		}
 		done, polls := s.p.AdvancePolled(d, ps)
 		if done == 0 {

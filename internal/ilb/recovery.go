@@ -2,7 +2,6 @@ package ilb
 
 import (
 	"prema/internal/recov"
-	"prema/internal/substrate"
 	"prema/internal/trace"
 )
 
@@ -42,9 +41,10 @@ func (s *Scheduler) PeerDown(q int) bool {
 
 // recovTick is one heartbeat of the recovery subsystem: renew the lease,
 // surface fresh crash verdicts, take a periodic checkpoint when due, and
-// retry envelopes parked during directory repair. It charges modeled
-// checkpoint cost but never consumes virtual time, so runs without a crash
-// stay byte-identical with recovery enabled.
+// retry envelopes parked during directory repair. It neither consumes
+// virtual time nor touches the ledger (the store totals the modeled
+// checkpoint cost), so runs without a crash stay byte-identical with
+// recovery enabled.
 func (s *Scheduler) recovTick() {
 	if s.rp == nil {
 		return
@@ -66,16 +66,8 @@ func (s *Scheduler) recovTick() {
 	}
 	if s.rp.CheckpointDue() {
 		objects, bytes := s.l.CheckpointLocal()
-		s.pendingCharge += s.rp.FinishCheckpoint(objects, bytes)
+		s.rp.FinishCheckpoint(objects, bytes)
 		s.tr.Instant(trace.EvCheckpoint, s.p.Now(), int64(objects), int64(bytes), 0)
-	}
-	// Checkpoint costs accrue silently and hit the processor ledger only
-	// once recovery has engaged (a crash verdict exists): a crash-free run
-	// stays byte-identical to one without recovery, while a crashed run's
-	// accounts carry the full accrued overhead (see recov.Store.Engaged).
-	if s.pendingCharge > 0 && s.rp.Store().Engaged() {
-		s.p.Charge(substrate.CatMessaging, s.pendingCharge)
-		s.pendingCharge = 0
 	}
 	s.l.RetryHeld()
 }

@@ -446,7 +446,7 @@ func (l *Layer) migrateIn(src int, m *migration) {
 	l.tr.Instant(trace.EvMigrateIn, l.Proc().Now(), int64(src), trace.ObjKey(obj.MP.Home, obj.MP.Index), int64(obj.Size))
 	l.install(obj)
 	if l.rp != nil {
-		l.rp.ObjectLanded(oid(obj.MP), obj.Data, obj.Size, obj.Weight)
+		l.rp.ObjectHome(oid(obj.MP), obj.Data, obj.Size, obj.Weight)
 	}
 	if l.OnMigrateIn != nil {
 		l.OnMigrateIn(obj, m.extra)

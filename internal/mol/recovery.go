@@ -44,7 +44,7 @@ func (l *Layer) PeerDown(dead int) {
 // CheckpointLocal snapshots every locally resident object into the recovery
 // store, in deterministic (home, index) order, returning the object count
 // and total modeled bytes. The caller (the ILB scheduler's recovery tick)
-// charges the modeled cost; nothing here advances virtual time.
+// records the modeled cost in the store; nothing here advances virtual time.
 func (l *Layer) CheckpointLocal() (objects, bytes int) {
 	if l.rp == nil {
 		return 0, 0
@@ -61,7 +61,7 @@ func (l *Layer) CheckpointLocal() (objects, bytes int) {
 	})
 	for _, mp := range mps {
 		obj := l.objects[mp]
-		l.rp.ObjectSnapshot(oid(mp), obj.Data, obj.Size, obj.Weight)
+		l.rp.ObjectHome(oid(mp), obj.Data, obj.Size, obj.Weight)
 		objects++
 		bytes += obj.Size
 	}
@@ -132,7 +132,7 @@ func (l *Layer) installRecovered(ck *recov.Checkpoint) {
 	}
 	l.install(obj)
 	if l.rp != nil {
-		l.rp.ObjectLanded(oid(mp), obj.Data, obj.Size, obj.Weight)
+		l.rp.ObjectHome(oid(mp), obj.Data, obj.Size, obj.Weight)
 	}
 	if mp.Home != l.Proc().ID() {
 		l.c.SendTagged(mp.Home, l.hLocation, &locationUpdate{mp, l.Proc().ID()}, 16, substrate.TagSystem)

@@ -31,14 +31,16 @@
 // The Store models stable storage shared by the machine: on the simulator
 // it is plain host memory touched by one goroutine at a time; on the real
 // backend a mutex serializes access. Nothing in this package advances
-// virtual time — checkpoint costs accrue in the store and are charged
-// (substrate.Endpoint.Charge) to processor ledgers by the ILB layer only
-// once a crash verdict exists (Store.Engaged), so runs without a crash stay
-// byte-identical whether recovery is enabled or not.
+// virtual time or touches a processor ledger: the modeled checkpoint cost is
+// totalled in the store's own ledger (Stats.Charged), so every processor's
+// accounts still sum to elapsed time and a run without a crash is the same
+// run whether recovery is enabled or not. Proc.NextAct tells a polled
+// computation when the heartbeat could next act, so its quiet polls elide
+// as on any other run.
 //
 // Object snapshots keep a reference to the live object data rather than a
 // deep copy: every backend runs in one address space, so a copy would model
-// nothing the charge-based cost model doesn't already. Exactly-once
+// nothing the modeled cost doesn't already. Exactly-once
 // execution never depends on snapshot freshness — it is guarded by the
 // per-(object, origin) done watermarks, which are written synchronously at
 // unit completion.
@@ -73,7 +75,7 @@ type Config struct {
 }
 
 // The modeled cost of a checkpoint: per object snapshotted and per byte
-// serialized, charged to substrate.CatMessaging.
+// serialized, totalled in Stats.Charged.
 const (
 	checkpointFixed   = 10 * substrate.Microsecond
 	checkpointPerByte = 10 * substrate.Nanosecond
@@ -97,7 +99,8 @@ type Stats struct {
 	// and their modeled serialized sizes.
 	CheckpointObjects int
 	CheckpointBytes   int64
-	// Charged is the total checkpoint cost charged to processor ledgers.
+	// Charged is the total modeled checkpoint cost. It is reported here
+	// only: no processor ledger carries it, since no processor spent it.
 	Charged substrate.Time
 	// Suspects is the number of down verdicts raised (one per crash, however
 	// many processors observe it).
@@ -211,22 +214,6 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.stats
-}
-
-// Engaged reports whether recovery has ever engaged — any processor ever
-// declared down. Checkpoint costs accrue silently until then and are charged
-// to processor ledgers only from engagement on, which keeps crash-free runs
-// byte-identical to runs without recovery while still making the overhead of
-// a crashed run measurable in its accounts.
-func (st *Store) Engaged() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, d := range st.everDown {
-		if d {
-			return true
-		}
-	}
-	return false
 }
 
 // Downs returns the number of processors ever declared down.
@@ -373,6 +360,28 @@ func (p *Proc) Tick() []Down {
 	return downs
 }
 
+// NextAct returns when the heartbeat of a processor inside a polled
+// computation (ilb.Scheduler.Compute) could next act, so the computation can
+// sleep through the quiet polls before it (substrate.PollSpec.WakeBy): the
+// earlier of its next checkpoint and the instant after the earliest live
+// peer's lease, when a Tick would declare that peer down. A peer's lease
+// only grows while it lives, and a rejoined peer's hello is a system message
+// that ends the stretch. The computation's own lease renewals change
+// nothing it can see: Extend has covered the stretch, and the fault
+// injector steps the poll before a crash or stall.
+func (p *Proc) NextAct() substrate.Time {
+	st := p.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	next := p.nextCkpt
+	for q, lease := range st.leases {
+		if q != p.id && st.joined[q] && !st.retired[q] && !st.down[q] {
+			next = min(next, lease+1)
+		}
+	}
+	return next
+}
+
 // Extend renews the lease to cover a computation known to run until `until`
 // (plus the usual timeout slack). The ILB scheduler calls it before long
 // work units, during which no Tick can run in explicit mode.
@@ -417,19 +426,16 @@ func (p *Proc) CheckpointDue() bool {
 }
 
 // FinishCheckpoint records a completed checkpoint round of `objects` object
-// snapshots totalling `bytes`, re-arms the timer, and returns the modeled
-// cost for the caller to charge to its ledger.
-func (p *Proc) FinishCheckpoint(objects, bytes int) substrate.Time {
+// snapshots totalling `bytes`, with its modeled cost, and re-arms the timer.
+func (p *Proc) FinishCheckpoint(objects, bytes int) {
 	st := p.st
-	cost := checkpointFixed*substrate.Time(objects) + checkpointPerByte*substrate.Time(bytes)
 	st.mu.Lock()
 	st.stats.Checkpoints++
 	st.stats.CheckpointObjects += objects
 	st.stats.CheckpointBytes += int64(bytes)
-	st.stats.Charged += cost
+	st.stats.Charged += checkpointFixed*substrate.Time(objects) + checkpointPerByte*substrate.Time(bytes)
 	st.mu.Unlock()
 	p.nextCkpt = p.ep.Now() + st.cfg.CheckpointInterval
-	return cost
 }
 
 // rec returns (creating if needed) the record for id. Caller holds st.mu.
@@ -449,7 +455,9 @@ func (r *objRec) snapshot(data any, size int, weight float64) {
 	r.weight = weight
 }
 
-// ObjectHome records a freshly registered object resident on this processor.
+// ObjectHome records an object now resident on this processor — freshly
+// registered, migrated or restored here, or snapshotted in a periodic round
+// — refreshing its checkpoint.
 func (p *Proc) ObjectHome(id ObjID, data any, size int, weight float64) {
 	st := p.st
 	st.mu.Lock()
@@ -457,12 +465,6 @@ func (p *Proc) ObjectHome(id ObjID, data any, size int, weight float64) {
 	r.loc = p.id
 	r.snapshot(data, size, weight)
 	st.mu.Unlock()
-}
-
-// ObjectSnapshot refreshes a resident object's checkpoint during a periodic
-// round.
-func (p *Proc) ObjectSnapshot(id ObjID, data any, size int, weight float64) {
-	p.ObjectHome(id, data, size, weight)
 }
 
 // ObjectDeparting flips the manifest location to dst — called after the
@@ -476,12 +478,6 @@ func (p *Proc) ObjectDeparting(id ObjID, dst int, data any, size int, weight flo
 	r.loc = dst
 	r.snapshot(data, size, weight)
 	st.mu.Unlock()
-}
-
-// ObjectLanded records a migrated (or restored) object now resident here,
-// refreshing its checkpoint.
-func (p *Proc) ObjectLanded(id ObjID, data any, size int, weight float64) {
-	p.ObjectHome(id, data, size, weight)
 }
 
 // Assign points the manifest at the host chosen to adopt an orphan.

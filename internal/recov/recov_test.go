@@ -104,6 +104,39 @@ func TestRejoinAndSecondCrash(t *testing.T) {
 	_ = p1b
 }
 
+// TestNextAct: the heartbeat's next act is the instant after the earliest
+// live peer's lease — the first instant a Tick declares that peer down —
+// else the next checkpoint; retired and down peers do not count.
+func TestNextAct(t *testing.T) {
+	st := NewStore(Config{LeaseTimeout: ms(100), CheckpointInterval: ms(1000)})
+	eps := []*fakeEP{{id: 0}, {id: 1}, {id: 2}}
+	procs := make([]*Proc, len(eps))
+	for i, ep := range eps {
+		procs[i] = st.Join(ep)
+	}
+	eps[1].now = ms(50)
+	procs[1].Tick() // lease 1 runs to 150 ms, lease 2 to 100 ms
+	if got, want := procs[0].NextAct(), ms(100)+1; got != want {
+		t.Fatalf("NextAct = %v, want %v", got, want)
+	}
+	procs[2].Retire()
+	next := procs[0].NextAct()
+	if next != ms(150)+1 {
+		t.Fatalf("NextAct with peer 2 retired = %v, want %v", next, ms(150)+1)
+	}
+	eps[0].now = next - 1
+	if d := procs[0].Tick(); len(d) != 0 {
+		t.Fatalf("verdicts %v before NextAct", d)
+	}
+	eps[0].now = next
+	if d := procs[0].Tick(); len(d) != 1 || d[0].Proc != 1 {
+		t.Fatalf("verdicts at NextAct = %v, want peer 1 down", d)
+	}
+	if got := procs[0].NextAct(); got != ms(1000) {
+		t.Errorf("NextAct with no live peer = %v, want the checkpoint at %v", got, ms(1000))
+	}
+}
+
 // TestExtendHoldsLease: Extend covers a long compute window during which the
 // processor cannot tick.
 func TestExtendHoldsLease(t *testing.T) {
@@ -158,7 +191,7 @@ func TestManifestAndPlan(t *testing.T) {
 	p0.ObjectHome(b, "B0", 200, 2)
 	// a migrates 0 → 1 (piggybacked checkpoint carries fresher state).
 	p0.ObjectDeparting(a, 1, "A1", 110, 1)
-	p1.ObjectLanded(a, "A1", 110, 1)
+	p1.ObjectHome(a, "A1", 110, 1)
 	if loc, ok := p0.Location(a); !ok || loc != 1 {
 		t.Fatalf("Location(a) = %d,%v want 1,true", loc, ok)
 	}
@@ -265,9 +298,9 @@ func TestCheckpointTimerAndCost(t *testing.T) {
 	if !p.CheckpointDue() {
 		t.Fatal("checkpoint not due after one interval")
 	}
-	cost := p.FinishCheckpoint(2, 1000)
+	p.FinishCheckpoint(2, 1000)
 	want := 2*checkpointFixed + 1000*checkpointPerByte
-	if cost != want {
+	if cost := st.Stats().Charged; cost != want {
 		t.Errorf("cost = %v, want %v", cost, want)
 	}
 	if p.CheckpointDue() {

@@ -58,9 +58,6 @@ func (e *Endpoint) Now() substrate.Time { return e.m.Now() }
 // share unsynchronized state.
 func (e *Endpoint) Rand() *rand.Rand { return e.rng }
 
-// Charge implements substrate.Endpoint.
-func (e *Endpoint) Charge(cat substrate.Category, d substrate.Time) { e.acct[cat] += d }
-
 // Advance burns d of CPU time (scaled wall-clock) and attributes the
 // measured elapsed time to cat. Measured — not nominal — time is charged, so
 // accounts reflect what the monotonic clock actually saw, including

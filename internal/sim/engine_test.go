@@ -344,22 +344,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestChargeDoesNotAdvanceClock(t *testing.T) {
-	e := NewEngine(testConfig())
-	e.Spawn("p", func(p *Proc) {
-		p.Charge(CatCallback, Second)
-		if p.Now() != 0 {
-			t.Errorf("clock moved: %v", p.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Proc(0).Account()[CatCallback] != Second {
-		t.Fatal("charge not recorded")
-	}
-}
-
 func TestAccountOverheadExcludesComputeAndIdle(t *testing.T) {
 	var a Account
 	a[CatCompute] = 100

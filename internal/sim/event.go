@@ -50,11 +50,14 @@ const (
 //     processor's ID and its per-processor send sequence number. Both are
 //     properties of the sender's own execution, identical under any
 //     partitioning.
-//   - local events (wakes) carry a per-shard allocation counter with the
-//     top bit set, drawn afresh whenever a wake is pushed or moved. These
-//     events are only ever created by their own shard's execution, so the
-//     shard-local counter induces the same relative order the global
-//     counter did — for any shard count, including one.
+//   - local events (wakes) carry their processor's ID with the top bit set.
+//     A processor has at most one wake in the heap (Proc.wake), so the key
+//     is unique, and same-instant wakes fire in processor-ID order whenever
+//     each was pushed. That matters where processors share host memory
+//     (-recover's stable store, read in lockstep): a polled advance pushes
+//     one wake per quiet stretch where the stepped loop pushes one per
+//     poll, and an order drawn at push time would let the two runs tick
+//     the store in different orders at a tie.
 //
 // Deliveries sort before local events at equal timestamps: when a delivery
 // ties with a local wake to the nanosecond, the delivery fires first, under
@@ -74,6 +77,9 @@ const (
 func deliverOrd(src int, sendSeq uint64) uint64 {
 	return uint64(src)<<ordSrcShift | sendSeq&(1<<ordSrcShift-1)
 }
+
+// wakeOrd builds the local-band ordering key for processor id's wake.
+func wakeOrd(id int) uint64 { return ordLocalBand | uint64(id) }
 
 // heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
 // depth of a binary heap, trading slightly more comparisons per level for

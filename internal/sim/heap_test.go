@@ -83,15 +83,16 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 }
 
 // TestHeapBandOrdering: at equal timestamps every delivery key sorts before
-// every local-band key, deliveries sort by (src, sendSeq), and the local
-// band bit survives the largest allocation counters.
+// every local-band key, deliveries sort by (src, sendSeq), and wakes by
+// processor ID.
 func TestHeapBandOrdering(t *testing.T) {
 	var h eventHeap
 	h.Push(10, deliverOrd(4096, 1), &event{})
-	h.Push(10, ordLocalBand|1, &event{}) // local event, earliest counter
+	h.Push(10, wakeOrd(1), &event{}) // processor 1's wake
 	h.Push(10, deliverOrd(0, 7), &event{})
 	h.Push(10, deliverOrd(0, 2), &event{})
-	want := []uint64{deliverOrd(0, 2), deliverOrd(0, 7), deliverOrd(4096, 1), ordLocalBand | 1}
+	h.Push(10, wakeOrd(0), &event{})
+	want := []uint64{deliverOrd(0, 2), deliverOrd(0, 7), deliverOrd(4096, 1), wakeOrd(0), wakeOrd(1)}
 	for i, w := range want {
 		e, ok := tryPop(&h)
 		if !ok || e.ord != w {

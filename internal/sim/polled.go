@@ -58,9 +58,9 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 
 // pollArrival is shard.deliver's hook for a processor parked in a polled
 // advance: a matching message moves the wake forward to the first poll that
-// will see it, with a fresh ordering key, as a newly pushed wake would
-// carry. Deliveries sort before local events at equal times, so a message
-// arriving exactly at c_j is seen by poll j, as in the stepped loop.
+// will see it; its ordering key, the processor's, stays. Deliveries sort
+// before local events at equal times, so a message arriving exactly at c_j
+// is seen by poll j, as in the stepped loop.
 func (p *Proc) pollArrival(m *Msg) {
 	pk := &p.poll
 	if !pk.Spec.Matches(m) {
@@ -69,7 +69,7 @@ func (p *Proc) pollArrival(m *Msg) {
 	s := p.sh
 	if c := pk.AtOrAfter(s.now); c < pk.target {
 		pk.target = c
-		s.heap.Earlier(int(p.wake.idx), c, s.ordNext())
+		s.heap.Earlier(int(p.wake.idx), c, wakeOrd(p.id))
 	}
 }
 

@@ -68,11 +68,6 @@ func (p *Proc) Now() Time { return p.now }
 // the lifetime of the simulation; read it after Run for final figures.
 func (p *Proc) Account() *Account { return &p.acct }
 
-// Charge adds virtual time to a category without advancing the clock. It is
-// used to re-attribute time (e.g. splitting a receive between messaging and
-// callback overhead); prefer Advance for real time consumption.
-func (p *Proc) Charge(cat Category, d Time) { p.acct[cat] += d }
-
 // park blocks the processor, attributing the blocked duration to cat.
 // The caller must have arranged for a wake-up (p.wake, or for a wait a
 // delivery) before calling park. A processor torn down while parked unwinds
@@ -110,8 +105,8 @@ func (p *Proc) Advance(d Time, cat Category) {
 //
 //   - Fast path: at is before the head of the heap. The wake would be the
 //     very next event the shard pops, so the shard clock moves too. Ties
-//     take the slow path: a fresh wake carries the largest ordering key, so
-//     an equal-time entry already in the heap fires first.
+//     take the slow path, where the ordering key decides: an equal-time
+//     delivery fires first, equal-time wakes in processor-ID order.
 //   - Run-ahead: at is before the earliest delivery to p in the heap
 //     (inflight), and less than one latency past the shard clock (the
 //     horizon), so no message sent from now on lands first. The first

@@ -24,8 +24,7 @@ type shard struct {
 	elided    uint64 // poll wake-ups charged arithmetically by AdvancePolled
 	transfers uint64 // switches into a processor body (Engine.Transfers, in runahead_test.go)
 
-	free     *event // recycled fired events (intrusive list via event.next)
-	allocSeq uint64 // local-band ordering counter (see event.go)
+	free *event // recycled fired events (intrusive list via event.next)
 
 	net substrate.Network
 
@@ -83,13 +82,6 @@ func (s *shard) release(ev *event) {
 	s.free = ev
 }
 
-// ordNext returns the next local-band ordering key (wakes, the events that
-// never cross a shard boundary).
-func (s *shard) ordNext() uint64 {
-	s.allocSeq++
-	return ordLocalBand | s.allocSeq
-}
-
 // atWake schedules p's wake at time at (never before now) and records it in
 // p.wake, p's one event in the heap until it fires or a delivery removes or
 // moves it.
@@ -98,7 +90,7 @@ func (s *shard) atWake(at Time, p *Proc) {
 	ev.kind = evWake
 	ev.proc = p
 	p.wake = ev
-	s.heap.Push(at, s.ordNext(), ev)
+	s.heap.Push(at, wakeOrd(p.id), ev)
 }
 
 // post injects m, arriving at arrival, into the network, charging no CPU.

@@ -47,11 +47,10 @@ type fakeEP struct {
 
 func (e *fakeEP) rec(format string, args ...any) { e.log = append(e.log, fmt.Sprintf(format, args...)) }
 
-func (e *fakeEP) Now() Time                   { e.rec("Now()"); return e.now }
-func (e *fakeEP) ID() int                     { e.rec("ID()"); return 3 }
-func (e *fakeEP) NumPeers() int               { e.rec("NumPeers()"); return 11 }
-func (e *fakeEP) Rand() *rand.Rand            { e.rec("Rand()"); return fakeRand }
-func (e *fakeEP) Charge(cat Category, d Time) { e.rec("Charge(%v, %d)", cat, d) }
+func (e *fakeEP) Now() Time        { e.rec("Now()"); return e.now }
+func (e *fakeEP) ID() int          { e.rec("ID()"); return 3 }
+func (e *fakeEP) NumPeers() int    { e.rec("NumPeers()"); return 11 }
+func (e *fakeEP) Rand() *rand.Rand { e.rec("Rand()"); return fakeRand }
 func (e *fakeEP) Advance(d Time, cat Category) {
 	e.rec("Advance(%d, %v)", d, cat)
 	e.now += d
@@ -185,7 +184,6 @@ var endpointCalls = []struct {
 	{"ID()", false, func(ep substrate.Endpoint) any { return ep.ID() }},
 	{"NumPeers()", false, func(ep substrate.Endpoint) any { return ep.NumPeers() }},
 	{"Rand()", false, func(ep substrate.Endpoint) any { return ep.Rand() }},
-	{"Charge(Idle, 4)", false, func(ep substrate.Endpoint) any { ep.Charge(substrate.CatIdle, 4); return nil }},
 	{"Advance(6, Computation)", false, func(ep substrate.Endpoint) any { ep.Advance(6, substrate.CatCompute); return nil }},
 	{fmt.Sprintf("AdvancePolled(35, %+v)", quiet), false, func(ep substrate.Endpoint) any {
 		done, polls := ep.AdvancePolled(35, quiet)

@@ -51,10 +51,6 @@ type Endpoint interface {
 	// are partitioned across event-loop shards.
 	Rand() *rand.Rand
 
-	// Charge adds time to a category without consuming any. It re-attributes
-	// time (e.g. splitting a receive between messaging and callback
-	// overhead); prefer Advance for real time consumption.
-	Charge(cat Category, d Time)
 	// Advance consumes d of CPU time, attributed to cat. The simulator
 	// advances virtual time; the real-time machine burns scaled wall-clock
 	// (sleeping, then spinning the last stretch).
