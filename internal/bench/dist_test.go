@@ -190,6 +190,28 @@ func TestDistPremaImplicitConserves(t *testing.T) {
 	}
 }
 
+// TestDistReliableConserves: DMCS reliable mode over real sockets, under
+// loss and duplication, still conserves work. Its cumulative acks cross TCP
+// as header-only frames (the acked sequence in the frame's seq field), a
+// path no simulator run takes.
+func TestDistReliableConserves(t *testing.T) {
+	fig, err := FigureByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := NewDistSpec("prema-implicit", PaperWorkload(fig, 8, 2))
+	spec.TimeScale = 1e-3
+	spec.Reliable = true
+	spec.FaultPlan = "drop=0.05,dup=0.05"
+	res := runDistInProcess(t, spec, 2)
+	if err := res.CheckConservation(); err != nil {
+		t.Error(err)
+	}
+	if res.Counters["rel_acks"] <= 0 {
+		t.Errorf("rel_acks = %d, want acks sent", res.Counters["rel_acks"])
+	}
+}
+
 // TestDistPingPong: the two-rank transport probe over two node processes
 // (in-process here) reports its round count and a positive wall-clock
 // total through the partial-result merge.

@@ -61,7 +61,7 @@ type Workload struct {
 	Shards int
 	// Wire wraps the machine in the serialization loopback (wire.Wrap):
 	// every message is encoded to its binary frame at Send and delivered as
-	// a freshly decoded copy, auditing modeled sizes along the way. Like
+	// a decoded copy, auditing modeled sizes along the way. Like
 	// Shards it never changes output — wire runs are byte-identical
 	// (TestEquivalence) — it only costs host CPU.
 	// It applies to the PREMA drivers (none and the prema-* systems); the

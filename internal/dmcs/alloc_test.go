@@ -7,6 +7,7 @@ import (
 
 	"prema/internal/sim"
 	"prema/internal/substrate"
+	"prema/internal/wire"
 )
 
 // msgMallocs returns how many objects the runtime has allocated in the size
@@ -22,18 +23,21 @@ func msgMallocs(ms *runtime.MemStats) uint64 {
 }
 
 // roundTripAllocs plays warm+n ping-pong round trips between two dmcs
-// processors on the simulator and returns, per round trip after the warm-up,
-// the allocations of every kind, those in a Msg's size class, and the acks
-// both sent. The pings and pongs carry no payload, so nothing boxes. The
-// simulator runs both processors on one thread, so processor 0 may read its
-// peer's counters.
-func roundTripAllocs(t *testing.T, reliable bool) (all, msgs, acks float64) {
+// processors on the simulator, decorated by wrap when it is not nil, and
+// returns, per round trip after the warm-up, the allocations of every kind,
+// those in a Msg's size class, and the acks both sent. The pings and pongs
+// carry no payload, so nothing boxes. The simulator runs both processors on
+// one thread, so processor 0 may read its peer's counters.
+func roundTripAllocs(t *testing.T, reliable bool, wrap func(substrate.Machine) substrate.Machine) (all, msgs, acks float64) {
 	const warm, n = 500, 5000
 	var ms0, ms1 runtime.MemStats
 	var comms [2]*Comm
 	acksSent := func() int { return comms[0].RelStats().AcksSent + comms[1].RelStats().AcksSent }
 	var acks0, acks1 int
-	m := sim.NewMachine(sim.Config{Seed: 1})
+	var m substrate.Machine = sim.NewMachine(sim.Config{Seed: 1})
+	if wrap != nil {
+		m = wrap(m)
+	}
 	for id := 0; id < 2; id++ {
 		m.Spawn("p", func(ep substrate.Endpoint) {
 			c := New(ep)
@@ -74,25 +78,30 @@ func roundTripAllocs(t *testing.T, reliable bool) (all, msgs, acks float64) {
 	return float64(ms1.Mallocs-ms0.Mallocs) / n, float64(msgMallocs(&ms1)-msgMallocs(&ms0)) / n, float64(acks1-acks0) / n
 }
 
-// TestCommSteadyStateZeroAllocs: once warm, a dmcs round trip allocates no
-// message — every send reuses one the processor has consumed. In
-// fire-and-forget mode it allocates nothing at all; in reliable mode the only
-// allocation left is each ack's boxed payload.
+// TestCommSteadyStateZeroAllocs: once warm, a dmcs round trip allocates
+// nothing — every send reuses a message the processor has consumed, and a
+// reliable-mode ack is header-only (its tag boxes without allocating). That
+// holds over the wire loopback too, which decodes each frame into the shell
+// the previous send gave up.
 func TestCommSteadyStateZeroAllocs(t *testing.T) {
 	const slack = 0.01 // runtime-internal allocations
-	t.Run("plain", func(t *testing.T) {
-		all, msgs, _ := roundTripAllocs(t, false)
-		if all > slack || msgs > slack {
-			t.Errorf("a round trip allocates %.4f objects, %.4f of them Msg-sized; want 0", all, msgs)
-		}
-	})
-	t.Run("reliable", func(t *testing.T) {
-		all, msgs, acks := roundTripAllocs(t, true)
-		if msgs > slack {
-			t.Errorf("a round trip allocates %.4f Msg-sized objects, want 0", msgs)
-		}
-		if acks < 1 || all > acks+slack {
-			t.Errorf("a round trip allocates %.4f objects with %.4f acks sent, want at most one per ack", all, acks)
-		}
-	})
+	for _, tc := range []struct {
+		name     string
+		reliable bool
+		wrap     func(substrate.Machine) substrate.Machine
+	}{
+		{"plain", false, nil},
+		{"reliable", true, nil},
+		{"reliable+wire", true, func(m substrate.Machine) substrate.Machine { return wire.Wrap(m) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all, msgs, acks := roundTripAllocs(t, tc.reliable, tc.wrap)
+			if all > slack || msgs > slack {
+				t.Errorf("a round trip allocates %.4f objects, %.4f of them Msg-sized; want 0", all, msgs)
+			}
+			if tc.reliable && acks < 1 {
+				t.Errorf("a round trip sent %.4f acks, want at least one", acks)
+			}
+		})
+	}
 }

@@ -24,9 +24,12 @@ import (
 //     — the same guarantee the substrate itself gives on a perfect network.
 //   - Receivers acknowledge with cumulative acks (highest in-sequence
 //     sequence number), flushed at the end of every poll that consumed or
-//     re-observed stream data. Acks are unsequenced control messages
-//     (Kind = ackKind, system-tagged) and may themselves be lost; a later
-//     ack or a retransmission-triggered re-ack repairs that.
+//     re-observed stream data. An ack is a header-only control message
+//     (Kind = ackKind, system-tagged): Msg.Seq holds the cumulative
+//     sequence number, the way TCP's ack number sits in its header, and
+//     Msg.Data the acked stream's tag as a plain int. Acks may themselves
+//     be lost; a later ack or a retransmission-triggered re-ack repairs
+//     that.
 //   - Senders buffer unacked messages and retransmit the head of the unacked
 //     window (up to retransmitBurst messages) when a per-stream deadline
 //     expires, doubling the timeout up to RTOMax (capped exponential
@@ -357,13 +360,6 @@ func (r *reliable) earliest() substrate.Time {
 	return r.due
 }
 
-// ackPayload is the body of a cumulative-ack control message: "for your
-// stream tagged Tag toward me, I have everything through Cum".
-type ackPayload struct {
-	Tag int
-	Cum uint64
-}
-
 // pump drains the substrate inbox through the protocol: acks update sender
 // state, sequenced data is deduplicated and released in order onto the
 // ready queue.
@@ -382,12 +378,13 @@ func (c *Comm) accept(m *substrate.Msg) {
 	r := c.rel
 	r.lastActivity = c.p.Now()
 	if m.Kind == ackKind {
-		pay := m.Data.(ackPayload)
+		// "For your stream tagged Data toward me, I have everything
+		// through Seq."
 		r.stats.AcksRecv++
-		st := r.sendStream(m.Src, pay.Tag)
+		st := r.sendStream(m.Src, m.Data.(int))
 		before := len(st.pending)
 		i := 0
-		for i < len(st.pending) && st.pending[i].seq <= pay.Cum {
+		for i < len(st.pending) && st.pending[i].seq <= m.Seq {
 			i++
 		}
 		if i > 0 {
@@ -489,8 +486,9 @@ func (c *Comm) tick() {
 			Dst:  st.peer,
 			Kind: ackKind,
 			Tag:  substrate.TagSystem,
-			Data: ackPayload{Tag: st.tag, Cum: st.next - 1},
+			Data: st.tag, // a tag is below 256: boxing it allocates nothing
 			Size: ackBytes,
+			Seq:  st.next - 1,
 		}), substrate.CatMessaging)
 	}
 	if now < r.earliest() {

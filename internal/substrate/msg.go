@@ -31,7 +31,9 @@ type Msg struct {
 	// Seq is a layered-protocol sequence number. The substrate itself never
 	// reads or writes it; reliable-delivery layers (dmcs's reliable mode)
 	// stamp per-stream sequence numbers here so receivers can deduplicate
-	// and reorder. Zero means "unsequenced".
+	// and reorder, and a cumulative ack carries the acknowledged sequence
+	// number here, in the header, as TCP's does. Zero on a data message
+	// means "unsequenced".
 	Seq uint64
 	// SentAt and ArrivedAt are stamped by the substrate.
 	SentAt, ArrivedAt Time

@@ -2,7 +2,7 @@
 // a payload codec registry (Kind → Encode/Decode over encoding/binary
 // primitives), self-delimiting message frames, and a substrate machine
 // decorator (Wrap) that proves every layer survives serialization by
-// encoding each Msg at Send and delivering a freshly decoded copy.
+// encoding each Msg at Send and delivering a decoded copy.
 //
 // The format is fixed-width big-endian throughout — no varints, no
 // reflection on the decode path — so encoding is canonical: equal values

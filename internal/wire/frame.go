@@ -16,7 +16,8 @@ import (
 //	kind    i32  substrate.Msg.Kind (dmcs handler id, or -1 for protocol acks)
 //	tag     i32  substrate.Msg.Tag (TagApp / TagSystem)
 //	size    i32  modeled payload size in bytes (prices virtual transfer time)
-//	seq     u64  reliable-mode sequence number (0 when unsequenced)
+//	seq     u64  reliable-mode sequence number (0 when unsequenced; an ack's
+//	             cumulative sequence number)
 //	sentAt  i64  substrate.Msg.SentAt (stamped by the transport, 0 pre-send)
 //	plen    u32  encoded payload length
 //	payload plen bytes: one EncodeAny (kind u16 + body)
@@ -136,19 +137,27 @@ func EncodeMsg(m *substrate.Msg) ([]byte, int) {
 // sender's value. Corrupt, truncated, or trailing-garbage input returns an
 // error; it never panics. ArrivedAt is left zero for the transport to
 // stamp on delivery.
-func DecodeMsg(b []byte) (*substrate.Msg, error) { return decodeMsg(new(Reader), b) }
+func DecodeMsg(b []byte) (*substrate.Msg, error) {
+	m := new(substrate.Msg)
+	if err := decodeMsg(new(Reader), b, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
-// decodeMsg is DecodeMsg reading through r, which it resets to b: a caller
-// that decodes many frames keeps one Reader instead of allocating one each.
-func decodeMsg(r *Reader, b []byte) (*substrate.Msg, error) {
+// decodeMsg is DecodeMsg reading through r, which it resets to b, into m,
+// which it zeroes first: a caller that decodes many frames keeps one Reader
+// and recycles its Msg shells instead of allocating them per frame. On error
+// m holds a partial decode.
+func decodeMsg(r *Reader, b []byte, m *substrate.Msg) error {
 	*r = Reader{buf: b}
+	*m = substrate.Msg{}
 	if magic := r.U16(); r.Err() == nil && magic != frameMagic {
-		return nil, fmt.Errorf("wire: bad frame magic %#04x", magic)
+		return fmt.Errorf("wire: bad frame magic %#04x", magic)
 	}
 	if v := r.U8(); r.Err() == nil && v != frameVersion {
-		return nil, fmt.Errorf("wire: unsupported frame version %d", v)
+		return fmt.Errorf("wire: unsupported frame version %d", v)
 	}
-	m := &substrate.Msg{}
 	m.Src = int(r.I32())
 	m.Dst = int(r.I32())
 	m.Kind = int(r.I32())
@@ -158,31 +167,31 @@ func decodeMsg(r *Reader, b []byte) (*substrate.Msg, error) {
 	m.SentAt = substrate.Time(r.I64())
 	plen := int(r.U32())
 	if r.Err() != nil {
-		return nil, r.Err()
+		return r.Err()
 	}
 	if plen > r.Remaining() {
-		return nil, fmt.Errorf("wire: payload length %d exceeds frame (%d bytes remain)", plen, r.Remaining())
+		return fmt.Errorf("wire: payload length %d exceeds frame (%d bytes remain)", plen, r.Remaining())
 	}
 	payloadEnd := headerBytes + plen
 	m.Data = DecodeAny(r)
 	if r.Err() != nil {
-		return nil, r.Err()
+		return r.Err()
 	}
 	if got := len(b) - r.Remaining(); got != payloadEnd {
-		return nil, fmt.Errorf("wire: payload codec consumed %d bytes, frame declared %d", got-headerBytes, plen)
+		return fmt.Errorf("wire: payload codec consumed %d bytes, frame declared %d", got-headerBytes, plen)
 	}
 	if pad := m.Size - plen; pad > 0 {
 		for _, z := range r.take(pad) {
 			if z != 0 {
-				return nil, fmt.Errorf("wire: nonzero padding byte")
+				return fmt.Errorf("wire: nonzero padding byte")
 			}
 		}
 		if r.Err() != nil {
-			return nil, r.Err()
+			return r.Err()
 		}
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after frame", r.Remaining())
+		return fmt.Errorf("wire: %d trailing bytes after frame", r.Remaining())
 	}
-	return m, nil
+	return nil
 }

@@ -9,10 +9,12 @@ import (
 
 // Machine is the serialization-enforcing loopback: a substrate decorator
 // that encodes every outgoing Msg to its wire frame at Send and hands the
-// transport a freshly decoded copy. Nothing downstream — the network, the
+// transport a decoded copy. Nothing downstream — the network, the
 // receiver, a fault injector duplicating deliveries — can ever alias the
 // sender's memory, which is the property a real distributed transport
-// needs and a shared-memory Msg.Data can silently violate.
+// needs and a shared-memory Msg.Data can silently violate. The copy is
+// decoded into a recycled shell (the Msg a previous Send gave up), so once
+// warm the loopback allocates only what a payload's decoder does.
 //
 // Wrap composes with the other decorators; the canonical chain is
 // trace.Wrap(faulty.Wrap(wire.Wrap(backend))) — wire innermost, so the
@@ -55,28 +57,35 @@ func (w *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 // inner endpoint's, promoted: it elides or declines as the one beneath does.
 type Endpoint struct {
 	substrate.Endpoint
-	m   *Machine
-	enc Writer // per-endpoint scratch buffer, reused across sends
-	dec Reader // per-endpoint decoder, reused across sends
+	m     *Machine
+	enc   Writer         // per-endpoint scratch buffer, reused across sends
+	dec   Reader         // per-endpoint decoder, reused across sends
+	spare *substrate.Msg // shell the next Send decodes into
 }
 
 // Send implements substrate.Endpoint: m is encoded to its wire frame,
-// decoded back into a fresh Msg, and the copy — never m itself — is handed
-// to the transport. Encoding panics on an unregistered payload type; a
-// frame this endpoint produced failing to decode is an invariant violation
-// and also panics (corrupt *external* input returns errors from DecodeMsg;
-// here both ends are this process).
+// decoded back into the spare shell, and the copy — never m itself — is
+// handed to the transport. m then becomes the next spare: the sender gave it
+// up at Send (substrate.Msg's ownership rule), so it is zeroed and kept,
+// and a warm endpoint allocates no Msg. Encoding panics on an unregistered
+// payload type; a frame this endpoint produced failing to decode is an
+// invariant violation and also panics (corrupt *external* input returns
+// errors from DecodeMsg; here both ends are this process).
 func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	e.enc.Reset()
 	plen := AppendMsg(&e.enc, m)
-	frame := e.enc.Buf()
-	dm, err := decodeMsg(&e.dec, frame)
-	if err != nil {
+	dm := e.spare
+	if dm == nil {
+		dm = new(substrate.Msg)
+	}
+	if err := decodeMsg(&e.dec, e.enc.Buf(), dm); err != nil {
 		panic(fmt.Sprintf("wire: frame round trip failed for %T payload: %v", m.Data, err))
 	}
 	e.m.frames.Add(1)
 	if plen > m.Size {
 		e.m.sizeDrift.Add(1)
 	}
+	*m = substrate.Msg{}
+	e.spare = m
 	e.Endpoint.Send(dm, cat)
 }

@@ -22,8 +22,8 @@ const (
 	KindBytes    Kind = 4 // []byte
 	KindAnySlice Kind = 5 // []any
 
-	// dmcs: 16–31.
-	KindDmcsAck Kind = 16 // reliable-mode cumulative ack
+	// dmcs: 16–31. 16 was the retired reliable-mode ack payload (an ack is
+	// header-only now: Msg.Seq and an int tag); it stays unassigned.
 
 	// mol (the ilb layer sends exclusively through mol): 32–63. 36 and 37
 	// were the retired remote-read request and reply; they stay unassigned.

@@ -18,7 +18,6 @@ import (
 	// Each stack layer registers its payload codecs at init; the blank
 	// imports make this test's registry identical to a full run's.
 	_ "prema/internal/dist"
-	_ "prema/internal/dmcs"
 	_ "prema/internal/mol"
 	_ "prema/internal/policy"
 	_ "prema/internal/recov"
@@ -36,7 +35,6 @@ func TestRegistryTotality(t *testing.T) {
 		wire.KindFloat64,
 		wire.KindBytes,
 		wire.KindAnySlice,
-		wire.KindDmcsAck,
 		wire.KindMolEnvelope,
 		wire.KindMolEnvelopeSlice,
 		wire.KindMolMigration,
@@ -167,6 +165,54 @@ func TestWrapLoopback(t *testing.T) {
 	if m.SizeDrift() != 1 {
 		t.Fatalf("size drift = %d, want 1 (the undersized int send)", m.SizeDrift())
 	}
+}
+
+// sink is a transport that keeps the last Msg handed to it, and oneEP is a
+// machine whose only processor runs on a given endpoint: together they put a
+// wire.Endpoint over nothing but its own code.
+type sink struct {
+	substrate.Endpoint
+	got *substrate.Msg
+}
+
+func (s *sink) Send(m *substrate.Msg, _ substrate.Category) { s.got = m }
+
+type oneEP struct {
+	substrate.Machine
+	ep substrate.Endpoint
+}
+
+func (o oneEP) Spawn(_ string, body func(substrate.Endpoint)) { body(o.ep) }
+
+// TestEndpointSendAllocatesNothing: once warm, the loopback decodes into the
+// shell the previous Send gave up, so a send whose payload decodes without
+// allocating allocates nothing. The transport still gets a Msg other than
+// the sender's, carrying the sender's fields, and the sender's Msg is
+// zeroed: it is the next spare shell and must pin no payload. Like dmcs,
+// the sender reuses each delivered message for its next send.
+func TestEndpointSendAllocatesNothing(t *testing.T) {
+	want := substrate.Msg{Dst: 1, Kind: -1, Tag: substrate.TagSystem, Data: 7, Size: 16, Seq: 3}
+	in := &sink{}
+	wire.Wrap(oneEP{ep: in}).Spawn("p", func(ep substrate.Endpoint) {
+		m := new(substrate.Msg)
+		allocs := testing.AllocsPerRun(100, func() {
+			*m = want
+			ep.Send(m, substrate.CatMessaging)
+			if in.got == m {
+				t.Fatal("the transport got the sender's own Msg")
+			}
+			if *m != (substrate.Msg{}) {
+				t.Fatalf("the sender's Msg holds %+v after Send, want it zeroed", *m)
+			}
+			if *in.got != want {
+				t.Fatalf("the transport got %+v, want %+v", *in.got, want)
+			}
+			m = in.got
+		})
+		if allocs != 0 {
+			t.Errorf("a warm Send allocates %v objects, want 0", allocs)
+		}
+	})
 }
 
 // TestWrapUnregisteredPanics: an unregistered payload type crossing a
