@@ -6,14 +6,15 @@
 // real-concurrency machine it is wall-clock-stamped.
 //
 // The design keeps the hot path allocation-free: every endpoint owns a
-// ring retaining a power-of-two number of value-typed events, written in
-// place (oldest events are overwritten once the ring is full; the drop count
-// is surfaced in the metrics registry). The ring's storage grows in fixed
-// chunks as records arrive, and a quiet stretch of polls is folded into one
-// record that is expanded on read, so memory follows what the ring holds
-// rather than its capacity. Recording is a couple of stores — cheap enough
-// to leave on during production runs, which is the property the paper's
-// "<1% runtime overhead" claim (§5) is about.
+// ring retaining a power-of-two number of events (oldest events are dropped
+// once the ring is full; the drop count is surfaced in the metrics
+// registry). The ring is a log of records a few bytes each, delta- and
+// varint-encoded into fixed chunks that are reused once the window has
+// passed them, and a quiet stretch of polls is folded into one record that
+// is expanded on read, so memory follows what the ring holds rather than
+// its capacity. Recording is a few stores and one encode — cheap enough to
+// leave on during production runs, which is the property the paper's "<1%
+// runtime overhead" claim (§5) is about.
 //
 // Two exporters read a Collector after the run: a Chrome trace_event JSON
 // writer (chrome.go, loadable in Perfetto / chrome://tracing for
@@ -23,6 +24,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"iter"
 
 	"prema/internal/substrate"
@@ -153,24 +155,31 @@ func KeyIndex(key int64) int { return int(uint32(key)) }
 //
 // The ring holds records, not events. A record is one event, or a folded
 // stretch of polls (see polls) that Events expands on read, so the
-// capacity, Total, Len, Dropped and Events all count logical events. Every
-// record holds at least one event, so capacity records always cover the
-// window; they are stored in chunks allocated as records arrive and never
-// copied, so memory follows what the ring holds, up to that ceiling.
+// capacity, Total, Len, Dropped and Events all count logical events. The
+// newest record is kept decoded, so a span can still be extended and a
+// stretch folded in place; once the next record is pushed it is appended
+// to a byte log (see appendRecord), whose chunks are reused once every
+// event they hold has left the window. Memory follows the bytes the window
+// takes, never the capacity.
 //
 // A Recorder is owned by its processor's execution context; it is not safe
 // for cross-processor sharing. Read it only after the machine's Run returns.
 type Recorder struct {
-	chunks [][]record
-	mask   uint64 // capacity - 1
-	nrec   uint64 // records pushed since creation
-	head   uint64 // events recorded since creation
+	chunks []chunk        // the log, oldest first
+	tail   *chunk         // the last of chunks, which records are appended to
+	free   [][]byte       // chunks whose events all left the window, for reuse
+	last   record         // the newest record, not yet in the log
+	lastEv uint64         // event number of last's first event
+	logT   substrate.Time // t of the newest record in the log
+	mask   uint64         // capacity - 1
+	nrec   uint64         // records pushed since creation
+	head   uint64         // events recorded since creation
 	proc   int
 }
 
-// record is one ring slot: an event's fields, or, when folded, b polls of a
-// stretch whose first compute slice starts at t, with dur = the poll
-// interval and a = the poll cost.
+// record is one ring record, decoded: an event's fields, or, when folded,
+// b polls of a stretch whose first compute slice starts at t, with dur =
+// the poll interval and a = the poll cost.
 type record struct {
 	t, dur  substrate.Time
 	a, b, c int64
@@ -178,32 +187,188 @@ type record struct {
 	folded  bool
 }
 
-// chunkShift sizes the chunks ring storage grows by: 1024 records, 48 KiB.
-const chunkShift = 10
+// A record is encoded as a tag byte, the zigzag varint of t minus the
+// previous record's t, and then, as zigzag varints, those of dur, a, b and
+// c that are not zero. The tag's low four bits are the kind, or tagFolded
+// for a folded stretch; its high four say which fields follow. A kind of
+// tagFolded or more (none that a layer records) is written as tagFolded
+// with the c bit set, its kind byte after the timestamp, and c always
+// present. A typical record takes ~6 bytes; one with every field at 64-bit
+// magnitude takes 51.
+const (
+	tagFolded                     = 15
+	tagDur, tagA, tagB, tagC byte = 1 << 4, 1 << 5, 1 << 6, 1 << 7
+	maxRecordBytes                = 2 + 5*binary.MaxVarintLen64
+	chunkBytes                    = 4 << 10
+)
+
+// chunk is one piece of the log: whole records, never one split across
+// two chunks, so a chunk decodes on its own from the numbers it carries.
+type chunk struct {
+	buf []byte
+	ev  uint64         // event number of its first record's first event
+	t   substrate.Time // t of the record before its first
+}
 
 // newRecorder builds a recorder with a power-of-two capacity.
 func newRecorder(proc, capacity int) *Recorder {
-	return &Recorder{chunks: make([][]record, max(1, capacity>>chunkShift)), mask: uint64(capacity - 1), proc: proc}
+	return &Recorder{mask: uint64(capacity - 1), proc: proc}
 }
 
-// at returns the slot of record i, which must have been pushed.
-func (r *Recorder) at(i uint64) *record {
-	s := i & r.mask
-	return &r.chunks[s>>chunkShift][s&(1<<chunkShift-1)]
-}
-
-// push claims the slot of the next record, allocating its chunk on first
-// use, and counts the n events it holds.
+// push logs the newest record and makes room for the next, which holds n
+// events; the caller fills it in.
 func (r *Recorder) push(n uint64) *record {
-	s := r.nrec & r.mask
-	c := r.chunks[s>>chunkShift]
-	if c == nil {
-		c = make([]record, min(r.mask+1, 1<<chunkShift))
-		r.chunks[s>>chunkShift] = c
+	if r.nrec > 0 {
+		r.appendRecord(&r.last)
 	}
 	r.nrec++
+	r.lastEv = r.head
 	r.head += n
-	return &c[s&(1<<chunkShift-1)]
+	return &r.last
+}
+
+// appendRecord encodes f, the record whose first event is r.lastEv, at the
+// end of the log.
+func (r *Recorder) appendRecord(f *record) {
+	if r.tail == nil || cap(r.tail.buf)-len(r.tail.buf) < maxRecordBytes {
+		r.grow()
+	}
+	b, at := r.tail.buf[:cap(r.tail.buf)], len(r.tail.buf)
+	n := putVarint(b, at+1, int64(f.t-r.logT))
+	tag := byte(f.kind)
+	if f.folded {
+		tag = tagFolded
+	} else if f.kind >= tagFolded {
+		tag = tagFolded | tagC
+		b[n] = byte(f.kind)
+		n++
+	}
+	if f.dur != 0 {
+		tag |= tagDur
+		n = putVarint(b, n, int64(f.dur))
+	}
+	if f.a != 0 {
+		tag |= tagA
+		n = putVarint(b, n, f.a)
+	}
+	if f.b != 0 {
+		tag |= tagB
+		n = putVarint(b, n, f.b)
+	}
+	if f.c != 0 || tag&tagC != 0 {
+		tag |= tagC
+		n = putVarint(b, n, f.c)
+	}
+	b[at] = tag
+	r.tail.buf = b[:n]
+	r.logT = f.t
+}
+
+// putVarint writes v at b[n:] as binary.PutVarint does and returns the
+// offset past it.
+func putVarint(b []byte, n int, v int64) int {
+	u := uint64(v<<1) ^ uint64(v>>63)
+	for ; u >= 0x80; u >>= 7 {
+		b[n] = byte(u) | 0x80
+		n++
+	}
+	b[n] = byte(u)
+	return n + 1
+}
+
+// grow starts a chunk for the record about to be logged. First it moves the
+// chunks whose events all lie before the window onto the free list; the new
+// chunk comes off that list when it can.
+func (r *Recorder) grow() {
+	w, k := r.Dropped(), 0
+	for k < len(r.chunks) && r.chunkEv(k+1) <= w {
+		r.free = append(r.free, r.chunks[k].buf[:0])
+		k++
+	}
+	r.chunks = r.chunks[:copy(r.chunks, r.chunks[k:])]
+	var buf []byte
+	if n := len(r.free); n > 0 {
+		buf, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		buf = make([]byte, 0, chunkBytes)
+	}
+	r.chunks = append(r.chunks, chunk{buf: buf, ev: r.lastEv, t: r.logT})
+	r.tail = &r.chunks[len(r.chunks)-1]
+}
+
+// chunkEv returns the event number chunk i starts at; i = len(r.chunks)
+// stands for the newest record, which follows the log.
+func (r *Recorder) chunkEv(i int) uint64 {
+	if i == len(r.chunks) {
+		return r.lastEv
+	}
+	return r.chunks[i].ev
+}
+
+// A cursor reads the ring forward, record by record: chunk ci from byte
+// off, then, at ci = len(chunks), the newest record. t is the previous
+// record's t.
+type cursor struct {
+	ci, off int
+	t       substrate.Time
+}
+
+// next decodes the record at c into f and moves c past it; it returns false
+// when c is past the newest record.
+func (r *Recorder) next(c *cursor, f *record) bool {
+	for c.ci < len(r.chunks) && c.off == len(r.chunks[c.ci].buf) {
+		c.ci, c.off = c.ci+1, 0
+	}
+	switch {
+	case c.ci < len(r.chunks):
+		buf, off := r.chunks[c.ci].buf, c.off
+		tag := buf[off]
+		d, off := varint(buf, off+1)
+		*f = record{t: c.t + substrate.Time(d), kind: Kind(tag & 15)}
+		if f.kind == tagFolded {
+			if tag&tagC != 0 {
+				f.kind = Kind(buf[off])
+				off++
+			} else {
+				f.kind, f.folded = EvSpan, true
+			}
+		}
+		if tag&tagDur != 0 {
+			d, off = varint(buf, off)
+			f.dur = substrate.Time(d)
+		}
+		if tag&tagA != 0 {
+			f.a, off = varint(buf, off)
+		}
+		if tag&tagB != 0 {
+			f.b, off = varint(buf, off)
+		}
+		if tag&tagC != 0 {
+			f.c, off = varint(buf, off)
+		}
+		c.off = off
+	case c.ci == len(r.chunks) && r.nrec > 0:
+		*f = r.last
+		c.ci++
+	default:
+		return false
+	}
+	c.t = f.t
+	return true
+}
+
+// varint decodes the zigzag varint at buf[off:], as binary.Varint does,
+// and returns it with the offset past it.
+func varint(buf []byte, off int) (int64, int) {
+	var u uint64
+	for s := 0; ; s += 7 {
+		b := buf[off]
+		off++
+		u |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return int64(u>>1) ^ -int64(u&1), off
+		}
+	}
 }
 
 // NewRecorder builds a standalone recorder retaining ringCap events (rounded
@@ -234,13 +399,10 @@ func (r *Recorder) Span(cat substrate.Category, start, end substrate.Time) {
 	if r == nil || end <= start {
 		return
 	}
-	if r.nrec > 0 {
-		last := r.at(r.nrec - 1)
-		if last.kind == EvSpan && !last.folded && last.a == int64(cat) && last.t == start {
-			last.t = end
-			last.dur += end - start
-			return
-		}
+	if last := &r.last; r.nrec > 0 && last.kind == EvSpan && !last.folded && last.a == int64(cat) && last.t == start {
+		last.t = end
+		last.dur += end - start
+		return
 	}
 	*r.push(1) = record{t: end, dur: end - start, a: int64(cat), kind: EvSpan}
 }
@@ -342,9 +504,9 @@ func (r *Recorder) runs() iter.Seq[run] {
 			return
 		}
 		var evs [3]Event
-		first, skip := r.window()
-		for i := first; i < r.nrec; i++ {
-			f := r.at(i)
+		var f record
+		c, skip := r.window()
+		for r.next(&c, &f) {
 			if !f.folded {
 				evs[0] = Event{T: f.t, Dur: f.dur, A: f.a, B: f.b, C: f.c, Kind: f.kind}
 				if !yield(run{evs[:1], 1, 0}) {
@@ -427,25 +589,34 @@ func (r *Recorder) Events() iter.Seq[Event] {
 	}
 }
 
-// window returns the oldest record holding a retained event and how many of
-// its events are older than the window.
-func (r *Recorder) window() (first, skip uint64) {
-	first = r.nrec
-	for want := uint64(r.Len()); want > 0; {
-		first--
-		n := r.at(first).size()
-		if n >= want {
-			return first, n - want
-		}
-		want -= n
+// window returns a cursor at the oldest record holding a retained event
+// and how many of its events are older than the window. It starts from the
+// last chunk that begins at or before the window.
+func (r *Recorder) window() (c cursor, skip uint64) {
+	w, i := r.Dropped(), 0
+	for i < len(r.chunks) && r.chunkEv(i+1) <= w {
+		i++
 	}
-	return first, 0
+	c = cursor{ci: i}
+	if i < len(r.chunks) {
+		c.t = r.chunks[i].t
+	}
+	for ev := r.chunkEv(i); ; {
+		at := c
+		var f record
+		if !r.next(&c, &f) || ev+f.size() > w {
+			return at, w - ev
+		}
+		ev += f.size()
+	}
 }
 
 // DefaultRingCap is the per-processor ring capacity (events) used when a
-// Collector is built with capacity <= 0. At 48 bytes per event a full ring
-// holds ~3 MiB per processor; that is the ceiling, not the cost: storage
-// grows with the records held, and a folded poll stretch is one record.
+// Collector is built with capacity <= 0. A record takes ~6 bytes typically
+// and 51 at worst, so a full ring holds ~0.4 MiB per processor, and 3.2 MiB
+// if every record had every field at 64-bit magnitude; that is the ceiling,
+// not the cost: storage grows in 4 KiB chunks with the records held, a
+// folded poll stretch is one record, and a wrapped ring reuses its chunks.
 const DefaultRingCap = 1 << 16
 
 // Collector owns the per-processor recorders of one traced machine. Build

@@ -59,8 +59,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 // TestRingMemoryFollowsRecords: a ring allocates storage for the records it
-// has been given, not for its capacity, and a stretch of polls is a
-// constant number of records however long it is.
+// has been given, not for its capacity; a wrapped ring of typical records
+// takes a few bytes a record, reusing its chunks; and a stretch of polls is
+// a constant number of records however long it is.
 func TestRingMemoryFollowsRecords(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -73,6 +74,32 @@ func TestRingMemoryFollowsRecords(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= full/10 {
 		t.Errorf("1,000 events into a %d-event ring allocated %d bytes, want under a tenth of the full ring's %d", DefaultRingCap, got, full)
 	}
+
+	// A default ring filled past its wrap with what a Figure 3 processor
+	// records: spans of 10 µs to 1 s, each followed by a send, a receive or
+	// a policy instant, at timestamps around 1e11 ns.
+	rng := rand.New(rand.NewSource(1))
+	runtime.ReadMemStats(&before)
+	fig3 := NewRecorder(0, DefaultRingCap)
+	for at := substrate.Time(1e11); fig3.Total() < 3*DefaultRingCap; {
+		gap := substrate.Time(10 * float64(substrate.Microsecond) * math.Pow(1e5, rng.Float64()))
+		fig3.Span(substrate.Category(rng.Intn(3)), at, at+gap)
+		at += gap
+		switch rng.Intn(3) {
+		case 0:
+			fig3.Instant(EvSend, at, int64(rng.Intn(16)), int64(rng.Intn(8)), []int64{16, 64, 4096}[rng.Intn(3)])
+		case 1:
+			fig3.Instant(EvRecv, at, int64(rng.Intn(16)), int64(rng.Intn(8)), []int64{16, 64, 4096}[rng.Intn(3)])
+		default:
+			fig3.Instant(EvPolicy, at, int64(rng.Intn(3)), 0, 0)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if perRecord := float64(got) / float64(fig3.Len()); got > 1<<20 || perRecord > 12 {
+		t.Errorf("a wrapped default ring of Figure 3 records allocated %d bytes, %.1f per retained record; want at most 1 MiB and 12", got, perRecord)
+	}
+
 	for _, n := range []int{10_000, 1_000_000} {
 		records, total := r.nrec, r.Total()
 		r.polls(substrate.Time(2000), n, 10, 2)
@@ -81,6 +108,41 @@ func TestRingMemoryFollowsRecords(t *testing.T) {
 		}
 		if got := r.Total() - total; got != uint64(3*n) {
 			t.Errorf("a %d-poll stretch counted %d events, want %d", n, got, 3*n)
+		}
+	}
+}
+
+// TestRecordBytes pins what the codec spends: a tag byte, a timestamp
+// delta of a byte or two between neighbours — also when the clock steps
+// back — and each non-zero field in as few bytes as its magnitude needs, up
+// to 51 bytes when every field is at 64-bit magnitude. A kind out of range
+// costs its own byte and a c, and decodes unchanged.
+func TestRecordBytes(t *testing.T) {
+	const t0 = substrate.Time(1e11)
+	for _, tc := range []struct {
+		what  string
+		f     record
+		prevT substrate.Time
+		want  int
+	}{
+		{"send at the previous record's time", record{t: t0, a: 3, b: 2, c: 64, kind: EvSend}, t0, 1 + 1 + 1 + 1 + 2},
+		{"recv 1 ns before the previous record", record{t: t0 - 1, a: 3, b: 2, c: 64, kind: EvRecv}, t0, 1 + 1 + 1 + 1 + 2},
+		{"compute span of 10 ms", record{t: t0 + 10*substrate.Millisecond, dur: 10 * substrate.Millisecond, kind: EvSpan}, t0, 1 + 4 + 4},
+		{"poll-wake instant 10 µs later", record{t: t0 + 10*substrate.Microsecond, a: PolPollWake, kind: EvPolicy}, t0, 1 + 3 + 1},
+		{"folded stretch of 1,000 polls", record{t: t0 + 14*substrate.Microsecond, dur: 10 * substrate.Microsecond, a: 4000, b: 1000, folded: true}, t0, 1 + 3 + 3 + 2 + 2},
+		{"migration of an ObjKey", record{t: t0, a: 5, b: ObjKey(127, 1<<20), c: 4096, kind: EvMigrateOut}, t0, 1 + 1 + 1 + 6 + 2},
+		{"every field at 64-bit magnitude", record{t: math.MinInt64, dur: math.MinInt64, a: math.MinInt64, b: math.MaxInt64, c: math.MinInt64, kind: EvUnitEnd}, 0, 51},
+		{"kind NumKinds, escaped", record{t: t0, kind: NumKinds}, t0, 1 + 1 + 1 + 1},
+		{"kind 255, escaped", record{t: t0, a: 1, kind: 255}, t0, 1 + 1 + 1 + 1 + 1},
+	} {
+		r := &Recorder{logT: tc.prevT}
+		r.appendRecord(&tc.f)
+		if got := len(r.tail.buf); got != tc.want {
+			t.Errorf("%s: %d bytes, want %d", tc.what, got, tc.want)
+		}
+		var back record
+		if c := (cursor{t: tc.prevT}); !r.next(&c, &back) || back != tc.f {
+			t.Errorf("%s: decodes to %+v", tc.what, back)
 		}
 	}
 }
@@ -493,7 +555,7 @@ func chromeCoverage(c *Collector, out []byte) []string {
 	}
 	outs := map[int64]int{}
 	for _, r := range c.recs {
-		if first, skip := r.window(); skip > 0 && r.at(first).folded {
+		if _, skip := r.window(); skip > 0 { // only a folded record holds more than one event
 			seen = append(seen, "window starting inside a stretch")
 		}
 		for ru := range r.runs() {
@@ -904,26 +966,54 @@ func (x both) polls(t substrate.Time, n int, interval, cost substrate.Time) {
 // (intervals of EvSpan too); and stretches of 0-39 polls, 1, 2 and 3 often,
 // at an interval of 0-3 and a cost of 0-2. A stretch may start right where
 // a compute span ends and may be followed by its closing compute span, a
-// CatPollThread span from where it ends, or anything else. It returns the
-// cases it drew that the property must cover.
+// CatPollThread span from where it ends, or anything else. To reach every
+// branch of the codec it also draws, now and then, a jump of the clock by
+// 2^40 ns, an instant stamped before the previous record, an interval
+// longer than 2^32 ns, and arguments at the int64 extremes, at -1 and
+// shaped like an ObjKey with a non-zero home. It returns the cases it drew
+// that the property must cover.
 func randomRecorders(r intn) (*Recorder, *refRecorder, []string) {
 	ringCap := 1 + r.Intn(1024)
 	got, want := NewRecorder(0, ringCap), newRefRecorder(ringCap)
 	b := both{got, want}
 	var drew []string
+	arg := func() int64 {
+		switch r.Intn(8) {
+		case 0:
+			return []int64{math.MinInt64, math.MaxInt64, -1}[r.Intn(3)]
+		case 1:
+			return ObjKey(1+r.Intn(4095), r.Intn(1<<16)<<15|r.Intn(1<<15))
+		default:
+			return int64(r.Intn(3))
+		}
+	}
 	var t substrate.Time
 	for n := r.Intn(400); n > 0; n-- {
+		if r.Intn(64) == 0 {
+			t += 1 << 40
+		}
 		switch r.Intn(6) {
 		case 0:
 			start := t + substrate.Time(r.Intn(2))
 			t = start + substrate.Time(r.Intn(4))
 			b.Span(substrate.Category(r.Intn(int(substrate.NumCategories))), start, t)
 		case 1:
-			b.Instant(Kind(r.Intn(int(NumKinds))), t, int64(r.Intn(3)), 0, 0)
+			at := t
+			if r.Intn(8) == 0 {
+				at -= substrate.Time(1 + r.Intn(1000))
+			}
+			b.Instant(Kind(r.Intn(int(NumKinds))), at, arg(), arg(), arg())
 		case 2:
 			start := t
 			t += substrate.Time(r.Intn(4))
-			b.Interval(Kind(r.Intn(int(NumKinds))), start, t, int64(r.Intn(int(substrate.NumCategories))), 1, 2)
+			if r.Intn(8) == 0 {
+				start -= 1<<32 + substrate.Time(r.Intn(1000))
+			}
+			a := int64(r.Intn(int(substrate.NumCategories)))
+			if r.Intn(2) == 0 {
+				a = arg()
+			}
+			b.Interval(Kind(r.Intn(int(NumKinds))), start, t, a, arg(), arg())
 		default:
 			polls := []int{1, 2, 3, r.Intn(40)}[r.Intn(4)]
 			interval, cost := substrate.Time(r.Intn(4)), substrate.Time(r.Intn(3))
@@ -962,8 +1052,58 @@ func randomRecorders(r intn) (*Recorder, *refRecorder, []string) {
 	if _, skip := got.window(); skip > 0 {
 		drew = append(drew, "window starting inside a folded record")
 	}
-	return got, want, drew
+	return got, want, append(drew, codecCoverage(got)...)
 }
+
+// codecCoverage names the edge cases among the retained records that went
+// through the codec: every one but the newest, which is never encoded.
+func codecCoverage(r *Recorder) []string {
+	var seen []string
+	c, _ := r.window()
+	prev, first := substrate.Time(0), true
+	for f := (record{}); r.next(&c, &f) && c.ci < len(r.chunks); first = false {
+		if !first && f.t < prev {
+			seen = append(seen, "timestamp earlier than the previous record's")
+		}
+		prev = f.t
+		if f.t >= 1<<40 {
+			seen = append(seen, "timestamp past 2^40")
+		}
+		if f.dur >= 1<<32 {
+			seen = append(seen, "dur past 2^32")
+		}
+		for i, v := range [3]int64{f.a, f.b, f.c} {
+			name := string("abc"[i]) + " at "
+			switch {
+			case v == math.MinInt64:
+				seen = append(seen, name+"math.MinInt64")
+			case v == math.MaxInt64:
+				seen = append(seen, name+"math.MaxInt64")
+			case v == -1:
+				seen = append(seen, name+"-1")
+			case KeyHome(v) > 0:
+				seen = append(seen, name+"an ObjKey")
+			}
+		}
+	}
+	return seen
+}
+
+// recorderCases are the cases randomRecorders promises: TestRecorderMatchesReference
+// must draw every one, and so must FuzzRecorderMatchesReference's seed corpus.
+var recorderCases = func() []string {
+	cases := []string{"1-poll stretch", "2-poll stretch", "3-poll stretch", "0-poll stretch",
+		"stretch right after a compute span", "CatPollThread span where a stretch ends",
+		"folded stretch at cost 0", "folded stretch at interval 0", "wrapped ring",
+		"window starting inside a folded record", "timestamp past 2^40",
+		"timestamp earlier than the previous record's", "dur past 2^32"}
+	for _, field := range []string{"a", "b", "c"} {
+		for _, v := range []string{"math.MinInt64", "math.MaxInt64", "-1", "an ObjKey"} {
+			cases = append(cases, field+" at "+v)
+		}
+	}
+	return cases
+}()
 
 // recorderDiff compares every reading of got with want's: "" when they
 // agree, else the first difference.
@@ -1008,21 +1148,56 @@ func TestRecorderMatchesReference(t *testing.T) {
 			covered[s] = true
 		}
 	}
-	for _, s := range []string{"1-poll stretch", "2-poll stretch", "3-poll stretch", "0-poll stretch",
-		"stretch right after a compute span", "CatPollThread span where a stretch ends",
-		"folded stretch at cost 0", "folded stretch at interval 0", "wrapped ring",
-		"window starting inside a folded record"} {
+	for _, s := range recorderCases {
 		if !covered[s] {
 			t.Errorf("no draw covered: %s", s)
 		}
 	}
 }
 
+// transcript draws from a seeded source and keeps the fuzz input that
+// replays its draws through fuzzBytes (every n drawn is at most 1<<16).
+type transcript struct {
+	r  *rand.Rand
+	in []byte
+}
+
+func (s *transcript) Intn(n int) int {
+	v := s.r.Intn(n)
+	s.in = binary.LittleEndian.AppendUint16(s.in, uint16(v))
+	return v
+}
+
 // FuzzRecorderMatchesReference drives randomRecorders from fuzz bytes and
-// holds the folded ring to the reference.
+// holds the folded ring to the reference. Its seed corpus is the
+// transcripts of the first seeds of TestRecorderMatchesReference that draw
+// a case no earlier one did, and must draw every case of recorderCases.
 func FuzzRecorderMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{5, 0, 3, 1, 200, 2}, 64))
+	missing := map[string]bool{}
+	for _, s := range recorderCases {
+		missing[s] = true
+	}
+	for seed := int64(0); seed < 2000 && len(missing) > 0; seed++ {
+		src := transcript{r: rand.New(rand.NewSource(seed))}
+		_, _, drew := randomRecorders(&src)
+		replay := fuzzBytes(src.in)
+		if _, _, again := randomRecorders(&replay); !slices.Equal(again, drew) {
+			f.Fatalf("seed %d: its transcript draws %q, the seed %q", seed, again, drew)
+		}
+		if slices.ContainsFunc(drew, func(s string) bool { return missing[s] }) {
+			f.Add(src.in)
+		}
+		for _, s := range drew {
+			delete(missing, s)
+		}
+	}
+	for _, s := range recorderCases {
+		if missing[s] {
+			f.Fatalf("the seed corpus draws no: %s", s)
+		}
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		src := fuzzBytes(in)
 		got, want, _ := randomRecorders(&src)
