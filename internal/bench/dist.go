@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"prema/internal/dist"
+	"prema/internal/faulty"
 	"prema/internal/substrate"
 	"prema/internal/wire"
 )
@@ -175,11 +176,11 @@ func runPingPong(dm *dist.Machine, w Workload) (*Result, error) {
 	return res, nil
 }
 
-const distPartialVersion = 2
+const distPartialVersion = 3
 
 // encodeDistPartial serializes the node-local share of a Result: counters,
-// residency, and wire telemetry. Finish time and accounts travel beside it
-// in the session's Done frame.
+// residency, wire telemetry and fault counts. Finish time and accounts
+// travel beside it in the session's Done frame.
 func encodeDistPartial(res *Result) []byte {
 	var w wire.Writer
 	w.U8(distPartialVersion)
@@ -199,6 +200,11 @@ func encodeDistPartial(res *Result) []byte {
 	}
 	w.U64(res.WireFrames)
 	w.U64(res.WireDrift)
+	f := res.Faults
+	for _, n := range []int{f.Dropped, f.Dupped, f.Delayed, f.Reordered, f.Stalls, f.Rejoins} {
+		w.Int(n)
+	}
+	w.Bool(f.Crashed)
 	return w.Buf()
 }
 
@@ -208,6 +214,7 @@ type distPartial struct {
 	resident   []int
 	wireFrames uint64
 	wireDrift  uint64
+	faults     faulty.Stats
 }
 
 func decodeDistPartial(b []byte) (*distPartial, error) {
@@ -228,6 +235,11 @@ func decodeDistPartial(b []byte) (*distPartial, error) {
 	}
 	p.wireFrames = r.U64()
 	p.wireDrift = r.U64()
+	f := &p.faults
+	for _, n := range []*int{&f.Dropped, &f.Dupped, &f.Delayed, &f.Reordered, &f.Stalls, &f.Rejoins} {
+		*n = r.Int()
+	}
+	f.Crashed = r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bench: corrupt dist partial: %w", err)
 	}
@@ -365,6 +377,7 @@ func RunDist(spec RunSpec, opt DistOptions) (*Result, error) {
 		}
 		res.WireFrames += p.wireFrames
 		res.WireDrift += p.wireDrift
+		res.Faults.Add(p.faults)
 	}
 	return res, nil
 }

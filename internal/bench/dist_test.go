@@ -193,7 +193,8 @@ func TestDistPremaImplicitConserves(t *testing.T) {
 // TestDistReliableConserves: DMCS reliable mode over real sockets, under
 // loss and duplication, still conserves work. Its cumulative acks cross TCP
 // as header-only frames (the acked sequence in the frame's seq field), a
-// path no simulator run takes.
+// path no simulator run takes. What each node's injector dropped and
+// duplicated reaches the merged result.
 func TestDistReliableConserves(t *testing.T) {
 	fig, err := FigureByID(3)
 	if err != nil {
@@ -209,6 +210,9 @@ func TestDistReliableConserves(t *testing.T) {
 	}
 	if res.Counters["rel_acks"] <= 0 {
 		t.Errorf("rel_acks = %d, want acks sent", res.Counters["rel_acks"])
+	}
+	if f := res.Faults; f.Dropped <= 0 || f.Dupped <= 0 {
+		t.Errorf("merged faults %+v, want drops and duplicates from the nodes", f)
 	}
 }
 

@@ -2,7 +2,6 @@ package rtm
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -108,36 +107,16 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (done 
 	return done, polls
 }
 
-// spinThreshold is the wall-clock horizon below which a wait for a known
-// instant spins instead of sleeping. OS timers overshoot by up to a
-// millisecond — a 100x error on the tens-of-microsecond waits an aggressive
-// TimeScale produces — so the final stretch of every such wait is spun to
-// keep measured time honest.
-const spinThreshold = 200 * time.Microsecond
-
-// pause is one step of every wait and the one place the sleep-then-spin rule
-// lives. While more than spinThreshold of wall clock remains before virtual
-// time target (substrate.Never: no instant) it sleeps up to that point —
-// less if feed delivers (the message is held) or timeout fires, which it
-// reports; nil channels do neither. From there on it yields once and
-// returns, so the caller's loop spins the rest. Asleep or spinning, the
-// caller dies when the machine stops.
+// pause is one step of every wait and the one place a wait sleeps. It sleeps
+// toward virtual time target (substrate.Never: no instant), less if feed
+// delivers (the message is held) or timeout fires, which it reports; nil
+// channels do neither. The host timer overshoots, and the caller charges the
+// overshoot as the measured time it is. Asleep, the caller dies when the
+// machine stops.
 func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, timeout <-chan time.Time) (timedOut bool) {
 	var sleep <-chan time.Time
 	if target != substrate.Never {
-		d := e.m.wall(target-e.m.Now()) - spinThreshold
-		if d <= 0 {
-			runtime.Gosched()
-			select {
-			case <-timeout:
-				return true
-			case <-e.m.stop:
-				panic(errKilled)
-			default:
-				return false // the caller looks at the feed between spins
-			}
-		}
-		t := time.NewTimer(d)
+		t := time.NewTimer(e.m.wall(target - e.m.Now()))
 		defer t.Stop()
 		sleep = t.C
 	}

@@ -3,11 +3,12 @@
 // the network is one buffered channel per processor with per-(src,dst) FIFO
 // delivery and a configurable injected latency/bandwidth model — the sender
 // stamps each message's arrival time and the receiver releases it then —
-// Compute burns scaled wall-clock (sleeping, then spinning the last stretch),
-// and time accounting uses the host's monotonic clock. A polled computation
-// (Endpoint.AdvancePolled) is one such wait per quiet stretch, up to the
-// first poll that would find a message or a deadline, not one per poll
-// interval; its skipped polls are charged at their nominal cost.
+// Compute sleeps through scaled wall-clock, and time accounting uses the
+// host's monotonic clock, so a timer's overshoot is charged as time taken.
+// A polled computation (Endpoint.AdvancePolled) is one such wait per quiet
+// stretch, up to the first poll that would find a message or a deadline,
+// not one per poll interval; its skipped polls are charged at their
+// nominal cost.
 //
 // Where the discrete-event simulator (internal/sim) trades parallelism for
 // byte-identical determinism, rtm trades determinism for real concurrency:
@@ -48,10 +49,11 @@ var errKilled = errors.New("rtm: processor killed")
 type Config struct {
 	// TimeScale is wall-clock seconds burned per virtual second. 1.0 runs
 	// in real time; the default 1e-3 compresses a 1000-virtual-second
-	// benchmark into about one wall second. Virtual durations whose scaled
-	// wall equivalent is below the host's timer granularity (tens of
-	// microseconds when sleeping) lose fidelity — lower TimeScale trades
-	// accuracy for speed.
+	// benchmark into about one wall second. Every wait is a timer sleep
+	// whose overshoot is charged as measured time: an idle Go process wakes
+	// for timers with millisecond granularity, so a virtual duration whose
+	// scaled wall equivalent is near a millisecond loses fidelity — lower
+	// TimeScale trades accuracy for speed.
 	TimeScale float64
 	// Network is the injected cost model, in virtual time: the arrival
 	// stamp each send gets, and the per-message CPU occupancies burned on

@@ -52,8 +52,8 @@ type Endpoint interface {
 	Rand() *rand.Rand
 
 	// Advance consumes d of CPU time, attributed to cat. The simulator
-	// advances virtual time; the real-time machine burns scaled wall-clock
-	// (sleeping, then spinning the last stretch).
+	// advances virtual time; the real-time machine sleeps through the
+	// scaled wall-clock equivalent and charges what it measured.
 	Advance(d Time, cat Category)
 	// AdvancePolled runs one quiet stretch of a polled computation of d
 	// under ps and returns how much of d was computed and how many polls
