@@ -8,14 +8,14 @@ import (
 )
 
 // TestProcEventZeroSteadyStateAllocs: the full hot path of a simulated
-// processor — Advance scheduling a typed wake event, the engine firing it
+// processor — Advance scheduling a wake in the heap, the engine firing it
 // and handing control back — is allocation-free in steady state.
 func TestProcEventZeroSteadyStateAllocs(t *testing.T) {
 	const n = 20000
 	var allocs uint64
 	e := NewEngine(Config{Seed: 1})
 	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < 2000; i++ { // warm-up: free list, heap, runtime caches
+		for i := 0; i < 2000; i++ { // warm-up: heap, runtime caches
 			p.Advance(Microsecond, CatCompute)
 		}
 		var m0, m1 runtime.MemStats
@@ -37,9 +37,8 @@ func TestProcEventZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMessageSteadyStateAllocs: posting and delivering messages through the
-// engine allocates nothing beyond the caller's own Msg values: typed deliver
-// events come from the free list and the ring-buffer inbox reuses its
-// backing array.
+// engine allocates nothing beyond the caller's own Msg values: the delivery
+// ring and the ring-buffer inbox reuse their backing arrays.
 func TestMessageSteadyStateAllocs(t *testing.T) {
 	const n = 10000
 	var allocs uint64

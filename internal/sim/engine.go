@@ -6,17 +6,20 @@
 // Each simulated processor body is an iter.Pull coroutine that executes only
 // while its owning *shard* has switched to it: the event loop calls the
 // coroutine's next, a blocking processor calls its yield, and each is one
-// direct switch that bypasses the Go scheduler's run queue. With one
-// shard (the default) the simulation is fully sequential. With S > 1 shards
-// the processors are partitioned across S shard event loops (round-robin by
-// default, or any Config.Partition map) that run on their own goroutines and
-// advance in bounded-lag windows. The window bound is conservative
-// lookahead: a message from shard s cannot arrive at another shard earlier
-// than s's next event plus the network latency, so every event a shard fires
-// below that bound is safe. Each coordination round one pass over the
-// shards' next-event times sets the widest windows that argument permits
-// (see runSharded). Cross-shard deliveries wait in per-(shard,shard)
-// mailboxes and are batch-exchanged at the window barrier. The same bound
+// direct switch that bypasses the Go scheduler's run queue. A shard keeps its
+// pending events in two queues, a ring of deliveries sorted by (time, ord)
+// and a heap of processor wakes, and fires whichever head is earlier (see
+// event.go). With one shard (the default) the simulation is fully
+// sequential. With S > 1 shards the processors are partitioned across S
+// shard event loops (round-robin by default, or any Config.Partition map)
+// that run on their own goroutines and advance in bounded-lag windows. The
+// window bound is conservative lookahead: a message from shard s cannot
+// arrive at another shard earlier than s's next event plus the network
+// latency, so every event a shard fires below that bound is safe. Each
+// coordination round one pass over the shards' next-event times sets the
+// widest windows that argument permits (see runSharded). Cross-shard
+// deliveries wait in per-(shard,shard) mailboxes and join the destination's
+// ring at the window barrier. The same bound
 // works inside one event loop, one processor at a time: a processor runs
 // ahead of its shard's clock by less than the latency, and short of the
 // earliest delivery in flight to it, instead of yielding to the loop
@@ -98,13 +101,12 @@ type Engine struct {
 
 	// Sharded-mode coordinator state, built at Run: owns[s] says whether
 	// shard s owns any processor (only those can send); next/ends are
-	// scratch for the per-round window computation. mail is the exchange's
-	// reusable batch buffer. rounds counts coordination rounds (barriers),
-	// the quantity adaptive windows exist to shrink.
+	// scratch for the per-round window computation. rounds counts
+	// coordination rounds (barriers), the quantity adaptive windows exist to
+	// shrink.
 	owns   []bool
 	next   []Time
 	ends   []Time
-	mail   []heapEntry
 	rounds uint64
 }
 
@@ -227,7 +229,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	}
 	e.assign = append(e.assign, sh)
 	s := e.shards[sh]
-	p := &Proc{id: id, name: name, sh: s, now: s.now, inflight: arrivals{first: maxTime}}
+	p := &Proc{id: id, name: name, sh: s, now: s.now, hidx: -1, inflight: arrivals{first: maxTime}}
 	e.procs = append(e.procs, p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -245,7 +247,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// ErrDeadlock is returned (wrapped) by Run when the event queue drains while
+// ErrDeadlock is returned (wrapped) by Run when the event queues drain while
 // some processors are still blocked.
 var ErrDeadlock = errors.New("sim: deadlock")
 
@@ -315,15 +317,11 @@ func (e *Engine) runSharded() {
 		e.exchange()
 		any := false
 		for i, s := range e.shards {
-			if at, ok := s.heap.PeekTime(); ok {
-				e.next[i] = at
-				any = true
-			} else {
-				e.next[i] = maxTime
-			}
+			e.next[i] = s.next()
+			any = any || e.next[i] < maxTime
 		}
 		if !any {
-			break // every heap and mailbox is empty: simulation over
+			break // every queue and mailbox is empty: simulation over
 		}
 		e.rounds++
 		e.setWindows()
@@ -340,7 +338,7 @@ func (e *Engine) runSharded() {
 }
 
 // setWindows computes the per-shard window ends for one coordination round
-// from e.next, the head of every shard's heap after the exchange (maxTime =
+// from e.next, every shard's earliest event after the exchange (maxTime =
 // idle). Write L for the link latency, O for the shards that own at least
 // one processor — only those can send — g and g2 for the smallest and
 // second-smallest next[s] over O, and m for the shard holding g.
@@ -384,36 +382,21 @@ func (e *Engine) setWindows() {
 	}
 }
 
-// exchange moves every outbox entry into its destination shard's heap,
-// batching each destination's deliveries into a single bulk PushAll instead
-// of N sifted pushes. It runs between windows, when all workers are parked,
-// so it may touch any shard's heap and free list directly. Entries and the
-// batch buffer are reused across windows: the steady-state cross-shard path
-// allocates nothing (guarded by a test).
+// exchange moves every outbox entry onto its destination shard's delivery
+// ring. It runs between windows, when all workers are parked, so it may touch
+// any shard's ring directly. The outboxes keep their backing arrays across
+// windows: the steady-state cross-shard path allocates nothing (guarded by a
+// test).
 func (e *Engine) exchange() {
 	for d, dst := range e.shards {
-		batch := e.mail[:0]
 		for _, src := range e.shards {
 			box := src.out[d]
-			if len(box) == 0 {
-				continue
-			}
 			for i := range box {
-				ent := &box[i]
-				ev := dst.alloc()
-				ev.kind = evDeliver
-				ev.msg = ent.m
-				e.procs[ent.m.Dst].inflight.push(ent.at)
-				batch = append(batch, heapEntry{at: ent.at, ord: ent.ord, ev: ev})
-				*ent = mailEntry{} // drop the Msg reference
+				dst.enqueue(box[i])
+				box[i] = delivery{} // drop the Msg reference
 			}
 			src.out[d] = box[:0]
 		}
-		dst.heap.PushAll(batch)
-		for i := range batch {
-			batch[i] = heapEntry{} // drop the event references
-		}
-		e.mail = batch[:0]
 	}
 }
 

@@ -222,10 +222,10 @@ func TestWaitMsgForWakesEarlyOnDelivery(t *testing.T) {
 // TestWaitTimeoutsLeaveWithTheirWait: a steal storm in miniature. Every
 // processor idles in WaitMsgFor(50 ms) and is pinged about once per network
 // round trip, so nearly every wait ends by a message long before its
-// timeout. A beaten timeout must leave the heap with its wait: the heap
-// never holds more than two timers per processor (a wait's timeout plus a
-// CPU-overhead wake) plus the messages in flight. Leaving beaten timeouts
-// to fire dead grows the heap to hundreds of entries per processor.
+// timeout. A beaten timeout must leave the heap with its wait: the heap and
+// the ring never hold more than two timers per processor (a wait's timeout
+// plus a CPU-overhead wake) plus the messages in flight. Leaving beaten
+// timeouts to fire dead grows the heap to hundreds of entries per processor.
 func TestWaitTimeoutsLeaveWithTheirWait(t *testing.T) {
 	const P = 16
 	e := NewEngine(testConfig())
@@ -237,7 +237,7 @@ func TestWaitTimeoutsLeaveWithTheirWait(t *testing.T) {
 			p.Send(&Msg{Dst: next}, CatMessaging)
 			for p.Now() < 200*Millisecond {
 				waits++
-				n := len(p.sh.heap.e)
+				n := len(p.sh.heap.e) + p.sh.ring.n
 				worst = max(worst, n)
 				if n > 2*P+inFlight {
 					over++

@@ -1,42 +1,24 @@
 package sim
 
-// event is a scheduled occurrence in virtual time.
+// A shard's pending events live in two queues, one per kind of event:
 //
-// The engine schedules one event per work unit advance, per message delivery
-// and per processor start, so this is the simulator's hottest allocation
-// site. Three measures keep the hot path cheap:
+//   - a delivery ring (deliveryRing) of every message in flight to the
+//     shard's processors, sorted by (at, ord). A delivery lands one network
+//     latency after a sender clock that is within one latency of the
+//     shard's, so deliveries arrive almost in order: a push shifts the few
+//     later entries from the tail, and a pop takes the head.
+//   - a wake heap (eventHeap) of processor wakes. A processor has at most
+//     one, and records its slot in Proc.hidx (-1 = none), so a delivery
+//     that beats a wait's timeout removes the wake from the middle of the
+//     heap and one that pulls a polled advance's wake-up forward moves it
+//     (shard.deliver).
 //
-//   - every occurrence (a processor's wake-up, a message delivery) is
-//     encoded as a kind tag plus typed operands instead of a fresh closure
-//     per event;
-//   - fired events are recycled through the owning shard's intrusive free
-//     list (each shard's event loop is single-threaded, so no sync.Pool is
-//     needed);
-//   - the ordering key (timestamp + ord, see below) lives inline in the
-//     heap's entry array, not behind the event pointer, so heap sifts
-//     compare within one contiguous array and follow the pointer only to
-//     record an entry's new slot (idx). The event struct is 32 bytes —
-//     half a cache line; idx fits in the padding after kind.
-//
-// Every event in a heap is live: it fires, or is removed before it would
-// (eventHeap.Remove). A processor's wake is its one event in the heap while
-// it is parked or not yet started (Proc.wake), and a delivery that changes
-// when the processor is due back removes or moves it (shard.deliver).
-type event struct {
-	proc *Proc  // evWake: processor to resume
-	msg  *Msg   // evDeliver: message to deliver
-	next *event // shard free list link (nil while scheduled)
-	kind eventKind
-	idx  int32 // slot in the shard's heap while scheduled (eventHeap.Remove)
-}
-
-// eventKind says which operands an event carries and what firing it does.
-type eventKind uint8
-
-const (
-	evWake    eventKind = iota // switch into proc, which is parked on this event
-	evDeliver                  // deliver msg to its destination inbox
-)
+// The event loop fires whichever head is earlier by (at, ord) (shard.drain),
+// so the two queues pop the one (at, ord) sequence a single queue over both
+// would. Every queued event is live: it fires, or is removed before it would.
+// Entries carry their ordering key inline, so neither queue follows a pointer
+// to compare, and nothing is allocated per event once the backing arrays
+// have grown.
 
 // Event ordering
 //
@@ -51,7 +33,7 @@ const (
 //     properties of the sender's own execution, identical under any
 //     partitioning.
 //   - local events (wakes) carry their processor's ID with the top bit set.
-//     A processor has at most one wake in the heap (Proc.wake), so the key
+//     A processor has at most one wake in the heap (Proc.hidx), so the key
 //     is unique, and same-instant wakes fire in processor-ID order whenever
 //     each was pushed. That matters where processors share host memory
 //     (-recover's stable store, read in lockstep): a polled advance pushes
@@ -81,20 +63,86 @@ func deliverOrd(src int, sendSeq uint64) uint64 {
 // wakeOrd builds the local-band ordering key for processor id's wake.
 func wakeOrd(id int) uint64 { return ordLocalBand | uint64(id) }
 
-// heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
+// delivery is one message in flight: its arrival time and delivery-band
+// ordering key, and the message. It is an entry of a shard's delivery ring
+// and of a cross-shard mailbox.
+type delivery struct {
+	at  Time
+	ord uint64
+	m   *Msg
+}
+
+func (a *delivery) before(b *delivery) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.ord < b.ord
+}
+
+// deliveryRing is a growable ring buffer of deliveries sorted by (at, ord).
+// Capacity is always a power of two so index wrapping is a mask.
+type deliveryRing struct {
+	buf  []delivery
+	head int // index of the earliest delivery
+	n    int // number of queued deliveries
+}
+
+// next returns the earliest delivery's time, or maxTime when the ring is
+// empty.
+func (r *deliveryRing) next() Time {
+	if r.n == 0 {
+		return maxTime
+	}
+	return r.buf[r.head].at
+}
+
+// push inserts x in (at, ord) order, shifting every later delivery one slot
+// towards the tail.
+func (r *deliveryRing) push(x delivery) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	mask := len(r.buf) - 1
+	i := r.head + r.n
+	for ; i > r.head && x.before(&r.buf[(i-1)&mask]); i-- {
+		r.buf[i&mask] = r.buf[(i-1)&mask]
+	}
+	r.buf[i&mask] = x
+	r.n++
+}
+
+// pop removes the earliest delivery and returns its message. The ring must
+// not be empty.
+func (r *deliveryRing) pop() *Msg {
+	m := r.buf[r.head].m
+	r.buf[r.head].m = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return m
+}
+
+func (r *deliveryRing) grow() {
+	nb := make([]delivery, max(2*len(r.buf), ringMinCap))
+	for i := 0; i < r.n; i++ {
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf = nb
+	r.head = 0
+}
+
+// heapArity is the fan-out of the wake heap. A 4-ary heap halves the tree
 // depth of a binary heap, trading slightly more comparisons per level for
-// far fewer levels (and cache misses) per sift — a net win at the event
-// queue sizes the full-scale sweep reaches. The pop order is identical to
-// any other min-heap because (at, ord) is a total order.
+// far fewer levels (and cache misses) per sift. The pop order is identical
+// to any other min-heap because (at, ord) is a total order.
 const heapArity = 4
 
-// heapEntry is one heap slot: the ordering key inline plus the event
-// pointer. 24 bytes, so a sift-down's comparisons stay within a few cache
-// lines of the backing array.
+// heapEntry is one wake heap slot: the ordering key inline plus the
+// processor to resume. 24 bytes, so a sift-down's comparisons stay within a
+// few cache lines of the backing array.
 type heapEntry struct {
 	at  Time
 	ord uint64
-	ev  *event
+	p   *Proc
 }
 
 func (a heapEntry) before(b heapEntry) bool {
@@ -104,83 +152,49 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.ord < b.ord
 }
 
-// eventHeap is a d-ary min-heap ordered by (at, ord). It is implemented
-// directly rather than through container/heap to avoid interface boxing on
-// the simulator's hottest path.
+// eventHeap is the d-ary min-heap of a shard's wakes, ordered by (at, ord).
+// It is implemented directly rather than through container/heap to avoid
+// interface boxing on the simulator's hottest path.
 //
-// Every scheduled event records its slot in ev.idx, kept current by every
-// operation that moves an entry, so Remove can take a known event out in
-// O(log n): a message that beats a wait timeout removes the timeout, and one
-// that pulls a polled advance's wake-up forward moves the wake (Earlier),
-// instead of leaving either to fire dead (shard.deliver).
+// Every queued processor records its slot in p.hidx, kept current by every
+// operation that moves an entry, so Remove can take a known wake out in
+// O(log n).
 type eventHeap struct {
 	e []heapEntry
 }
 
-// set stores x in slot i and records the slot in its event.
-func (h *eventHeap) set(i int, x heapEntry) {
-	h.e[i] = x
-	x.ev.idx = int32(i)
+// next returns the earliest wake's time, or maxTime when the heap is empty.
+func (h *eventHeap) next() Time {
+	if len(h.e) == 0 {
+		return maxTime
+	}
+	return h.e[0].at
 }
 
-// Push inserts an event with its ordering key.
-func (h *eventHeap) Push(at Time, ord uint64, ev *event) {
-	h.e = append(h.e, heapEntry{at: at, ord: ord, ev: ev})
+// set stores x in slot i and records the slot in its processor.
+func (h *eventHeap) set(i int, x heapEntry) {
+	h.e[i] = x
+	x.p.hidx = int32(i)
+}
+
+// Push inserts p's wake at time at.
+func (h *eventHeap) Push(at Time, p *Proc) {
+	h.e = append(h.e, heapEntry{at: at, ord: wakeOrd(p.id), p: p})
 	h.siftUp(len(h.e) - 1)
 }
 
-// PushAll inserts a batch of prebuilt entries in one operation — the bulk
-// path the window-barrier mailbox exchange uses instead of N individual
-// pushes. Because (at, ord) is a total order, the pop sequence of any
-// correct min-heap is unique, so PushAll is observationally identical to
-// pushing the entries one at a time (property-tested in heap_test.go); only
-// the sift work differs. Small batches sift each entry up (k·log_4 n);
-// batches comparable to the heap size switch to a full bottom-up Floyd
-// heapify, which is O(n) — cheaper than k sift-ups once k rivals the heap.
-func (h *eventHeap) PushAll(entries []heapEntry) {
-	k := len(entries)
-	if k == 0 {
-		return
-	}
-	was := len(h.e)
-	h.e = append(h.e, entries...)
-	n := len(h.e)
-	if was == 0 || k >= was/2 {
-		for i := was; i < n; i++ {
-			h.e[i].ev.idx = int32(i)
-		}
-		// Rebuild from the last parent down: every subtree rooted at or
-		// above the first appended index gets re-heapified.
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			h.siftDown(i)
-		}
-		return
-	}
-	for i := was; i < n; i++ {
-		h.siftUp(i)
-	}
-}
-
-// Pop removes and returns the earliest entry. The heap must not be empty.
-// It is one call to Remove, small enough to inline into the event loop
-// (shard.drain).
-func (h *eventHeap) Pop() heapEntry {
-	top := h.e[0]
-	h.Remove(0)
-	return top
-}
-
-// Earlier gives the entry in slot i a key before its current one and sifts
-// it up: the pop order a Remove and a Push with that key would give, for
-// one sift.
-func (h *eventHeap) Earlier(i int, at Time, ord uint64) {
-	h.e[i].at, h.e[i].ord = at, ord
+// Earlier moves the wake in slot i to at, before its current time, and sifts
+// it up: the pop order a Remove and a Push would give, for one sift.
+func (h *eventHeap) Earlier(i int, at Time) {
+	h.e[i].at = at
 	h.siftUp(i)
 }
 
-// Remove deletes the entry in slot i, moving the last entry into the hole
-// and sifting it whichever way restores the heap order.
+// Remove deletes the wake in slot i, clearing its processor's slot, moving
+// the last entry into the hole and sifting it whichever way restores the
+// heap order.
 func (h *eventHeap) Remove(i int) {
+	h.e[i].p.hidx = -1
 	n := len(h.e) - 1
 	x := h.e[n]
 	h.e[n] = heapEntry{}
@@ -235,13 +249,4 @@ func (h *eventHeap) siftDown(i int) {
 		i = smallest
 	}
 	h.set(i, x)
-}
-
-// PeekTime returns the earliest entry's timestamp; ok is false if the heap
-// is empty.
-func (h *eventHeap) PeekTime() (at Time, ok bool) {
-	if len(h.e) == 0 {
-		return 0, false
-	}
-	return h.e[0].at, true
 }

@@ -10,27 +10,37 @@ import (
 	"prema/internal/substrate"
 )
 
-// tryPop pops the earliest entry; ok is false if the heap is empty.
+// wakers returns n processors with no wake, for heap tests that need
+// distinct wake keys.
+func wakers(n int) []*Proc {
+	ps := make([]*Proc, n)
+	for i := range ps {
+		ps[i] = &Proc{id: i, hidx: -1}
+	}
+	return ps
+}
+
+// tryPop pops the earliest wake; ok is false if the heap is empty.
 func tryPop(h *eventHeap) (top heapEntry, ok bool) {
 	if len(h.e) == 0 {
 		return heapEntry{}, false
 	}
-	return h.Pop(), true
+	top = h.e[0]
+	h.Remove(0)
+	return top, true
 }
 
-// TestHeapOrderingProperty: popping all entries from a heap built from any
-// sequence of push times yields a sequence sorted by (time, ord).
+// TestHeapOrderingProperty: popping all wakes from a heap built from any
+// sequence of wake times yields a sequence sorted by (time, ord).
 func TestHeapOrderingProperty(t *testing.T) {
 	f := func(times []int16) bool {
 		var h eventHeap
-		var ord uint64
-		for _, raw := range times {
-			ord++
-			tm := Time(raw)
+		for i, p := range wakers(len(times)) {
+			tm := Time(times[i])
 			if tm < 0 {
 				tm = -tm
 			}
-			h.Push(tm, ord, &event{})
+			h.Push(tm, p)
 		}
 		var prev heapEntry
 		var any bool
@@ -39,7 +49,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 			if !ok {
 				break
 			}
-			if any && e.before(prev) {
+			if any && e.before(prev) || e.p.hidx != -1 {
 				return false
 			}
 			prev, any = e, true
@@ -54,27 +64,28 @@ func TestHeapOrderingProperty(t *testing.T) {
 func TestHeapInterleavedPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h eventHeap
-	var ord uint64
+	idle := wakers(256) // processors without a wake
 	var popped []Time
 	var lastPopped Time = -1
 	for i := 0; i < 5000; i++ {
-		if rng.Intn(3) != 0 || len(h.e) == 0 {
-			ord++
+		if len(h.e) == 0 || len(idle) > 0 && rng.Intn(3) != 0 {
 			// Never schedule in the past relative to the last pop: mimics the
 			// engine's invariant.
 			at := lastPopped + Time(rng.Intn(100))
-			h.Push(at, ord, &event{})
+			h.Push(at, idle[len(idle)-1])
+			idle = idle[:len(idle)-1]
 		} else {
-			e := h.Pop()
+			e, _ := tryPop(&h)
 			if e.at < lastPopped {
 				t.Fatalf("pop went backwards: %v after %v", e.at, lastPopped)
 			}
 			lastPopped = e.at
 			popped = append(popped, e.at)
+			idle = append(idle, e.p)
 		}
 	}
 	for len(h.e) > 0 {
-		e := h.Pop()
+		e, _ := tryPop(&h)
 		popped = append(popped, e.at)
 	}
 	if !sort.SliceIsSorted(popped, func(i, j int) bool { return popped[i] < popped[j] }) {
@@ -82,22 +93,192 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 	}
 }
 
-// TestHeapBandOrdering: at equal timestamps every delivery key sorts before
-// every local-band key, deliveries sort by (src, sendSeq), and wakes by
-// processor ID.
-func TestHeapBandOrdering(t *testing.T) {
-	var h eventHeap
-	h.Push(10, deliverOrd(4096, 1), &event{})
-	h.Push(10, wakeOrd(1), &event{}) // processor 1's wake
-	h.Push(10, deliverOrd(0, 7), &event{})
-	h.Push(10, deliverOrd(0, 2), &event{})
-	h.Push(10, wakeOrd(0), &event{})
-	want := []uint64{deliverOrd(0, 2), deliverOrd(0, 7), deliverOrd(4096, 1), wakeOrd(0), wakeOrd(1)}
-	for i, w := range want {
-		e, ok := tryPop(&h)
-		if !ok || e.ord != w {
-			t.Fatalf("pop %d: got ord %#x, want %#x", i, e.ord, w)
+// loopRig drives one shard's event loop over processors that never run a
+// body: each switch into one records the event that caused it, so a test
+// reads the (at, ord) order in which the loop fires deliveries and wakes.
+// Sinks take deliveries (each is parked in a wait, so every delivery
+// switches into it) and never have a wake; wakers take wakes; remote
+// processors live on a second shard, whose outbox the exchange moves onto
+// the driven shard's ring.
+type loopRig struct {
+	e                     *Engine
+	s                     *shard // shard 0, the one driven
+	sinks, wakers, remote []*Proc
+	seq                   map[int]uint64 // per-source send counter
+	ords                  map[*Msg]uint64
+	fired                 []firing
+}
+
+type firing struct {
+	at  Time
+	ord uint64
+}
+
+func newLoopRig(sinks, wakers, remote int) *loopRig {
+	r := &loopRig{seq: map[int]uint64{}, ords: map[*Msg]uint64{}}
+	local := sinks + wakers
+	r.e = NewEngine(Config{Shards: 2, Partition: func(id, _ int) int {
+		if id < local {
+			return 0
 		}
+		return 1
+	}})
+	r.s = r.e.shards[0]
+	for i := 0; i < local+remote; i++ {
+		p := r.e.Spawn("p", func(*Proc) {})
+		p.next = func() (struct{}, bool) {
+			ord := wakeOrd(p.id)
+			if p.inbox.Len() > 0 {
+				ord = r.ords[p.inbox.removeAt(0)]
+			}
+			r.fired = append(r.fired, firing{p.now, ord})
+			return struct{}{}, true
+		}
+		switch {
+		case i < sinks:
+			p.waitingMsg = true
+			r.sinks = append(r.sinks, p)
+		case i < local:
+			r.wakers = append(r.wakers, p)
+		default:
+			r.remote = append(r.remote, p)
+		}
+	}
+	for _, s := range r.e.shards { // drop the start wakes
+		for len(s.heap.e) > 0 {
+			s.heap.Remove(0)
+		}
+	}
+	return r
+}
+
+// post sends a delivery from src to dst, arriving at at, through shard s,
+// and returns its ordering key.
+func (r *loopRig) post(s *shard, src int, dst *Proc, at Time) uint64 {
+	r.seq[src]++
+	m := &Msg{Src: src, Dst: dst.id}
+	r.ords[m] = deliverOrd(src, r.seq[src])
+	s.post(m, at, r.seq[src])
+	return r.ords[m]
+}
+
+// TestHeapBandOrdering: at equal timestamps the loop fires every delivery
+// before every wake, deliveries by (src, sendSeq) and wakes by processor ID,
+// whichever queue holds them and in whatever order they were pushed.
+func TestHeapBandOrdering(t *testing.T) {
+	r := newLoopRig(1, 2, 0)
+	defer r.e.teardown()
+	sink, w0, w1 := r.s.eng.procs[0], r.wakers[0], r.wakers[1]
+	r.seq[0] = 6
+	var want []firing
+	for _, src := range []int{4096, 0, 0} {
+		r.post(r.s, src, sink, 10)
+	}
+	r.s.atWake(10, w1)
+	r.s.atWake(10, w0)
+	r.post(r.s, 0, sink, 10)
+	for _, ord := range []uint64{deliverOrd(0, 7), deliverOrd(0, 8), deliverOrd(0, 9), deliverOrd(4096, 1), wakeOrd(w0.id), wakeOrd(w1.id)} {
+		want = append(want, firing{10, ord})
+	}
+	r.s.runWindow(maxTime)
+	if !slices.Equal(r.fired, want) {
+		t.Fatalf("fired %v, want %v", r.fired, want)
+	}
+}
+
+// TestTwoQueueLoopMatchesReference: a random script of deliveries (out of
+// order and at equal times, from many sources, local and across the shard
+// exchange), wake pushes, removes and Earlier moves, interleaved with
+// windows of the loop, fires events in the order of one reference list
+// sorted by (at, ord) holding the same keys.
+func TestTwoQueueLoopMatchesReference(t *testing.T) {
+	f := func(ops []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := newLoopRig(4, 6, 3)
+		defer r.e.teardown()
+		s := r.s
+		var ref, remote []firing // pending on shard 0; waiting in shard 1's outbox
+		before := func(a, b firing) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			if a.ord < b.ord {
+				return -1
+			}
+			return 1
+		}
+		insert := func(x firing) {
+			i, _ := slices.BinarySearchFunc(ref, x, before)
+			ref = slices.Insert(ref, i, x)
+		}
+		remove := func(x firing) { ref = slices.DeleteFunc(ref, func(y firing) bool { return y == x }) }
+		window := func(end Time) bool {
+			r.fired = r.fired[:0]
+			s.runWindow(end)
+			n := 0
+			for n < len(ref) && ref[n].at < end {
+				n++
+			}
+			ok := slices.Equal(r.fired, ref[:n])
+			ref = ref[n:]
+			return ok
+		}
+		for _, op := range ops {
+			at := s.now + Time(op>>4%6)
+			sink := r.sinks[rng.Intn(len(r.sinks))]
+			switch op % 6 {
+			case 0, 1:
+				insert(firing{at, r.post(s, rng.Intn(40), sink, at)})
+			case 2:
+				src := r.remote[rng.Intn(len(r.remote))]
+				remote = append(remote, firing{at, r.post(src.sh, src.id, sink, at)})
+			case 3:
+				r.e.exchange()
+				for _, x := range remote {
+					insert(x)
+				}
+				remote = remote[:0]
+			case 4:
+				w := r.wakers[rng.Intn(len(r.wakers))]
+				if w.hidx < 0 {
+					s.atWake(at, w)
+					insert(firing{at, wakeOrd(w.id)})
+					break
+				}
+				cur := s.heap.e[w.hidx]
+				remove(firing{cur.at, cur.ord})
+				if rng.Intn(2) == 0 || cur.at == s.now {
+					s.heap.Remove(int(w.hidx))
+					break
+				}
+				// Earlier, as pollArrival moves a polled advance's wake.
+				at = s.now + Time(rng.Int63n(int64(cur.at-s.now)))
+				s.heap.Earlier(int(w.hidx), at)
+				insert(firing{at, cur.ord})
+			case 5:
+				// A cross-shard delivery never lands inside a window.
+				end := s.now + Time(rng.Intn(8)) + 1
+				for _, x := range remote {
+					end = min(end, x.at)
+				}
+				if !window(end) {
+					return false
+				}
+			}
+			for _, p := range r.wakers {
+				if p.hidx >= 0 && s.heap.e[p.hidx].p != p {
+					return false
+				}
+			}
+		}
+		r.e.exchange()
+		for _, x := range remote {
+			insert(x)
+		}
+		return window(maxTime) && len(ref) == 0 && s.ring.n == 0 && len(s.heap.e) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -121,7 +302,6 @@ func (h *binaryHeap) Push(at Time, ord uint64) {
 		i = parent
 	}
 }
-
 func (h *binaryHeap) Pop() (heapEntry, bool) {
 	n := len(h.e)
 	if n == 0 {
@@ -150,25 +330,29 @@ func (h *binaryHeap) Pop() (heapEntry, bool) {
 
 // TestQuaternaryMatchesBinaryHeap: on random inputs — with deliberately many
 // duplicate timestamps, and interleaved pushes and pops — the 4-ary heap
-// pops entries in exactly the (at, ord) order of the reference binary heap.
+// pops wakes in exactly the (at, ord) order of the reference binary heap.
 func TestQuaternaryMatchesBinaryHeap(t *testing.T) {
 	f := func(times []int16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var quad eventHeap
 		var bin binaryHeap
-		var ord uint64
+		idle := wakers(len(times))
 		push := func(raw int16) {
-			ord++
 			tm := Time(raw % 64) // force heavy timestamp collisions
 			if tm < 0 {
 				tm = -tm
 			}
-			quad.Push(tm, ord, &event{})
-			bin.Push(tm, ord)
+			p := idle[len(idle)-1]
+			idle = idle[:len(idle)-1]
+			quad.Push(tm, p)
+			bin.Push(tm, wakeOrd(p.id))
 		}
 		checkPop := func() bool {
 			q, qok := tryPop(&quad)
 			b, bok := bin.Pop()
+			if qok {
+				idle = append(idle, q.p)
+			}
 			if qok != bok {
 				return false
 			}
@@ -194,88 +378,35 @@ func TestQuaternaryMatchesBinaryHeap(t *testing.T) {
 	}
 }
 
-// TestPushAllMatchesSequentialPushes: bulk-inserting any batch of entries
-// pops in exactly the order N sequential pushes would have produced, for any
-// prior heap contents and any batch size — including batches big enough to
-// take the full-heapify path and batches into an empty heap. This is the
-// property the barrier exchange relies on when it drains a window's
-// cross-shard mailboxes with one PushAll per destination.
-func TestPushAllMatchesSequentialPushes(t *testing.T) {
-	f := func(pre, batch []int16, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var bulk, seq eventHeap
-		var ord uint64
-		key := func(raw int16) Time {
-			tm := Time(raw % 64) // force heavy timestamp collisions
-			if tm < 0 {
-				tm = -tm
-			}
-			return tm
-		}
-		for _, raw := range pre {
-			ord++
-			bulk.Push(key(raw), ord, &event{})
-			seq.Push(key(raw), ord, &event{})
-		}
-		// Occasionally pre-drain some entries so the two heaps' internal
-		// arrangements diverge before the bulk insert.
-		for len(bulk.e) > 0 && rng.Intn(4) == 0 {
-			bulk.Pop()
-			seq.Pop()
-		}
-		entries := make([]heapEntry, 0, len(batch))
-		for _, raw := range batch {
-			ord++
-			entries = append(entries, heapEntry{at: key(raw), ord: ord, ev: &event{}})
-			seq.Push(key(raw), ord, &event{})
-		}
-		bulk.PushAll(entries)
-		for {
-			b, bok := tryPop(&bulk)
-			s, sok := tryPop(&seq)
-			if bok != sok {
-				return false
-			}
-			if !bok {
-				return true
-			}
-			if b.at != s.at || b.ord != s.ord {
-				return false
-			}
-		}
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// checkSlots reports whether every entry's event records its own slot and
-// every entry sorts after its parent.
-func checkSlots(h *eventHeap) bool {
+// checkSlots reports whether every entry's processor records its own slot,
+// every entry sorts after its parent, and every processor not in the heap
+// records none.
+func checkSlots(h *eventHeap, ps []*Proc) bool {
 	for i, x := range h.e {
-		if int(x.ev.idx) != i || i > 0 && x.before(h.e[(i-1)/heapArity]) {
+		if int(x.p.hidx) != i || i > 0 && x.before(h.e[(i-1)/heapArity]) {
+			return false
+		}
+	}
+	for _, p := range ps {
+		if p.hidx >= 0 && (int(p.hidx) >= len(h.e) || h.e[p.hidx].p != p) {
 			return false
 		}
 	}
 	return true
 }
 
-// TestHeapOpsMatchSortedReference: any interleaving of Push, Pop, PushAll,
-// and Remove and Earlier at a random slot pops in the order of a sorted
+// TestHeapOpsMatchSortedReference: any interleaving of Push, Pop, and
+// Remove and Earlier at a random slot pops in the order of a sorted
 // reference list holding the same keys, and after every operation each
-// entry's event records the slot the entry occupies — the index Remove and
-// Earlier trust when a delivery takes a wait timeout out of the heap or
+// entry's processor records the slot the entry occupies — the index Remove
+// and Earlier trust when a delivery takes a wait timeout out of the heap or
 // moves a polled advance's wake.
 func TestHeapOpsMatchSortedReference(t *testing.T) {
 	f := func(ops []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var h eventHeap
 		var ref []heapEntry // the same keys, kept sorted
-		var ord uint64
-		entry := func(raw uint16) heapEntry {
-			ord++
-			return heapEntry{at: Time(raw % 64), ord: ord, ev: &event{}} // heavy timestamp collisions
-		}
+		ps := wakers(32)
 		insert := func(x heapEntry) {
 			i, _ := slices.BinarySearchFunc(ref, x, func(a, b heapEntry) int {
 				if a.before(b) {
@@ -286,34 +417,31 @@ func TestHeapOpsMatchSortedReference(t *testing.T) {
 			ref = slices.Insert(ref, i, x)
 		}
 		for _, op := range ops {
-			switch op % 5 {
+			switch op % 4 {
 			case 0:
-				x := entry(op >> 2)
-				h.Push(x.at, x.ord, x.ev)
+				p := ps[rng.Intn(len(ps))]
+				if p.hidx >= 0 {
+					continue
+				}
+				x := heapEntry{at: Time(op >> 2 % 64), ord: wakeOrd(p.id), p: p} // heavy timestamp collisions
+				h.Push(x.at, p)
 				insert(x)
 			case 1:
 				if len(h.e) == 0 {
 					continue
 				}
-				if got := h.Pop(); got != ref[0] {
+				if got, _ := tryPop(&h); got != ref[0] || got.p.hidx != -1 {
 					return false
 				}
 				ref = ref[1:]
 			case 2:
-				batch := make([]heapEntry, rng.Intn(len(h.e)+2))
-				for i := range batch {
-					batch[i] = entry(uint16(rng.Intn(1 << 16)))
-					insert(batch[i])
-				}
-				h.PushAll(batch)
-			case 3:
 				if len(h.e) == 0 {
 					continue
 				}
 				x := h.e[rng.Intn(len(h.e))]
-				h.Remove(int(x.ev.idx))
+				h.Remove(int(x.p.hidx))
 				ref = slices.DeleteFunc(ref, func(y heapEntry) bool { return y == x })
-			case 4:
+			case 3:
 				if len(h.e) == 0 {
 					continue
 				}
@@ -321,20 +449,17 @@ func TestHeapOpsMatchSortedReference(t *testing.T) {
 				if x.at == 0 {
 					continue
 				}
-				// A fresh ord is the largest yet, so only an earlier time
-				// makes the key earlier, as in pollArrival.
-				ord++
-				y := heapEntry{at: Time(rng.Int63n(int64(x.at))), ord: ord, ev: x.ev}
-				h.Earlier(int(x.ev.idx), y.at, y.ord)
+				y := heapEntry{at: Time(rng.Int63n(int64(x.at))), ord: x.ord, p: x.p}
+				h.Earlier(int(x.p.hidx), y.at)
 				ref = slices.DeleteFunc(ref, func(z heapEntry) bool { return z == x })
 				insert(y)
 			}
-			if len(h.e) != len(ref) || !checkSlots(&h) {
+			if len(h.e) != len(ref) || !checkSlots(&h, ps) {
 				return false
 			}
 		}
 		for len(ref) > 0 {
-			if h.Pop() != ref[0] || !checkSlots(&h) {
+			if got, _ := tryPop(&h); got != ref[0] || !checkSlots(&h, ps) {
 				return false
 			}
 			ref = ref[1:]
@@ -346,46 +471,26 @@ func TestHeapOpsMatchSortedReference(t *testing.T) {
 	}
 }
 
-// TestPushAllZeroAllocs: once the heap's backing array is warm, a bulk
-// insert-and-drain cycle allocates nothing — PushAll must stay off the
-// allocator just like Push, since it runs once per (destination, round) on
-// the barrier path.
-func TestPushAllZeroAllocs(t *testing.T) {
-	var h eventHeap
-	events := make([]*event, 64)
-	for i := range events {
-		events[i] = &event{}
-	}
-	batch := make([]heapEntry, len(events))
-	var ord uint64
-	cycle := func() {
-		for i := range batch {
-			ord++
-			batch[i] = heapEntry{at: Time(ord % 17), ord: ord, ev: events[i]}
-		}
-		h.PushAll(batch)
-		for len(h.e) > 0 {
-			h.Pop()
-		}
-	}
-	cycle() // warm the backing array
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Errorf("PushAll cycle allocates %.1f per run, want 0", avg)
-	}
-}
-
+// TestHeapPeek: each queue's next, and the shard's, is the earliest time it
+// holds, or maxTime when it holds nothing.
 func TestHeapPeek(t *testing.T) {
-	var h eventHeap
-	if _, ok := h.PeekTime(); ok {
-		t.Fatal("empty heap should have no peek time")
+	var s shard
+	if s.heap.next() != maxTime || s.ring.next() != maxTime || s.next() != maxTime {
+		t.Fatal("empty queues should have no next time")
 	}
-	h.Push(5, 1, &event{})
-	h.Push(3, 2, &event{})
-	if at, ok := h.PeekTime(); !ok || at != 3 {
-		t.Fatalf("peek = %v, %v", at, ok)
+	ps := wakers(2)
+	s.heap.Push(5, ps[0])
+	s.heap.Push(3, ps[1])
+	s.ring.push(delivery{at: 4})
+	if got := s.heap.next(); got != 3 {
+		t.Fatalf("heap next = %v", got)
 	}
-	if len(h.e) != 2 {
-		t.Fatalf("len = %d", len(h.e))
+	if got := s.next(); got != 3 {
+		t.Fatalf("shard next = %v", got)
+	}
+	s.heap.Remove(int(ps[1].hidx))
+	if got := s.next(); got != 4 || len(s.heap.e) != 1 {
+		t.Fatalf("shard next = %v with %d wakes", got, len(s.heap.e))
 	}
 }
 

@@ -69,7 +69,7 @@ func (p *Proc) pollArrival(m *Msg) {
 	s := p.sh
 	if c := pk.AtOrAfter(s.now); c < pk.target {
 		pk.target = c
-		s.heap.Earlier(int(p.wake.idx), c, wakeOrd(p.id))
+		s.heap.Earlier(int(p.hidx), c)
 	}
 }
 

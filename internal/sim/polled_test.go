@@ -306,7 +306,7 @@ func TestAdvancePolledAbnormalEnds(t *testing.T) {
 func victimTimers(p *Proc) int {
 	n := 0
 	for _, he := range p.sh.heap.e {
-		if he.ev.kind == evWake && he.ev.proc == p {
+		if he.p == p {
 			n++
 		}
 	}
@@ -329,7 +329,7 @@ func TestAdvancePolledHeapBound(t *testing.T) {
 		if n := victimTimers(victim); n > worst {
 			worst = n
 		}
-		if n := len(victim.sh.heap.e); n > worstHeap {
+		if n := len(victim.sh.heap.e) + victim.sh.ring.n; n > worstHeap {
 			worstHeap = n
 		}
 	}
@@ -362,7 +362,7 @@ func TestAdvancePolledHeapBound(t *testing.T) {
 	}
 	// The victim's wake, the sender's, one delivery in flight.
 	if worstHeap > 3 {
-		t.Errorf("heap grew to %d entries, want <= 3", worstHeap)
+		t.Errorf("heap and ring grew to %d entries, want <= 3", worstHeap)
 	}
 	if e.PollsElided() == 0 {
 		t.Error("no polls were elided")
@@ -390,22 +390,19 @@ func TestAdvancePolledOneWakePerProc(t *testing.T) {
 				}
 			}
 			for i, he := range s.heap.e {
-				if he.ev.kind != evWake {
-					continue
-				}
-				q := he.ev.proc
+				q := he.p
 				if n[q.id]++; n[q.id] > 1 {
 					bad("processor %d has %d wakes in the heap", q.id, n[q.id])
 				}
-				if q.wake != he.ev {
-					bad("the wake in slot %d is not processor %d's", i, q.id)
+				if int(q.hidx) != i {
+					bad("the wake in slot %d is processor %d's, which records slot %d", i, q.id, q.hidx)
 				}
 			}
 			for _, q := range s.eng.procs {
-				if q.sh != s || q.wake == nil {
+				if q.sh != s || q.hidx < 0 {
 					continue
 				}
-				if i := int(q.wake.idx); i >= len(s.heap.e) || s.heap.e[i].ev != q.wake {
+				if i := int(q.hidx); i >= len(s.heap.e) || s.heap.e[i].p != q {
 					bad("processor %d's wake is not at its slot %d", q.id, i)
 				}
 				if q.polled {

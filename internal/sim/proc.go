@@ -35,10 +35,11 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// wake is the processor's one event in its shard's heap: the wake that
-	// starts it, or, while it is parked, the one that resumes it (a wait
-	// with no deadline has none). A running processor has none.
-	wake       *event
+	// hidx is the slot of the processor's one wake in its shard's heap
+	// (-1 = none): the wake that starts it, or, while it is parked, the one
+	// that resumes it (a wait with no deadline has none). A running
+	// processor has none.
+	hidx       int32
 	waitingMsg bool // parked in wait: a delivery ends the wait
 	done       bool
 	finishedAt Time
@@ -50,7 +51,7 @@ type Proc struct {
 
 	sendSeq  uint64     // per-processor message send counter (ordering band 1)
 	fifo     []Time     // per-destination substrate.Network.Arrival slots of this sender
-	inflight arrivals   // when the deliveries to this processor in its shard's heap land
+	inflight arrivals   // when the deliveries to this processor in its shard's ring land
 	rng      *rand.Rand // lazily built deterministic per-processor stream
 
 	inbox msgRing
@@ -69,9 +70,9 @@ func (p *Proc) Now() Time { return p.now }
 func (p *Proc) Account() *Account { return &p.acct }
 
 // park blocks the processor, attributing the blocked duration to cat.
-// The caller must have arranged for a wake-up (p.wake, or for a wait a
-// delivery) before calling park. A processor torn down while parked unwinds
-// its body from here, uncharged.
+// The caller must have arranged for a wake-up (a wake in the heap, or for a
+// wait a delivery) before calling park. A processor torn down while parked
+// unwinds its body from here, uncharged.
 func (p *Proc) park(cat Category) {
 	start := p.now
 	if !p.yield(struct{}{}) {
@@ -103,16 +104,16 @@ func (p *Proc) Advance(d Time, cat Category) {
 // fires before at, counting the wake it elides as fired; it reports whether
 // it did. Either of two arms allows it, inside the current window:
 //
-//   - Fast path: at is before the head of the heap. The wake would be the
-//     very next event the shard pops, so the shard clock moves too. Ties
+//   - Fast path: at is before the shard's earliest event. The wake would be
+//     the very next event the shard pops, so the shard clock moves too. Ties
 //     take the slow path, where the ordering key decides: an equal-time
 //     delivery fires first, equal-time wakes in processor-ID order.
-//   - Run-ahead: at is before the earliest delivery to p in the heap
+//   - Run-ahead: at is before the earliest delivery to p in the ring
 //     (inflight), and less than one latency past the shard clock (the
 //     horizon), so no message sent from now on lands first. The first
 //     bound is strict like the others: a delivery at exactly at fires
 //     before the wake (deliveries sort first), so p must park to see it.
-//     A running processor has no event of its own in the heap (Proc.wake),
+//     A running processor has no wake of its own in the heap (Proc.hidx),
 //     so nothing else of p's can fire in between.
 //     Only p's clock moves. Events of other processors before at fire later
 //     in host order than in virtual order, which is invisible: processors
@@ -124,7 +125,7 @@ func (p *Proc) skipTo(at Time) bool {
 	if at >= s.end || s.err != nil {
 		return false
 	}
-	if len(s.heap.e) == 0 || at < s.heap.e[0].at {
+	if at < s.next() {
 		s.now = at
 	} else if at >= p.inflight.first || at >= s.now+s.ahead {
 		return false
@@ -223,7 +224,7 @@ func (p *Proc) WaitMsgFor(d Time, cat Category) bool { return p.wait(p.now+d, ca
 
 // wait parks until a message is queued or the clock reaches deadline; with
 // substrate.Never no timer is armed and only a delivery wakes it. The timer
-// is p.wake while parked: a delivery removes it from the heap
+// is p's wake while parked: a delivery removes it from the heap
 // (shard.deliver), so it fires only when it, not a message, ends the wait.
 func (p *Proc) wait(deadline Time, cat Category) bool {
 	for p.inbox.Len() == 0 && p.now < deadline {

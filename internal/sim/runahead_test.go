@@ -32,7 +32,7 @@ func (e *Engine) Transfers() uint64 {
 // scenarios below is a sum of the Advances written in them.
 func rlNet() *substrate.Network { return &substrate.Network{Latency: 100 * Microsecond} }
 
-// TestRunAheadWaitsForDeliveryInFlight: a delivery already in the heap
+// TestRunAheadWaitsForDeliveryInFlight: a delivery already in the ring
 // lands inside the next Advance, even when the Advance ends inside the
 // horizon. The receiver moves the shard clock to 90 µs on the fast path,
 // then asks for 20 µs more: 110 µs is past the message's arrival at 100 µs

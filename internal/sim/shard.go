@@ -2,8 +2,8 @@ package sim
 
 import "prema/internal/substrate"
 
-// shard owns one partition of the simulated processors: their event heap,
-// event free list, local virtual clock and outgoing cross-shard mailboxes.
+// shard owns one partition of the simulated processors: their delivery ring
+// and wake heap, local virtual clock and outgoing cross-shard mailboxes.
 // Processors are assigned by Config.Partition (round-robin when nil;
 // internal/bench places them in contiguous blocks).
 //
@@ -19,19 +19,18 @@ type shard struct {
 	now       Time
 	end       Time // current window bound; 0 outside runWindow (closes Proc.skipTo)
 	ahead     Time // run-ahead horizon past now: the lookahead, 0 under Config.Lockstep
+	ring      deliveryRing
 	heap      eventHeap
 	fired     uint64 // events executed (Engine.EventsFired)
 	elided    uint64 // poll wake-ups charged arithmetically by AdvancePolled
 	transfers uint64 // switches into a processor body (Engine.Transfers, in runahead_test.go)
 
-	free *event // recycled fired events (intrusive list via event.next)
-
 	net substrate.Network
 
 	// out[d] buffers deliveries destined for shard d's processors during
-	// the current window; the coordinator moves them into d's heap at the
+	// the current window; the coordinator moves them into d's ring at the
 	// barrier. Entries are reused across windows (zero-alloc steady state).
-	out [][]mailEntry
+	out [][]delivery
 
 	err error // first processor panic on this shard
 
@@ -41,77 +40,50 @@ type shard struct {
 	done  chan struct{}
 }
 
-// mailEntry is one cross-shard message delivery waiting at the window
-// barrier: the precomputed arrival time and band-1 ordering key plus the
-// message itself. The destination shard turns it into a heap event at the
-// exchange, drawing from its own free list.
-type mailEntry struct {
-	at  Time
-	ord uint64
-	m   *Msg
-}
-
 func newShard(e *Engine, id, nShards int) *shard {
-	s := &shard{
-		eng:  e,
-		id:   id,
-		heap: eventHeap{e: make([]heapEntry, 0, 1024)},
-		net:  *e.cfg.Network,
-		out:  make([][]mailEntry, nShards),
+	return &shard{
+		eng: e,
+		id:  id,
+		net: *e.cfg.Network,
+		out: make([][]delivery, nShards),
 	}
-	return s
 }
 
-// alloc takes an event from the free list, or heap-allocates when the list
-// is empty (cold start and queue-depth high-water marks only).
-func (s *shard) alloc() *event {
-	ev := s.free
-	if ev == nil {
-		ev = &event{}
-	} else {
-		s.free = ev.next
-		ev.next = nil
-	}
-	return ev
-}
+// next returns the time of the shard's earliest event, or maxTime when it
+// has none.
+func (s *shard) next() Time { return min(s.ring.next(), s.heap.next()) }
 
-// release returns a fired event to the free list, dropping its operand
-// references so recycled events retain nothing.
-func (s *shard) release(ev *event) {
-	*ev = event{next: s.free}
-	s.free = ev
-}
-
-// atWake schedules p's wake at time at (never before now) and records it in
-// p.wake, p's one event in the heap until it fires or a delivery removes or
-// moves it.
+// atWake schedules p's wake at time at (never before now), p's one entry in
+// the heap until it fires or a delivery removes or moves it. A processor
+// already holding a wake is an engine bug: the older wake would fire for a
+// processor not parked on it.
 func (s *shard) atWake(at Time, p *Proc) {
-	ev := s.alloc()
-	ev.kind = evWake
-	ev.proc = p
-	p.wake = ev
-	s.heap.Push(at, wakeOrd(p.id), ev)
+	if p.hidx >= 0 {
+		panic("sim: processor " + p.name + " already has a wake")
+	}
+	s.heap.Push(at, p)
+}
+
+// enqueue puts a delivery to one of this shard's processors on its ring.
+func (s *shard) enqueue(x delivery) {
+	s.eng.procs[x.m.Dst].inflight.push(x.at)
+	s.ring.push(x)
 }
 
 // post injects m, arriving at arrival, into the network, charging no CPU.
 // The sender has already stamped Src/SentAt, consumed its send overhead and
 // computed the arrival from its own clock (Proc.arrival). Local deliveries
-// go straight onto this shard's heap; cross-shard deliveries wait in the
+// go straight onto this shard's ring; cross-shard deliveries wait in the
 // outbox until the window barrier. Both carry the delivery-band (src,
 // sendSeq) ordering key, so where the destination lives does not change
 // when — or in what order — the delivery fires.
 func (s *shard) post(m *Msg, arrival Time, sendSeq uint64) {
-	ord := deliverOrd(m.Src, sendSeq)
-	d := s.eng.shardOf(m.Dst)
-	if d == s.id {
-		ev := s.alloc()
-		ev.kind = evDeliver
-		ev.msg = m
-		s.eng.procs[m.Dst].inflight.push(arrival)
-		s.heap.Push(arrival, ord, ev)
+	x := delivery{at: arrival, ord: deliverOrd(m.Src, sendSeq), m: m}
+	if d := s.eng.shardOf(m.Dst); d != s.id {
+		s.out[d] = append(s.out[d], x)
 		return
 	}
-	s.out[d] = append(s.out[d], mailEntry{at: arrival, ord: ord, m: m})
+	s.enqueue(x)
 }
 
 // deliver appends m to its destination inbox and wakes the destination if
@@ -126,10 +98,8 @@ func (s *shard) deliver(m *Msg) {
 		// The message beat the wait's timeout: take the timeout out of the
 		// heap rather than leave it to fire dead. Every other event keeps
 		// its (at, ord) key, so the live pop order does not change.
-		if ev := p.wake; ev != nil {
-			p.wake = nil
-			s.heap.Remove(int(ev.idx))
-			s.release(ev)
+		if p.hidx >= 0 {
+			s.heap.Remove(int(p.hidx))
 		}
 		s.transfer(p)
 	} else if p.polled {
@@ -146,10 +116,10 @@ func (s *shard) transfer(p *Proc) {
 	p.next()
 }
 
-// runWindow drains this shard's heap up to (excluding) end. The conservative
-// lookahead guarantees no cross-shard delivery can land inside the current
-// window, so the pop order below — (at, ord) over an exclusively-owned heap
-// — is the shard's one and only event order, independent of S.
+// runWindow drains this shard's events up to (excluding) end. The
+// conservative lookahead guarantees no cross-shard delivery can land inside
+// the current window, so the pop order below — (at, ord) over exclusively
+// owned queues — is the shard's one and only event order, independent of S.
 //
 // It publishes the bound in s.end while draining so Proc.skipTo can move a
 // clock in place inside the window, and clears it on exit so no processor
@@ -160,36 +130,34 @@ func (s *shard) runWindow(end Time) {
 	s.end = 0
 }
 
-// drain is runWindow's loop body. The wake and deliver arms, one per event
-// kind, are inlined here rather than dispatched through a helper: keeping
-// them in the loop body keeps the whole hot path — pop, clock bump,
-// dispatch, free-list release — in one frame. A wake always finds its
-// processor parked on it, or not yet started; anything else is an engine
-// bug, caught here rather than left to switch into the wrong processor.
+// drain is runWindow's loop body: it fires whichever of the ring's and the
+// heap's heads is earlier. Deliveries sort before wakes at equal times, so a
+// tie goes to the ring. A wake always finds its processor parked on it, or
+// not yet started, so the root's processor records slot 0; anything else is
+// an engine bug, caught here rather than left to switch into the wrong
+// processor.
 func (s *shard) drain(end Time) {
 	for s.err == nil {
-		if len(s.heap.e) == 0 || s.heap.e[0].at >= end {
+		d, w := s.ring.next(), s.heap.next()
+		at := min(d, w)
+		if at >= end {
 			return
 		}
-		top := s.heap.Pop()
-		if top.at < s.now {
+		if at < s.now {
 			panic("sim: event scheduled in the past")
 		}
-		s.now = top.at
+		s.now = at
 		s.fired++
-		ev := top.ev
-		switch ev.kind {
-		case evWake:
-			p := ev.proc
-			if p.wake != ev {
-				panic("sim: a wake fired for processor " + p.name + ", which is not parked on it")
-			}
-			p.wake = nil
-			s.transfer(p)
-		case evDeliver:
-			s.deliver(ev.msg)
+		if d <= w {
+			s.deliver(s.ring.pop())
+			continue
 		}
-		s.release(ev)
+		p := s.heap.e[0].p
+		if p.hidx != 0 {
+			panic("sim: a wake fired for processor " + p.name + ", which is not parked on it")
+		}
+		s.heap.Remove(0)
+		s.transfer(p)
 	}
 }
 

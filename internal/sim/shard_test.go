@@ -147,9 +147,9 @@ func TestShardedPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestCrossShardMailboxZeroAllocs: once the mailbox backing arrays and event
-// free lists are warm, a post→exchange→fire cycle across shards allocates
-// nothing. This pins the claim in Engine.exchange's doc comment.
+// TestCrossShardMailboxZeroAllocs: once the outbox and the destination's
+// ring are warm, a post→exchange→fire cycle across shards allocates nothing.
+// This pins the claim in Engine.exchange's doc comment.
 func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 	e := NewEngine(Config{Shards: 2})
 	// Round-robin puts the two processors on shards 0 and 1. They are never
@@ -158,25 +158,23 @@ func TestCrossShardMailboxZeroAllocs(t *testing.T) {
 	from := e.Spawn("src", func(*Proc) {})
 	to := e.Spawn("dst", func(*Proc) {})
 	src, dst := e.shards[0], e.shards[1]
-	src.heap.e, dst.heap.e = src.heap.e[:0], dst.heap.e[:0] // drop the start wakes
 	m := &Msg{Src: 0, Dst: 1, Size: 8}
 	var sendSeq uint64
 	cycle := func() {
 		sendSeq++
 		src.post(m, from.arrival(m.Dst, m.Size), sendSeq)
+		if dst.ring.n != 0 {
+			t.Fatal("a cross-shard delivery reached the ring before the exchange")
+		}
 		e.exchange()
 		to.inflight.pop()
-		if len(dst.heap.e) != 1 {
+		if dst.ring.n != 1 || dst.ring.pop() != m {
 			t.Fatal("message did not cross the mailbox")
 		}
-		top := dst.heap.Pop()
-		if top.ev.msg != m {
-			t.Fatal("message did not cross the mailbox")
-		}
-		dst.release(top.ev)
 	}
-	cycle() // warm the outbox, heap, and free list
+	cycle() // warm the outbox and the ring
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Errorf("cross-shard mailbox path allocates %.1f per cycle, want 0", avg)
 	}
+	e.teardown()
 }
