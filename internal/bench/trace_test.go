@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"testing"
 
 	"prema/internal/trace"
@@ -104,33 +105,78 @@ func TestChaosTraceRecordsRetransmits(t *testing.T) {
 	}
 }
 
-// TestTraceExportPinned pins the exported bytes of one traced run across
+// TestTraceExportPinned pins the exported bytes of two traced runs across
 // versions, not only run against run: the sha256 of the Chrome file and of
-// the metrics registry's JSON, recorded from the writer that formatted every
-// poll of a folded stretch one by one. A changed digest is a changed output.
+// the metrics registry's JSON. The 8 × 8 pin was recorded from the writer
+// that formatted every poll of a folded stretch one by one; the 16 × 14 pin,
+// the benchmark's fig3_traced shape with every event retained, from the
+// writer that stepped one rendered poll at a time. A changed digest is a
+// changed output.
 func TestTraceExportPinned(t *testing.T) {
-	w := PaperWorkload(FigureSpec{ID: 3, Imbalance: 0.50, Ratio: 2.0}, 8, 8)
-	res, err := RunSpec{System: "prema-implicit", W: w, Trace: true}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chrome, metrics bytes.Buffer
-	if err := res.Trace.WriteChrome(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Summarize(res.Trace, res.Makespan).WriteJSON(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		out  []byte
-		want string
+	for _, pin := range []struct {
+		procs, upp      int
+		chrome, metrics string
 	}{
-		{"Chrome trace", chrome.Bytes(), "04f006fb581df8709f66d704cdf19f2e576e83ac7e2226c0b1d5c5b622a7d87f"},
-		{"metrics JSON", metrics.Bytes(), "6035e4714800d3f184efff17057748ac6ef66e709de44fe72afcaded77f3e69c"},
+		{8, 8, "04f006fb581df8709f66d704cdf19f2e576e83ac7e2226c0b1d5c5b622a7d87f", "6035e4714800d3f184efff17057748ac6ef66e709de44fe72afcaded77f3e69c"},
+		{16, 14, "b8106e3f474751f6b84e9b28b3b90bf90014abadc3f62cb26f4a5dd3e25419fc", "03298e8cdaf511df7127b395729526791cec0737e177272bfc1bc5f774f082cb"},
 	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(c.out)); got != c.want {
-			t.Errorf("%s: sha256 %s (%d bytes), pinned %s", c.name, got, len(c.out), c.want)
+		res := tracedFig3(t, pin.procs, pin.upp)
+		var chrome, metrics bytes.Buffer
+		if err := res.Trace.WriteChrome(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Summarize(res.Trace, res.Makespan).WriteJSON(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			out  []byte
+			want string
+		}{
+			{"Chrome trace", chrome.Bytes(), pin.chrome},
+			{"metrics JSON", metrics.Bytes(), pin.metrics},
+		} {
+			if got := fmt.Sprintf("%x", sha256.Sum256(c.out)); got != c.want {
+				t.Errorf("%d × %d %s: sha256 %s (%d bytes), pinned %s", pin.procs, pin.upp, c.name, got, len(c.out), c.want)
+			}
 		}
 	}
 }
+
+// tracedFig3 runs prema-implicit on a procs × upp Figure 3 workload, traced
+// into default rings, which hold every event at these sizes.
+func tracedFig3(tb testing.TB, procs, upp int) *Result {
+	tb.Helper()
+	res, err := RunSpec{System: "prema-implicit", W: PaperWorkload(Figures()[0], procs, upp), Trace: true}.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n := res.Trace.Dropped(); n > 0 {
+		tb.Fatalf("%d × %d: the rings dropped %d events", procs, upp, n)
+	}
+	return res
+}
+
+// BenchmarkWriteChrome and BenchmarkSummarize time the two exporters a
+// traced run calls after the simulation, on the benchmark's fig3_traced
+// shape: 16 × 14 Figure 3, ~568,000 events, 54 MB of JSON.
+func BenchmarkWriteChrome(b *testing.B) {
+	res := tracedFig3(b, 16, 14)
+	b.ResetTimer()
+	for range b.N {
+		if err := res.Trace.WriteChrome(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSummarize(b *testing.B) {
+	res := tracedFig3(b, 16, 14)
+	b.ResetTimer()
+	for range b.N {
+		benchRegistry = trace.Summarize(res.Trace, res.Makespan)
+	}
+}
+
+// benchRegistry keeps BenchmarkSummarize's result live.
+var benchRegistry *trace.Registry

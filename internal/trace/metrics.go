@@ -154,24 +154,24 @@ func Summarize(c *Collector, makespan substrate.Time) *Registry {
 		catSecs[i] = make([]float64, c.NumProcs())
 	}
 	// A stretch of n polls is folded: its kinds are counted n at a time,
-	// and each span's seconds are added n times, never multiplied by n
-	// (which rounds apart). Its spans are of distinct categories, so this is
-	// the order the expanded events add in; the histograms' kinds come in
-	// runs of one only. A kind out of range is counted nowhere, as the Chrome
-	// writer writes it nowhere.
+	// and each span's seconds are charged by addN, exactly as n additions
+	// would charge them, never multiplied by n (which rounds apart). Its
+	// spans are of distinct categories, so this is the order the expanded
+	// events add in; the histograms' kinds come in runs of one only. A kind
+	// out of range is counted nowhere, as the Chrome writer writes it
+	// nowhere.
 	for i, r := range c.recs {
 		for ru := range r.runs() {
-			for _, e := range ru.evs {
+			for j := range ru.evs {
+				e := &ru.evs[j]
 				if e.Kind < NumKinds {
 					kindTotals[e.Kind] += int64(ru.n)
 				}
 				switch e.Kind {
 				case EvSpan:
 					if cat := substrate.Category(e.A); cat >= 0 && cat < substrate.NumCategories {
-						x, d := &catSecs[cat][i], e.Dur.Seconds()
-						for range ru.n {
-							*x += d
-						}
+						x := &catSecs[cat][i]
+						*x = addN(*x, e.Dur.Seconds(), ru.n)
 					}
 				case EvUnitEnd:
 					unitSec.Observe(e.Dur.Seconds())
@@ -197,6 +197,57 @@ func Summarize(c *Collector, makespan substrate.Time) *Registry {
 		}
 	}
 	return reg
+}
+
+// addN returns x after n repeated x += d, bit for bit, in a step per binade
+// of x instead of one per addition. Inside one binade [2^e, 2^(e+1)) every
+// float64 is a multiple of its ulp u = 2^(e-52), so x + d rounds to x plus
+// the multiple of u nearest d, m·u, the same for every x there unless d/u
+// ends in exactly one half (a tie, which rounds to even and so depends on
+// x). While x + m·u stays below 2^(e+1), k additions therefore make x + k·m·u
+// exactly, which is an integer addition to x's mantissa bits. A tie, and
+// the addition that leaves the binade, are made as one real addition each;
+// m = 0 (d under half an ulp) leaves x where it is for good. A zero or
+// subnormal x, whose ulp does not follow the exponent, takes one real
+// addition too. Fewer than 8 additions, and a negative or non-finite x or d,
+// take the plain loop.
+func addN(x, d float64, n uint64) float64 {
+	if n < 8 || !(x >= 0 && d > 0 && d <= math.MaxFloat64) {
+		for ; n > 0; n-- {
+			x += d
+		}
+		return x
+	}
+	const mantBits = 1<<52 - 1
+	for n > 0 {
+		b := math.Float64bits(x)
+		exp := b >> 52 & 0x7ff // a -0 has the sign bit, not exponent bits
+		if exp == 0x7ff {
+			return x // +Inf: no further addition of a finite d moves it
+		}
+		if exp > 0 {
+			if q := d / math.Ldexp(1, int(exp)-1075); q < 1<<53 { // d/u, exact: u is a power of two
+				m := math.Floor(q)
+				if frac := q - m; frac != 0.5 {
+					if frac > 0.5 {
+						m++
+					}
+					if m == 0 {
+						return x
+					}
+					// The mantissa with its hidden bit, x/u, may reach 2^53 - 1.
+					if k := min(n, (1<<53-1-(b&mantBits|1<<52))/uint64(m)); k > 0 {
+						x = math.Float64frombits(b + k*uint64(m))
+						n -= k
+						continue
+					}
+				}
+			}
+		}
+		x += d
+		n--
+	}
+	return x
 }
 
 // Text renders the registry as fixed-width tables.

@@ -321,10 +321,12 @@ func (r *Recorder) next(c *cursor, f *record) bool {
 	}
 	switch {
 	case c.ci < len(r.chunks):
+		// Every field is stored into f where it lies, not built in a
+		// record value and copied over f.
 		buf, off := r.chunks[c.ci].buf, c.off
 		tag := buf[off]
 		d, off := varint(buf, off+1)
-		*f = record{t: c.t + substrate.Time(d), kind: Kind(tag & 15)}
+		f.t, f.kind, f.folded = c.t+substrate.Time(d), Kind(tag&15), false
 		if f.kind == tagFolded {
 			if tag&tagC != 0 {
 				f.kind = Kind(buf[off])
@@ -333,6 +335,7 @@ func (r *Recorder) next(c *cursor, f *record) bool {
 				f.kind, f.folded = EvSpan, true
 			}
 		}
+		f.dur, f.a, f.b, f.c = 0, 0, 0, 0
 		if tag&tagDur != 0 {
 			d, off = varint(buf, off)
 			f.dur = substrate.Time(d)
@@ -358,17 +361,23 @@ func (r *Recorder) next(c *cursor, f *record) bool {
 }
 
 // varint decodes the zigzag varint at buf[off:], as binary.Varint does,
-// and returns it with the offset past it.
+// and returns it with the offset past it. A one-byte varint, most of a
+// record's deltas and fields, skips the loop.
 func varint(buf []byte, off int) (int64, int) {
-	var u uint64
-	for s := 0; ; s += 7 {
-		b := buf[off]
-		off++
-		u |= uint64(b&0x7f) << s
-		if b < 0x80 {
-			return int64(u>>1) ^ -int64(u&1), off
+	u := uint64(buf[off])
+	off++
+	if u >= 0x80 {
+		u &= 0x7f
+		for s := 7; ; s += 7 {
+			b := buf[off]
+			off++
+			u |= uint64(b&0x7f) << s
+			if b < 0x80 {
+				break
+			}
 		}
 	}
+	return int64(u>>1) ^ -int64(u&1), off
 }
 
 // NewRecorder builds a standalone recorder retaining ringCap events (rounded
@@ -508,7 +517,8 @@ func (r *Recorder) runs() iter.Seq[run] {
 		c, skip := r.window()
 		for r.next(&c, &f) {
 			if !f.folded {
-				evs[0] = Event{T: f.t, Dur: f.dur, A: f.a, B: f.b, C: f.c, Kind: f.kind}
+				e := &evs[0]
+				e.T, e.Dur, e.A, e.B, e.C, e.Kind = f.t, f.dur, f.a, f.b, f.c, f.kind
 				if !yield(run{evs[:1], 1, 0}) {
 					return
 				}
