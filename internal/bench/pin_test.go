@@ -235,3 +235,49 @@ func TestFigure3BarrierRoundsPinned(t *testing.T) {
 		}
 	}
 }
+
+// reliablePinned holds the reliable, faulted runs to outcomes recorded
+// before the DMCS stream tables, the wire kind table and the resolved link
+// faults replaced hash-map lookups: a fig3_chaos-shaped run (wire loopback,
+// light loss and duplication) and an explicit-mode run under heavier loss.
+// Each row's counters end with the injector's totals and, where the run is
+// wire-wrapped, the frame count.
+var reliablePinned = []pinRow{
+	{"chaos fig3 32x6 prema-implicit wire drop=0.01,dup=0.01", 50308164960, 0xac0e50e027872bbd, "objects_migrated=21 rel_acks=28599 rel_data_sent=28463 rel_dup_dropped=513 rel_held=13 rel_retransmits=496 rel_timeouts=476 steal_grants=21 steal_nacks=14078 steal_requests=14099 units_run=192 dropped=559 dupped=593 delayed=0 reordered=0 wire_frames=57558 wire_drift=0"},
+	{"chaos fig3 8x8 prema-explicit drop=0.05,dup=0.05", 80252164440, 0x9d86718aab90f29e, "objects_migrated=0 rel_acks=100 rel_data_sent=153 rel_dup_dropped=1585 rel_held=17 rel_retransmits=1593 rel_timeouts=355 steal_grants=0 steal_nacks=41 steal_requests=41 units_run=64 dropped=96 dupped=89 delayed=0 reordered=0"},
+}
+
+// TestReliablePinned: reliable delivery over faulty (and wire) reproduces
+// the recorded makespans, ledgers, protocol counters and injected faults.
+func TestReliablePinned(t *testing.T) {
+	var got []pinRow
+	for _, c := range []struct {
+		name, system, plan string
+		procs, perProc     int
+		wire               bool
+	}{
+		{"chaos fig3 32x6 prema-implicit wire drop=0.01,dup=0.01", "prema-implicit", "drop=0.01,dup=0.01", 32, 6, true},
+		{"chaos fig3 8x8 prema-explicit drop=0.05,dup=0.05", "prema-explicit", "drop=0.05,dup=0.05", 8, 8, false},
+	} {
+		w := PaperWorkload(Figures()[0], c.procs, c.perProc)
+		w.Wire = c.wire
+		r, err := RunSpec{System: c.system, W: w, Reliable: true, FaultPlan: c.plan, FaultSeed: 7}.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		f := r.Faults
+		counters := fmt.Sprintf("%s dropped=%d dupped=%d delayed=%d reordered=%d", sortedCounters(r), f.Dropped, f.Dupped, f.Delayed, f.Reordered)
+		if c.wire {
+			counters += fmt.Sprintf(" wire_frames=%d wire_drift=%d", r.WireFrames, r.WireDrift)
+		}
+		got = append(got, pinRow{c.name, r.Makespan, pinAccounts(r), counters})
+	}
+	if len(got) != len(reliablePinned) {
+		t.Errorf("%d rows, %d pinned", len(got), len(reliablePinned))
+	}
+	for i, g := range got {
+		if i >= len(reliablePinned) || g != reliablePinned[i] {
+			t.Errorf("row %d differs from the pinned table; fresh row:\n%v", i, g)
+		}
+	}
+}

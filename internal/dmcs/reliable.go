@@ -121,6 +121,7 @@ type sendState struct {
 	pending  []pendingMsg
 	rto      substrate.Time // current (backed-off) timeout
 	deadline substrate.Time // retransmit time; 0 = nothing outstanding
+	hidx     int            // slot in reliable.deadlines; -1 while deadline is 0
 }
 
 // pendingMsg is an unacked message kept for retransmission. Each
@@ -136,34 +137,44 @@ type pendingMsg struct {
 // recvState is the receiver half of a stream.
 type recvState struct {
 	stream
-	next   uint64 // next expected sequence number (first = 1)
+	ord  uint64 // creation rank: recvOrder lists the streams by it
+	next uint64 // next expected sequence number (first = 1)
+	// hold buffers out-of-order arrivals by sequence number; it is made at
+	// the stream's first one.
 	hold   map[uint64]*substrate.Msg
 	ackDue bool
+}
+
+// peerStreams holds the streams to and from one peer, one per tag in use
+// (PREMA uses two), so finding a stream scans at most a few entries.
+type peerStreams struct {
+	send []*sendState
+	recv []*recvState
 }
 
 // reliable is the per-endpoint protocol state.
 type reliable struct {
 	cfg RelConfig
 
-	send map[stream]*sendState
-	recv map[stream]*recvState
+	// peers[p] holds the streams to and from peer p; one per processor of
+	// the machine.
+	peers []peerStreams
 	// sendOrder and recvOrder list the streams in creation order: iteration
-	// must be deterministic (map order would leak host randomness into the
-	// simulator), and a poll with an ack or a retransmission due walks them,
-	// so they hold the states themselves rather than keys to look up.
+	// must be deterministic, and retransmissions go out in sendOrder.
 	sendOrder []*sendState
 	recvOrder []*recvState
+	made      uint64 // receive streams created so far (the next ord)
 
 	// ready holds in-sequence messages awaiting dispatch, in release order.
 	ready []*substrate.Msg
 
-	// acksDue counts the receive streams with ackDue set, and due is the
-	// earliest send-stream deadline (substrate.Never for none) unless
-	// dueStale, so a poll walks recvOrder or sendOrder only when something
-	// in it is due (see setDeadline and earliest).
-	acksDue  int
-	due      substrate.Time
-	dueStale bool
+	// acks lists the receive streams with ackDue set, in recvOrder order, so
+	// a poll flushes exactly the due acks without walking recvOrder, and
+	// deadlines holds the send streams with a deadline in a min-heap by it,
+	// so a poll walks sendOrder only when something in it is due (see
+	// setDeadline and earliest).
+	acks      []*recvState
+	deadlines deadlineHeap
 
 	// dead marks peers under a fail-stop verdict: no buffering, no
 	// retransmission, no sequencing toward them (see Comm.MarkDead).
@@ -200,10 +211,8 @@ func (c *Comm) EnableReliable(cfg RelConfig) {
 		cfg.DrainTimeout = def.DrainTimeout
 	}
 	c.rel = &reliable{
-		cfg:  cfg,
-		send: make(map[stream]*sendState),
-		recv: make(map[stream]*recvState),
-		due:  substrate.Never,
+		cfg:   cfg,
+		peers: make([]peerStreams, c.p.NumPeers()),
 	}
 }
 
@@ -220,25 +229,44 @@ func (c *Comm) RelStats() RelStats {
 }
 
 func (r *reliable) sendStream(peer, tag int) *sendState {
-	k := stream{peer, tag}
-	st, ok := r.send[k]
-	if !ok {
-		st = &sendState{stream: k, nextSeq: 1, rto: r.cfg.RTO}
-		r.send[k] = st
-		r.sendOrder = append(r.sendOrder, st)
+	ps := &r.peers[peer]
+	for _, st := range ps.send {
+		if st.tag == tag {
+			return st
+		}
 	}
+	st := &sendState{stream: stream{peer, tag}, nextSeq: 1, rto: r.cfg.RTO, hidx: -1}
+	ps.send = append(ps.send, st)
+	r.sendOrder = append(r.sendOrder, st)
 	return st
 }
 
 func (r *reliable) recvStream(peer, tag int) *recvState {
-	k := stream{peer, tag}
-	st, ok := r.recv[k]
-	if !ok {
-		st = &recvState{stream: k, next: 1, hold: make(map[uint64]*substrate.Msg)}
-		r.recv[k] = st
-		r.recvOrder = append(r.recvOrder, st)
+	ps := &r.peers[peer]
+	for _, st := range ps.recv {
+		if st.tag == tag {
+			return st
+		}
 	}
+	st := &recvState{stream: stream{peer, tag}, ord: r.made, next: 1}
+	r.made++
+	ps.recv = append(ps.recv, st)
+	r.recvOrder = append(r.recvOrder, st)
 	return st
+}
+
+// markAckDue marks st's ack due, keeping acks in recvOrder order: a stream
+// usually falls due after those created before it, so the insertion scan
+// stops at once.
+func (r *reliable) markAckDue(st *recvState) {
+	if st.ackDue {
+		return
+	}
+	st.ackDue = true
+	r.acks = append(r.acks, st)
+	for i := len(r.acks) - 1; i > 0 && r.acks[i-1].ord > st.ord; i-- {
+		r.acks[i-1], r.acks[i] = st, r.acks[i-1]
+	}
 }
 
 // MarkDead records a fail-stop verdict for peer: all unacked messages
@@ -279,31 +307,18 @@ func (c *Comm) MarkAlive(peer int) {
 	delete(r.dead, peer)
 }
 
-// dropPeerState forgets all send and receive stream state toward peer.
+// dropPeerState forgets all send and receive stream state toward peer: its
+// slots, its entries in the creation orders and its due acks.
 func (r *reliable) dropPeerState(peer int) {
-	sends := r.sendOrder[:0]
-	for _, st := range r.sendOrder {
-		if st.peer == peer {
-			r.stats.DeadDropped += len(st.pending)
-			r.setDeadline(st, 0)
-			delete(r.send, st.stream)
-			continue
-		}
-		sends = append(sends, st)
+	ps := &r.peers[peer]
+	for _, st := range ps.send {
+		r.stats.DeadDropped += len(st.pending)
+		r.setDeadline(st, 0)
 	}
-	r.sendOrder = sends
-	recvs := r.recvOrder[:0]
-	for _, st := range r.recvOrder {
-		if st.peer == peer {
-			if st.ackDue {
-				r.acksDue--
-			}
-			delete(r.recv, st.stream)
-			continue
-		}
-		recvs = append(recvs, st)
-	}
-	r.recvOrder = recvs
+	*ps = peerStreams{}
+	r.sendOrder = slices.DeleteFunc(r.sendOrder, func(st *sendState) bool { return st.peer == peer })
+	r.recvOrder = slices.DeleteFunc(r.recvOrder, func(st *recvState) bool { return st.peer == peer })
+	r.acks = slices.DeleteFunc(r.acks, func(st *recvState) bool { return st.peer == peer })
 }
 
 // sequence numbers a new data message about to be sent and buffers it for
@@ -315,7 +330,7 @@ func (c *Comm) sequence(m *substrate.Msg) {
 	if r == nil {
 		return
 	}
-	if r.dead[m.Dst] {
+	if len(r.dead) > 0 && r.dead[m.Dst] {
 		r.stats.DeadSent++
 		return
 	}
@@ -329,35 +344,81 @@ func (c *Comm) sequence(m *substrate.Msg) {
 	r.stats.DataSent++
 }
 
-// setDeadline moves st's retransmission deadline to at (0 clears it) and
-// keeps the cached earliest deadline exact: an earlier deadline lowers it,
-// and clearing or postponing the deadline that held it leaves it stale for
-// earliest to recompute.
+// setDeadline moves st's retransmission deadline to at (0 clears it),
+// moving st into, within or out of the deadline heap.
 func (r *reliable) setDeadline(st *sendState, at substrate.Time) {
-	old := st.deadline
 	st.deadline = at
+	h := &r.deadlines
 	switch {
-	case r.dueStale:
-	case at != 0 && at <= r.due:
-		r.due = at
-	case old == r.due:
-		r.dueStale = true
+	case at != 0 && st.hidx < 0:
+		st.hidx = len(*h)
+		*h = append(*h, st)
+		h.up(st.hidx)
+	case at != 0:
+		h.up(st.hidx)
+		h.down(st.hidx)
+	case st.hidx >= 0:
+		i, last := st.hidx, len(*h)-1
+		h.swap(i, last)
+		(*h)[last] = nil
+		*h = (*h)[:last]
+		st.hidx = -1
+		if i < last {
+			moved := (*h)[i]
+			h.up(i)
+			h.down(moved.hidx)
+		}
 	}
 }
 
 // earliest returns the earliest retransmission deadline of any stream, or
-// substrate.Never, walking sendOrder only when the cached value is stale.
+// substrate.Never.
 func (r *reliable) earliest() substrate.Time {
-	if r.dueStale {
-		r.due = substrate.Never
-		for _, st := range r.sendOrder {
-			if st.deadline != 0 && st.deadline < r.due {
-				r.due = st.deadline
-			}
-		}
-		r.dueStale = false
+	if len(r.deadlines) == 0 {
+		return substrate.Never
 	}
-	return r.due
+	return r.deadlines[0].deadline
+}
+
+// deadlineHeap is a binary min-heap of send streams by deadline; each
+// stream records its slot in hidx.
+type deadlineHeap []*sendState
+
+func (h deadlineHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx, h[j].hidx = i, j
+}
+
+// up moves the stream at slot i toward the root while it is due earlier
+// than its parent.
+func (h deadlineHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].deadline <= h[i].deadline {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+// down moves the stream at slot i toward the leaves while a child is due
+// earlier.
+func (h deadlineHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].deadline < h[c].deadline {
+			c++
+		}
+		if h[i].deadline <= h[c].deadline {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
 }
 
 // pump drains the substrate inbox through the protocol: acks update sender
@@ -414,15 +475,12 @@ func (c *Comm) accept(m *substrate.Msg) {
 		return
 	}
 	st := r.recvStream(m.Src, m.Tag)
-	if !st.ackDue {
-		st.ackDue = true
-		r.acksDue++
-	}
+	r.markAckDue(st)
 	switch {
 	case m.Seq == st.next:
 		r.ready = append(r.ready, m)
 		st.next++
-		for {
+		for len(st.hold) > 0 {
 			h, ok := st.hold[st.next]
 			if !ok {
 				break
@@ -437,6 +495,9 @@ func (c *Comm) accept(m *substrate.Msg) {
 			c.recycle(m)
 		} else {
 			r.stats.Held++
+			if st.hold == nil {
+				st.hold = make(map[uint64]*substrate.Msg)
+			}
 			st.hold[m.Seq] = m
 		}
 	default:
@@ -463,24 +524,17 @@ func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
 // streams. It is called at the end of every poll operation, which is what
 // "retransmission driven off the poll loop" means — no timers, no threads.
 // Acks go out in recvOrder and retransmissions in sendOrder, whose send
-// sequence orders their deliveries; a walk stops after the last due ack and
-// skips sendOrder while no deadline has passed. Fire-and-forget mode has no
-// clockwork.
+// sequence orders their deliveries; the acks come from the due list, and
+// sendOrder is skipped while no deadline has passed. Fire-and-forget mode
+// has no clockwork.
 func (c *Comm) tick() {
 	r := c.rel
 	if r == nil {
 		return
 	}
 	now := c.p.Now()
-	for _, st := range r.recvOrder {
-		if r.acksDue == 0 {
-			break
-		}
-		if !st.ackDue {
-			continue
-		}
+	for _, st := range r.acks {
 		st.ackDue = false
-		r.acksDue--
 		r.stats.AcksSent++
 		c.p.Send(c.newMsg(substrate.Msg{
 			Dst:  st.peer,
@@ -491,6 +545,8 @@ func (c *Comm) tick() {
 			Seq:  st.next - 1,
 		}), substrate.CatMessaging)
 	}
+	clear(r.acks)
+	r.acks = r.acks[:0]
 	if now < r.earliest() {
 		return
 	}
@@ -549,7 +605,7 @@ func (c *Comm) NextDeadline(tag int) substrate.Time {
 			return c.p.Now()
 		}
 	}
-	if r.acksDue > 0 {
+	if len(r.acks) > 0 {
 		return c.p.Now()
 	}
 	return r.earliest()

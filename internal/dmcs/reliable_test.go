@@ -1,6 +1,7 @@
 package dmcs
 
 import (
+	"slices"
 	"testing"
 
 	"prema/internal/faulty"
@@ -184,10 +185,13 @@ func TestReliableLossyNetwork(t *testing.T) {
 	})
 }
 
-// TestReliableCachedClockwork: the count of due acks and the earliest
-// retransmission deadline, which tick and NextDeadline read instead of
-// walking every stream, agree with a walk after every send, poll and
-// dead-peer verdict, through loss, duplication, reordering and backoff.
+// TestReliableCachedClockwork: the list of due acks and the deadline heap,
+// which tick and NextDeadline read instead of walking every stream, agree
+// with a walk after every send, poll and dead-peer verdict, through loss,
+// duplication, reordering and backoff: the list holds the streams a walk of
+// recvOrder finds due, in recvOrder order, the heap holds every stream with
+// a deadline and its root the earliest, and the per-peer slots hold exactly
+// the streams of the creation orders.
 func TestReliableCachedClockwork(t *testing.T) {
 	const procs, n = 4, 60
 	plan := faulty.Plan{Default: faulty.LinkFaults{Drop: 0.2, Dup: 0.1, Reorder: 0.2}}
@@ -201,10 +205,11 @@ func TestReliableCachedClockwork(t *testing.T) {
 	bad := 0
 	check := func(c *Comm) {
 		r := c.rel
-		acks, due := 0, substrate.Never
+		var acks []*recvState
+		due := substrate.Never
 		for _, st := range r.recvOrder {
 			if st.ackDue {
-				acks++
+				acks = append(acks, st)
 			}
 		}
 		for _, st := range r.sendOrder {
@@ -212,12 +217,44 @@ func TestReliableCachedClockwork(t *testing.T) {
 				due = st.deadline
 			}
 		}
-		if got := c.nextDeadline(); r.acksDue != acks || got != due {
+		if got := c.nextDeadline(); !slices.Equal(r.acks, acks) || got != due {
 			if bad++; bad <= 5 {
-				t.Errorf("at %d ns: %d acks due and earliest deadline %d ns; a walk reads %d and %d ns", c.p.Now(), r.acksDue, got, acks, due)
+				t.Errorf("at %d ns: %d acks due and earliest deadline %d ns; a walk reads %d and %d ns", c.p.Now(), len(r.acks), got, len(acks), due)
 			}
 		}
+		timed := 0
+		for _, st := range r.sendOrder {
+			if st.deadline != 0 {
+				timed++
+			}
+		}
+		for i, st := range r.deadlines {
+			if st.hidx != i || st.deadline == 0 || (i > 0 && r.deadlines[(i-1)/2].deadline > st.deadline) {
+				t.Errorf("deadline heap slot %d holds a stream at slot %d due at %d ns, under a parent due at %d ns", i, st.hidx, st.deadline, r.deadlines[max(i-1, 0)/2].deadline)
+			}
+		}
+		if timed != len(r.deadlines) {
+			t.Errorf("%d streams have a deadline; the heap holds %d", timed, len(r.deadlines))
+		}
+		var sends, recvs int
+		for p, ps := range r.peers {
+			for _, st := range ps.send {
+				if st.peer != p || !slices.Contains(r.sendOrder, st) {
+					t.Errorf("peer %d's slot holds a send stream to %d outside sendOrder", p, st.peer)
+				}
+			}
+			for _, st := range ps.recv {
+				if st.peer != p || !slices.Contains(r.recvOrder, st) {
+					t.Errorf("peer %d's slot holds a receive stream from %d outside recvOrder", p, st.peer)
+				}
+			}
+			sends, recvs = sends+len(ps.send), recvs+len(ps.recv)
+		}
+		if sends != len(r.sendOrder) || recvs != len(r.recvOrder) {
+			t.Errorf("slots hold %d send and %d receive streams; the creation orders list %d and %d", sends, recvs, len(r.sendOrder), len(r.recvOrder))
+		}
 	}
+	dueToDead := false
 	m := faulty.Wrap(sim.NewMachine(sim.Config{Seed: 5}), plan, 9)
 	for i := 0; i < procs; i++ {
 		m.Spawn("p", func(ep substrate.Endpoint) {
@@ -230,6 +267,7 @@ func TestReliableCachedClockwork(t *testing.T) {
 				// with an ack to it due.
 				if ep.ID() == 0 && src == procs-1 {
 					if heard++; heard == n/8 {
+						dueToDead = slices.ContainsFunc(c.rel.acks, func(st *recvState) bool { return st.peer == src })
 						c.MarkDead(src)
 						check(c)
 					}
@@ -249,6 +287,9 @@ func TestReliableCachedClockwork(t *testing.T) {
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !dueToDead {
+		t.Error("no ack to the peer was due when it was marked dead; the verdict did not exercise the due list")
 	}
 }
 

@@ -73,9 +73,19 @@ func (f *Machine) Unwrap() substrate.Machine { return f.Machine }
 func (f *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	id := len(f.eps)
 	fe := &Endpoint{
-		f:   f,
-		id:  id,
-		rng: rand.New(rand.NewSource(f.seed + int64(id))),
+		f:    f,
+		id:   id,
+		rng:  rand.New(rand.NewSource(f.seed + int64(id))),
+		link: f.plan.Default.withDefaults(),
+	}
+	for l, lf := range f.plan.Links {
+		if l.Dst != id {
+			continue
+		}
+		for len(fe.links) <= l.Src {
+			fe.links = append(fe.links, fe.link)
+		}
+		fe.links[l.Src] = lf.withDefaults()
 	}
 	for _, s := range f.plan.Stalls {
 		if s.Proc == id {
@@ -168,6 +178,11 @@ type Endpoint struct {
 	// rng is the injection stream, private to the decorator; Rand() stays
 	// the inner endpoint's.
 	rng *rand.Rand
+	// link is the fault model of every link into this endpoint without an
+	// override, and links[src] that of the link from src (the same model
+	// where the plan overrides none); both are resolved at Spawn.
+	link  LinkFaults
+	links []LinkFaults
 
 	queue   []held
 	nextOrd uint64
@@ -225,8 +240,12 @@ var _ substrate.Endpoint = (*Endpoint)(nil)
 
 // check fires due crash and stall events. Every interposed method calls it,
 // so scheduled faults take effect at the processor's next substrate
-// interaction after their time arrives.
+// interaction after their time arrives. With none scheduled it does not
+// read the clock.
 func (e *Endpoint) check() {
+	if len(e.stalls) == 0 && (e.crashAt < 0 || e.crashed) {
+		return
+	}
 	now := e.Now()
 	if e.crashAt >= 0 && !e.crashed && now >= e.crashAt {
 		e.crashed = true
@@ -250,7 +269,10 @@ func (e *Endpoint) pump() {
 		if m == nil {
 			return
 		}
-		lf := e.f.plan.faultsFor(m.Src, e.id)
+		lf := &e.link
+		if m.Src < len(e.links) {
+			lf = &e.links[m.Src]
+		}
 		if m.Src == e.id || !lf.active() {
 			// Loopback traffic never crosses a wire; deliver untouched.
 			e.enqueue(m, 0)

@@ -191,7 +191,9 @@ func TestDupDeliversACopy(t *testing.T) {
 }
 
 // TestPerLinkOverride: a link override replaces the default model on that
-// directed link only.
+// directed link only, with the default magnitudes filled in; a source the
+// receiver's resolved table covers without an override of its own keeps
+// the default model.
 func TestPerLinkOverride(t *testing.T) {
 	plan := Plan{
 		Default: LinkFaults{Drop: 1},
@@ -200,6 +202,16 @@ func TestPerLinkOverride(t *testing.T) {
 	got, st := exchange(t, plan, 1, 10)
 	if len(got) != 10 || st.Dropped != 0 {
 		t.Errorf("overridden link dropped traffic: delivered %d, dropped %d", len(got), st.Dropped)
+	}
+	plan.Links = map[Link]LinkFaults{{Src: 2, Dst: 0}: {}}
+	got, st = exchange(t, plan, 1, 10)
+	if len(got) != 0 || st.Dropped != 10 {
+		t.Errorf("an override of link 2-0 changed link 1-0: delivered %d, dropped %d; want 0, 10", len(got), st.Dropped)
+	}
+	plan = Plan{Links: map[Link]LinkFaults{{Src: 1, Dst: 0}: {Delay: 1}}}
+	got, st = exchange(t, plan, 1, 10)
+	if len(got) != 10 || st.Delayed != 10 {
+		t.Errorf("delay=1 override without DelayMax: delivered %d, delayed %d; want 10, 10", len(got), st.Delayed)
 	}
 }
 

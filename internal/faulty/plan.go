@@ -120,14 +120,6 @@ func (p Plan) Active() bool {
 	return false
 }
 
-// faultsFor resolves the fault model of one directed link.
-func (p Plan) faultsFor(src, dst int) LinkFaults {
-	if lf, ok := p.Links[Link{src, dst}]; ok {
-		return lf.withDefaults()
-	}
-	return p.Default.withDefaults()
-}
-
 func renderDur(t substrate.Time) string { return t.Duration().String() }
 
 // ParsePlan parses the compact fault-plan syntax used by the -fault-plan

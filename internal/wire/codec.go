@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer accumulates the canonical encoding: fixed-width big-endian
@@ -26,9 +27,6 @@ type Writer struct {
 
 // Buf returns the bytes written so far.
 func (w *Writer) Buf() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // Reset truncates the writer for reuse, keeping its capacity.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
@@ -72,11 +70,11 @@ func (w *Writer) Bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Zeros appends n zero bytes (frame padding).
+// Zeros appends n zero bytes (frame padding) in one step.
 func (w *Writer) Zeros(n int) {
-	for i := 0; i < n; i++ {
-		w.buf = append(w.buf, 0)
-	}
+	l := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:l+n]
+	clear(w.buf[l:])
 }
 
 // Reader consumes a canonical encoding, tracking one sticky error: after

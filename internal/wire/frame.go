@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"prema/internal/substrate"
 )
@@ -99,26 +101,25 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 }
 
 // AppendMsg encodes m as one self-delimiting frame into w and returns the
-// encoded payload length (before padding), for size-drift auditing.
+// encoded payload length (before padding), for size-drift auditing. The
+// fixed-width header is written in place after one grow.
 func AppendMsg(w *Writer, m *substrate.Msg) int {
-	w.U16(frameMagic)
-	w.U8(frameVersion)
-	w.I32(int32(m.Src))
-	w.I32(int32(m.Dst))
-	w.I32(int32(m.Kind))
-	w.I32(int32(m.Tag))
-	w.I32(int32(m.Size))
-	w.U64(m.Seq)
-	w.I64(int64(m.SentAt))
-	lenAt := w.Len()
-	w.U32(0) // payload length, patched below
+	start := len(w.buf)
+	w.buf = slices.Grow(w.buf, headerBytes)[:start+headerBytes]
+	h := w.buf[start:]
+	be := binary.BigEndian
+	be.PutUint16(h, frameMagic)
+	h[2] = frameVersion
+	be.PutUint32(h[3:], uint32(int32(m.Src)))
+	be.PutUint32(h[7:], uint32(int32(m.Dst)))
+	be.PutUint32(h[11:], uint32(int32(m.Kind)))
+	be.PutUint32(h[15:], uint32(int32(m.Tag)))
+	be.PutUint32(h[19:], uint32(int32(m.Size)))
+	be.PutUint64(h[23:], m.Seq)
+	be.PutUint64(h[31:], uint64(m.SentAt))
 	EncodeAny(w, m.Data)
-	plen := w.Len() - lenAt - 4
-	buf := w.Buf()
-	buf[lenAt] = byte(plen >> 24)
-	buf[lenAt+1] = byte(plen >> 16)
-	buf[lenAt+2] = byte(plen >> 8)
-	buf[lenAt+3] = byte(plen)
+	plen := len(w.buf) - start - headerBytes
+	be.PutUint32(w.buf[start+39:], uint32(plen)) // the payload length, known now
 	if pad := m.Size - plen; pad > 0 {
 		w.Zeros(pad)
 	}
@@ -148,27 +149,31 @@ func DecodeMsg(b []byte) (*substrate.Msg, error) {
 // decodeMsg is DecodeMsg reading through r, which it resets to b, into m,
 // which it zeroes first: a caller that decodes many frames keeps one Reader
 // and recycles its Msg shells instead of allocating them per frame. On error
-// m holds a partial decode.
+// m holds a partial decode. The fixed-width header is read straight from b
+// after one length check; the payload goes through r.
 func decodeMsg(r *Reader, b []byte, m *substrate.Msg) error {
-	*r = Reader{buf: b}
 	*m = substrate.Msg{}
-	if magic := r.U16(); r.Err() == nil && magic != frameMagic {
-		return fmt.Errorf("wire: bad frame magic %#04x", magic)
+	if len(b) >= 2 {
+		if magic := binary.BigEndian.Uint16(b); magic != frameMagic {
+			return fmt.Errorf("wire: bad frame magic %#04x", magic)
+		}
 	}
-	if v := r.U8(); r.Err() == nil && v != frameVersion {
-		return fmt.Errorf("wire: unsupported frame version %d", v)
+	if len(b) >= 3 && b[2] != frameVersion {
+		return fmt.Errorf("wire: unsupported frame version %d", b[2])
 	}
-	m.Src = int(r.I32())
-	m.Dst = int(r.I32())
-	m.Kind = int(r.I32())
-	m.Tag = int(r.I32())
-	m.Size = int(r.I32())
-	m.Seq = r.U64()
-	m.SentAt = substrate.Time(r.I64())
-	plen := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
+	if len(b) < headerBytes {
+		return fmt.Errorf("wire: truncated frame header: %d of %d bytes", len(b), headerBytes)
 	}
+	h := b[3:headerBytes]
+	m.Src = int(int32(binary.BigEndian.Uint32(h[0:])))
+	m.Dst = int(int32(binary.BigEndian.Uint32(h[4:])))
+	m.Kind = int(int32(binary.BigEndian.Uint32(h[8:])))
+	m.Tag = int(int32(binary.BigEndian.Uint32(h[12:])))
+	m.Size = int(int32(binary.BigEndian.Uint32(h[16:])))
+	m.Seq = binary.BigEndian.Uint64(h[20:])
+	m.SentAt = substrate.Time(binary.BigEndian.Uint64(h[28:]))
+	plen := int(binary.BigEndian.Uint32(h[36:]))
+	*r = Reader{buf: b, off: headerBytes}
 	if plen > r.Remaining() {
 		return fmt.Errorf("wire: payload length %d exceeds frame (%d bytes remain)", plen, r.Remaining())
 	}
@@ -181,17 +186,32 @@ func decodeMsg(r *Reader, b []byte, m *substrate.Msg) error {
 		return fmt.Errorf("wire: payload codec consumed %d bytes, frame declared %d", got-headerBytes, plen)
 	}
 	if pad := m.Size - plen; pad > 0 {
-		for _, z := range r.take(pad) {
-			if z != 0 {
-				return fmt.Errorf("wire: nonzero padding byte")
-			}
-		}
+		z := r.take(pad)
 		if r.Err() != nil {
 			return r.Err()
+		}
+		if !allZero(z) {
+			return fmt.Errorf("wire: nonzero padding byte")
 		}
 	}
 	if r.Remaining() != 0 {
 		return fmt.Errorf("wire: %d trailing bytes after frame", r.Remaining())
 	}
 	return nil
+}
+
+// allZero reports whether b holds only zero bytes, comparing a word at a
+// time.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, z := range b {
+		if z != 0 {
+			return false
+		}
+	}
+	return true
 }

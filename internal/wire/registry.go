@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"unsafe"
 )
 
 // Kind identifies a payload codec on the wire. Every payload type any layer
@@ -65,16 +66,54 @@ type DecodeFunc func(r *Reader) any
 
 type codec struct {
 	kind   Kind
-	typ    reflect.Type
 	sample any
 	enc    EncodeFunc
 	dec    DecodeFunc
 }
 
+// typedCodec pairs a codec with its payload type's type word.
+type typedCodec struct {
+	typ unsafe.Pointer
+	c   *codec
+}
+
+// The registry is three tables, none of them hashed on the encode path or
+// for a layer's kind on the decode path:
+//   - byKind is indexed by the kinds below KindUser (the layers' ranges end
+//     at 127), and userKinds holds the application kinds;
+//   - byType lists every codec with its type in registration order: the
+//     builtins first (an ack's tag is an int), then each layer's few types.
 var (
-	byKind = map[Kind]*codec{}
-	byType = map[reflect.Type]*codec{}
+	byKind    []*codec
+	userKinds = map[Kind]*codec{}
+	byType    []typedCodec
 )
+
+// typeWord returns the type word of a non-nil interface value: the pointer
+// identifying its dynamic type, equal for equal types.
+func typeWord(v any) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[0] }
+
+// lookupKind returns k's codec, or nil.
+func lookupKind(k Kind) *codec {
+	if k < KindUser {
+		if int(k) < len(byKind) {
+			return byKind[k]
+		}
+		return nil
+	}
+	return userKinds[k]
+}
+
+// lookupType returns the codec registered for v's dynamic type, or nil.
+func lookupType(v any) *codec {
+	t := typeWord(v)
+	for _, tc := range byType {
+		if tc.typ == t {
+			return tc.c
+		}
+	}
+	return nil
+}
 
 // Register installs a codec for sample's dynamic type under k. Sends of
 // that type encode with enc; frames carrying k decode with dec. Register
@@ -86,23 +125,30 @@ func Register(k Kind, sample any, enc EncodeFunc, dec DecodeFunc) {
 		panic("wire: Register needs a non-nil sample value (nil payloads are built in)")
 	}
 	t := reflect.TypeOf(sample)
-	if _, dup := byKind[k]; dup {
+	if lookupKind(k) != nil {
 		panic(fmt.Sprintf("wire: kind %d registered twice (%v)", k, t))
 	}
-	if c, dup := byType[t]; dup {
+	if c := lookupType(sample); c != nil {
 		panic(fmt.Sprintf("wire: type %v registered twice (kinds %d, %d)", t, c.kind, k))
 	}
-	c := &codec{kind: k, typ: t, sample: sample, enc: enc, dec: dec}
-	byKind[k] = c
-	byType[t] = c
+	c := &codec{kind: k, sample: sample, enc: enc, dec: dec}
+	if k < KindUser {
+		for int(k) >= len(byKind) {
+			byKind = append(byKind, nil)
+		}
+		byKind[k] = c
+	} else {
+		userKinds[k] = c
+	}
+	byType = append(byType, typedCodec{typeWord(sample), c})
 }
 
 // RegisteredKinds returns every registered Kind in ascending order
 // (including KindNil), for the registry-totality test.
 func RegisteredKinds() []Kind {
 	out := []Kind{KindNil}
-	for k := range byKind {
-		out = append(out, k)
+	for _, tc := range byType {
+		out = append(out, tc.c.kind)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -118,7 +164,7 @@ func Samples() []any {
 			out = append(out, nil)
 			continue
 		}
-		out = append(out, byKind[k].sample)
+		out = append(out, lookupKind(k).sample)
 	}
 	return out
 }
@@ -131,8 +177,8 @@ func EncodeAny(w *Writer, v any) {
 		w.U16(uint16(KindNil))
 		return
 	}
-	c, ok := byType[reflect.TypeOf(v)]
-	if !ok {
+	c := lookupType(v)
+	if c == nil {
 		panic(fmt.Sprintf("wire: no codec registered for payload type %T", v))
 	}
 	w.U16(uint16(c.kind))
@@ -149,8 +195,8 @@ func DecodeAny(r *Reader) any {
 	if k == KindNil {
 		return nil
 	}
-	c, ok := byKind[k]
-	if !ok {
+	c := lookupKind(k)
+	if c == nil {
 		r.Fail(fmt.Errorf("wire: unknown payload kind %d", k))
 		return nil
 	}

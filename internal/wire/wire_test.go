@@ -6,8 +6,10 @@ package wire_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,15 +113,32 @@ func TestDecodeRejects(t *testing.T) {
 	corrupt("bad version", func(b []byte) { b[2] = 99 })
 	corrupt("unknown payload kind", func(b []byte) { b[43], b[44] = 0xBE, 0xEF })
 
-	// Padding bytes must be zero: corrupt the last byte of a frame whose
-	// modeled size exceeds its encoding.
-	padded, plen := wire.EncodeMsg(&substrate.Msg{Src: 1, Dst: 2, Data: 42, Size: 64})
-	if plen >= 64 {
-		t.Fatalf("int payload encoded to %d bytes; padded-frame fixture needs Size > plen", plen)
+	// The kind table: an unassigned kind inside the layers' dense range (16,
+	// the retired ack kind) and one in the application range are both
+	// unknown.
+	for _, k := range []wire.Kind{16, wire.KindUser + 0x321} {
+		if slices.Contains(wire.RegisteredKinds(), k) {
+			t.Fatalf("kind %d is registered; the fixture needs an unassigned one", k)
+		}
+		corrupt(fmt.Sprintf("unassigned kind %d", k), func(b []byte) { b[43], b[44] = byte(k>>8), byte(k) })
 	}
-	padded[len(padded)-1] = 7
-	if dm, err := wire.DecodeMsg(padded); err == nil {
-		t.Fatalf("nonzero padding accepted: %#v", dm)
+
+	// Padding bytes must be zero, every one of them: a 64-byte padding (the
+	// word-at-a-time check) and a 67-byte one (its byte tail) with one
+	// nonzero byte at each offset.
+	for _, pad := range []int{64, 67} {
+		_, plen := wire.EncodeMsg(m)
+		padded, _ := wire.EncodeMsg(&substrate.Msg{Src: 1, Dst: 2, Data: 42, Size: plen + pad})
+		if _, err := wire.DecodeMsg(padded); err != nil {
+			t.Fatalf("clean %d-byte padding rejected: %v", pad, err)
+		}
+		for off := len(padded) - pad; off < len(padded); off++ {
+			padded[off] = 0x80
+			if dm, err := wire.DecodeMsg(padded); err == nil {
+				t.Fatalf("nonzero padding byte %d of %d accepted: %#v", off-(len(padded)-pad), pad, dm)
+			}
+			padded[off] = 0
+		}
 	}
 
 	if dm, err := wire.DecodeMsg(append(append([]byte(nil), frame...), 0)); err == nil {
@@ -133,6 +152,40 @@ func TestDecodeRejects(t *testing.T) {
 	if dm, err := wire.DecodeMsg(b); err == nil {
 		t.Fatalf("oversized plen accepted: %#v", dm)
 	}
+
+	// A kind at or above KindUser, which the registry keeps apart from the
+	// layers' dense table, round-trips through a frame, and a neighbouring
+	// unregistered application kind is still rejected.
+	t.Run("user kind", func(t *testing.T) {
+		k := wire.KindUser + 0x40
+		wire.RegisterForTest(t, k, &userPayload{},
+			func(w *wire.Writer, v any) {
+				p := v.(*userPayload)
+				w.Int(p.N)
+				w.Bytes(p.Tags)
+			},
+			func(r *wire.Reader) any { return &userPayload{N: r.Int(), Tags: r.Bytes()} })
+		m := &substrate.Msg{Src: 3, Dst: 4, Kind: 2, Tag: 1, Data: &userPayload{N: -9, Tags: []byte{1, 2}}, Size: 64}
+		frame, _ := wire.EncodeMsg(m)
+		dm, err := wire.DecodeMsg(frame)
+		if err != nil {
+			t.Fatalf("user kind frame rejected: %v", err)
+		}
+		if !reflect.DeepEqual(dm, m) {
+			t.Fatalf("user kind round trip diverged:\n got %#v\nwant %#v", dm, m)
+		}
+		frame[43], frame[44] = byte((k+1)>>8), byte(k+1)
+		if dm, err := wire.DecodeMsg(frame); err == nil {
+			t.Fatalf("unregistered user kind %d decoded: %#v", k+1, dm)
+		}
+	})
+}
+
+// userPayload is an application payload type only TestDecodeRejects
+// registers.
+type userPayload struct {
+	N    int
+	Tags []byte
 }
 
 // TestWrapLoopback: a wire-wrapped machine delivers equal but non-aliased
