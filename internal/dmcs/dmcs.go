@@ -153,7 +153,10 @@ func (c *Comm) next(tag int, anyTag bool) *substrate.Msg {
 	switch {
 	case c.rel != nil:
 		c.pump()
-		return c.popReady(tag, anyTag)
+		if anyTag {
+			return c.rel.ready.Pop()
+		}
+		return c.rel.ready.PopTag(tag)
 	case anyTag:
 		return c.p.TryRecv(substrate.CatMessaging)
 	default:

@@ -166,7 +166,7 @@ type reliable struct {
 	made      uint64 // receive streams created so far (the next ord)
 
 	// ready holds in-sequence messages awaiting dispatch, in release order.
-	ready []*substrate.Msg
+	ready substrate.Queue[substrate.Arrival]
 
 	// acks lists the receive streams with ackDue set, in recvOrder order, so
 	// a poll flushes exactly the due acks without walking recvOrder, and
@@ -471,14 +471,14 @@ func (c *Comm) accept(m *substrate.Msg) {
 		// Unsequenced message: its only source is a peer's send while it had
 		// this processor marked dead (sequence, counted in DeadSent). Pass it
 		// through as-is.
-		r.ready = append(r.ready, m)
+		r.ready.Push(substrate.Arrival{}, m)
 		return
 	}
 	st := r.recvStream(m.Src, m.Tag)
 	r.markAckDue(st)
 	switch {
 	case m.Seq == st.next:
-		r.ready = append(r.ready, m)
+		r.ready.Push(substrate.Arrival{}, m)
 		st.next++
 		for len(st.hold) > 0 {
 			h, ok := st.hold[st.next]
@@ -486,7 +486,7 @@ func (c *Comm) accept(m *substrate.Msg) {
 				break
 			}
 			delete(st.hold, st.next)
-			r.ready = append(r.ready, h)
+			r.ready.Push(substrate.Arrival{}, h)
 			st.next++
 		}
 	case m.Seq > st.next:
@@ -506,18 +506,6 @@ func (c *Comm) accept(m *substrate.Msg) {
 		r.stats.DupDropped++
 		c.recycle(m)
 	}
-}
-
-// popReady removes and returns the oldest ready message (filtered by tag
-// unless anyTag), or nil.
-func (c *Comm) popReady(tag int, anyTag bool) *substrate.Msg {
-	for i, m := range c.rel.ready {
-		if anyTag || m.Tag == tag {
-			c.rel.ready = slices.Delete(c.rel.ready, i, i+1)
-			return m
-		}
-	}
-	return nil
 }
 
 // tick advances the protocol clockwork: flush due acks, retransmit expired
@@ -600,12 +588,7 @@ func (c *Comm) NextDeadline(tag int) substrate.Time {
 	if r == nil {
 		return substrate.Never
 	}
-	for _, m := range r.ready {
-		if m.Tag == tag {
-			return c.p.Now()
-		}
-	}
-	if len(r.acks) > 0 {
+	if r.ready.Peek(substrate.PollSpec{Tag: tag}) != nil || len(r.acks) > 0 {
 		return c.p.Now()
 	}
 	return r.earliest()

@@ -2,7 +2,6 @@ package faulty
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 
 	"prema/internal/substrate"
@@ -75,7 +74,6 @@ func (f *Machine) Spawn(name string, body func(substrate.Endpoint)) {
 	fe := &Endpoint{
 		f:    f,
 		id:   id,
-		rng:  rand.New(rand.NewSource(f.seed + int64(id))),
 		link: f.plan.Default.withDefaults(),
 	}
 	for l, lf := range f.plan.Links {
@@ -147,17 +145,11 @@ func (f *Machine) Stats() Stats {
 
 var _ substrate.Machine = (*Machine)(nil)
 
-// held is one message captured from the inner endpoint, with its faulty-layer
-// release schedule.
-type held struct {
-	m *substrate.Msg
-	// release is the earliest time the message may be handed to the
-	// application (zero = immediately).
-	release substrate.Time
-	// order ranks deliverable messages; reordering bumps it past
-	// later arrivals.
-	order uint64
-}
+// rank orders the injector's deliverable messages: by order, which a
+// reordering bumps past later arrivals, then by arrival at the injector.
+type rank struct{ order, ord uint64 }
+
+func (r rank) Before(o rank) bool { return r.order < o.order || r.order == o.order && r.ord < o.ord }
 
 // Endpoint decorates one processor's substrate.Endpoint. Faults are applied
 // on the receive side, as messages are drained from the inner endpoint:
@@ -184,7 +176,8 @@ type Endpoint struct {
 	link  LinkFaults
 	links []LinkFaults
 
-	queue   []held
+	// queue holds what pump drained, delayed messages until their release.
+	queue   substrate.Queue[rank]
 	nextOrd uint64
 
 	stalls  []Stall // sorted by At; applied and popped in order
@@ -222,7 +215,7 @@ func (e *Endpoint) rejoin(t substrate.Time) {
 			break
 		}
 	}
-	e.queue = nil
+	e.queue = substrate.Queue[rank]{}
 	e.crashed = false
 	e.stats.Rejoins++
 	e.crashAt = -1
@@ -241,11 +234,15 @@ var _ substrate.Endpoint = (*Endpoint)(nil)
 // check fires due crash and stall events. Every interposed method calls it,
 // so scheduled faults take effect at the processor's next substrate
 // interaction after their time arrives. With none scheduled it does not
-// read the clock.
+// read the clock, and costs no call.
 func (e *Endpoint) check() {
-	if len(e.stalls) == 0 && (e.crashAt < 0 || e.crashed) {
-		return
+	if len(e.stalls) > 0 || e.crashAt >= 0 && !e.crashed {
+		e.fire()
 	}
+}
+
+// fire is check's slow path.
+func (e *Endpoint) fire() {
 	now := e.Now()
 	if e.crashAt >= 0 && !e.crashed && now >= e.crashAt {
 		e.crashed = true
@@ -275,8 +272,11 @@ func (e *Endpoint) pump() {
 		}
 		if m.Src == e.id || !lf.active() {
 			// Loopback traffic never crosses a wire; deliver untouched.
-			e.enqueue(m, 0)
+			e.enqueue(m, 0, 0)
 			continue
+		}
+		if e.rng == nil { // built at the first draw: a plan without link faults needs none
+			e.rng = rand.New(rand.NewSource(e.f.seed + int64(e.id)))
 		}
 		if lf.Drop > 0 && e.rng.Float64() < lf.Drop {
 			e.stats.Dropped++
@@ -288,61 +288,38 @@ func (e *Endpoint) pump() {
 			e.stats.Delayed++
 			release = e.Now() + 1 + substrate.Time(e.rng.Int63n(int64(lf.DelayMax)))
 		}
-		reorder := lf.Reorder > 0 && e.rng.Float64() < lf.Reorder
 		var bump uint64
-		if reorder {
+		if lf.Reorder > 0 && e.rng.Float64() < lf.Reorder {
 			e.stats.Reordered++
 			bump = uint64(1+e.rng.Intn(lf.ReorderDepth)) * 2
 		}
-		e.enqueue(m, release)
-		if bump > 0 {
-			e.queue[len(e.queue)-1].order += bump
-		}
+		e.enqueue(m, release, bump)
 		if dup {
 			e.stats.Dupped++
 			cp := *m
-			e.enqueue(&cp, release)
+			e.enqueue(&cp, release, 0)
 		}
 	}
 }
 
-func (e *Endpoint) enqueue(m *substrate.Msg, release substrate.Time) {
-	ord := e.nextOrd
+// enqueue files m for the application, ranked bump places past its arrival
+// and held until release when that is not zero.
+func (e *Endpoint) enqueue(m *substrate.Msg, release substrate.Time, bump uint64) {
+	k := rank{order: e.nextOrd + bump, ord: e.nextOrd}
 	e.nextOrd += 2 // even spacing leaves odd slots for reorder bumps
-	e.queue = append(e.queue, held{m: m, release: release, order: ord})
+	if release == 0 {
+		e.queue.Push(k, m)
+	} else {
+		e.queue.Hold(release, k, m)
+	}
 }
 
-// pickDeliverable returns the index of the next message the application may
-// receive (lowest order among released messages, optionally filtered by
-// tag), or -1.
-func (e *Endpoint) pickDeliverable(tag int, anyTag bool) int {
-	now := e.Now()
-	best := -1
-	for i, h := range e.queue {
-		if h.release > now {
-			continue
-		}
-		if !anyTag && h.m.Tag != tag {
-			continue
-		}
-		if best < 0 || h.order < e.queue[best].order {
-			best = i
-		}
+// due releases the held messages whose time has come, reading the clock
+// only when one is held.
+func (e *Endpoint) due() {
+	if e.queue.Held() > 0 {
+		e.queue.Release(e.Now())
 	}
-	return best
-}
-
-// nextRelease returns the earliest pending release time among held messages
-// still in the future, or substrate.Never if none.
-func (e *Endpoint) nextRelease() substrate.Time {
-	now := e.Now()
-	t := substrate.Never
-	for _, h := range e.queue {
-		if h.release > now && h.release < t {
-			t = h.release
-		}
-	}
-	return t
 }
 
 // --- substrate.Endpoint implementation ---
@@ -374,13 +351,13 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (subst
 	if e.crashAt >= 0 && !e.crashed {
 		wake = min(wake, e.crashAt-period)
 	}
-	for _, h := range e.queue {
-		if ps.Matches(h.m) {
-			wake = min(wake, h.release)
-		}
+	now := e.Now()
+	e.queue.Release(now)
+	if e.queue.Peek(ps) != nil {
+		wake = now
 	}
-	ps.AnyTag, ps.WakeBy = true, wake
-	if !ps.Elides(d, e.Now()) {
+	ps.AnyTag, ps.WakeBy = true, min(wake, e.queue.NextRelease(ps))
+	if !ps.Elides(d, now) {
 		return 0, 0
 	}
 	return e.Endpoint.AdvancePolled(d, ps)
@@ -399,14 +376,8 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 func (e *Endpoint) InboxLen() int {
 	e.check()
 	e.pump()
-	n := 0
-	now := e.Now()
-	for _, h := range e.queue {
-		if h.release <= now {
-			n++
-		}
-	}
-	return n
+	e.due()
+	return e.queue.Len()
 }
 
 // TryRecv implements substrate.Endpoint.
@@ -423,13 +394,11 @@ func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
 func (e *Endpoint) recv(tag int, anyTag bool) *substrate.Msg {
 	e.check()
 	e.pump()
-	i := e.pickDeliverable(tag, anyTag)
-	if i < 0 {
-		return nil
+	e.due()
+	if anyTag {
+		return e.queue.Pop()
 	}
-	m := e.queue[i].m
-	e.queue = slices.Delete(e.queue, i, i+1)
-	return m
+	return e.queue.PopTag(tag)
 }
 
 // Recv implements substrate.Endpoint.
@@ -457,14 +426,15 @@ func (e *Endpoint) wait(deadline substrate.Time, cat substrate.Category) bool {
 	for {
 		e.check()
 		e.pump()
-		if e.pickDeliverable(0, true) >= 0 {
+		now := e.Now()
+		e.queue.Release(now)
+		if e.queue.Len() > 0 {
 			return true
 		}
-		now := e.Now()
 		if now >= deadline {
 			return false
 		}
-		if until := min(deadline, e.nextRelease()); until == substrate.Never {
+		if until := min(deadline, e.queue.NextRelease(substrate.PollSpec{AnyTag: true})); until == substrate.Never {
 			e.Endpoint.WaitMsg(cat)
 		} else {
 			e.Endpoint.WaitMsgFor(until-now, cat)

@@ -281,6 +281,40 @@ func TestCrash(t *testing.T) {
 	}
 }
 
+// TestNoLinkFaultsBuildsNoSource: link faults are the injector's only
+// draws, so a plan of crashes and stalls alone builds no random source on
+// any endpoint, however much traffic it carries, and one link fault builds
+// a source only on the endpoint that link feeds.
+func TestNoLinkFaultsBuildsNoSource(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want []bool // which endpoints end with a source
+	}{
+		{Plan{Stalls: []Stall{{Proc: 0, At: secs(1), For: secs(2)}}, Crashes: []Crash{{Proc: 2, At: secs(4)}}}, []bool{false, false, false}},
+		{Plan{Links: map[Link]LinkFaults{{Src: 0, Dst: 1}: {Drop: 0.5}}}, []bool{false, true, false}},
+	} {
+		fm := Wrap(sim.NewMachine(sim.Config{Seed: 4}), tc.plan, 1)
+		for p := 0; p < 3; p++ {
+			fm.Spawn(fmt.Sprintf("p%d", p), func(ep substrate.Endpoint) {
+				for ep.Now() < secs(8) {
+					ep.Send(&substrate.Msg{Dst: (ep.ID() + 1) % 3, Size: 8}, substrate.CatMessaging)
+					ep.Advance(secs(1), substrate.CatCompute)
+					for ep.TryRecv(substrate.CatMessaging) != nil {
+					}
+				}
+			})
+		}
+		if err := fm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range fm.eps {
+			if got := e.rng != nil; got != tc.want[i] {
+				t.Errorf("plan %+v: endpoint %d built a source = %v, want %v", tc.plan, i, got, tc.want[i])
+			}
+		}
+	}
+}
+
 // TestUnwrapReachesInner: the injector is transparent to decorator-chain
 // walks — substrate.Find reaches the machine it wraps.
 func TestUnwrapReachesInner(t *testing.T) {

@@ -16,6 +16,7 @@ package ilb
 
 import (
 	"math"
+	"slices"
 
 	"prema/internal/dmcs"
 	"prema/internal/mol"
@@ -152,6 +153,8 @@ type Scheduler struct {
 	sincePoll int     // units executed since the last posted poll
 	stopped   bool
 
+	stealable []*mol.Object // StealableObjects' result, reused from call to call
+
 	// Crash recovery (nil / empty unless AttachRecov was called).
 	rp     *recov.Proc
 	onDown []func(recov.Down)
@@ -245,10 +248,11 @@ func (s *Scheduler) Load() float64 { return math.Max(s.load, 0) }
 
 // StealableObjects returns distinct locally resident objects that have
 // queued (unstolen) work, newest-queued first — the natural donation order
-// for a victim (oldest work stays local, freshest work migrates).
+// for a victim (oldest work stays local, freshest work migrates). The slice
+// is the scheduler's own: a caller may reorder it, and it is valid until the
+// next call.
 func (s *Scheduler) StealableObjects() []*mol.Object {
-	var out []*mol.Object
-	seen := make(map[mol.MobilePtr]bool)
+	out := s.stealable[:0]
 	for i := len(s.queue) - 1; i >= s.qhead; i-- {
 		u := s.queue[i]
 		if u == nil || u.stolen {
@@ -257,11 +261,11 @@ func (s *Scheduler) StealableObjects() []*mol.Object {
 		if s.current != nil && u.Obj == s.current.Obj {
 			continue // executing object cannot migrate
 		}
-		if !seen[u.Obj.MP] {
-			seen[u.Obj.MP] = true
+		if !slices.ContainsFunc(out, func(o *mol.Object) bool { return o.MP == u.Obj.MP }) {
 			out = append(out, u.Obj)
 		}
 	}
+	s.stealable = out
 	return out
 }
 

@@ -331,3 +331,34 @@ func TestComputeZeroPollInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStealableObjectsAllocatesNothing: once warm, serving a steal request's
+// candidate list allocates nothing, and the list still runs newest-queued
+// first, each object once.
+func TestStealableObjectsAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(sim.Config{Seed: 1})
+	e.Spawn("p", func(p *sim.Proc) {
+		s := newSched(p, Explicit)
+		h := s.Mol().RegisterHandler(func(l *mol.Layer, obj *mol.Object, src int, data any, size int) {})
+		var mps []mol.MobilePtr
+		for i := 0; i < 8; i++ {
+			mps = append(mps, s.Mol().Register(fmt.Sprint(i), 8))
+		}
+		for i := 0; i < 32; i++ {
+			s.Message(mps[i*5%len(mps)], h, nil, 0, 1)
+		}
+		var got []string
+		for _, o := range s.StealableObjects() {
+			got = append(got, o.Data.(string))
+		}
+		if want := "[3 6 1 4 7 2 5 0]"; fmt.Sprint(got) != want {
+			t.Errorf("stealable = %v, want %s", got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.StealableObjects() }); n != 0 {
+			t.Errorf("StealableObjects allocates %v times per call, want 0", n)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

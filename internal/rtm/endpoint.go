@@ -2,8 +2,6 @@ package rtm
 
 import (
 	"math/rand"
-	"slices"
-	"sort"
 	"time"
 
 	"prema/internal/substrate"
@@ -21,12 +19,12 @@ type Endpoint struct {
 
 	// in is the one delivery feed (written by senders and Inject, each
 	// message already stamped with its arrival time); inbox is what this
-	// goroutine has drained from it, ordered by ArrivedAt and owned
-	// exclusively by it. A message is visible to the application once its
-	// arrival time has passed — as in the simulator, it is not in the inbox
-	// before it arrives — so the visible messages are a prefix of inbox.
+	// goroutine has drained from it, owned exclusively by it. A message is
+	// held until its arrival time — as in the simulator, it is not in the
+	// inbox before it arrives — and then taken by arrival time, ties in feed
+	// order.
 	in    chan *substrate.Msg
-	inbox []*substrate.Msg
+	inbox substrate.Queue[arrival]
 	// done is closed when the body returns: nothing drains in after that,
 	// so a send to this rank is a dead letter rather than a block.
 	done chan struct{}
@@ -42,6 +40,12 @@ type Endpoint struct {
 }
 
 var _ substrate.Endpoint = (*Endpoint)(nil)
+
+// arrival keys the inbox by arrival time. A message fed after others that
+// arrived later, but already due itself, is filed ahead of them.
+type arrival substrate.Time
+
+func (a arrival) Before(o arrival) bool { return a < o }
 
 // ID implements substrate.Endpoint.
 func (e *Endpoint) ID() int { return e.id }
@@ -89,12 +93,11 @@ func (e *Endpoint) AdvancePolled(d substrate.Time, ps substrate.PollSpec) (done 
 	target := g.Due(substrate.Never)
 	for {
 		e.arrived()
-		for _, m := range e.inbox { // by arrival: the first match is the earliest
-			if ps.Matches(m) {
-				target = min(target, g.Due(m.ArrivedAt))
-				break
-			}
+		first := e.inbox.NextRelease(ps) // by arrival: a held match is later than any due
+		if m := e.inbox.Peek(ps); m != nil {
+			first = m.ArrivedAt
 		}
+		target = min(target, g.Due(first))
 		if e.m.Now() >= target {
 			break
 		}
@@ -122,7 +125,7 @@ func (e *Endpoint) pause(target substrate.Time, feed <-chan *substrate.Msg, time
 	}
 	select {
 	case m := <-feed:
-		e.hold(m)
+		e.inbox.Hold(m.ArrivedAt, arrival(m.ArrivedAt), m)
 	case <-sleep:
 	case <-timeout:
 		return true
@@ -168,27 +171,16 @@ func (e *Endpoint) Send(m *substrate.Msg, cat substrate.Category) {
 	}
 }
 
-// hold files a message taken off the feed by arrival time, behind every
-// message due no later: one sender's arrival times strictly increase, so its
-// messages stay in send order, and ties between senders keep feed order.
-func (e *Endpoint) hold(m *substrate.Msg) {
-	i := len(e.inbox)
-	for i > 0 && e.inbox[i-1].ArrivedAt > m.ArrivedAt {
-		i--
-	}
-	e.inbox = slices.Insert(e.inbox, i, m)
-}
-
-// arrived empties the feed into the inbox without blocking and returns how
-// many messages have arrived — the length of the inbox's visible prefix.
+// arrived empties the feed into the inbox without blocking, releases every
+// message whose arrival time has passed and returns how many have arrived.
 func (e *Endpoint) arrived() int {
 	for {
 		select {
 		case m := <-e.in:
-			e.hold(m)
+			e.inbox.Hold(m.ArrivedAt, arrival(m.ArrivedAt), m)
 		default:
-			now := e.m.Now()
-			return sort.Search(len(e.inbox), func(i int) bool { return e.inbox[i].ArrivedAt > now })
+			e.inbox.Release(e.m.Now())
+			return e.inbox.Len()
 		}
 	}
 }
@@ -198,27 +190,20 @@ func (e *Endpoint) InboxLen() int { return e.arrived() }
 
 // TryRecv implements substrate.Endpoint.
 func (e *Endpoint) TryRecv(cat substrate.Category) *substrate.Msg {
-	if e.arrived() == 0 {
-		return nil
-	}
-	return e.take(0, cat)
+	e.arrived()
+	return e.received(e.inbox.Pop(), cat)
 }
 
 // TryRecvTag implements substrate.Endpoint.
 func (e *Endpoint) TryRecvTag(tag int, cat substrate.Category) *substrate.Msg {
-	for i, m := range e.inbox[:e.arrived()] {
-		if m.Tag == tag {
-			return e.take(i, cat)
-		}
-	}
-	return nil
+	e.arrived()
+	return e.received(e.inbox.PopTag(tag), cat)
 }
 
-// take removes inbox[i], charging the per-message receive CPU to cat.
-func (e *Endpoint) take(i int, cat substrate.Category) *substrate.Msg {
-	m := e.inbox[i]
-	e.inbox = slices.Delete(e.inbox, i, i+1)
-	if o := e.m.cfg.Network.RecvCPU; o > 0 {
+// received charges the per-message receive CPU of m, if there is one, to
+// cat.
+func (e *Endpoint) received(m *substrate.Msg, cat substrate.Category) *substrate.Msg {
+	if o := e.m.cfg.Network.RecvCPU; o > 0 && m != nil {
 		e.Advance(o, cat)
 	}
 	return m
@@ -260,11 +245,7 @@ func (e *Endpoint) wait(wall time.Duration, cat substrate.Category) bool {
 	}
 	n, timedOut := 0, false
 	for n == 0 && !timedOut {
-		next := substrate.Never
-		if len(e.inbox) > 0 {
-			next = e.inbox[0].ArrivedAt
-		}
-		timedOut = e.pause(next, e.in, timeout)
+		timedOut = e.pause(e.inbox.NextRelease(substrate.PollSpec{AnyTag: true}), e.in, timeout)
 		n = e.arrived()
 	}
 	e.acct[cat] += e.m.Now() - t0

@@ -151,7 +151,7 @@ func TestTryRecvTagPreservesOrder(t *testing.T) {
 				p.Advance(Microsecond, CatIdle)
 			}
 		}
-		if !p.hasMsg(TagSystem) {
+		if p.inbox.Peek(substrate.PollSpec{Tag: TagSystem}) == nil {
 			t.Error("expected a system message")
 		}
 		m := p.TryRecvTag(TagSystem, CatMessaging)

@@ -122,7 +122,7 @@ func (r *deliveryRing) pop() *Msg {
 }
 
 func (r *deliveryRing) grow() {
-	nb := make([]delivery, max(2*len(r.buf), ringMinCap))
+	nb := make([]delivery, max(2*len(r.buf), 16))
 	for i := 0; i < r.n; i++ {
 		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -129,7 +129,7 @@ func newLoopRig(sinks, wakers, remote int) *loopRig {
 		p.next = func() (struct{}, bool) {
 			ord := wakeOrd(p.id)
 			if p.inbox.Len() > 0 {
-				ord = r.ords[p.inbox.removeAt(0)]
+				ord = r.ords[p.inbox.Pop()]
 			}
 			r.fired = append(r.fired, firing{p.now, ord})
 			return struct{}{}, true

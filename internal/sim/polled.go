@@ -34,7 +34,7 @@ func (p *Proc) AdvancePolled(d Time, ps substrate.PollSpec) (done Time, polls in
 	pk := &p.poll
 	pk.PollGrid = substrate.NewPollGrid(p.now, d, ps)
 	queued := substrate.Never
-	if ps.AnyTag && p.inbox.Len() > 0 || !ps.AnyTag && p.hasMsg(ps.Tag) {
+	if p.inbox.Peek(ps) != nil {
 		queued = p.now
 	}
 	pk.target = pk.Due(queued)

@@ -54,7 +54,7 @@ type Proc struct {
 	inflight arrivals   // when the deliveries to this processor in its shard's ring land
 	rng      *rand.Rand // lazily built deterministic per-processor stream
 
-	inbox msgRing
+	inbox substrate.Queue[substrate.Arrival]
 	acct  Account
 }
 
@@ -87,17 +87,39 @@ func (p *Proc) park(cat Category) {
 //
 // When no event can interrupt the advance, the processor moves its clock in
 // place (skipTo) instead of parking on a wake in the heap, which would hand
-// control to the event loop only for it to hand control straight back.
+// control to the event loop only for it to hand control straight back; a
+// delivery to itself that comes first it fires in place (absorb).
 func (p *Proc) Advance(d Time, cat Category) {
 	if d <= 0 {
 		return
 	}
-	if p.skipTo(p.now + d) {
-		p.acct[cat] += d
-		return
+	at := p.now + d
+	for !p.skipTo(at) {
+		if !p.absorb(at) {
+			p.sh.atWake(at, p)
+			p.park(cat)
+			return
+		}
 	}
-	p.sh.atWake(p.now+d, p)
-	p.park(cat)
+	p.acct[cat] += d
+}
+
+// absorb fires the shard's next event in place when it is a delivery to p
+// due by at, and reports whether it did. Parked on a wake at at, p would see
+// the same: the delivery fires first (it is next, and wins a tie), and only
+// appends to the inbox of a processor neither waiting nor in a polled
+// advance. AdvancePolled must not absorb: its deliveries move its wake
+// (pollArrival).
+func (p *Proc) absorb(at Time) bool {
+	s := p.sh
+	d := s.ring.next()
+	if d > at || d > s.heap.next() || d >= s.end || s.err != nil || s.ring.buf[s.ring.head].m.Dst != p.id {
+		return false
+	}
+	s.now = d
+	s.fired++
+	s.deliver(s.ring.pop())
+	return true
 }
 
 // skipTo moves p's clock to at without yielding when nothing p could see
@@ -165,42 +187,19 @@ func (p *Proc) arrival(dst, size int) Time {
 // InboxLen returns the number of queued, undelivered-to-application messages.
 func (p *Proc) InboxLen() int { return p.inbox.Len() }
 
-// hasMsg reports whether any queued message carries the given tag.
-func (p *Proc) hasMsg(tag int) bool {
-	for i := 0; i < p.inbox.Len(); i++ {
-		if p.inbox.at(i).Tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // TryRecv pops the oldest queued message, charging receive CPU overhead to
 // cat. It returns nil when the inbox is empty.
-func (p *Proc) TryRecv(cat Category) *Msg {
-	if p.inbox.Len() == 0 {
-		return nil
-	}
-	return p.take(0, cat)
-}
+func (p *Proc) TryRecv(cat Category) *Msg { return p.received(p.inbox.Pop(), cat) }
 
 // TryRecvTag pops the oldest queued message with the given tag, preserving
 // the relative order of the remaining messages. It returns nil when no such
 // message is queued. This implements PREMA's separation of system
 // (load-balancer) traffic from application traffic (§4.2 of the paper).
-func (p *Proc) TryRecvTag(tag int, cat Category) *Msg {
-	for i := 0; i < p.inbox.Len(); i++ {
-		if p.inbox.at(i).Tag == tag {
-			return p.take(i, cat)
-		}
-	}
-	return nil
-}
+func (p *Proc) TryRecvTag(tag int, cat Category) *Msg { return p.received(p.inbox.PopTag(tag), cat) }
 
-// take removes the i-th queued message, charging the receive CPU to cat.
-func (p *Proc) take(i int, cat Category) *Msg {
-	m := p.inbox.removeAt(i)
-	if o := p.sh.net.RecvCPU; o > 0 {
+// received charges the receive CPU of m, if there is one, to cat.
+func (p *Proc) received(m *Msg, cat Category) *Msg {
+	if o := p.sh.net.RecvCPU; o > 0 && m != nil {
 		p.Advance(o, cat)
 	}
 	return m

@@ -268,9 +268,13 @@ func TestRunAheadAfterInterruptedPoll(t *testing.T) {
 // the free one they draw (113,508), and once more when same-instant wakes
 // began firing in processor-ID order instead of push order: at a tie the
 // order in which bodies run decides which later Advance ends before the
-// head of the heap, and two fewer switches follow (113,506).
+// head of the heap, and two fewer switches follow (113,506). It was
+// re-recorded when Advance began firing in place the deliveries to its own
+// processor that are the shard's next events (Proc.absorb), which needs no
+// run-ahead: 951 advances cut short only by such a delivery no longer park
+// (112,555).
 func TestLockstepKeepsTransfers(t *testing.T) {
-	const lockstepTransfers = 113506
+	const lockstepTransfers = 112555
 	var lock, ahead, lockEvents, aheadEvents uint64
 	for seed := int64(1); seed <= trailPrograms; seed++ {
 		e, _ := runTrailProgram(t, seed, Config{Lockstep: true})

@@ -93,7 +93,7 @@ func (s *shard) deliver(m *Msg) {
 	p := s.eng.procs[m.Dst]
 	p.inflight.pop() // the earliest, at s.now
 	m.ArrivedAt = s.now
-	p.inbox.push(m)
+	p.inbox.Push(substrate.Arrival{}, m)
 	if p.waitingMsg {
 		// The message beat the wait's timeout: take the timeout out of the
 		// heap rather than leave it to fire dead. Every other event keeps
